@@ -31,8 +31,8 @@ closed = np.array([fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0), 0.0, 0.0, 
 print(f"  max abs deviation: {np.max(np.abs(curve.values[1:] - closed)):.2e}")
 
 print("\noscillating boundary 1 + 0.25 sin t: convergence under halving")
-wavy = GeneralBoundary(s=lambda t: 1.0 + 0.25 * math.sin(t),
-                       s_dot=lambda t: 0.25 * math.cos(t))
+wavy = GeneralBoundary(s=lambda t: 1.0 + 0.25 * np.sin(t),
+                       s_dot=lambda t: 0.25 * np.cos(t))
 ref = volterra_fpt(spec, wavy, 0.0, 0.0, np.linspace(0.0, 5.0, 8001))
 for K in (250, 500, 1000, 2000):
     sol = volterra_fpt(spec, wavy, 0.0, 0.0, np.linspace(0.0, 5.0, K + 1))

@@ -12,7 +12,7 @@ The configuration is a JSON document; command-line flags override document
 values.  Exit status: 0 success, 1 validation failure, 2 configuration error.
 Every CSV has a header row, times strictly increasing, and floats serialized
 with 17 significant digits.  GROWTHFPT_THREADS caps simulation worker
-threads (default: all cores).
+threads (default: the CPUs the process may run on).
 """
 
 from __future__ import annotations
@@ -225,10 +225,11 @@ def _cmd_curve(cfg: RunConfig, out: Path) -> int:
     params = cfg.model
     coeffs = reparametrize(params)
     ts = _density_grid(cfg)
-    xs = np.array([x_eval(params, t) for t in ts])
-    gs = np.array([g_eval(coeffs, params, t) for t in ts])
-    hs = np.array([h_eval(params, t) if t < domain_end(params).t_star else 0.0
-                   for t in ts])
+    xs = x_eval(params, ts)
+    gs = g_eval(coeffs, params, ts)
+    inside = ts < domain_end(params).t_star
+    hs = np.zeros_like(ts)
+    hs[inside] = h_eval(params, ts[inside])
     write_csv(out / "curve.csv", ["t", "x", "g", "h"], [ts, xs, gs, hs])
     (out / "curve.svg").write_text(render_line_chart(
         [(ts, xs, "x(t)")], title="Growth curve", ylabel="x"))
@@ -245,7 +246,7 @@ def _cmd_regime(cfg: RunConfig, out: Path) -> int:
 def _cmd_paths(cfg: RunConfig, out: Path) -> int:
     proc = cfg.process()
     ts, paths = simulate_paths(proc, cfg.sim)
-    xs = np.array([x_eval(cfg.model, t) for t in ts])
+    xs = x_eval(cfg.model, ts)
     header = ["t", "x_det"] + [f"path_{i}" for i in range(paths.shape[0])]
     write_csv(out / "paths.csv", header, [ts, xs] + [paths[i] for i in range(paths.shape[0])])
     series = [(ts, paths[i], "") for i in range(min(paths.shape[0], 30))]
@@ -253,6 +254,14 @@ def _cmd_paths(cfg: RunConfig, out: Path) -> int:
     (out / "paths.svg").write_text(render_line_chart(
         series, title=f"Sample paths ({cfg.noise_kind} noise)", ylabel="x"))
     return 0
+
+
+def _closed_values(fn, cfg: RunConfig, ts: np.ndarray) -> np.ndarray:
+    """A closed-form density on the grid in one call; 0 at t0 itself."""
+    later = ts > cfg.model.t0
+    vals = np.zeros_like(ts)
+    vals[later] = fn(ts[later])
+    return vals
 
 
 def _fpt_closed_fn(cfg: RunConfig):
@@ -270,10 +279,9 @@ def _cmd_fpt(cfg: RunConfig, out: Path) -> int:
     proc = cfg.process()
     method = cfg.fpt_method
     if method == "closed":
-        fn = _fpt_closed_fn(cfg)
         ts = _density_grid(cfg)
-        vals = np.array([fn(t) if t > params.t0 else 0.0 for t in ts])
-        curve = DensityCurve(times=ts, values=vals)
+        curve = DensityCurve(times=ts,
+                             values=_closed_values(_fpt_closed_fn(cfg), cfg, ts))
     elif method == "volterra":
         ts = _density_grid(cfg)
         if cfg.grid_kind != "linear":
@@ -326,8 +334,7 @@ def _cmd_fet(cfg: RunConfig, out: Path) -> int:
             fn = lambda t: fet_pdf_ou_band(proc, cfg.fet_nu1, cfg.fet_nu,
                                            cfg.fet_nu2, 0.0, params.x0,
                                            params.t0, t, cfg.series)
-        vals = np.array([fn(t) if t > params.t0 else 0.0 for t in ts])
-        curve = DensityCurve(times=ts, values=vals)
+        curve = DensityCurve(times=ts, values=_closed_values(fn, cfg, ts))
     elif method == "volterra":
         if cfg.grid_kind != "linear":
             raise ValidationError("fet.method=volterra requires grid.kind=linear")

@@ -29,14 +29,15 @@ import numpy as np
 
 from .errors import (BandCrossing, DomainError, InvalidParams, OrderError,
                      SeriesDivergence, StartOutsideBand)
-from .fpt import DensityCurve, GeneralBoundary, _uniform_step
-from .gm_core import GMSpec, r_ratio, transition_law
-from .growth_curve import _core, _g
+from .fpt import DensityCurve, GeneralBoundary, _uniform_step, on_grid
+from .gm_core import GMSpec, evaluate, law_between, r_ratio
+from .growth_curve import _as_out, _core, _g
 from .process_lognormal import LognormalProcess
 from .process_ou import OUProcess, gm_spec_G
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _EXP_FLOOR = -700.0  # exp() underflows around -745; keep a margin
+_PAIR_BLOCK = 16        # most image-series orders evaluated per step
+_STEP_ELEMENTS = 4096   # clock values x orders per step, to bound memory
 
 
 @dataclass(frozen=True)
@@ -84,69 +85,86 @@ class SeriesControl:
 DEFAULT_SERIES = SeriesControl()
 
 
-def _guarded_exp(arg: float) -> float:
-    return math.exp(arg) if arg > _EXP_FLOOR else 0.0
+def _guarded_exp(arg):
+    """exp(arg), 0 at or below _EXP_FLOOR; every caller's arg is <= 0."""
+    return np.exp(arg) * (arg > _EXP_FLOOR)
 
 
-def _theta_sum(R: float, L: float, u: float, v: float, f1: float, f2: float,
-               ctl: SeriesControl) -> float:
-    """The image sum of the band-exit closed form (prefactor excluded)."""
+def _theta_sum(R, L: float, u: float, v: float, f1, f2,
+               ctl: SeriesControl) -> np.ndarray:
+    """The image sum of the band-exit closed form (prefactor excluded), for
+    a scalar or an array of clock values R > 0 (f1, f2 alike).
 
-    def pair(n: int) -> float:
+    Pairs are added in order until every element's last pair falls below
+    rel_tol of its running total.  Each step evaluates several orders n in
+    one pass, as many as keep its arrays near _STEP_ELEMENTS entries (at
+    most _PAIR_BLOCK); the running totals are the sequential sums."""
+    R, f1, f2 = (np.asarray(x, dtype=float)[..., None] for x in (R, f1, f2))
+    block = max(1, min(_PAIR_BLOCK, _STEP_ELEMENTS // R.size))
+
+    def pairs(n: np.ndarray) -> np.ndarray:
         base = -2.0 * n * n * L * L / R
         t1 = (u + 2.0 * n * L) * _guarded_exp(base - 2.0 * n * L * u / R) * f1
         t2 = (v - 2.0 * n * L) * _guarded_exp(base + 2.0 * n * L * v / R) * f2
         return t1 + t2
 
-    total = pair(0)
-    for n in range(1, ctl.n_max + 1):
-        delta = pair(n) + pair(-n)
-        total += delta
-        if abs(delta) <= ctl.rel_tol * max(abs(total), 1e-300):
-            return total
+    total = None
+    for lo in range(1, ctl.n_max + 1, block):
+        n = np.arange(lo, min(lo + block, ctl.n_max + 1), dtype=float)
+        terms = pairs(np.concatenate(([0.0], n, -n) if total is None else (n, -n)))
+        if total is None:
+            total, terms = terms[..., :1], terms[..., 1:]
+        delta = terms[..., :n.size] + terms[..., n.size:]
+        run = np.add.accumulate(np.concatenate((total, delta), axis=-1), axis=-1)[..., 1:]
+        small = np.abs(delta) <= ctl.rel_tol * np.maximum(np.abs(run), 1e-300)
+        done = np.logical_and.reduce(small.reshape(-1, n.size), axis=0)
+        first = int(np.argmax(done))
+        if done[first]:
+            return run[..., first]
+        total = run[..., -1:]
     raise SeriesDivergence(
         f"image sum did not stabilise within n_max={ctl.n_max} terms")
 
 
 def fet_pdf_gm_closed(spec: GMSpec, a: float, band: BandSpec, x0: float,
-                      t0: float, t: float,
-                      ctl: SeriesControl = DEFAULT_SERIES) -> float:
+                      t0: float, t,
+                      ctl: SeriesControl = DEFAULT_SERIES):
     """Total exit density gamma(t | x0, t0) for an affine-in-(k1, k2) band.
 
     Boundaries are s_i = m + a*k1 + band.ci*k2 and the start must satisfy
     x0 = m(t0) + a*k1(t0) + band.c*k2(t0); band.slope is ignored here (it is
-    the Wiener-coordinate reading of `a`).
+    the Wiener-coordinate reading of `a`).  `t` is a scalar or an array.
     """
-    if t <= t0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= t0):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    x0_implied = spec.m(t0) + a * spec.k1(t0) + band.c * spec.k2(t0)
+    at_0, at_t = evaluate(spec, t0), evaluate(spec, t)
+    x0_implied = at_0.m + a * at_0.k1 + band.c * at_0.k2
     scale = max(abs(x0), abs(x0_implied), 1.0)
     if abs(x0 - x0_implied) > 1e-9 * scale:
         raise InvalidParams(
             f"x0={x0} inconsistent with m + a*k1 + c*k2 = {x0_implied} at t0")
-    r_t, rdot_t = r_ratio(spec, t)
-    r_t0, _ = r_ratio(spec, t0)
-    R = r_t - r_t0
-    if R <= 0.0:
-        return 0.0
-    law = transition_law(spec, x0, t0, t)
-    s1_t = spec.m(t) + a * spec.k1(t) + band.c1 * spec.k2(t)
-    s2_t = spec.m(t) + a * spec.k1(t) + band.c2 * spec.k2(t)
-    f1 = law.pdf(s1_t)
-    f2 = law.pdf(s2_t)
+    R = at_t.r - at_0.r
+    moved = R > 0.0
+    R = np.where(moved, R, 1.0)  # placeholder clock where the density is 0
+    law = law_between(at_0, at_t, x0)
+    f1 = np.where(moved, law.pdf(at_t.m + a * at_t.k1 + band.c1 * at_t.k2), 0.0)
+    f2 = np.where(moved, law.pdf(at_t.m + a * at_t.k1 + band.c2 * at_t.k2), 0.0)
     L = band.c2 - band.c1
     u = band.c - band.c1
     v = band.c2 - band.c
-    pref = spec.k2(t) * rdot_t / R
-    return pref * _theta_sum(R, L, u, v, f1, f2, ctl)
+    pref = at_t.k2 * at_t.r_dot / R
+    dens = pref * _theta_sum(R, L, u, v, f1, f2, ctl)
+    return _as_out(np.where(moved, dens, 0.0))
 
 
-def wiener_band_pdf(band: BandSpec, sigma: float, dt: float,
-                    ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def wiener_band_pdf(band: BandSpec, sigma: float, dt,
+                    ctl: SeriesControl = DEFAULT_SERIES):
     """Exit density of a Wiener process (variance sigma^2 per unit time)
-    from the affine band c_i + slope*t after elapsed time dt, the start
-    sitting at intercept offset c with c1 < c < c2."""
-    if dt <= 0.0:
+    from the affine band c_i + slope*t after elapsed time dt (a scalar or an
+    array), the start sitting at intercept offset c with c1 < c < c2."""
+    dt = np.asarray(dt, dtype=float)
+    if np.any(dt <= 0.0):
         raise OrderError(f"elapsed time must be positive, got {dt}")
     R = sigma * sigma * dt
     L = band.c2 - band.c1
@@ -154,17 +172,18 @@ def wiener_band_pdf(band: BandSpec, sigma: float, dt: float,
     v = band.c2 - band.c
     a1 = -((band.slope * dt + band.c1 - band.c) ** 2) / (2.0 * R)
     a2 = -((band.slope * dt + band.c2 - band.c) ** 2) / (2.0 * R)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * R)
+    norm = 1.0 / np.sqrt(2.0 * math.pi * R)
     f1 = norm * _guarded_exp(a1)
     f2 = norm * _guarded_exp(a2)
-    return (1.0 / dt) * _theta_sum(R, L, u, v, f1, f2, ctl)
+    return _as_out((1.0 / dt) * _theta_sum(R, L, u, v, f1, f2, ctl))
 
 
 def fet_pdf_lognormal_band(proc: LognormalProcess, band: ProportionalBand,
-                           x0: float, t0: float, t: float,
-                           ctl: SeriesControl = DEFAULT_SERIES) -> float:
+                           x0: float, t0: float, t,
+                           ctl: SeriesControl = DEFAULT_SERIES):
     """Exit density of the multiplicative-noise process from the band of
-    mean proportions [nu1, nu2], started at proportion nu of x0.
+    mean proportions [nu1, nu2], started at proportion nu of x0; `t` is a
+    scalar or an array.
 
     Only the ratios nu/nu1, nu2/nu, nu2/nu1 and (sigma, t - t0) enter:
 
@@ -176,7 +195,8 @@ def fet_pdf_lognormal_band(proc: LognormalProcess, band: ProportionalBand,
 
     so the value is independent of the curve shape p and of x0 itself.
     """
-    if t <= t0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= t0):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
     dt = t - t0
     s2 = proc.sigma * proc.sigma
@@ -184,10 +204,10 @@ def fet_pdf_lognormal_band(proc: LognormalProcess, band: ProportionalBand,
     L = math.log(band.nu2 / band.nu1)
     u = math.log(band.nu / band.nu1)
     v = math.log(band.nu2 / band.nu)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * R)
+    norm = 1.0 / np.sqrt(2.0 * math.pi * R)
     f1 = norm * _guarded_exp(-((0.5 * s2 * dt - u) ** 2) / (2.0 * R))
     f2 = norm * _guarded_exp(-((0.5 * s2 * dt + v) ** 2) / (2.0 * R))
-    return (1.0 / dt) * _theta_sum(R, L, u, v, f1, f2, ctl)
+    return _as_out((1.0 / dt) * _theta_sum(R, L, u, v, f1, f2, ctl))
 
 
 def fet_pdf_wiener_symmetric(c_half_width: float, sigma: float, dt: float,
@@ -212,21 +232,23 @@ def fet_pdf_wiener_symmetric_split(c_half_width: float, sigma: float, dt: float,
 
 
 def fet_pdf_ou_band(proc: OUProcess, c1: float, c: float, c2: float, B: float,
-                    x0: float, t0: float, t: float,
-                    ctl: SeriesControl = DEFAULT_SERIES) -> float:
+                    x0: float, t0: float, t,
+                    ctl: SeriesControl = DEFAULT_SERIES):
     """Exit density of the additive-noise process from a proportional band.
 
     With B = 0 the boundaries are s_i(t) = c_i * x0 * g(t0)/g(t), i.e. fixed
     proportions of the conditional mean started from x0, and the start state
     is c * x0 (c = 1 starts exactly at x0).  B tilts the band along the
-    intrinsic clock the same way the affine passage boundary does.
+    intrinsic clock the same way the affine passage boundary does.  `t` is a
+    scalar or an increasing array.
     """
     if not (c1 < c < c2):
         raise StartOutsideBand(f"need c1 < c < c2, got {c1}, {c}, {c2}")
     params = proc.params
-    if t >= _core(params).t_star:
+    t = np.asarray(t, dtype=float)
+    if np.any(t >= _core(params).t_star):
         raise DomainError(f"t={t} at or beyond the domain end")
-    if t <= t0:
+    if np.any(t <= t0):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
     spec = gm_spec_G(proc)
     r_t0, _ = r_ratio(spec, t0)
@@ -251,17 +273,11 @@ def volterra_fet(spec: GMSpec, s1: GeneralBoundary, s2: GeneralBoundary,
         raise GridError(f"grid must start at t0={t0}, starts at {grid[0]}")
 
     K = grid.size
-    m_arr = np.array([spec.m(t) for t in grid])
-    md_arr = np.array([spec.m_dot(t) for t in grid])
-    k1_arr = np.array([spec.k1(t) for t in grid])
-    k1d_arr = np.array([spec.k1_dot(t) for t in grid])
-    k2_arr = np.array([spec.k2(t) for t in grid])
-    k2d_arr = np.array([spec.k2_dot(t) for t in grid])
-    s1_arr = np.array([s1.s(t) for t in grid])
-    s1d_arr = np.array([s1.s_dot(t) for t in grid])
-    s2_arr = np.array([s2.s(t) for t in grid])
-    s2d_arr = np.array([s2.s_dot(t) for t in grid])
-    r_arr = k1_arr / k2_arr
+    at = evaluate(spec, grid)
+    m_arr, md_arr, k1_arr, k1d_arr = at.m, at.m_dot, at.k1, at.k1_dot
+    k2_arr, k2d_arr, r_arr = at.k2, at.k2_dot, at.r
+    s1_arr, s1d_arr = on_grid(s1.s, grid), on_grid(s1.s_dot, grid)
+    s2_arr, s2d_arr = on_grid(s2.s, grid), on_grid(s2.s_dot, grid)
 
     if np.any(s1_arr >= s2_arr):
         raise BandCrossing("lower boundary meets or exceeds the upper one")

@@ -33,18 +33,20 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DomainError, GridError, OrderError, StartOnBoundary)
-from .gm_core import (DanielsBoundary, GMSpec, TimeFn, daniels_boundary_fns,
-                      r_ratio, transition_law)
-from .growth_curve import _core, _g, h_eval
+from .gm_core import (DanielsBoundary, GMSpec, TimeFn, evaluate, law_between,
+                      r_ratio)
+from .growth_curve import _as_out, _core, _g, h_eval
 from .process_lognormal import LognormalProcess
-from .process_ou import OUProcess, _int_g2, gm_spec_G
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
+from .process_ou import OUProcess, gm_spec_G, int_g2
 
 
 @dataclass(frozen=True)
 class GeneralBoundary:
-    """A C^1 boundary given by its value and derivative callables."""
+    """A C^1 boundary given by its value and derivative callables.
+
+    Both take a scalar or a numpy array of times (write them with numpy
+    functions); a callable may return a constant scalar for every time.
+    """
 
     s: TimeFn
     s_dot: TimeFn
@@ -126,29 +128,27 @@ class DensityCurve:
 
 
 def fpt_pdf_gm_closed(spec: GMSpec, b: DanielsBoundary, x0: float, t0: float,
-                      t: float) -> float:
+                      t):
     """Closed-form passage density through a Daniels-type boundary:
 
         |s(t0) - x0| / (r(t) - r(t0)) * k2(t)/k2(t0) * r'(t) * f(s(t), t | x0, t0)
 
     valid for either ordering of x0 versus s(t0) by symmetry of the Gaussian
-    transition law under state reflection.
+    transition law under state reflection.  `t` is a scalar or an array.
     """
-    if t <= t0:
+    if np.any(np.less_equal(t, t0)):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    s_fn, _ = daniels_boundary_fns(spec, b)
-    s0 = s_fn(t0)
+    at_0, at_t = evaluate(spec, t0), evaluate(spec, t)
+    s0 = b.value(at_0)
     if s0 == x0:
         raise StartOnBoundary(f"x0 = s(t0) = {x0}")
-    r_t, rdot_t = r_ratio(spec, t)
-    r_t0, _ = r_ratio(spec, t0)
-    law = transition_law(spec, x0, t0, t)
-    pref = (abs(s0 - x0) / (r_t - r_t0)) * (spec.k2(t) / spec.k2(t0)) * rdot_t
-    return pref * law.pdf(s_fn(t))
+    law = law_between(at_0, at_t, x0)
+    pref = (abs(s0 - x0) / (at_t.r - at_0.r)) * (at_t.k2 / at_0.k2) * at_t.r_dot
+    return _as_out(pref * law.pdf(b.value(at_t)))
 
 
 def fpt_pdf_lognormal(proc: LognormalProcess, b: ExpBoundary, x0: float,
-                      t0: float, t: float) -> float:
+                      t0: float, t):
     """Passage density of the multiplicative-noise process through an
     exponential-form boundary:
 
@@ -157,9 +157,10 @@ def fpt_pdf_lognormal(proc: LognormalProcess, b: ExpBoundary, x0: float,
 
     The value depends only on (s(t0)/x0, B, sigma, t-t0): in particular it is
     invariant under the curve shape parameter p and under common rescaling of
-    (x0, A).
+    (x0, A).  `t` is a scalar or an array.
     """
-    if t <= t0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= t0):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
     s0 = b.A * math.exp(b.B * t0)
     if s0 == x0:
@@ -169,9 +170,8 @@ def fpt_pdf_lognormal(proc: LognormalProcess, b: ExpBoundary, x0: float,
     lr = math.log(s0 / x0)
     arg = (0.5 * s2 + b.B) * dt + lr
     expo = -arg * arg / (2.0 * s2 * dt)
-    if expo < -745.0:
-        return 0.0
-    return abs(lr) / math.sqrt(2.0 * math.pi * s2 * dt ** 3) * math.exp(expo)
+    dens = abs(lr) / np.sqrt(2.0 * math.pi * s2 * dt ** 3) * np.exp(expo)
+    return _as_out(np.where(expo < -745.0, 0.0, dens))
 
 
 def exp_boundary_fns(proc: LognormalProcess, b: ExpBoundary) -> GeneralBoundary:
@@ -179,10 +179,10 @@ def exp_boundary_fns(proc: LognormalProcess, b: ExpBoundary) -> GeneralBoundary:
     params = proc.params
     g_t0 = _g(params, params.t0)
 
-    def s(t: float) -> float:
-        return b.A * math.exp(b.B * t) * g_t0 / _g(params, t)
+    def s(t):
+        return b.A * np.exp(b.B * t) * g_t0 / _g(params, t)
 
-    def s_dot(t: float) -> float:
+    def s_dot(t):
         return s(t) * (b.B + h_eval(params, t))
 
     return GeneralBoundary(s=s, s_dot=s_dot)
@@ -193,30 +193,33 @@ def affine_gm_boundary_fns(proc: OUProcess, b: AffineGMBoundary,
     """State-space callables for an affine boundary anchored at t0."""
     params = proc.params
     s2 = proc.sigma * proc.sigma
+    p_t0 = int_g2(params, t0)
 
-    def s(t: float) -> float:
-        return (b.A + b.B * s2 * _int_g2(params, t0, t)) / _g(params, t)
+    def s(t):
+        return (b.A + b.B * s2 * (int_g2(params, t) - p_t0)) / _g(params, t)
 
-    def s_dot(t: float) -> float:
+    def s_dot(t):
         g = _g(params, t)
-        core = b.A + b.B * s2 * _int_g2(params, t0, t)
+        core = b.A + b.B * s2 * (int_g2(params, t) - p_t0)
         return b.B * s2 * g + core * h_eval(params, t) / g
 
     return GeneralBoundary(s=s, s_dot=s_dot)
 
 
 def fpt_pdf_ou(proc: OUProcess, b: AffineGMBoundary, x0: float, t0: float,
-               t: float) -> float:
+               t):
     """Passage density of the additive-noise process through an affine
     boundary, via the Daniels closed form of its Gauss-Markov triple.
 
     The prefactor works out to g(t0)*g(t)*|s(t0) - x0| / int_{t0}^t g^2,
-    multiplying the Gaussian transition density at the boundary.
+    multiplying the Gaussian transition density at the boundary.  `t` is a
+    scalar or an increasing array.
     """
     params = proc.params
-    if t <= t0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= t0):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    if t >= _core(params).t_star:
+    if np.any(t >= _core(params).t_star):
         raise DomainError(f"t={t} at or beyond the domain end")
     spec = gm_spec_G(proc)
     # map (A, B) anchored at t0 onto Daniels coefficients of the triple,
@@ -235,6 +238,11 @@ def _reflected(spec: GMSpec) -> GMSpec:
         k2=spec.k2,
         k2_dot=spec.k2_dot,
     )
+
+
+def on_grid(fn: TimeFn, grid: np.ndarray) -> np.ndarray:
+    """fn on a whole grid in one call, a constant broadcast to the grid."""
+    return np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
 
 
 def _uniform_step(grid: np.ndarray) -> float:
@@ -267,15 +275,10 @@ def volterra_fpt(spec: GMSpec, s: GeneralBoundary, x0: float, t0: float,
         return volterra_fpt(_reflected(spec), refl, -x0, t0, grid)
 
     K = grid.size
-    m_arr = np.array([spec.m(t) for t in grid])
-    md_arr = np.array([spec.m_dot(t) for t in grid])
-    k1_arr = np.array([spec.k1(t) for t in grid])
-    k1d_arr = np.array([spec.k1_dot(t) for t in grid])
-    k2_arr = np.array([spec.k2(t) for t in grid])
-    k2d_arr = np.array([spec.k2_dot(t) for t in grid])
-    s_arr = np.array([s.s(t) for t in grid])
-    sd_arr = np.array([s.s_dot(t) for t in grid])
-    r_arr = k1_arr / k2_arr
+    at = evaluate(spec, grid)
+    m_arr, md_arr, k1_arr, k1d_arr = at.m, at.m_dot, at.k1, at.k1_dot
+    k2_arr, k2d_arr, r_arr = at.k2, at.k2_dot, at.r
+    s_arr, sd_arr = on_grid(s.s, grid), on_grid(s.s_dot, grid)
 
     dens = np.zeros(K)
 

@@ -5,7 +5,9 @@ covariance factors as c(s, t) = k1(s) * k2(t) for s <= t, with
 r(t) = k1(t)/k2(t) strictly increasing and k1*k2 > 0 on the interior.  The
 triple (m, k1, k2) plus analytic derivatives is everything the transition
 laws, the infinitesimal coefficients, and the first-passage machinery need,
-so it is the representation used throughout the package.
+so it is the representation used throughout the package.  Every time
+function of a spec, and the laws built from it, take a scalar or a numpy
+array of times.
 """
 
 from __future__ import annotations
@@ -14,21 +16,32 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .errors import OrderError
+import numpy as np
 
-_SQRT2 = math.sqrt(2.0)
+from .errors import OrderError
+from .growth_curve import _as_out
+
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 TimeFn = Callable[[float], float]
+
+
+def const_fn(value: float) -> TimeFn:
+    """The time function equal to `value` everywhere, for scalar or array t."""
+    def fn(t):
+        return value if np.ndim(t) == 0 else np.full(np.shape(t), value)
+    return fn
 
 
 @dataclass(frozen=True)
 class GMSpec:
     """A Gauss-Markov process as evaluable (m, k1, k2) with derivatives.
 
-    Derivatives are supplied analytically by whoever builds the spec; nothing
-    here differentiates numerically, which keeps the first-passage kernels
-    smooth.  The callables must be pure and immutable after construction.
+    Each callable maps a scalar time to a float and an array of times to an
+    array of the same shape.  Derivatives are supplied analytically by
+    whoever builds the spec; nothing here differentiates numerically, which
+    keeps the first-passage kernels smooth.  The callables must be pure and
+    immutable after construction.
     """
 
     m: TimeFn
@@ -44,13 +57,40 @@ def wiener_spec(sigma: float) -> GMSpec:
     m = 0, k1 = sigma^2 * t, k2 = 1."""
     s2 = sigma * sigma
     return GMSpec(
-        m=lambda t: 0.0,
-        m_dot=lambda t: 0.0,
+        m=const_fn(0.0),
+        m_dot=const_fn(0.0),
         k1=lambda t: s2 * t,
-        k1_dot=lambda t: s2,
-        k2=lambda t: 1.0,
-        k2_dot=lambda t: 0.0,
+        k1_dot=const_fn(s2),
+        k2=const_fn(1.0),
+        k2_dot=const_fn(0.0),
     )
+
+
+@dataclass(frozen=True)
+class GMValues:
+    """A spec's six functions, each evaluated once at a time or a grid."""
+
+    m: np.ndarray
+    m_dot: np.ndarray
+    k1: np.ndarray
+    k1_dot: np.ndarray
+    k2: np.ndarray
+    k2_dot: np.ndarray
+
+    @property
+    def r(self):
+        """The intrinsic clock r = k1/k2."""
+        return self.k1 / self.k2
+
+    @property
+    def r_dot(self):
+        return (self.k1_dot * self.k2 - self.k1 * self.k2_dot) / (self.k2 * self.k2)
+
+
+def evaluate(spec: GMSpec, t) -> GMValues:
+    """Every function of the spec at t, one call each."""
+    return GMValues(m=spec.m(t), m_dot=spec.m_dot(t), k1=spec.k1(t),
+                    k1_dot=spec.k1_dot(t), k2=spec.k2(t), k2_dot=spec.k2_dot(t))
 
 
 @dataclass(frozen=True)
@@ -64,25 +104,26 @@ class DanielsBoundary:
     d1: float
     d2: float
 
+    def value(self, at: GMValues):
+        """s at the times the spec was evaluated at."""
+        return at.m + self.d1 * at.k1 + self.d2 * at.k2
+
 
 def daniels_boundary_fns(spec: GMSpec, b: DanielsBoundary) -> Tuple[TimeFn, TimeFn]:
     """(s, s') callables for a Daniels-type boundary on the given process."""
-    def s(t: float) -> float:
+    def s(t):
         return spec.m(t) + b.d1 * spec.k1(t) + b.d2 * spec.k2(t)
 
-    def s_dot(t: float) -> float:
+    def s_dot(t):
         return spec.m_dot(t) + b.d1 * spec.k1_dot(t) + b.d2 * spec.k2_dot(t)
 
     return s, s_dot
 
 
-def r_ratio(spec: GMSpec, t: float) -> Tuple[float, float]:
+def r_ratio(spec: GMSpec, t) -> Tuple[float, float]:
     """The intrinsic clock r(t) = k1/k2 and its derivative r'(t)."""
-    k1, k2 = spec.k1(t), spec.k2(t)
-    k1d, k2d = spec.k1_dot(t), spec.k2_dot(t)
-    r = k1 / k2
-    r_dot = (k1d * k2 - k1 * k2d) / (k2 * k2)
-    return r, r_dot
+    at = evaluate(spec, t)
+    return _as_out(at.r), _as_out(at.r_dot)
 
 
 @dataclass(frozen=True)
@@ -92,12 +133,16 @@ class TransitionLaw:
     mean: float
     variance: float
 
-    def pdf(self, x: float) -> float:
-        if self.variance == 0.0:
-            return math.inf if x == self.mean else 0.0
-        z = (x - self.mean)
-        return math.exp(-z * z / (2.0 * self.variance)) / (
-            _SQRT2PI * math.sqrt(self.variance))
+    def pdf(self, x):
+        """Normal density at x; a zero variance gives a point mass at the
+        mean (inf there, 0 elsewhere)."""
+        x = np.asarray(x, dtype=float)
+        var = np.asarray(self.variance, dtype=float)
+        z = x - self.mean
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens = np.exp(-z * z / (2.0 * var)) / (_SQRT2PI * np.sqrt(var))
+        point = np.where(z == 0.0, math.inf, 0.0)
+        return _as_out(np.where(var == 0.0, point, dens))
 
     def cdf(self, x: float) -> float:
         if self.variance == 0.0:
@@ -106,22 +151,28 @@ class TransitionLaw:
         return 0.5 * (1.0 + math.erf(z))
 
 
-def transition_law(spec: GMSpec, y: float, tau: float, t: float) -> TransitionLaw:
+def transition_law(spec: GMSpec, y: float, tau: float, t) -> TransitionLaw:
     """Conditional law of X(t) given X(tau) = y, for tau <= t.
 
     mean = m(t) + (k2(t)/k2(tau)) * (y - m(tau))
     var  = k2(t) * [k1(t) - (k2(t)/k2(tau)) * k1(tau)]
          = k2(t)^2 * [r(t) - r(tau)]
     """
-    if t < tau:
+    if np.any(np.less(t, tau)):
         raise OrderError(f"transition requested backwards: t={t} < tau={tau}")
-    k2t, k2tau = spec.k2(t), spec.k2(tau)
-    ratio = k2t / k2tau
-    mean = spec.m(t) + ratio * (y - spec.m(tau))
-    var = k2t * (spec.k1(t) - ratio * spec.k1(tau))
-    if t == tau:
-        var = 0.0
-    return TransitionLaw(mean=mean, variance=max(var, 0.0))
+    return law_between(evaluate(spec, tau), evaluate(spec, t), y,
+                       np.equal(t, tau))
+
+
+def law_between(at_tau: GMValues, at_t: GMValues, y: float,
+                same_time=False) -> TransitionLaw:
+    """transition_law from values already evaluated at tau and t; the
+    variance is 0 where `same_time` holds."""
+    ratio = at_t.k2 / at_tau.k2
+    mean = at_t.m + ratio * (y - at_tau.m)
+    var = at_t.k2 * (at_t.k1 - ratio * at_tau.k1)
+    var = np.where(same_time, 0.0, np.maximum(var, 0.0))
+    return TransitionLaw(mean=_as_out(mean), variance=_as_out(var))
 
 
 def infinitesimal_coeffs(spec: GMSpec, x: float, t: float) -> Tuple[float, float]:

@@ -31,7 +31,12 @@ to it) so the curve is continuous across p = 1.
 Negative bases raised to q are continued with real signed powers when q is an
 integer (within 1e-9); non-integer powers of negative numbers raise
 DomainError.  That continuation is what produces the post-plateau behaviours
-of the even/odd regimes.
+of the even/odd regimes.  In the odd regime g^n = eta + B^q falls to 0 where
+B = -eta^{1/q}, and x blows up there: that root is the regime's domain end.
+
+The evaluators (signed_pow, g_eval, x_eval, h_eval and the internal _g,
+_g_pow_n) take a scalar or a numpy array of times: an array comes back as an
+array of the same shape, a scalar as a float.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, InvalidParams, OrderError
 
@@ -52,21 +59,28 @@ P_STABLE_TOL = 1e-5
 INT_TOL = 1e-9
 
 
-def signed_pow(base: float, q: float) -> float:
+def _as_out(a):
+    """A 0-d result as a float; any other array as it is."""
+    return a if getattr(a, "ndim", 0) else float(a)
+
+
+def signed_pow(base, q: float):
     """base**q extended to negative bases when q is an integer.
 
     For base < 0 the real continuation sign(base)^m * |base|^q is used when q
     is within INT_TOL of an integer m; otherwise the value would be complex
     and DomainError is raised.
     """
-    if base >= 0.0:
-        return base ** q
+    base = np.asarray(base, dtype=float)
     m = round(q)
     if abs(q - m) > INT_TOL:
-        raise DomainError(
-            f"negative base {base!r} with non-integer exponent {q!r}")
-    mag = abs(base) ** q
-    return mag if m % 2 == 0 else -mag
+        if base.size and base.min() < 0.0:
+            raise DomainError(
+                f"negative base {float(base.min())!r} with non-integer "
+                f"exponent {q!r}")
+        return _as_out(base ** q)
+    mag = np.abs(base) ** q
+    return _as_out(np.copysign(mag, base) if m % 2 else mag)
 
 
 @dataclass(frozen=True)
@@ -157,8 +171,8 @@ def _core(params: GrowthParams) -> _Core:
     ln_alpha = -gamma * n
 
     if abs(1.0 - p) <= P_LIMIT_TOL:
-        # p -> 1: eta -> exp(gamma*n*t0)/A_n and the bracket power -> alpha^t
-        eta = math.exp(gamma * n * t0) / a_n
+        # p -> 1: eta -> exp(-gamma*n*t0)/A_n and the bracket power -> alpha^t
+        eta = math.exp(-gamma * n * t0) / a_n
         return _Core(True, False, alpha, eta, math.nan, 0.0,
                      CurveRegime.SIGMOID_SATURATING, math.inf)
 
@@ -187,10 +201,13 @@ def _core(params: GrowthParams) -> _Core:
         t_star = math.inf
     else:
         q_int = round(q)
-        if abs(q - q_int) <= INT_TOL:
-            regime = (CurveRegime.PLATEAU_THEN_DECAY if q_int % 2 == 0
-                      else CurveRegime.PLATEAU_THEN_GROWTH)
+        if abs(q - q_int) <= INT_TOL and q_int % 2 == 0:
+            regime = CurveRegime.PLATEAU_THEN_DECAY
             t_star = math.inf
+        elif abs(q - q_int) <= INT_TOL:
+            regime = CurveRegime.PLATEAU_THEN_GROWTH
+            # g^n = eta + B^q reaches 0 where B = 1 + slope*t = -eta^{1/q}
+            t_star = -(1.0 + eta ** (1.0 / q)) / slope
         else:
             regime = CurveRegime.FINITE_TIME_CEILING
             t_star = -1.0 / slope  # root of the bracket 1 + slope*t
@@ -210,38 +227,44 @@ def classify_regime(params: GrowthParams) -> CurveRegime:
 
 
 def domain_end(params: GrowthParams) -> TimeDomain:
-    """Right end of the domain: finite only in the finite-time-ceiling regime.
+    """Right end of the domain: the time the curve reaches k in the
+    finite-time-ceiling regime, the blow-up time in the odd-integer regime.
 
-    Even/odd integer bracket exponents continue through the bracket's zero,
-    and for p > 1 the bracket is increasing, so every other regime extends
-    to +inf.
+    The even-integer bracket exponent continues through the bracket's zero
+    with g^n >= eta, and for p > 1 the bracket is increasing, so those
+    regimes extend to +inf.
     """
     return TimeDomain(t_star=_core(params).t_star)
 
 
-def _check_t(params: GrowthParams, t: float, *, allow_t_star: bool = False) -> None:
-    if t < params.t0:
-        raise DomainError(f"t={t} precedes the initial time t0={params.t0}")
+def _check_t(params: GrowthParams, t: np.ndarray, *,
+             allow_t_star: bool = False) -> None:
+    if t.size == 0:
+        return
+    lo, hi = float(t.min()), float(t.max())
+    if lo < params.t0:
+        raise DomainError(f"t={lo} precedes the initial time t0={params.t0}")
     ts = _core(params).t_star
     if allow_t_star:
-        if t > ts:
-            raise DomainError(f"t={t} beyond the domain end t_star={ts}")
-    elif t >= ts:
-        raise DomainError(f"t={t} at or beyond the domain end t_star={ts}")
+        if hi > ts:
+            raise DomainError(f"t={hi} beyond the domain end t_star={ts}")
+    elif hi >= ts:
+        raise DomainError(f"t={hi} at or beyond the domain end t_star={ts}")
 
 
-def _g_pow_n(params: GrowthParams, t: float) -> float:
+def _g_pow_n(params: GrowthParams, t):
     """g(t)^n, evaluated on whichever branch the parameters select."""
     c = _core(params)
+    t = np.asarray(t, dtype=float)
     if c.limit_branch:
-        return c.eta + c.alpha ** t
+        return _as_out(c.eta + c.alpha ** t)
     arg = c.slope * t
     if c.stable_branch:
-        return c.eta + math.exp(c.q * math.log1p(arg))
-    return c.eta + signed_pow(1.0 + arg, c.q)
+        return _as_out(c.eta + np.exp(c.q * np.log1p(arg)))
+    return _as_out(c.eta + signed_pow(1.0 + arg, c.q))
 
 
-def g_eval(coeffs: ReparamCoeffs, params: GrowthParams, t: float) -> float:
+def g_eval(coeffs: ReparamCoeffs, params: GrowthParams, t):
     """The auxiliary function g(t); x(t) = x0*g(t0)/g(t).
 
     `coeffs` must come from reparametrize(params); it is accepted explicitly
@@ -251,43 +274,48 @@ def g_eval(coeffs: ReparamCoeffs, params: GrowthParams, t: float) -> float:
     if not (math.isclose(coeffs.alpha, c.alpha, rel_tol=1e-12)
             and math.isclose(coeffs.eta, c.eta, rel_tol=1e-12)):
         raise InvalidParams("coeffs do not match reparametrize(params)")
-    _check_t(params, t, allow_t_star=True)
-    return signed_pow(_g_pow_n(params, t), 1.0 / params.n)
+    _check_t(params, np.asarray(t, dtype=float), allow_t_star=True)
+    return _g(params, t)
 
 
-def _g(params: GrowthParams, t: float) -> float:
+def _g(params: GrowthParams, t):
     """Internal g(t) without the coeffs cross-check."""
     return signed_pow(_g_pow_n(params, t), 1.0 / params.n)
 
 
-def x_eval(params: GrowthParams, t: float) -> float:
+def x_eval(params: GrowthParams, t):
     """Curve value x(t) = x0 * g(t0) / g(t).
 
-    Evaluation exactly at the finite domain end returns k (the curve attains
-    the carrying capacity there); beyond it raises DomainError.
+    In the finite-time-ceiling regime evaluation exactly at the domain end
+    returns k (the curve attains the carrying capacity there); beyond it, and
+    at or beyond the odd-integer regime's blow-up, DomainError is raised.
     """
     c = _core(params)
-    if t == c.t_star:
-        return params.k
-    _check_t(params, t)
-    return params.x0 * _g(params, params.t0) / _g(params, t)
+    t = np.asarray(t, dtype=float)
+    ceiling = c.regime is CurveRegime.FINITE_TIME_CEILING
+    _check_t(params, t, allow_t_star=ceiling)
+    x = params.x0 * _g(params, params.t0) / _g(params, t)
+    if ceiling:
+        x = np.where(t == c.t_star, params.k, x)
+    return _as_out(x)
 
 
-def h_eval(params: GrowthParams, t: float) -> float:
+def h_eval(params: GrowthParams, t):
     """Fertility rate h(t) = -g'(t)/g(t) = -d/dt ln g(t)."""
+    t = np.asarray(t, dtype=float)
     _check_t(params, t)
     c = _core(params)
     if c.limit_branch:
         # g^n = eta + alpha^t, (g^n)' = alpha^t ln alpha = -gamma*n*alpha^t
         at = c.alpha ** t
-        return params.gamma * at / (c.eta + at)
+        return _as_out(params.gamma * at / (c.eta + at))
     # (g^n)' = slope * q * B^{q-1} with B = 1 + slope*t; q-1 = p/(1-p)
     arg = c.slope * t
     if c.stable_branch:
-        b_pow = math.exp((c.q - 1.0) * math.log1p(arg))
+        b_pow = np.exp((c.q - 1.0) * np.log1p(arg))
     else:
         b_pow = signed_pow(1.0 + arg, c.q - 1.0)
-    return -c.slope * c.q * b_pow / (params.n * _g_pow_n(params, t))
+    return _as_out(-c.slope * c.q * b_pow / (params.n * _g_pow_n(params, t)))
 
 
 def h_integral(params: GrowthParams, a: float, b: float) -> float:
@@ -296,6 +324,5 @@ def h_integral(params: GrowthParams, a: float, b: float) -> float:
         raise OrderError(f"integration bounds out of order: a={a} > b={b}")
     if a == b:
         return 0.0
-    _check_t(params, a)
-    _check_t(params, b, allow_t_star=False)
+    _check_t(params, np.array([a, b], dtype=float))
     return (math.log(_g_pow_n(params, a)) - math.log(_g_pow_n(params, b))) / params.n

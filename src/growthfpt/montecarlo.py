@@ -17,8 +17,8 @@ Randomness is organised in fixed-size chunks of paths: chunk c draws from a
 counter-based generator keyed by (seed, c), and a path's draws are a fixed
 row of the chunk's blocks.  The layout is a pure function of (seed,
 path_index), so ensembles are bit-identical for a given seed no matter how
-many worker threads run; GROWTHFPT_THREADS caps the pool (default: all
-cores).
+many worker threads run; GROWTHFPT_THREADS caps the pool (default: the
+CPUs this process may run on).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (BandCrossing, ConfigError, EmptySample, StartOnBoundary,
 from .fpt import AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary
 from .growth_curve import _core, _g
 from .process_lognormal import LognormalProcess
-from .process_ou import OUProcess, _int_g2
+from .process_ou import OUProcess, int_g2
 
 CHUNK = 1024  # paths per random-stream chunk; fixed so results never depend on threads
 
@@ -86,6 +86,8 @@ def _n_threads() -> int:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"GROWTHFPT_THREADS is not an integer: {env!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -142,7 +144,7 @@ def _wiener_coord_setup(process: Process, ts: np.ndarray
     r(t) = sigma^2 * int g^2.
     """
     params = process.params
-    g_arr = np.array([_g(params, t) for t in ts])
+    g_arr = _g(params, ts)
     if isinstance(process, LognormalProcess):
         s2 = process.sigma ** 2
         z0 = math.log(params.x0) + 0.5 * s2 * ts[0]
@@ -156,9 +158,7 @@ def _wiener_coord_setup(process: Process, ts: np.ndarray
     # additive: u = x * g(t); increment variance = sigma^2 * int g^2 over the step
     s2 = process.sigma ** 2
     u0 = params.x0 * g_arr[0]
-    dvar = np.array([s2 * _int_g2(params, ts[i], ts[i + 1])
-                     for i in range(ts.size - 1)])
-    step_std = np.sqrt(dvar)
+    step_std = np.sqrt(s2 * np.diff(int_g2(params, ts)))
 
     def to_state(u: np.ndarray) -> np.ndarray:
         return u / g_arr[None, :]
@@ -167,27 +167,24 @@ def _wiener_coord_setup(process: Process, ts: np.ndarray
 
 
 def _boundary_values(process: Process, boundary: Boundary, ts: np.ndarray) -> np.ndarray:
-    """State-space boundary values on the grid."""
-    from .fpt import affine_gm_boundary_fns, exp_boundary_fns
+    """State-space boundary values on the grid, one call per boundary."""
+    from .fpt import affine_gm_boundary_fns, exp_boundary_fns, on_grid
     if isinstance(boundary, GeneralBoundary):
-        return np.array([boundary.s(t) for t in ts])
+        return on_grid(boundary.s, ts)
     if isinstance(boundary, ExpBoundary):
         if not isinstance(process, LognormalProcess):
             raise ConfigError("ExpBoundary applies to the multiplicative process")
-        fns = exp_boundary_fns(process, boundary)
-        return np.array([fns.s(t) for t in ts])
+        return exp_boundary_fns(process, boundary).s(ts)
     if isinstance(boundary, AffineGMBoundary):
         if not isinstance(process, OUProcess):
             raise ConfigError("AffineGMBoundary applies to the additive process")
-        fns = affine_gm_boundary_fns(process, boundary, float(ts[0]))
-        return np.array([fns.s(t) for t in ts])
+        return affine_gm_boundary_fns(process, boundary, float(ts[0])).s(ts)
     raise ConfigError(f"unsupported boundary type {type(boundary).__name__}")
 
 
 def _coord_boundary(process: Process, ts: np.ndarray, svals: np.ndarray) -> np.ndarray:
     """Map state-space boundary values into the internal Wiener coordinate."""
-    params = process.params
-    g_arr = np.array([_g(params, t) for t in ts])
+    g_arr = _g(process.params, ts)
     if isinstance(process, LognormalProcess):
         if np.any(svals <= 0.0):
             from .errors import NonPositiveState

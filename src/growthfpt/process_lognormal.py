@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParams, NonPositiveState, OrderError
 from .gm_core import GMSpec, wiener_spec
-from .growth_curve import GrowthParams, _core, _g
+from .growth_curve import GrowthParams, _as_out, _core, _g
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -100,19 +100,21 @@ def to_wiener_spec(proc: LognormalProcess) -> Tuple[
 
     Returns (spec, transform, inverse) where spec has m = 0, k1 = sigma^2 t,
     k2 = 1, transform(x, t) maps a state to the Wiener coordinate and
-    inverse(z, t) maps back; the round trip is the identity.
+    inverse(z, t) maps back; the round trip is the identity.  All three take
+    scalars or arrays.
     """
     params = proc.params
     s2 = proc.sigma * proc.sigma
     log_g_t0 = math.log(_g(params, params.t0))
 
-    def transform(x: float, t: float) -> float:
-        if x <= 0.0:
-            raise NonPositiveState(f"state must be positive, got {x}")
-        return math.log(x) + math.log(_g(params, t)) - log_g_t0 + 0.5 * s2 * t
+    def transform(x, t):
+        x = np.asarray(x, dtype=float)
+        if np.any(x <= 0.0):
+            raise NonPositiveState(f"state must be positive, got {x.min()}")
+        return _as_out(np.log(x) + np.log(_g(params, t)) - log_g_t0 + 0.5 * s2 * t)
 
-    def inverse(z: float, t: float) -> float:
-        return math.exp(z - 0.5 * s2 * t - math.log(_g(params, t)) + log_g_t0)
+    def inverse(z, t):
+        return _as_out(np.exp(z - 0.5 * s2 * t - np.log(_g(params, t)) + log_g_t0))
 
     return wiener_spec(proc.sigma), transform, inverse
 

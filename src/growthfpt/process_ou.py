@@ -13,22 +13,29 @@ steps reproduces it exactly, which pins the form down independently of any
 printed formula (and the Monte Carlo suite re-checks it).
 
 As a Gauss-Markov triple the process has m = 0, k2 = 1/g and
-k1 = sigma^2 * k2(t) * int_{t0}^t g(u)^2 du, so r = sigma^2 * int g^2 plays
-the role of the intrinsic clock.
+k1 = sigma^2 * k2(t) * P(t) with P(t) = int_{t0}^t g(u)^2 du, so
+r = sigma^2 * P plays the role of the intrinsic clock.  int_g2 reads P on a
+whole grid of times in one call: composite 16-point Gauss-Legendre panels no
+wider than PANEL_WIDTH, one vectorised evaluation of g at every node and one
+cumulative sum.  The tests hold it to 1e-12 relative error against adaptive
+Simpson at rel_tol 1e-13 on every curve regime, grids ending at 0.999 of a
+finite domain end included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InvalidParams, OrderError
-from .gm_core import GMSpec, TransitionLaw
-from .growth_curve import GrowthParams, _core, _g, h_eval
-from .quadrature import DEFAULT_QUADRATURE, integrate_adaptive
+from .gm_core import GMSpec, TransitionLaw, const_fn
+from .growth_curve import GrowthParams, _as_out, _core, _g, h_eval
+
+PANEL_WIDTH = 0.5
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PANEL_BLOCK = 1024  # panels per evaluation of g: keeps the node arrays small
 
 
 @dataclass(frozen=True)
@@ -41,19 +48,39 @@ class OUProcess:
             raise InvalidParams(f"sigma must be > 0, got {self.sigma}")
 
 
-@lru_cache(maxsize=8192)
-def _int_g2(params: GrowthParams, a: float, b: float) -> float:
-    """int_a^b g(u)^2 du, cached per (params, a, b).
+def int_g2(params: GrowthParams, ts):
+    """P(t) = int_{t0}^t g(u)^2 du at every time of `ts`.
 
-    The upper limit is clipped just below a finite domain end so panel
-    endpoints never land on the undefined side of t_star.
+    [t0, max ts] is cut into panels PANEL_WIDTH wide on a lattice anchored at
+    t0, and each time adds one panel from the lattice point below it up to
+    itself.  Every panel gets the 16-point Gauss-Legendre rule, g is
+    evaluated at all nodes at once, and one cumulative sum accumulates the
+    lattice.  A time's value does not depend on the other times asked for,
+    so a scalar call and an array call agree exactly.  The Gauss nodes are
+    interior to their panels, so a time may sit on a finite domain end.  An
+    array comes back with the shape of `ts`, a scalar as a float.
     """
+    ts = np.asarray(ts, dtype=float)
+    flat = ts.reshape(-1)
+    if flat.min() < params.t0:
+        raise OrderError(f"times must not precede t0={params.t0}")
     t_star = _core(params).t_star
-    if math.isfinite(t_star):
-        b = min(b, t_star * (1.0 - 1e-12))
-        a = min(a, b)
-    return integrate_adaptive(lambda u: _g(params, u) ** 2, a, b,
-                              DEFAULT_QUADRATURE)
+    if flat.max() > t_star:
+        raise DomainError(f"t={flat.max()} beyond the domain end t_star={t_star}")
+    k = np.floor((flat - params.t0) / PANEL_WIDTH).astype(np.intp)
+    lattice = params.t0 + PANEL_WIDTH * np.arange(k.max() + 1)
+    left = np.concatenate((lattice[:-1], np.minimum(lattice[k], flat)))
+    right = np.concatenate((lattice[1:], flat))
+    half = 0.5 * (right - left)
+    mid = left + half
+    panels = np.empty(mid.size)
+    for lo in range(0, mid.size, _PANEL_BLOCK):
+        blk = slice(lo, lo + _PANEL_BLOCK)
+        g = _g(params, mid[blk, None] + half[blk, None] * _GL_NODES)
+        panels[blk] = np.sum(g * g * _GL_WEIGHTS, axis=1) * half[blk]
+    n_full = lattice.size - 1
+    prefix = np.concatenate(([0.0], np.cumsum(panels[:n_full])))
+    return _as_out((prefix[k] + panels[n_full:]).reshape(ts.shape))
 
 
 def _check_times(params: GrowthParams, tau: float, t: float) -> None:
@@ -73,37 +100,38 @@ def transition_law_G(proc: OUProcess, y: float, tau: float, t: float) -> Transit
     mean = y * _g(proc.params, tau) / gt
     if t == tau:
         return TransitionLaw(mean=y, variance=0.0)
-    var = proc.sigma ** 2 * _int_g2(proc.params, tau, t) / (gt * gt)
+    p_tau, p_t = int_g2(proc.params, [tau, t])
+    var = proc.sigma ** 2 * (p_t - p_tau) / (gt * gt)
     return TransitionLaw(mean=mean, variance=var)
 
 
 def gm_spec_G(proc: OUProcess) -> GMSpec:
     """Gauss-Markov triple of the additive-noise process.
 
-    k2 = 1/g with k2' = h/g, k1 = sigma^2 k2(t) P(t) where P is the prefix
-    integral of g^2 from t0, and k1' follows from the product rule plus
-    P' = g^2.  All pieces are closed-form except P, which is quadrature.
+    k2 = 1/g with k2' = h/g, k1 = sigma^2 k2(t) P(t) where P = int_g2 is the
+    prefix integral of g^2 from t0, and k1' follows from the product rule plus
+    P' = g^2.  Every callable takes a scalar or an array of times; P comes
+    from the Gauss-Legendre table of int_g2, everything else is closed form.
     """
     params = proc.params
     s2 = proc.sigma * proc.sigma
-    t0 = params.t0
 
-    def k2(t: float) -> float:
+    def k2(t):
         return 1.0 / _g(params, t)
 
-    def k2_dot(t: float) -> float:
+    def k2_dot(t):
         return h_eval(params, t) / _g(params, t)
 
-    def k1(t: float) -> float:
-        return s2 * k2(t) * _int_g2(params, t0, t)
+    def k1(t):
+        return s2 * int_g2(params, t) / _g(params, t)
 
-    def k1_dot(t: float) -> float:
+    def k1_dot(t):
         g = _g(params, t)
-        return s2 * (k2_dot(t) * _int_g2(params, t0, t) + g)
+        return s2 * (h_eval(params, t) * int_g2(params, t) / g + g)
 
     return GMSpec(
-        m=lambda t: 0.0,
-        m_dot=lambda t: 0.0,
+        m=const_fn(0.0),
+        m_dot=const_fn(0.0),
         k1=k1,
         k1_dot=k1_dot,
         k2=k2,

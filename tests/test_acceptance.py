@@ -208,8 +208,8 @@ def test_volterra_vs_closed():
     # convergence order measured on a boundary with an active integral term
     # (on the two closed-form problems above the kernel vanishes identically
     # and the scheme is exact at any step, so no order is observable there)
-    sin_bnd = GeneralBoundary(s=lambda t: 1.0 + 0.25 * math.sin(t),
-                              s_dot=lambda t: 0.25 * math.cos(t))
+    sin_bnd = GeneralBoundary(s=lambda t: 1.0 + 0.25 * np.sin(t),
+                              s_dot=lambda t: 0.25 * np.cos(t))
     sols = {K: volterra_fpt(spec, sin_bnd, 0.0, 0.0, np.linspace(0.0, 5.0, K + 1))
             for K in (500, 1000, 8000)}
     ref = sols[8000]

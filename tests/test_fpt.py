@@ -220,8 +220,8 @@ class TestVolterraSolver:
         # non-closed-form boundary so the integral term actually contributes;
         # errors against a much finer reference must drop at least first-order
         spec = wiener_spec(1.0)
-        bnd = GeneralBoundary(s=lambda t: 1.0 + 0.25 * math.sin(t),
-                              s_dot=lambda t: 0.25 * math.cos(t))
+        bnd = GeneralBoundary(s=lambda t: 1.0 + 0.25 * np.sin(t),
+                              s_dot=lambda t: 0.25 * np.cos(t))
         sols = {}
         for K in (500, 1000, 8000):
             grid = np.linspace(0.0, 5.0, K + 1)

@@ -6,7 +6,7 @@ import pytest
 from growthfpt import (CurveRegime, DomainError, GrowthParams, InvalidParams,
                        classify_regime, domain_end, g_eval, h_eval, h_integral,
                        reparametrize, x_eval)
-from growthfpt.growth_curve import signed_pow
+from growthfpt.growth_curve import _g_pow_n, signed_pow
 
 from conftest import BASE, direct_solution, random_valid_params
 
@@ -180,6 +180,16 @@ class TestRegimes:
         co = reparametrize(params)
         assert g_eval(co, params, t_star) == pytest.approx(1.0 / 19.0, rel=1e-10)
 
+    def test_odd_regime_ends_at_the_blow_up(self):
+        # g^n = eta + B^q with q = 3 reaches 0 where B = -eta^{1/3}
+        params = P(2.0 / 3.0)
+        t_star = domain_end(params).t_star
+        assert t_star == pytest.approx(22.0104, abs=1e-4)
+        assert abs(_g_pow_n(params, t_star)) <= 1e-12
+        assert _g_pow_n(params, 0.999 * t_star) > 0.0
+        with pytest.raises(DomainError):
+            x_eval(params, t_star)
+
     def test_sigmoid_monotone_bounded(self):
         params = P(1.5)
         xs = [x_eval(params, t) for t in np.linspace(0.0, 60.0, 400)]
@@ -232,6 +242,16 @@ class TestEquivalenceProperties:
                    * (1.0 - (x / params.k) ** params.n) ** p)
             assert dx == pytest.approx(rhs, rel=1e-5)
 
+    @pytest.mark.parametrize("t0", [0.0, 1.0, 3.0])
+    def test_limit_branch_matches_nearby_p_for_any_t0(self, t0):
+        # the p = 1 branch's eta is the p -> 1 limit exp(-gamma*n*t0)/A_n
+        base = P(1.0, t0=t0)
+        for eps in (1e-7, -1e-7):
+            near = P(1.0 + eps, t0=t0)
+            for t in t0 + np.array([0.0, 0.5, 5.0, 12.0]):
+                a, b = x_eval(near, t), x_eval(base, t)
+                assert abs(a - b) / b <= 1e-6
+
     def test_limit_branch_continuity(self):
         base = P(1.0)
         co_base = reparametrize(base)
@@ -253,3 +273,12 @@ class TestSignedPow:
     def test_non_integer_raises(self):
         with pytest.raises(DomainError):
             signed_pow(-2.0, 1.5)
+        with pytest.raises(DomainError):
+            signed_pow(np.array([1.0, -2.0]), 1.5)
+
+    def test_arrays_elementwise(self):
+        base = np.array([-2.0, -0.5, 0.25, 3.0])
+        for q in (2.0, 3.0, -1.0):
+            got = signed_pow(base, q)
+            assert got.shape == base.shape
+            assert np.array_equal(got, [signed_pow(float(b), q) for b in base])

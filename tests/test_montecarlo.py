@@ -42,6 +42,17 @@ class TestSimulatePaths:
                 os.environ["GROWTHFPT_THREADS"] = old
         assert np.array_equal(a, b)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="the platform reports no CPU affinity")
+    def test_pool_sized_by_cpu_affinity(self, monkeypatch):
+        from growthfpt.montecarlo import _n_threads
+        monkeypatch.delenv("GROWTHFPT_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _n_threads() == 1
+        monkeypatch.setenv("GROWTHFPT_THREADS", "3")
+        assert _n_threads() == 3
+
     def test_ensemble_mean_matches_curve(self):
         proc = LognormalProcess(PARAMS, 0.02)
         cfg = SimConfig(dt=0.25, horizon=1.0, n_paths=100_000, seed=5)

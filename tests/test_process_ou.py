@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from growthfpt import (GrowthParams, OrderError, OUProcess, gm_spec_G,
-                       infinitesimal_coeffs, r_ratio, sample_transition_G,
-                       transition_law, transition_law_G, x_eval)
+from growthfpt import (DomainError, GrowthParams, OrderError, OUProcess,
+                       QuadratureSpec, domain_end, gm_spec_G,
+                       infinitesimal_coeffs, prefix_integrals, r_ratio,
+                       sample_transition_G, transition_law, transition_law_G,
+                       x_eval)
 from growthfpt.growth_curve import _g, h_eval
+from growthfpt.process_ou import int_g2
 
 from conftest import BASE
 from test_quadrature import g2_antiderivative_p15
@@ -116,3 +119,67 @@ class TestSampling:
         rng = np.random.default_rng(5)
         draws = [sample_transition_G(proc, 0.2, 0.0, 2.0, rng) for _ in range(500)]
         assert min(draws) < 0.0
+
+
+REGIME_CASES = [
+    # (p, t0): sigmoid, Gompertz, even, odd and ceiling regimes, t0 = 0 and > 0
+    (1.5, 0.0), (1.5, 2.0), (1.0, 0.0), (1.0, 1.0), (0.75, 0.0), (0.75, 0.5),
+    (2.0 / 3.0, 0.0), (2.0 / 3.0, 1.0), (0.25, 0.0), (0.25, 1.0),
+]
+
+
+def _grid_for(params: GrowthParams, points: int = 61) -> np.ndarray:
+    """30 time units from t0, or up to 0.999 of a finite domain end."""
+    t_star = domain_end(params).t_star
+    end = params.t0 + (30.0 if math.isinf(t_star) else 0.999 * (t_star - params.t0))
+    return np.linspace(params.t0, end, points)
+
+
+class TestIntG2:
+    @pytest.mark.parametrize("p,t0", REGIME_CASES)
+    def test_matches_adaptive_simpson(self, p, t0):
+        params = GrowthParams(p=p, **dict(BASE, t0=t0))
+        grid = _grid_for(params)
+        table = int_g2(params, grid)
+        ref = prefix_integrals(lambda u: _g(params, u) ** 2, grid,
+                               QuadratureSpec(rel_tol=1e-13))
+        assert table[0] == 0.0
+        assert np.max(np.abs(table[1:] - ref[1:]) / ref[1:]) <= 1e-12
+
+    def test_closed_form_antiderivative(self):
+        ts = np.array([0.0, 0.3, 1.0, 7.5, 40.0])
+        exact = np.array([g2_antiderivative_p15(t) - g2_antiderivative_p15(0.0)
+                          for t in ts])
+        table = int_g2(PARAMS, ts)
+        assert np.max(np.abs(table[1:] - exact[1:]) / exact[1:]) <= 1e-14
+
+    def test_scalar_call_returns_float(self):
+        val = int_g2(PARAMS, 2.0)
+        assert isinstance(val, float)
+        assert val == int_g2(PARAMS, np.array([2.0]))[0]
+
+    def test_value_depends_only_on_the_time(self):
+        ts = np.array([7.3, 0.2, 31.0, 7.3, 0.0])
+        table = int_g2(PARAMS, ts)
+        assert np.array_equal(table, [int_g2(PARAMS, float(t)) for t in ts])
+
+    def test_rejects_times_outside_the_domain(self):
+        with pytest.raises(OrderError):
+            int_g2(GrowthParams(p=1.5, **dict(BASE, t0=1.0)), 0.5)
+        ceiling = GrowthParams(p=0.25, **BASE)
+        with pytest.raises(DomainError):
+            int_g2(ceiling, domain_end(ceiling).t_star + 1e-6)
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("p,t0", REGIME_CASES)
+    def test_array_and_scalar_forms_agree(self, p, t0):
+        params = GrowthParams(p=p, **dict(BASE, t0=t0))
+        spec = gm_spec_G(OUProcess(params, 0.1))
+        grid = _grid_for(params, points=25)[1:]
+        for fn in (lambda t: _g(params, t), lambda t: h_eval(params, t),
+                   spec.k1, spec.k2):
+            arr = fn(grid)
+            one = np.array([fn(float(t)) for t in grid])
+            assert isinstance(fn(float(grid[0])), float)
+            assert np.max(np.abs(arr - one) / np.abs(one)) <= 1e-15
