@@ -27,17 +27,15 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (BandCrossing, DomainError, InvalidParams, OrderError,
-                     SeriesDivergence, StartOutsideBand)
-from .fpt import DensityCurve, GeneralBoundary, _uniform_step, on_grid
-from .gm_core import GMSpec, evaluate, law_between, r_ratio
-from .growth_curve import _as_out, _core, _g
+from .errors import (BandCrossing, DomainError, GridError, InvalidParams,
+                     OrderError, SeriesDivergence, StartOutsideBand)
+from .fpt import DensityCurve, GeneralBoundary, _uniform_step
+from .gm_core import GMSpec, GMValues, evaluate, law_between, on_grid
+from .growth_curve import _as_out, _core
 from .process_lognormal import LognormalProcess
 from .process_ou import OUProcess, gm_spec_G
 
 _EXP_FLOOR = -700.0  # exp() underflows around -745; keep a margin
-_PAIR_BLOCK = 16        # most image-series orders evaluated per step
-_STEP_ELEMENTS = 4096   # clock values x orders per step, to bound memory
 
 
 @dataclass(frozen=True)
@@ -95,33 +93,23 @@ def _theta_sum(R, L: float, u: float, v: float, f1, f2,
     """The image sum of the band-exit closed form (prefactor excluded), for
     a scalar or an array of clock values R > 0 (f1, f2 alike).
 
-    Pairs are added in order until every element's last pair falls below
-    rel_tol of its running total.  Each step evaluates several orders n in
-    one pass, as many as keep its arrays near _STEP_ELEMENTS entries (at
-    most _PAIR_BLOCK); the running totals are the sequential sums."""
-    R, f1, f2 = (np.asarray(x, dtype=float)[..., None] for x in (R, f1, f2))
-    block = max(1, min(_PAIR_BLOCK, _STEP_ELEMENTS // R.size))
+    The +/-n pairs are added one order at a time, for all elements at once,
+    until every element's last pair falls below rel_tol of its running
+    total."""
+    R, f1, f2 = (np.asarray(x, dtype=float) for x in (R, f1, f2))
 
-    def pairs(n: np.ndarray) -> np.ndarray:
+    def term(n: int) -> np.ndarray:
         base = -2.0 * n * n * L * L / R
         t1 = (u + 2.0 * n * L) * _guarded_exp(base - 2.0 * n * L * u / R) * f1
         t2 = (v - 2.0 * n * L) * _guarded_exp(base + 2.0 * n * L * v / R) * f2
         return t1 + t2
 
-    total = None
-    for lo in range(1, ctl.n_max + 1, block):
-        n = np.arange(lo, min(lo + block, ctl.n_max + 1), dtype=float)
-        terms = pairs(np.concatenate(([0.0], n, -n) if total is None else (n, -n)))
-        if total is None:
-            total, terms = terms[..., :1], terms[..., 1:]
-        delta = terms[..., :n.size] + terms[..., n.size:]
-        run = np.add.accumulate(np.concatenate((total, delta), axis=-1), axis=-1)[..., 1:]
-        small = np.abs(delta) <= ctl.rel_tol * np.maximum(np.abs(run), 1e-300)
-        done = np.logical_and.reduce(small.reshape(-1, n.size), axis=0)
-        first = int(np.argmax(done))
-        if done[first]:
-            return run[..., first]
-        total = run[..., -1:]
+    total = term(0)
+    for n in range(1, ctl.n_max + 1):
+        delta = term(n) + term(-n)
+        total = total + delta
+        if np.all(np.abs(delta) <= ctl.rel_tol * np.maximum(np.abs(total), 1e-300)):
+            return total
     raise SeriesDivergence(
         f"image sum did not stabilise within n_max={ctl.n_max} terms")
 
@@ -138,7 +126,12 @@ def fet_pdf_gm_closed(spec: GMSpec, a: float, band: BandSpec, x0: float,
     t = np.asarray(t, dtype=float)
     if np.any(t <= t0):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    at_0, at_t = evaluate(spec, t0), evaluate(spec, t)
+    return _band_pdf(evaluate(spec, t0), evaluate(spec, t), a, band, x0, ctl)
+
+
+def _band_pdf(at_0: GMValues, at_t: GMValues, a: float, band: BandSpec,
+              x0: float, ctl: SeriesControl):
+    """fet_pdf_gm_closed from the spec's values at t0 and at t."""
     x0_implied = at_0.m + a * at_0.k1 + band.c * at_0.k2
     scale = max(abs(x0), abs(x0_implied), 1.0)
     if abs(x0 - x0_implied) > 1e-9 * scale:
@@ -251,12 +244,13 @@ def fet_pdf_ou_band(proc: OUProcess, c1: float, c: float, c2: float, B: float,
     if np.any(t <= t0):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
     spec = gm_spec_G(proc)
-    r_t0, _ = r_ratio(spec, t0)
-    scale = x0 * _g(params, t0)
-    band = BandSpec(c1=c1 * scale - B * r_t0, c=c * scale - B * r_t0,
-                    c2=c2 * scale - B * r_t0)
-    x_start = spec.m(t0) + B * spec.k1(t0) + band.c * spec.k2(t0)
-    return fet_pdf_gm_closed(spec, B, band, x_start, t0, t, ctl)
+    at_0 = evaluate(spec, t0)
+    scale = x0 / float(at_0.k2)  # x0 * g(t0)
+    shift = B * float(at_0.r)
+    band = BandSpec(c1=c1 * scale - shift, c=c * scale - shift,
+                    c2=c2 * scale - shift)
+    x_start = float(at_0.m + B * at_0.k1 + band.c * at_0.k2)
+    return _band_pdf(at_0, evaluate(spec, t), B, band, x_start, ctl)
 
 
 def volterra_fet(spec: GMSpec, s1: GeneralBoundary, s2: GeneralBoundary,

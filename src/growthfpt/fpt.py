@@ -27,14 +27,14 @@ values in the formulas implement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import (DomainError, GridError, OrderError, StartOnBoundary)
-from .gm_core import (DanielsBoundary, GMSpec, TimeFn, evaluate, law_between,
-                      r_ratio)
+from .gm_core import (DanielsBoundary, GMSpec, GMValues, TimeFn, evaluate,
+                      law_between, on_grid)
 from .growth_curve import _as_out, _core, _g, h_eval
 from .process_lognormal import LognormalProcess
 from .process_ou import OUProcess, gm_spec_G, int_g2
@@ -138,7 +138,12 @@ def fpt_pdf_gm_closed(spec: GMSpec, b: DanielsBoundary, x0: float, t0: float,
     """
     if np.any(np.less_equal(t, t0)):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    at_0, at_t = evaluate(spec, t0), evaluate(spec, t)
+    return _daniels_pdf(evaluate(spec, t0), evaluate(spec, t), b, x0)
+
+
+def _daniels_pdf(at_0: GMValues, at_t: GMValues, b: DanielsBoundary,
+                 x0: float):
+    """fpt_pdf_gm_closed from the spec's values at t0 and at t."""
     s0 = b.value(at_0)
     if s0 == x0:
         raise StartOnBoundary(f"x0 = s(t0) = {x0}")
@@ -222,27 +227,15 @@ def fpt_pdf_ou(proc: OUProcess, b: AffineGMBoundary, x0: float, t0: float,
     if np.any(t >= _core(params).t_star):
         raise DomainError(f"t={t} at or beyond the domain end")
     spec = gm_spec_G(proc)
+    at_0 = evaluate(spec, t0)
     # map (A, B) anchored at t0 onto Daniels coefficients of the triple,
     # whose own prefix integral is anchored at params.t0
-    r_t0, _ = r_ratio(spec, t0)
-    daniels = DanielsBoundary(d1=b.B, d2=b.A - b.B * r_t0)
-    return fpt_pdf_gm_closed(spec, daniels, x0, t0, t)
+    daniels = DanielsBoundary(d1=b.B, d2=b.A - b.B * float(at_0.r))
+    return _daniels_pdf(at_0, evaluate(spec, t), daniels, x0)
 
 
 def _reflected(spec: GMSpec) -> GMSpec:
-    return GMSpec(
-        m=lambda t: -spec.m(t),
-        m_dot=lambda t: -spec.m_dot(t),
-        k1=spec.k1,
-        k1_dot=spec.k1_dot,
-        k2=spec.k2,
-        k2_dot=spec.k2_dot,
-    )
-
-
-def on_grid(fn: TimeFn, grid: np.ndarray) -> np.ndarray:
-    """fn on a whole grid in one call, a constant broadcast to the grid."""
-    return np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
+    return replace(spec, m=lambda t: -spec.m(t), m_dot=lambda t: -spec.m_dot(t))
 
 
 def _uniform_step(grid: np.ndarray) -> float:

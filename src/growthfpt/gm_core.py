@@ -5,9 +5,9 @@ covariance factors as c(s, t) = k1(s) * k2(t) for s <= t, with
 r(t) = k1(t)/k2(t) strictly increasing and k1*k2 > 0 on the interior.  The
 triple (m, k1, k2) plus analytic derivatives is everything the transition
 laws, the infinitesimal coefficients, and the first-passage machinery need,
-so it is the representation used throughout the package.  Every time
-function of a spec, and the laws built from it, take a scalar or a numpy
-array of times.
+so it is the representation used throughout the package, held as (m, r, k2).
+Every time function of a spec, and the laws built from it, take a scalar or
+a numpy array of times.
 """
 
 from __future__ import annotations
@@ -26,28 +26,31 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 TimeFn = Callable[[float], float]
 
 
-def const_fn(value: float) -> TimeFn:
-    """The time function equal to `value` everywhere, for scalar or array t."""
-    def fn(t):
-        return value if np.ndim(t) == 0 else np.full(np.shape(t), value)
-    return fn
+def on_grid(fn: TimeFn, t) -> np.ndarray:
+    """fn at a time or an array of times, a constant return broadcast to
+    the shape of t."""
+    value = np.asarray(fn(t), dtype=float)
+    shape = np.shape(t)
+    return value if value.shape == shape else np.full(shape, value)
 
 
 @dataclass(frozen=True)
 class GMSpec:
-    """A Gauss-Markov process as evaluable (m, k1, k2) with derivatives.
+    """A Gauss-Markov process as evaluable (m, r, k2) with derivatives.
 
-    Each callable maps a scalar time to a float and an array of times to an
-    array of the same shape.  Derivatives are supplied analytically by
-    whoever builds the spec; nothing here differentiates numerically, which
-    keeps the first-passage kernels smooth.  The callables must be pure and
-    immutable after construction.
+    The triple is held through the intrinsic clock r = k1/k2 rather than k1:
+    every density reads r, and k1 = r*k2 and k1' = r'*k2 + r*k2' follow
+    from it (GMValues).  Each callable takes a scalar or an array of times
+    and may return a constant; evaluate() broadcasts it.  Derivatives are
+    supplied analytically by whoever builds the spec; nothing here
+    differentiates numerically, which keeps the first-passage kernels
+    smooth.  The callables must be pure and immutable after construction.
     """
 
     m: TimeFn
     m_dot: TimeFn
-    k1: TimeFn
-    k1_dot: TimeFn
+    r: TimeFn
+    r_dot: TimeFn
     k2: TimeFn
     k2_dot: TimeFn
 
@@ -57,12 +60,12 @@ def wiener_spec(sigma: float) -> GMSpec:
     m = 0, k1 = sigma^2 * t, k2 = 1."""
     s2 = sigma * sigma
     return GMSpec(
-        m=const_fn(0.0),
-        m_dot=const_fn(0.0),
-        k1=lambda t: s2 * t,
-        k1_dot=const_fn(s2),
-        k2=const_fn(1.0),
-        k2_dot=const_fn(0.0),
+        m=lambda t: 0.0,
+        m_dot=lambda t: 0.0,
+        r=lambda t: s2 * t,
+        r_dot=lambda t: s2,
+        k2=lambda t: 1.0,
+        k2_dot=lambda t: 0.0,
     )
 
 
@@ -72,25 +75,25 @@ class GMValues:
 
     m: np.ndarray
     m_dot: np.ndarray
-    k1: np.ndarray
-    k1_dot: np.ndarray
+    r: np.ndarray
+    r_dot: np.ndarray
     k2: np.ndarray
     k2_dot: np.ndarray
 
     @property
-    def r(self):
-        """The intrinsic clock r = k1/k2."""
-        return self.k1 / self.k2
+    def k1(self):
+        return self.r * self.k2
 
     @property
-    def r_dot(self):
-        return (self.k1_dot * self.k2 - self.k1 * self.k2_dot) / (self.k2 * self.k2)
+    def k1_dot(self):
+        return self.r_dot * self.k2 + self.r * self.k2_dot
 
 
 def evaluate(spec: GMSpec, t) -> GMValues:
-    """Every function of the spec at t, one call each."""
-    return GMValues(m=spec.m(t), m_dot=spec.m_dot(t), k1=spec.k1(t),
-                    k1_dot=spec.k1_dot(t), k2=spec.k2(t), k2_dot=spec.k2_dot(t))
+    """Every function of the spec at t, one call each, all of t's shape."""
+    t = np.asarray(t, dtype=float)
+    return GMValues(*(on_grid(fn, t) for fn in (
+        spec.m, spec.m_dot, spec.r, spec.r_dot, spec.k2, spec.k2_dot)))
 
 
 @dataclass(frozen=True)
@@ -112,18 +115,18 @@ class DanielsBoundary:
 def daniels_boundary_fns(spec: GMSpec, b: DanielsBoundary) -> Tuple[TimeFn, TimeFn]:
     """(s, s') callables for a Daniels-type boundary on the given process."""
     def s(t):
-        return spec.m(t) + b.d1 * spec.k1(t) + b.d2 * spec.k2(t)
+        return _as_out(b.value(evaluate(spec, t)))
 
     def s_dot(t):
-        return spec.m_dot(t) + b.d1 * spec.k1_dot(t) + b.d2 * spec.k2_dot(t)
+        at = evaluate(spec, t)
+        return _as_out(at.m_dot + b.d1 * at.k1_dot + b.d2 * at.k2_dot)
 
     return s, s_dot
 
 
 def r_ratio(spec: GMSpec, t) -> Tuple[float, float]:
     """The intrinsic clock r(t) = k1/k2 and its derivative r'(t)."""
-    at = evaluate(spec, t)
-    return _as_out(at.r), _as_out(at.r_dot)
+    return _as_out(on_grid(spec.r, t)), _as_out(on_grid(spec.r_dot, t))
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ def law_between(at_tau: GMValues, at_t: GMValues, y: float,
     variance is 0 where `same_time` holds."""
     ratio = at_t.k2 / at_tau.k2
     mean = at_t.m + ratio * (y - at_tau.m)
-    var = at_t.k2 * (at_t.k1 - ratio * at_tau.k1)
+    var = at_t.k2 * at_t.k2 * (at_t.r - at_tau.r)
     var = np.where(same_time, 0.0, np.maximum(var, 0.0))
     return TransitionLaw(mean=_as_out(mean), variance=_as_out(var))
 
@@ -180,11 +183,10 @@ def infinitesimal_coeffs(spec: GMSpec, x: float, t: float) -> Tuple[float, float
 
     B1 = m'(t) + (x - m(t)) * k2'(t)/k2(t),   B2 = k2(t)^2 * r'(t).
     """
-    k2 = spec.k2(t)
-    b1 = spec.m_dot(t) + (x - spec.m(t)) * spec.k2_dot(t) / k2
-    _, r_dot = r_ratio(spec, t)
-    b2 = k2 * k2 * r_dot
-    return b1, b2
+    at = evaluate(spec, t)
+    b1 = at.m_dot + (x - at.m) * at.k2_dot / at.k2
+    b2 = at.k2 * at.k2 * at.r_dot
+    return _as_out(b1), _as_out(b2)
 
 
 def psi_kernel(spec: GMSpec, boundary, t: float, y: float, tau: float) -> float:
@@ -203,13 +205,11 @@ def psi_kernel(spec: GMSpec, boundary, t: float, y: float, tau: float) -> float:
         raise OrderError(f"kernel needs tau < t, got tau={tau}, t={t}")
     st = boundary.s(t)
     sdt = boundary.s_dot(t)
-    k1t, k2t = spec.k1(t), spec.k2(t)
-    k1tau, k2tau = spec.k1(tau), spec.k2(tau)
-    k1dt, k2dt = spec.k1_dot(t), spec.k2_dot(t)
-    mt, mtau = spec.m(t), spec.m(tau)
+    at_t, at_tau = evaluate(spec, t), evaluate(spec, tau)
+    k1t, k2t, k1dt, k2dt = at_t.k1, at_t.k2, at_t.k1_dot, at_t.k2_dot
+    k1tau, k2tau = at_tau.k1, at_tau.k2
     dn = k1t * k2tau - k2t * k1tau
-    bracket = (0.5 * (sdt - spec.m_dot(t))
-               - 0.5 * (st - mt) * (k1dt * k2tau - k2dt * k1tau) / dn
-               - 0.5 * (y - mtau) * (k2dt * k1t - k2t * k1dt) / dn)
-    law = transition_law(spec, y, tau, t)
-    return bracket * law.pdf(st)
+    bracket = (0.5 * (sdt - at_t.m_dot)
+               - 0.5 * (st - at_t.m) * (k1dt * k2tau - k2dt * k1tau) / dn
+               - 0.5 * (y - at_tau.m) * (k2dt * k1t - k2t * k1dt) / dn)
+    return _as_out(bracket * law_between(at_tau, at_t, y).pdf(st))

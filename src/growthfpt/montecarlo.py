@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (BandCrossing, ConfigError, EmptySample, StartOnBoundary,
                      StartOutsideBand)
 from .fpt import AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary
+from .gm_core import on_grid
 from .growth_curve import _core, _g
 from .process_lognormal import LognormalProcess
 from .process_ou import OUProcess, int_g2
@@ -168,7 +169,7 @@ def _wiener_coord_setup(process: Process, ts: np.ndarray
 
 def _boundary_values(process: Process, boundary: Boundary, ts: np.ndarray) -> np.ndarray:
     """State-space boundary values on the grid, one call per boundary."""
-    from .fpt import affine_gm_boundary_fns, exp_boundary_fns, on_grid
+    from .fpt import affine_gm_boundary_fns, exp_boundary_fns
     if isinstance(boundary, GeneralBoundary):
         return on_grid(boundary.s, ts)
     if isinstance(boundary, ExpBoundary):

@@ -13,11 +13,11 @@ steps reproduces it exactly, which pins the form down independently of any
 printed formula (and the Monte Carlo suite re-checks it).
 
 As a Gauss-Markov triple the process has m = 0, k2 = 1/g and
-k1 = sigma^2 * k2(t) * P(t) with P(t) = int_{t0}^t g(u)^2 du, so
-r = sigma^2 * P plays the role of the intrinsic clock.  int_g2 reads P on a
-whole grid of times in one call: composite 16-point Gauss-Legendre panels no
-wider than PANEL_WIDTH, one vectorised evaluation of g at every node and one
-cumulative sum.  The tests hold it to 1e-12 relative error against adaptive
+k1 = sigma^2 * k2(t) * P(t) with P(t) = int_{t0}^t g(u)^2 du, so its
+intrinsic clock is r = sigma^2 * P with r' = sigma^2 * g^2.  int_g2 reads P
+on a whole grid of times in one call: composite 16-point Gauss-Legendre
+panels no wider than PANEL_WIDTH, one vectorised evaluation of g at every
+node and one cumulative sum.  The tests hold it to 1e-12 relative error against adaptive
 Simpson at rel_tol 1e-13 on every curve regime, grids ending at 0.999 of a
 finite domain end included.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParams, OrderError
-from .gm_core import GMSpec, TransitionLaw, const_fn
+from .gm_core import GMSpec, TransitionLaw
 from .growth_curve import GrowthParams, _as_out, _core, _g, h_eval
 
 PANEL_WIDTH = 0.5
@@ -108,34 +108,25 @@ def transition_law_G(proc: OUProcess, y: float, tau: float, t: float) -> Transit
 def gm_spec_G(proc: OUProcess) -> GMSpec:
     """Gauss-Markov triple of the additive-noise process.
 
-    k2 = 1/g with k2' = h/g, k1 = sigma^2 k2(t) P(t) where P = int_g2 is the
-    prefix integral of g^2 from t0, and k1' follows from the product rule plus
-    P' = g^2.  Every callable takes a scalar or an array of times; P comes
-    from the Gauss-Legendre table of int_g2, everything else is closed form.
+    k2 = 1/g with k2' = h/g, and the clock r = sigma^2 P, where P = int_g2 is
+    the prefix integral of g^2 from t0, with r' = sigma^2 g^2.  Every callable
+    takes a scalar or an array of times; only r reads the Gauss-Legendre
+    table of int_g2, so evaluating the spec reads it once.
     """
     params = proc.params
     s2 = proc.sigma * proc.sigma
 
-    def k2(t):
-        return 1.0 / _g(params, t)
-
-    def k2_dot(t):
-        return h_eval(params, t) / _g(params, t)
-
-    def k1(t):
-        return s2 * int_g2(params, t) / _g(params, t)
-
-    def k1_dot(t):
+    def r_dot(t):
         g = _g(params, t)
-        return s2 * (h_eval(params, t) * int_g2(params, t) / g + g)
+        return s2 * g * g
 
     return GMSpec(
-        m=const_fn(0.0),
-        m_dot=const_fn(0.0),
-        k1=k1,
-        k1_dot=k1_dot,
-        k2=k2,
-        k2_dot=k2_dot,
+        m=lambda t: 0.0,
+        m_dot=lambda t: 0.0,
+        r=lambda t: s2 * int_g2(params, t),
+        r_dot=r_dot,
+        k2=lambda t: 1.0 / _g(params, t),
+        k2_dot=lambda t: h_eval(params, t) / _g(params, t),
     )
 
 

@@ -208,6 +208,14 @@ class TestVolterraSystem:
                                    np.linspace(0.0, 6.0, 1201))
         assert np.allclose(lo.values + up.values, tot.values, atol=1e-15)
 
+    def test_grid_off_start_rejected(self):
+        from growthfpt import GridError
+        b1 = GeneralBoundary(s=lambda t: -1.0, s_dot=lambda t: 0.0)
+        b2 = GeneralBoundary(s=lambda t: 1.0, s_dot=lambda t: 0.0)
+        with pytest.raises(GridError):
+            volterra_fet(wiener_spec(1.0), b1, b2, 0.0, 0.0,
+                         np.linspace(0.5, 6.0, 101))
+
     def test_closed_form_band_accuracy(self):
         spec = wiener_spec(1.0)
         b1 = GeneralBoundary(s=lambda t: -1.0, s_dot=lambda t: 0.0)

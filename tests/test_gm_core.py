@@ -175,7 +175,7 @@ class TestCovarianceFactorization:
             # t0-anchored triple (r(t0) = 0) then gives cov = k1(s) k2(t)
             a = paths[:, s_idx] - PARAMS.x0 * _g(PARAMS, 0.0) / _g(PARAMS, ts[s_idx])
             b = paths[:, t_idx] - PARAMS.x0 * _g(PARAMS, 0.0) / _g(PARAMS, ts[t_idx])
-            expected = spec.k1(ts[s_idx]) * spec.k2(ts[t_idx])
+            expected = spec.r(ts[s_idx]) * spec.k2(ts[s_idx]) * spec.k2(ts[t_idx])
         else:
             from growthfpt import LognormalProcess, to_wiener_spec
             proc = LognormalProcess(PARAMS, 0.5)

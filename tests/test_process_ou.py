@@ -8,6 +8,7 @@ from growthfpt import (DomainError, GrowthParams, OrderError, OUProcess,
                        infinitesimal_coeffs, prefix_integrals, r_ratio,
                        sample_transition_G, transition_law, transition_law_G,
                        x_eval)
+from growthfpt.gm_core import evaluate
 from growthfpt.growth_curve import _g, h_eval
 from growthfpt.process_ou import int_g2
 
@@ -178,7 +179,7 @@ class TestArrayForms:
         spec = gm_spec_G(OUProcess(params, 0.1))
         grid = _grid_for(params, points=25)[1:]
         for fn in (lambda t: _g(params, t), lambda t: h_eval(params, t),
-                   spec.k1, spec.k2):
+                   lambda t: evaluate(spec, t).k1, spec.k2):
             arr = fn(grid)
             one = np.array([fn(float(t)) for t in grid])
             assert isinstance(fn(float(grid[0])), float)
