@@ -34,7 +34,7 @@ print("varying the proportion nu at sigma = 0.02:")
 series = []
 for nu in (0.7, 0.8, 0.9, 1.1, 1.2):
     bnd = ExpBoundary(A=nu * params.x0)
-    vals = np.array([fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, float(t)) for t in ts])
+    vals = fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, ts)
     m = mass(proc, bnd)
     target = 1.0 if nu < 1.0 else 1.0 / nu
     print(f"  nu={nu:4.2f}: peak at t={ts[np.argmax(vals)]:7.2f}, "
@@ -49,7 +49,7 @@ for sigma in (0.01, 0.02, 0.04):
     proc_s = LognormalProcess(params, sigma)
     bnd = ExpBoundary(A=0.8 * params.x0)
     tg = np.linspace(0.1, 600.0, 4000)
-    vals = np.array([fpt_pdf_lognormal(proc_s, bnd, 1.0, 0.0, float(t)) for t in tg])
+    vals = fpt_pdf_lognormal(proc_s, bnd, 1.0, 0.0, tg)
     print(f"  sigma={sigma:5.3f}: peak t={tg[np.argmax(vals)]:7.2f}, "
           f"peak value={vals.max():.5f}")
     series.append((tg, vals, f"sigma={sigma}"))

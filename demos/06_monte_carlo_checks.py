@@ -33,7 +33,7 @@ cfg = SimConfig(dt=0.2, horizon=150.0, n_paths=30_000, seed=515)
 sample = estimate_fpt(proc, bnd, cfg)
 grid = np.linspace(0.0, 150.0, 3001)
 curve = DensityCurve.from_function(
-    lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t) if t > 0 else 0.0, grid)
+    lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t), grid, 0.0)
 l1, ks = density_distance(sample, curve)
 print(f"  hits {sample.hit_times.size}, censored {sample.censored_count}, "
       f"KS = {ks:.4f}, L1 = {l1:.4f}")
@@ -44,8 +44,7 @@ cfg = SimConfig(dt=0.5, horizon=800.0, n_paths=30_000, seed=516)
 sample = estimate_fet(proc, ExpBoundary(A=0.8), ExpBoundary(A=1.2), cfg)
 grid = np.linspace(0.0, 800.0, 3001)
 curve = DensityCurve.from_function(
-    lambda t: fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t) if t > 0 else 0.0,
-    grid)
+    lambda t: fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t), grid, 0.0)
 l1, ks = density_distance(sample, curve, bins=40)
 n_low = int(np.sum(sample.exit_sides == "lower"))
 print(f"  exits {sample.hit_times.size} ({n_low} through the lower boundary), "

@@ -17,8 +17,7 @@ from .errors import (BandCrossing, ConfigError, DomainError, EmptySample,
                      ValidationError)
 from .fet import (BandSpec, ProportionalBand, SeriesControl, fet_pdf_gm_closed,
                   fet_pdf_lognormal_band, fet_pdf_ou_band,
-                  fet_pdf_wiener_symmetric, fet_pdf_wiener_symmetric_split,
-                  volterra_fet, wiener_band_pdf)
+                  fet_pdf_wiener_symmetric, volterra_fet, wiener_band_pdf)
 from .fpt import (AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary,
                   affine_gm_boundary_fns, exp_boundary_fns, fpt_pdf_gm_closed,
                   fpt_pdf_lognormal, fpt_pdf_ou, volterra_fpt)

@@ -256,14 +256,6 @@ def _cmd_paths(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _closed_values(fn, cfg: RunConfig, ts: np.ndarray) -> np.ndarray:
-    """A closed-form density on the grid in one call; 0 at t0 itself."""
-    later = ts > cfg.model.t0
-    vals = np.zeros_like(ts)
-    vals[later] = fn(ts[later])
-    return vals
-
-
 def _fpt_closed_fn(cfg: RunConfig):
     proc = cfg.process()
     params = cfg.model
@@ -280,8 +272,7 @@ def _cmd_fpt(cfg: RunConfig, out: Path) -> int:
     method = cfg.fpt_method
     if method == "closed":
         ts = _density_grid(cfg)
-        curve = DensityCurve(times=ts,
-                             values=_closed_values(_fpt_closed_fn(cfg), cfg, ts))
+        curve = DensityCurve.from_function(_fpt_closed_fn(cfg), ts, params.t0)
     elif method == "volterra":
         ts = _density_grid(cfg)
         if cfg.grid_kind != "linear":
@@ -334,7 +325,7 @@ def _cmd_fet(cfg: RunConfig, out: Path) -> int:
             fn = lambda t: fet_pdf_ou_band(proc, cfg.fet_nu1, cfg.fet_nu,
                                            cfg.fet_nu2, 0.0, params.x0,
                                            params.t0, t, cfg.series)
-        curve = DensityCurve(times=ts, values=_closed_values(fn, cfg, ts))
+        curve = DensityCurve.from_function(fn, ts, params.t0)
     elif method == "volterra":
         if cfg.grid_kind != "linear":
             raise ValidationError("fet.method=volterra requires grid.kind=linear")

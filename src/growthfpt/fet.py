@@ -13,10 +13,13 @@ The sum is truncated symmetrically: terms are added in +/-n pairs until a
 pair contributes less than rel_tol of the running total, with exponents
 guarded against underflow and a hard cap on n.
 
+The lognormal band is wiener_band_pdf after the log map.
+
 For general C^1 bands the pair (gamma1, gamma2) of exit-through-lower /
 exit-through-upper densities solves a coupled system of second-kind Volterra
-equations, discretized here with the same left-rectangle product integration
-as the single-boundary solver.
+equations with the passage equation's kernel.  It is solved by the
+single-boundary solver itself (fpt._volterra), given both boundaries with
+side signs +1 (lower) and -1 (upper).
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (BandCrossing, DomainError, GridError, InvalidParams,
-                     OrderError, SeriesDivergence, StartOutsideBand)
-from .fpt import DensityCurve, GeneralBoundary, _uniform_step
+from .errors import (BandCrossing, DomainError, InvalidParams, OrderError,
+                     SeriesDivergence, StartOutsideBand)
+from .fpt import DensityCurve, GeneralBoundary, _solver_grid, _volterra
 from .gm_core import GMSpec, GMValues, evaluate, law_between, on_grid
 from .growth_curve import _as_out, _core
 from .process_lognormal import LognormalProcess
@@ -178,29 +181,19 @@ def fet_pdf_lognormal_band(proc: LognormalProcess, band: ProportionalBand,
     mean proportions [nu1, nu2], started at proportion nu of x0; `t` is a
     scalar or an array.
 
-    Only the ratios nu/nu1, nu2/nu, nu2/nu1 and (sigma, t - t0) enter:
-
-        gamma(t) = 1/sqrt(2 pi sigma^2 dt^3) * sum_n exp{-2 n^2 ln^2(nu2/nu1) / (sigma^2 dt)}
-           * { [ln(nu/nu1) + 2n ln(nu2/nu1)] exp{-2n ln(nu2/nu1) ln(nu/nu1)/(sigma^2 dt)}
-                 * exp{-[sigma^2 dt/2 + ln(nu1/nu)]^2 / (2 sigma^2 dt)}
-             + [ln(nu2/nu) - 2n ln(nu2/nu1)] exp{+2n ln(nu2/nu1) ln(nu2/nu)/(sigma^2 dt)}
-                 * exp{-[sigma^2 dt/2 + ln(nu2/nu)]^2 / (2 sigma^2 dt)} }
-
-    so the value is independent of the curve shape p and of x0 itself.
+    In the Wiener coordinate z = ln x + ln g(t) - ln g(t0) + sigma^2 t/2,
+    measured from the start, the band is c_i + sigma^2/2 * (t - t0) with
+    c1 = -ln(nu/nu1) and c2 = ln(nu2/nu), so this is wiener_band_pdf.  Only
+    those ratios and (sigma, t - t0) enter: the value is independent of the
+    curve shape p and of x0 itself.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= t0):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    dt = t - t0
-    s2 = proc.sigma * proc.sigma
-    R = s2 * dt
-    L = math.log(band.nu2 / band.nu1)
-    u = math.log(band.nu / band.nu1)
-    v = math.log(band.nu2 / band.nu)
-    norm = 1.0 / np.sqrt(2.0 * math.pi * R)
-    f1 = norm * _guarded_exp(-((0.5 * s2 * dt - u) ** 2) / (2.0 * R))
-    f2 = norm * _guarded_exp(-((0.5 * s2 * dt + v) ** 2) / (2.0 * R))
-    return _as_out((1.0 / dt) * _theta_sum(R, L, u, v, f1, f2, ctl))
+    zband = BandSpec(c1=-math.log(band.nu / band.nu1), c=0.0,
+                     c2=math.log(band.nu2 / band.nu),
+                     slope=0.5 * proc.sigma * proc.sigma)
+    return wiener_band_pdf(zband, proc.sigma, t - t0, ctl)
 
 
 def fet_pdf_wiener_symmetric(c_half_width: float, sigma: float, dt: float,
@@ -214,14 +207,6 @@ def fet_pdf_wiener_symmetric(c_half_width: float, sigma: float, dt: float,
         raise InvalidParams("half width must be positive")
     band = BandSpec(c1=-c_half_width, c=0.0, c2=c_half_width, slope=0.0)
     return wiener_band_pdf(band, sigma, dt, ctl)
-
-
-def fet_pdf_wiener_symmetric_split(c_half_width: float, sigma: float, dt: float,
-                                   ctl: SeriesControl = DEFAULT_SERIES
-                                   ) -> Tuple[float, float]:
-    """(gamma1, gamma2) for the symmetric case: equal halves by symmetry."""
-    total = fet_pdf_wiener_symmetric(c_half_width, sigma, dt, ctl)
-    return 0.5 * total, 0.5 * total
 
 
 def fet_pdf_ou_band(proc: OUProcess, c1: float, c: float, c2: float, B: float,
@@ -261,59 +246,15 @@ def volterra_fet(spec: GMSpec, s1: GeneralBoundary, s2: GeneralBoundary,
     Returns (gamma1, gamma2, gamma): exit-through-lower, exit-through-upper,
     and their sum, on the supplied uniform grid starting at t0.
     """
-    grid = np.asarray(grid, dtype=float)
-    h = _uniform_step(grid)
-    if not math.isclose(grid[0], t0, rel_tol=0.0, abs_tol=1e-12 * max(1.0, abs(t0))):
-        raise GridError(f"grid must start at t0={t0}, starts at {grid[0]}")
-
-    K = grid.size
-    at = evaluate(spec, grid)
-    m_arr, md_arr, k1_arr, k1d_arr = at.m, at.m_dot, at.k1, at.k1_dot
-    k2_arr, k2d_arr, r_arr = at.k2, at.k2_dot, at.r
-    s1_arr, s1d_arr = on_grid(s1.s, grid), on_grid(s1.s_dot, grid)
-    s2_arr, s2d_arr = on_grid(s2.s, grid), on_grid(s2.s_dot, grid)
-
-    if np.any(s1_arr >= s2_arr):
+    grid, h = _solver_grid(grid, t0)
+    s = np.array([on_grid(s1.s, grid), on_grid(s2.s, grid)])
+    if np.any(s[0] >= s[1]):
         raise BandCrossing("lower boundary meets or exceeds the upper one")
-    if not (s1_arr[0] < x0 < s2_arr[0]):
+    if not (s[0, 0] < x0 < s[1, 0]):
         raise StartOutsideBand(
-            f"x0={x0} not inside ({s1_arr[0]}, {s2_arr[0]}) at t0")
-
-    g1 = np.zeros(K)
-    g2 = np.zeros(K)
-
-    def psi_row(k: int, bnd: int, y: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Psi_bnd(t_k | y_j, t_j) with bnd selecting the boundary."""
-        s_arr, sd_arr = (s1_arr, s1d_arr) if bnd == 1 else (s2_arr, s2d_arr)
-        dn = k1_arr[k] * k2_arr[j] - k2_arr[k] * k1_arr[j]
-        n1 = k1d_arr[k] * k2_arr[j] - k2d_arr[k] * k1_arr[j]
-        n2 = k2d_arr[k] * k1_arr[k] - k2_arr[k] * k1d_arr[k]
-        var = k2_arr[k] ** 2 * (r_arr[k] - r_arr[j])
-        mean = m_arr[k] + k2_arr[k] / k2_arr[j] * (y - m_arr[j])
-        f = np.exp(-(s_arr[k] - mean) ** 2 / (2.0 * var)) / np.sqrt(
-            2.0 * math.pi * var)
-        bracket = (0.5 * (sd_arr[k] - md_arr[k])
-                   - 0.5 * (s_arr[k] - m_arr[k]) * n1 / dn
-                   - 0.5 * (y - m_arr[j]) * n2 / dn)
-        return bracket * f
-
-    x0_arr = np.array([x0])
-    j0 = np.array([0])
-    for k in range(1, K):
-        f1 = psi_row(k, 1, x0_arr, j0)[0]
-        f2 = psi_row(k, 2, x0_arr, j0)[0]
-        v1 = 2.0 * f1
-        v2 = -2.0 * f2
-        if k > 1:
-            jj = np.arange(1, k)
-            p1_low = psi_row(k, 1, s1_arr[jj], jj)
-            p1_up = psi_row(k, 1, s2_arr[jj], jj)
-            p2_low = psi_row(k, 2, s1_arr[jj], jj)
-            p2_up = psi_row(k, 2, s2_arr[jj], jj)
-            v1 -= 2.0 * h * float(np.dot(g1[jj], p1_low) + np.dot(g2[jj], p1_up))
-            v2 += 2.0 * h * float(np.dot(g1[jj], p2_low) + np.dot(g2[jj], p2_up))
-        g1[k] = v1
-        g2[k] = v2
+            f"x0={x0} not inside ({s[0, 0]}, {s[1, 0]}) at t0")
+    s_dot = np.array([on_grid(s1.s_dot, grid), on_grid(s2.s_dot, grid)])
+    g1, g2 = _volterra(spec, s, s_dot, x0, grid, h)
     lower = DensityCurve(times=grid, values=g1)
     upper = DensityCurve(times=grid, values=g2)
     total = DensityCurve(times=grid, values=g1 + g2)

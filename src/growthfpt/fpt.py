@@ -10,31 +10,34 @@ Closed forms exist for three boundary families:
   * affine-in-(k1, k2) boundaries (A + B*sigma^2*int g^2)/g for the
     additive-noise process (a Daniels boundary of its Gauss-Markov triple).
 
+The lognormal closed form is the Daniels form of the process's Wiener
+coordinate, in which an exponential-form boundary is a straight line.
+
 Everything else goes through a product-integration solver for the
 second-kind Volterra equation
 
-    g(t) = -2*Psi(t | x0, t0) + 2 * int_{t0}^t g(tau) * Psi(t | s(tau), tau) dtau,
+    g(t) = 2*sign * [Psi(t | x0, t0) - int_{t0}^t g(tau) * Psi(t | s(tau), tau) dtau],
 
-discretized with left rectangles so the kernel diagonal is never touched;
-the scheme is first-order accurate in the step (faster in practice because
-the kernel itself vanishes on the diagonal).
-
-The closed form is stated for a start strictly below the boundary; starts
-above are handled by reflecting state space, which is what the absolute
-values in the formulas implement.
+with sign = +1 for a boundary below the start and -1 for one above it, so
+no reflection of state space is needed.  It is discretized with left
+rectangles so the kernel diagonal is never touched; the scheme is
+first-order accurate in the step (faster in practice because the kernel
+itself vanishes on the diagonal).  The same private solver, `_volterra`,
+serves the two-boundary system of fet with one sign per boundary, and both
+evaluate the one kernel, gm_core.psi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import (DomainError, GridError, OrderError, StartOnBoundary)
 from .gm_core import (DanielsBoundary, GMSpec, GMValues, TimeFn, evaluate,
-                      law_between, on_grid)
+                      law_between, on_grid, psi, wiener_spec)
 from .growth_curve import _as_out, _core, _g, h_eval
 from .process_lognormal import LognormalProcess
 from .process_ou import OUProcess, gm_spec_G, int_g2
@@ -121,10 +124,16 @@ class DensityCurve:
         return np.concatenate(([0.0], np.cumsum(seg)))
 
     @classmethod
-    def from_function(cls, fn: Callable[[float], float],
-                      times: np.ndarray) -> "DensityCurve":
+    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray],
+                      times: np.ndarray, t0: float) -> "DensityCurve":
+        """A density sampled by one call of fn on the times after t0; the
+        value is 0 at t0 and before it, where the closed forms are not
+        defined but vanish in the limit."""
         times = np.asarray(times, dtype=float)
-        return cls(times=times, values=np.array([fn(t) for t in times]))
+        later = times > t0
+        values = np.zeros_like(times)
+        values[later] = fn(times[later])
+        return cls(times=times, values=values)
 
 
 def fpt_pdf_gm_closed(spec: GMSpec, b: DanielsBoundary, x0: float, t0: float,
@@ -160,9 +169,15 @@ def fpt_pdf_lognormal(proc: LognormalProcess, b: ExpBoundary, x0: float,
         |ln(s(t0)/x0)| / sqrt(2 pi sigma^2 (t-t0)^3)
           * exp{ -[(sigma^2/2 + B)(t-t0) + ln(s(t0)/x0)]^2 / (2 sigma^2 (t-t0)) }
 
-    The value depends only on (s(t0)/x0, B, sigma, t-t0): in particular it is
-    invariant under the curve shape parameter p and under common rescaling of
-    (x0, A).  `t` is a scalar or an array.
+    This is fpt_pdf_gm_closed for the Wiener process run from (0, t0) in the
+    coordinate z = ln x + ln g(t) - ln g(t0) + sigma^2 (t - t0)/2 - ln x0,
+    where the boundary is the line ln(s(t0)/x0) + (B + sigma^2/2)(t - t0), a
+    Daniels boundary with d1 = (B + sigma^2/2)/sigma^2 and d2 =
+    ln(s(t0)/x0).  Elapsed time and the log ratio enter directly, so no
+    large ln x0 or t0 cancels in the exponent.  The value depends only on
+    (s(t0)/x0, B, sigma, t-t0): in particular it is invariant under the curve
+    shape parameter p and under common rescaling of (x0, A).  `t` is a
+    scalar or an array.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= t0):
@@ -170,13 +185,10 @@ def fpt_pdf_lognormal(proc: LognormalProcess, b: ExpBoundary, x0: float,
     s0 = b.A * math.exp(b.B * t0)
     if s0 == x0:
         raise StartOnBoundary(f"x0 = s(t0) = {x0}")
-    dt = t - t0
     s2 = proc.sigma * proc.sigma
-    lr = math.log(s0 / x0)
-    arg = (0.5 * s2 + b.B) * dt + lr
-    expo = -arg * arg / (2.0 * s2 * dt)
-    dens = abs(lr) / np.sqrt(2.0 * math.pi * s2 * dt ** 3) * np.exp(expo)
-    return _as_out(np.where(expo < -745.0, 0.0, dens))
+    spec = wiener_spec(proc.sigma)
+    line = DanielsBoundary(d1=(b.B + 0.5 * s2) / s2, d2=math.log(s0 / x0))
+    return _daniels_pdf(evaluate(spec, 0.0), evaluate(spec, t - t0), line, 0.0)
 
 
 def exp_boundary_fns(proc: LognormalProcess, b: ExpBoundary) -> GeneralBoundary:
@@ -234,18 +246,49 @@ def fpt_pdf_ou(proc: OUProcess, b: AffineGMBoundary, x0: float, t0: float,
     return _daniels_pdf(at_0, evaluate(spec, t), daniels, x0)
 
 
-def _reflected(spec: GMSpec) -> GMSpec:
-    return replace(spec, m=lambda t: -spec.m(t), m_dot=lambda t: -spec.m_dot(t))
-
-
-def _uniform_step(grid: np.ndarray) -> float:
+def _solver_grid(grid, t0: float):
+    """(grid, step) of a solver grid: uniform, increasing, starting at t0."""
+    grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise GridError("grid must contain at least two times")
     steps = np.diff(grid)
     h = steps[0]
     if h <= 0.0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
         raise GridError("grid must be uniform and increasing")
-    return float(h)
+    if not math.isclose(grid[0], t0, rel_tol=0.0, abs_tol=1e-12 * max(1.0, abs(t0))):
+        raise GridError(f"grid must start at t0={t0}, starts at {grid[0]}")
+    return grid, float(h)
+
+
+def _volterra(spec: GMSpec, s: np.ndarray, s_dot: np.ndarray, x0: float,
+              grid: np.ndarray, h: float) -> np.ndarray:
+    """Passage densities through each of B boundaries before the others.
+
+    s and s_dot hold the boundaries on the grid, one row each.  With
+    sign_b = +1 for a boundary below x0 and -1 for one above it,
+
+        dens[b, k] = 2 sign_b (Psi_b(t_k | x0, t0)
+                               - h sum_a sum_{0<j<k} dens[a, j] Psi_b(t_k | s_a(t_j), t_j)).
+
+    The sources are ordered by time, then boundary, with the start as
+    source 0 of weight 1, so the sources before t_k are a prefix and each
+    step makes one kernel call per boundary.  Returns dens, shape (B, K).
+    """
+    at = evaluate(spec, grid)
+    B, K = s.shape
+    sign = np.where(s[:, 0] < x0, 1.0, -1.0)
+    y = np.concatenate(([x0], s[:, 1:].T.ravel()))
+    j = np.concatenate(([0], np.repeat(np.arange(1, K), B)))
+    weight = np.zeros(y.size)
+    weight[0] = 1.0
+    dens = np.zeros((B, K))
+    for k in range(1, K):
+        n = 1 + B * (k - 1)
+        for b in range(B):
+            row = psi(at, k, s[b, k], s_dot[b, k], y[:n], j[:n])
+            dens[b, k] = 2.0 * sign[b] * float(np.dot(weight[:n], row))
+        weight[n:n + B] = -h * dens[:, k]
+    return dens
 
 
 def volterra_fpt(spec: GMSpec, s: GeneralBoundary, x0: float, t0: float,
@@ -253,48 +296,11 @@ def volterra_fpt(spec: GMSpec, s: GeneralBoundary, x0: float, t0: float,
     """Product-integration solution of the passage-density Volterra equation
     on a uniform grid starting at t0.
 
-    Start must be strictly off the boundary; a start above it is handled by
-    reflecting the problem through zero.
+    The start must be strictly off the boundary, on either side of it.
     """
-    grid = np.asarray(grid, dtype=float)
-    h = _uniform_step(grid)
-    if not math.isclose(grid[0], t0, rel_tol=0.0, abs_tol=1e-12 * max(1.0, abs(t0))):
-        raise GridError(f"grid must start at t0={t0}, starts at {grid[0]}")
-    s0 = s.s(t0)
-    if x0 == s0:
+    grid, h = _solver_grid(grid, t0)
+    if x0 == s.s(t0):
         raise StartOnBoundary(f"x0 = s(t0) = {x0}")
-    if x0 > s0:
-        refl = GeneralBoundary(s=lambda t: -s.s(t), s_dot=lambda t: -s.s_dot(t))
-        return volterra_fpt(_reflected(spec), refl, -x0, t0, grid)
-
-    K = grid.size
-    at = evaluate(spec, grid)
-    m_arr, md_arr, k1_arr, k1d_arr = at.m, at.m_dot, at.k1, at.k1_dot
-    k2_arr, k2d_arr, r_arr = at.k2, at.k2_dot, at.r
-    s_arr, sd_arr = on_grid(s.s, grid), on_grid(s.s_dot, grid)
-
-    dens = np.zeros(K)
-
-    def psi_row(k: int, y: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Kernel values Psi(t_k | y_j, t_j) for an index array j."""
-        dn = k1_arr[k] * k2_arr[j] - k2_arr[k] * k1_arr[j]
-        n1 = k1d_arr[k] * k2_arr[j] - k2d_arr[k] * k1_arr[j]
-        n2 = k2d_arr[k] * k1_arr[k] - k2_arr[k] * k1d_arr[k]
-        var = k2_arr[k] ** 2 * (r_arr[k] - r_arr[j])
-        mean = m_arr[k] + k2_arr[k] / k2_arr[j] * (y - m_arr[j])
-        f = np.exp(-(s_arr[k] - mean) ** 2 / (2.0 * var)) / np.sqrt(
-            2.0 * math.pi * var)
-        bracket = (0.5 * (sd_arr[k] - md_arr[k])
-                   - 0.5 * (s_arr[k] - m_arr[k]) * n1 / dn
-                   - 0.5 * (y - m_arr[j]) * n2 / dn)
-        return bracket * f
-
-    j0 = np.array([0])
-    for k in range(1, K):
-        forcing = psi_row(k, np.array([x0]), j0)[0]
-        val = -2.0 * forcing
-        if k > 1:
-            jj = np.arange(1, k)
-            val += 2.0 * h * float(np.dot(dens[jj], psi_row(k, s_arr[jj], jj)))
-        dens[k] = val
-    return DensityCurve(times=grid, values=dens)
+    dens = _volterra(spec, on_grid(s.s, grid)[None], on_grid(s.s_dot, grid)[None],
+                     x0, grid, h)
+    return DensityCurve(times=grid, values=dens[0])

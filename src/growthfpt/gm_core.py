@@ -189,27 +189,36 @@ def infinitesimal_coeffs(spec: GMSpec, x: float, t: float) -> Tuple[float, float
     return _as_out(b1), _as_out(b2)
 
 
-def psi_kernel(spec: GMSpec, boundary, t: float, y: float, tau: float) -> float:
-    """Kernel of the first-passage Volterra equation at (t | y, tau).
+def psi(at: GMValues, k: int, s, s_dot, y, j):
+    """Kernel of the first-passage Volterra equation at (t_k | y, t_j).
 
-    `boundary` is any object exposing s(t) and s_dot(t).  The value is
+    `at` holds the spec evaluated on a grid, (s, s_dot) the boundary and its
+    derivative at t_k, and `y` and `j` the source states and the grid
+    indices (j < k) they sit at; y and j are arrays of equal length, or
+    scalars.  With R = r(t_k) - r(t_j), the Gaussian transition density
+    f = f(s, t_k | y, t_j), its mean M and the drift
+    B1(x, t) = m'(t) + (x - m(t)) k2'(t)/k2(t), the value is
 
-        { [s'(t) - m'(t)]/2
-          - [s(t) - m(t)]/2 * [k1'(t)k2(tau) - k2'(t)k1(tau)] / Dn
-          - [y - m(tau)]/2  * [k2'(t)k1(t)  - k2(t)k1'(t)]  / Dn } * f(s(t), t | y, tau)
+        { s' - B1(s, t_k) - r'(t_k) (s - M) / R } / 2 * f,
 
-    with Dn = k1(t)k2(tau) - k2(t)k1(tau).  It vanishes identically when the
-    boundary is of Daniels type and y sits on the boundary at tau.
+    which vanishes identically on a Daniels boundary m + d1*k1 + d2*k2
+    started on it.  This is the only copy of the formula: psi_kernel and the
+    Volterra solvers of fpt and fet call it.
     """
+    k2 = at.k2[k]
+    R = at.r[k] - at.r[j]
+    gap = s - (at.m[k] + k2 / at.k2[j] * (y - at.m[j]))  # s - M
+    var = k2 * k2 * R
+    bracket = 0.5 * (s_dot - at.m_dot[k] - (s - at.m[k]) * at.k2_dot[k] / k2
+                     - at.r_dot[k] * gap / R)
+    return bracket * np.exp(-gap * gap / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+
+
+def psi_kernel(spec: GMSpec, boundary, t: float, y: float, tau: float) -> float:
+    """Kernel of the first-passage Volterra equation at (t | y, tau), for
+    scalar times tau < t; `boundary` is any object exposing s(t) and
+    s_dot(t).  The formula is psi's."""
     if tau >= t:
         raise OrderError(f"kernel needs tau < t, got tau={tau}, t={t}")
-    st = boundary.s(t)
-    sdt = boundary.s_dot(t)
-    at_t, at_tau = evaluate(spec, t), evaluate(spec, tau)
-    k1t, k2t, k1dt, k2dt = at_t.k1, at_t.k2, at_t.k1_dot, at_t.k2_dot
-    k1tau, k2tau = at_tau.k1, at_tau.k2
-    dn = k1t * k2tau - k2t * k1tau
-    bracket = (0.5 * (sdt - at_t.m_dot)
-               - 0.5 * (st - at_t.m) * (k1dt * k2tau - k2dt * k1tau) / dn
-               - 0.5 * (y - at_tau.m) * (k2dt * k1t - k2t * k1dt) / dn)
-    return _as_out(bracket * law_between(at_tau, at_t, y).pdf(st))
+    at = evaluate(spec, np.array([tau, t]))
+    return float(psi(at, 1, boundary.s(t), boundary.s_dot(t), y, 0))

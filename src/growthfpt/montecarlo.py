@@ -13,9 +13,16 @@ the boundary being frozen at its left-endpoint value for the step.  Hits
 found this way are recorded at the step midpoint; hits visible at the grid
 points themselves are recorded at the right endpoint.
 
+One path generator (_coord_paths) serves simulate_paths and both
+estimators, and one crossing detector (_first_hits) serves one boundary or
+two: estimate_fpt and estimate_fet are thin wrappers that differ only in
+their checks of the start and in whether they report exit sides.  Within a
+step the first boundary given (the lower one of a band) wins a tie.
+
 Randomness is organised in fixed-size chunks of paths: chunk c draws from a
 counter-based generator keyed by (seed, c), and a path's draws are a fixed
-row of the chunk's blocks.  The layout is a pure function of (seed,
+row of the chunk's blocks: the Gaussian block first, then one uniform block
+per boundary in the order the boundaries are given.  The layout is a pure function of (seed,
 path_index), so ensembles are bit-identical for a given seed no matter how
 many worker threads run; GROWTHFPT_THREADS caps the pool (default: the
 CPUs this process may run on).
@@ -31,9 +38,10 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (BandCrossing, ConfigError, EmptySample, StartOnBoundary,
-                     StartOutsideBand)
-from .fpt import AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary
+from .errors import (BandCrossing, ConfigError, EmptySample, NonPositiveState,
+                     StartOnBoundary, StartOutsideBand)
+from .fpt import (AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary,
+                  affine_gm_boundary_fns, exp_boundary_fns)
 from .gm_core import on_grid
 from .growth_curve import _core, _g
 from .process_lognormal import LognormalProcess
@@ -169,7 +177,6 @@ def _wiener_coord_setup(process: Process, ts: np.ndarray
 
 def _boundary_values(process: Process, boundary: Boundary, ts: np.ndarray) -> np.ndarray:
     """State-space boundary values on the grid, one call per boundary."""
-    from .fpt import affine_gm_boundary_fns, exp_boundary_fns
     if isinstance(boundary, GeneralBoundary):
         return on_grid(boundary.s, ts)
     if isinstance(boundary, ExpBoundary):
@@ -188,13 +195,23 @@ def _coord_boundary(process: Process, ts: np.ndarray, svals: np.ndarray) -> np.n
     g_arr = _g(process.params, ts)
     if isinstance(process, LognormalProcess):
         if np.any(svals <= 0.0):
-            from .errors import NonPositiveState
             raise NonPositiveState(
                 "boundary must stay positive for the multiplicative process")
         s2 = process.sigma ** 2
         return (np.log(svals) + np.log(g_arr) - math.log(g_arr[0])
                 + 0.5 * s2 * ts)
     return svals * g_arr
+
+
+def _coord_paths(rng: np.random.Generator, rows: int, coord0: float,
+                 step_std: np.ndarray) -> np.ndarray:
+    """A chunk's paths in the Wiener coordinate, shape (rows, n_times), from
+    the chunk's Gaussian block, which is its first draw."""
+    zn = rng.standard_normal((CHUNK, step_std.size))[:rows]
+    z = np.empty((rows, step_std.size + 1))
+    z[:, 0] = coord0
+    z[:, 1:] = coord0 + np.cumsum(step_std[None, :] * zn, axis=1)
+    return z
 
 
 def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -205,168 +222,113 @@ def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.nda
     regardless of thread count.
     """
     ts = _grid(process, cfg)
-    n_steps = ts.size - 1
     coord0, step_std, to_state = _wiener_coord_setup(process, ts)
     out = np.empty((cfg.n_paths, ts.size))
 
     def worker(chunk_idx: int, start: int, rows: int) -> None:
-        rng = _chunk_rng(cfg.seed, chunk_idx)
-        zn = rng.standard_normal((CHUNK, n_steps))[:rows]
-        coord = np.empty((rows, ts.size))
-        coord[:, 0] = coord0
-        coord[:, 1:] = coord0 + np.cumsum(step_std[None, :] * zn, axis=1)
-        out[start:start + rows] = to_state(coord)
+        z = _coord_paths(_chunk_rng(cfg.seed, chunk_idx), rows, coord0, step_std)
+        out[start:start + rows] = to_state(z)
 
     _run_chunked(cfg.n_paths, worker)
     return ts, out
 
 
-def _first_event_times(ev_bridge: np.ndarray, ev_direct: np.ndarray,
-                       ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """First-event step index and hit time per row; index -1 when censored.
+def _setup(process: Process, boundaries: Sequence[Boundary], cfg: SimConfig
+           ) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """(times, b, coord0, step_std): the grid, the boundaries in the Wiener
+    coordinate (one row each), the start and the per-step standard
+    deviations."""
+    ts = _grid(process, cfg)
+    b = np.array([_coord_boundary(process, ts, _boundary_values(process, bnd, ts))
+                  for bnd in boundaries])
+    coord0, step_std, _ = _wiener_coord_setup(process, ts)
+    return ts, b, coord0, step_std
 
-    Bridge events resolve to the step midpoint, direct (grid-visible)
-    events to the right endpoint.
+
+def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
+                step_std: np.ndarray, cfg: SimConfig,
+                side_names: Optional[Sequence[str]]) -> EmpiricalHittingSample:
+    """The first crossing of any boundary row of b by each path, sorted by
+    time, with the row crossed named by side_names when they are given.
+    Within a step the first row with an event wins.
     """
-    ev = ev_bridge | ev_direct
-    any_ev = ev.any(axis=1)
-    idx = np.where(any_ev, np.argmax(ev, axis=1), -1)
-    rows = np.arange(ev.shape[0])
-    direct_at = np.zeros(ev.shape[0], dtype=bool)
-    direct_at[any_ev] = ev_direct[rows[any_ev], idx[any_ev]]
+    n_steps = ts.size - 1
     dt = ts[1] - ts[0]
-    t_hit = np.where(direct_at, ts[0] + (idx + 1) * dt, ts[0] + idx * dt + 0.5 * dt)
-    return idx, t_hit
+    var_step = step_std ** 2
+    above = b[:, 0] > coord0
+    hit_time = np.full(cfg.n_paths, np.nan)
+    hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
+
+    def worker(chunk_idx: int, start: int, rows: int) -> None:
+        rng = _chunk_rng(cfg.seed, chunk_idx)
+        z = _coord_paths(rng, rows, coord0, step_std)
+        first = np.full(rows, n_steps)  # step of the earliest event so far
+        side = np.full(rows, -1)
+        direct_at = np.zeros(rows, dtype=bool)
+        for a in range(b.shape[0]):
+            # distances to boundary a on the start's side, at the grid times
+            # and (fr) to its level frozen at each step's left endpoint
+            d = b[a] - z if above[a] else z - b[a]
+            direct = d[:, 1:] <= 0.0
+            ev = direct
+            if cfg.bridge_correction:
+                un = rng.random((CHUNK, n_steps))[:rows]
+                fr = b[a][:-1] - z[:, 1:] if above[a] else z[:, 1:] - b[a][:-1]
+                # p = exp(-2 d_left d_right / var_step), built in place
+                p = np.maximum(d[:, :-1], 0.0)
+                p *= np.maximum(fr, 0.0, out=fr)
+                p *= -2.0
+                p /= var_step
+                ev = un < np.exp(p, out=p)
+                ev |= direct
+            idx = np.where(ev.any(axis=1), np.argmax(ev, axis=1), n_steps)
+            earlier = idx < first
+            first[earlier] = idx[earlier]
+            side[earlier] = a
+            direct_at[earlier] = direct[earlier, idx[earlier]]
+        # midpoint for bridge hits, right endpoint for direct ones
+        t_hit = np.where(direct_at, ts[0] + (first + 1) * dt,
+                         ts[0] + first * dt + 0.5 * dt)
+        sl = slice(start, start + rows)
+        hit_time[sl] = np.where(side >= 0, t_hit, np.nan)
+        hit_side[sl] = side
+
+    _run_chunked(cfg.n_paths, worker)
+    mask = ~np.isnan(hit_time)
+    order = np.argsort(hit_time[mask], kind="stable")
+    sides = None
+    if side_names is not None:
+        sides = np.array(side_names)[hit_side[mask][order]]
+    return EmpiricalHittingSample(
+        hit_times=hit_time[mask][order],
+        exit_sides=sides,
+        censored_count=int(cfg.n_paths - np.count_nonzero(mask)),
+        n_paths=cfg.n_paths,
+    )
 
 
 def estimate_fpt(process: Process, boundary: Boundary, cfg: SimConfig
                  ) -> EmpiricalHittingSample:
     """Empirical first-passage sample against a single boundary."""
-    ts = _grid(process, cfg)
-    n_steps = ts.size - 1
-    svals = _boundary_values(process, boundary, ts)
-    b = _coord_boundary(process, ts, svals)
-    coord0, step_std, _ = _wiener_coord_setup(process, ts)
-    if coord0 == b[0]:
+    ts, b, coord0, step_std = _setup(process, [boundary], cfg)
+    if coord0 == b[0, 0]:
         raise StartOnBoundary("path starts exactly on the boundary")
-    sign = 1.0 if coord0 < b[0] else -1.0  # work with the boundary above
-    var_step = step_std ** 2
-
-    hit_time = np.full(cfg.n_paths, np.nan)
-
-    def worker(chunk_idx: int, start: int, rows: int) -> None:
-        rng = _chunk_rng(cfg.seed, chunk_idx)
-        zn = rng.standard_normal((CHUNK, n_steps))[:rows]
-        un = rng.random((CHUNK, n_steps))[:rows]
-        z = np.empty((rows, ts.size))
-        z[:, 0] = coord0
-        z[:, 1:] = coord0 + np.cumsum(step_std[None, :] * zn, axis=1)
-        d = sign * (b[None, :] - z)          # distance below the boundary
-        direct = d[:, 1:] <= 0.0
-        if cfg.bridge_correction:
-            # distances to the level frozen at each step's left endpoint
-            fl = sign * (b[None, :-1] - z[:, :-1])
-            fr = sign * (b[None, :-1] - z[:, 1:])
-            p = np.exp(-2.0 * np.maximum(fl, 0.0) * np.maximum(fr, 0.0)
-                       / var_step[None, :])
-            bridge = (un < p) & ~direct
-        else:
-            bridge = np.zeros_like(direct)
-        idx, t_hit = _first_event_times(bridge, direct, ts)
-        sl = slice(start, start + rows)
-        hit_time[sl] = np.where(idx >= 0, t_hit, np.nan)
-
-    _run_chunked(cfg.n_paths, worker)
-    hits = hit_time[~np.isnan(hit_time)]
-    return EmpiricalHittingSample(
-        hit_times=np.sort(hits),
-        exit_sides=None,
-        censored_count=int(cfg.n_paths - hits.size),
-        n_paths=cfg.n_paths,
-    )
+    return _first_hits(ts, b, coord0, step_std, cfg, None)
 
 
 def estimate_fet(process: Process, s1: Boundary, s2: Boundary, cfg: SimConfig
                  ) -> EmpiricalHittingSample:
     """Empirical first-exit sample from the band (s1, s2), recording sides.
 
-    Each step checks the lower boundary first, then the upper, both with
-    their own bridge correction.
+    Each boundary gets its own bridge correction; the lower one wins a tie
+    within a step.
     """
-    ts = _grid(process, cfg)
-    n_steps = ts.size - 1
-    b1 = _coord_boundary(process, ts, _boundary_values(process, s1, ts))
-    b2 = _coord_boundary(process, ts, _boundary_values(process, s2, ts))
-    if np.any(b1 >= b2):
+    ts, b, coord0, step_std = _setup(process, [s1, s2], cfg)
+    if np.any(b[0] >= b[1]):
         raise BandCrossing("lower boundary meets or exceeds the upper one")
-    coord0, step_std, _ = _wiener_coord_setup(process, ts)
-    if not (b1[0] < coord0 < b2[0]):
+    if not (b[0, 0] < coord0 < b[1, 0]):
         raise StartOutsideBand("path starts on or outside the band")
-    var_step = step_std ** 2
-
-    hit_time = np.full(cfg.n_paths, np.nan)
-    hit_side = np.zeros(cfg.n_paths, dtype=np.int8)  # 1 lower, 2 upper
-
-    def worker(chunk_idx: int, start: int, rows: int) -> None:
-        rng = _chunk_rng(cfg.seed, chunk_idx)
-        zn = rng.standard_normal((CHUNK, n_steps))[:rows]
-        u_low = rng.random((CHUNK, n_steps))[:rows]
-        u_up = rng.random((CHUNK, n_steps))[:rows]
-        z = np.empty((rows, ts.size))
-        z[:, 0] = coord0
-        z[:, 1:] = coord0 + np.cumsum(step_std[None, :] * zn, axis=1)
-        d1 = z - b1[None, :]   # distance above the lower boundary
-        d2 = b2[None, :] - z   # distance below the upper boundary
-        direct_low = d1[:, 1:] <= 0.0
-        direct_up = d2[:, 1:] <= 0.0
-        if cfg.bridge_correction:
-            # distances to each boundary frozen at the step's left endpoint
-            l_fl = z[:, :-1] - b1[None, :-1]
-            l_fr = z[:, 1:] - b1[None, :-1]
-            u_fl = b2[None, :-1] - z[:, :-1]
-            u_fr = b2[None, :-1] - z[:, 1:]
-            p1 = np.exp(-2.0 * np.maximum(l_fl, 0.0) * np.maximum(l_fr, 0.0)
-                        / var_step[None, :])
-            p2 = np.exp(-2.0 * np.maximum(u_fl, 0.0) * np.maximum(u_fr, 0.0)
-                        / var_step[None, :])
-            bridge_low = (u_low < p1) & ~direct_low
-            bridge_up = (u_up < p2) & ~direct_up
-        else:
-            bridge_low = np.zeros_like(direct_low)
-            bridge_up = np.zeros_like(direct_up)
-        ev_low = direct_low | bridge_low
-        ev_up = (direct_up | bridge_up) & ~ev_low  # lower checked first
-        ev = ev_low | ev_up
-        any_ev = ev.any(axis=1)
-        first = np.where(any_ev, np.argmax(ev, axis=1), -1)
-        rows_i = np.arange(rows)
-        side = np.zeros(rows, dtype=np.int8)
-        low_at = np.zeros(rows, dtype=bool)
-        low_at[any_ev] = ev_low[rows_i[any_ev], first[any_ev]]
-        side[any_ev] = np.where(low_at[any_ev], 1, 2)
-        # midpoint for bridge hits, right endpoint for direct ones
-        direct_at = np.zeros(rows, dtype=bool)
-        dsel = np.where(low_at, direct_low[rows_i, np.maximum(first, 0)],
-                        direct_up[rows_i, np.maximum(first, 0)])
-        direct_at[any_ev] = dsel[any_ev]
-        dt = ts[1] - ts[0]
-        t_hit = np.where(direct_at, ts[0] + (first + 1) * dt,
-                         ts[0] + first * dt + 0.5 * dt)
-        sl = slice(start, start + rows)
-        hit_time[sl] = np.where(first >= 0, t_hit, np.nan)
-        hit_side[sl] = np.where(first >= 0, side, 0)
-
-    _run_chunked(cfg.n_paths, worker)
-    mask = ~np.isnan(hit_time)
-    order = np.argsort(hit_time[mask], kind="stable")
-    times = hit_time[mask][order]
-    sides = np.where(hit_side[mask][order] == 1, "lower", "upper")
-    return EmpiricalHittingSample(
-        hit_times=times,
-        exit_sides=sides,
-        censored_count=int(cfg.n_paths - times.size),
-        n_paths=cfg.n_paths,
-    )
+    return _first_hits(ts, b, coord0, step_std, cfg, ("lower", "upper"))
 
 
 def density_distance(empirical: EmpiricalHittingSample, analytic: DensityCurve,

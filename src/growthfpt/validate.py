@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fet import (BandSpec, ProportionalBand, fet_pdf_lognormal_band,
-                  fet_pdf_wiener_symmetric, fet_pdf_wiener_symmetric_split,
-                  wiener_band_pdf)
+                  fet_pdf_wiener_symmetric, wiener_band_pdf)
 from .fpt import (AffineGMBoundary, DanielsBoundary, DensityCurve, ExpBoundary,
                   GeneralBoundary, fpt_pdf_gm_closed, fpt_pdf_lognormal,
                   fpt_pdf_ou, volterra_fpt)
@@ -121,7 +120,7 @@ def check_fpt_mass() -> CheckResult:
 def check_fpt_mode() -> CheckResult:
     proc = LognormalProcess(GrowthParams(p=1.5, **BASE), 0.02)
     ts = np.linspace(20.0, 70.0, 2001)
-    vals = [fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, t) for t in ts]
+    vals = fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, ts)
     mode = float(ts[int(np.argmax(vals))])
     return CheckResult("passage-density mode location",
                        abs(mode - 41.39) <= 0.1, f"mode at t={mode:.3f}")
@@ -171,8 +170,7 @@ def check_wiener_band() -> CheckResult:
                               1e-9, 40.0)
     mean = integrate_adaptive(lambda t: t * fet_pdf_wiener_symmetric(1.0, 1.0, t),
                               1e-9, 40.0)
-    g1, g2 = fet_pdf_wiener_symmetric_split(1.0, 1.0, 0.7)
-    ok = abs(mass - 1.0) <= 1e-4 and abs(mean - 1.0) <= 5e-3 and abs(g1 - g2) <= 1e-12
+    ok = abs(mass - 1.0) <= 1e-4 and abs(mean - 1.0) <= 5e-3
     return CheckResult("symmetric band exit identities",
                        ok, f"mass {mass:.6f}, mean exit {mean:.4f}")
 
@@ -197,7 +195,7 @@ def check_mc_fpt(n_paths: int = 20_000, seed: int = 40) -> CheckResult:
     sample = estimate_fpt(proc, bnd, cfg)
     grid = np.linspace(0.0, 150.0, 3001)
     curve = DensityCurve.from_function(
-        lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t) if t > 0 else 0.0, grid)
+        lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t), grid, 0.0)
     _, ks = density_distance(sample, curve)
     return CheckResult("Monte Carlo passage times vs closed form (KS)",
                        ks < 0.01, f"KS {ks:.4f} with {n_paths} paths")
@@ -212,8 +210,7 @@ def check_mc_fet(n_paths: int = 20_000, seed: int = 41) -> CheckResult:
     sample = estimate_fet(proc, s1, s2, cfg)
     grid = np.linspace(0.0, 800.0, 3001)
     curve = DensityCurve.from_function(
-        lambda t: fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t) if t > 0 else 0.0,
-        grid)
+        lambda t: fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t), grid, 0.0)
     l1, _ = density_distance(sample, curve)
     return CheckResult("Monte Carlo exit times vs closed form (L1)",
                        l1 < 0.05, f"L1 {l1:.4f} with {n_paths} paths")

@@ -8,8 +8,8 @@ from growthfpt import (BandSpec, DensityCurve, GeneralBoundary, GrowthParams,
                        SeriesControl, SeriesDivergence, StartOutsideBand,
                        fet_pdf_gm_closed, fet_pdf_lognormal_band,
                        fet_pdf_ou_band, fet_pdf_wiener_symmetric,
-                       fet_pdf_wiener_symmetric_split, integrate_adaptive,
-                       volterra_fet, wiener_band_pdf, wiener_spec)
+                       integrate_adaptive, volterra_fet, wiener_band_pdf,
+                       wiener_spec)
 from growthfpt.growth_curve import _g
 
 from conftest import BASE
@@ -33,12 +33,6 @@ class TestSymmetricWienerBand:
         mass = integrate_adaptive(
             lambda t: fet_pdf_wiener_symmetric(1.0, 1.0, t), 1e-9, 50.0)
         assert mass == pytest.approx(1.0, abs=1e-4)
-
-    def test_split_is_exactly_even(self):
-        g1, g2 = fet_pdf_wiener_symmetric_split(1.0, 1.0, 0.8)
-        assert abs(g1 - g2) <= 1e-12
-        assert g1 + g2 == pytest.approx(fet_pdf_wiener_symmetric(1.0, 1.0, 0.8),
-                                        rel=1e-14)
 
     def test_matches_general_band_formula(self):
         spec = wiener_spec(1.0)
@@ -176,8 +170,7 @@ class TestOUBand:
         b2 = affine_gm_boundary_fns(proc, AffineGMBoundary(A=c2 * scale, B=B), 1.0)
         grid = np.linspace(1.0, 801.0, 2001)
         _, _, tot = volterra_fet(gm_spec_G(proc), b1, b2, 2.0, 1.0, grid)
-        closed = np.array([fet_pdf_ou_band(proc, c1, c, c2, B, 2.0, 1.0, t)
-                           for t in grid[1:]])
+        closed = fet_pdf_ou_band(proc, c1, c, c2, B, 2.0, 1.0, grid[1:])
         peak = closed.max()
         mask = closed > 0.01 * peak
         rel = np.abs(tot.values[1:][mask] - closed[mask]) / closed[mask]
@@ -193,8 +186,8 @@ class TestOUBand:
         sample = estimate_fet(proc, s1, s2, cfg)
         grid = np.linspace(0.0, 8000.0, 2001)
         curve = DensityCurve.from_function(
-            lambda t: fet_pdf_ou_band(proc, 0.8, 1.0, 1.2, 0.0, 1.0, 0.0, t)
-            if t > 0 else 0.0, grid)
+            lambda t: fet_pdf_ou_band(proc, 0.8, 1.0, 1.2, 0.0, 1.0, 0.0, t),
+            grid, 0.0)
         l1, _ = density_distance(sample, curve, bins=40)
         assert l1 < 0.05
 

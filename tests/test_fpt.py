@@ -244,6 +244,16 @@ class TestVolterraSolver:
         closed = np.array([fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, -1.0),
                                              0.0, 0.0, t) for t in grid[1:]])
         assert np.max(np.abs(curve.values[1:] - closed)) < 1e-10
+        # a boundary with an active kernel: the mirror image of the
+        # above-start sinusoid is crossed from above with the same density
+        above = GeneralBoundary(s=lambda t: 1.0 + 0.25 * np.sin(t),
+                                s_dot=lambda t: 0.25 * np.cos(t))
+        mirrored = GeneralBoundary(s=lambda t: -1.0 - 0.25 * np.sin(t),
+                                   s_dot=lambda t: -0.25 * np.cos(t))
+        up = volterra_fpt(spec, above, 0.0, 0.0, grid)
+        down = volterra_fpt(spec, mirrored, 0.0, 0.0, grid)
+        assert up.values.max() > 0.1
+        assert np.max(np.abs(up.values - down.values)) < 1e-12
 
     def test_grid_and_start_validation(self):
         spec = wiener_spec(1.0)

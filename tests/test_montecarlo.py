@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from growthfpt import (ConfigError, DensityCurve, EmptySample, ExpBoundary,
+from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
+                       EmptySample, ExpBoundary,
                        GrowthParams, LognormalProcess, OUProcess, SimConfig,
                        StartOutsideBand, density_distance, estimate_fet,
                        estimate_fpt, fpt_pdf_lognormal, integrate_adaptive,
                        simulate_paths, transition_law_G, transition_law_L,
                        x_eval)
+from growthfpt.growth_curve import _g
 from growthfpt.montecarlo import EmpiricalHittingSample
 
 from conftest import BASE
@@ -26,21 +28,34 @@ class TestSimulatePaths:
         det = np.array([x_eval(PARAMS, t) for t in ts])
         assert np.max(np.abs(paths - det[None, :])) < 1e-9
 
-    def test_seed_reproducibility_across_thread_counts(self):
+    @pytest.mark.parametrize("run", ["simulate_paths", "estimate_fpt",
+                                     "estimate_fet"])
+    def test_seed_reproducibility_across_thread_counts(self, run, monkeypatch):
         proc = OUProcess(PARAMS, 0.1)
         cfg = SimConfig(dt=0.25, horizon=5.0, n_paths=4096, seed=77)
-        old = os.environ.get("GROWTHFPT_THREADS")
-        try:
-            os.environ["GROWTHFPT_THREADS"] = "1"
-            _, a = simulate_paths(proc, cfg)
-            os.environ["GROWTHFPT_THREADS"] = "4"
-            _, b = simulate_paths(proc, cfg)
-        finally:
-            if old is None:
-                os.environ.pop("GROWTHFPT_THREADS", None)
-            else:
-                os.environ["GROWTHFPT_THREADS"] = old
-        assert np.array_equal(a, b)
+        scale = PARAMS.x0 * _g(PARAMS, 0.0)
+        lower = AffineGMBoundary(A=0.97 * scale)
+        upper = AffineGMBoundary(A=1.03 * scale, B=0.01)
+        calls = {
+            "simulate_paths": lambda: simulate_paths(proc, cfg)[1],
+            "estimate_fpt": lambda: estimate_fpt(proc, upper, cfg),
+            "estimate_fet": lambda: estimate_fet(proc, lower, upper, cfg),
+        }
+        outs = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("GROWTHFPT_THREADS", threads)
+            outs.append(calls[run]())
+        a, b = outs
+        if run == "simulate_paths":
+            assert np.array_equal(a, b)
+            return
+        # both sides of the band, and censored paths, must be present
+        assert 0 < a.censored_count < cfg.n_paths
+        if run == "estimate_fet":
+            assert set(a.exit_sides) == {"lower", "upper"}
+            assert np.array_equal(a.exit_sides, b.exit_sides)
+        assert np.array_equal(a.hit_times, b.hit_times)
+        assert a.censored_count == b.censored_count
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="the platform reports no CPU affinity")
@@ -111,8 +126,7 @@ class TestEstimateFPT:
         sample = estimate_fpt(proc, bnd, cfg)
         grid = np.linspace(0.0, 150.0, 3001)
         curve = DensityCurve.from_function(
-            lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t) if t > 0 else 0.0,
-            grid)
+            lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t), grid, 0.0)
         _, ks = density_distance(sample, curve)
         assert ks < 0.01
 
@@ -159,8 +173,7 @@ class TestEstimateFPT:
         assert sample.hit_times.max() <= 81.0
         grid = np.linspace(1.0, 81.0, 2001)
         curve = DensityCurve.from_function(
-            lambda t: fpt_pdf_lognormal(proc, bnd, 2.0, 1.0, t) if t > 1.0 else 0.0,
-            grid)
+            lambda t: fpt_pdf_lognormal(proc, bnd, 2.0, 1.0, t), grid, 1.0)
         _, ks = density_distance(sample, curve)
         assert ks < 0.01
 
