@@ -10,8 +10,8 @@ import pathlib
 
 import numpy as np
 
-from growthfpt import (GrowthParams, classify_regime, domain_end, h_eval,
-                       reparametrize, g_eval, x_eval)
+from growthfpt import (GrowthParams, classify_regime, domain_end, g_eval,
+                       h_eval, x_eval)
 from growthfpt.svg import render_line_chart
 
 OUT = pathlib.Path(__file__).parent / "output"
@@ -34,12 +34,11 @@ for p in CASES:
     xs = np.array([x_eval(params, float(t)) for t in ts])
     series.append((ts, xs, f"p={p:.3g}"))
 
-    coeffs = reparametrize(params)
     with open(OUT / f"curve_p{p:.3g}.csv", "w") as fh:
         fh.write("t,x,g,h\n")
         for t in ts:
             fh.write(f"{t:.17g},{x_eval(params, float(t)):.17g},"
-                     f"{g_eval(coeffs, params, float(t)):.17g},"
+                     f"{g_eval(params, float(t)):.17g},"
                      f"{h_eval(params, float(t)):.17g}\n")
 
 (OUT / "regimes.svg").write_text(render_line_chart(

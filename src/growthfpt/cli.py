@@ -5,7 +5,8 @@ Commands
     regime    print the qualitative regime and the domain end t_star
     paths     CSV ensemble of simulated paths + SVG overlay with the mean curve
     fpt       passage density (t, pdf) by --method closed|volterra|mc + SVG
-    fet       exit density (t, pdf[, gamma1, gamma2]) by the same methods + SVG
+    fet       exit density (t, pdf[, gamma1, gamma2]) by the same methods + SVG;
+              the band [nu1, nu2] starts at proportion fet.nu of x0 in all three
     validate  run the oracle suite and print a pass/fail table
 
 The configuration is a JSON document; command-line flags override document
@@ -22,8 +23,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,10 +33,11 @@ from .errors import GrowthFPTError, ParseError, ValidationError
 from .fet import (ProportionalBand, SeriesControl, fet_pdf_lognormal_band,
                   fet_pdf_ou_band, volterra_fet)
 from .fpt import (AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary,
-                  affine_gm_boundary_fns, exp_boundary_fns, fpt_pdf_lognormal,
-                  fpt_pdf_ou, volterra_fpt)
+                  affine_gm_boundary_fns, fpt_pdf_lognormal, fpt_pdf_ou,
+                  volterra_fpt)
+from .gm_core import GMSpec
 from .growth_curve import (GrowthParams, classify_regime, domain_end, g_eval,
-                           h_eval, reparametrize, x_eval, _g)
+                           h_eval, x_eval, _g)
 from .montecarlo import SimConfig, estimate_fet, estimate_fpt, simulate_paths
 from .process_lognormal import LognormalProcess, to_wiener_spec
 from .process_ou import OUProcess, gm_spec_G
@@ -223,10 +226,9 @@ def _density_grid(cfg: RunConfig) -> np.ndarray:
 
 def _cmd_curve(cfg: RunConfig, out: Path) -> int:
     params = cfg.model
-    coeffs = reparametrize(params)
     ts = _density_grid(cfg)
     xs = x_eval(params, ts)
-    gs = g_eval(coeffs, params, ts)
+    gs = g_eval(params, ts)
     inside = ts < domain_end(params).t_star
     hs = np.zeros_like(ts)
     hs[inside] = h_eval(params, ts[inside])
@@ -256,126 +258,98 @@ def _cmd_paths(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _fpt_closed_fn(cfg: RunConfig):
-    proc = cfg.process()
-    params = cfg.model
+@dataclass(frozen=True)
+class _Problem:
+    """A passage (one boundary) or band-exit (two, lower first) problem of
+    the configured process started at x0, in the form each method takes."""
+
+    bounds: List            # ExpBoundary | AffineGMBoundary
+    pdf: Callable           # closed-form density as a function of time
+    spec: GMSpec            # Volterra form, in the spec's own coordinate
+    spec_bounds: List[GeneralBoundary]
+    spec_x0: float
+
+
+def _problem(cfg: RunConfig, command: str) -> _Problem:
+    """The fpt or fet problem of cfg.
+
+    A band started at proportion nu is first moved to start at x0 along the
+    process's Wiener coordinate, in which both processes are translation
+    invariant: its levels become nu_i/nu (multiplicative, z = ln x + ...) or
+    nu_i + 1 - nu in units of x0*g(t0) (additive, u = x*g).  Both maps are
+    exact at nu = 1.
+    """
+    params, proc = cfg.model, cfg.process()
+    x0, t0, nu = params.x0, params.t0, cfg.fet_nu
+    fpt = command == "fpt"
     if cfg.noise_kind == "multiplicative":
-        bnd = ExpBoundary(A=cfg.fpt_nu * params.x0)
-        return lambda t: fpt_pdf_lognormal(proc, bnd, params.x0, params.t0, t)
-    bnd = AffineGMBoundary(A=cfg.fpt_nu * params.x0 * _g(params, params.t0))
-    return lambda t: fpt_pdf_ou(proc, bnd, params.x0, params.t0, t)
-
-
-def _cmd_fpt(cfg: RunConfig, out: Path) -> int:
-    params = cfg.model
-    proc = cfg.process()
-    method = cfg.fpt_method
-    if method == "closed":
-        ts = _density_grid(cfg)
-        curve = DensityCurve.from_function(_fpt_closed_fn(cfg), ts, params.t0)
-    elif method == "volterra":
-        ts = _density_grid(cfg)
-        if cfg.grid_kind != "linear":
-            raise ValidationError("fpt.method=volterra requires grid.kind=linear")
-        if cfg.noise_kind == "multiplicative":
-            spec, transform, _ = to_wiener_spec(proc)
-            bnd_x = exp_boundary_fns(proc, ExpBoundary(A=cfg.fpt_nu * params.x0))
-            s2 = cfg.sigma ** 2
-            # the log image of a mean-proportional boundary is affine with
-            # slope sigma^2/2
-            zb = GeneralBoundary(s=lambda t: transform(bnd_x.s(t), t),
-                                 s_dot=lambda t: 0.5 * s2)
-            curve = volterra_fpt(spec, zb, transform(params.x0, params.t0),
-                                 params.t0, ts)
+        levels = [cfg.fpt_nu] if fpt else [cfg.fet_nu1 / nu, cfg.fet_nu2 / nu]
+        bounds = [ExpBoundary(A=lv * x0) for lv in levels]
+        if fpt:
+            pdf = lambda t: fpt_pdf_lognormal(proc, bounds[0], x0, t0, t)
         else:
-            bnd = AffineGMBoundary(A=cfg.fpt_nu * params.x0 * _g(params, params.t0))
-            fns = affine_gm_boundary_fns(proc, bnd, params.t0)
-            curve = volterra_fpt(gm_spec_G(proc), fns, params.x0, params.t0, ts)
-    else:  # mc
-        if cfg.noise_kind == "multiplicative":
-            bnd = ExpBoundary(A=cfg.fpt_nu * params.x0)
-        else:
-            bnd = AffineGMBoundary(A=cfg.fpt_nu * params.x0 * _g(params, params.t0))
-        sample = estimate_fpt(proc, bnd, cfg.sim)
-        edges = np.linspace(params.t0, params.t0 + cfg.sim.horizon, 201)
-        counts, _ = np.histogram(sample.hit_times, bins=edges)
-        dens = counts / (sample.n_paths * (edges[1] - edges[0]))
-        centers = 0.5 * (edges[1:] + edges[:-1])
-        curve = DensityCurve(times=centers, values=dens)
-    write_csv(out / "fpt.csv", ["t", "pdf"], [curve.times, curve.values])
-    (out / "fpt.svg").write_text(render_line_chart(
-        [(curve.times, curve.values, f"fpt ({method})")],
-        title=f"First-passage density, nu={cfg.fpt_nu}", ylabel="pdf"))
-    print(f"fpt[{method}] mass over grid: {curve.mass:.6f}")
-    return 0
-
-
-def _cmd_fet(cfg: RunConfig, out: Path) -> int:
-    params = cfg.model
-    proc = cfg.process()
-    method = cfg.fet_method
-    gamma1 = gamma2 = None
-    if method == "closed":
-        ts = _density_grid(cfg)
-        if cfg.noise_kind == "multiplicative":
-            band = ProportionalBand(nu1=cfg.fet_nu1, nu=cfg.fet_nu, nu2=cfg.fet_nu2)
-            fn = lambda t: fet_pdf_lognormal_band(proc, band, params.x0, params.t0,
-                                                  t, cfg.series)
-        else:
-            fn = lambda t: fet_pdf_ou_band(proc, cfg.fet_nu1, cfg.fet_nu,
-                                           cfg.fet_nu2, 0.0, params.x0,
-                                           params.t0, t, cfg.series)
-        curve = DensityCurve.from_function(fn, ts, params.t0)
-    elif method == "volterra":
-        if cfg.grid_kind != "linear":
-            raise ValidationError("fet.method=volterra requires grid.kind=linear")
-        ts = _density_grid(cfg)
-        if cfg.noise_kind == "multiplicative":
-            spec, transform, _ = to_wiener_spec(proc)
-            s2 = cfg.sigma ** 2
-            lo = math.log(cfg.fet_nu1 * params.x0)
-            hi = math.log(cfg.fet_nu2 * params.x0)
-            b1 = GeneralBoundary(s=lambda t: lo + 0.5 * s2 * t, s_dot=lambda t: 0.5 * s2)
-            b2 = GeneralBoundary(s=lambda t: hi + 0.5 * s2 * t, s_dot=lambda t: 0.5 * s2)
-            x0z = transform(cfg.fet_nu * params.x0, params.t0)
-            lower, upper, curve = volterra_fet(spec, b1, b2, x0z, params.t0, ts)
-        else:
-            scale = params.x0 * _g(params, params.t0)
-            b1 = affine_gm_boundary_fns(proc, AffineGMBoundary(A=cfg.fet_nu1 * scale),
-                                        params.t0)
-            b2 = affine_gm_boundary_fns(proc, AffineGMBoundary(A=cfg.fet_nu2 * scale),
-                                        params.t0)
-            lower, upper, curve = volterra_fet(gm_spec_G(proc), b1, b2,
-                                               cfg.fet_nu * params.x0, params.t0, ts)
-        gamma1, gamma2 = lower.values, upper.values
-    else:  # mc
-        if cfg.noise_kind == "multiplicative":
-            s1 = ExpBoundary(A=cfg.fet_nu1 * params.x0)
-            s2 = ExpBoundary(A=cfg.fet_nu2 * params.x0)
-        else:
-            scale = params.x0 * _g(params, params.t0)
-            s1 = AffineGMBoundary(A=cfg.fet_nu1 * scale)
-            s2 = AffineGMBoundary(A=cfg.fet_nu2 * scale)
-        sample = estimate_fet(proc, s1, s2, cfg.sim)
-        edges = np.linspace(params.t0, params.t0 + cfg.sim.horizon, 201)
-        width = edges[1] - edges[0]
-        low_mask = sample.exit_sides == "lower"
-        c_low, _ = np.histogram(sample.hit_times[low_mask], bins=edges)
-        c_up, _ = np.histogram(sample.hit_times[~low_mask], bins=edges)
-        centers = 0.5 * (edges[1:] + edges[:-1])
-        gamma1 = c_low / (sample.n_paths * width)
-        gamma2 = c_up / (sample.n_paths * width)
-        curve = DensityCurve(times=centers, values=gamma1 + gamma2)
-    if gamma1 is not None:
-        write_csv(out / "fet.csv", ["t", "pdf", "gamma1", "gamma2"],
-                  [curve.times, curve.values, gamma1, gamma2])
+            band = ProportionalBand(nu1=levels[0], nu=1.0, nu2=levels[1])
+            pdf = lambda t: fet_pdf_lognormal_band(proc, band, x0, t0, t, cfg.series)
+        spec, transform, _ = to_wiener_spec(proc)
+        s2 = cfg.sigma ** 2
+        # the log image of a mean-proportional boundary is the line
+        # ln A + sigma^2 t/2
+        spec_bounds = [GeneralBoundary(s=lambda t, c=math.log(b.A): c + 0.5 * s2 * t,
+                                       s_dot=lambda t: 0.5 * s2) for b in bounds]
+        return _Problem(bounds, pdf, spec, spec_bounds, transform(x0, t0))
+    levels = [cfg.fpt_nu] if fpt else [cfg.fet_nu1 + (1.0 - nu), cfg.fet_nu2 + (1.0 - nu)]
+    bounds = [AffineGMBoundary(A=lv * x0 * _g(params, t0)) for lv in levels]
+    if fpt:
+        pdf = lambda t: fpt_pdf_ou(proc, bounds[0], x0, t0, t)
     else:
-        write_csv(out / "fet.csv", ["t", "pdf"], [curve.times, curve.values])
-    (out / "fet.svg").write_text(render_line_chart(
-        [(curve.times, curve.values, f"fet ({method})")],
-        title=f"First-exit density, band [{cfg.fet_nu1}, {cfg.fet_nu2}]",
-        ylabel="pdf"))
-    print(f"fet[{method}] mass over grid: {curve.mass:.6f}")
+        pdf = lambda t: fet_pdf_ou_band(proc, levels[0], 1.0, levels[1], 0.0,
+                                        x0, t0, t, cfg.series)
+    spec_bounds = [affine_gm_boundary_fns(proc, b, t0) for b in bounds]
+    return _Problem(bounds, pdf, gm_spec_G(proc), spec_bounds, x0)
+
+
+def _cmd_density(cfg: RunConfig, out: Path, command: str) -> int:
+    """fpt or fet: the problem's density by the configured method, with the
+    per-side densities gamma1, gamma2 where a band's method gives them."""
+    t0 = cfg.model.t0
+    method = cfg.fpt_method if command == "fpt" else cfg.fet_method
+    prob = _problem(cfg, command)
+    single = len(prob.bounds) == 1
+    sides = []
+    if method == "closed":
+        curve = DensityCurve.from_function(prob.pdf, _density_grid(cfg), t0)
+    elif method == "volterra":
+        if cfg.grid_kind != "linear":
+            raise ValidationError(f"{command}.method=volterra requires grid.kind=linear")
+        ts = _density_grid(cfg)
+        if single:
+            curve = volterra_fpt(prob.spec, *prob.spec_bounds, prob.spec_x0, t0, ts)
+        else:
+            lower, upper, curve = volterra_fet(prob.spec, *prob.spec_bounds,
+                                               prob.spec_x0, t0, ts)
+            sides = [lower.values, upper.values]
+    else:  # mc
+        if single:
+            sample = estimate_fpt(cfg.process(), *prob.bounds, cfg.sim)
+            hits = [sample.hit_times]
+        else:
+            sample = estimate_fet(cfg.process(), *prob.bounds, cfg.sim)
+            hits = [sample.hit_times[sample.exit_sides == side]
+                    for side in ("lower", "upper")]
+        edges = np.linspace(t0, t0 + cfg.sim.horizon, 201)
+        dens = [np.histogram(h, bins=edges)[0] / (sample.n_paths * (edges[1] - edges[0]))
+                for h in hits]
+        curve = DensityCurve(times=0.5 * (edges[1:] + edges[:-1]),
+                             values=np.sum(dens, axis=0))
+        sides = [] if single else dens
+    header = ["t", "pdf", "gamma1", "gamma2"] if sides else ["t", "pdf"]
+    write_csv(out / f"{command}.csv", header, [curve.times, curve.values] + sides)
+    title = (f"First-passage density, nu={cfg.fpt_nu}" if single else
+             f"First-exit density, band [{cfg.fet_nu1}, {cfg.fet_nu2}]")
+    (out / f"{command}.svg").write_text(render_line_chart(
+        [(curve.times, curve.values, f"{command} ({method})")],
+        title=title, ylabel="pdf"))
+    print(f"{command}[{method}] mass over grid: {curve.mass:.6f}")
     return 0
 
 
@@ -388,8 +362,8 @@ _COMMANDS = {
     "curve": _cmd_curve,
     "regime": _cmd_regime,
     "paths": _cmd_paths,
-    "fpt": _cmd_fpt,
-    "fet": _cmd_fet,
+    "fpt": partial(_cmd_density, command="fpt"),
+    "fet": partial(_cmd_density, command="fet"),
     "validate": _cmd_validate,
 }
 

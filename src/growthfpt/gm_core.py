@@ -22,6 +22,7 @@ from .errors import OrderError
 from .growth_curve import _as_out
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_erf = np.vectorize(math.erf, otypes=[float])
 
 TimeFn = Callable[[float], float]
 
@@ -147,11 +148,15 @@ class TransitionLaw:
         point = np.where(z == 0.0, math.inf, 0.0)
         return _as_out(np.where(var == 0.0, point, dens))
 
-    def cdf(self, x: float) -> float:
-        if self.variance == 0.0:
-            return 0.0 if x < self.mean else 1.0
-        z = (x - self.mean) / math.sqrt(2.0 * self.variance)
-        return 0.5 * (1.0 + math.erf(z))
+    def cdf(self, x):
+        """Normal distribution function at x; a zero variance gives a step
+        at the mean (0 below it, 1 from it on)."""
+        x = np.asarray(x, dtype=float)
+        var = np.asarray(self.variance, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (x - self.mean) / np.sqrt(2.0 * var)
+        step = np.where(x < self.mean, 0.0, 1.0)
+        return _as_out(np.where(var == 0.0, step, 0.5 * (1.0 + _erf(z))))
 
 
 def transition_law(spec: GMSpec, y: float, tau: float, t) -> TransitionLaw:

@@ -264,22 +264,14 @@ def _g_pow_n(params: GrowthParams, t):
     return _as_out(c.eta + signed_pow(1.0 + arg, c.q))
 
 
-def g_eval(coeffs: ReparamCoeffs, params: GrowthParams, t):
-    """The auxiliary function g(t); x(t) = x0*g(t0)/g(t).
-
-    `coeffs` must come from reparametrize(params); it is accepted explicitly
-    so callers can see which (alpha, eta) pair is in force.
-    """
-    c = _core(params)
-    if not (math.isclose(coeffs.alpha, c.alpha, rel_tol=1e-12)
-            and math.isclose(coeffs.eta, c.eta, rel_tol=1e-12)):
-        raise InvalidParams("coeffs do not match reparametrize(params)")
+def g_eval(params: GrowthParams, t):
+    """The auxiliary function g(t); x(t) = x0*g(t0)/g(t)."""
     _check_t(params, np.asarray(t, dtype=float), allow_t_star=True)
     return _g(params, t)
 
 
 def _g(params: GrowthParams, t):
-    """Internal g(t) without the coeffs cross-check."""
+    """Internal g(t) without the domain check."""
     return signed_pow(_g_pow_n(params, t), 1.0 / params.n)
 
 

@@ -19,12 +19,13 @@ from .errors import DomainError
 from .fet import (BandSpec, ProportionalBand, fet_pdf_lognormal_band,
                   fet_pdf_wiener_symmetric, wiener_band_pdf)
 from .fpt import (AffineGMBoundary, DanielsBoundary, DensityCurve, ExpBoundary,
-                  GeneralBoundary, fpt_pdf_gm_closed, fpt_pdf_lognormal,
-                  fpt_pdf_ou, volterra_fpt)
+                  GeneralBoundary, affine_gm_boundary_fns, fpt_pdf_gm_closed,
+                  fpt_pdf_lognormal, fpt_pdf_ou, volterra_fpt)
 from .gm_core import daniels_boundary_fns, psi_kernel, wiener_spec
-from .growth_curve import (GrowthParams, classify_regime, domain_end,
-                           x_eval)
-from .montecarlo import SimConfig, density_distance, estimate_fet, estimate_fpt
+from .growth_curve import (GrowthParams, classify_regime, domain_end, x_eval,
+                           _g)
+from .montecarlo import (SimConfig, density_distance, estimate_fet, estimate_fpt,
+                         simulate_paths)
 from .process_lognormal import LognormalProcess
 from .process_ou import OUProcess, gm_spec_G, transition_law_G
 from .quadrature import integrate_adaptive
@@ -39,8 +40,8 @@ class CheckResult:
     detail: str
 
 
-def _mass_to_infinity(fn: Callable[[float], float], t_hi: float = 1e7,
-                      n_seg: int = 140) -> float:
+def mass_to_infinity(fn: Callable[[float], float], t_hi: float = 1e7,
+                     n_seg: int = 140) -> float:
     """Integral of a passage density over (0, inf) via log-segmented panels.
 
     The density is taken as 0 at the time origin, where the closed forms are
@@ -51,8 +52,9 @@ def _mass_to_infinity(fn: Callable[[float], float], t_hi: float = 1e7,
     return sum(integrate_adaptive(safe, a, b) for a, b in zip(edges[:-1], edges[1:]))
 
 
-def _direct_solution(params: GrowthParams, t: float) -> float:
-    """The growth curve evaluated straight from its native parametrization."""
+def direct_solution(params: GrowthParams, t: float) -> float:
+    """The growth curve evaluated straight from its native parametrization,
+    an oracle independent of the reparametrized evaluators."""
     one_m_p = 1.0 - params.p
     inner = (params.gamma * params.n * (params.p - 1.0) * (t - params.t0)
              + params.a_n ** one_m_p)
@@ -61,7 +63,9 @@ def _direct_solution(params: GrowthParams, t: float) -> float:
         ip = inner ** q
     else:
         m = round(q)
-        ip = abs(inner) ** q * (1 if m % 2 == 0 else -1)
+        if abs(q - m) >= 1e-9:
+            raise DomainError(f"negative base {inner} to the non-integer power {q}")
+        ip = abs(inner) ** q * (1.0 if m % 2 == 0 else -1.0)
     return params.k / (1.0 + ip) ** (1.0 / params.n)
 
 
@@ -86,7 +90,7 @@ def check_curve_equivalence(n_sets: int = 50, seed: int = 202) -> CheckResult:
         hi = params.t0 + min(10.0, 0.8 * (t_star - params.t0))
         for t in rng.uniform(params.t0, hi, size=10):
             a = x_eval(params, float(t))
-            b = _direct_solution(params, float(t))
+            b = direct_solution(params, float(t))
             worst = max(worst, abs(a - b) / abs(b))
         done += 1
     return CheckResult("curve reparametrization equivalence",
@@ -108,9 +112,9 @@ def check_regimes() -> CheckResult:
 
 def check_fpt_mass() -> CheckResult:
     proc = LognormalProcess(GrowthParams(p=1.5, **BASE), 0.02)
-    m08 = _mass_to_infinity(
+    m08 = mass_to_infinity(
         lambda t: fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, t))
-    m12 = _mass_to_infinity(
+    m12 = mass_to_infinity(
         lambda t: fpt_pdf_lognormal(proc, ExpBoundary(A=1.2), 1.0, 0.0, t))
     ok = abs(m08 - 1.0) <= 1e-4 and abs(m12 - 1.0 / 1.2) <= 1e-3
     return CheckResult("proportional-boundary passage mass",
@@ -153,8 +157,6 @@ def check_volterra_vs_closed(steps: int = 1200) -> CheckResult:
     params = GrowthParams(p=1.5, **BASE)
     ou = OUProcess(params, 0.1)
     og = np.linspace(0.0, 20.0, steps + 1)
-    from .fpt import affine_gm_boundary_fns
-    from .growth_curve import _g
     bnd = AffineGMBoundary(A=0.8 * params.x0 * _g(params, 0.0))
     fns = affine_gm_boundary_fns(ou, bnd, 0.0)
     ocurve = volterra_fpt(gm_spec_G(ou), fns, 1.0, 0.0, og)
@@ -218,14 +220,12 @@ def check_mc_fet(n_paths: int = 20_000, seed: int = 41) -> CheckResult:
 
 def check_variance_form(n_paths: int = 200_000, seed: int = 42) -> CheckResult:
     """Pins the conditional-variance form of the additive process by MC."""
-    from .montecarlo import simulate_paths
     params = GrowthParams(p=1.5, **BASE)
     proc = OUProcess(params, 0.1)
     cfg = SimConfig(dt=0.5, horizon=1.0, n_paths=n_paths, seed=seed)
     _, paths = simulate_paths(proc, cfg)
     v_mc = float(np.var(paths[:, -1], ddof=1))
     v_true = transition_law_G(proc, 1.0, 0.0, 1.0).variance
-    from .growth_curve import _g
     v_printed = 0.01 * integrate_adaptive(
         lambda th: (_g(params, 0.0) / _g(params, th)) ** 2, 0.0, 1.0)
     se = v_true * math.sqrt(2.0 / (n_paths - 1))

@@ -41,17 +41,3 @@ def random_valid_params(rng: np.random.Generator) -> GrowthParams:
             continue
         return params
 
-
-def direct_solution(params: GrowthParams, t: float) -> float:
-    """The curve from its native parametrization, as an independent oracle."""
-    one_m_p = 1.0 - params.p
-    inner = (params.gamma * params.n * (params.p - 1.0) * (t - params.t0)
-             + params.a_n ** one_m_p)
-    q = 1.0 / one_m_p
-    if inner >= 0.0:
-        ip = inner ** q
-    else:
-        m = round(q)
-        assert abs(q - m) < 1e-9
-        ip = abs(inner) ** q * (1.0 if m % 2 == 0 else -1.0)
-    return params.k / (1.0 + ip) ** (1.0 / params.n)

@@ -22,8 +22,9 @@ from growthfpt import (AffineGMBoundary, DanielsBoundary,
                        wiener_spec, x_eval)
 from growthfpt.fpt import affine_gm_boundary_fns
 from growthfpt.growth_curve import _g
+from growthfpt.validate import direct_solution, mass_to_infinity
 
-from conftest import BASE, direct_solution, random_valid_params
+from conftest import BASE, random_valid_params
 
 P15 = GrowthParams(p=1.5, **BASE)
 
@@ -54,12 +55,6 @@ def native_rate(params: GrowthParams):
                 * x ** (1.0 + params.n * (1.0 - params.p))
                 * (1.0 - (x / params.k) ** params.n) ** params.p)
     return f
-
-
-def mass_to_infinity(fn, t_hi=1e7, n_seg=140):
-    safe = lambda t: fn(t) if t > 0.0 else 0.0
-    edges = np.concatenate(([0.0], np.geomspace(1e-6, t_hi, n_seg)))
-    return sum(integrate_adaptive(safe, a, b) for a, b in zip(edges[:-1], edges[1:]))
 
 
 # --------------------------------------------------------------------------

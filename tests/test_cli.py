@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -173,6 +174,70 @@ class TestCommands:
         # defective mass < 0.9 proves nu=1.2 took effect over the document's 0.8
         _, data = read_csv(out / "fpt.csv")
         assert np.trapezoid(data[:, 1], data[:, 0]) < 0.9
+
+
+SMOKE_CONFIG = {
+    "model": {"n": 1, "gamma": 0.5, "k": 20, "x0": 1, "t0": 0.5, "p": 1.5},
+    "grid": {"t_end": 20.5, "points": 100},
+    "fpt": {"nu": 0.8},
+    "fet": {"nu1": 0.8, "nu": 1.05, "nu2": 1.2},
+    "sim": {"dt": 0.1, "horizon": 20, "n_paths": 400, "seed": 9},
+}
+
+
+@pytest.mark.parametrize("method", ["closed", "volterra", "mc"])
+@pytest.mark.parametrize("command", ["fpt", "fet"])
+@pytest.mark.parametrize("kind,sigma", [("multiplicative", 0.05), ("additive", 0.1)])
+def test_density_command_matrix(tmp_path, kind, sigma, command, method):
+    doc = dict(SMOKE_CONFIG, noise={"kind": kind, "sigma": sigma})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(write_config(tmp_path, doc)),
+                 "--method", method, "--out", str(out)]) == 0
+    header, data = read_csv(out / f"{command}.csv")
+    sides = command == "fet" and method != "closed"
+    assert header == (["t", "pdf", "gamma1", "gamma2"] if sides else ["t", "pdf"])
+    assert np.all(np.diff(data[:, 0]) > 0)
+    assert np.all(np.isfinite(data)) and np.all(data[:, 1:] >= 0.0)
+    assert np.trapezoid(data[:, 1], data[:, 0]) <= 1.0 + 1e-6
+
+
+# a band started off its centre: nu1 < nu != 1 < nu2, with each side taking
+# at least 5 % of the exits by the horizon
+OFF_CENTRE_BANDS = {
+    "multiplicative": {
+        "model": {"n": 1, "gamma": 0.5, "k": 20, "x0": 1, "t0": 0.5, "p": 1.5},
+        "noise": {"kind": "multiplicative", "sigma": 0.05},
+        "fet": {"nu1": 0.8, "nu": 1.1, "nu2": 1.2}},
+    "additive": {
+        "model": {"n": 1, "gamma": 0.1, "k": 20, "x0": 1, "t0": 0.5, "p": 1.5},
+        "noise": {"kind": "additive", "sigma": 0.1},
+        "fet": {"nu1": 0.8, "nu": 1.05, "nu2": 1.2}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OFF_CENTRE_BANDS))
+def test_fet_start_proportion_reaches_every_method(tmp_path, kind):
+    """All three methods solve the band started at proportion fet.nu: the
+    closed form and Volterra agree, and the Monte Carlo exit-side split
+    matches Volterra's."""
+    doc = dict(OFF_CENTRE_BANDS[kind], grid={"t_end": 30.5, "points": 1200},
+               sim={"dt": 0.05, "horizon": 30, "n_paths": 4000, "seed": 5})
+    cfg_path = write_config(tmp_path, doc)
+    data = {}
+    for method in ("closed", "volterra", "mc"):
+        out = tmp_path / method
+        assert main(["fet", "--config", str(cfg_path), "--method", method,
+                     "--out", str(out)]) == 0
+        data[method] = read_csv(out / "fet.csv")[1]
+    closed, volterra, mc = data["closed"], data["volterra"], data["mc"]
+    peak = closed[:, 1].max()
+    assert np.max(np.abs(closed[:, 1] - volterra[:, 1])) <= 1e-12 * peak
+    share = (np.trapezoid(volterra[:, 3], volterra[:, 0])
+             / np.trapezoid(volterra[:, 1], volterra[:, 0]))
+    assert 0.05 <= share <= 0.95
+    exits = mc[:, 1].sum() * (mc[1, 0] - mc[0, 0]) * 4000  # histogram counts
+    mc_share = mc[:, 3].sum() / mc[:, 1].sum()
+    assert abs(mc_share - share) <= 3.0 * math.sqrt(share * (1.0 - share) / exits)
 
 
 class TestValidateCommand:

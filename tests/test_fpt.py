@@ -12,17 +12,12 @@ from growthfpt import (AffineGMBoundary, DanielsBoundary, DensityCurve,
                        wiener_spec)
 from growthfpt.fpt import affine_gm_boundary_fns, exp_boundary_fns
 from growthfpt.growth_curve import _g
+from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
 
 PARAMS = GrowthParams(p=1.5, **BASE)
 PHI_1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
-
-
-def mass_to_infinity(fn, t_hi=1e7, n_seg=140):
-    safe = lambda t: fn(t) if t > 0.0 else 0.0
-    edges = np.concatenate(([0.0], np.geomspace(1e-6, t_hi, n_seg)))
-    return sum(integrate_adaptive(safe, a, b) for a, b in zip(edges[:-1], edges[1:]))
 
 
 class TestClosedFormGM:

@@ -60,6 +60,19 @@ class TestTransitionLaw:
         with pytest.raises(OrderError):
             transition_law(wiener_spec(1.0), 0.0, 2.0, 1.0)
 
+    def test_cdf_takes_arrays_like_pdf(self):
+        # t = tau gives the zero-variance step next to proper laws
+        law = transition_law(wiener_spec(1.0), 0.3, 0.5, np.array([0.5, 1.0, 2.0]))
+        for x in (-0.4, 0.3, 0.8):
+            values = law.cdf(x)
+            assert values.shape == (3,)
+            for i, t in enumerate((0.5, 1.0, 2.0)):
+                scalar = transition_law(wiener_spec(1.0), 0.3, 0.5, t).cdf(x)
+                assert type(scalar) is float
+                assert values[i] == scalar
+        xs = np.array([-0.4, 0.3, 0.8])
+        assert np.array_equal(law.cdf(xs), [law.cdf(x)[i] for i, x in enumerate(xs)])
+
     def test_pdf_normalised(self):
         law = transition_law(gm_spec_G(OUProcess(PARAMS, 0.1)), 1.0, 0.5, 2.0)
         mass, _ = quad(law.pdf, law.mean - 12.0 * math.sqrt(law.variance),

@@ -7,8 +7,9 @@ from growthfpt import (CurveRegime, DomainError, GrowthParams, InvalidParams,
                        classify_regime, domain_end, g_eval, h_eval, h_integral,
                        reparametrize, x_eval)
 from growthfpt.growth_curve import _g_pow_n, signed_pow
+from growthfpt.validate import direct_solution
 
-from conftest import BASE, direct_solution, random_valid_params
+from conftest import BASE, random_valid_params
 
 T_PROBE = 4.0 / math.sqrt(19.0)  # bracket base exactly 2 for p = 1.5
 
@@ -69,31 +70,30 @@ class TestReparametrize:
 class TestGEval:
     def test_at_origin(self):
         params = P(1.5)
-        assert g_eval(reparametrize(params), params, 0.0) == pytest.approx(
+        assert g_eval(params, 0.0) == pytest.approx(
             20.0 / 19.0, rel=1e-14)
 
     def test_bracket_base_two(self):
         # at t = 4/sqrt(19) the bracket is exactly 2, exponent -2
         params = P(1.5)
-        g = g_eval(reparametrize(params), params, T_PROBE)
+        g = g_eval(params, T_PROBE)
         assert g == pytest.approx(1.0 / 19.0 + 0.25, rel=1e-13)
 
     def test_long_time_limit(self):
         params = P(1.5)
-        g = g_eval(reparametrize(params), params, 1e6)
+        g = g_eval(params, 1e6)
         assert g == pytest.approx(1.0 / 19.0, rel=1e-9)
 
     def test_domain_error_beyond_t_star(self):
         params = P(0.25)
         t_star = domain_end(params).t_star
-        co = reparametrize(params)
         with pytest.raises(DomainError):
-            g_eval(co, params, t_star + 1e-6)
+            g_eval(params, t_star + 1e-6)
 
     def test_before_t0_rejected(self):
         params = P(1.5, t0=1.0)
         with pytest.raises(DomainError):
-            g_eval(reparametrize(params), params, 0.5)
+            g_eval(params, 0.5)
 
 
 class TestXEval:
@@ -130,12 +130,11 @@ class TestH:
     @pytest.mark.parametrize("p", [1.5, 1.0, 0.75, 2.0 / 3.0, 0.25])
     def test_finite_difference_oracle(self, p):
         params = P(p)
-        co = reparametrize(params)
         hi = 12.0 if p != 0.25 else 20.0
         for t in np.linspace(0.1, hi, 7):
             d = 1e-6 * max(1.0, t)
-            fd = -(math.log(g_eval(co, params, t + d))
-                   - math.log(g_eval(co, params, t - d))) / (2.0 * d)
+            fd = -(math.log(g_eval(params, t + d))
+                   - math.log(g_eval(params, t - d))) / (2.0 * d)
             assert h_eval(params, t) == pytest.approx(fd, abs=1e-6 * max(1.0, abs(fd)))
 
 
@@ -177,8 +176,7 @@ class TestRegimes:
         assert t_star == pytest.approx((8.0 / 3.0) * 19.0 ** 0.75, rel=1e-13)
         # at t_star the auxiliary function has decayed to eta, so x = k
         params = P(0.25)
-        co = reparametrize(params)
-        assert g_eval(co, params, t_star) == pytest.approx(1.0 / 19.0, rel=1e-10)
+        assert g_eval(params, t_star) == pytest.approx(1.0 / 19.0, rel=1e-10)
 
     def test_odd_regime_ends_at_the_blow_up(self):
         # g^n = eta + B^q with q = 3 reaches 0 where B = -eta^{1/3}
@@ -254,13 +252,11 @@ class TestEquivalenceProperties:
 
     def test_limit_branch_continuity(self):
         base = P(1.0)
-        co_base = reparametrize(base)
         for eps in (1e-7, -1e-7):
             near = P(1.0 + eps)
-            co = reparametrize(near)
             for t in (0.5, 3.0, 12.0):
-                a = g_eval(co, near, t)
-                b = g_eval(co_base, base, t)
+                a = g_eval(near, t)
+                b = g_eval(base, t)
                 assert abs(a - b) / b <= 1e-6
 
 
