@@ -12,19 +12,14 @@ import pathlib
 import numpy as np
 
 from growthfpt import (ExpBoundary, GrowthParams, LognormalProcess,
-                       fpt_pdf_lognormal, integrate_adaptive)
+                       fpt_pdf_lognormal)
 from growthfpt.svg import render_line_chart
+from growthfpt.validate import mass_to_infinity
 
 OUT = pathlib.Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 
 params = GrowthParams(gamma=0.5, n=1.0, p=1.5, k=20.0, x0=1.0, t0=0.0)
-
-
-def mass(proc, bnd, t_hi=1e7):
-    edges = np.concatenate(([0.0], np.geomspace(1e-6, t_hi, 140)))
-    f = lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t) if t > 0 else 0.0
-    return sum(integrate_adaptive(f, a, b) for a, b in zip(edges[:-1], edges[1:]))
 
 
 ts = np.linspace(0.1, 250.0, 1200)
@@ -35,7 +30,7 @@ series = []
 for nu in (0.7, 0.8, 0.9, 1.1, 1.2):
     bnd = ExpBoundary(A=nu * params.x0)
     vals = fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, ts)
-    m = mass(proc, bnd)
+    m = mass_to_infinity(lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t))
     target = 1.0 if nu < 1.0 else 1.0 / nu
     print(f"  nu={nu:4.2f}: peak at t={ts[np.argmax(vals)]:7.2f}, "
           f"mass={m:.6f} (expected {target:.6f})")

@@ -41,7 +41,6 @@ from .growth_curve import (GrowthParams, classify_regime, domain_end, g_eval,
 from .montecarlo import SimConfig, estimate_fet, estimate_fpt, simulate_paths
 from .process_lognormal import LognormalProcess, to_wiener_spec
 from .process_ou import OUProcess, gm_spec_G
-from .quadrature import QuadratureSpec
 from .svg import render_line_chart
 from . import validate as validation_suite
 
@@ -63,7 +62,6 @@ class RunConfig:
     sim: SimConfig = field(default_factory=lambda: SimConfig(
         dt=0.1, horizon=40.0, n_paths=20, seed=12345))
     series: SeriesControl = field(default_factory=SeriesControl)
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     output: Path = Path("out")
 
     def process(self):
@@ -80,7 +78,6 @@ _SCHEMA = {
     "fet": {"nu1", "nu", "nu2", "method"},
     "sim": {"dt", "horizon", "n_paths", "seed", "bridge_correction"},
     "series": {"rel_tol", "n_max"},
-    "quadrature": {"rel_tol", "abs_tol", "max_depth"},
     "output": None,
 }
 
@@ -173,26 +170,25 @@ def _config_from_dict(doc: dict) -> RunConfig:
         raise ValidationError("fet: need 0 < nu1 < nu < nu2")
 
     sim_doc = doc.get("sim", {})
+    bridge = sim_doc.get("bridge_correction", True)
+    if not isinstance(bridge, bool):
+        raise ValidationError(
+            f"sim.bridge_correction: must be true or false, got {bridge!r}")
     try:
         cfg.sim = SimConfig(
             dt=float(sim_doc.get("dt", 0.1)),
             horizon=float(sim_doc.get("horizon", 40.0)),
             n_paths=int(sim_doc.get("n_paths", 20)),
             seed=int(sim_doc.get("seed", 12345)),
-            bridge_correction=bool(sim_doc.get("bridge_correction", True)))
+            bridge_correction=bridge)
     except GrowthFPTError as exc:
         raise ValidationError(f"sim: {exc}") from exc
 
     series_doc = doc.get("series", {})
-    quad_doc = doc.get("quadrature", {})
     try:
         cfg.series = SeriesControl(
             rel_tol=float(series_doc.get("rel_tol", 1e-12)),
             n_max=int(series_doc.get("n_max", 10_000)))
-        cfg.quadrature = QuadratureSpec(
-            rel_tol=float(quad_doc.get("rel_tol", 1e-10)),
-            abs_tol=float(quad_doc.get("abs_tol", 1e-14)),
-            max_depth=int(quad_doc.get("max_depth", 40)))
     except GrowthFPTError as exc:
         raise ValidationError(str(exc)) from exc
 

@@ -1,10 +1,10 @@
-"""Self-contained oracle suite behind the `validate` command.
+"""The oracle suite: the only implementation of each acceptance check.
 
 Each check pits one computation against an independent route to the same
 quantity: analytic identities, alternative parametrizations, numerical
-integration, or Monte Carlo.  Checks run at a reduced scale so the whole
-table finishes in well under a minute; the pytest suite runs the same
-oracles at full scale.
+integration, or Monte Carlo.  A check takes its scale and seed as arguments;
+the defaults are the reduced scale of `growthfpt validate`, and
+`tests/test_acceptance.py` calls the same checks at full scale.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .process_ou import OUProcess, gm_spec_G, transition_law_G
 from .quadrature import integrate_adaptive
 
 BASE = dict(gamma=0.5, n=1.0, k=20.0, x0=1.0, t0=0.0)
+P15 = GrowthParams(p=1.5, **BASE)
 
 
 @dataclass
@@ -38,6 +39,11 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+    @property
+    def line(self) -> str:
+        """The `[PASS]/[FAIL] name: detail` line of the report."""
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
 def mass_to_infinity(fn: Callable[[float], float], t_hi: float = 1e7,
@@ -69,11 +75,10 @@ def direct_solution(params: GrowthParams, t: float) -> float:
     return params.k / (1.0 + ip) ** (1.0 / params.n)
 
 
-def check_curve_equivalence(n_sets: int = 50, seed: int = 202) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    done = 0
-    while done < n_sets:
+def random_valid_params(rng: np.random.Generator) -> GrowthParams:
+    """Draw parameters satisfying every declared constraint, redrawing the
+    p>1/large-t0 corner where the reparametrization has no real solution."""
+    while True:
         n = rng.uniform(0.4, 3.0)
         k = rng.uniform(2.0, 80.0)
         params = GrowthParams(
@@ -83,16 +88,23 @@ def check_curve_equivalence(n_sets: int = 50, seed: int = 202) -> CheckResult:
         if abs(params.p - 1.0) < 1e-4:
             continue
         try:
-            t_star = domain_end(params).t_star
+            domain_end(params)
         except DomainError:
-            # p > 1 with t0 large enough that no real eta exists
             continue
-        hi = params.t0 + min(10.0, 0.8 * (t_star - params.t0))
-        for t in rng.uniform(params.t0, hi, size=10):
+        return params
+
+
+def check_curve_equivalence(n_sets: int = 50, per_set: int = 10,
+                            seed: int = 202) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_sets):
+        params = random_valid_params(rng)
+        hi = params.t0 + min(10.0, 0.8 * (domain_end(params).t_star - params.t0))
+        for t in rng.uniform(params.t0, hi, size=per_set):
             a = x_eval(params, float(t))
             b = direct_solution(params, float(t))
             worst = max(worst, abs(a - b) / abs(b))
-        done += 1
     return CheckResult("curve reparametrization equivalence",
                        worst <= 1e-10, f"max rel err {worst:.3e} (tol 1e-10)")
 
@@ -111,7 +123,7 @@ def check_regimes() -> CheckResult:
 
 
 def check_fpt_mass() -> CheckResult:
-    proc = LognormalProcess(GrowthParams(p=1.5, **BASE), 0.02)
+    proc = LognormalProcess(P15, 0.02)
     m08 = mass_to_infinity(
         lambda t: fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, t))
     m12 = mass_to_infinity(
@@ -121,9 +133,9 @@ def check_fpt_mass() -> CheckResult:
                        ok, f"mass(nu=0.8)={m08:.6f}, mass(nu=1.2)={m12:.6f}")
 
 
-def check_fpt_mode() -> CheckResult:
-    proc = LognormalProcess(GrowthParams(p=1.5, **BASE), 0.02)
-    ts = np.linspace(20.0, 70.0, 2001)
+def check_fpt_mode(points: int = 2001) -> CheckResult:
+    proc = LognormalProcess(P15, 0.02)
+    ts = np.linspace(20.0, 70.0, points)
     vals = fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, ts)
     mode = float(ts[int(np.argmax(vals))])
     return CheckResult("passage-density mode location",
@@ -132,19 +144,26 @@ def check_fpt_mode() -> CheckResult:
 
 def check_kernel_vanishing(n_draws: int = 200, seed: int = 77) -> CheckResult:
     rng = np.random.default_rng(seed)
-    specs = [wiener_spec(1.0), gm_spec_G(OUProcess(GrowthParams(p=1.5, **BASE), 0.1))]
+    specs = [wiener_spec(1.0), gm_spec_G(OUProcess(P15, 0.1))]
     worst = 0.0
     for spec in specs:
         for _ in range(n_draws):
             d = DanielsBoundary(d1=rng.uniform(-2, 2), d2=rng.uniform(-2, 2))
             s_fn, sd_fn = daniels_boundary_fns(spec, d)
-            tau = rng.uniform(0.05, 3.0)
-            t = tau + rng.uniform(0.05, 3.0)
+            tau = rng.uniform(0.05, 4.0)
+            t = tau + rng.uniform(0.05, 4.0)
             val = psi_kernel(spec, GeneralBoundary(s=s_fn, s_dot=sd_fn),
                              t, s_fn(tau), tau)
             worst = max(worst, abs(val))
     return CheckResult("kernel vanishing on closed-form boundaries",
-                       worst < 1e-10, f"max |Psi| {worst:.3e}")
+                       worst < 1e-10,
+                       f"max |Psi| {worst:.3e} over {len(specs) * n_draws} draws")
+
+
+def _masked_rel_dev(curve: DensityCurve, closed: np.ndarray) -> float:
+    """Max relative deviation of curve.values[1:] where closed > 1 % of its peak."""
+    mask = closed > 0.01 * closed.max()
+    return float(np.max(np.abs(curve.values[1:][mask] - closed[mask]) / closed[mask]))
 
 
 def check_volterra_vs_closed(steps: int = 1200) -> CheckResult:
@@ -153,32 +172,29 @@ def check_volterra_vs_closed(steps: int = 1200) -> CheckResult:
     curve = volterra_fpt(spec, GeneralBoundary(s=lambda t: 1.0, s_dot=lambda t: 0.0),
                          0.0, 0.0, grid)
     closed = fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0), 0.0, 0.0, grid[1:])
-    rel = np.abs(curve.values[1:] - closed) / closed.max()
-    params = GrowthParams(p=1.5, **BASE)
-    ou = OUProcess(params, 0.1)
+    dev_w = _masked_rel_dev(curve, closed)
+    ou = OUProcess(P15, 0.1)
     og = np.linspace(0.0, 20.0, steps + 1)
-    bnd = AffineGMBoundary(A=0.8 * params.x0 * _g(params, 0.0))
+    bnd = AffineGMBoundary(A=0.8 * P15.x0 * _g(P15, 0.0))
     fns = affine_gm_boundary_fns(ou, bnd, 0.0)
     ocurve = volterra_fpt(gm_spec_G(ou), fns, 1.0, 0.0, og)
-    oclosed = fpt_pdf_ou(ou, bnd, 1.0, 0.0, og[1:])
-    orel = np.abs(ocurve.values[1:] - oclosed) / oclosed.max()
-    ok = rel.max() < 0.01 and orel.max() < 0.01
+    dev_o = _masked_rel_dev(ocurve, fpt_pdf_ou(ou, bnd, 1.0, 0.0, og[1:]))
     return CheckResult("Volterra solver vs closed forms",
-                       ok, f"wiener dev {rel.max():.2e}, ou dev {orel.max():.2e}")
+                       dev_w < 0.01 and dev_o < 0.01,
+                       f"wiener dev {dev_w:.2e}, ou dev {dev_o:.2e} at {steps} steps")
 
 
-def check_wiener_band() -> CheckResult:
-    mass = integrate_adaptive(lambda t: fet_pdf_wiener_symmetric(1.0, 1.0, t),
-                              1e-9, 40.0)
-    mean = integrate_adaptive(lambda t: t * fet_pdf_wiener_symmetric(1.0, 1.0, t),
-                              1e-9, 40.0)
+def check_wiener_band(t_hi: float = 40.0) -> CheckResult:
+    pdf = lambda t: fet_pdf_wiener_symmetric(1.0, 1.0, t)
+    mass = integrate_adaptive(pdf, 1e-9, t_hi)
+    mean = integrate_adaptive(lambda t: t * pdf(t), 1e-9, t_hi)
     ok = abs(mass - 1.0) <= 1e-4 and abs(mean - 1.0) <= 5e-3
     return CheckResult("symmetric band exit identities",
                        ok, f"mass {mass:.6f}, mean exit {mean:.4f}")
 
 
 def check_band_equivalence() -> CheckResult:
-    proc = LognormalProcess(GrowthParams(p=1.5, **BASE), 0.02)
+    proc = LognormalProcess(P15, 0.02)
     band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.25)
     worst = 0.0
     for t in (5.0, 30.0, 80.0, 200.0):
@@ -191,7 +207,7 @@ def check_band_equivalence() -> CheckResult:
 
 
 def check_mc_fpt(n_paths: int = 20_000, seed: int = 40) -> CheckResult:
-    proc = LognormalProcess(GrowthParams(p=1.5, **BASE), 0.02)
+    proc = LognormalProcess(P15, 0.02)
     bnd = ExpBoundary(A=0.8)
     cfg = SimConfig(dt=0.2, horizon=150.0, n_paths=n_paths, seed=seed)
     sample = estimate_fpt(proc, bnd, cfg)
@@ -204,12 +220,10 @@ def check_mc_fpt(n_paths: int = 20_000, seed: int = 40) -> CheckResult:
 
 
 def check_mc_fet(n_paths: int = 20_000, seed: int = 41) -> CheckResult:
-    proc = LognormalProcess(GrowthParams(p=1.5, **BASE), 0.02)
+    proc = LognormalProcess(P15, 0.02)
     band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.2)
-    s1 = ExpBoundary(A=0.8)
-    s2 = ExpBoundary(A=1.2)
     cfg = SimConfig(dt=0.5, horizon=800.0, n_paths=n_paths, seed=seed)
-    sample = estimate_fet(proc, s1, s2, cfg)
+    sample = estimate_fet(proc, ExpBoundary(A=0.8), ExpBoundary(A=1.2), cfg)
     grid = np.linspace(0.0, 800.0, 3001)
     curve = DensityCurve.from_function(
         lambda t: fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t), grid, 0.0)
@@ -220,14 +234,13 @@ def check_mc_fet(n_paths: int = 20_000, seed: int = 41) -> CheckResult:
 
 def check_variance_form(n_paths: int = 200_000, seed: int = 42) -> CheckResult:
     """Pins the conditional-variance form of the additive process by MC."""
-    params = GrowthParams(p=1.5, **BASE)
-    proc = OUProcess(params, 0.1)
+    proc = OUProcess(P15, 0.1)
     cfg = SimConfig(dt=0.5, horizon=1.0, n_paths=n_paths, seed=seed)
     _, paths = simulate_paths(proc, cfg)
     v_mc = float(np.var(paths[:, -1], ddof=1))
     v_true = transition_law_G(proc, 1.0, 0.0, 1.0).variance
     v_printed = 0.01 * integrate_adaptive(
-        lambda th: (_g(params, 0.0) / _g(params, th)) ** 2, 0.0, 1.0)
+        lambda th: (_g(P15, 0.0) / _g(P15, th)) ** 2, 0.0, 1.0)
     se = v_true * math.sqrt(2.0 / (n_paths - 1))
     ok = abs(v_mc - v_true) <= 3.0 * se and abs(v_mc - v_printed) > 10.0 * se
     return CheckResult(
@@ -237,18 +250,9 @@ def check_variance_form(n_paths: int = 200_000, seed: int = 42) -> CheckResult:
 
 
 ALL_CHECKS: List[Callable[[], CheckResult]] = [
-    check_curve_equivalence,
-    check_regimes,
-    check_fpt_mass,
-    check_fpt_mode,
-    check_kernel_vanishing,
-    check_volterra_vs_closed,
-    check_wiener_band,
-    check_band_equivalence,
-    check_mc_fpt,
-    check_mc_fet,
-    check_variance_form,
-]
+    check_curve_equivalence, check_regimes, check_fpt_mass, check_fpt_mode,
+    check_kernel_vanishing, check_volterra_vs_closed, check_wiener_band,
+    check_band_equivalence, check_mc_fpt, check_mc_fet, check_variance_form]
 
 
 def run_all(verbose: bool = True) -> Tuple[bool, List[CheckResult]]:
@@ -257,6 +261,5 @@ def run_all(verbose: bool = True) -> Tuple[bool, List[CheckResult]]:
         res = check()
         results.append(res)
         if verbose:
-            status = "PASS" if res.passed else "FAIL"
-            print(f"[{status}] {res.name}: {res.detail}")
+            print(res.line)
     return all(r.passed for r in results), results

@@ -1,7 +1,11 @@
 """End-to-end acceptance checks.
 
-Every check prints one [PASS]/[FAIL] line (visible with `pytest -s` or on
-failure) and then asserts.  Tolerances are fixed here, not tuned at runtime.
+The shared oracles live in `growthfpt.validate`, one function each; this
+file calls them at full scale with its own seeds, prints each result's
+[PASS]/[FAIL] line (visible with `pytest -s` or on failure) and asserts it.
+Only the parts that run at full scale alone are written here: the RK4 half
+of the curve check, the Monte Carlo half of the band identities, and the
+regime and sensitivity criteria.  Tolerances are fixed, not tuned at runtime.
 Run with:  pytest tests/test_acceptance.py -v -s
 """
 
@@ -10,27 +14,14 @@ import math
 import numpy as np
 import pytest
 
-from growthfpt import (AffineGMBoundary, DanielsBoundary,
-                       DensityCurve, ExpBoundary, GeneralBoundary,
-                       GrowthParams, LognormalProcess, OUProcess,
-                       ProportionalBand, SimConfig, daniels_boundary_fns,
-                       density_distance, domain_end, estimate_fet,
-                       estimate_fpt, fet_pdf_lognormal_band,
-                       fet_pdf_wiener_symmetric, fpt_pdf_gm_closed, fpt_pdf_lognormal, fpt_pdf_ou,
-                       gm_spec_G, integrate_adaptive, psi_kernel,
-                       simulate_paths, transition_law_G, volterra_fpt,
-                       wiener_spec, x_eval)
-from growthfpt.fpt import affine_gm_boundary_fns
-from growthfpt.growth_curve import _g
-from growthfpt.validate import direct_solution, mass_to_infinity
-
-from conftest import BASE, random_valid_params
-
-P15 = GrowthParams(p=1.5, **BASE)
-
-
-def report(name: str, ok: bool, detail: str) -> None:
-    print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+from growthfpt import (ExpBoundary, GrowthParams, LognormalProcess,
+                       ProportionalBand, SimConfig, domain_end, estimate_fet,
+                       fet_pdf_lognormal_band, fpt_pdf_lognormal, x_eval)
+from growthfpt.validate import (BASE, P15, CheckResult,
+                                check_curve_equivalence, check_fpt_mass,
+                                check_fpt_mode, check_kernel_vanishing,
+                                check_mc_fet, check_mc_fpt, check_variance_form,
+                                check_volterra_vs_closed, check_wiener_band)
 
 
 def rk4(f, x0, t0, t1, steps):
@@ -62,17 +53,8 @@ def native_rate(params: GrowthParams):
 # --------------------------------------------------------------------------
 
 def test_curve_equivalence():
-    rng = np.random.default_rng(1001)
-    worst = 0.0
-    for _ in range(200):
-        params = random_valid_params(rng)
-        t_star = domain_end(params).t_star
-        hi = params.t0 + min(10.0, 0.8 * (t_star - params.t0))
-        for t in rng.uniform(params.t0, hi, size=20):
-            a = x_eval(params, float(t))
-            b = direct_solution(params, float(t))
-            worst = max(worst, abs(a - b) / abs(b))
-    ok_param = worst <= 1e-10
+    reparam = check_curve_equivalence(200, 20, 1001)
+    print(reparam.line)
 
     worst_ode = 0.0
     windows = {1.5: 10.0, 1.0: 10.0, 0.75: 14.0, 2.0 / 3.0: 14.0, 0.25: 20.0}
@@ -84,12 +66,10 @@ def test_curve_equivalence():
             idx = int(round(t / hi * 40_000))
             a = x_eval(params, float(t))
             worst_ode = max(worst_ode, abs(a - sol[idx]) / abs(a))
-    ok_ode = worst_ode <= 1e-6
-
-    report("criterion 1 (curve equivalence)", ok_param and ok_ode,
-           f"reparam max rel {worst:.2e} (<=1e-10), "
-           f"RK4 max rel {worst_ode:.2e} (<=1e-6)")
-    assert ok_param and ok_ode
+    ode = CheckResult("curve against an RK4 solution of the native ODE",
+                      worst_ode <= 1e-6, f"max rel {worst_ode:.2e} (<=1e-6)")
+    print(ode.line)
+    assert reparam.passed and ode.passed
 
 
 # --------------------------------------------------------------------------
@@ -127,11 +107,12 @@ def test_regime_reproduction():
                       and x_eval(params, t_star) == 20.0
                       and abs(x_eval(params, t_star - 1e-5) - 20.0) < 1e-3)
 
-    ok = ok_sig and ok_decay and ok_growth and ok_ceiling
-    report("criterion 2 (regime reproduction)", ok,
-           f"sigmoid {ok_sig}, decay {ok_decay}, growth-to-blow-up {ok_growth}, "
-           f"ceiling t*={t_star:.5f} {ok_ceiling}")
-    assert ok
+    res = CheckResult("regime reproduction",
+                      ok_sig and ok_decay and ok_growth and ok_ceiling,
+                      f"sigmoid {ok_sig}, decay {ok_decay}, growth-to-blow-up "
+                      f"{ok_growth}, ceiling t*={t_star:.5f} {ok_ceiling}")
+    print(res.line)
+    assert res.passed
 
 
 @pytest.mark.xfail(
@@ -144,9 +125,10 @@ def test_regime_reproduction():
 def test_regime_plateau_growth_pointwise_probe_at_40():
     params = GrowthParams(p=2.0 / 3.0, **BASE)
     val = x_eval(params, 40.0)
-    ok = val > 2.0 * 20.0
-    report("criterion 2 (p=2/3 pointwise x(40) > 2k)", ok, f"x(40) = {val:.4f}")
-    assert ok
+    res = CheckResult("p=2/3 pointwise x(40) > 2k", val > 2.0 * 20.0,
+                      f"x(40) = {val:.4f}")
+    print(res.line)
+    assert res.passed
 
 
 # --------------------------------------------------------------------------
@@ -154,68 +136,20 @@ def test_regime_plateau_growth_pointwise_probe_at_40():
 # --------------------------------------------------------------------------
 
 def test_fpt_mass_identities():
-    proc = LognormalProcess(P15, 0.02)
-    m08 = mass_to_infinity(
-        lambda t: fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, t))
-    m12 = mass_to_infinity(
-        lambda t: fpt_pdf_lognormal(proc, ExpBoundary(A=1.2), 1.0, 0.0, t))
-    ts = np.linspace(20.0, 70.0, 5001)
-    vals = [fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, float(t))
-            for t in ts]
-    mode = float(ts[int(np.argmax(vals))])
-    ok = (abs(m08 - 1.0) <= 1e-4
-          and abs(m12 - 1.0 / 1.2) <= 1e-3
-          and abs(mode - 41.39) <= 0.1)
-    report("criterion 3 (passage mass identities)", ok,
-           f"mass(0.8)={m08:.6f}, mass(1.2)={m12:.6f} (target {1/1.2:.6f}), "
-           f"mode={mode:.3f} (target 41.39 +- 0.1)")
-    assert ok
+    mass, mode = check_fpt_mass(), check_fpt_mode(5001)
+    print(mass.line)
+    print(mode.line)
+    assert mass.passed and mode.passed
 
 
 # --------------------------------------------------------------------------
-# 4. Volterra solver vs closed forms, plus convergence under step halving
+# 4. Volterra solver vs closed forms
 # --------------------------------------------------------------------------
 
 def test_volterra_vs_closed():
-    spec = wiener_spec(1.0)
-    grid = np.linspace(0.0, 5.0, 4001)
-    bnd = GeneralBoundary(s=lambda t: 1.0, s_dot=lambda t: 0.0)
-    curve = volterra_fpt(spec, bnd, 0.0, 0.0, grid)
-    closed = fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0), 0.0, 0.0, grid[1:])
-    mask = closed > 0.01 * closed.max()
-    dev_w = float(np.max(np.abs(curve.values[1:][mask] - closed[mask])
-                         / closed[mask]))
-
-    proc = OUProcess(P15, 0.1)
-    bnd_ou = AffineGMBoundary(A=0.8 * _g(P15, 0.0))
-    grid_ou = np.linspace(0.0, 20.0, 4001)
-    curve_ou = volterra_fpt(gm_spec_G(proc),
-                            affine_gm_boundary_fns(proc, bnd_ou, 0.0),
-                            1.0, 0.0, grid_ou)
-    closed_ou = fpt_pdf_ou(proc, bnd_ou, 1.0, 0.0, grid_ou[1:])
-    mask = closed_ou > 0.01 * closed_ou.max()
-    dev_o = float(np.max(np.abs(curve_ou.values[1:][mask] - closed_ou[mask])
-                         / closed_ou[mask]))
-
-    # convergence order measured on a boundary with an active integral term
-    # (on the two closed-form problems above the kernel vanishes identically
-    # and the scheme is exact at any step, so no order is observable there)
-    sin_bnd = GeneralBoundary(s=lambda t: 1.0 + 0.25 * np.sin(t),
-                              s_dot=lambda t: 0.25 * np.cos(t))
-    sols = {K: volterra_fpt(spec, sin_bnd, 0.0, 0.0, np.linspace(0.0, 5.0, K + 1))
-            for K in (500, 1000, 8000)}
-    ref = sols[8000]
-    errs = {}
-    for K in (500, 1000):
-        interp = np.interp(sols[K].times, ref.times, ref.values)
-        errs[K] = float(np.trapezoid(np.abs(sols[K].values - interp),
-                                     sols[K].times))
-    ratio = errs[500] / errs[1000]
-    ok = dev_w < 0.01 and dev_o < 0.01 and ratio >= 1.8 and errs[1000] < errs[500]
-    report("criterion 4 (Volterra vs closed forms)", ok,
-           f"wiener dev {dev_w:.2e}, ou dev {dev_o:.2e}, halving error ratio "
-           f"{ratio:.2f} (>=1.8: first order or better)")
-    assert ok
+    res = check_volterra_vs_closed(4000)
+    print(res.line)
+    assert res.passed
 
 
 # --------------------------------------------------------------------------
@@ -223,22 +157,9 @@ def test_volterra_vs_closed():
 # --------------------------------------------------------------------------
 
 def test_kernel_vanishing():
-    rng = np.random.default_rng(55)
-    worst = 0.0
-    for spec in (wiener_spec(1.0), gm_spec_G(OUProcess(P15, 0.1))):
-        for _ in range(500):
-            d = DanielsBoundary(d1=rng.uniform(-2.0, 2.0),
-                                d2=rng.uniform(-2.0, 2.0))
-            s, s_dot = daniels_boundary_fns(spec, d)
-            tau = rng.uniform(0.05, 4.0)
-            t = tau + rng.uniform(0.05, 4.0)
-            val = psi_kernel(spec, GeneralBoundary(s=s, s_dot=s_dot),
-                             t, s(tau), tau)
-            worst = max(worst, abs(val))
-    ok = worst < 1e-10
-    report("criterion 5 (kernel vanishing)", ok,
-           f"max |Psi| {worst:.2e} over 1000 draws (<1e-10)")
-    assert ok
+    res = check_kernel_vanishing(500, 55)
+    print(res.line)
+    assert res.passed
 
 
 # --------------------------------------------------------------------------
@@ -246,11 +167,8 @@ def test_kernel_vanishing():
 # --------------------------------------------------------------------------
 
 def test_fet_identities():
-    mean = integrate_adaptive(
-        lambda t: t * fet_pdf_wiener_symmetric(1.0, 1.0, t), 1e-9, 50.0)
-    mass = integrate_adaptive(
-        lambda t: fet_pdf_wiener_symmetric(1.0, 1.0, t), 1e-9, 50.0)
-    ok_closed = abs(mean - 1.0) <= 5e-3 and abs(mass - 1.0) <= 1e-4
+    closed = check_wiener_band(50.0)
+    print(closed.line)
 
     # the same band, exercised through the simulator: the log coordinate of
     # the multiplicative process at sigma = 1 is a unit Wiener process, and
@@ -266,14 +184,13 @@ def test_fet_identities():
     mc_mean = float(sample.hit_times.mean())
     se = math.sqrt(2.0 / 3.0 / n)  # Var(T) = 2/3 for this band
     n_up = int(np.sum(sample.exit_sides == "upper"))
-    ok_mc = (abs(mc_mean - 1.0) <= 3.0 * se
-             and abs(n_up / n - 0.5) <= 3.0 * 0.5 / math.sqrt(n))
-    ok = ok_closed and ok_mc
-    report("criterion 6 (symmetric band exit identities)", ok,
-           f"mean {mean:.5f}, mass {mass:.6f}; "
-           f"MC mean {mc_mean:.4f} (3se {3 * se:.4f}), upper share "
-           f"{n_up / n:.4f}")
-    assert ok
+    mc = CheckResult("symmetric band exits by Monte Carlo",
+                     abs(mc_mean - 1.0) <= 3.0 * se
+                     and abs(n_up / n - 0.5) <= 3.0 * 0.5 / math.sqrt(n),
+                     f"MC mean {mc_mean:.4f} (3se {3 * se:.4f}), upper share "
+                     f"{n_up / n:.4f}")
+    print(mc.line)
+    assert closed.passed and mc.passed
 
 
 # --------------------------------------------------------------------------
@@ -281,27 +198,10 @@ def test_fet_identities():
 # --------------------------------------------------------------------------
 
 def test_mc_agreement():
-    proc = LognormalProcess(P15, 0.02)
-    bnd = ExpBoundary(A=0.8)
-    cfg = SimConfig(dt=0.2, horizon=150.0, n_paths=100_000, seed=71)
-    sample = estimate_fpt(proc, bnd, cfg)
-    grid = np.linspace(0.0, 150.0, 3001)
-    curve = DensityCurve.from_function(
-        lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t), grid, 0.0)
-    _, ks = density_distance(sample, curve)
-
-    band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.2)
-    cfg_b = SimConfig(dt=0.5, horizon=800.0, n_paths=100_000, seed=72)
-    sample_b = estimate_fet(proc, ExpBoundary(A=0.8), ExpBoundary(A=1.2), cfg_b)
-    grid_b = np.linspace(0.0, 800.0, 3001)
-    curve_b = DensityCurve.from_function(
-        lambda t: fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t), grid_b, 0.0)
-    l1, _ = density_distance(sample_b, curve_b, bins=40)
-
-    ok = ks < 0.01 and l1 < 0.05
-    report("criterion 7 (Monte Carlo agreement)", ok,
-           f"KS {ks:.4f} (<0.01), band L1 {l1:.4f} (<0.05), 1e5 paths each")
-    assert ok
+    fpt, fet = check_mc_fpt(100_000, 71), check_mc_fet(100_000, 72)
+    print(fpt.line)
+    print(fet.line)
+    assert fpt.passed and fet.passed
 
 
 # --------------------------------------------------------------------------
@@ -309,45 +209,13 @@ def test_mc_agreement():
 # --------------------------------------------------------------------------
 
 def test_variance_form_pinned():
-    proc = OUProcess(P15, 0.1)
-    cfg = SimConfig(dt=0.5, horizon=1.0, n_paths=1_000_000, seed=81)
-    _, paths = simulate_paths(proc, cfg)
-    v_mc = float(np.var(paths[:, -1], ddof=1))
-    v_true = transition_law_G(proc, 1.0, 0.0, 1.0).variance
-    # the alternative ordering integrates [g(tau)/g(theta)]^2 instead
-    v_alt = 0.01 * integrate_adaptive(
-        lambda th: (_g(P15, 0.0) / _g(P15, th)) ** 2, 0.0, 1.0)
-    se = v_true * math.sqrt(2.0 / (cfg.n_paths - 1))
-    ok = abs(v_mc - v_true) <= 3.0 * se and abs(v_mc - v_alt) > 10.0 * se
-    report("criterion 8 (variance form pinned by MC)", ok,
-           f"MC {v_mc:.6f} vs {v_true:.6f} (|d| {abs(v_mc - v_true) / se:.2f} se) "
-           f"vs alternative {v_alt:.6f} ({abs(v_mc - v_alt) / se:.0f} se away)")
-    assert ok
+    res = check_variance_form(1_000_000, 81)
+    print(res.line)
+    assert res.passed
 
 
 # --------------------------------------------------------------------------
-# 9. invariance of the proportional densities under the shape parameter
-# --------------------------------------------------------------------------
-
-def test_p_invariance():
-    ps = (1.5, 1.0, 0.75, 2.0 / 3.0, 0.25)
-    fpt_vals, fet_vals = [], []
-    for p in ps:
-        proc = LognormalProcess(GrowthParams(p=p, **BASE), 0.02)
-        fpt_vals.append(fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, 40.0))
-        band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.2)
-        fet_vals.append(fet_pdf_lognormal_band(proc, band, 1.0, 0.0, 55.0))
-    spread_fpt = max(fpt_vals) - min(fpt_vals)
-    spread_fet = max(fet_vals) - min(fet_vals)
-    ok = (spread_fpt <= 1e-12 * max(fpt_vals)
-          and spread_fet <= 1e-12 * max(fet_vals))
-    report("criterion 9 (shape-parameter invariance)", ok,
-           f"fpt spread {spread_fpt:.2e}, fet spread {spread_fet:.2e}")
-    assert ok
-
-
-# --------------------------------------------------------------------------
-# 10. sensitivity monotonicity across the tested grids
+# 9. sensitivity monotonicity across the tested grids
 # --------------------------------------------------------------------------
 
 def test_sensitivity_monotonicity():
@@ -370,9 +238,9 @@ def test_sensitivity_monotonicity():
         fet_peaks.append(max(vals))
     ok_fet = fet_peaks[0] < fet_peaks[1] < fet_peaks[2]
 
-    ok = ok_fpt and ok_fet
-    report("criterion 10 (sensitivity monotonicity)", ok,
-           f"fpt peak times {peak_t} decreasing, peak values increasing "
-           f"{ok_fpt}; fet peaks {['%.4f' % v for v in fet_peaks]} "
-           f"increasing {ok_fet}")
-    assert ok
+    res = CheckResult("sensitivity monotonicity", ok_fpt and ok_fet,
+                      f"fpt peak times {peak_t} decreasing, peak values "
+                      f"increasing {ok_fpt}; fet peaks "
+                      f"{['%.4f' % v for v in fet_peaks]} increasing {ok_fet}")
+    print(res.line)
+    assert res.passed

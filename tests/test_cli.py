@@ -46,6 +46,19 @@ class TestParseConfig:
         doc["extra"] = {}
         with pytest.raises(ValidationError, match="extra"):
             parse_config(json.dumps(doc))
+        doc = json.loads(json.dumps(FIG1_CONFIG))
+        doc["quadrature"] = {"rel_tol": 1e-8}
+        with pytest.raises(ValidationError, match="quadrature"):
+            parse_config(json.dumps(doc))
+
+    def test_bridge_correction_must_be_boolean(self):
+        doc = json.loads(json.dumps(FIG1_CONFIG))
+        for value in ("false", 0, 1, None):
+            doc["sim"] = {"bridge_correction": value}
+            with pytest.raises(ValidationError, match="sim.bridge_correction"):
+                parse_config(json.dumps(doc))
+        doc["sim"] = {"bridge_correction": False}
+        assert parse_config(json.dumps(doc)).sim.bridge_correction is False
 
     def test_malformed_document(self):
         with pytest.raises(ParseError):
@@ -241,9 +254,13 @@ def test_fet_start_proportion_reaches_every_method(tmp_path, kind):
 
 
 class TestValidateCommand:
-    def test_exit_zero_when_all_checks_pass(self, tmp_path):
+    def test_exit_zero_when_all_checks_pass(self, tmp_path, capsys):
+        from growthfpt.validate import ALL_CHECKS
         cfg_path = write_config(tmp_path, FIG1_CONFIG)
         assert main(["validate", "--config", str(cfg_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(ALL_CHECKS)
+        assert all(ln.startswith("[PASS] ") for ln in lines)
 
     def test_exit_one_when_a_check_fails(self, tmp_path, monkeypatch):
         from growthfpt import validate as vmod

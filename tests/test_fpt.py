@@ -12,7 +12,6 @@ from growthfpt import (AffineGMBoundary, DanielsBoundary, DensityCurve,
                        wiener_spec)
 from growthfpt.fpt import affine_gm_boundary_fns, exp_boundary_fns
 from growthfpt.growth_curve import _g
-from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
 
@@ -86,18 +85,6 @@ class TestClosedFormGM:
 
 
 class TestClosedFormLognormal:
-    def test_total_mass_absorbing_drift(self):
-        proc = LognormalProcess(PARAMS, 0.02)
-        mass = mass_to_infinity(
-            lambda t: fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, t))
-        assert mass == pytest.approx(1.0, abs=1e-4)
-
-    def test_total_mass_defective_case(self):
-        proc = LognormalProcess(PARAMS, 0.02)
-        mass = mass_to_infinity(
-            lambda t: fpt_pdf_lognormal(proc, ExpBoundary(A=1.2), 1.0, 0.0, t))
-        assert mass == pytest.approx(1.0 / 1.2, abs=1e-3)
-
     def test_mode_location(self):
         # hitting time of a drifted Brownian level: mode 2 (sqrt(9+a^2)-3)/s^2
         proc = LognormalProcess(PARAMS, 0.02)
@@ -198,18 +185,6 @@ class TestVolterraSolver:
         closed = np.array([fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0),
                                              0.0, 0.0, t) for t in grid[1:]])
         assert np.max(np.abs(curve.values[1:] - closed)) < 1e-10
-
-    def test_wiener_constant_boundary_accuracy(self):
-        spec = wiener_spec(1.0)
-        grid = np.linspace(0.0, 5.0, 4001)
-        bnd = GeneralBoundary(s=lambda t: 1.0, s_dot=lambda t: 0.0)
-        curve = volterra_fpt(spec, bnd, 0.0, 0.0, grid)
-        closed = np.array([fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0),
-                                             0.0, 0.0, t) for t in grid[1:]])
-        peak = closed.max()
-        mask = closed > 0.01 * peak
-        rel = np.abs(curve.values[1:][mask] - closed[mask]) / closed[mask]
-        assert rel.max() < 0.01
 
     def test_convergence_under_step_halving(self):
         # non-closed-form boundary so the integral term actually contributes;

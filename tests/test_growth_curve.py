@@ -7,9 +7,9 @@ from growthfpt import (CurveRegime, DomainError, GrowthParams, InvalidParams,
                        classify_regime, domain_end, g_eval, h_eval, h_integral,
                        reparametrize, x_eval)
 from growthfpt.growth_curve import _g_pow_n, signed_pow
-from growthfpt.validate import direct_solution
+from growthfpt.validate import check_curve_equivalence, direct_solution
 
-from conftest import BASE, random_valid_params
+from conftest import BASE
 
 T_PROBE = 4.0 / math.sqrt(19.0)  # bracket base exactly 2 for p = 1.5
 
@@ -214,17 +214,7 @@ class TestRegimes:
 
 class TestEquivalenceProperties:
     def test_reparametrization_matches_native_solution(self):
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(200):
-            params = random_valid_params(rng)
-            t_star = domain_end(params).t_star
-            hi = params.t0 + min(10.0, 0.8 * (t_star - params.t0))
-            for t in rng.uniform(params.t0, hi, size=20):
-                a = x_eval(params, float(t))
-                b = direct_solution(params, float(t))
-                worst = max(worst, abs(a - b) / abs(b))
-        assert worst <= 1e-10
+        assert check_curve_equivalence(200, 20, 11).passed
 
     @pytest.mark.parametrize("p,hi", [(1.5, 10.0), (0.75, 14.0),
                                       (2.0 / 3.0, 14.0), (0.25, 20.0)])
