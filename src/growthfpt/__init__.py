@@ -12,10 +12,9 @@ crossing detection.
 
 from .errors import (BandCrossing, ConfigError, DomainError, EmptySample,
                      GridError, GrowthFPTError, InvalidParams, NoConvergence,
-                     NonPositiveState, OrderError, ParseError,
-                     SeriesDivergence, StartOnBoundary, StartOutsideBand,
-                     ValidationError)
-from .fet import (BandSpec, ProportionalBand, SeriesControl, fet_pdf_gm_closed,
+                     NonPositiveState, OrderError, ParseError, StartOnBoundary,
+                     StartOutsideBand, ValidationError)
+from .fet import (BandSpec, ProportionalBand, fet_pdf_gm_closed,
                   fet_pdf_lognormal_band, fet_pdf_ou_band,
                   fet_pdf_wiener_symmetric, volterra_fet, wiener_band_pdf)
 from .fpt import (AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary,

@@ -7,7 +7,8 @@ Commands
     fpt       passage density (t, pdf) by --method closed|volterra|mc + SVG
     fet       exit density (t, pdf[, gamma1, gamma2]) by the same methods + SVG;
               the band [nu1, nu2] starts at proportion fet.nu of x0 in all three
-    validate  run the oracle suite and print a pass/fail table
+    validate  run the oracle suite and print a pass/fail table (reads no
+              configuration)
 
 The configuration is a JSON document; command-line flags override document
 values.  Exit status: 0 success, 1 validation failure, 2 configuration error.
@@ -30,8 +31,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import GrowthFPTError, ParseError, ValidationError
-from .fet import (ProportionalBand, SeriesControl, fet_pdf_lognormal_band,
-                  fet_pdf_ou_band, volterra_fet)
+from .fet import (ProportionalBand, fet_pdf_lognormal_band, fet_pdf_ou_band,
+                  volterra_fet)
 from .fpt import (AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary,
                   affine_gm_boundary_fns, fpt_pdf_lognormal, fpt_pdf_ou,
                   volterra_fpt)
@@ -61,7 +62,6 @@ class RunConfig:
     fet_method: str = "closed"
     sim: SimConfig = field(default_factory=lambda: SimConfig(
         dt=0.1, horizon=40.0, n_paths=20, seed=12345))
-    series: SeriesControl = field(default_factory=SeriesControl)
     output: Path = Path("out")
 
     def process(self):
@@ -77,7 +77,6 @@ _SCHEMA = {
     "fpt": {"nu", "method"},
     "fet": {"nu1", "nu", "nu2", "method"},
     "sim": {"dt", "horizon", "n_paths", "seed", "bridge_correction"},
-    "series": {"rel_tol", "n_max"},
     "output": None,
 }
 
@@ -184,14 +183,6 @@ def _config_from_dict(doc: dict) -> RunConfig:
     except GrowthFPTError as exc:
         raise ValidationError(f"sim: {exc}") from exc
 
-    series_doc = doc.get("series", {})
-    try:
-        cfg.series = SeriesControl(
-            rel_tol=float(series_doc.get("rel_tol", 1e-12)),
-            n_max=int(series_doc.get("n_max", 10_000)))
-    except GrowthFPTError as exc:
-        raise ValidationError(str(exc)) from exc
-
     if "output" in doc:
         cfg.output = Path(doc["output"])
     return cfg
@@ -285,7 +276,7 @@ def _problem(cfg: RunConfig, command: str) -> _Problem:
             pdf = lambda t: fpt_pdf_lognormal(proc, bounds[0], x0, t0, t)
         else:
             band = ProportionalBand(nu1=levels[0], nu=1.0, nu2=levels[1])
-            pdf = lambda t: fet_pdf_lognormal_band(proc, band, x0, t0, t, cfg.series)
+            pdf = lambda t: fet_pdf_lognormal_band(proc, band, x0, t0, t)
         spec, transform, _ = to_wiener_spec(proc)
         s2 = cfg.sigma ** 2
         # the log image of a mean-proportional boundary is the line
@@ -299,7 +290,7 @@ def _problem(cfg: RunConfig, command: str) -> _Problem:
         pdf = lambda t: fpt_pdf_ou(proc, bounds[0], x0, t0, t)
     else:
         pdf = lambda t: fet_pdf_ou_band(proc, levels[0], 1.0, levels[1], 0.0,
-                                        x0, t0, t, cfg.series)
+                                        x0, t0, t)
     spec_bounds = [affine_gm_boundary_fns(proc, b, t0) for b in bounds]
     return _Problem(bounds, pdf, gm_spec_G(proc), spec_bounds, x0)
 
@@ -349,18 +340,12 @@ def _cmd_density(cfg: RunConfig, out: Path, command: str) -> int:
     return 0
 
 
-def _cmd_validate(cfg: RunConfig, out: Path) -> int:
-    ok, _ = validation_suite.run_all(verbose=True)
-    return 0 if ok else 1
-
-
 _COMMANDS = {
     "curve": _cmd_curve,
     "regime": _cmd_regime,
     "paths": _cmd_paths,
     "fpt": partial(_cmd_density, command="fpt"),
     "fet": partial(_cmd_density, command="fet"),
-    "validate": _cmd_validate,
 }
 
 
@@ -402,7 +387,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="growthfpt",
         description="Passage and exit-time densities for stochastic growth curves")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("command", choices=sorted([*_COMMANDS, "validate"]))
     parser.add_argument("--config", type=Path, help="JSON configuration document")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--sigma", type=float, default=None)
@@ -417,6 +402,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--t-end", dest="t_end", type=float, default=None)
     parser.add_argument("--grid-points", dest="grid_points", type=int, default=None)
     args = parser.parse_args(argv)
+    if args.command == "validate":
+        # the oracle suite builds its own problems and reads no configuration
+        ok, _ = validation_suite.run_all(verbose=True)
+        return 0 if ok else 1
 
     try:
         if args.config is not None:

@@ -41,10 +41,6 @@ class NoConvergence(GrowthFPTError):
     """Adaptive quadrature exhausted its recursion depth."""
 
 
-class SeriesDivergence(GrowthFPTError):
-    """Image-expansion series failed to converge within the term cap."""
-
-
 class ConfigError(GrowthFPTError):
     """Simulation or run configuration is inconsistent."""
 

@@ -1,17 +1,33 @@
 """First-exit-time densities from a band between two boundaries.
 
 For bands of the form s_i = m + a*k1 + c_i*k2 around a start
-x0 = m + a*k1 + c*k2 (c1 < c < c2) the total exit density has an
-image-expansion ("theta series") closed form: with R = r(t) - r(t0),
-L = c2 - c1, u = c - c1, v = c2 - c,
+x0 = m + a*k1 + c*k2 (c1 < c < c2), Y = (X - m)/k2 is a unit-variance
+Wiener process in the clock r = k1/k2 and the band is the pair of lines
+c_i + a*r.  In the clock R = r(t) - r(t0), measured from the start, Y has
+drift mu = -a against a fixed band, with the start u = c - c1 above the
+lower side and v = c2 - c below the upper one (L = u + v).  Every closed
+form here is r'(t) times one density in R, _band_exit(R, u, v, mu); the
+Wiener band is the case r = sigma^2 t.
 
-    gamma(t) = k2(t) r'(t) / R * sum_{n in Z} exp(-2 n^2 L^2 / R) *
-        { (u + 2nL) exp(-2nL u / R) f(s1(t), t | x0, t0)
-        + (v - 2nL) exp(+2nL v / R) f(s2(t), t | x0, t0) }.
+_band_exit removes the drift by the exponential change of measure: the
+exit density through the lower side is exp(-mu u - mu^2 R/2) times the
+driftless one, and through the upper side exp(mu v - mu^2 R/2) times the
+driftless one from v.  A driftless side density from distance x is summed
+as one of two series,
 
-The sum is truncated symmetrically: terms are added in +/-n pairs until a
-pair contributes less than rel_tol of the running total, with exponents
-guarded against underflow and a hard cap on n.
+    image  sum_{n=-6..6} (x + 2nL) exp(-(x + 2nL)^2 / (2R)) / sqrt(2 pi R^3)
+    sine   (pi/L^2) sum_{k=1..8} k sin(k pi x/L) exp(-k^2 pi^2 R / (2L^2)),
+
+the image series where R <= L^2/2 and the sine (eigenfunction) series
+above.  The number of terms is fixed in advance (Navarro & Fuss 2009,
+J. Math. Psych. 53), so no tolerance or cap is left.  Relative to the
+leading term's size, the first omitted image term is below 1e-18 up to
+R/L^2 = 2 and the first omitted sine term below 1e-15 from R/L^2 = 0.1,
+so the switch sits inside the range where both reach double precision.
+(Beyond R/L^2 = 2 the image terms cancel and lose digits; below 0.1 the
+sine series needs more terms.)  Each term's exponents are added before
+exp, so a term too small for a normal double is 0, never 0 times an
+overflow, and no density is negative, however long the time.
 
 The lognormal band is wiener_band_pdf after the log map.
 
@@ -31,14 +47,17 @@ from typing import Tuple
 import numpy as np
 
 from .errors import (BandCrossing, DomainError, InvalidParams, OrderError,
-                     SeriesDivergence, StartOutsideBand)
+                     StartOutsideBand)
 from .fpt import DensityCurve, GeneralBoundary, _solver_grid, _volterra
-from .gm_core import GMSpec, GMValues, evaluate, law_between, on_grid
-from .growth_curve import _as_out, _core
+from .gm_core import GMSpec, evaluate, on_grid, r_ratio
+from .growth_curve import _as_out, _core, _g
 from .process_lognormal import LognormalProcess
 from .process_ou import OUProcess, gm_spec_G
 
-_EXP_FLOOR = -700.0  # exp() underflows around -745; keep a margin
+_SINE_FROM = 0.5                # R/L^2 above which the sine series is summed
+_ORDERS = np.arange(-6.0, 7.0)  # image orders n
+_MODES = np.arange(1.0, 9.0)    # sine terms k
+_EXP_MIN = -708.0               # exp(x) is subnormal or 0 below about -708.4
 
 
 @dataclass(frozen=True)
@@ -71,55 +90,64 @@ class ProportionalBand:
                 f"need 0 < nu1 < nu < nu2, got {self.nu1}, {self.nu}, {self.nu2}")
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    rel_tol: float = 1e-12
-    n_max: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0):
-            raise InvalidParams("rel_tol must be positive")
-        if self.n_max < 1:
-            raise InvalidParams("n_max must be >= 1")
+def _exp(E: np.ndarray) -> np.ndarray:
+    """exp(E), with 0 where E <= _EXP_MIN.  numpy's exp takes 20 to 200 ns
+    per element there against about 1 ns above, and at short or long clocks
+    most terms of either series fall there."""
+    return np.exp(E, out=np.zeros(E.shape), where=E > _EXP_MIN)
 
 
-DEFAULT_SERIES = SeriesControl()
+def _image_sum(R: np.ndarray, u: float, v: float, mu: float) -> np.ndarray:
+    """_band_exit from the image series, for a 1-d array R: one column per
+    side and order, each row summed on its own."""
+    L = u + v
+    n = np.concatenate((_ORDERS, _ORDERS))
+    drift = np.repeat((mu, -mu), _ORDERS.size)
+    d = np.repeat((u, v), _ORDERS.size) + 2.0 * L * n
+    q = d + drift * R[:, None]
+    terms = d * _exp(2.0 * L * n * drift - q * q / (2.0 * R[:, None]))
+    return terms.sum(axis=1) / np.sqrt(2.0 * math.pi * R) / R
 
 
-def _guarded_exp(arg):
-    """exp(arg), 0 at or below _EXP_FLOOR; every caller's arg is <= 0."""
-    return np.exp(arg) * (arg > _EXP_FLOOR)
+def _sine_sum(R: np.ndarray, u: float, v: float, mu: float) -> np.ndarray:
+    """_band_exit from the sine (eigenfunction) series, laid out the same."""
+    L = u + v
+    k = np.concatenate((_MODES, _MODES))
+    x = np.repeat((u, v), _MODES.size)
+    drift = np.repeat((mu, -mu), _MODES.size)
+    rate = 0.5 * (math.pi * k / L) ** 2 + 0.5 * mu * mu
+    terms = k * np.sin(k * (math.pi / L) * x) * _exp(-drift * x - rate * R[:, None])
+    return (math.pi / (L * L)) * terms.sum(axis=1)
 
 
-def _theta_sum(R, L: float, u: float, v: float, f1, f2,
-               ctl: SeriesControl) -> np.ndarray:
-    """The image sum of the band-exit closed form (prefactor excluded), for
-    a scalar or an array of clock values R > 0 (f1, f2 alike).
+def _band_exit(R, u: float, v: float, mu: float) -> np.ndarray:
+    """Exit density, both sides together, of a unit-variance Wiener process
+    with drift mu in its clock R > 0 (a scalar or an array), started u above
+    the lower side and v below the upper one.  Each element sums its own
+    series, so a value does not depend on the other clocks in the call."""
+    R = np.asarray(R, dtype=float)
+    sine = R > _SINE_FROM * (u + v) ** 2
+    out = np.empty(R.shape)
+    for series, where in ((_image_sum, ~sine), (_sine_sum, sine)):
+        if np.any(where):
+            out[where] = series(R[where], u, v, mu)
+    return out
 
-    The +/-n pairs are added one order at a time, for all elements at once,
-    until every element's last pair falls below rel_tol of its running
-    total."""
-    R, f1, f2 = (np.asarray(x, dtype=float) for x in (R, f1, f2))
 
-    def term(n: int) -> np.ndarray:
-        base = -2.0 * n * n * L * L / R
-        t1 = (u + 2.0 * n * L) * _guarded_exp(base - 2.0 * n * L * u / R) * f1
-        t2 = (v - 2.0 * n * L) * _guarded_exp(base + 2.0 * n * L * v / R) * f2
-        return t1 + t2
-
-    total = term(0)
-    for n in range(1, ctl.n_max + 1):
-        delta = term(n) + term(-n)
-        total = total + delta
-        if np.all(np.abs(delta) <= ctl.rel_tol * np.maximum(np.abs(total), 1e-300)):
-            return total
-    raise SeriesDivergence(
-        f"image sum did not stabilise within n_max={ctl.n_max} terms")
+def _band_pdf(spec: GMSpec, r0: float, t, a: float, band: BandSpec):
+    """r'(t) times the band's exit density in the clock R = r(t) - r0 of the
+    spec, where the boundaries are m + a*k1 + c_i*k2; 0 where R is not
+    positive."""
+    r, r_dot = r_ratio(spec, t)
+    R = np.asarray(r - r0)
+    moved = R > 0.0
+    dens = r_dot * _band_exit(np.where(moved, R, 1.0), band.c - band.c1,
+                              band.c2 - band.c, -a)
+    return _as_out(np.where(moved, dens, 0.0))
 
 
 def fet_pdf_gm_closed(spec: GMSpec, a: float, band: BandSpec, x0: float,
-                      t0: float, t,
-                      ctl: SeriesControl = DEFAULT_SERIES):
+                      t0: float, t):
     """Total exit density gamma(t | x0, t0) for an affine-in-(k1, k2) band.
 
     Boundaries are s_i = m + a*k1 + band.ci*k2 and the start must satisfy
@@ -129,54 +157,29 @@ def fet_pdf_gm_closed(spec: GMSpec, a: float, band: BandSpec, x0: float,
     t = np.asarray(t, dtype=float)
     if np.any(t <= t0):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    return _band_pdf(evaluate(spec, t0), evaluate(spec, t), a, band, x0, ctl)
-
-
-def _band_pdf(at_0: GMValues, at_t: GMValues, a: float, band: BandSpec,
-              x0: float, ctl: SeriesControl):
-    """fet_pdf_gm_closed from the spec's values at t0 and at t."""
+    at_0 = evaluate(spec, t0)
     x0_implied = at_0.m + a * at_0.k1 + band.c * at_0.k2
     scale = max(abs(x0), abs(x0_implied), 1.0)
     if abs(x0 - x0_implied) > 1e-9 * scale:
         raise InvalidParams(
             f"x0={x0} inconsistent with m + a*k1 + c*k2 = {x0_implied} at t0")
-    R = at_t.r - at_0.r
-    moved = R > 0.0
-    R = np.where(moved, R, 1.0)  # placeholder clock where the density is 0
-    law = law_between(at_0, at_t, x0)
-    f1 = np.where(moved, law.pdf(at_t.m + a * at_t.k1 + band.c1 * at_t.k2), 0.0)
-    f2 = np.where(moved, law.pdf(at_t.m + a * at_t.k1 + band.c2 * at_t.k2), 0.0)
-    L = band.c2 - band.c1
-    u = band.c - band.c1
-    v = band.c2 - band.c
-    pref = at_t.k2 * at_t.r_dot / R
-    dens = pref * _theta_sum(R, L, u, v, f1, f2, ctl)
-    return _as_out(np.where(moved, dens, 0.0))
+    return _band_pdf(spec, float(at_0.r), t, a, band)
 
 
-def wiener_band_pdf(band: BandSpec, sigma: float, dt,
-                    ctl: SeriesControl = DEFAULT_SERIES):
+def wiener_band_pdf(band: BandSpec, sigma: float, dt):
     """Exit density of a Wiener process (variance sigma^2 per unit time)
     from the affine band c_i + slope*t after elapsed time dt (a scalar or an
     array), the start sitting at intercept offset c with c1 < c < c2."""
     dt = np.asarray(dt, dtype=float)
     if np.any(dt <= 0.0):
         raise OrderError(f"elapsed time must be positive, got {dt}")
-    R = sigma * sigma * dt
-    L = band.c2 - band.c1
-    u = band.c - band.c1
-    v = band.c2 - band.c
-    a1 = -((band.slope * dt + band.c1 - band.c) ** 2) / (2.0 * R)
-    a2 = -((band.slope * dt + band.c2 - band.c) ** 2) / (2.0 * R)
-    norm = 1.0 / np.sqrt(2.0 * math.pi * R)
-    f1 = norm * _guarded_exp(a1)
-    f2 = norm * _guarded_exp(a2)
-    return _as_out((1.0 / dt) * _theta_sum(R, L, u, v, f1, f2, ctl))
+    s2 = sigma * sigma
+    return _as_out(s2 * _band_exit(s2 * dt, band.c - band.c1, band.c2 - band.c,
+                                   -band.slope / s2))
 
 
 def fet_pdf_lognormal_band(proc: LognormalProcess, band: ProportionalBand,
-                           x0: float, t0: float, t,
-                           ctl: SeriesControl = DEFAULT_SERIES):
+                           x0: float, t0: float, t):
     """Exit density of the multiplicative-noise process from the band of
     mean proportions [nu1, nu2], started at proportion nu of x0; `t` is a
     scalar or an array.
@@ -193,11 +196,10 @@ def fet_pdf_lognormal_band(proc: LognormalProcess, band: ProportionalBand,
     zband = BandSpec(c1=-math.log(band.nu / band.nu1), c=0.0,
                      c2=math.log(band.nu2 / band.nu),
                      slope=0.5 * proc.sigma * proc.sigma)
-    return wiener_band_pdf(zband, proc.sigma, t - t0, ctl)
+    return wiener_band_pdf(zband, proc.sigma, t - t0)
 
 
-def fet_pdf_wiener_symmetric(c_half_width: float, sigma: float, dt: float,
-                             ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def fet_pdf_wiener_symmetric(c_half_width: float, sigma: float, dt: float) -> float:
     """Exit density from a constant symmetric band started at its midpoint.
 
     Specialises the general affine-band formula with slope 0 and
@@ -206,12 +208,11 @@ def fet_pdf_wiener_symmetric(c_half_width: float, sigma: float, dt: float,
     if not (c_half_width > 0.0):
         raise InvalidParams("half width must be positive")
     band = BandSpec(c1=-c_half_width, c=0.0, c2=c_half_width, slope=0.0)
-    return wiener_band_pdf(band, sigma, dt, ctl)
+    return wiener_band_pdf(band, sigma, dt)
 
 
 def fet_pdf_ou_band(proc: OUProcess, c1: float, c: float, c2: float, B: float,
-                    x0: float, t0: float, t,
-                    ctl: SeriesControl = DEFAULT_SERIES):
+                    x0: float, t0: float, t):
     """Exit density of the additive-noise process from a proportional band.
 
     With B = 0 the boundaries are s_i(t) = c_i * x0 * g(t0)/g(t), i.e. fixed
@@ -229,13 +230,9 @@ def fet_pdf_ou_band(proc: OUProcess, c1: float, c: float, c2: float, B: float,
     if np.any(t <= t0):
         raise OrderError(f"need t > t0, got t={t}, t0={t0}")
     spec = gm_spec_G(proc)
-    at_0 = evaluate(spec, t0)
-    scale = x0 / float(at_0.k2)  # x0 * g(t0)
-    shift = B * float(at_0.r)
-    band = BandSpec(c1=c1 * scale - shift, c=c * scale - shift,
-                    c2=c2 * scale - shift)
-    x_start = float(at_0.m + B * at_0.k1 + band.c * at_0.k2)
-    return _band_pdf(at_0, evaluate(spec, t), B, band, x_start, ctl)
+    scale = x0 * _g(params, t0)
+    band = BandSpec(c1=c1 * scale, c=c * scale, c2=c2 * scale)
+    return _band_pdf(spec, r_ratio(spec, t0)[0], t, B, band)
 
 
 def volterra_fet(spec: GMSpec, s1: GeneralBoundary, s2: GeneralBoundary,

@@ -79,7 +79,9 @@ def signed_pow(base, q: float):
                 f"negative base {float(base.min())!r} with non-integer "
                 f"exponent {q!r}")
         return _as_out(base ** q)
-    mag = np.abs(base) ** q
+    # np.power, not **: np.abs of a 0-d array is a numpy scalar, whose ** is
+    # libm's pow and can differ in the last bit from the array loop
+    mag = np.power(np.abs(base), q)
     return _as_out(np.copysign(mag, base) if m % 2 else mag)
 
 
@@ -250,6 +252,17 @@ def _check_t(params: GrowthParams, t: np.ndarray, *,
             raise DomainError(f"t={hi} beyond the domain end t_star={ts}")
     elif hi >= ts:
         raise DomainError(f"t={hi} at or beyond the domain end t_star={ts}")
+
+
+def _check_times(params: GrowthParams, tau: float, t: float) -> None:
+    """A transition from tau to t: t0 <= tau <= t < t_star."""
+    if t < tau:
+        raise OrderError(f"t={t} < tau={tau}")
+    if tau < params.t0:
+        raise OrderError(f"tau={tau} precedes t0={params.t0}")
+    ts = _core(params).t_star
+    if t >= ts:
+        raise DomainError(f"t={t} at or beyond the domain end t_star={ts}")
 
 
 def _g_pow_n(params: GrowthParams, t):

@@ -23,9 +23,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidParams, NonPositiveState, OrderError
+from .errors import InvalidParams, NonPositiveState
 from .gm_core import GMSpec, wiener_spec
-from .growth_curve import GrowthParams, _as_out, _core, _g
+from .growth_curve import GrowthParams, _as_out, _check_times, _g
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -65,16 +65,6 @@ class LognormalLaw:
             return 0.0 if math.log(x) < self.log_mean else 1.0
         z = (math.log(x) - self.log_mean) / math.sqrt(2.0 * self.log_variance)
         return 0.5 * (1.0 + math.erf(z))
-
-
-def _check_times(params: GrowthParams, tau: float, t: float) -> None:
-    if t < tau:
-        raise OrderError(f"t={t} < tau={tau}")
-    if tau < params.t0:
-        raise OrderError(f"tau={tau} precedes t0={params.t0}")
-    ts = _core(params).t_star
-    if t >= ts:
-        raise DomainError(f"t={t} at or beyond the domain end t_star={ts}")
 
 
 def transition_law_L(proc: LognormalProcess, y: float, tau: float,

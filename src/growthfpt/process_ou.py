@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParams, OrderError
 from .gm_core import GMSpec, TransitionLaw
-from .growth_curve import GrowthParams, _as_out, _core, _g, h_eval
+from .growth_curve import GrowthParams, _as_out, _check_times, _core, _g, h_eval
 
 PANEL_WIDTH = 0.5
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -81,16 +81,6 @@ def int_g2(params: GrowthParams, ts):
     n_full = lattice.size - 1
     prefix = np.concatenate(([0.0], np.cumsum(panels[:n_full])))
     return _as_out((prefix[k] + panels[n_full:]).reshape(ts.shape))
-
-
-def _check_times(params: GrowthParams, tau: float, t: float) -> None:
-    if t < tau:
-        raise OrderError(f"t={t} < tau={tau}")
-    if tau < params.t0:
-        raise OrderError(f"tau={tau} precedes t0={params.t0}")
-    ts = _core(params).t_star
-    if t >= ts:
-        raise DomainError(f"t={t} at or beyond the domain end t_star={ts}")
 
 
 def transition_law_G(proc: OUProcess, y: float, tau: float, t: float) -> TransitionLaw:

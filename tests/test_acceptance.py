@@ -223,8 +223,7 @@ def test_sensitivity_monotonicity():
     ts = np.linspace(0.5, 400.0, 8000)
     peak_t, peak_v = [], []
     for s in (0.01, 0.02, 0.04):
-        vals = np.array([fpt_pdf_lognormal(proc[s], ExpBoundary(A=0.8),
-                                           1.0, 0.0, float(t)) for t in ts])
+        vals = fpt_pdf_lognormal(proc[s], ExpBoundary(A=0.8), 1.0, 0.0, ts)
         peak_t.append(float(ts[int(np.argmax(vals))]))
         peak_v.append(float(vals.max()))
     ok_fpt = peak_t[0] > peak_t[1] > peak_t[2] and peak_v[0] < peak_v[1] < peak_v[2]
@@ -233,9 +232,9 @@ def test_sensitivity_monotonicity():
     fet_peaks = []
     for nu1 in (0.8, 0.85, 0.9):
         band = ProportionalBand(nu1=nu1, nu=1.0, nu2=1.3)
-        vals = [fet_pdf_lognormal_band(proc_l, band, 1.0, 0.0, float(t))
-                for t in np.linspace(0.5, 400.0, 2000)]
-        fet_peaks.append(max(vals))
+        vals = fet_pdf_lognormal_band(proc_l, band, 1.0, 0.0,
+                                      np.linspace(0.5, 400.0, 2000))
+        fet_peaks.append(float(vals.max()))
     ok_fet = fet_peaks[0] < fet_peaks[1] < fet_peaks[2]
 
     res = CheckResult("sensitivity monotonicity", ok_fpt and ok_fet,

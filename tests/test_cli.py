@@ -50,6 +50,10 @@ class TestParseConfig:
         doc["quadrature"] = {"rel_tol": 1e-8}
         with pytest.raises(ValidationError, match="quadrature"):
             parse_config(json.dumps(doc))
+        doc = json.loads(json.dumps(FIG1_CONFIG))
+        doc["series"] = {"rel_tol": 1e-12, "n_max": 10_000}
+        with pytest.raises(ValidationError, match="series"):
+            parse_config(json.dumps(doc))
 
     def test_bridge_correction_must_be_boolean(self):
         doc = json.loads(json.dumps(FIG1_CONFIG))
@@ -269,6 +273,13 @@ class TestValidateCommand:
             [lambda: vmod.CheckResult("stub", False, "forced failure")])
         cfg_path = write_config(tmp_path, FIG1_CONFIG)
         assert main(["validate", "--config", str(cfg_path)]) == 1
+
+    def test_runs_without_a_config(self, monkeypatch, capsys):
+        from growthfpt import validate as vmod
+        monkeypatch.setattr(
+            vmod, "ALL_CHECKS", [lambda: vmod.CheckResult("stub", True, "forced pass")])
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().out == "[PASS] stub: forced pass\n"
 
 
 class TestSvgDeterminism:

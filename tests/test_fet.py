@@ -5,17 +5,18 @@ import pytest
 
 from growthfpt import (BandSpec, DensityCurve, GeneralBoundary, GrowthParams,
                        LognormalProcess, OUProcess, ProportionalBand,
-                       SeriesControl, SeriesDivergence, StartOutsideBand,
-                       fet_pdf_gm_closed, fet_pdf_lognormal_band,
-                       fet_pdf_ou_band, fet_pdf_wiener_symmetric,
-                       integrate_adaptive, volterra_fet, wiener_band_pdf,
-                       wiener_spec)
+                       StartOutsideBand, fet, fet_pdf_gm_closed,
+                       fet_pdf_lognormal_band, fet_pdf_ou_band,
+                       fet_pdf_wiener_symmetric, integrate_adaptive,
+                       volterra_fet, wiener_band_pdf, wiener_spec)
 from growthfpt.growth_curve import _g
+from growthfpt.process_ou import int_g2
 from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
 
 PARAMS = GrowthParams(p=1.5, **BASE)
+TILTED = GrowthParams(gamma=0.5, n=1.0, p=1.5, k=20.0, x0=2.0, t0=1.0)
 
 
 class TestSymmetricWienerBand:
@@ -54,21 +55,123 @@ class TestGeneralClosedForm:
         with pytest.raises(StartOutsideBand):
             BandSpec(c1=-1.0, c=-1.0, c2=1.0)
 
-    def test_series_divergence_cap(self):
-        # wide clock against a narrow band needs many images
-        ctl = SeriesControl(rel_tol=1e-12, n_max=5)
-        with pytest.raises(SeriesDivergence):
-            fet_pdf_gm_closed(wiener_spec(1.0), 0.0,
-                              BandSpec(c1=-0.05, c=0.0, c2=0.05),
-                              0.0, 0.0, 10.0, ctl)
 
-    def test_truncation_stability(self):
-        loose = SeriesControl(rel_tol=1e-9)
-        tight = SeriesControl(rel_tol=1e-13)
-        for t in (0.5, 2.0, 8.0):
-            a = fet_pdf_wiener_symmetric(1.0, 1.0, t, loose)
-            b = fet_pdf_wiener_symmetric(1.0, 1.0, t, tight)
-            assert abs(a - b) <= 1e-9 * max(abs(b), 1.0)
+def band_cases(ou_sigma: float = 0.1):
+    """Five bands, each as (density of t, clock R/L^2 of t, (u, v, mu)):
+    untilted and tilted Wiener, lognormal, untilted and tilted OU."""
+    w, wt = BandSpec(c1=-0.5, c=0.2, c2=1.0), BandSpec(c1=-0.4, c=0.1, c2=0.6, slope=0.3)
+    ln_proc = LognormalProcess(PARAMS, 0.02)
+    ln_band = ProportionalBand(nu1=0.8, nu=0.95, nu2=1.25)
+    ou, ou_t = OUProcess(PARAMS, ou_sigma), OUProcess(TILTED, ou_sigma)
+    g0, g1 = _g(PARAMS, 0.0), 2.0 * _g(TILTED, 1.0)
+    clock = lambda proc, t0, L: lambda t: (
+        ou_sigma ** 2 * (int_g2(proc.params, t) - int_g2(proc.params, t0)) / L ** 2)
+    lu, lv = math.log(0.95 / 0.8), math.log(1.25 / 0.95)
+    return {
+        "wiener": (lambda t: wiener_band_pdf(w, 0.7, t),
+                   lambda t: 0.49 * t / 1.5 ** 2, (0.7, 0.8, 0.0)),
+        "wiener_tilted": (lambda t: wiener_band_pdf(wt, 1.3, t),
+                          lambda t: 1.69 * t, (0.5, 0.5, -0.3 / 1.69)),
+        "lognormal": (lambda t: fet_pdf_lognormal_band(ln_proc, ln_band, 1.0, 0.0, t),
+                      lambda t: 4e-4 * t / (lu + lv) ** 2, (lu, lv, -0.5)),
+        "ou": (lambda t: fet_pdf_ou_band(ou, 0.8, 1.0, 1.2, 0.0, 1.0, 0.0, t),
+               clock(ou, 0.0, 0.4 * g0), (0.2 * g0, 0.2 * g0, 0.0)),
+        "ou_tilted": (lambda t: fet_pdf_ou_band(ou_t, 0.8, 0.95, 1.2, 0.02, 2.0, 1.0, t),
+                      clock(ou_t, 1.0, 0.4 * g1), (0.15 * g1, 0.25 * g1, -0.02)),
+    }
+
+
+# (t, value) at R/L^2 = 0.003, 0.01, 0.03, 0.1, 0.2, 0.35 and (about) 0.5,
+# from the image series as summed before the sine series was added: pairs
+# of orders +/-n until one fell below 1e-12 of the running sum.
+IMAGE_SERIES_VALUES = {
+    "wiener": [(0.01378, 4.3042598033056425e-14), (0.04592, 0.00078785794986379796),
+               (0.1378, 0.28507080757134362), (0.4592, 0.78481846843813141),
+               (0.9184, 0.50663714265546611), (1.607, 0.24197368170413736),
+               (2.294, 0.11564435997615233)],
+    "wiener_tilted": [(0.001775, 3.294166630526826e-15), (0.005917, 0.0025213129271397174),
+                      (0.01775, 2.0181859689483272), (0.05917, 6.1220466272085989),
+                      (0.1183, 3.9577207014151736), (0.2071, 1.8848458594860633),
+                      (0.2956, 0.89890208271720395)],
+    "lognormal": [(1.494, 3.7992010346120899e-11), (4.979, 0.00020256102924766007),
+                  (14.94, 0.0056138608531153354), (49.79, 0.0070961911509795205),
+                  (99.59, 0.0043259993235149515), (174.3, 0.0020417849096204628),
+                  (248.8, 0.00097139141797693003)],
+    "ou": [(0.05338, 9.7959436609806013e-17), (0.2467, 3.8091419624264066e-05),
+           (47.37, 0.00018855884026722718), (494.8, 0.00056474697709061033),
+           (1135.0, 0.00036543042287255281), (2095.0, 0.00017450282511321258),
+           (3000.0, 8.6844985536498151e-05)],
+    "ou_tilted": [(1.262, 4.9315347400077199e-10), (8.671, 2.9631769526715653e-05),
+                  (133.2, 0.00044375574859760046), (581.1, 0.00054051343436421241),
+                  (1221.0, 0.00033787780071111866), (2181.0, 0.00016123494991820969),
+                  (3000.0, 8.574287425344185e-05)],
+}
+
+# (t, value) from the image series in 40-digit mpmath with orders -30..30,
+# for densities far in the short-time tail.
+TAIL_VALUES = {
+    "wiener": [(0.0009, 7.8493579275669689e-238), (0.0015, 1.1801735476387596e-141),
+               (0.003, 1.0065017473772309e-69), (0.006, 5.5268332918843827e-34)],
+    "wiener_tilted": [(0.0002, 2.6623381508814519e-156), (0.0004, 1.9039178863638474e-76),
+                      (0.0008, 9.573367857682584e-37), (0.0015, 2.0398846746640059e-18)],
+    "lognormal": [(0.06, 1.5878783466462289e-265), (0.1, 5.6203569359473843e-159),
+                  (0.2, 2.8807610112260042e-79), (0.5, 9.1067832899454673e-32)],
+}
+
+
+class TestBandSeries:
+    def test_short_clocks_keep_the_image_series_values(self):
+        for name, (pdf, rl, _) in band_cases().items():
+            for t, want in IMAGE_SERIES_VALUES[name]:
+                assert rl(t) <= 0.5
+                assert pdf(t) == pytest.approx(want, rel=1e-13), (name, t)
+
+    def test_short_time_tail_to_the_rounding_of_its_exponent(self):
+        # the relative error of exp(-x^2/(2R)) is about the exponent's
+        # magnitude times the rounding of R and x
+        eps = np.finfo(float).eps
+        cases = band_cases()
+        for name, points in TAIL_VALUES.items():
+            for t, want in points:
+                tol = 4.0 * eps * (1.0 - math.log(want))
+                assert cases[name][0](t) == pytest.approx(want, rel=tol), (name, t)
+
+    def test_image_and_sine_sums_agree_where_both_hold(self):
+        for name, (_, _, (u, v, mu)) in band_cases().items():
+            R = np.geomspace(0.1, 2.0, 40) * (u + v) ** 2
+            image, sine = fet._image_sum(R, u, v, mu), fet._sine_sum(R, u, v, mu)
+            assert np.max(np.abs(image - sine) / sine) <= 1e-12, name
+
+    def test_positive_out_to_fifty_band_widths_squared(self):
+        for name, (pdf, rl, _) in band_cases(ou_sigma=1.0).items():
+            start = 1.0 if name == "ou_tilted" else 0.0
+            span = 1.0
+            while rl(start + span) < 50.0:
+                span *= 2.0
+            ts = start + np.geomspace(1e-6 * span, span, 400)
+            ts = ts[rl(ts) >= 0.005]
+            assert rl(ts[-1]) >= 50.0 and np.all(pdf(ts) > 0.0), name
+
+    def test_symmetric_band_long_time_tail(self):
+        # sine series: (pi/2) sum_j (2j+1) (-1)^j exp(-(2j+1)^2 pi^2 t/8)
+        val = fet_pdf_wiener_symmetric(1.0, 1.0, 40.0)
+        assert val == pytest.approx(5.8149532460820993e-22, rel=1e-12)
+        assert f"{val:.6e}" == "5.814953e-22"
+        for t in (30.0, 60.0):
+            decay = (math.log(fet_pdf_wiener_symmetric(1.0, 1.0, t))
+                     - math.log(fet_pdf_wiener_symmetric(1.0, 1.0, t + 1.0)))
+            assert decay == pytest.approx(math.pi ** 2 / 8.0, abs=1e-12)
+
+    def test_array_call_equals_scalar_calls(self):
+        # the grids cross the image/sine switch at R = L^2/2
+        cases = band_cases(ou_sigma=1.0)
+        for name, t_hi in (("wiener", 8.0), ("wiener_tilted", 2.0),
+                           ("lognormal", 1500.0), ("ou", 1.0)):
+            pdf, rl, _ = cases[name]
+            ts = np.linspace(t_hi / 400.0, t_hi, 400)
+            assert rl(ts[0]) < 0.5 < rl(ts[-1]), name
+            vals = pdf(ts)
+            assert all(vals[i] == pdf(float(t)) for i, t in enumerate(ts)), name
 
 
 class TestLognormalBand:

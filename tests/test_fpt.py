@@ -90,7 +90,7 @@ class TestClosedFormLognormal:
         proc = LognormalProcess(PARAMS, 0.02)
         bnd = ExpBoundary(A=0.8)
         ts = np.linspace(20.0, 70.0, 5001)
-        vals = [fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, float(t)) for t in ts]
+        vals = fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, ts)
         mode = float(ts[int(np.argmax(vals))])
         a = -math.log(0.8)
         expected = 2.0 * (math.sqrt(9.0 + a * a) - 3.0) / 0.02 ** 2
