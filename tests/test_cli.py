@@ -51,7 +51,7 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="quadrature"):
             parse_config(json.dumps(doc))
         doc = json.loads(json.dumps(FIG1_CONFIG))
-        doc["series"] = {"rel_tol": 1e-12, "n_max": 10_000}
+        doc["series"] = {"rel_tol": 1e-12}
         with pytest.raises(ValidationError, match="series"):
             parse_config(json.dumps(doc))
 
