@@ -2,30 +2,36 @@
 
 Paths are advanced by exact transition sampling on a uniform grid, so the
 step size never biases the marginal laws; it only limits how finely boundary
-crossings are resolved.  That residual bias is removed (to leading order) by
-a within-step correction: in a coordinate where the process is a (possibly
-time-changed) Wiener process, a step pinned at (z_k, z_{k+1}) on the same
-side of a boundary level b crosses it mid-step with probability
+crossings are resolved.  That residual bias is removed by a within-step
+correction: in a coordinate where the process is a (possibly time-changed)
+Wiener process, a step pinned at (z_k, z_{k+1}) that stays on the start's
+side of a boundary at both grid times crosses it mid-step with probability
 
-    exp{-2 (b - z_k)(b - z_{k+1}) / var_step},
+    exp{-2 d_k d_{k+1} / var_step},
 
-the boundary being frozen at its left-endpoint value for the step.  Hits
-found this way are recorded at the step midpoint; hits visible at the grid
-points themselves are recorded at the right endpoint.
+where d_k and d_{k+1} are the distances to the boundary at the step's two
+grid times.  The boundary is taken as linear within the step, which is exact
+for every boundary family here (each is affine in the Wiener coordinate).
+Hits found this way are recorded at the step midpoint; hits visible at the
+grid points themselves are recorded at the right endpoint.
 
-One path generator (_coord_paths) serves simulate_paths and both
-estimators, and one crossing detector (_first_hits) serves one boundary or
-two: estimate_fpt and estimate_fet are thin wrappers that differ only in
-their checks of the start and in whether they report exit sides.  Within a
-step the first boundary given (the lower one of a band) wins a tie.
+simulate_paths returns whole paths.  One crossing detector (_first_hits),
+which steps its own paths, serves one boundary or two: estimate_fpt and
+estimate_fet are thin wrappers that differ only in their checks of the start
+and in whether they report exit sides.  Within a step the first boundary
+given (the lower one of a band) wins a tie.
 
 Randomness is organised in fixed-size chunks of paths: chunk c draws from a
-counter-based generator keyed by (seed, c), and a path's draws are a fixed
-row of the chunk's blocks: the Gaussian block first, then one uniform block
-per boundary in the order the boundaries are given.  The layout is a pure function of (seed,
-path_index), so ensembles are bit-identical for a given seed no matter how
-many worker threads run; GROWTHFPT_THREADS caps the pool (default: the
-CPUs this process may run on).
+counter-based generator keyed by (seed, c).  simulate_paths draws the
+chunk's whole Gaussian block, one fixed row per path.  The estimators step a
+chunk in time blocks (BLOCK0 steps, then twice as many each block; a
+remainder shorter than the current block joins it) and stop simulating a
+path once it has hit: each block draws a Gaussian block for the paths still
+running, then one uniform block per boundary in the order the boundaries are
+given.  Which paths run depends only on the chunk's earlier draws, so every
+layout is a pure function of (seed, chunk) and ensembles are bit-identical
+for a given seed no matter how many worker threads run; GROWTHFPT_THREADS
+caps the pool (default: the CPUs this process may run on).
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .process_lognormal import LognormalProcess
 from .process_ou import OUProcess, int_g2
 
 CHUNK = 1024  # paths per random-stream chunk; fixed so results never depend on threads
+BLOCK0 = 16  # steps in an estimator's first time block; each later block doubles
 
 Process = Union[LognormalProcess, OUProcess]
 Boundary = Union[GeneralBoundary, ExpBoundary, AffineGMBoundary]
@@ -203,17 +210,6 @@ def _coord_boundary(process: Process, ts: np.ndarray, svals: np.ndarray) -> np.n
     return svals * g_arr
 
 
-def _coord_paths(rng: np.random.Generator, rows: int, coord0: float,
-                 step_std: np.ndarray) -> np.ndarray:
-    """A chunk's paths in the Wiener coordinate, shape (rows, n_times), from
-    the chunk's Gaussian block, which is its first draw."""
-    zn = rng.standard_normal((CHUNK, step_std.size))[:rows]
-    z = np.empty((rows, step_std.size + 1))
-    z[:, 0] = coord0
-    z[:, 1:] = coord0 + np.cumsum(step_std[None, :] * zn, axis=1)
-    return z
-
-
 def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Simulate an ensemble of exact-transition paths.
 
@@ -226,7 +222,10 @@ def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.nda
     out = np.empty((cfg.n_paths, ts.size))
 
     def worker(chunk_idx: int, start: int, rows: int) -> None:
-        z = _coord_paths(_chunk_rng(cfg.seed, chunk_idx), rows, coord0, step_std)
+        zn = _chunk_rng(cfg.seed, chunk_idx).standard_normal((CHUNK, step_std.size))[:rows]
+        z = np.empty((rows, ts.size))
+        z[:, 0] = coord0
+        z[:, 1:] = coord0 + np.cumsum(step_std[None, :] * zn, axis=1)
         out[start:start + rows] = to_state(z)
 
     _run_chunked(cfg.n_paths, worker)
@@ -250,48 +249,59 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
                 side_names: Optional[Sequence[str]]) -> EmpiricalHittingSample:
     """The first crossing of any boundary row of b by each path, sorted by
     time, with the row crossed named by side_names when they are given.
-    Within a step the first row with an event wins.
+    Within a step the first row with an event wins.  Paths are stepped in
+    time blocks and dropped once they have hit.
     """
     n_steps = ts.size - 1
     dt = ts[1] - ts[0]
-    var_step = step_std ** 2
+    rate = -2.0 / step_std ** 2
     above = b[:, 0] > coord0
     hit_time = np.full(cfg.n_paths, np.nan)
     hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
 
     def worker(chunk_idx: int, start: int, rows: int) -> None:
         rng = _chunk_rng(cfg.seed, chunk_idx)
-        z = _coord_paths(rng, rows, coord0, step_std)
-        first = np.full(rows, n_steps)  # step of the earliest event so far
-        side = np.full(rows, -1)
-        direct_at = np.zeros(rows, dtype=bool)
-        for a in range(b.shape[0]):
-            # distances to boundary a on the start's side, at the grid times
-            # and (fr) to its level frozen at each step's left endpoint
-            d = b[a] - z if above[a] else z - b[a]
-            direct = d[:, 1:] <= 0.0
-            ev = direct
-            if cfg.bridge_correction:
-                un = rng.random((CHUNK, n_steps))[:rows]
-                fr = b[a][:-1] - z[:, 1:] if above[a] else z[:, 1:] - b[a][:-1]
-                # p = exp(-2 d_left d_right / var_step), built in place
-                p = np.maximum(d[:, :-1], 0.0)
-                p *= np.maximum(fr, 0.0, out=fr)
-                p *= -2.0
-                p /= var_step
-                ev = un < np.exp(p, out=p)
-                ev |= direct
-            idx = np.where(ev.any(axis=1), np.argmax(ev, axis=1), n_steps)
-            earlier = idx < first
-            first[earlier] = idx[earlier]
-            side[earlier] = a
-            direct_at[earlier] = direct[earlier, idx[earlier]]
-        # midpoint for bridge hits, right endpoint for direct ones
-        t_hit = np.where(direct_at, ts[0] + (first + 1) * dt,
-                         ts[0] + first * dt + 0.5 * dt)
-        sl = slice(start, start + rows)
-        hit_time[sl] = np.where(side >= 0, t_hit, np.nan)
-        hit_side[sl] = side
+        live = np.arange(start, start + rows)  # indices of the paths still running
+        z_end = np.full(rows, coord0)
+        k0, width = 0, BLOCK0
+        while live.size and k0 < n_steps:
+            k1 = k0 + width
+            if n_steps - k1 < width:  # a shorter remainder joins this block
+                k1 = n_steps
+            n, m = live.size, k1 - k0
+            z = np.empty((n, m + 1))
+            z[:, 0] = z_end
+            np.multiply(step_std[k0:k1], rng.standard_normal((n, m)), out=z[:, 1:])
+            np.cumsum(z, axis=1, out=z)
+            first = np.full(n, m)  # step in the block of the earliest event so far
+            side = np.full(n, -1)
+            direct_at = np.zeros(n, dtype=bool)
+            for a in range(b.shape[0]):
+                # distances to boundary a on the start's side, at the grid times
+                d = b[a, k0:k1 + 1] - z if above[a] else z - b[a, k0:k1 + 1]
+                direct = d[:, 1:] <= 0.0
+                ev = direct
+                if cfg.bridge_correction:
+                    un = rng.random((n, m))
+                    # p = exp(-2 max(d_k, 0) max(d_{k+1}, 0) / var_step)
+                    np.maximum(d, 0.0, out=d)
+                    p = d[:, :-1] * d[:, 1:]
+                    p *= rate[k0:k1]
+                    ev = un < np.exp(p, out=p)
+                    ev |= direct
+                idx = np.where(ev.any(axis=1), np.argmax(ev, axis=1), m)
+                earlier = idx < first
+                first[earlier] = idx[earlier]
+                side[earlier] = a
+                direct_at[earlier] = direct[earlier, idx[earlier]]
+            hit = side >= 0
+            done, k = live[hit], k0 + first[hit]
+            # midpoint for bridge hits, right endpoint for direct ones
+            hit_time[done] = np.where(direct_at[hit], ts[0] + (k + 1) * dt,
+                                      ts[0] + k * dt + 0.5 * dt)
+            hit_side[done] = side[hit]
+            live, z_end = live[~hit], z[~hit, -1]
+            k0, width = k1, 2 * width
 
     _run_chunked(cfg.n_paths, worker)
     mask = ~np.isnan(hit_time)

@@ -304,8 +304,7 @@ class TestVolterraSystem:
         b2 = GeneralBoundary(s=lambda t: 1.0, s_dot=lambda t: 0.0)
         grid = np.linspace(0.0, 8.0, 4001)
         _, _, tot = volterra_fet(spec, b1, b2, 0.0, 0.0, grid)
-        closed = np.array([fet_pdf_wiener_symmetric(1.0, 1.0, t)
-                           for t in grid[1:]])
+        closed = fet_pdf_wiener_symmetric(1.0, 1.0, grid[1:])
         peak = closed.max()
         mask = closed > 0.01 * peak
         rel = np.abs(tot.values[1:][mask] - closed[mask]) / closed[mask]
@@ -381,7 +380,5 @@ class TestPeakSharpening:
         peaks = []
         for nu1 in (0.8, 0.85, 0.9):
             band = ProportionalBand(nu1=nu1, nu=1.0, nu2=1.3)
-            vals = [fet_pdf_lognormal_band(proc, band, 1.0, 0.0, float(t))
-                    for t in ts]
-            peaks.append(max(vals))
+            peaks.append(fet_pdf_lognormal_band(proc, band, 1.0, 0.0, ts).max())
         assert peaks[0] < peaks[1] < peaks[2]

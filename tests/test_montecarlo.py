@@ -13,7 +13,7 @@ from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        simulate_paths, transition_law_G, transition_law_L,
                        x_eval)
 from growthfpt.growth_curve import _g
-from growthfpt.montecarlo import EmpiricalHittingSample
+from growthfpt.montecarlo import BLOCK0, CHUNK, EmpiricalHittingSample
 
 from conftest import BASE
 
@@ -153,6 +153,25 @@ class TestEstimateFPT:
         err_off = abs(frac_off.hit_times.size / 40_000 - target)
         assert err_on < err_off
 
+    @pytest.mark.parametrize("A,B", [(0.8, -0.1), (1.25, 0.1)])
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_coarse_step_mass_matches_closed_form(self, A, B, dt):
+        # a tilted boundary is a line in the log coordinate, where the bridge
+        # probability built from both ends of each step is exact: the hit
+        # fraction must match the Bachelier-Levy mass at any step size
+        sigma, horizon, n = 0.3, 20.0, 200_000
+        proc = LognormalProcess(PARAMS, sigma)
+        cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=8)
+        sample = estimate_fpt(proc, ExpBoundary(A=A, B=B), cfg)
+        # W_t - (B + sigma^2/2) t, variance sigma^2 per unit time, reaching ln A
+        a, drift = math.log(A), -(B + 0.5 * sigma ** 2)
+        level, mu = abs(a), math.copysign(1.0, a) * drift
+        sd = sigma * math.sqrt(horizon)
+        mass = (norm.cdf((mu * horizon - level) / sd) + math.exp(2.0 * mu * level / sigma ** 2)
+                * norm.cdf((-level - mu * horizon) / sd))
+        se = math.sqrt(mass * (1.0 - mass) / n)
+        assert abs(sample.hit_times.size / n - mass) <= 3.0 * se
+
     def test_reproducible(self):
         proc = LognormalProcess(PARAMS, 0.02)
         bnd = ExpBoundary(A=0.8)
@@ -215,6 +234,23 @@ class TestEstimateFET:
         assert set(np.unique(sample.exit_sides)) <= {"lower", "upper"}
         assert sample.hit_times.size + sample.censored_count == cfg.n_paths
         assert np.all(np.diff(sample.hit_times) >= 0.0)
+
+    def test_block_edges(self):
+        # a partial last chunk and a step count that no time block divides:
+        # some paths exit within the first block, some run to the horizon
+        proc = LognormalProcess(PARAMS, 0.05)
+        cfg = SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)
+        assert cfg.n_paths % CHUNK and round(cfg.horizon / cfg.dt) == 37
+        sample = estimate_fet(proc, ExpBoundary(A=0.9), ExpBoundary(A=1.1), cfg)
+        t = sample.hit_times
+        assert t.size + sample.censored_count == cfg.n_paths
+        assert 0 < sample.censored_count and t.min() <= PARAMS.t0 + BLOCK0 * cfg.dt
+        steps = (t - PARAMS.t0) / cfg.dt
+        on_grid_or_midpoint = np.isclose(2.0 * steps, np.round(2.0 * steps), rtol=0.0,
+                                         atol=1e-9)
+        assert np.all(on_grid_or_midpoint)
+        assert np.all((t > PARAMS.t0) & (t <= PARAMS.t0 + cfg.horizon))
+        assert set(np.unique(sample.exit_sides)) == {"lower", "upper"}
 
 
 class TestDensityDistance:
