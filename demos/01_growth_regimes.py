@@ -31,15 +31,13 @@ for p in CASES:
     # stop short of any blow-up or domain end so every curve stays plottable
     hi = min(21.5, 0.98 * t_star)
     ts = np.linspace(0.0, hi, 600)
-    xs = np.array([x_eval(params, float(t)) for t in ts])
+    xs = x_eval(params, ts)
     series.append((ts, xs, f"p={p:.3g}"))
 
     with open(OUT / f"curve_p{p:.3g}.csv", "w") as fh:
         fh.write("t,x,g,h\n")
-        for t in ts:
-            fh.write(f"{t:.17g},{x_eval(params, float(t)):.17g},"
-                     f"{g_eval(params, float(t)):.17g},"
-                     f"{h_eval(params, float(t)):.17g}\n")
+        for row in zip(ts, xs, g_eval(params, ts), h_eval(params, ts)):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 (OUT / "regimes.svg").write_text(render_line_chart(
     series, title="Growth regimes across p", ylabel="x(t)"))

@@ -23,7 +23,7 @@ cfg = SimConfig(dt=0.05, horizon=15.0, n_paths=8, seed=2024)
 for label, proc in [("multiplicative", LognormalProcess(params, 0.02)),
                     ("additive", OUProcess(params, 0.02))]:
     ts, paths = simulate_paths(proc, cfg)
-    det = np.array([x_eval(params, float(t)) for t in ts])
+    det = x_eval(params, ts)
     spread = float(np.abs(paths - det[None, :]).max())
     print(f"{label:>15}: {cfg.n_paths} paths, max |path - mean| = {spread:.3f}")
     series = [(ts, paths[i], "") for i in range(cfg.n_paths)]

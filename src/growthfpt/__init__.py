@@ -32,7 +32,7 @@ from .process_lognormal import (LognormalLaw, LognormalProcess,
                                 sample_transition_L, to_wiener_spec,
                                 transition_law_L)
 from .process_ou import OUProcess, gm_spec_G, sample_transition_G, transition_law_G
-from .quadrature import QuadratureSpec, integrate_adaptive, prefix_integrals
+from .quadrature import QuadratureSpec, integrate_adaptive
 
 __version__ = "0.1.0"
 

@@ -31,17 +31,14 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import GrowthFPTError, ParseError, ValidationError
-from .fet import (ProportionalBand, fet_pdf_lognormal_band, fet_pdf_ou_band,
-                  volterra_fet)
-from .fpt import (AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary,
-                  affine_gm_boundary_fns, fpt_pdf_lognormal, fpt_pdf_ou,
-                  volterra_fpt)
-from .gm_core import GMSpec
+from .fet import BandSpec, fet_pdf_gm_closed, volterra_fet
+from .fpt import DensityCurve, GeneralBoundary, fpt_pdf_gm_closed, volterra_fpt
+from .gm_core import DanielsBoundary, GMSpec, daniels_boundary_fns
 from .growth_curve import (GrowthParams, classify_regime, domain_end, g_eval,
-                           h_eval, x_eval, _g)
+                           h_eval, x_eval)
 from .montecarlo import SimConfig, estimate_fet, estimate_fpt, simulate_paths
-from .process_lognormal import LognormalProcess, to_wiener_spec
-from .process_ou import OUProcess, gm_spec_G
+from .process_lognormal import LognormalProcess
+from .process_ou import OUProcess
 from .svg import render_line_chart
 from . import validate as validation_suite
 
@@ -248,51 +245,38 @@ def _cmd_paths(cfg: RunConfig, out: Path) -> int:
 @dataclass(frozen=True)
 class _Problem:
     """A passage (one boundary) or band-exit (two, lower first) problem of
-    the configured process started at x0, in the form each method takes."""
+    the configured process, in the form each method takes."""
 
-    bounds: List            # ExpBoundary | AffineGMBoundary
+    bounds: List            # the process's closed-form boundaries, from x0
     pdf: Callable           # closed-form density as a function of time
-    spec: GMSpec            # Volterra form, in the spec's own coordinate
-    spec_bounds: List[GeneralBoundary]
-    spec_x0: float
+    spec: GMSpec            # the Wiener coordinate from the start, for Volterra
+    lines: List[GeneralBoundary]  # the boundaries there; the start is 0
 
 
 def _problem(cfg: RunConfig, command: str) -> _Problem:
-    """The fpt or fet problem of cfg.
-
-    A band started at proportion nu is first moved to start at x0 along the
-    process's Wiener coordinate, in which both processes are translation
-    invariant: its levels become nu_i/nu (multiplicative, z = ln x + ...) or
-    nu_i + 1 - nu in units of x0*g(t0) (additive, u = x*g).  Both maps are
-    exact at nu = 1.
+    """The fpt or fet problem of cfg in the process's Wiener coordinate from
+    the start (x0 for fpt, nu*x0 for fet), where each boundary, nu_i times
+    the mean curve, is a line c_i + d*R.  Monte Carlo starts at x0; the
+    process is translation invariant in its coordinate, so it gets the
+    boundaries whose lines from x0 are the same.
     """
     params, proc = cfg.model, cfg.process()
-    x0, t0, nu = params.x0, params.t0, cfg.fet_nu
+    x0, t0 = params.x0, params.t0
     fpt = command == "fpt"
-    if cfg.noise_kind == "multiplicative":
-        levels = [cfg.fpt_nu] if fpt else [cfg.fet_nu1 / nu, cfg.fet_nu2 / nu]
-        bounds = [ExpBoundary(A=lv * x0) for lv in levels]
-        if fpt:
-            pdf = lambda t: fpt_pdf_lognormal(proc, bounds[0], x0, t0, t)
-        else:
-            band = ProportionalBand(nu1=levels[0], nu=1.0, nu2=levels[1])
-            pdf = lambda t: fet_pdf_lognormal_band(proc, band, x0, t0, t)
-        spec, transform, _ = to_wiener_spec(proc)
-        s2 = cfg.sigma ** 2
-        # the log image of a mean-proportional boundary is the line
-        # ln A + sigma^2 t/2
-        spec_bounds = [GeneralBoundary(s=lambda t, c=math.log(b.A): c + 0.5 * s2 * t,
-                                       s_dot=lambda t: 0.5 * s2) for b in bounds]
-        return _Problem(bounds, pdf, spec, spec_bounds, transform(x0, t0))
-    levels = [cfg.fpt_nu] if fpt else [cfg.fet_nu1 + (1.0 - nu), cfg.fet_nu2 + (1.0 - nu)]
-    bounds = [AffineGMBoundary(A=lv * x0 * _g(params, t0)) for lv in levels]
+    levels = [cfg.fpt_nu] if fpt else [cfg.fet_nu1, cfg.fet_nu2]
+    home = proc.coord(x0, t0)
+    coord = home if fpt else proc.coord(cfg.fet_nu * x0, t0)
+    lines = [coord.line(proc.mean_boundary(lv)) for lv in levels]
+    bounds = [proc.mean_boundary(home.to_state(c, t0) / x0) for c, _ in lines]
+    spec = coord.spec
+    daniels = [DanielsBoundary(d1=d, d2=c) for c, d in lines]
     if fpt:
-        pdf = lambda t: fpt_pdf_ou(proc, bounds[0], x0, t0, t)
+        pdf = partial(fpt_pdf_gm_closed, spec, daniels[0], 0.0, t0)
     else:
-        pdf = lambda t: fet_pdf_ou_band(proc, levels[0], 1.0, levels[1], 0.0,
-                                        x0, t0, t)
-    spec_bounds = [affine_gm_boundary_fns(proc, b, t0) for b in bounds]
-    return _Problem(bounds, pdf, gm_spec_G(proc), spec_bounds, x0)
+        band = BandSpec(c1=lines[0][0], c=0.0, c2=lines[1][0])
+        pdf = partial(fet_pdf_gm_closed, spec, lines[0][1], band, 0.0, t0)
+    spec_lines = [GeneralBoundary(*daniels_boundary_fns(spec, b)) for b in daniels]
+    return _Problem(bounds, pdf, spec, spec_lines)
 
 
 def _cmd_density(cfg: RunConfig, out: Path, command: str) -> int:
@@ -310,10 +294,9 @@ def _cmd_density(cfg: RunConfig, out: Path, command: str) -> int:
             raise ValidationError(f"{command}.method=volterra requires grid.kind=linear")
         ts = _density_grid(cfg)
         if single:
-            curve = volterra_fpt(prob.spec, *prob.spec_bounds, prob.spec_x0, t0, ts)
+            curve = volterra_fpt(prob.spec, *prob.lines, 0.0, t0, ts)
         else:
-            lower, upper, curve = volterra_fet(prob.spec, *prob.spec_bounds,
-                                               prob.spec_x0, t0, ts)
+            lower, upper, curve = volterra_fet(prob.spec, *prob.lines, 0.0, t0, ts)
             sides = [lower.values, upper.values]
     else:  # mc
         if single:

@@ -6,8 +6,12 @@ Wiener process in the clock r = k1/k2 and the band is the pair of lines
 c_i + a*r.  In the clock R = r(t) - r(t0), measured from the start, Y has
 drift mu = -a against a fixed band, with the start u = c - c1 above the
 lower side and v = c2 - c below the upper one (L = u + v).  Every closed
-form here is r'(t) times one density in R, _band_exit(R, u, v, mu); the
-Wiener band is the case r = sigma^2 t.
+form here is r'(t) times one density in R, _band_exit(R, u, v, mu), for
+the band between two parallel lines c_i + d*R of a unit Wiener process
+started at 0 (u = -c1, v = c2, mu = -d).  The Wiener band is the case
+r = sigma^2 t; the lognormal and additive bands take their clock and lines
+from the process's coordinate (LognormalProcess.coord, OUProcess.coord),
+where both of their boundaries are lines.
 
 _band_exit removes the drift by the exponential change of measure: the
 exit density through the lower side is exp(-mu u - mu^2 R/2) times the
@@ -29,8 +33,6 @@ sine series needs more terms.)  Each term's exponents are added before
 exp, so a term too small for a normal double is 0, never 0 times an
 overflow, and no density is negative, however long the time.
 
-The lognormal band is wiener_band_pdf after the log map.
-
 For general C^1 bands the pair (gamma1, gamma2) of exit-through-lower /
 exit-through-upper densities solves a coupled system of second-kind Volterra
 equations with the passage equation's kernel.  It is solved by the
@@ -46,13 +48,13 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (BandCrossing, DomainError, InvalidParams, OrderError,
-                     StartOutsideBand)
-from .fpt import DensityCurve, GeneralBoundary, _solver_grid, _volterra
-from .gm_core import GMSpec, evaluate, on_grid, r_ratio
-from .growth_curve import _as_out, _core, _g
-from .process_lognormal import LognormalProcess
-from .process_ou import OUProcess, gm_spec_G
+from .errors import BandCrossing, InvalidParams, OrderError, StartOutsideBand
+from .fpt import (DensityCurve, GeneralBoundary, _after, _before_end,
+                  _solver_grid, _volterra)
+from .gm_core import GMSpec, WienerCoord, evaluate, on_grid, r_ratio
+from .growth_curve import _as_out, _g
+from .process_lognormal import ExpBoundary, LognormalProcess
+from .process_ou import AffineGMBoundary, OUProcess
 
 _SINE_FROM = 0.5                # R/L^2 above which the sine series is summed
 _ORDERS = np.arange(-6.0, 7.0)  # image orders n
@@ -134,16 +136,21 @@ def _band_exit(R, u: float, v: float, mu: float) -> np.ndarray:
     return out
 
 
-def _band_pdf(spec: GMSpec, r0: float, t, a: float, band: BandSpec):
-    """r'(t) times the band's exit density in the clock R = r(t) - r0 of the
-    spec, where the boundaries are m + a*k1 + c_i*k2; 0 where R is not
-    positive."""
-    r, r_dot = r_ratio(spec, t)
-    R = np.asarray(r - r0)
+def _line_band_pdf(R, rate, lower, upper):
+    """rate times the exit density, in the clock R, of a unit Wiener process
+    started at 0 between the parallel lines lower = (c1, d) and
+    upper = (c2, d) of c + d*R; 0 where R is not positive."""
+    (c1, d), (c2, _) = lower, upper
+    R = np.asarray(R, dtype=float)
     moved = R > 0.0
-    dens = r_dot * _band_exit(np.where(moved, R, 1.0), band.c - band.c1,
-                              band.c2 - band.c, -a)
+    dens = rate * _band_exit(np.where(moved, R, 1.0), -c1, c2, -d)
     return _as_out(np.where(moved, dens, 0.0))
+
+
+def _coord_band_pdf(coord: WienerCoord, lower, upper, t):
+    """_line_band_pdf for two closed-form boundaries of the coordinate."""
+    return _line_band_pdf(coord.clock(t), coord.rate(t), coord.line(lower),
+                          coord.line(upper))
 
 
 def fet_pdf_gm_closed(spec: GMSpec, a: float, band: BandSpec, x0: float,
@@ -154,16 +161,16 @@ def fet_pdf_gm_closed(spec: GMSpec, a: float, band: BandSpec, x0: float,
     x0 = m(t0) + a*k1(t0) + band.c*k2(t0); band.slope is ignored here (it is
     the Wiener-coordinate reading of `a`).  `t` is a scalar or an array.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= t0):
-        raise OrderError(f"need t > t0, got t={t}, t0={t0}")
+    t = _after(t, t0)
     at_0 = evaluate(spec, t0)
     x0_implied = at_0.m + a * at_0.k1 + band.c * at_0.k2
     scale = max(abs(x0), abs(x0_implied), 1.0)
     if abs(x0 - x0_implied) > 1e-9 * scale:
         raise InvalidParams(
             f"x0={x0} inconsistent with m + a*k1 + c*k2 = {x0_implied} at t0")
-    return _band_pdf(spec, float(at_0.r), t, a, band)
+    r, r_dot = r_ratio(spec, t)
+    return _line_band_pdf(r - at_0.r, r_dot, (band.c1 - band.c, a),
+                          (band.c2 - band.c, a))
 
 
 def wiener_band_pdf(band: BandSpec, sigma: float, dt):
@@ -174,8 +181,8 @@ def wiener_band_pdf(band: BandSpec, sigma: float, dt):
     if np.any(dt <= 0.0):
         raise OrderError(f"elapsed time must be positive, got {dt}")
     s2 = sigma * sigma
-    return _as_out(s2 * _band_exit(s2 * dt, band.c - band.c1, band.c2 - band.c,
-                                   -band.slope / s2))
+    d = band.slope / s2
+    return _line_band_pdf(s2 * dt, s2, (band.c1 - band.c, d), (band.c2 - band.c, d))
 
 
 def fet_pdf_lognormal_band(proc: LognormalProcess, band: ProportionalBand,
@@ -184,19 +191,14 @@ def fet_pdf_lognormal_band(proc: LognormalProcess, band: ProportionalBand,
     mean proportions [nu1, nu2], started at proportion nu of x0; `t` is a
     scalar or an array.
 
-    In the Wiener coordinate z = ln x + ln g(t) - ln g(t0) + sigma^2 t/2,
-    measured from the start, the band is c_i + sigma^2/2 * (t - t0) with
-    c1 = -ln(nu/nu1) and c2 = ln(nu2/nu), so this is wiener_band_pdf.  Only
-    those ratios and (sigma, t - t0) enter: the value is independent of the
-    curve shape p and of x0 itself.
+    Both boundaries are ExpBoundary lines in the coordinate from the start
+    (nu*x0, t0), ln(nu_i/nu) + R/2 with R = sigma^2 (t - t0).  Only those
+    ratios and (sigma, t - t0) enter: the value is independent of the curve
+    shape p and of x0 itself.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= t0):
-        raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    zband = BandSpec(c1=-math.log(band.nu / band.nu1), c=0.0,
-                     c2=math.log(band.nu2 / band.nu),
-                     slope=0.5 * proc.sigma * proc.sigma)
-    return wiener_band_pdf(zband, proc.sigma, t - t0)
+    t = _after(t, t0)
+    lower, upper = ExpBoundary(A=band.nu1 * x0), ExpBoundary(A=band.nu2 * x0)
+    return _coord_band_pdf(proc.coord(band.nu * x0, t0), lower, upper, t)
 
 
 def fet_pdf_wiener_symmetric(c_half_width: float, sigma: float, dt: float) -> float:
@@ -218,21 +220,17 @@ def fet_pdf_ou_band(proc: OUProcess, c1: float, c: float, c2: float, B: float,
     With B = 0 the boundaries are s_i(t) = c_i * x0 * g(t0)/g(t), i.e. fixed
     proportions of the conditional mean started from x0, and the start state
     is c * x0 (c = 1 starts exactly at x0).  B tilts the band along the
-    intrinsic clock the same way the affine passage boundary does.  `t` is a
-    scalar or an increasing array.
+    intrinsic clock the same way the affine passage boundary does: both
+    boundaries are AffineGMBoundary lines in the coordinate from the start
+    (c*x0, t0).  `t` is a scalar or an increasing array.
     """
     if not (c1 < c < c2):
         raise StartOutsideBand(f"need c1 < c < c2, got {c1}, {c}, {c2}")
-    params = proc.params
-    t = np.asarray(t, dtype=float)
-    if np.any(t >= _core(params).t_star):
-        raise DomainError(f"t={t} at or beyond the domain end")
-    if np.any(t <= t0):
-        raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    spec = gm_spec_G(proc)
-    scale = x0 * _g(params, t0)
-    band = BandSpec(c1=c1 * scale, c=c * scale, c2=c2 * scale)
-    return _band_pdf(spec, r_ratio(spec, t0)[0], t, B, band)
+    _before_end(proc.params, t)
+    t = _after(t, t0)
+    scale = x0 * _g(proc.params, t0)
+    lower, upper = (AffineGMBoundary(A=ci * scale, B=B) for ci in (c1, c2))
+    return _coord_band_pdf(proc.coord(c * x0, t0), lower, upper, t)
 
 
 def volterra_fet(spec: GMSpec, s1: GeneralBoundary, s2: GeneralBoundary,

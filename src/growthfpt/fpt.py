@@ -1,17 +1,20 @@
 """First-passage-time densities through a single time-dependent boundary.
 
-Closed forms exist for three boundary families:
+Seen from its start, each process is a driftless unit Wiener process w in
+its own coordinate and clock R (LognormalProcess.coord, OUProcess.coord),
+and each closed-form boundary family is a straight line w = c + d*R there:
 
   * Daniels-type boundaries m + d1*k1 + d2*k2 on any Gauss-Markov process,
-    where the Volterra kernel vanishes identically;
+    in the coordinate (X - m)/k2 and the clock r = k1/k2;
   * exponential-form boundaries A*exp{B t + int_{t0}^t h} for the
-    multiplicative-noise process (an affine boundary after the log
-    transform);
-  * affine-in-(k1, k2) boundaries (A + B*sigma^2*int g^2)/g for the
-    additive-noise process (a Daniels boundary of its Gauss-Markov triple).
+    multiplicative-noise process;
+  * affine boundaries (A + B*sigma^2*int_{t0}^t g^2)/g for the
+    additive-noise process.
 
-The lognormal closed form is the Daniels form of the process's Wiener
-coordinate, in which an exponential-form boundary is a straight line.
+So every closed form here is R'(t) times one density: the first passage of
+a unit Wiener process from 0 to the line c + d*R (inverse Gaussian),
+
+    |c| / sqrt(2 pi R^3) * exp(-(c + d R)^2 / (2 R)).
 
 Everything else goes through a product-integration solver for the
 second-kind Volterra equation
@@ -36,11 +39,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DomainError, GridError, OrderError, StartOnBoundary)
-from .gm_core import (DanielsBoundary, GMSpec, GMValues, TimeFn, evaluate,
-                      law_between, on_grid, psi, wiener_spec)
+from .gm_core import (DanielsBoundary, GMSpec, TimeFn, evaluate, on_grid, psi)
 from .growth_curve import _as_out, _core, _g, h_eval
-from .process_lognormal import LognormalProcess
-from .process_ou import OUProcess, gm_spec_G, int_g2
+from .process_lognormal import ExpBoundary, LognormalProcess
+from .process_ou import AffineGMBoundary, OUProcess
+
+_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -53,35 +57,6 @@ class GeneralBoundary:
 
     s: TimeFn
     s_dot: TimeFn
-
-
-@dataclass(frozen=True)
-class ExpBoundary:
-    """Boundary A * exp{B t + int_{t0}^t h(xi) dxi} for the lognormal process.
-
-    With B = 0 and A = nu * x0 this is nu times the conditional mean of the
-    process started at (x0, t0), i.e. a fixed percentage of the mean curve;
-    s(t0) = A * exp(B t0).
-    """
-
-    A: float
-    B: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (self.A > 0.0):
-            raise DomainError(f"boundary scale A must be > 0, got {self.A}")
-
-
-@dataclass(frozen=True)
-class AffineGMBoundary:
-    """Boundary (1/g(t)) * {A + B*sigma^2*int_{t0}^t g(u)^2 du} for the
-    additive-noise process; a Daniels boundary of its Gauss-Markov triple.
-
-    With B = 0 and A = nu * x0 * g(t0) this is nu times the conditional mean.
-    """
-
-    A: float
-    B: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -136,6 +111,29 @@ class DensityCurve:
         return cls(times=times, values=values)
 
 
+def _after(t, t0: float) -> np.ndarray:
+    """The times t as an array, each checked to lie after t0."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= t0):
+        raise OrderError(f"need t > t0, got t={t}, t0={t0}")
+    return t
+
+
+def _before_end(params, t) -> None:  # the clock of the additive closed forms
+    if np.any(t >= _core(params).t_star):
+        raise DomainError(f"t={t} at or beyond the domain end")
+
+
+def _line_pdf(R, rate, c: float, d: float):
+    """rate times the first-passage density, in the clock R > 0, of a unit
+    Wiener process from 0 to the line c + d*R."""
+    if c == 0.0:
+        raise StartOnBoundary("the start lies on the boundary")
+    q = d * R + c
+    return _as_out(abs(c) / R * rate * (np.exp(-q * q / (2.0 * R))
+                                        / (_SQRT2PI * np.sqrt(R))))
+
+
 def fpt_pdf_gm_closed(spec: GMSpec, b: DanielsBoundary, x0: float, t0: float,
                       t):
     """Closed-form passage density through a Daniels-type boundary:
@@ -143,22 +141,14 @@ def fpt_pdf_gm_closed(spec: GMSpec, b: DanielsBoundary, x0: float, t0: float,
         |s(t0) - x0| / (r(t) - r(t0)) * k2(t)/k2(t0) * r'(t) * f(s(t), t | x0, t0)
 
     valid for either ordering of x0 versus s(t0) by symmetry of the Gaussian
-    transition law under state reflection.  `t` is a scalar or an array.
+    transition law under state reflection.  It is evaluated as the line
+    (s(t0) - x0)/k2(t0) + d1*R of (X - m)/k2 less its start, in the clock
+    R = r(t) - r(t0).  `t` is a scalar or an array.
     """
-    if np.any(np.less_equal(t, t0)):
-        raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    return _daniels_pdf(evaluate(spec, t0), evaluate(spec, t), b, x0)
-
-
-def _daniels_pdf(at_0: GMValues, at_t: GMValues, b: DanielsBoundary,
-                 x0: float):
-    """fpt_pdf_gm_closed from the spec's values at t0 and at t."""
-    s0 = b.value(at_0)
-    if s0 == x0:
-        raise StartOnBoundary(f"x0 = s(t0) = {x0}")
-    law = law_between(at_0, at_t, x0)
-    pref = (abs(s0 - x0) / (at_t.r - at_0.r)) * (at_t.k2 / at_0.k2) * at_t.r_dot
-    return _as_out(pref * law.pdf(b.value(at_t)))
+    t = _after(t, t0)
+    at_0, at_t = evaluate(spec, t0), evaluate(spec, t)
+    c = float((b.value(at_0) - x0) / at_0.k2)
+    return _line_pdf(at_t.r - at_0.r, at_t.r_dot, c, b.d1)
 
 
 def fpt_pdf_lognormal(proc: LognormalProcess, b: ExpBoundary, x0: float,
@@ -169,81 +159,55 @@ def fpt_pdf_lognormal(proc: LognormalProcess, b: ExpBoundary, x0: float,
         |ln(s(t0)/x0)| / sqrt(2 pi sigma^2 (t-t0)^3)
           * exp{ -[(sigma^2/2 + B)(t-t0) + ln(s(t0)/x0)]^2 / (2 sigma^2 (t-t0)) }
 
-    This is fpt_pdf_gm_closed for the Wiener process run from (0, t0) in the
-    coordinate z = ln x + ln g(t) - ln g(t0) + sigma^2 (t - t0)/2 - ln x0,
-    where the boundary is the line ln(s(t0)/x0) + (B + sigma^2/2)(t - t0), a
-    Daniels boundary with d1 = (B + sigma^2/2)/sigma^2 and d2 =
-    ln(s(t0)/x0).  Elapsed time and the log ratio enter directly, so no
-    large ln x0 or t0 cancels in the exponent.  The value depends only on
-    (s(t0)/x0, B, sigma, t-t0): in particular it is invariant under the curve
-    shape parameter p and under common rescaling of (x0, A).  `t` is a
-    scalar or an array.
+    the line passage in the coordinate proc.coord(x0, t0).  The value
+    depends only on (s(t0)/x0, B, sigma, t-t0): in particular it is
+    invariant under the curve shape parameter p and under common rescaling
+    of (x0, A), and it holds past the domain end.  `t` is a scalar or an
+    array.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= t0):
-        raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    s0 = b.A * math.exp(b.B * t0)
-    if s0 == x0:
-        raise StartOnBoundary(f"x0 = s(t0) = {x0}")
-    s2 = proc.sigma * proc.sigma
-    spec = wiener_spec(proc.sigma)
-    line = DanielsBoundary(d1=(b.B + 0.5 * s2) / s2, d2=math.log(s0 / x0))
-    return _daniels_pdf(evaluate(spec, 0.0), evaluate(spec, t - t0), line, 0.0)
-
-
-def exp_boundary_fns(proc: LognormalProcess, b: ExpBoundary) -> GeneralBoundary:
-    """State-space callables for an exponential-form boundary."""
-    params = proc.params
-    g_t0 = _g(params, params.t0)
-
-    def s(t):
-        return b.A * np.exp(b.B * t) * g_t0 / _g(params, t)
-
-    def s_dot(t):
-        return s(t) * (b.B + h_eval(params, t))
-
-    return GeneralBoundary(s=s, s_dot=s_dot)
-
-
-def affine_gm_boundary_fns(proc: OUProcess, b: AffineGMBoundary,
-                           t0: float) -> GeneralBoundary:
-    """State-space callables for an affine boundary anchored at t0."""
-    params = proc.params
-    s2 = proc.sigma * proc.sigma
-    p_t0 = int_g2(params, t0)
-
-    def s(t):
-        return (b.A + b.B * s2 * (int_g2(params, t) - p_t0)) / _g(params, t)
-
-    def s_dot(t):
-        g = _g(params, t)
-        core = b.A + b.B * s2 * (int_g2(params, t) - p_t0)
-        return b.B * s2 * g + core * h_eval(params, t) / g
-
-    return GeneralBoundary(s=s, s_dot=s_dot)
+    t = _after(t, t0)
+    coord = proc.coord(x0, t0)
+    return _line_pdf(coord.clock(t), coord.rate(t), *coord.line(b))
 
 
 def fpt_pdf_ou(proc: OUProcess, b: AffineGMBoundary, x0: float, t0: float,
                t):
     """Passage density of the additive-noise process through an affine
-    boundary, via the Daniels closed form of its Gauss-Markov triple.
+    boundary, the line passage in the coordinate proc.coord(x0, t0):
 
-    The prefactor works out to g(t0)*g(t)*|s(t0) - x0| / int_{t0}^t g^2,
-    multiplying the Gaussian transition density at the boundary.  `t` is a
-    scalar or an increasing array.
+        sigma^2 g(t)^2 |c| / sqrt(2 pi R^3) * exp(-(c + B R)^2 / (2 R)),
+
+    c = A - x0 g(t0), R = sigma^2 int_{t0}^t g^2.  `t` is a scalar or an
+    increasing array.
     """
-    params = proc.params
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= t0):
-        raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    if np.any(t >= _core(params).t_star):
-        raise DomainError(f"t={t} at or beyond the domain end")
-    spec = gm_spec_G(proc)
-    at_0 = evaluate(spec, t0)
-    # map (A, B) anchored at t0 onto Daniels coefficients of the triple,
-    # whose own prefix integral is anchored at params.t0
-    daniels = DanielsBoundary(d1=b.B, d2=b.A - b.B * float(at_0.r))
-    return _daniels_pdf(at_0, evaluate(spec, t), daniels, x0)
+    t = _after(t, t0)
+    _before_end(proc.params, t)
+    coord = proc.coord(x0, t0)
+    return _line_pdf(coord.clock(t), coord.rate(t), *coord.line(b))
+
+
+def _line_image(proc, b, t0: float) -> TimeFn:
+    """s(t) of a closed-form boundary anchored at t0: its line mapped back
+    to state space."""
+    coord = proc.coord(proc.params.x0, t0)
+    c, d = coord.line(b)
+    return lambda t: coord.to_state(c + d * coord.clock(t), t)
+
+
+def exp_boundary_fns(proc: LognormalProcess, b: ExpBoundary,
+                     t0: float) -> GeneralBoundary:
+    """State-space callables for an exponential-form boundary anchored at t0."""
+    s = _line_image(proc, b, t0)
+    return GeneralBoundary(s=s, s_dot=lambda t: s(t) * (b.B + h_eval(proc.params, t)))
+
+
+def affine_gm_boundary_fns(proc: OUProcess, b: AffineGMBoundary,
+                           t0: float) -> GeneralBoundary:
+    """State-space callables for an affine boundary anchored at t0."""
+    params, s2 = proc.params, proc.sigma * proc.sigma
+    s = _line_image(proc, b, t0)
+    return GeneralBoundary(s=s, s_dot=lambda t: (b.B * s2 * _g(params, t)
+                                                 + s(t) * h_eval(params, t)))
 
 
 def _solver_grid(grid, t0: float):

@@ -56,18 +56,40 @@ class GMSpec:
     k2_dot: TimeFn
 
 
+def clock_spec(r: TimeFn, r_dot: TimeFn) -> GMSpec:
+    """Driftless unit Wiener process run in the clock r: m = 0, k1 = r,
+    k2 = 1."""
+    return GMSpec(m=lambda t: 0.0, m_dot=lambda t: 0.0, r=r, r_dot=r_dot,
+                  k2=lambda t: 1.0, k2_dot=lambda t: 0.0)
+
+
 def wiener_spec(sigma: float) -> GMSpec:
     """Driftless Wiener process with variance sigma^2 per unit time:
     m = 0, k1 = sigma^2 * t, k2 = 1."""
     s2 = sigma * sigma
-    return GMSpec(
-        m=lambda t: 0.0,
-        m_dot=lambda t: 0.0,
-        r=lambda t: s2 * t,
-        r_dot=lambda t: s2,
-        k2=lambda t: 1.0,
-        k2_dot=lambda t: 0.0,
-    )
+    return clock_spec(lambda t: s2 * t, lambda t: s2)
+
+
+@dataclass(frozen=True)
+class WienerCoord:
+    """A process seen from a start (x0, t0) as a driftless unit Wiener
+    process w, 0 at the start, in a clock R measured from t0.
+
+    clock(t), rate(t): R and R'.  to_coord(x, t), to_state(w, t): the state
+    map and its inverse.  line(b): (c, d) of a closed-form boundary b of the
+    process, whose image is w = c + d*R.  All take scalars or arrays.
+    """
+
+    clock: TimeFn
+    rate: TimeFn
+    to_coord: Callable
+    to_state: Callable
+    line: Callable
+
+    @property
+    def spec(self) -> GMSpec:
+        """The coordinate as a Gauss-Markov triple: m = 0, r = R, k2 = 1."""
+        return clock_spec(self.clock, self.rate)
 
 
 @dataclass(frozen=True)

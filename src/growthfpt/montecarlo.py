@@ -2,18 +2,22 @@
 
 Paths are advanced by exact transition sampling on a uniform grid, so the
 step size never biases the marginal laws; it only limits how finely boundary
-crossings are resolved.  That residual bias is removed by a within-step
-correction: in a coordinate where the process is a (possibly time-changed)
-Wiener process, a step pinned at (z_k, z_{k+1}) that stays on the start's
-side of a boundary at both grid times crosses it mid-step with probability
+crossings are resolved.  Every path lives in its process's Wiener
+coordinate from the start (process.coord): a unit Wiener process w from 0
+in the clock R, whose step variances are the differences of R on the grid.
+The estimators take the closed-form boundaries of the process, each a line
+c + d*R there (coord.line); any other boundary, or one of the other
+process, is a ConfigError.  The residual crossing bias is removed by a
+within-step correction: a step pinned at (w_k, w_{k+1}) that stays on the
+start's side of a boundary at both grid times crosses it mid-step with
+probability
 
     exp{-2 d_k d_{k+1} / var_step},
 
 where d_k and d_{k+1} are the distances to the boundary at the step's two
-grid times.  The boundary is taken as linear within the step, which is exact
-for every boundary family here (each is affine in the Wiener coordinate).
-Hits found this way are recorded at the step midpoint; hits visible at the
-grid points themselves are recorded at the right endpoint.
+grid times.  For a line this is exact, not only to first order.  Hits found
+this way are recorded at the step midpoint; hits visible at the grid points
+themselves are recorded at the right endpoint.
 
 simulate_paths returns whole paths.  One crossing detector (_first_hits),
 which steps its own paths, serves one boundary or two: estimate_fpt and
@@ -36,7 +40,6 @@ caps the pool (default: the CPUs this process may run on).
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,20 +47,19 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (BandCrossing, ConfigError, EmptySample, NonPositiveState,
-                     StartOnBoundary, StartOutsideBand)
-from .fpt import (AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary,
-                  affine_gm_boundary_fns, exp_boundary_fns)
-from .gm_core import on_grid
-from .growth_curve import _core, _g
-from .process_lognormal import LognormalProcess
-from .process_ou import OUProcess, int_g2
+from .errors import (BandCrossing, ConfigError, EmptySample, StartOnBoundary,
+                     StartOutsideBand)
+from .fpt import DensityCurve
+from .gm_core import WienerCoord
+from .growth_curve import _core
+from .process_lognormal import ExpBoundary, LognormalProcess
+from .process_ou import AffineGMBoundary, OUProcess
 
 CHUNK = 1024  # paths per random-stream chunk; fixed so results never depend on threads
 BLOCK0 = 16  # steps in an estimator's first time block; each later block doubles
 
 Process = Union[LognormalProcess, OUProcess]
-Boundary = Union[GeneralBoundary, ExpBoundary, AffineGMBoundary]
+Boundary = Union[ExpBoundary, AffineGMBoundary]
 
 
 @dataclass(frozen=True)
@@ -135,79 +137,19 @@ def _run_chunked(n_paths: int, worker: Callable[[int, int, int], None]) -> None:
             fut.result()
 
 
-def _grid(process: Process, cfg: SimConfig) -> np.ndarray:
+def _coordinate(process: Process, cfg: SimConfig
+                ) -> Tuple[np.ndarray, WienerCoord, np.ndarray]:
+    """(times, coord, R): the grid, the process's Wiener coordinate from its
+    start and the clock on the grid."""
     params = process.params
     n_steps = round(cfg.horizon / cfg.dt)
     t_star = _core(params).t_star
     if params.t0 + cfg.horizon >= t_star:
         raise ConfigError(
             f"horizon {cfg.horizon} reaches the domain end t_star={t_star}")
-    return params.t0 + cfg.dt * np.arange(n_steps + 1)
-
-
-def _wiener_coord_setup(process: Process, ts: np.ndarray
-                        ) -> Tuple[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Per-step setup of the internal Wiener coordinate.
-
-    Returns (coord0, step_std, to_state): the start value, the per-step
-    standard deviations of the coordinate increments, and a map taking a
-    (rows, n_times) coordinate block back to state space.
-
-    For the multiplicative process the coordinate is
-    z = ln x + ln g(t) - ln g(t0) + sigma^2 t / 2, whose increments are the
-    exact transition shocks sigma*sqrt(dt)*N; for the additive one it is
-    u = x * g(t), a Wiener process run in the intrinsic clock
-    r(t) = sigma^2 * int g^2.
-    """
-    params = process.params
-    g_arr = _g(params, ts)
-    if isinstance(process, LognormalProcess):
-        s2 = process.sigma ** 2
-        z0 = math.log(params.x0) + 0.5 * s2 * ts[0]
-        step_std = process.sigma * np.sqrt(np.diff(ts))
-        offs = np.log(g_arr) - math.log(g_arr[0]) + 0.5 * s2 * ts  # z = ln x + offs
-
-        def to_state(z: np.ndarray) -> np.ndarray:
-            return np.exp(z - offs[None, :])
-
-        return z0, step_std, to_state
-    # additive: u = x * g(t); increment variance = sigma^2 * int g^2 over the step
-    s2 = process.sigma ** 2
-    u0 = params.x0 * g_arr[0]
-    step_std = np.sqrt(s2 * np.diff(int_g2(params, ts)))
-
-    def to_state(u: np.ndarray) -> np.ndarray:
-        return u / g_arr[None, :]
-
-    return u0, step_std, to_state
-
-
-def _boundary_values(process: Process, boundary: Boundary, ts: np.ndarray) -> np.ndarray:
-    """State-space boundary values on the grid, one call per boundary."""
-    if isinstance(boundary, GeneralBoundary):
-        return on_grid(boundary.s, ts)
-    if isinstance(boundary, ExpBoundary):
-        if not isinstance(process, LognormalProcess):
-            raise ConfigError("ExpBoundary applies to the multiplicative process")
-        return exp_boundary_fns(process, boundary).s(ts)
-    if isinstance(boundary, AffineGMBoundary):
-        if not isinstance(process, OUProcess):
-            raise ConfigError("AffineGMBoundary applies to the additive process")
-        return affine_gm_boundary_fns(process, boundary, float(ts[0])).s(ts)
-    raise ConfigError(f"unsupported boundary type {type(boundary).__name__}")
-
-
-def _coord_boundary(process: Process, ts: np.ndarray, svals: np.ndarray) -> np.ndarray:
-    """Map state-space boundary values into the internal Wiener coordinate."""
-    g_arr = _g(process.params, ts)
-    if isinstance(process, LognormalProcess):
-        if np.any(svals <= 0.0):
-            raise NonPositiveState(
-                "boundary must stay positive for the multiplicative process")
-        s2 = process.sigma ** 2
-        return (np.log(svals) + np.log(g_arr) - math.log(g_arr[0])
-                + 0.5 * s2 * ts)
-    return svals * g_arr
+    ts = params.t0 + cfg.dt * np.arange(n_steps + 1)
+    coord = process.coord(params.x0, params.t0)
+    return ts, coord, coord.clock(ts)
 
 
 def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -217,31 +159,28 @@ def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.nda
     is x0 for every path.  For a fixed seed the ensemble is bit-identical
     regardless of thread count.
     """
-    ts = _grid(process, cfg)
-    coord0, step_std, to_state = _wiener_coord_setup(process, ts)
+    ts, coord, R = _coordinate(process, cfg)
+    step_std = np.sqrt(np.diff(R))
     out = np.empty((cfg.n_paths, ts.size))
 
     def worker(chunk_idx: int, start: int, rows: int) -> None:
         zn = _chunk_rng(cfg.seed, chunk_idx).standard_normal((CHUNK, step_std.size))[:rows]
-        z = np.empty((rows, ts.size))
-        z[:, 0] = coord0
-        z[:, 1:] = coord0 + np.cumsum(step_std[None, :] * zn, axis=1)
-        out[start:start + rows] = to_state(z)
+        w = np.zeros((rows, ts.size))
+        np.cumsum(step_std[None, :] * zn, axis=1, out=w[:, 1:])
+        out[start:start + rows] = coord.to_state(w, ts)
 
     _run_chunked(cfg.n_paths, worker)
     return ts, out
 
 
 def _setup(process: Process, boundaries: Sequence[Boundary], cfg: SimConfig
-           ) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """(times, b, coord0, step_std): the grid, the boundaries in the Wiener
-    coordinate (one row each), the start and the per-step standard
-    deviations."""
-    ts = _grid(process, cfg)
-    b = np.array([_coord_boundary(process, ts, _boundary_values(process, bnd, ts))
-                  for bnd in boundaries])
-    coord0, step_std, _ = _wiener_coord_setup(process, ts)
-    return ts, b, coord0, step_std
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, b, step_std): the grid, each boundary's line in the Wiener
+    coordinate on the grid (one row each) and the per-step standard
+    deviations; the coordinate starts at 0."""
+    ts, coord, R = _coordinate(process, cfg)
+    b = np.array([c + d * R for c, d in map(coord.line, boundaries)])
+    return ts, b, np.sqrt(np.diff(R))
 
 
 def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
@@ -320,10 +259,10 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
 def estimate_fpt(process: Process, boundary: Boundary, cfg: SimConfig
                  ) -> EmpiricalHittingSample:
     """Empirical first-passage sample against a single boundary."""
-    ts, b, coord0, step_std = _setup(process, [boundary], cfg)
-    if coord0 == b[0, 0]:
+    ts, b, step_std = _setup(process, [boundary], cfg)
+    if b[0, 0] == 0.0:
         raise StartOnBoundary("path starts exactly on the boundary")
-    return _first_hits(ts, b, coord0, step_std, cfg, None)
+    return _first_hits(ts, b, 0.0, step_std, cfg, None)
 
 
 def estimate_fet(process: Process, s1: Boundary, s2: Boundary, cfg: SimConfig
@@ -333,12 +272,12 @@ def estimate_fet(process: Process, s1: Boundary, s2: Boundary, cfg: SimConfig
     Each boundary gets its own bridge correction; the lower one wins a tie
     within a step.
     """
-    ts, b, coord0, step_std = _setup(process, [s1, s2], cfg)
+    ts, b, step_std = _setup(process, [s1, s2], cfg)
     if np.any(b[0] >= b[1]):
         raise BandCrossing("lower boundary meets or exceeds the upper one")
-    if not (b[0, 0] < coord0 < b[1, 0]):
+    if not (b[0, 0] < 0.0 < b[1, 0]):
         raise StartOutsideBand("path starts on or outside the band")
-    return _first_hits(ts, b, coord0, step_std, cfg, ("lower", "upper"))
+    return _first_hits(ts, b, 0.0, step_std, cfg, ("lower", "upper"))
 
 
 def density_distance(empirical: EmpiricalHittingSample, analytic: DensityCurve,

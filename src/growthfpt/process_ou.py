@@ -14,7 +14,8 @@ printed formula (and the Monte Carlo suite re-checks it).
 
 As a Gauss-Markov triple the process has m = 0, k2 = 1/g and
 k1 = sigma^2 * k2(t) * P(t) with P(t) = int_{t0}^t g(u)^2 du, so its
-intrinsic clock is r = sigma^2 * P with r' = sigma^2 * g^2.  int_g2 reads P
+intrinsic clock is r = sigma^2 * P with r' = sigma^2 * g^2; in it x*g is a
+driftless Wiener process (OUProcess.coord).  int_g2 reads P
 on a whole grid of times in one call: composite 16-point Gauss-Legendre
 panels no wider than PANEL_WIDTH, one vectorised evaluation of g at every
 node and one cumulative sum.  The tests hold it to 1e-12 relative error against adaptive
@@ -29,13 +30,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParams, OrderError
-from .gm_core import GMSpec, TransitionLaw
+from .errors import ConfigError, DomainError, InvalidParams, OrderError
+from .gm_core import GMSpec, TransitionLaw, WienerCoord
 from .growth_curve import GrowthParams, _as_out, _check_times, _core, _g, h_eval
 
 PANEL_WIDTH = 0.5
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PANEL_BLOCK = 1024  # panels per evaluation of g: keeps the node arrays small
+
+
+@dataclass(frozen=True)
+class AffineGMBoundary:
+    """Boundary (1/g(t)) * {A + B*sigma^2*int_{t0}^t g(u)^2 du} for the
+    additive-noise process, anchored at the start time t0; a Daniels
+    boundary of its Gauss-Markov triple.
+
+    With B = 0 and A = nu * x0 * g(t0) this is nu times the conditional mean.
+    """
+
+    A: float
+    B: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -46,6 +60,38 @@ class OUProcess:
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0):
             raise InvalidParams(f"sigma must be > 0, got {self.sigma}")
+
+    def coord(self, x0: float, t0: float) -> WienerCoord:
+        """The Wiener coordinate from the start (x0, t0):
+
+            w = x g(t) - x0 g(t0),   R = sigma^2 int_{t0}^t g^2,  R' = sigma^2 g^2,
+
+        in which an AffineGMBoundary is the line c = A - x0 g(t0), d = B.
+        """
+        params = self.params
+        s2 = self.sigma * self.sigma
+        p0 = int_g2(params, t0)
+        w0 = x0 * _g(params, t0)
+
+        def rate(t):
+            g = _g(params, t)
+            return s2 * g * g
+
+        def line(b):
+            if not isinstance(b, AffineGMBoundary):
+                raise ConfigError(f"{type(b).__name__} is not a closed-form "
+                                  "boundary of the additive process")
+            return b.A - w0, b.B
+
+        return WienerCoord(
+            clock=lambda t: s2 * (int_g2(params, t) - p0), rate=rate,
+            to_coord=lambda x, t: _as_out(np.asarray(x, dtype=float) * _g(params, t) - w0),
+            to_state=lambda w, t: _as_out((w + w0) / _g(params, t)), line=line)
+
+    def mean_boundary(self, nu: float) -> AffineGMBoundary:
+        """nu times the conditional mean from the start of params."""
+        params = self.params
+        return AffineGMBoundary(A=nu * params.x0 * _g(params, params.t0))
 
 
 def int_g2(params: GrowthParams, ts):
@@ -98,26 +144,16 @@ def transition_law_G(proc: OUProcess, y: float, tau: float, t: float) -> Transit
 def gm_spec_G(proc: OUProcess) -> GMSpec:
     """Gauss-Markov triple of the additive-noise process.
 
-    k2 = 1/g with k2' = h/g, and the clock r = sigma^2 P, where P = int_g2 is
-    the prefix integral of g^2 from t0, with r' = sigma^2 g^2.  Every callable
-    takes a scalar or an array of times; only r reads the Gauss-Legendre
-    table of int_g2, so evaluating the spec reads it once.
+    k2 = 1/g with k2' = h/g, and the clock r and r' of coord from the start
+    of params.  Every callable takes a scalar or an array of times; only r
+    reads the Gauss-Legendre table of int_g2, so evaluating the spec reads
+    it once.
     """
     params = proc.params
-    s2 = proc.sigma * proc.sigma
-
-    def r_dot(t):
-        g = _g(params, t)
-        return s2 * g * g
-
-    return GMSpec(
-        m=lambda t: 0.0,
-        m_dot=lambda t: 0.0,
-        r=lambda t: s2 * int_g2(params, t),
-        r_dot=r_dot,
-        k2=lambda t: 1.0 / _g(params, t),
-        k2_dot=lambda t: h_eval(params, t) / _g(params, t),
-    )
+    coord = proc.coord(params.x0, params.t0)
+    return GMSpec(m=lambda t: 0.0, m_dot=lambda t: 0.0, r=coord.clock, r_dot=coord.rate,
+                  k2=lambda t: 1.0 / _g(params, t),
+                  k2_dot=lambda t: h_eval(params, t) / _g(params, t))
 
 
 def sample_transition_G(proc: OUProcess, y: float, tau: float, t: float,

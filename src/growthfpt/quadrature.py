@@ -1,11 +1,10 @@
-"""Adaptive Simpson quadrature with prefix accumulation over grids."""
+"""Adaptive Simpson quadrature, the oracle the tests and validate hold the
+vectorised clock and the closed-form masses to."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable
 
 from .errors import GridError, NoConvergence
 
@@ -67,22 +66,3 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     tol = max(spec.abs_tol, spec.rel_tol * abs(whole))
     return _adaptive(f, a, b, fa, fm, fb, whole, tol, 0, spec.max_depth)
 
-
-def prefix_integrals(f: Callable[[float], float], grid: Sequence[float],
-                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
-    """Cumulative integrals I(t_i) = int_{t_0}^{t_i} f along an increasing grid.
-
-    Each segment is integrated adaptively, so differences of consecutive
-    prefix values agree with integrate_adaptive on that segment.
-    """
-    ts = np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise GridError("grid must be a non-empty 1-d sequence of times")
-    if ts.size > 1 and not np.all(np.diff(ts) > 0.0):
-        raise GridError("grid must be strictly increasing")
-    out = np.zeros_like(ts)
-    total = 0.0
-    for i in range(1, ts.size):
-        total += integrate_adaptive(f, ts[i - 1], ts[i], spec)
-        out[i] = total
-    return out

@@ -11,7 +11,7 @@ from growthfpt import (AffineGMBoundary, DanielsBoundary, DensityCurve,
                        integrate_adaptive, to_wiener_spec, volterra_fpt,
                        wiener_spec)
 from growthfpt.fpt import affine_gm_boundary_fns, exp_boundary_fns
-from growthfpt.growth_curve import _g
+from growthfpt.growth_curve import _g, h_eval
 
 from conftest import BASE
 
@@ -76,7 +76,7 @@ class TestClosedFormGM:
         d1 = (bnd.B + 0.5 * s2) / s2
         d2 = math.log(bnd.A)
         z0 = transform(2.0, 1.0)
-        fns = exp_boundary_fns(proc, bnd)
+        fns = exp_boundary_fns(proc, bnd, params.t0)
         assert fns.s(1.0) == pytest.approx(bnd.A * math.exp(bnd.B), rel=1e-12)
         for t in (2.0, 10.0, 60.0):
             a = fpt_pdf_lognormal(proc, bnd, 2.0, 1.0, t)
@@ -115,10 +115,27 @@ class TestClosedFormLognormal:
 
     def test_boundary_functions_track_the_mean_proportion(self):
         proc = LognormalProcess(PARAMS, 0.02)
-        fns = exp_boundary_fns(proc, ExpBoundary(A=0.8))
+        fns = exp_boundary_fns(proc, ExpBoundary(A=0.8), PARAMS.t0)
         for t in (0.0, 1.0, 10.0):
             expected = 0.8 * _g(PARAMS, 0.0) / _g(PARAMS, t)
             assert fns.s(t) == pytest.approx(expected, rel=1e-12)
+
+    def test_volterra_on_the_log_image_from_a_late_start(self):
+        # the boundary is anchored at the start t0 = 3, not at t0 of the
+        # curve: its log image is the line the closed form uses, so Volterra
+        # on that image reproduces the closed form
+        proc = LognormalProcess(PARAMS, 0.1)
+        bnd, t0 = ExpBoundary(A=0.8), 3.0
+        spec, transform, _ = to_wiener_spec(proc)
+        fns = exp_boundary_fns(proc, bnd, t0)
+        image = GeneralBoundary(
+            s=lambda t: transform(fns.s(t), t),
+            s_dot=lambda t: fns.s_dot(t) / fns.s(t) - h_eval(PARAMS, t) + 0.005)
+        grid = np.linspace(t0, t0 + 60.0, 1201)
+        curve = volterra_fpt(spec, image, transform(1.0, t0), t0, grid)
+        closed = fpt_pdf_lognormal(proc, bnd, 1.0, t0, grid[1:])
+        assert np.max(np.abs(curve.values[1:] - closed)) <= 1e-12 * closed.max()
+        assert curve.mass > 0.8
 
 
 class TestClosedFormOU:
@@ -174,6 +191,32 @@ class TestClosedFormOU:
                              2.0, 1.0, grid)
         closed = np.array([fpt_pdf_ou(proc, bnd, 2.0, 1.0, t) for t in grid[1:]])
         assert np.max(np.abs(curve.values[1:] - closed)) < 1e-12
+
+
+def _tilted_offset_case(family):
+    """(process, boundary, fns) at the offset start (x0, t0) = (2, 1) with
+    a tilted boundary of the family."""
+    params = GrowthParams(gamma=0.5, n=1.0, p=1.5, k=20.0, x0=2.0, t0=1.0)
+    if family == "multiplicative":
+        proc = LognormalProcess(params, 0.03)
+        bnd = ExpBoundary(A=0.8 * 2.0 * math.exp(-0.002), B=0.002)
+        return proc, bnd, exp_boundary_fns(proc, bnd, 1.0)
+    proc = OUProcess(params, 0.1)
+    bnd = AffineGMBoundary(A=0.8 * 2.0 * _g(params, 1.0), B=0.05)
+    return proc, bnd, affine_gm_boundary_fns(proc, bnd, 1.0)
+
+
+@pytest.mark.parametrize("family", ["multiplicative", "additive"])
+def test_line_pins_the_state_space_forms(family):
+    # the state-space boundary maps onto its line c + d*R, and the state
+    # map and its inverse undo each other, from a start off both anchors
+    proc, bnd, fns = _tilted_offset_case(family)
+    coord = proc.coord(2.5, 1.0)
+    ts = np.linspace(1.0, 21.0, 201)
+    c, d = coord.line(bnd)
+    assert np.max(np.abs(coord.to_coord(fns.s(ts), ts) - (c + d * coord.clock(ts)))) <= 1e-12
+    xs = np.linspace(0.5, 4.0, 201)
+    assert np.max(np.abs(coord.to_state(coord.to_coord(xs, ts), ts) - xs)) <= 1e-12
 
 
 class TestVolterraSolver:

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import norm
 
 from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
-                       EmptySample, ExpBoundary,
+                       EmptySample, ExpBoundary, GeneralBoundary,
                        GrowthParams, LognormalProcess, OUProcess, SimConfig,
                        StartOutsideBand, density_distance, estimate_fet,
                        estimate_fpt, fpt_pdf_lognormal, integrate_adaptive,
@@ -195,6 +195,24 @@ class TestEstimateFPT:
             lambda t: fpt_pdf_lognormal(proc, bnd, 2.0, 1.0, t), grid, 1.0)
         _, ks = density_distance(sample, curve)
         assert ks < 0.01
+
+
+@pytest.mark.parametrize("case", ["exp_on_ou", "affine_on_lognormal", "general"])
+@pytest.mark.parametrize("estimate", ["fpt", "fet"])
+def test_estimators_take_only_the_process_lines(case, estimate):
+    # the bridge is exact for the lines of the process's own boundary family
+    # and for nothing else
+    proc = {"exp_on_ou": OUProcess, "affine_on_lognormal": LognormalProcess,
+            "general": LognormalProcess}[case](PARAMS, 0.1)
+    bnd = {"exp_on_ou": ExpBoundary(A=0.8),
+           "affine_on_lognormal": AffineGMBoundary(A=0.8 * _g(PARAMS, 0.0)),
+           "general": GeneralBoundary(s=lambda t: 0.8, s_dot=lambda t: 0.0)}[case]
+    cfg = SimConfig(dt=0.5, horizon=5.0, n_paths=10, seed=0)
+    with pytest.raises(ConfigError):
+        if estimate == "fpt":
+            estimate_fpt(proc, bnd, cfg)
+        else:
+            estimate_fet(proc, bnd, bnd, cfg)
 
 
 class TestEstimateFET:

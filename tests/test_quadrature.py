@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from growthfpt import (GridError, GrowthParams, NoConvergence, QuadratureSpec,
-                       integrate_adaptive, prefix_integrals)
+                       integrate_adaptive)
 from growthfpt.growth_curve import _g
 
 from conftest import BASE
@@ -63,36 +63,3 @@ def test_tolerance_tightening_never_worse():
         spec = QuadratureSpec(rel_tol=rt, abs_tol=1e-16)
         errs.append(abs(integrate_adaptive(f, 0.0, 1.0, spec) - exact))
     assert all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
-
-
-class TestPrefixIntegrals:
-    def test_singleton_grid(self):
-        out = prefix_integrals(math.exp, [2.0])
-        assert out.shape == (1,)
-        assert out[0] == 0.0
-
-    def test_differences_match_segments(self):
-        grid = np.linspace(0.0, 3.0, 17)
-        f = lambda t: 1.0 / (1.0 + t * t)
-        out = prefix_integrals(f, grid)
-        for i in range(1, grid.size):
-            seg = integrate_adaptive(f, grid[i - 1], grid[i])
-            assert out[i] - out[i - 1] == pytest.approx(seg, rel=1e-10, abs=1e-14)
-
-    def test_dense_grid_matches_pointwise_calls(self):
-        params = GrowthParams(p=1.5, **BASE)
-        f = lambda u: _g(params, u) ** 2
-        grid = np.linspace(0.0, 5.0, 1001)
-        out = prefix_integrals(f, grid)
-        for i in (1, 137, 500, 1000):
-            direct = integrate_adaptive(f, 0.0, grid[i])
-            assert abs(out[i] - direct) <= 1e-9
-
-    def test_positive_integrand_strictly_increasing(self):
-        grid = np.linspace(0.0, 2.0, 101)
-        out = prefix_integrals(lambda t: 0.1 + t * t, grid)
-        assert np.all(np.diff(out) > 0.0)
-
-    def test_non_monotone_grid_rejected(self):
-        with pytest.raises(GridError):
-            prefix_integrals(math.exp, [0.0, 1.0, 0.5])
