@@ -25,17 +25,26 @@ estimate_fet are thin wrappers that differ only in their checks of the start
 and in whether they report exit sides.  Within a step the first boundary
 given (the lower one of a band) wins a tie.
 
-Randomness is organised in fixed-size chunks of paths: chunk c draws from a
-counter-based generator keyed by (seed, c).  simulate_paths draws the
-chunk's whole Gaussian block, one fixed row per path.  The estimators step a
-chunk in time blocks (BLOCK0 steps, then twice as many each block; a
-remainder shorter than the current block joins it) and stop simulating a
-path once it has hit: each block draws a Gaussian block for the paths still
-running, then one uniform block per boundary in the order the boundaries are
-given.  Which paths run depends only on the chunk's earlier draws, so every
-layout is a pure function of (seed, chunk) and ensembles are bit-identical
-for a given seed no matter how many worker threads run; GROWTHFPT_THREADS
-caps the pool (default: the CPUs this process may run on).
+Randomness is organised in fixed-size chunks of paths: chunk c draws from an
+SFC64 generator seeded by SeedSequence([seed, c]) (the seed masked to 64
+bits), so each chunk's stream is a pure function of (seed, c).
+simulate_paths draws the chunk's whole Gaussian block, one fixed row per
+path.  The estimators step a chunk in time blocks (BLOCK0 steps, then twice
+as many each block; a remainder shorter than the current block joins it) and
+stop simulating a path once it has hit: each block draws a Gaussian block for
+the paths still running, then one uniform block per boundary in the order the
+boundaries are given.  Which paths run depends only on the chunk's earlier
+draws, so ensembles are bit-identical for a given seed no matter how many
+worker threads run; GROWTHFPT_THREADS caps the pool (default: the CPUs this
+process may run on).
+
+A block step allocates nothing of the block's size: each worker takes flat
+scratch buffers once per chunk, sized for the widest block, and views them per
+block.  Draws land in them with out=, and the distances, their clipped
+product, the exponent and the event test are formed in place.  A step whose
+right end is at or past a boundary needs no test of its own: its clipped
+product is 0, so its crossing probability is exp(-0.0) = 1, above every
+uniform draw.
 """
 
 from __future__ import annotations
@@ -120,8 +129,8 @@ def _chunks(n_paths: int) -> Sequence[Tuple[int, int, int]]:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, chunk_index]))
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, chunk_index])))
 
 
 def _run_chunked(n_paths: int, worker: Callable[[int, int, int], None]) -> None:
@@ -164,7 +173,7 @@ def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.nda
     out = np.empty((cfg.n_paths, ts.size))
 
     def worker(chunk_idx: int, start: int, rows: int) -> None:
-        zn = _chunk_rng(cfg.seed, chunk_idx).standard_normal((CHUNK, step_std.size))[:rows]
+        zn = _chunk_rng(cfg.seed, chunk_idx).standard_normal((rows, step_std.size))
         w = np.zeros((rows, ts.size))
         np.cumsum(step_std[None, :] * zn, axis=1, out=w[:, 1:])
         out[start:start + rows] = coord.to_state(w, ts)
@@ -183,6 +192,17 @@ def _setup(process: Process, boundaries: Sequence[Boundary], cfg: SimConfig
     return ts, b, np.sqrt(np.diff(R))
 
 
+def _block_edges(n_steps: int) -> list[int]:
+    """Step indices that bound the time blocks: BLOCK0 steps, then twice as
+    many each block; a remainder shorter than the current block joins it."""
+    edges, width = [0], BLOCK0
+    while edges[-1] < n_steps:
+        k1 = edges[-1] + width
+        edges.append(n_steps if n_steps - k1 < width else k1)
+        width *= 2
+    return edges
+
+
 def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
                 step_std: np.ndarray, cfg: SimConfig,
                 side_names: Optional[Sequence[str]]) -> EmpiricalHittingSample:
@@ -195,44 +215,58 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
     dt = ts[1] - ts[0]
     rate = -2.0 / step_std ** 2
     above = b[:, 0] > coord0
+    edges = _block_edges(n_steps)
+    widest = max(k1 - k0 for k0, k1 in zip(edges, edges[1:]))
     hit_time = np.full(cfg.n_paths, np.nan)
     hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
 
     def worker(chunk_idx: int, start: int, rows: int) -> None:
         rng = _chunk_rng(cfg.seed, chunk_idx)
+        # scratch for every block of the chunk: path values and distances at
+        # the grid times, then per step the draws, exponents and events
+        z_buf, d_buf = np.empty(rows * (widest + 1)), np.empty(rows * (widest + 1))
+        g_buf, u_buf = np.empty(rows * widest), np.empty(rows * widest)
+        ev_buf = np.empty(rows * widest, dtype=bool)
         live = np.arange(start, start + rows)  # indices of the paths still running
         z_end = np.full(rows, coord0)
-        k0, width = 0, BLOCK0
-        while live.size and k0 < n_steps:
-            k1 = k0 + width
-            if n_steps - k1 < width:  # a shorter remainder joins this block
-                k1 = n_steps
+        for k0, k1 in zip(edges, edges[1:]):
+            if not live.size:
+                break
             n, m = live.size, k1 - k0
-            z = np.empty((n, m + 1))
+            z = z_buf[:n * (m + 1)].reshape(n, m + 1)
+            d = d_buf[:n * (m + 1)].reshape(n, m + 1)
+            g, u = g_buf[:n * m].reshape(n, m), u_buf[:n * m].reshape(n, m)
+            ev = ev_buf[:n * m].reshape(n, m)
             z[:, 0] = z_end
-            np.multiply(step_std[k0:k1], rng.standard_normal((n, m)), out=z[:, 1:])
+            rng.standard_normal(out=g)
+            np.multiply(step_std[k0:k1], g, out=z[:, 1:])
             np.cumsum(z, axis=1, out=z)
             first = np.full(n, m)  # step in the block of the earliest event so far
             side = np.full(n, -1)
             direct_at = np.zeros(n, dtype=bool)
             for a in range(b.shape[0]):
                 # distances to boundary a on the start's side, at the grid times
-                d = b[a, k0:k1 + 1] - z if above[a] else z - b[a, k0:k1 + 1]
-                direct = d[:, 1:] <= 0.0
-                ev = direct
+                if above[a]:
+                    np.subtract(b[a, k0:k1 + 1], z, out=d)
+                else:
+                    np.subtract(z, b[a, k0:k1 + 1], out=d)
                 if cfg.bridge_correction:
-                    un = rng.random((n, m))
-                    # p = exp(-2 max(d_k, 0) max(d_{k+1}, 0) / var_step)
+                    rng.random(out=u)
+                    # p = exp(-2 max(d_k, 0) max(d_{k+1}, 0) / var_step), which
+                    # is 1 where the step ends on or past the boundary
                     np.maximum(d, 0.0, out=d)
-                    p = d[:, :-1] * d[:, 1:]
-                    p *= rate[k0:k1]
-                    ev = un < np.exp(p, out=p)
-                    ev |= direct
-                idx = np.where(ev.any(axis=1), np.argmax(ev, axis=1), m)
-                earlier = idx < first
+                    np.multiply(d[:, :-1], d[:, 1:], out=g)
+                    g *= rate[k0:k1]
+                    np.exp(g, out=g)
+                    np.less(u, g, out=ev)
+                else:
+                    np.less_equal(d[:, 1:], 0.0, out=ev)
+                idx = np.argmax(ev, axis=1)
+                earlier = np.flatnonzero((idx < first) & ev[np.arange(n), idx])
                 first[earlier] = idx[earlier]
                 side[earlier] = a
-                direct_at[earlier] = direct[earlier, idx[earlier]]
+                # a direct hit ends on or past the boundary (clipped: at 0)
+                direct_at[earlier] = d[earlier, idx[earlier] + 1] <= 0.0
             hit = side >= 0
             done, k = live[hit], k0 + first[hit]
             # midpoint for bridge hits, right endpoint for direct ones
@@ -240,7 +274,6 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
                                       ts[0] + k * dt + 0.5 * dt)
             hit_side[done] = side[hit]
             live, z_end = live[~hit], z[~hit, -1]
-            k0, width = k1, 2 * width
 
     _run_chunked(cfg.n_paths, worker)
     mask = ~np.isnan(hit_time)

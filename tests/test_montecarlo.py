@@ -13,7 +13,7 @@ from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        simulate_paths, transition_law_G, transition_law_L,
                        x_eval)
 from growthfpt.growth_curve import _g
-from growthfpt.montecarlo import BLOCK0, CHUNK, EmpiricalHittingSample
+from growthfpt.montecarlo import BLOCK0, CHUNK, EmpiricalHittingSample, _chunk_rng
 
 from conftest import BASE
 
@@ -56,6 +56,26 @@ class TestSimulatePaths:
             assert np.array_equal(a.exit_sides, b.exit_sides)
         assert np.array_equal(a.hit_times, b.hit_times)
         assert a.censored_count == b.censored_count
+
+    def test_partial_last_chunk_is_a_prefix(self):
+        # a chunk's rows are a fixed prefix of its stream, whatever the rows
+        proc = LognormalProcess(PARAMS, 0.1)
+        short = simulate_paths(proc, SimConfig(dt=0.25, horizon=5.0, n_paths=1500, seed=4))[1]
+        full = simulate_paths(proc, SimConfig(dt=0.25, horizon=5.0, n_paths=2048, seed=4))[1]
+        assert np.array_equal(short, full[:1500])
+
+    def test_chunk_streams_keyed_by_seed_and_chunk(self):
+        def draws(seed, chunk):
+            return _chunk_rng(seed, chunk).standard_normal(8)
+
+        assert np.array_equal(draws(5, 3), draws(5, 3))
+        assert not np.array_equal(draws(1, 0), draws(1, 1))
+        assert not np.array_equal(draws(1, 0), draws(2, 0))
+        # a negative seed is masked to 64 bits
+        assert np.array_equal(draws(-1, 0), draws(2 ** 64 - 1, 0))
+        proc = LognormalProcess(PARAMS, 0.1)
+        cfg = SimConfig(dt=0.5, horizon=5.0, n_paths=10, seed=-7)
+        assert np.array_equal(simulate_paths(proc, cfg)[1], simulate_paths(proc, cfg)[1])
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="the platform reports no CPU affinity")
@@ -152,6 +172,17 @@ class TestEstimateFPT:
         err_on = abs(frac_on.hit_times.size / 40_000 - target)
         err_off = abs(frac_off.hit_times.size / 40_000 - target)
         assert err_on < err_off
+
+    def test_without_bridge_hits_are_grid_times(self):
+        # only crossings seen at the grid points count, at the step's right end
+        proc = LognormalProcess(PARAMS, 0.05)
+        cfg = SimConfig(dt=0.5, horizon=40.0, n_paths=3000, seed=17,
+                        bridge_correction=False)
+        t = estimate_fpt(proc, ExpBoundary(A=0.9), cfg).hit_times
+        assert t.size > 100
+        steps = (t - PARAMS.t0) / cfg.dt
+        assert np.allclose(steps, np.round(steps), rtol=0.0, atol=1e-9)
+        assert np.all(np.round(steps) >= 1)
 
     @pytest.mark.parametrize("A,B", [(0.8, -0.1), (1.25, 0.1)])
     @pytest.mark.parametrize("dt", [1.0, 0.5])
