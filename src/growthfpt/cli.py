@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import GrowthFPTError, ParseError, ValidationError
 from .fet import BandSpec, fet_pdf_gm_closed, volterra_fet
-from .fpt import DensityCurve, GeneralBoundary, fpt_pdf_gm_closed, volterra_fpt
-from .gm_core import DanielsBoundary, GMSpec, daniels_boundary_fns
+from .fpt import DensityCurve, fpt_pdf_gm_closed, volterra_fpt
+from .gm_core import DanielsBoundary, GMSpec
 from .growth_curve import (GrowthParams, classify_regime, domain_end, g_eval,
                            h_eval, x_eval)
 from .montecarlo import SimConfig, estimate_fet, estimate_fpt, simulate_paths
@@ -250,7 +250,7 @@ class _Problem:
     bounds: List            # the process's closed-form boundaries, from x0
     pdf: Callable           # closed-form density as a function of time
     spec: GMSpec            # the Wiener coordinate from the start, for Volterra
-    lines: List[GeneralBoundary]  # the boundaries there; the start is 0
+    lines: List[DanielsBoundary]  # the boundaries there, c + d*R; the start is 0
 
 
 def _problem(cfg: RunConfig, command: str) -> _Problem:
@@ -275,8 +275,7 @@ def _problem(cfg: RunConfig, command: str) -> _Problem:
     else:
         band = BandSpec(c1=lines[0][0], c=0.0, c2=lines[1][0])
         pdf = partial(fet_pdf_gm_closed, spec, lines[0][1], band, 0.0, t0)
-    spec_lines = [GeneralBoundary(*daniels_boundary_fns(spec, b)) for b in daniels]
-    return _Problem(bounds, pdf, spec, spec_lines)
+    return _Problem(bounds, pdf, spec, daniels)
 
 
 def _cmd_density(cfg: RunConfig, out: Path, command: str) -> int:

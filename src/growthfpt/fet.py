@@ -35,7 +35,8 @@ overflow, and no density is negative, however long the time.
 
 For general C^1 bands the pair (gamma1, gamma2) of exit-through-lower /
 exit-through-upper densities solves a coupled system of second-kind Volterra
-equations with the passage equation's kernel.  It is solved by the
+equations with the passage equation's kernel.  volterra_fet maps the band
+into the Wiener coordinate (gm_core.to_clock) and solves it there with the
 single-boundary solver itself (fpt._volterra), given both boundaries with
 side signs +1 (lower) and -1 (upper).
 """
@@ -51,7 +52,8 @@ import numpy as np
 from .errors import BandCrossing, InvalidParams, OrderError, StartOutsideBand
 from .fpt import (DensityCurve, GeneralBoundary, _after, _before_end,
                   _solver_grid, _volterra)
-from .gm_core import GMSpec, WienerCoord, evaluate, on_grid, r_ratio
+from .gm_core import (DanielsBoundary, GMSpec, WienerCoord, evaluate, r_ratio,
+                      to_clock)
 from .growth_curve import _as_out, _g
 from .process_lognormal import ExpBoundary, LognormalProcess
 from .process_ou import AffineGMBoundary, OUProcess
@@ -233,24 +235,20 @@ def fet_pdf_ou_band(proc: OUProcess, c1: float, c: float, c2: float, B: float,
     return _coord_band_pdf(proc.coord(c * x0, t0), lower, upper, t)
 
 
-def volterra_fet(spec: GMSpec, s1: GeneralBoundary, s2: GeneralBoundary,
-                 x0: float, t0: float, grid: np.ndarray
-                 ) -> Tuple[DensityCurve, DensityCurve, DensityCurve]:
-    """Coupled product-integration solution for a general C^1 band.
+def volterra_fet(spec: GMSpec, s1: GeneralBoundary | DanielsBoundary,
+                 s2: GeneralBoundary | DanielsBoundary, x0: float, t0: float,
+                 grid: np.ndarray) -> Tuple[DensityCurve, DensityCurve, DensityCurve]:
+    """Coupled product-integration solution for a general C^1 band, each
+    boundary given by callables or as a Daniels line of the spec.
 
     Returns (gamma1, gamma2, gamma): exit-through-lower, exit-through-upper,
     and their sum, on the supplied uniform grid starting at t0.
     """
     grid, h = _solver_grid(grid, t0)
-    s = np.array([on_grid(s1.s, grid), on_grid(s2.s, grid)])
-    if np.any(s[0] >= s[1]):
+    r, rate, S, S_dot, y0 = to_clock(spec, [s1, s2], x0, grid)
+    if np.any(S[0] >= S[1]):
         raise BandCrossing("lower boundary meets or exceeds the upper one")
-    if not (s[0, 0] < x0 < s[1, 0]):
-        raise StartOutsideBand(
-            f"x0={x0} not inside ({s[0, 0]}, {s[1, 0]}) at t0")
-    s_dot = np.array([on_grid(s1.s_dot, grid), on_grid(s2.s_dot, grid)])
-    g1, g2 = _volterra(spec, s, s_dot, x0, grid, h)
-    lower = DensityCurve(times=grid, values=g1)
-    upper = DensityCurve(times=grid, values=g2)
-    total = DensityCurve(times=grid, values=g1 + g2)
-    return lower, upper, total
+    if not (S[0, 0] < y0 < S[1, 0]):
+        raise StartOutsideBand(f"x0={x0} not inside the band at t0")
+    g1, g2 = _volterra(r, rate, S, S_dot, y0, h)
+    return tuple(DensityCurve(times=grid, values=v) for v in (g1, g2, g1 + g2))

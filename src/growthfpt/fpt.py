@@ -22,12 +22,13 @@ second-kind Volterra equation
     g(t) = 2*sign * [Psi(t | x0, t0) - int_{t0}^t g(tau) * Psi(t | s(tau), tau) dtau],
 
 with sign = +1 for a boundary below the start and -1 for one above it, so
-no reflection of state space is needed.  It is discretized with left
-rectangles so the kernel diagonal is never touched; the scheme is
+no reflection of state space is needed.  volterra_fpt and volterra_fet map
+the problem into the Wiener coordinate (gm_core.to_clock), where the density
+is the same, and the one private solver, `_volterra`, works there from the
+clock alone: with left rectangles, so the kernel diagonal is never touched,
 first-order accurate in the step (faster in practice because the kernel
-itself vanishes on the diagonal).  The same private solver, `_volterra`,
-serves the two-boundary system of fet with one sign per boundary, and both
-evaluate the one kernel, gm_core.psi.
+itself vanishes on the diagonal).  It serves the two-boundary system of fet
+with one sign per boundary, and evaluates the one kernel, gm_core.psi.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DomainError, GridError, OrderError, StartOnBoundary)
-from .gm_core import (DanielsBoundary, GMSpec, TimeFn, evaluate, on_grid, psi)
+from .gm_core import (_SQRT2PI, DanielsBoundary, GMSpec, TimeFn, evaluate, psi,
+                      to_clock)
 from .growth_curve import _as_out, _core, _g, h_eval
 from .process_lognormal import ExpBoundary, LognormalProcess
 from .process_ou import AffineGMBoundary, OUProcess
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -224,47 +224,47 @@ def _solver_grid(grid, t0: float):
     return grid, float(h)
 
 
-def _volterra(spec: GMSpec, s: np.ndarray, s_dot: np.ndarray, x0: float,
-              grid: np.ndarray, h: float) -> np.ndarray:
-    """Passage densities through each of B boundaries before the others.
+def _volterra(r: np.ndarray, rate: np.ndarray, S: np.ndarray,
+              S_dot: np.ndarray, y0: float, h: float) -> np.ndarray:
+    """Passage densities through each of B boundaries before the others, of
+    a unit Wiener process from y0 in the clock r (rate r' on the grid).
 
-    s and s_dot hold the boundaries on the grid, one row each.  With
-    sign_b = +1 for a boundary below x0 and -1 for one above it,
+    S and S_dot hold the boundaries on the grid, one row each.  With
+    sign_b = +1 for a boundary below y0 and -1 for one above it,
 
-        dens[b, k] = 2 sign_b (Psi_b(t_k | x0, t0)
-                               - h sum_a sum_{0<j<k} dens[a, j] Psi_b(t_k | s_a(t_j), t_j)).
+        dens[b, k] = 2 sign_b (Psi_b(t_k | y0, t0)
+                               - h sum_a sum_{0<j<k} dens[a, j] Psi_b(t_k | S_a(t_j), t_j)).
 
     The sources are ordered by time, then boundary, with the start as
     source 0 of weight 1, so the sources before t_k are a prefix and each
     step makes one kernel call per boundary.  Returns dens, shape (B, K).
     """
-    at = evaluate(spec, grid)
-    B, K = s.shape
-    sign = np.where(s[:, 0] < x0, 1.0, -1.0)
-    y = np.concatenate(([x0], s[:, 1:].T.ravel()))
-    j = np.concatenate(([0], np.repeat(np.arange(1, K), B)))
+    B, K = S.shape
+    sign = np.where(S[:, 0] < y0, 1.0, -1.0)
+    y = np.concatenate(([y0], S[:, 1:].T.ravel()))
+    r_src = r[np.concatenate(([0], np.repeat(np.arange(1, K), B)))]
     weight = np.zeros(y.size)
     weight[0] = 1.0
     dens = np.zeros((B, K))
     for k in range(1, K):
         n = 1 + B * (k - 1)
+        dR = r[k] - r_src[:n]
         for b in range(B):
-            row = psi(at, k, s[b, k], s_dot[b, k], y[:n], j[:n])
+            row = psi(dR, rate[k], S[b, k], S_dot[b, k], y[:n])
             dens[b, k] = 2.0 * sign[b] * float(np.dot(weight[:n], row))
         weight[n:n + B] = -h * dens[:, k]
     return dens
 
 
-def volterra_fpt(spec: GMSpec, s: GeneralBoundary, x0: float, t0: float,
-                 grid: np.ndarray) -> DensityCurve:
+def volterra_fpt(spec: GMSpec, s: GeneralBoundary | DanielsBoundary, x0: float,
+                 t0: float, grid: np.ndarray) -> DensityCurve:
     """Product-integration solution of the passage-density Volterra equation
-    on a uniform grid starting at t0.
-
-    The start must be strictly off the boundary, on either side of it.
+    on a uniform grid starting at t0, for a boundary given by callables or
+    as a Daniels line of the spec.  The start must be strictly off the
+    boundary, on either side of it.
     """
     grid, h = _solver_grid(grid, t0)
-    if x0 == s.s(t0):
+    r, rate, S, S_dot, y0 = to_clock(spec, [s], x0, grid)
+    if y0 == S[0, 0]:
         raise StartOnBoundary(f"x0 = s(t0) = {x0}")
-    dens = _volterra(spec, on_grid(s.s, grid)[None], on_grid(s.s_dot, grid)[None],
-                     x0, grid, h)
-    return DensityCurve(times=grid, values=dens[0])
+    return DensityCurve(times=grid, values=_volterra(r, rate, S, S_dot, y0, h)[0])

@@ -4,8 +4,10 @@ A non-singular Gaussian process with mean m(t) is Markovian exactly when its
 covariance factors as c(s, t) = k1(s) * k2(t) for s <= t, with
 r(t) = k1(t)/k2(t) strictly increasing and k1*k2 > 0 on the interior.  The
 triple (m, k1, k2) plus analytic derivatives is everything the transition
-laws, the infinitesimal coefficients, and the first-passage machinery need,
-so it is the representation used throughout the package, held as (m, r, k2).
+laws and the infinitesimal coefficients need, so it is the representation
+used throughout the package, held as (m, r, k2).  In Y = (X - m)/k2 the
+process is a unit Wiener process in the clock r: to_clock maps a
+first-passage problem there, and the kernel psi reads the clock alone.
 Every time function of a spec, and the laws built from it, take a scalar or
 a numpy array of times.
 """
@@ -41,7 +43,7 @@ class GMSpec:
 
     The triple is held through the intrinsic clock r = k1/k2 rather than k1:
     every density reads r, and k1 = r*k2 and k1' = r'*k2 + r*k2' follow
-    from it (GMValues).  Each callable takes a scalar or an array of times
+    from it.  Each callable takes a scalar or an array of times
     and may return a constant; evaluate() broadcasts it.  Derivatives are
     supplied analytically by whoever builds the spec; nothing here
     differentiates numerically, which keeps the first-passage kernels
@@ -107,10 +109,6 @@ class GMValues:
     def k1(self):
         return self.r * self.k2
 
-    @property
-    def k1_dot(self):
-        return self.r_dot * self.k2 + self.r * self.k2_dot
-
 
 def evaluate(spec: GMSpec, t) -> GMValues:
     """Every function of the spec at t, one call each, all of t's shape."""
@@ -142,7 +140,8 @@ def daniels_boundary_fns(spec: GMSpec, b: DanielsBoundary) -> Tuple[TimeFn, Time
 
     def s_dot(t):
         at = evaluate(spec, t)
-        return _as_out(at.m_dot + b.d1 * at.k1_dot + b.d2 * at.k2_dot)
+        k1_dot = at.r_dot * at.k2 + at.r * at.k2_dot
+        return _as_out(at.m_dot + b.d1 * k1_dot + b.d2 * at.k2_dot)
 
     return s, s_dot
 
@@ -190,18 +189,10 @@ def transition_law(spec: GMSpec, y: float, tau: float, t) -> TransitionLaw:
     """
     if np.any(np.less(t, tau)):
         raise OrderError(f"transition requested backwards: t={t} < tau={tau}")
-    return law_between(evaluate(spec, tau), evaluate(spec, t), y,
-                       np.equal(t, tau))
-
-
-def law_between(at_tau: GMValues, at_t: GMValues, y: float,
-                same_time=False) -> TransitionLaw:
-    """transition_law from values already evaluated at tau and t; the
-    variance is 0 where `same_time` holds."""
-    ratio = at_t.k2 / at_tau.k2
-    mean = at_t.m + ratio * (y - at_tau.m)
+    at_tau, at_t = evaluate(spec, tau), evaluate(spec, t)
+    mean = at_t.m + at_t.k2 / at_tau.k2 * (y - at_tau.m)
     var = at_t.k2 * at_t.k2 * (at_t.r - at_tau.r)
-    var = np.where(same_time, 0.0, np.maximum(var, 0.0))
+    var = np.where(np.equal(t, tau), 0.0, np.maximum(var, 0.0))
     return TransitionLaw(mean=_as_out(mean), variance=_as_out(var))
 
 
@@ -216,36 +207,48 @@ def infinitesimal_coeffs(spec: GMSpec, x: float, t: float) -> Tuple[float, float
     return _as_out(b1), _as_out(b2)
 
 
-def psi(at: GMValues, k: int, s, s_dot, y, j):
-    """Kernel of the first-passage Volterra equation at (t_k | y, t_j).
-
-    `at` holds the spec evaluated on a grid, (s, s_dot) the boundary and its
-    derivative at t_k, and `y` and `j` the source states and the grid
-    indices (j < k) they sit at; y and j are arrays of equal length, or
-    scalars.  With R = r(t_k) - r(t_j), the Gaussian transition density
-    f = f(s, t_k | y, t_j), its mean M and the drift
-    B1(x, t) = m'(t) + (x - m(t)) k2'(t)/k2(t), the value is
-
-        { s' - B1(s, t_k) - r'(t_k) (s - M) / R } / 2 * f,
-
-    which vanishes identically on a Daniels boundary m + d1*k1 + d2*k2
-    started on it.  This is the only copy of the formula: psi_kernel and the
-    Volterra solvers of fpt and fet call it.
+def to_clock(spec: GMSpec, boundaries, x0: float, t):
+    """(r, r', S, S', y0): a problem of the spec's process in Y = (X - m)/k2,
+    from one evaluation of the spec at the times t from the start on.  Each
+    boundary is one row of S = (s - m)/k2 and S' = (s' - m')/k2 - S k2'/k2,
+    from its s(t) and s_dot(t) callables (they take arrays), or a
+    DanielsBoundary read as S = d2 + d1*r, S' = d1*r'; y0 = (x0 - m)/k2 at t[0].
     """
-    k2 = at.k2[k]
-    R = at.r[k] - at.r[j]
-    gap = s - (at.m[k] + k2 / at.k2[j] * (y - at.m[j]))  # s - M
-    var = k2 * k2 * R
-    bracket = 0.5 * (s_dot - at.m_dot[k] - (s - at.m[k]) * at.k2_dot[k] / k2
-                     - at.r_dot[k] * gap / R)
-    return bracket * np.exp(-gap * gap / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+    t = np.asarray(t, dtype=float)
+    at = evaluate(spec, t)
+    S, S_dot = [], []
+    for b in boundaries:
+        if isinstance(b, DanielsBoundary):
+            S.append(b.d2 + b.d1 * at.r)
+            S_dot.append(b.d1 * at.r_dot)
+        else:
+            S.append((on_grid(b.s, t) - at.m) / at.k2)
+            S_dot.append((on_grid(b.s_dot, t) - at.m_dot - S[-1] * at.k2_dot) / at.k2)
+    return at.r, at.r_dot, np.array(S), np.array(S_dot), (x0 - at.m[0]) / at.k2[0]
+
+
+def psi(dR, rate, S, S_dot, y):
+    """Kernel of the first-passage Volterra equation of a unit Wiener
+    process in the clock r at (t | y, tau), with dR = r(t) - r(tau) > 0,
+    rate = r'(t) and the boundary (S, S_dot) at t; y and dR are arrays, one
+    entry per source, or scalars:
+
+        [S' - r'(t) (S - y)/dR] / 2 * exp(-(S - y)^2 / (2 dR)) / sqrt(2 pi dR).
+
+    It vanishes on every line S = d2 + d1*r started on it, and through
+    to_clock it is every triple's kernel: the bracket of X is k2 times that
+    of Y, its density that of Y over k2.  This is the only copy.
+    """
+    gap = S - y
+    bracket = 0.5 * (S_dot - rate * gap / dR)
+    return bracket * np.exp(-gap * gap / (2.0 * dR)) / np.sqrt(2.0 * math.pi * dR)
 
 
 def psi_kernel(spec: GMSpec, boundary, t: float, y: float, tau: float) -> float:
     """Kernel of the first-passage Volterra equation at (t | y, tau), for
-    scalar times tau < t; `boundary` is any object exposing s(t) and
-    s_dot(t).  The formula is psi's."""
+    scalar times tau < t; `boundary` is a DanielsBoundary of the spec or
+    any object exposing s(t) and s_dot(t).  The formula is psi's."""
     if tau >= t:
         raise OrderError(f"kernel needs tau < t, got tau={tau}, t={t}")
-    at = evaluate(spec, np.array([tau, t]))
-    return float(psi(at, 1, boundary.s(t), boundary.s_dot(t), y, 0))
+    r, rate, S, S_dot, y0 = to_clock(spec, [boundary], y, np.array([tau, t]))
+    return float(psi(r[1] - r[0], rate[1], S[0, 1], S_dot[0, 1], y0))

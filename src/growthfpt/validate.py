@@ -149,11 +149,10 @@ def check_kernel_vanishing(n_draws: int = 200, seed: int = 77) -> CheckResult:
     for spec in specs:
         for _ in range(n_draws):
             d = DanielsBoundary(d1=rng.uniform(-2, 2), d2=rng.uniform(-2, 2))
-            s_fn, sd_fn = daniels_boundary_fns(spec, d)
+            bnd = GeneralBoundary(*daniels_boundary_fns(spec, d))
             tau = rng.uniform(0.05, 4.0)
             t = tau + rng.uniform(0.05, 4.0)
-            val = psi_kernel(spec, GeneralBoundary(s=s_fn, s_dot=sd_fn),
-                             t, s_fn(tau), tau)
+            val = psi_kernel(spec, bnd, t, bnd.s(tau), tau)
             worst = max(worst, abs(val))
     return CheckResult("kernel vanishing on closed-form boundaries",
                        worst < 1e-10,

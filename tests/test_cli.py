@@ -257,6 +257,46 @@ def test_fet_start_proportion_reaches_every_method(tmp_path, kind):
     assert abs(mc_share - share) <= 3.0 * math.sqrt(share * (1.0 - share) / exits)
 
 
+@pytest.mark.parametrize("command", ["fpt", "fet"])
+def test_additive_volterra_reads_the_clock_once(tmp_path, monkeypatch, command):
+    """An additive Volterra problem integrates g^2 over its grid once; the
+    other reads are the coordinate's start, one time each."""
+    import growthfpt.process_ou as process_ou
+    int_g2, sizes = process_ou.int_g2, []
+
+    def counted(params, ts):
+        sizes.append(np.size(ts))
+        return int_g2(params, ts)
+
+    monkeypatch.setattr(process_ou, "int_g2", counted)
+    doc = dict(SMOKE_CONFIG, noise={"kind": "additive", "sigma": 0.1})
+    assert main([command, "--config", str(write_config(tmp_path, doc)),
+                 "--method", "volterra", "--out", str(tmp_path / "o")]) == 0
+    assert [n for n in sizes if n > 1] == [SMOKE_CONFIG["grid"]["points"] + 1]
+
+
+# the odd-integer regime, 1/(1 - p) = 3: the curve blows up at t ~ 22.01,
+# and the grid stops at 0.999999 of the way there, where g -> 0
+ODD_INTEGER_CONFIG = {
+    "model": {"n": 1, "gamma": 0.5, "k": 20, "x0": 1, "t0": 0, "p": 2.0 / 3.0},
+    "noise": {"kind": "additive", "sigma": 0.1},
+    "grid": {"t_end": 60, "points": 400},
+}
+
+
+@pytest.mark.parametrize("command", ["fpt", "fet"])
+def test_odd_integer_regime_volterra_matches_closed(tmp_path, command):
+    cfg_path = write_config(tmp_path, ODD_INTEGER_CONFIG)
+    data = {}
+    for method in ("closed", "volterra"):
+        out = tmp_path / method
+        assert main([command, "--config", str(cfg_path), "--method", method,
+                     "--out", str(out)]) == 0
+        data[method] = read_csv(out / f"{command}.csv")[1]
+    closed, volterra = data["closed"][:, 1], data["volterra"][:, 1]
+    assert np.max(np.abs(closed - volterra)) <= 1e-10 * closed.max()
+
+
 class TestValidateCommand:
     def test_exit_zero_when_all_checks_pass(self, tmp_path, capsys):
         from growthfpt.validate import ALL_CHECKS

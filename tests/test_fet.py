@@ -250,7 +250,7 @@ class TestOUBand:
 
     def test_tilted_band_with_offset_start_matches_volterra(self):
         from growthfpt.fpt import affine_gm_boundary_fns
-        from growthfpt import AffineGMBoundary, gm_spec_G
+        from growthfpt import AffineGMBoundary, DanielsBoundary, gm_spec_G
         params = GrowthParams(gamma=0.5, n=1.0, p=1.5, k=20.0, x0=2.0, t0=1.0)
         proc = OUProcess(params, 0.1)
         scale = 2.0 * _g(params, 1.0)
@@ -264,6 +264,13 @@ class TestOUBand:
         mask = closed > 0.01 * peak
         rel = np.abs(tot.values[1:][mask] - closed[mask]) / closed[mask]
         assert rel.max() < 1e-10
+        # the triple's k2 = 1/g maps the band onto the Daniels lines of the
+        # coordinate from the start, where k2 = 1: both solves agree
+        coord = proc.coord(2.0, 1.0)
+        lines = [DanielsBoundary(d1=d, d2=c0) for c0, d in (
+            coord.line(AffineGMBoundary(A=ci * scale, B=B)) for ci in (c1, c2))]
+        _, _, direct = volterra_fet(coord.spec, *lines, 0.0, 1.0, grid)
+        assert np.max(np.abs(direct.values - tot.values)) <= 1e-12 * tot.values.max()
 
     def test_monte_carlo_histogram_agreement(self):
         from growthfpt import AffineGMBoundary, SimConfig, density_distance, estimate_fet

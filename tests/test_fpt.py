@@ -219,6 +219,23 @@ def test_line_pins_the_state_space_forms(family):
     assert np.max(np.abs(coord.to_state(coord.to_coord(xs, ts), ts) - xs)) <= 1e-12
 
 
+@pytest.mark.parametrize("family", ["multiplicative", "additive"])
+def test_daniels_line_and_its_callables_solve_alike(family):
+    # one line c + d*R of the coordinate, given to the solver as a Daniels
+    # line of coord.spec and as value and derivative callables, gives the
+    # same bits
+    proc, bnd, _ = _tilted_offset_case(family)
+    coord = proc.coord(2.0, 1.0)
+    c, d = coord.line(bnd)
+    fns = GeneralBoundary(s=lambda t: c + d * coord.clock(t),
+                          s_dot=lambda t: d * coord.rate(t))
+    grid = np.linspace(1.0, 21.0, 401)
+    line = volterra_fpt(coord.spec, DanielsBoundary(d1=d, d2=c), 0.0, 1.0, grid)
+    callables = volterra_fpt(coord.spec, fns, 0.0, 1.0, grid)
+    assert line.values.max() > 0.0
+    assert np.array_equal(line.values, callables.values)
+
+
 class TestVolterraSolver:
     def test_closed_form_boundary_is_exact(self):
         spec = wiener_spec(1.0)
