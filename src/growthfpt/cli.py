@@ -10,8 +10,11 @@ Commands
     validate  run the oracle suite and print a pass/fail table (reads no
               configuration)
 
-The configuration is a JSON document; command-line flags override document
-values.  Exit status: 0 success, 1 validation failure, 2 configuration error.
+The configuration is a JSON document whose keys, types, defaults and flags
+are declared once, in _KEYS; --help names the key each flag overrides.  --nu
+and --method set the key of the running command, fpt or fet.  Exit status: 0
+success, 1 validation failure, 2 configuration error, such as a value of the
+wrong type, named by its block.key.
 Every CSV has a header row, times strictly increasing, and floats serialized
 with 17 significant digits.  GROWTHFPT_THREADS caps simulation worker
 threads (default: the CPUs the process may run on).
@@ -23,10 +26,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,21 +48,22 @@ from . import validate as validation_suite
 
 @dataclass
 class RunConfig:
+    """A resolved configuration: every value of _KEYS, converted and checked."""
+
     model: GrowthParams
-    noise_kind: str            # "multiplicative" | "additive"
+    noise_kind: str
     sigma: float
-    grid_t_end: float = 50.0
-    grid_points: int = 2000
-    grid_kind: str = "linear"  # "linear" | "log"
-    fpt_nu: float = 0.8
-    fpt_method: str = "closed"
-    fet_nu1: float = 0.8
-    fet_nu: float = 1.0
-    fet_nu2: float = 1.2
-    fet_method: str = "closed"
-    sim: SimConfig = field(default_factory=lambda: SimConfig(
-        dt=0.1, horizon=40.0, n_paths=20, seed=12345))
-    output: Path = Path("out")
+    grid_t_end: float
+    grid_points: int
+    grid_kind: str
+    fpt_nu: float
+    fpt_method: str
+    fet_nu1: float
+    fet_nu: float
+    fet_nu2: float
+    fet_method: str
+    sim: SimConfig
+    output: Path
 
     def process(self):
         if self.noise_kind == "multiplicative":
@@ -67,134 +71,132 @@ class RunConfig:
         return OUProcess(self.model, self.sigma)
 
 
-_SCHEMA = {
-    "model": {"n", "gamma", "k", "x0", "t0", "p"},
-    "noise": {"kind", "sigma"},
-    "grid": {"t_end", "points", "kind"},
-    "fpt": {"nu", "method"},
-    "fet": {"nu1", "nu", "nu2", "method"},
-    "sim": {"dt", "horizon", "n_paths", "seed", "bridge_correction"},
-    "output": None,
-}
+_REQUIRED = object()  # the default of a key the document must give
+_METHODS = ("closed", "volterra", "mc")
 
 
-def _require(block: dict, key: str, path: str):
-    if key not in block:
-        raise ValidationError(f"{path}.{key}: required key missing")
-    return block[key]
+class _Key(NamedTuple):
+    """One configuration value: doc[block][key], or doc[block] itself when
+    key is None.  type converts the value, or is the tuple of the values
+    allowed; flag is the command-line flag that overrides it."""
+
+    block: str
+    key: Optional[str]
+    type: object
+    default: object = _REQUIRED
+    flag: Optional[str] = None
+
+    @property
+    def name(self) -> str:
+        return self.block if self.key is None else f"{self.block}.{self.key}"
+
+    def read(self, doc: dict, flags: dict):
+        """The flag's value, else the document's, else the default; converted."""
+        given = doc if self.key is None else doc.get(self.block, {})
+        value = flags.get(self.name, given.get(self.key or self.block, self.default))
+        if value is _REQUIRED:
+            raise ValidationError(f"{self.name}: required key missing")
+        if isinstance(self.type, tuple):
+            if value not in self.type:
+                raise ValidationError(
+                    f"{self.name}: must be {'|'.join(self.type)}, got {value!r}")
+            return value
+        if self.type is bool and not isinstance(value, bool):
+            raise ValidationError(f"{self.name}: must be true or false, got {value!r}")
+        try:
+            return self.type(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(
+                f"{self.name}: expected {self.type.__name__}, got {value!r}") from exc
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON configuration document.
+# Every configuration key, written once.  A flag that names an fpt and a
+# fet key sets the one of the running command, and other commands ignore it.
+_KEYS = (
+    _Key("model", "gamma", float),
+    _Key("model", "n", float),
+    _Key("model", "p", float),
+    _Key("model", "k", float),
+    _Key("model", "x0", float),
+    _Key("model", "t0", float, 0.0),
+    _Key("noise", "kind", ("multiplicative", "additive")),
+    _Key("noise", "sigma", float, flag="--sigma"),
+    _Key("grid", "t_end", float, 50.0, "--t-end"),
+    _Key("grid", "points", int, 2000, "--grid-points"),
+    _Key("grid", "kind", ("linear", "log"), "linear"),
+    _Key("fpt", "nu", float, 0.8, "--nu"),
+    _Key("fpt", "method", _METHODS, "closed", "--method"),
+    _Key("fet", "nu1", float, 0.8, "--nu1"),
+    _Key("fet", "nu", float, 1.0, "--nu"),
+    _Key("fet", "nu2", float, 1.2, "--nu2"),
+    _Key("fet", "method", _METHODS, "closed", "--method"),
+    _Key("sim", "dt", float, 0.1, "--dt"),
+    _Key("sim", "horizon", float, 40.0, "--horizon"),
+    _Key("sim", "n_paths", int, 20, "--paths"),
+    _Key("sim", "seed", int, 12345, "--seed"),
+    _Key("sim", "bridge_correction", bool, True),
+    _Key("output", None, Path, Path("out"), "--out"),
+)
+# each flag and the keys it sets
+_FLAGS = {flag: [row for row in _KEYS if row.flag == flag]
+          for flag in dict.fromkeys(row.flag for row in _KEYS if row.flag)}
 
-    Unknown keys are rejected with their full path; constraint violations
-    raise ValidationError naming the offending field.
+
+def parse_config(text: str, flags: Optional[dict] = None) -> RunConfig:
+    """Parse and validate a JSON configuration document.  flags maps names
+    block.key to values given on the command line, which beat the document's.
+
+    An empty text is the document {}.  Unknown keys are rejected with their
+    full path; malformed values and constraint violations raise
+    ValidationError naming the offending field.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed configuration document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("configuration root must be an object")
-    return _config_from_dict(doc)
+    keys = {(row.block, row.key) for row in _KEYS}
+    for block, val in doc.items():
+        if (block, None) in keys:
+            continue
+        if not any(b == block for b, _ in keys):
+            raise ValidationError(f"{block}: unknown key")
+        if not isinstance(val, dict):
+            raise ValidationError(f"{block}: expected an object")
+        for key in val:
+            if (block, key) not in keys:
+                raise ValidationError(f"{block}.{key}: unknown key")
 
-
-def _config_from_dict(doc: dict) -> RunConfig:
-    for key, val in doc.items():
-        if key not in _SCHEMA:
-            raise ValidationError(f"{key}: unknown key")
-        allowed = _SCHEMA[key]
-        if allowed is not None:
-            if not isinstance(val, dict):
-                raise ValidationError(f"{key}: expected an object")
-            for sub in val:
-                if sub not in allowed:
-                    raise ValidationError(f"{key}.{sub}: unknown key")
-
-    model_doc = doc.get("model")
-    if not isinstance(model_doc, dict):
-        raise ValidationError("model: required block missing")
-    try:
-        model = GrowthParams(
-            gamma=float(_require(model_doc, "gamma", "model")),
-            n=float(_require(model_doc, "n", "model")),
-            p=float(_require(model_doc, "p", "model")),
-            k=float(_require(model_doc, "k", "model")),
-            x0=float(_require(model_doc, "x0", "model")),
-            t0=float(model_doc.get("t0", 0.0)))
-    except GrowthFPTError as exc:
-        raise ValidationError(f"model: {exc}") from exc
-
-    noise_doc = doc.get("noise")
-    if not isinstance(noise_doc, dict):
-        raise ValidationError("noise: required block missing")
-    kind = _require(noise_doc, "kind", "noise")
-    if kind not in ("multiplicative", "additive"):
-        raise ValidationError(
-            f"noise.kind: must be 'multiplicative' or 'additive', got {kind!r}")
-    sigma = float(_require(noise_doc, "sigma", "noise"))
-    if not sigma > 0.0:
-        raise ValidationError(f"noise.sigma: must be > 0, got {sigma}")
-
-    cfg = RunConfig(model=model, noise_kind=kind, sigma=sigma)
-
-    grid = doc.get("grid", {})
-    cfg.grid_t_end = float(grid.get("t_end", cfg.grid_t_end))
-    cfg.grid_points = int(grid.get("points", cfg.grid_points))
-    cfg.grid_kind = grid.get("kind", cfg.grid_kind)
-    if cfg.grid_kind not in ("linear", "log"):
-        raise ValidationError("grid.kind: must be 'linear' or 'log'")
-    if cfg.grid_points < 2:
+    vals = {}
+    for row in _KEYS:
+        vals.setdefault(row.block, {})[row.key] = row.read(doc, flags or {})
+    noise, grid, fpt, fet = (vals[block] for block in ("noise", "grid", "fpt", "fet"))
+    if not noise["sigma"] > 0.0:
+        raise ValidationError(f"noise.sigma: must be > 0, got {noise['sigma']}")
+    if grid["points"] < 2:
         raise ValidationError("grid.points: must be >= 2")
-    if not cfg.grid_t_end > model.t0:
+    if not grid["t_end"] > vals["model"]["t0"]:
         raise ValidationError("grid.t_end: must exceed model.t0")
-
-    fpt_doc = doc.get("fpt", {})
-    cfg.fpt_nu = float(fpt_doc.get("nu", cfg.fpt_nu))
-    cfg.fpt_method = fpt_doc.get("method", cfg.fpt_method)
-    fet_doc = doc.get("fet", {})
-    cfg.fet_nu1 = float(fet_doc.get("nu1", cfg.fet_nu1))
-    cfg.fet_nu = float(fet_doc.get("nu", cfg.fet_nu))
-    cfg.fet_nu2 = float(fet_doc.get("nu2", cfg.fet_nu2))
-    cfg.fet_method = fet_doc.get("method", cfg.fet_method)
-    for name, method in (("fpt.method", cfg.fpt_method), ("fet.method", cfg.fet_method)):
-        if method not in ("closed", "volterra", "mc"):
-            raise ValidationError(f"{name}: must be closed|volterra|mc")
-    if cfg.fpt_nu <= 0.0:
+    if fpt["nu"] <= 0.0:
         raise ValidationError("fpt.nu: must be > 0")
-    if not (0.0 < cfg.fet_nu1 < cfg.fet_nu < cfg.fet_nu2):
+    if not (0.0 < fet["nu1"] < fet["nu"] < fet["nu2"]):
         raise ValidationError("fet: need 0 < nu1 < nu < nu2")
-
-    sim_doc = doc.get("sim", {})
-    bridge = sim_doc.get("bridge_correction", True)
-    if not isinstance(bridge, bool):
-        raise ValidationError(
-            f"sim.bridge_correction: must be true or false, got {bridge!r}")
-    try:
-        cfg.sim = SimConfig(
-            dt=float(sim_doc.get("dt", 0.1)),
-            horizon=float(sim_doc.get("horizon", 40.0)),
-            n_paths=int(sim_doc.get("n_paths", 20)),
-            seed=int(sim_doc.get("seed", 12345)),
-            bridge_correction=bridge)
-    except GrowthFPTError as exc:
-        raise ValidationError(f"sim: {exc}") from exc
-
-    if "output" in doc:
-        cfg.output = Path(doc["output"])
-    return cfg
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    for block, cls in (("model", GrowthParams), ("sim", SimConfig)):
+        try:
+            vals[block] = cls(**vals[block])
+        except GrowthFPTError as exc:
+            raise ValidationError(f"{block}: {exc}") from exc
+    # the grid, fpt and fet keys are the RunConfig fields <block>_<key>
+    return RunConfig(model=vals["model"], noise_kind=noise["kind"], sigma=noise["sigma"],
+                     sim=vals["sim"], output=vals["output"][None],
+                     **{f"{block}_{key}": value for block in ("grid", "fpt", "fet")
+                        for key, value in vals[block].items()})
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    rows = zip(*columns)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _density_grid(cfg: RunConfig) -> np.ndarray:
@@ -340,71 +342,36 @@ def run_command(cmd: str, cfg: RunConfig) -> int:
     return _COMMANDS[cmd](cfg, out)
 
 
-def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
-    """Merge command-line flags over the document (flags win)."""
-    def setdeep(block: str, key: str, value) -> None:
-        if value is None:
-            return
-        doc.setdefault(block, {})
-        doc[block][key] = value
-
-    setdeep("noise", "sigma", args.sigma)
-    setdeep("fpt", "nu", args.nu)
-    setdeep("fpt", "method", args.method if args.command == "fpt" else None)
-    setdeep("fet", "method", args.method if args.command == "fet" else None)
-    setdeep("fet", "nu1", args.nu1)
-    setdeep("fet", "nu2", args.nu2)
-    setdeep("sim", "n_paths", args.paths)
-    setdeep("sim", "seed", args.seed)
-    setdeep("sim", "dt", args.dt)
-    setdeep("sim", "horizon", args.horizon)
-    setdeep("grid", "t_end", args.t_end)
-    setdeep("grid", "points", args.grid_points)
-    if args.out is not None:
-        doc["output"] = args.out
-    return doc
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="growthfpt",
-        description="Passage and exit-time densities for stochastic growth curves")
+        description="Passage and exit-time densities for stochastic growth curves",
+        epilog="Each flag overrides the configuration key it names.  --nu and "
+               "--method set the key of the running command, fpt or fet.")
     parser.add_argument("command", choices=sorted([*_COMMANDS, "validate"]))
     parser.add_argument("--config", type=Path, help="JSON configuration document")
-    parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--sigma", type=float, default=None)
-    parser.add_argument("--nu", type=float, default=None)
-    parser.add_argument("--nu1", type=float, default=None)
-    parser.add_argument("--nu2", type=float, default=None)
-    parser.add_argument("--method", choices=("closed", "volterra", "mc"), default=None)
-    parser.add_argument("--paths", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--dt", type=float, default=None)
-    parser.add_argument("--horizon", type=float, default=None)
-    parser.add_argument("--t-end", dest="t_end", type=float, default=None)
-    parser.add_argument("--grid-points", dest="grid_points", type=int, default=None)
+    for flag, rows in _FLAGS.items():
+        choices = rows[0].type if isinstance(rows[0].type, tuple) else None
+        parser.add_argument(flag, type=None if choices else rows[0].type, choices=choices,
+                            help=" or ".join(row.name for row in rows))
     args = parser.parse_args(argv)
     if args.command == "validate":
         # the oracle suite builds its own problems and reads no configuration
         ok, _ = validation_suite.run_all(verbose=True)
         return 0 if ok else 1
 
+    flags = {}
+    for flag, rows in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        for row in rows:
+            if value is not None and (len(rows) == 1 or row.block == args.command):
+                flags[row.name] = value
     try:
-        if args.config is not None:
-            try:
-                text = args.config.read_text()
-            except OSError as exc:
-                raise ParseError(f"cannot read config: {exc}") from exc
-            doc = json.loads(text) if text.strip() else {}
-            if not isinstance(doc, dict):
-                raise ParseError("configuration root must be an object")
-        else:
-            doc = {}
-        doc = _apply_overrides(doc, args)
-        cfg = _config_from_dict(doc)
-    except json.JSONDecodeError as exc:
-        print(f"config error: malformed document: {exc}", file=sys.stderr)
-        return 2
+        try:
+            text = "" if args.config is None else args.config.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read config: {exc}") from exc
+        cfg = parse_config(text, flags)
     except GrowthFPTError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

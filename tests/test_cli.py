@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from growthfpt import ParseError, ValidationError
-from growthfpt.cli import main, parse_config, run_command
+from growthfpt import ParseError, SimConfig, ValidationError
+from growthfpt.cli import main, parse_config, run_command, write_csv
 
 FIG1_CONFIG = {
     "model": {"n": 1, "gamma": 0.5, "k": 20, "x0": 1, "t0": 0, "p": 1.5},
@@ -67,6 +70,46 @@ class TestParseConfig:
     def test_malformed_document(self):
         with pytest.raises(ParseError):
             parse_config("{not json")
+
+    def test_empty_text_is_an_empty_document(self):
+        with pytest.raises(ValidationError, match="model"):
+            parse_config(" \n")
+
+    def test_defaults_of_a_minimal_document(self):
+        cfg = parse_config(json.dumps(FIG1_CONFIG))
+        assert (cfg.grid_t_end, cfg.grid_points, cfg.grid_kind) == (50.0, 2000, "linear")
+        assert (cfg.fpt_nu, cfg.fpt_method) == (0.8, "closed")
+        assert (cfg.fet_nu1, cfg.fet_nu, cfg.fet_nu2, cfg.fet_method) == (0.8, 1.0, 1.2, "closed")
+        assert cfg.sim == SimConfig(dt=0.1, horizon=40.0, n_paths=20, seed=12345,
+                                    bridge_correction=True)
+        assert cfg.output == Path("out")
+        assert cfg.model.t0 == 0.0
+
+
+@pytest.mark.parametrize("block,key,value", [
+    ("grid", "points", "many"),
+    ("model", "gamma", None),
+    ("output", None, 5),
+    ("sim", "seed", [7]),
+    ("fpt", "nu", {"value": 0.8}),
+    ("grid", "points", 1e400),
+])
+def test_malformed_value_is_a_config_error(tmp_path, block, key, value):
+    doc = json.loads(json.dumps(FIG1_CONFIG))
+    if key is None:
+        doc[block] = value
+    else:
+        doc.setdefault(block, {})[key] = value
+    name = block if key is None else f"{block}.{key}"
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        parse_config(json.dumps(doc))
+    assert main(["curve", "--config", str(write_config(tmp_path, doc))]) == 2
+
+
+def test_undecodable_document_is_a_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'\xff\xfe{"model": {}}')
+    assert main(["curve", "--config", str(path)]) == 2
 
 
 def read_csv(path):
@@ -191,6 +234,99 @@ class TestCommands:
         # defective mass < 0.9 proves nu=1.2 took effect over the document's 0.8
         _, data = read_csv(out / "fpt.csv")
         assert np.trapezoid(data[:, 1], data[:, 0]) < 0.9
+
+    def test_fet_nu_flag_sets_the_band_start(self, tmp_path):
+        doc = json.loads(json.dumps(FIG1_CONFIG))
+        doc["noise"]["sigma"] = 0.05
+        doc["grid"] = {"t_end": 30, "points": 300}
+        written = {}
+        for name, fet, flags in (("default", {}, []), ("flag", {}, ["--nu", "1.1"]),
+                                 ("document", {"nu": 1.1}, [])):
+            out = tmp_path / name
+            assert main(["fet", "--config", str(write_config(tmp_path, dict(doc, fet=fet))),
+                         "--out", str(out)] + flags) == 0
+            written[name] = (out / "fet.csv").read_bytes()
+        assert written["flag"] == written["document"]
+        assert written["flag"] != written["default"]
+
+    def test_csv_bytes_match_the_reference_format(self, tmp_path):
+        columns = [np.array([0.0, 1.0 / 3.0, 2.0, 1e300]),
+                   np.array([np.nan, np.inf, -np.inf, -0.0]),
+                   np.array([5e-324, 2.2250738585072014e-308, 7, -1.5e-17])]
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns)
+        rows = ["a,b,c"] + [",".join(f"{float(v):.17g}" for v in row) for row in zip(*columns)]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(rows) + "\n"
+
+
+# a document that gives every key a flag sets, each to a value no flag case uses
+FULL_CONFIG = dict(
+    FIG1_CONFIG, grid={"t_end": 40, "points": 200},
+    fpt={"nu": 0.8, "method": "closed"},
+    fet={"nu1": 0.8, "nu": 1.0, "nu2": 1.2, "method": "closed"},
+    sim={"dt": 0.1, "horizon": 40, "n_paths": 20, "seed": 3}, output="doc_out")
+
+
+def _fields(cfg):
+    flat = {}
+    for name, value in dataclasses.asdict(cfg).items():
+        if isinstance(value, dict):
+            flat.update({f"{name}.{k}": v for k, v in value.items()})
+        else:
+            flat[name] = value
+    return flat
+
+
+@pytest.mark.parametrize("command,flag,value,field,expected", [
+    ("fpt", "--sigma", "0.05", "sigma", 0.05),
+    ("fpt", "--nu", "1.2", "fpt_nu", 1.2),
+    ("fet", "--nu", "1.1", "fet_nu", 1.1),
+    ("curve", "--nu", "-1", None, None),
+    ("fpt", "--method", "mc", "fpt_method", "mc"),
+    ("fet", "--method", "volterra", "fet_method", "volterra"),
+    ("paths", "--method", "mc", None, None),
+    ("fet", "--nu1", "0.7", "fet_nu1", 0.7),
+    ("fpt", "--nu2", "1.3", "fet_nu2", 1.3),
+    ("paths", "--paths", "5", "sim.n_paths", 5),
+    ("fpt", "--seed", "7", "sim.seed", 7),
+    ("fet", "--dt", "0.2", "sim.dt", 0.2),
+    ("paths", "--horizon", "10", "sim.horizon", 10.0),
+    ("curve", "--t-end", "30", "grid_t_end", 30.0),
+    ("fpt", "--grid-points", "500", "grid_points", 500),
+    ("regime", "--out", "flag_out", "output", Path("flag_out")),
+])
+def test_each_flag_overrides_its_key(tmp_path, monkeypatch, command, flag, value,
+                                     field, expected):
+    """A flag sets only the key it names; --nu and --method set the running
+    command's key, and other commands ignore them."""
+    seen = []
+    monkeypatch.setattr("growthfpt.cli.run_command", lambda cmd, cfg: seen.append(cfg) or 0)
+    base = ["--config", str(write_config(tmp_path, FULL_CONFIG))]
+    assert main([command] + base) == 0
+    assert main([command, flag, value] + base) == 0
+    before, after = _fields(seen[0]), _fields(seen[1])
+    changed = {name: after[name] for name in after if after[name] != before[name]}
+    assert changed == ({} if field is None else {field: expected})
+
+
+# each flag and the keys it sets, as --help names them
+FLAG_KEYS = {
+    "--sigma": ["noise.sigma"], "--nu": ["fpt.nu", "fet.nu"],
+    "--method": ["fpt.method", "fet.method"], "--nu1": ["fet.nu1"],
+    "--nu2": ["fet.nu2"], "--paths": ["sim.n_paths"], "--seed": ["sim.seed"],
+    "--dt": ["sim.dt"], "--horizon": ["sim.horizon"], "--t-end": ["grid.t_end"],
+    "--grid-points": ["grid.points"], "--out": ["output"],
+}
+
+
+def test_help_names_the_key_of_each_flag(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, keys in FLAG_KEYS.items():
+        entry = re.search(rf" {re.escape(flag)} \S+ ([a-z0-9_. ]+)", text)
+        assert entry is not None, flag
+        assert [w for w in entry.group(1).split() if w != "or"] == keys, flag
 
 
 SMOKE_CONFIG = {
