@@ -337,9 +337,9 @@ def run_command(cmd: str, cfg: RunConfig) -> int:
     """Dispatch a validated configuration to one command; returns exit status."""
     if cmd not in _COMMANDS:
         raise ValidationError(f"unknown command {cmd!r}")
-    out = cfg.output
-    out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[cmd](cfg, out)
+    if cmd != "regime":  # every other command writes its CSV and SVG there
+        cfg.output.mkdir(parents=True, exist_ok=True)
+    return _COMMANDS[cmd](cfg, cfg.output)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -15,9 +15,15 @@ probability
     exp{-2 d_k d_{k+1} / var_step},
 
 where d_k and d_{k+1} are the distances to the boundary at the step's two
-grid times.  For a line this is exact, not only to first order.  Hits found
-this way are recorded at the step midpoint; hits visible at the grid points
-themselves are recorded at the right endpoint.
+grid times.  For a line this is exact, not only to first order.  The test is
+made in log form: a uniform draw u gives an event where
+
+    log u < -2 d_k d_{k+1} / var_step,
+
+so no exponential is computed (most exponents of a long step lie far below
+the range where exp is cheap).  Hits found this way are recorded at the step
+midpoint; hits visible at the grid points themselves are recorded at the
+right endpoint.
 
 simulate_paths returns whole paths.  One crossing detector (_first_hits),
 which steps its own paths, serves one boundary or two: estimate_fpt and
@@ -40,11 +46,12 @@ process may run on).
 
 A block step allocates nothing of the block's size: each worker takes flat
 scratch buffers once per chunk, sized for the widest block, and views them per
-block.  Draws land in them with out=, and the distances, their clipped
-product, the exponent and the event test are formed in place.  A step whose
-right end is at or past a boundary needs no test of its own: its clipped
-product is 0, so its crossing probability is exp(-0.0) = 1, above every
-uniform draw.
+block.  Draws land in them with out=, and the log of the uniforms, the
+distances, their product, the exponent and the event test are formed in
+place.  A step whose right end is at or past a boundary needs no test of its
+own: its distances d_k > 0 >= d_{k+1} give an exponent >= 0, above the log of
+every uniform draw (a draw of exactly 0 has log -inf).  A later step, with
+both distances <= 0, may read no event; only a path's first event counts.
 """
 
 from __future__ import annotations
@@ -87,6 +94,9 @@ class SimConfig:
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
         n = self.horizon / self.dt
+        if not np.isfinite(n):
+            raise ConfigError(
+                f"horizon={self.horizon} / dt={self.dt} is not a finite step count")
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ConfigError(
                 f"horizon={self.horizon} is not an integer multiple of dt={self.dt}")
@@ -223,7 +233,7 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
     def worker(chunk_idx: int, start: int, rows: int) -> None:
         rng = _chunk_rng(cfg.seed, chunk_idx)
         # scratch for every block of the chunk: path values and distances at
-        # the grid times, then per step the draws, exponents and events
+        # the grid times, then per step the log-uniforms, exponents and events
         z_buf, d_buf = np.empty(rows * (widest + 1)), np.empty(rows * (widest + 1))
         g_buf, u_buf = np.empty(rows * widest), np.empty(rows * widest)
         ev_buf = np.empty(rows * widest, dtype=bool)
@@ -252,12 +262,13 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
                     np.subtract(z, b[a, k0:k1 + 1], out=d)
                 if cfg.bridge_correction:
                     rng.random(out=u)
-                    # p = exp(-2 max(d_k, 0) max(d_{k+1}, 0) / var_step), which
-                    # is 1 where the step ends on or past the boundary
-                    np.maximum(d, 0.0, out=d)
+                    # an event where log u < -2 d_k d_{k+1} / var_step; a
+                    # step that ends on or past the boundary has an exponent
+                    # >= 0 and fires for every draw (log 0 = -inf included)
+                    with np.errstate(divide="ignore"):
+                        np.log(u, out=u)
                     np.multiply(d[:, :-1], d[:, 1:], out=g)
                     g *= rate[k0:k1]
-                    np.exp(g, out=g)
                     np.less(u, g, out=ev)
                 else:
                     np.less_equal(d[:, 1:], 0.0, out=ev)
@@ -265,7 +276,7 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
                 earlier = np.flatnonzero((idx < first) & ev[np.arange(n), idx])
                 first[earlier] = idx[earlier]
                 side[earlier] = a
-                # a direct hit ends on or past the boundary (clipped: at 0)
+                # a direct hit ends on or past the boundary
                 direct_at[earlier] = d[earlier, idx[earlier] + 1] <= 0.0
             hit = side >= 0
             done, k = live[hit], k0 + first[hit]

@@ -153,6 +153,13 @@ class TestCommands:
         assert "FiniteTimeCeiling" in out
         assert "24.268" in out
 
+    def test_regime_writes_no_output_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, FIG1_CONFIG)
+        assert main(["regime", "--config", str(cfg_path)]) == 0
+        assert main(["regime", "--config", str(cfg_path), "--out", "named"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_fpt_closed_mass_on_log_grid(self, tmp_path):
         doc = dict(FIG1_CONFIG)
         doc["grid"] = {"t_end": 1_000_000, "points": 12_000, "kind": "log"}
@@ -223,6 +230,17 @@ class TestCommands:
         doc = json.loads(json.dumps(FIG1_CONFIG))
         doc["model"]["p"] = 3.0
         assert main(["curve", "--config", str(write_config(tmp_path, doc))]) == 2
+
+    @pytest.mark.parametrize("sim", [{"horizon": math.inf},
+                                     {"horizon": 1e308, "dt": 1e-10}])
+    def test_step_count_overflow_exits_2(self, tmp_path, capsys, sim):
+        # json.dumps writes inf as Infinity, which the reader takes
+        doc = dict(FIG1_CONFIG, sim=sim)
+        out = tmp_path / "p"
+        assert main(["paths", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        assert "sim: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flag_overrides_beat_document(self, tmp_path):
         doc = dict(FIG1_CONFIG)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -137,6 +138,12 @@ class TestSimulatePaths:
         with pytest.raises(ConfigError):
             simulate_paths(proc, SimConfig(dt=1.0, horizon=30.0, n_paths=2, seed=0))
 
+    @pytest.mark.parametrize("horizon,dt", [(math.inf, 0.1), (1e308, 1e-10)])
+    def test_step_count_overflow_is_a_config_error(self, horizon, dt):
+        # horizon / dt is inf: no step count, and no OverflowError from round
+        with pytest.raises(ConfigError, match="finite step count"):
+            SimConfig(dt=dt, horizon=horizon, n_paths=10, seed=0)
+
 
 class TestEstimateFPT:
     def test_kolmogorov_distance_to_closed_form(self):
@@ -244,6 +251,60 @@ def test_estimators_take_only_the_process_lines(case, estimate):
             estimate_fpt(proc, bnd, cfg)
         else:
             estimate_fet(proc, bnd, bnd, cfg)
+
+
+def _pinned_case(case):
+    """(estimator, args, config) of a fixed-seed pinned-sample case."""
+    scale = PARAMS.x0 * _g(PARAMS, 0.0)
+    ou, lognormal = OUProcess(PARAMS, 0.19), LognormalProcess(PARAMS, 0.05)
+    return {
+        # the additive benchmark's band exits: most bridge exponents are
+        # at or below -708, where exp underflows
+        "ou_band": (estimate_fet, (ou, ou.mean_boundary(0.8), ou.mean_boundary(1.2)),
+                    SimConfig(dt=0.5, horizon=30.0, n_paths=2048, seed=5)),
+        "ou_tilted_line": (estimate_fpt, (OUProcess(PARAMS, 0.1),
+                                          AffineGMBoundary(A=1.03 * scale, B=0.01)),
+                           SimConfig(dt=0.25, horizon=5.0, n_paths=2048, seed=77)),
+        # a partial last chunk
+        "lognormal_band": (estimate_fet, (lognormal, ExpBoundary(A=0.9), ExpBoundary(A=1.1)),
+                           SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)),
+        "lognormal_tilted_line": (estimate_fpt, (LognormalProcess(PARAMS, 0.3),
+                                                 ExpBoundary(A=0.8, B=-0.1)),
+                                  SimConfig(dt=1.0, horizon=20.0, n_paths=2048, seed=8)),
+        "no_bridge": (estimate_fpt, (lognormal, ExpBoundary(A=0.9)),
+                      SimConfig(dt=0.5, horizon=40.0, n_paths=3000, seed=17,
+                                bridge_correction=False)),
+    }[case]
+
+
+# (SHA-256 of hit_times.tobytes(), of the exit sides joined by commas or
+# None, censored_count), recorded with the exp-form bridge test
+PINNED_SAMPLES = {
+    "ou_band": ("f697fb3c1c7747ba38229e8629c6f2e9da0cfd15ca43f2747ae54674bf93168f",
+                "4a422a1d58ceed33eea0b23ef3149bc8d78c0f75d1ea3a454beb989e9d0aaaad", 1612),
+    "ou_tilted_line": ("b0f3e73bc1cd2f81ce6e6bf8142ff6aec82bdab3c7672a20c13894268c504c4d",
+                       None, 809),
+    "lognormal_band": ("9c440d84580cec6ef6e24222e828773805ecba628895bca4399bc50dee38ae54",
+                       "344887a831d1881e5bd20c4c5419ba9f6292ce927332b91a3454f41521be07f8", 13),
+    "lognormal_tilted_line": ("c42c2c6c92ea9ff2ca96dca2b9be1a007063032f5c7ed2cda06da2aee6f65d56",
+                              None, 588),
+    "no_bridge": ("d9eb0b47729c5d6aac4a41e2a5509fc9c2a1a1313a80093d7318b8abe79277f5",
+                  None, 822),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(PINNED_SAMPLES))
+def test_pinned_samples(case, threads, monkeypatch):
+    # the samples of fixed seeds are a fixed function of the random streams:
+    # a faster block step must reproduce them bit for bit
+    monkeypatch.setenv("GROWTHFPT_THREADS", threads)
+    estimate, args, cfg = _pinned_case(case)
+    sample = estimate(*args, cfg)
+    sides = (None if sample.exit_sides is None else
+             hashlib.sha256(",".join(sample.exit_sides).encode()).hexdigest())
+    assert (hashlib.sha256(sample.hit_times.tobytes()).hexdigest(), sides,
+            sample.censored_count) == PINNED_SAMPLES[case]
 
 
 class TestEstimateFET:
