@@ -194,9 +194,25 @@ def parse_config(text: str, flags: Optional[dict] = None) -> RunConfig:
                         for key, value in vals[block].items()})
 
 
+CSV_BLOCK = 1 << 12  # values formatted per call; bounds the string one call builds
+
+
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+    """Write the columns under a header row, each value as %.17g.
+
+    Whole rows are formatted by one % call per block of at most CSV_BLOCK
+    values, or of one row when a row is wider, so a wide table (paths) never
+    becomes one string; the bytes are those of
+    np.savetxt(..., fmt="%.17g", delimiter=",").
+    """
+    table = np.column_stack(columns)
+    per_block = max(1, CSV_BLOCK // table.shape[1])  # rows
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), per_block):
+            block = table[start:start + per_block]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _density_grid(cfg: RunConfig) -> np.ndarray:

@@ -1,4 +1,10 @@
-"""Self-contained SVG line charts; a deterministic function of the data."""
+"""Self-contained SVG line charts; a deterministic function of the data.
+
+Non-finite points are dropped, and a chart with no finite point draws its
+empty frame on [0, 1].  Each polyline's pixels come from the maps px and py
+of the ticks applied to whole arrays, which gives each point the double the
+map gives it alone; its points are formatted by one "%.2f,%.2f" template.
+"""
 
 from __future__ import annotations
 
@@ -26,8 +32,10 @@ def render_line_chart(series: Sequence[Tuple[np.ndarray, np.ndarray, str]],
         ys = np.asarray(ys, float)
         ok = np.isfinite(xs) & np.isfinite(ys)
         finite.append((xs[ok], ys[ok]))
-    xs_all = np.concatenate([f[0] for f in finite]) if finite else np.array([0.0, 1.0])
-    ys_all = np.concatenate([f[1] for f in finite]) if finite else np.array([0.0, 1.0])
+    xs_all = np.concatenate([np.zeros(0)] + [f[0] for f in finite])
+    ys_all = np.concatenate([np.zeros(0)] + [f[1] for f in finite])
+    if xs_all.size == 0:  # no finite point: the empty frame on [0, 1]
+        xs_all = ys_all = np.array([0.0, 1.0])
     x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
     y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
@@ -40,10 +48,10 @@ def render_line_chart(series: Sequence[Tuple[np.ndarray, np.ndarray, str]],
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
 
-    def px(x: float) -> float:
+    def px(x):  # a float or an array
         return _ML + (x - x_lo) / (x_hi - x_lo) * pw
 
-    def py(y: float) -> float:
+    def py(y):
         return _MT + (y_hi - y) / (y_hi - y_lo) * ph
 
     parts = [
@@ -78,7 +86,8 @@ def render_line_chart(series: Sequence[Tuple[np.ndarray, np.ndarray, str]],
     for i, ((xs, ys), (_, _, label)) in enumerate(zip(finite, series)):
         color = _PALETTE[i % len(_PALETTE)]
         if xs.size >= 2:
-            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+            xy = np.column_stack((px(xs), py(ys)))
+            pts = " ".join(["%.2f,%.2f"] * xs.size) % tuple(xy.ravel().tolist())
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                          f'stroke-width="1.4"/>')
         if label:

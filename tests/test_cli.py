@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from growthfpt import ParseError, SimConfig, ValidationError
-from growthfpt.cli import main, parse_config, run_command, write_csv
+from growthfpt.cli import CSV_BLOCK, main, parse_config, run_command, write_csv
+from growthfpt.svg import render_line_chart
 
 FIG1_CONFIG = {
     "model": {"n": 1, "gamma": 0.5, "k": 20, "x0": 1, "t0": 0, "p": 1.5},
@@ -110,6 +112,12 @@ def test_undecodable_document_is_a_config_error(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_bytes(b'\xff\xfe{"model": {}}')
     assert main(["curve", "--config", str(path)]) == 2
+
+
+def reference_csv(header, columns):
+    """A CSV as the row-by-row loop wrote it: %.17g per value."""
+    rows = [",".join(header)] + [",".join(f"{float(v):.17g}" for v in row) for row in zip(*columns)]
+    return "\n".join(rows) + "\n"
 
 
 def read_csv(path):
@@ -272,8 +280,79 @@ class TestCommands:
                    np.array([np.nan, np.inf, -np.inf, -0.0]),
                    np.array([5e-324, 2.2250738585072014e-308, 7, -1.5e-17])]
         write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns)
-        rows = ["a,b,c"] + [",".join(f"{float(v):.17g}" for v in row) for row in zip(*columns)]
-        assert (tmp_path / "t.csv").read_text() == "\n".join(rows) + "\n"
+        assert (tmp_path / "t.csv").read_text() == reference_csv(["a", "b", "c"], columns)
+
+    @pytest.mark.parametrize("n_rows,n_cols", [
+        (1, 3), (CSV_BLOCK // 3, 3), (CSV_BLOCK // 3 + 1, 3), (3, 5000)],
+        ids=["one_row", "one_block", "one_block_and_a_row", "paths_shaped"])
+    def test_csv_bytes_across_block_edges(self, tmp_path, n_rows, n_cols):
+        rng = np.random.default_rng(n_rows * n_cols)
+        shape = (n_rows, n_cols)
+        table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        specials = np.resize([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0 / 3.0],
+                             min(table.size, 60))
+        table.flat[rng.choice(table.size, specials.size, replace=False)] = specials
+        header = [f"c{j}" for j in range(n_cols)]
+        write_csv(tmp_path / "t.csv", header, list(table.T))
+        assert (tmp_path / "t.csv").read_text() == reference_csv(header, list(table.T))
+
+
+def reference_polylines(series):
+    """The points of each polyline as the per-point loop wrote them: the
+    finite points, framed on their range (a flat range widened by 1, the
+    y range padded by 4 %), mapped one float at a time."""
+    finite = []
+    for xs, ys, _ in series:
+        xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+        ok = np.isfinite(xs) & np.isfinite(ys)
+        finite.append((xs[ok], ys[ok]))
+    x_lo = min(float(x) for xs, _ in finite for x in xs)
+    x_hi = max(float(x) for xs, _ in finite for x in xs)
+    y_lo = min(float(y) for _, ys in finite for y in ys)
+    y_hi = max(float(y) for _, ys in finite for y in ys)
+    x_hi = x_lo + 1.0 if x_hi == x_lo else x_hi
+    y_hi = y_lo + 1.0 if y_hi == y_lo else y_hi
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    return [" ".join(f"{70 + (x - x_lo) / (x_hi - x_lo) * 790:.2f},"
+                     f"{40 + (y_hi - y) / (y_hi - y_lo) * 430:.2f}" for x, y in zip(xs, ys))
+            for xs, ys in finite if xs.size >= 2]
+
+
+_T = np.linspace(0.0, 3.0, 7)
+SVG_CASES = {
+    "non_finite_dropped": [(np.array([0.0, np.nan, 1.0, 2.0, np.inf, 3.0, 4.0]),
+                            np.array([1.0, 2.0, np.inf, -np.inf, 0.5, 0.25, np.nan]), "a")],
+    "signed_zero_and_subnormal": [(np.array([-0.0, 5e-324, 1e-323, 1.5e-323]),
+                                   np.array([5e-324, -0.0, 0.0, 1e-323]), "")],
+    "huge": [(np.array([0.0, 1e300, 2e300]), np.array([1e300, -1e300, 0.0]), "h")],
+    "one_point": [(np.array([2.0]), np.array([3.0]), "p")],
+    "one_point_beside_a_line": [(np.array([2.0]), np.array([3.0]), "p"),
+                                (_T, _T ** 2, "q")],
+    "constant": [(_T, np.full(_T.size, 0.7), "c")],
+    "three_series": [(_T, np.sin(_T), "sin"), (_T, np.cos(_T), ""),
+                     (_T[::2], np.exp(-_T[::2]), "exp")],
+    # pixels that land exactly on a .xx5 tie on [0, 3] x [0, 1], one ulp
+    # from the value another order of the same operations gives
+    "rounding_ties": [(np.array([0.0, 0.016613924050632882, 0.06218354430379743, 3.0]),
+                       np.array([0.0, 0.9988720930232559, 0.9844302325581396, 1.0]), "")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SVG_CASES))
+def test_svg_points_match_the_reference_loop(case):
+    svg = render_line_chart(SVG_CASES[case], title=case, ylabel="y")
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == reference_polylines(SVG_CASES[case])
+
+
+def test_svg_without_a_finite_point_draws_the_empty_frame():
+    empty = render_line_chart([], title="t")
+    nothing = (np.array([np.nan]), np.array([np.inf]), "")
+    assert render_line_chart([nothing], title="t") == empty
+    assert render_line_chart([nothing, nothing], title="t") == empty
+    labelled = render_line_chart([nothing[:2] + ("a",)], title="t")
+    assert "<polyline" not in labelled and ">a</text>" in labelled
+    assert '>0</text>' in empty and '>1</text>' in empty  # the x ticks span [0, 1]
 
 
 # a document that gives every key a flag sets, each to a value no flag case uses
@@ -371,6 +450,47 @@ def test_density_command_matrix(tmp_path, kind, sigma, command, method):
     assert np.all(np.isfinite(data)) and np.all(data[:, 1:] >= 0.0)
     assert np.trapezoid(data[:, 1], data[:, 0]) <= 1.0 + 1e-6
 
+
+# SHA-256 of the CSV and the SVG each run writes on SMOKE_CONFIG, recorded
+# with np.savetxt and the per-point polyline loop; the key is
+# command[-method]-noise kind
+PINNED_OUTPUTS = {
+    "curve-multiplicative": ("2e1385c19474d5256f0ef6ef261e5b6bb82a6b687ec1bbad5f26b565cd6cb5ee",
+                            "0bc136d817b59e9984dc790e82ea294ee9deb44e976cc8b80b6219c6069f998c"),
+    "paths-multiplicative": ("60111b3c3c7b96932fcecbab7d1d30bdf8c18274f56a275c11543b0957a94532",
+                            "bf4e9d216bc1699e78df2b8304866ea57dce3d8509c35e58d1cf0157753cd77e"),
+    "paths-additive": ("9352e4d1c8043c2a313781a72cffc060ce7acca81bc6742dc9391133b6e58de0",
+                      "5e0c04fa098e1c80303d8995bec99e06f88adcea30810795b1b87ed021253c43"),
+    "fpt-closed-multiplicative": ("06f86dedf685c9c2f1333df4b6efaa57b65d47b507df7315a0824cc087de57a5",
+                                 "e7ce621b1881ea671818a40f6d8313f5a97aa0cb7dad0ecdbfdd6df800e837bd"),
+    "fpt-closed-additive": ("ebdb4df9c4d5f8e64e5581d2e7105511d8c7a46ca7bac24fab5fb4b6ebdbced2",
+                           "ec76e64b3c90216f58ebef95900a817222d194cf97a6224405370b5572b100e7"),
+    "fpt-volterra-multiplicative": ("9b5e370d5fc547e2077c36ccdf33dacabd378648f6b4d21064a245032890cae8",
+                                   "80d288e59f067a466e30dda514cb340df66cfe60c6b4ed9574ac722c105d0b48"),
+    "fpt-volterra-additive": ("bdced139bd343d8517170b47531d89688440246cfc285f1ce3d6e0c3887fb743",
+                             "3f9dcecd6b1711c2a2abb5d44f7568a6f576664430586e72fa996db24649db88"),
+    "fet-closed-multiplicative": ("31edbd950e9c05621febefa15a7450b40e6f0889359f3cfcb1dcca6316926f14",
+                                 "7a3f892130ac339da77a1304e9d50e929ec3e6e7257fc56bb6a5a73497abda64"),
+    "fet-closed-additive": ("428668f190dc708b157e387d8c15642034ebca65d2002377dbc1b04efa645e7f",
+                           "25dd76e5a4242eb1d062f19a75cd6d2b8b1c0174cd34bfdc394393e50beed357"),
+    "fet-volterra-multiplicative": ("35e712ac44a61c9ca57778341cc66e2e05bf8d67b593c0dc0589eedab619d7e0",
+                                   "9c2b0c3e17e6009c5b7e5274cf3cc3e78c0af34e4724641d1ed81939c5a4933c"),
+    "fet-volterra-additive": ("0be2c0a6734347acafcb82038c25b2a3fbd8b5f4897bd95666ccce0709419f98",
+                             "ac1e079d706d178061d9294d709600572a7590a17231fe047c370aa362ba99a6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_cli_writes_pinned_bytes(tmp_path, case):
+    command, *method, kind = case.split("-")
+    doc = dict(SMOKE_CONFIG, noise={"kind": kind,
+                                    "sigma": 0.05 if kind == "multiplicative" else 0.1})
+    out = tmp_path / "o"
+    flags = ["--method", method[0]] if method else []
+    assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]
+                + flags) == 0
+    assert tuple(hashlib.sha256((out / f"{command}.{ext}").read_bytes()).hexdigest()
+                 for ext in ("csv", "svg")) == PINNED_OUTPUTS[case]
 
 # a band started off its centre: nu1 < nu != 1 < nu2, with each side taking
 # at least 5 % of the exits by the horizon
