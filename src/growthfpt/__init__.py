@@ -28,10 +28,8 @@ from .growth_curve import (CurveRegime, GrowthParams, ReparamCoeffs,
                            h_eval, h_integral, reparametrize, x_eval)
 from .montecarlo import (EmpiricalHittingSample, SimConfig, density_distance,
                          estimate_fet, estimate_fpt, simulate_paths)
-from .process_lognormal import (LognormalLaw, LognormalProcess,
-                                sample_transition_L, to_wiener_spec,
-                                transition_law_L)
-from .process_ou import OUProcess, gm_spec_G, sample_transition_G, transition_law_G
+from .process_lognormal import LognormalProcess, transition_law_L
+from .process_ou import OUProcess, gm_spec_G, transition_law_G
 from .quadrature import QuadratureSpec, integrate_adaptive
 
 __version__ = "0.1.0"

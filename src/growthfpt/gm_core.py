@@ -8,6 +8,10 @@ laws and the infinitesimal coefficients need, so it is the representation
 used throughout the package, held as (m, r, k2).  In Y = (X - m)/k2 the
 process is a unit Wiener process in the clock r: to_clock maps a
 first-passage problem there, and the kernel psi reads the clock alone.
+
+Each process, and a spec through GMSpec.coord, has a WienerCoord from a
+start (y, tau), in which w(t) ~ N(0, R(t)) given X(tau) = y; TransitionLaw,
+the one transition law, is that Gaussian pushed through the coordinate.
 Every time function of a spec, and the laws built from it, take a scalar or
 a numpy array of times.
 """
@@ -57,6 +61,21 @@ class GMSpec:
     k2: TimeFn
     k2_dot: TimeFn
 
+    def coord(self, x0: float, t0: float) -> WienerCoord:
+        """The Wiener coordinate from the start (x0, t0): w = (x - m)/k2 - y0
+        with y0 = (x0 - m(t0))/k2(t0), R = r(t) - r(t0) and dw/dx = 1/k2, in
+        which a DanielsBoundary is the line c = d2 + d1 r(t0) - y0, d = d1."""
+        at0 = evaluate(self, t0)
+        y0, r0 = float((x0 - at0.m) / at0.k2), float(at0.r)
+        m, k2 = (lambda t: on_grid(self.m, t)), (lambda t: on_grid(self.k2, t))
+        return WienerCoord(
+            clock=lambda t: _as_out(on_grid(self.r, t) - r0),
+            rate=lambda t: _as_out(on_grid(self.r_dot, t)),
+            to_coord=lambda x, t: _as_out((np.asarray(x, dtype=float) - m(t)) / k2(t) - y0),
+            to_state=lambda w, t: _as_out(m(t) + k2(t) * (np.asarray(w, dtype=float) + y0)),
+            jacobian=lambda x, t: _as_out(1.0 / k2(t)),
+            line=lambda b: (b.d2 + b.d1 * r0 - y0, b.d1))
+
 
 def clock_spec(r: TimeFn, r_dot: TimeFn) -> GMSpec:
     """Driftless unit Wiener process run in the clock r: m = 0, k1 = r,
@@ -78,15 +97,19 @@ class WienerCoord:
     process w, 0 at the start, in a clock R measured from t0.
 
     clock(t), rate(t): R and R'.  to_coord(x, t), to_state(w, t): the state
-    map and its inverse.  line(b): (c, d) of a closed-form boundary b of the
-    process, whose image is w = c + d*R.  All take scalars or arrays.
+    map and its inverse; jacobian(x, t): dw/dx.  line(b): (c, d) of a
+    closed-form boundary b of the process, whose image is w = c + d*R.  All
+    take scalars or arrays.  States at or below floor are off the state
+    space (0 for the lognormal process), where to_coord may raise.
     """
 
     clock: TimeFn
     rate: TimeFn
     to_coord: Callable
     to_state: Callable
+    jacobian: Callable
     line: Callable
+    floor: float = -math.inf
 
     @property
     def spec(self) -> GMSpec:
@@ -153,47 +176,63 @@ def r_ratio(spec: GMSpec, t) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class TransitionLaw:
-    """Normal transition law of X(t) given X(tau) = y."""
+    """Law of X(t) given X(tau) = y: w(t) ~ N(0, R) in coord, the Wiener
+    coordinate from (y, tau), pushed through its maps.
 
-    mean: float
-    variance: float
+    R = coord.clock(t); mean and variance are those of X, in closed form
+    from the constructor.  A zero R is a point mass at y (w = 0), and states
+    at or below coord.floor carry no mass.  t, every field and every result
+    may be a scalar or an array.
+    """
+
+    coord: WienerCoord
+    t: object
+    R: object
+    mean: object
+    variance: object
+
+    def _coord_of(self, x):
+        """(x, read at the mean off the state space; its w, -inf there)."""
+        x = np.asarray(x, dtype=float)
+        inside = x > self.coord.floor
+        x_in = np.where(inside, x, self.mean)
+        return x_in, np.where(inside, self.coord.to_coord(x_in, self.t), -math.inf)
 
     def pdf(self, x):
-        """Normal density at x; a zero variance gives a point mass at the
-        mean (inf there, 0 elsewhere)."""
-        x = np.asarray(x, dtype=float)
-        var = np.asarray(self.variance, dtype=float)
-        z = x - self.mean
+        """phi(w; R) * dw/dx at x; a zero R gives inf at y, 0 elsewhere."""
+        x_in, w = self._coord_of(x)
+        R = np.asarray(self.R, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            dens = np.exp(-z * z / (2.0 * var)) / (_SQRT2PI * np.sqrt(var))
-        point = np.where(z == 0.0, math.inf, 0.0)
-        return _as_out(np.where(var == 0.0, point, dens))
+            dens = (np.exp(-w * w / (2.0 * R)) / (_SQRT2PI * np.sqrt(R))
+                    * self.coord.jacobian(x_in, self.t))
+        return _as_out(np.where(R == 0.0, np.where(w == 0.0, math.inf, 0.0), dens))
 
     def cdf(self, x):
-        """Normal distribution function at x; a zero variance gives a step
-        at the mean (0 below it, 1 from it on)."""
-        x = np.asarray(x, dtype=float)
-        var = np.asarray(self.variance, dtype=float)
+        """Phi(w / sqrt(R)) at x; a zero R gives a step at y (0 below it, 1
+        from it on)."""
+        _, w = self._coord_of(x)
+        R = np.asarray(self.R, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = (x - self.mean) / np.sqrt(2.0 * var)
-        step = np.where(x < self.mean, 0.0, 1.0)
-        return _as_out(np.where(var == 0.0, step, 0.5 * (1.0 + _erf(z))))
+            prob = 0.5 * (1.0 + _erf(w / np.sqrt(2.0 * R)))
+        return _as_out(np.where(R == 0.0, np.where(w < 0.0, 0.0, 1.0), prob))
+
+    def sample(self, rng: np.random.Generator, size=None):
+        """Exact draws to_state(sqrt(R) Z, t), Z standard normal of shape
+        `size` (broadcast against t); None draws one value per time."""
+        z = rng.standard_normal(np.shape(self.R) if size is None else size)
+        return self.coord.to_state(np.sqrt(self.R) * z, self.t)
 
 
 def transition_law(spec: GMSpec, y: float, tau: float, t) -> TransitionLaw:
-    """Conditional law of X(t) given X(tau) = y, for tau <= t.
-
-    mean = m(t) + (k2(t)/k2(tau)) * (y - m(tau))
-    var  = k2(t) * [k1(t) - (k2(t)/k2(tau)) * k1(tau)]
-         = k2(t)^2 * [r(t) - r(tau)]
-    """
+    """Law of X(t) given X(tau) = y, tau <= t, on spec.coord(y, tau): mean
+    m(t) + (k2(t)/k2(tau)) (y - m(tau)), variance k2(t)^2 R, R = r(t) - r(tau)."""
     if np.any(np.less(t, tau)):
         raise OrderError(f"transition requested backwards: t={t} < tau={tau}")
     at_tau, at_t = evaluate(spec, tau), evaluate(spec, t)
     mean = at_t.m + at_t.k2 / at_tau.k2 * (y - at_tau.m)
-    var = at_t.k2 * at_t.k2 * (at_t.r - at_tau.r)
-    var = np.where(np.equal(t, tau), 0.0, np.maximum(var, 0.0))
-    return TransitionLaw(mean=_as_out(mean), variance=_as_out(var))
+    R = np.where(np.equal(t, tau), 0.0, np.maximum(at_t.r - at_tau.r, 0.0))
+    return TransitionLaw(spec.coord(y, tau), t, _as_out(R), _as_out(mean),
+                         _as_out(at_t.k2 * at_t.k2 * R))
 
 
 def infinitesimal_coeffs(spec: GMSpec, x: float, t: float) -> Tuple[float, float]:

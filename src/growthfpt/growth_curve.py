@@ -254,15 +254,15 @@ def _check_t(params: GrowthParams, t: np.ndarray, *,
         raise DomainError(f"t={hi} at or beyond the domain end t_star={ts}")
 
 
-def _check_times(params: GrowthParams, tau: float, t: float) -> None:
-    """A transition from tau to t: t0 <= tau <= t < t_star."""
-    if t < tau:
-        raise OrderError(f"t={t} < tau={tau}")
+def _check_times(params: GrowthParams, tau: float, t) -> None:
+    """A transition from tau to t (a time or an array): t0 <= tau <= t < t_star."""
+    if np.min(t) < tau:
+        raise OrderError(f"t={np.min(t)} < tau={tau}")
     if tau < params.t0:
         raise OrderError(f"tau={tau} precedes t0={params.t0}")
     ts = _core(params).t_star
-    if t >= ts:
-        raise DomainError(f"t={t} at or beyond the domain end t_star={ts}")
+    if np.max(t) >= ts:
+        raise DomainError(f"t={np.max(t)} at or beyond the domain end t_star={ts}")
 
 
 def _g_pow_n(params: GrowthParams, t):

@@ -25,7 +25,6 @@ finite domain end included.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,8 @@ class OUProcess:
 
             w = x g(t) - x0 g(t0),   R = sigma^2 int_{t0}^t g^2,  R' = sigma^2 g^2,
 
-        in which an AffineGMBoundary is the line c = A - x0 g(t0), d = B.
+        with dw/dx = g(t), in which an AffineGMBoundary is the line
+        c = A - x0 g(t0), d = B.
         """
         params = self.params
         s2 = self.sigma * self.sigma
@@ -86,7 +86,8 @@ class OUProcess:
         return WienerCoord(
             clock=lambda t: s2 * (int_g2(params, t) - p0), rate=rate,
             to_coord=lambda x, t: _as_out(np.asarray(x, dtype=float) * _g(params, t) - w0),
-            to_state=lambda w, t: _as_out((w + w0) / _g(params, t)), line=line)
+            to_state=lambda w, t: _as_out((w + w0) / _g(params, t)),
+            jacobian=lambda x, t: _g(params, t), line=line)
 
     def mean_boundary(self, nu: float) -> AffineGMBoundary:
         """nu times the conditional mean from the start of params."""
@@ -129,16 +130,13 @@ def int_g2(params: GrowthParams, ts):
     return _as_out((prefix[k] + panels[n_full:]).reshape(ts.shape))
 
 
-def transition_law_G(proc: OUProcess, y: float, tau: float, t: float) -> TransitionLaw:
-    """Gaussian transition law of the additive-noise process."""
+def transition_law_G(proc: OUProcess, y: float, tau: float, t) -> TransitionLaw:
+    """Gaussian law on coord(y, tau): w ~ N(0, R), mean y g(tau)/g(t),
+    variance R/g(t)^2."""
     _check_times(proc.params, tau, t)
-    gt = _g(proc.params, t)
-    mean = y * _g(proc.params, tau) / gt
-    if t == tau:
-        return TransitionLaw(mean=y, variance=0.0)
-    p_tau, p_t = int_g2(proc.params, [tau, t])
-    var = proc.sigma ** 2 * (p_t - p_tau) / (gt * gt)
-    return TransitionLaw(mean=mean, variance=var)
+    coord, gt = proc.coord(y, tau), _g(proc.params, t)
+    R, mean = coord.clock(t), _as_out(y * (_g(proc.params, tau) / gt))
+    return TransitionLaw(coord, t, R, mean, _as_out(R / (gt * gt)))
 
 
 def gm_spec_G(proc: OUProcess) -> GMSpec:
@@ -154,12 +152,3 @@ def gm_spec_G(proc: OUProcess) -> GMSpec:
     return GMSpec(m=lambda t: 0.0, m_dot=lambda t: 0.0, r=coord.clock, r_dot=coord.rate,
                   k2=lambda t: 1.0 / _g(params, t),
                   k2_dot=lambda t: h_eval(params, t) / _g(params, t))
-
-
-def sample_transition_G(proc: OUProcess, y: float, tau: float, t: float,
-                        rng: np.random.Generator) -> float:
-    """Exact Gaussian draw of X(t) given X(tau) = y."""
-    law = transition_law_G(proc, y, tau, t)
-    if law.variance == 0.0:
-        return law.mean
-    return law.mean + math.sqrt(law.variance) * rng.standard_normal()

@@ -188,8 +188,8 @@ class TestLognormalBand:
     def test_equivalence_with_gm_machinery(self):
         proc = LognormalProcess(PARAMS, 0.02)
         band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.25)
-        from growthfpt import to_wiener_spec
-        spec, transform, _ = to_wiener_spec(proc)
+        coord = proc.coord(1.0, PARAMS.t0)
+        spec, transform = coord.spec, coord.to_coord
         s2 = 0.02 ** 2
         a_coef = 0.5  # slope sigma^2/2 over k1' = sigma^2
         gm_band = BandSpec(c1=math.log(0.8 * PARAMS.x0), c=math.log(PARAMS.x0),
@@ -224,8 +224,8 @@ class TestLognormalBand:
         # nu = 0.95 starts the path at 0.95 x0, nearer the lower boundary
         proc = LognormalProcess(PARAMS, 0.02)
         band = ProportionalBand(nu1=0.8, nu=0.95, nu2=1.25)
-        from growthfpt import to_wiener_spec
-        spec, transform, _ = to_wiener_spec(proc)
+        coord = proc.coord(1.0, PARAMS.t0)
+        spec, transform = coord.spec, coord.to_coord
         gm_band = BandSpec(c1=math.log(0.8), c=math.log(0.95), c2=math.log(1.25))
         z0 = transform(0.95 * PARAMS.x0, 0.0)
         assert z0 == pytest.approx(math.log(0.95), rel=1e-12)

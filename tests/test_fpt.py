@@ -8,7 +8,7 @@ from growthfpt import (AffineGMBoundary, DanielsBoundary, DensityCurve,
                        GrowthParams, LognormalProcess, OrderError, OUProcess,
                        SimConfig, StartOnBoundary, estimate_fpt,
                        fpt_pdf_gm_closed, fpt_pdf_lognormal, fpt_pdf_ou,
-                       integrate_adaptive, to_wiener_spec, volterra_fpt,
+                       integrate_adaptive, volterra_fpt,
                        wiener_spec)
 from growthfpt.fpt import affine_gm_boundary_fns, exp_boundary_fns
 from growthfpt.growth_curve import _g, h_eval
@@ -55,7 +55,8 @@ class TestClosedFormGM:
     def test_matches_lognormal_after_transform(self):
         proc = LognormalProcess(PARAMS, 0.02)
         bnd = ExpBoundary(A=0.8, B=0.0)
-        spec, transform, _ = to_wiener_spec(proc)
+        coord = proc.coord(1.0, PARAMS.t0)
+        spec, transform = coord.spec, coord.to_coord
         # image of the boundary is affine: intercept ln A, slope B + sigma^2/2
         s2 = proc.sigma ** 2
         d1 = (bnd.B + 0.5 * s2) / s2
@@ -71,10 +72,12 @@ class TestClosedFormGM:
         params = GrowthParams(gamma=0.5, n=1.0, p=1.5, k=20.0, x0=2.0, t0=1.0)
         proc = LognormalProcess(params, 0.03)
         bnd = ExpBoundary(A=0.8 * 2.0 * math.exp(-0.002), B=0.002)
-        spec, transform, _ = to_wiener_spec(proc)
+        coord = proc.coord(1.0, params.t0)
+        spec, transform = coord.spec, coord.to_coord
+        # the clock starts at t0, so the image's intercept is ln A + B t0
         s2 = proc.sigma ** 2
         d1 = (bnd.B + 0.5 * s2) / s2
-        d2 = math.log(bnd.A)
+        d2 = math.log(bnd.A) + bnd.B * params.t0
         z0 = transform(2.0, 1.0)
         fns = exp_boundary_fns(proc, bnd, params.t0)
         assert fns.s(1.0) == pytest.approx(bnd.A * math.exp(bnd.B), rel=1e-12)
@@ -126,7 +129,8 @@ class TestClosedFormLognormal:
         # on that image reproduces the closed form
         proc = LognormalProcess(PARAMS, 0.1)
         bnd, t0 = ExpBoundary(A=0.8), 3.0
-        spec, transform, _ = to_wiener_spec(proc)
+        coord = proc.coord(1.0, PARAMS.t0)
+        spec, transform = coord.spec, coord.to_coord
         fns = exp_boundary_fns(proc, bnd, t0)
         image = GeneralBoundary(
             s=lambda t: transform(fns.s(t), t),

@@ -5,10 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from growthfpt import (DanielsBoundary, GeneralBoundary, GrowthParams,
-                       OrderError, OUProcess, SimConfig, daniels_boundary_fns,
-                       fpt_pdf_gm_closed, gm_spec_G, infinitesimal_coeffs,
-                       psi_kernel, r_ratio, simulate_paths, transition_law,
-                       wiener_spec)
+                       LognormalProcess, OrderError, OUProcess, SimConfig,
+                       daniels_boundary_fns, fpt_pdf_gm_closed, gm_spec_G,
+                       infinitesimal_coeffs, psi_kernel, r_ratio,
+                       simulate_paths, transition_law, transition_law_G,
+                       transition_law_L, wiener_spec)
 from growthfpt.growth_curve import _g, h_eval
 
 from conftest import BASE
@@ -109,6 +110,83 @@ class TestTransitionLaw:
             assert law.variance == pytest.approx(alt, rel=1e-12)
 
 
+LAWS = {
+    "spec": (transition_law, gm_spec_G(OUProcess(PARAMS, 0.1))),
+    "lognormal": (transition_law_L, LognormalProcess(PARAMS, 0.05)),
+    "ou": (transition_law_G, OUProcess(PARAMS, 0.1)),
+}
+
+
+class TestOneLaw:
+    """The three constructors build one law: scalar and array times agree
+    exactly, t = tau is a point mass, and states off the space carry none."""
+
+    Y, TAU = 1.4, 0.5
+    TS = np.array([0.5, 0.9, 2.0, 7.5])
+
+    @pytest.mark.parametrize("kind", list(LAWS))
+    def test_scalar_and_array_times_agree(self, kind):
+        make, proc = LAWS[kind]
+        law = make(proc, self.Y, self.TAU, self.TS)
+        xs = np.array([0.3, 1.0, self.Y, 2.2, 3.9])
+        for i, t in enumerate(self.TS):
+            one = make(proc, self.Y, self.TAU, float(t))
+            assert type(one.mean) is float and type(one.variance) is float
+            assert law.mean[i] == one.mean and law.variance[i] == one.variance
+            for x in xs:
+                assert type(one.pdf(x)) is float and type(one.cdf(x)) is float
+                assert law.pdf(x)[i] == one.pdf(x)
+                assert law.cdf(x)[i] == one.cdf(x)
+            assert np.array_equal(one.pdf(xs), [one.pdf(x) for x in xs])
+            assert np.array_equal(one.cdf(xs), [one.cdf(x) for x in xs])
+
+    @pytest.mark.parametrize("kind", list(LAWS))
+    def test_start_time_is_a_point_mass(self, kind):
+        make, proc = LAWS[kind]
+        for law in (make(proc, self.Y, self.TAU, self.TAU),
+                    make(proc, self.Y, self.TAU, self.TS)):
+            at = (lambda v: v) if np.ndim(law.mean) == 0 else (lambda v: v[0])
+            assert at(law.mean) == self.Y and at(law.variance) == 0.0
+            assert at(law.pdf(self.Y)) == math.inf
+            assert at(law.pdf(self.Y - 1e-9)) == 0.0 and at(law.pdf(self.Y + 1e-9)) == 0.0
+            assert at(law.cdf(self.Y - 1e-9)) == 0.0
+            assert at(law.cdf(self.Y)) == 1.0 and at(law.cdf(self.Y + 1e-9)) == 1.0
+            assert at(law.sample(np.random.default_rng(0))) == self.Y
+
+    def test_lognormal_has_no_mass_off_the_positive_states(self):
+        make, proc = LAWS["lognormal"]
+        off = np.array([-2.0, -0.0, 0.0])
+        for t in (self.TAU, 2.0, self.TS):
+            law = make(proc, self.Y, self.TAU, t)
+            for x in off:
+                assert np.all(law.pdf(x) == 0.0) and np.all(law.cdf(x) == 0.0)
+        law = make(proc, self.Y, self.TAU, 2.0)
+        assert np.array_equal(law.pdf(off), [0.0, 0.0, 0.0])
+        cdf = law.cdf(np.append(off, law.mean))
+        assert np.array_equal(cdf[:3], [0.0, 0.0, 0.0]) and cdf[3] > 0.0
+        assert law.pdf(law.mean) > 0.0
+
+    @pytest.mark.parametrize("kind", list(LAWS))
+    def test_sample_per_time(self, kind):
+        make, proc = LAWS[kind]
+        law = make(proc, self.Y, self.TAU, self.TS)
+        draws = law.sample(np.random.default_rng(3), (20_000, self.TS.size))
+        assert draws.shape == (20_000, self.TS.size)
+        assert np.all(draws[:, 0] == law.mean[0])
+        se = np.sqrt(law.variance[1:] / draws.shape[0])
+        assert np.all(np.abs(draws[:, 1:].mean(axis=0) - law.mean[1:]) <= 3.0 * se)
+
+    def test_spec_coordinate_lines(self):
+        spec = gm_spec_G(OUProcess(PARAMS, 0.1))
+        coord = spec.coord(self.Y, self.TAU)
+        b = DanielsBoundary(d1=0.3, d2=1.9)
+        s, _ = daniels_boundary_fns(spec, b)
+        c, d = coord.line(b)
+        w = coord.to_coord(s(self.TS), self.TS)
+        assert np.allclose(w, c + d * coord.clock(self.TS), rtol=0.0, atol=1e-13)
+        assert coord.to_coord(self.Y, self.TAU) == 0.0
+
+
 class TestInfinitesimalCoeffs:
     def test_wiener(self):
         b1, b2 = infinitesimal_coeffs(wiener_spec(0.02), 0.4, 1.7)
@@ -190,15 +268,13 @@ class TestCovarianceFactorization:
             b = paths[:, t_idx] - PARAMS.x0 * _g(PARAMS, 0.0) / _g(PARAMS, ts[t_idx])
             expected = spec.r(ts[s_idx]) * spec.k2(ts[s_idx]) * spec.k2(ts[t_idx])
         else:
-            from growthfpt import LognormalProcess, to_wiener_spec
             proc = LognormalProcess(PARAMS, 0.5)
-            spec, transform, _ = to_wiener_spec(proc)
+            coord = proc.coord(PARAMS.x0, 0.0)
             cfg = SimConfig(dt=0.5, horizon=2.0, n_paths=n_paths, seed=100)
             ts, paths = simulate_paths(proc, cfg)
             s_idx, t_idx = 2, 4
-            z0 = transform(PARAMS.x0, 0.0)
-            a = np.array([transform(x, ts[s_idx]) for x in paths[:, s_idx]]) - z0
-            b = np.array([transform(x, ts[t_idx]) for x in paths[:, t_idx]]) - z0
+            a = coord.to_coord(paths[:, s_idx], ts[s_idx])
+            b = coord.to_coord(paths[:, t_idx], ts[t_idx])
             # started-at-a-point Wiener: cov = sigma^2 * s
             expected = 0.25 * ts[s_idx]
         prod = a * b

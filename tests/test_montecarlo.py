@@ -110,7 +110,7 @@ class TestSimulatePaths:
             se_mean = math.sqrt(law.variance / cfg.n_paths)
             assert abs(float(col.mean()) - law.mean) <= 3.0 * se_mean
             # sample variance of a lognormal: se via the fourth moment
-            s2 = law.log_variance
+            s2 = law.R  # variance of ln X(t)
             m4 = (law.mean ** 4 * (math.exp(6.0 * s2) - 4.0 * math.exp(3.0 * s2)
                                    + 6.0 * math.exp(s2) - 3.0))
             se_var = math.sqrt(max(m4 - law.variance ** 2, 0.0) / cfg.n_paths)

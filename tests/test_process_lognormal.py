@@ -5,8 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from growthfpt import (GrowthParams, LognormalProcess, NonPositiveState,
-                       infinitesimal_coeffs, sample_transition_L,
-                       to_wiener_spec, transition_law, transition_law_L,
+                       infinitesimal_coeffs, transition_law, transition_law_L,
                        x_eval)
 
 from conftest import BASE
@@ -18,8 +17,8 @@ PROC = LognormalProcess(PARAMS, 0.02)
 class TestTransitionLaw:
     def test_identity_case(self):
         law = transition_law_L(PROC, 2.0, 1.0, 1.0)
-        assert law.log_mean == pytest.approx(math.log(2.0), rel=1e-14)
-        assert law.log_variance == 0.0
+        assert law.mean == pytest.approx(2.0, rel=1e-14)
+        assert law.R == 0.0
         assert law.variance == 0.0
 
     def test_conditional_mean_tracks_the_curve(self):
@@ -45,8 +44,7 @@ class TestTransitionLaw:
         assert law.cdf(1e-12) < 1e-10
         assert law.cdf(1e9) == pytest.approx(1.0, abs=1e-10)
         # strictly increasing across the representable bulk of the law
-        sd = math.sqrt(law.log_variance)
-        xs = np.exp(np.linspace(law.log_mean - 6.0 * sd, law.log_mean + 6.0 * sd, 50))
+        xs = law.coord.to_state(math.sqrt(law.R) * np.linspace(-6.0, 6.0, 50), law.t)
         cs = [law.cdf(float(x)) for x in xs]
         assert all(b > a for a, b in zip(cs, cs[1:]))
 
@@ -58,40 +56,38 @@ class TestTransitionLaw:
         def integrand(x):
             return transition_law_L(PROC, x, s, t).mean * mid.pdf(x)
 
-        lo = math.exp(mid.log_mean - 10.0 * math.sqrt(mid.log_variance))
-        hi = math.exp(mid.log_mean + 10.0 * math.sqrt(mid.log_variance))
+        lo, hi = mid.coord.to_state(10.0 * math.sqrt(mid.R) * np.array([-1.0, 1.0]), s)
         val, _ = quad(integrand, lo, hi, limit=200)
         assert val == pytest.approx(transition_law_L(PROC, y, tau, t).mean,
                                     rel=1e-8)
 
 
 class TestWienerRepresentation:
+    COORD = PROC.coord(PARAMS.x0, PARAMS.t0)
+
     def test_origin_maps_to_zero(self):
-        _, transform, _ = to_wiener_spec(PROC)
-        assert transform(1.0, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert self.COORD.to_coord(1.0, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
-        _, transform, inverse = to_wiener_spec(PROC)
         for _ in range(50):
             x = rng.uniform(0.05, 30.0)
             t = rng.uniform(0.0, 20.0)
-            assert inverse(transform(x, t), t) == pytest.approx(x, rel=1e-12)
+            assert self.COORD.to_state(self.COORD.to_coord(x, t), t) == pytest.approx(
+                x, rel=1e-12)
 
     def test_spec_coefficients(self):
-        spec, _, _ = to_wiener_spec(PROC)
-        b1, b2 = infinitesimal_coeffs(spec, 0.3, 2.0)
+        b1, b2 = infinitesimal_coeffs(self.COORD.spec, 0.3, 2.0)
         assert b1 == 0.0
         assert b2 == pytest.approx(PROC.sigma ** 2, rel=1e-14)
 
     def test_nonpositive_state_rejected(self):
-        _, transform, _ = to_wiener_spec(PROC)
         with pytest.raises(NonPositiveState):
-            transform(-1.0, 0.5)
+            self.COORD.to_coord(-1.0, 0.5)
 
     def test_density_change_of_variables(self):
         # pdf of X equals the Wiener pdf of the transformed state over x
-        spec, transform, _ = to_wiener_spec(PROC)
+        spec, transform = self.COORD.spec, self.COORD.to_coord
         y, tau, t = 1.0, 0.0, 2.0
         law_x = transition_law_L(PROC, y, tau, t)
         z_tau = transform(y, tau)
@@ -106,15 +102,14 @@ class TestSampling:
     def test_vanishing_noise_is_deterministic(self):
         proc = LognormalProcess(PARAMS, 1e-12)
         rng = np.random.default_rng(0)
-        val = sample_transition_L(proc, 1.0, 0.0, 1.0, rng)
+        val = transition_law_L(proc, 1.0, 0.0, 1.0).sample(rng)
         assert val == pytest.approx(x_eval(PARAMS, 1.0), rel=1e-9)
 
     def test_moments_of_draws(self):
         rng = np.random.default_rng(123)
         n = 200_000
         law = transition_law_L(PROC, 1.0, 0.0, 1.0)
-        zs = rng.standard_normal(n)
-        draws = np.exp(law.log_mean + math.sqrt(law.log_variance) * zs)
+        draws = law.sample(rng, n)
         se = math.sqrt(law.variance / n)
         assert abs(float(np.mean(draws)) - law.mean) <= 3.0 * se
         # log-draws are exactly normal: skewness within MC error of zero
@@ -124,8 +119,7 @@ class TestSampling:
 
     def test_sampler_agrees_with_law(self):
         rng = np.random.default_rng(7)
-        draws = np.array([sample_transition_L(PROC, 1.0, 0.0, 1.0, rng)
-                          for _ in range(20_000)])
         law = transition_law_L(PROC, 1.0, 0.0, 1.0)
+        draws = law.sample(rng, 20_000)
         se = math.sqrt(law.variance / draws.size)
         assert abs(float(draws.mean()) - law.mean) <= 3.0 * se

@@ -6,8 +6,7 @@ import pytest
 from growthfpt import (DomainError, GrowthParams, OrderError, OUProcess,
                        QuadratureSpec, domain_end, gm_spec_G,
                        infinitesimal_coeffs, integrate_adaptive, r_ratio,
-                       sample_transition_G, transition_law, transition_law_G,
-                       x_eval)
+                       transition_law, transition_law_G, x_eval)
 from growthfpt.gm_core import evaluate
 from growthfpt.growth_curve import _g, h_eval
 from growthfpt.process_ou import int_g2
@@ -101,7 +100,7 @@ class TestSampling:
     def test_vanishing_noise(self):
         proc = OUProcess(PARAMS, 1e-12)
         rng = np.random.default_rng(0)
-        val = sample_transition_G(proc, 1.0, 0.0, 1.0, rng)
+        val = transition_law_G(proc, 1.0, 0.0, 1.0).sample(rng)
         assert val == pytest.approx(x_eval(PARAMS, 1.0), rel=1e-9)
 
     def test_moments_of_draws(self):
@@ -118,8 +117,8 @@ class TestSampling:
         # large noise around a small state: draws below zero must survive
         proc = OUProcess(PARAMS, 3.0)
         rng = np.random.default_rng(5)
-        draws = [sample_transition_G(proc, 0.2, 0.0, 2.0, rng) for _ in range(500)]
-        assert min(draws) < 0.0
+        draws = transition_law_G(proc, 0.2, 0.0, 2.0).sample(rng, 500)
+        assert draws.min() < 0.0
 
 
 REGIME_CASES = [
