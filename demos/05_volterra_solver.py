@@ -5,6 +5,10 @@ kernel vanishes and the product-integration solver reproduces the closed
 form to machine precision at any step.  For everything else the solver is
 the tool of record; halving the step shrinks the error at first order or
 better, checked here against a much finer reference run.
+
+Every boundary here is given as callables, so the solver sums every source,
+the vanishing ones too.  Given as a DanielsBoundary, a line skips its own
+sources and is its closed form by construction, which would show nothing.
 """
 
 import math

@@ -38,7 +38,11 @@ exit-through-upper densities solves a coupled system of second-kind Volterra
 equations with the passage equation's kernel.  volterra_fet maps the band
 into the Wiener coordinate (gm_core.to_clock) and solves it there with the
 single-boundary solver itself (fpt._volterra), given both boundaries with
-side signs +1 (lower) and -1 (upper).
+side signs +1 (lower) and -1 (upper).  A band of two Daniels lines sums on
+each side only the start and the other side's sources, since the kernel
+vanishes on a line's own; a band of equal slopes in a clock of constant
+rate (every lognormal band of the CLI) takes that cross kernel as one
+Toeplitz row per side.  Boundaries given as callables sum every source.
 """
 
 from __future__ import annotations
@@ -245,10 +249,10 @@ def volterra_fet(spec: GMSpec, s1: GeneralBoundary | DanielsBoundary,
     and their sum, on the supplied uniform grid starting at t0.
     """
     grid, h = _solver_grid(grid, t0)
-    r, rate, S, S_dot, y0 = to_clock(spec, [s1, s2], x0, grid)
+    r, rate, S, S_dot, y0, lines = to_clock(spec, [s1, s2], x0, grid)
     if np.any(S[0] >= S[1]):
         raise BandCrossing("lower boundary meets or exceeds the upper one")
     if not (S[0, 0] < y0 < S[1, 0]):
         raise StartOutsideBand(f"x0={x0} not inside the band at t0")
-    g1, g2 = _volterra(r, rate, S, S_dot, y0, h)
+    g1, g2 = _volterra(r, rate, S, S_dot, y0, h, lines)
     return tuple(DensityCurve(times=grid, values=v) for v in (g1, g2, g1 + g2))

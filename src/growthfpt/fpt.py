@@ -25,10 +25,19 @@ with sign = +1 for a boundary below the start and -1 for one above it, so
 no reflection of state space is needed.  volterra_fpt and volterra_fet map
 the problem into the Wiener coordinate (gm_core.to_clock), where the density
 is the same, and the one private solver, `_volterra`, works there from the
-clock alone: with left rectangles, so the kernel diagonal is never touched,
-first-order accurate in the step (faster in practice because the kernel
-itself vanishes on the diagonal).  It serves the two-boundary system of fet
-with one sign per boundary, and evaluates the one kernel, gm_core.psi.
+clock alone, with left rectangles, so the kernel diagonal is never touched.
+It serves the two-boundary system of fet with one sign per boundary, and
+evaluates the one kernel, gm_core.psi.
+
+A boundary given as a DanielsBoundary is a line of the clock, on which the
+kernel vanishes from every source on the line itself, so the solver sums
+only the sources that matter.  One line is its closed form, exact at the
+grid points, from one array call; a band of two lines sums each side's
+start and the other side's sources, with one Toeplitz row per side where
+the clock's rate is constant and the slopes equal (the lognormal bands).
+Boundaries given as callables sum every source; there the sum is
+first-order accurate in the step, and the discretisation error lives in a
+curved boundary's kernel and in a band's cross term.
 """
 
 from __future__ import annotations
@@ -224,28 +233,71 @@ def _solver_grid(grid, t0: float):
     return grid, float(h)
 
 
+def _lag_only(r: np.ndarray, rate: np.ndarray, lines) -> bool:
+    """Whether two rows are lines of one slope in a clock of constant rate
+    and equal steps, where the kernel on one side from a source on the
+    other depends on k - j alone.  The steps are equal to the tolerance of
+    _solver_grid, which already weighs every source by one step h."""
+    if len(lines) != 2 or None in lines or lines[0][1] != lines[1][1]:
+        return False
+    steps = np.diff(r)
+    return bool(np.all(rate == rate[0])
+                and np.allclose(steps, steps.mean(), rtol=1e-9, atol=0.0))
+
+
 def _volterra(r: np.ndarray, rate: np.ndarray, S: np.ndarray,
-              S_dot: np.ndarray, y0: float, h: float) -> np.ndarray:
+              S_dot: np.ndarray, y0: float, h: float, lines) -> np.ndarray:
     """Passage densities through each of B boundaries before the others, of
     a unit Wiener process from y0 in the clock r (rate r' on the grid).
 
-    S and S_dot hold the boundaries on the grid, one row each.  With
-    sign_b = +1 for a boundary below y0 and -1 for one above it,
+    S and S_dot hold the boundaries on the grid, one row each, and lines
+    each row's (d2, d1) where it is the line d2 + d1*r, else None (see
+    gm_core.to_clock).  With sign_b = +1 for a boundary below y0 and -1 for
+    one above it,
 
         dens[b, k] = 2 sign_b (Psi_b(t_k | y0, t0)
                                - h sum_a sum_{0<j<k} dens[a, j] Psi_b(t_k | S_a(t_j), t_j)).
 
-    The sources are ordered by time, then boundary, with the start as
-    source 0 of weight 1, so the sources before t_k are a prefix and each
-    step makes one kernel call per boundary.  Returns dens, shape (B, K).
+    Psi_b vanishes on a line's own sources, so where every row is a line
+    (one, or a band of two) each row sums only the start, one array call
+    for all k, and the other row's sources:
+      * one line alone is its closed form, exact at the grid points;
+      * a band makes one kernel call per step for both rows, and none where
+        the kernel on one side from the other depends on k - j alone
+        (_lag_only): there one call gives each side's Toeplitz row.
+    Otherwise every row sums every source, ordered by time, then boundary,
+    with the start as source 0 of weight 1, so the sources before t_k are
+    a prefix and each step makes one kernel call per row.  Returns dens,
+    shape (B, K).
     """
     B, K = S.shape
     sign = np.where(S[:, 0] < y0, 1.0, -1.0)
+    dens = np.zeros((B, K))
+    if B <= 2 and None not in lines:
+        dens[:, 1:] = 2.0 * sign[:, None] * psi(r[1:] - r[0], rate[1:], S[:, 1:],
+                                                S_dot[:, 1:], y0)
+        if B == 1:
+            return dens
+        scale = (-2.0 * h) * sign
+        if _lag_only(r, rate, lines):
+            (c_lo, d), (c_hi, _) = lines
+            # cross[b, i]: the kernel on side b from the other side K-1-i steps back
+            lag = (r[-1] - r[0]) / (K - 1) * np.arange(K - 1.0, 0.0, -1.0)
+            gap = np.array([[c_lo - c_hi], [c_hi - c_lo]]) + d * lag
+            cross = scale[:, None] * psi(lag, rate[0], gap, d * rate[0], 0.0)
+            for k in range(2, K):
+                dens[0, k] += float(np.dot(dens[1, 1:k], cross[0, K - k:]))
+                dens[1, k] += float(np.dot(dens[0, 1:k], cross[1, K - k:]))
+            return dens
+        for k in range(2, K):
+            row = psi(r[k] - r[1:k], rate[k], S[:, k, None], S_dot[:, k, None],
+                      S[::-1, 1:k])
+            dens[:, k] += scale * np.einsum("ij,ij->i", dens[::-1, 1:k], row)
+        return dens
     y = np.concatenate(([y0], S[:, 1:].T.ravel()))
     r_src = r[np.concatenate(([0], np.repeat(np.arange(1, K), B)))]
     weight = np.zeros(y.size)
     weight[0] = 1.0
-    dens = np.zeros((B, K))
     for k in range(1, K):
         n = 1 + B * (k - 1)
         dR = r[k] - r_src[:n]
@@ -264,7 +316,7 @@ def volterra_fpt(spec: GMSpec, s: GeneralBoundary | DanielsBoundary, x0: float,
     boundary, on either side of it.
     """
     grid, h = _solver_grid(grid, t0)
-    r, rate, S, S_dot, y0 = to_clock(spec, [s], x0, grid)
+    r, rate, S, S_dot, y0, lines = to_clock(spec, [s], x0, grid)
     if y0 == S[0, 0]:
         raise StartOnBoundary(f"x0 = s(t0) = {x0}")
-    return DensityCurve(times=grid, values=_volterra(r, rate, S, S_dot, y0, h)[0])
+    return DensityCurve(times=grid, values=_volterra(r, rate, S, S_dot, y0, h, lines)[0])

@@ -247,23 +247,29 @@ def infinitesimal_coeffs(spec: GMSpec, x: float, t: float) -> Tuple[float, float
 
 
 def to_clock(spec: GMSpec, boundaries, x0: float, t):
-    """(r, r', S, S', y0): a problem of the spec's process in Y = (X - m)/k2,
-    from one evaluation of the spec at the times t from the start on.  Each
-    boundary is one row of S = (s - m)/k2 and S' = (s' - m')/k2 - S k2'/k2,
-    from its s(t) and s_dot(t) callables (they take arrays), or a
-    DanielsBoundary read as S = d2 + d1*r, S' = d1*r'; y0 = (x0 - m)/k2 at t[0].
+    """(r, r', S, S', y0, lines): a problem of the spec's process in
+    Y = (X - m)/k2, from one evaluation of the spec at the times t from the
+    start on.  Each boundary is one row of S = (s - m)/k2 and
+    S' = (s' - m')/k2 - S k2'/k2, from its s(t) and s_dot(t) callables (they
+    take arrays), or a DanielsBoundary read as S = d2 + d1*r, S' = d1*r';
+    y0 = (x0 - m)/k2 at t[0].  lines holds each row's (d2, d1) where it is a
+    Daniels line, on which psi vanishes from its own sources, and None where
+    it came from callables.
     """
     t = np.asarray(t, dtype=float)
     at = evaluate(spec, t)
-    S, S_dot = [], []
+    S, S_dot, lines = [], [], []
     for b in boundaries:
         if isinstance(b, DanielsBoundary):
             S.append(b.d2 + b.d1 * at.r)
             S_dot.append(b.d1 * at.r_dot)
+            lines.append((b.d2, b.d1))
         else:
             S.append((on_grid(b.s, t) - at.m) / at.k2)
             S_dot.append((on_grid(b.s_dot, t) - at.m_dot - S[-1] * at.k2_dot) / at.k2)
-    return at.r, at.r_dot, np.array(S), np.array(S_dot), (x0 - at.m[0]) / at.k2[0]
+            lines.append(None)
+    return (at.r, at.r_dot, np.array(S), np.array(S_dot),
+            (x0 - at.m[0]) / at.k2[0], lines)
 
 
 def psi(dR, rate, S, S_dot, y):
@@ -274,9 +280,13 @@ def psi(dR, rate, S, S_dot, y):
 
         [S' - r'(t) (S - y)/dR] / 2 * exp(-(S - y)^2 / (2 dR)) / sqrt(2 pi dR).
 
-    It vanishes on every line S = d2 + d1*r started on it, and through
-    to_clock it is every triple's kernel: the bracket of X is k2 times that
-    of Y, its density that of Y over k2.  This is the only copy.
+    It vanishes on every line S = d2 + d1*r started on it (the bracket is
+    d1 r' - r' d1 dR/dR), so fpt._volterra skips it on a DanielsBoundary's
+    own sources.  From a start y it is -sign(c) r'/2 times the
+    inverse-Gaussian passage density to the line c + d1*dR, c = S(tau) - y:
+    the line's closed form.  Through to_clock it is every triple's kernel:
+    the bracket of X is k2 times that of Y, its density that of Y over k2.
+    This is the only copy.
     """
     gap = S - y
     bracket = 0.5 * (S_dot - rate * gap / dR)
@@ -289,5 +299,5 @@ def psi_kernel(spec: GMSpec, boundary, t: float, y: float, tau: float) -> float:
     any object exposing s(t) and s_dot(t).  The formula is psi's."""
     if tau >= t:
         raise OrderError(f"kernel needs tau < t, got tau={tau}, t={t}")
-    r, rate, S, S_dot, y0 = to_clock(spec, [boundary], y, np.array([tau, t]))
+    r, rate, S, S_dot, y0, _ = to_clock(spec, [boundary], y, np.array([tau, t]))
     return float(psi(r[1] - r[0], rate[1], S[0, 1], S_dot[0, 1], y0))

@@ -166,6 +166,10 @@ def _masked_rel_dev(curve: DensityCurve, closed: np.ndarray) -> float:
 
 
 def check_volterra_vs_closed(steps: int = 1200) -> CheckResult:
+    """The Volterra solver against the closed forms of two lines.  Both are
+    given as callables, so the solver sums every source, its own line's
+    too: as Daniels lines it would evaluate the closed form itself and the
+    check would compare a closed form with itself."""
     spec = wiener_spec(1.0)
     grid = np.linspace(0.0, 5.0, steps + 1)
     curve = volterra_fpt(spec, GeneralBoundary(s=lambda t: 1.0, s_dot=lambda t: 0.0),

@@ -380,6 +380,46 @@ class TestVolterraSystem:
                                   coarse.times)) < 2e-3
 
 
+def _line_band(band: str):
+    """(coord, lines) of a band of lines from the start (2.1, 1): the
+    lognormal band (0.8, 1.2) of the mean, the same OU band, and a lognormal
+    band whose sides tilt apart (slopes 2.7 and 6.1)."""
+    from growthfpt import AffineGMBoundary, ExpBoundary
+    if band == "ou":
+        proc = OUProcess(TILTED, 0.3)
+        scale = 2.0 * _g(TILTED, 1.0)
+        bounds = [AffineGMBoundary(A=nu * scale) for nu in (0.8, 1.2)]
+    else:
+        proc = LognormalProcess(TILTED, 0.03)
+        tilts = (0.002, 0.005) if band == "tilted" else (0.0, 0.0)
+        bounds = [ExpBoundary(A=nu * 2.0, B=B) for nu, B in zip((0.8, 1.2), tilts)]
+    coord = proc.coord(2.1, 1.0)
+    return coord, [coord.line(b) for b in bounds]
+
+
+@pytest.mark.parametrize("band", ["lognormal", "ou", "tilted"])
+def test_band_of_lines_matches_its_callables(band):
+    # a band given as Daniels lines drops each side's own sources, whose
+    # kernel vanishes; given as callables it sums every source.  Only the
+    # lognormal band (constant rate, equal slopes) takes the Toeplitz row
+    from growthfpt import DanielsBoundary
+    from growthfpt.fpt import _lag_only
+    from growthfpt.gm_core import to_clock
+    coord, lines = _line_band(band)
+    daniels = [DanielsBoundary(d1=d, d2=c) for c, d in lines]
+    fns = [GeneralBoundary(s=lambda t, c=c, d=d: c + d * coord.clock(t),
+                           s_dot=lambda t, d=d: d * coord.rate(t)) for c, d in lines]
+    grid = np.linspace(1.0, 41.0, 801)
+    r, rate, *_, rows = to_clock(coord.spec, daniels, 0.0, grid)
+    assert _lag_only(r, rate, rows) == (band == "lognormal")
+    solved = volterra_fet(coord.spec, *daniels, 0.0, 1.0, grid)
+    summed = volterra_fet(coord.spec, *fns, 0.0, 1.0, grid)
+    peak = summed[2].values.max()
+    assert min(side.mass for side in summed[:2]) > 0.05
+    for a, b in zip(solved, summed):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-14 * peak
+
+
 class TestPeakSharpening:
     def test_narrower_band_raises_the_peak(self):
         proc = LognormalProcess(PARAMS, 0.02)

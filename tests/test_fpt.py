@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from growthfpt import (AffineGMBoundary, DanielsBoundary, DensityCurve,
                        GrowthParams, LognormalProcess, OrderError, OUProcess,
                        SimConfig, StartOnBoundary, estimate_fpt,
                        fpt_pdf_gm_closed, fpt_pdf_lognormal, fpt_pdf_ou,
-                       integrate_adaptive, volterra_fpt,
-                       wiener_spec)
+                       gm_spec_G, integrate_adaptive, volterra_fet,
+                       volterra_fpt, wiener_spec)
 from growthfpt.fpt import affine_gm_boundary_fns, exp_boundary_fns
 from growthfpt.growth_curve import _g, h_eval
 
@@ -223,21 +224,73 @@ def test_line_pins_the_state_space_forms(family):
     assert np.max(np.abs(coord.to_state(coord.to_coord(xs, ts), ts) - xs)) <= 1e-12
 
 
+def _line_fns(coord, c: float, d: float) -> GeneralBoundary:
+    """The line c + d*R of the coordinate as value and derivative callables."""
+    return GeneralBoundary(s=lambda t: c + d * coord.clock(t),
+                           s_dot=lambda t: d * coord.rate(t))
+
+
 @pytest.mark.parametrize("family", ["multiplicative", "additive"])
 def test_daniels_line_and_its_callables_solve_alike(family):
     # one line c + d*R of the coordinate, given to the solver as a Daniels
-    # line of coord.spec and as value and derivative callables, gives the
-    # same bits
+    # line of coord.spec and as value and derivative callables: the line
+    # drops the sources on itself, whose kernel vanishes, and the callables
+    # sum them, so the two agree to rounding.  The additive density still
+    # rises at t = 21, and there the sum's rounding reaches 1.07e-14 of the
+    # grid's largest value, the line's distance from its closed form 3.4e-16
     proc, bnd, _ = _tilted_offset_case(family)
     coord = proc.coord(2.0, 1.0)
     c, d = coord.line(bnd)
-    fns = GeneralBoundary(s=lambda t: c + d * coord.clock(t),
-                          s_dot=lambda t: d * coord.rate(t))
     grid = np.linspace(1.0, 21.0, 401)
     line = volterra_fpt(coord.spec, DanielsBoundary(d1=d, d2=c), 0.0, 1.0, grid)
-    callables = volterra_fpt(coord.spec, fns, 0.0, 1.0, grid)
+    callables = volterra_fpt(coord.spec, _line_fns(coord, c, d), 0.0, 1.0, grid)
     assert line.values.max() > 0.0
-    assert np.array_equal(line.values, callables.values)
+    assert np.max(np.abs(line.values - callables.values)) <= 2e-14 * line.values.max()
+
+
+@pytest.mark.parametrize("level", [0.8, 1.25])
+@pytest.mark.parametrize("family", ["multiplicative", "additive"])
+def test_daniels_line_is_its_closed_form(family, level):
+    # a Daniels line, below or above the start, tilted and started at
+    # t0 = 1, solves to its closed form at every grid point, in the
+    # coordinate from the start and on the process's own triple; the grid
+    # holds the density's peak
+    proc, bnd, _ = _tilted_offset_case(family)
+    bnd = type(bnd)(A=bnd.A * level / 0.8, B=bnd.B)
+    coord = proc.coord(2.0, 1.0)
+    c, d = coord.line(bnd)
+    specs = [(coord.spec, DanielsBoundary(d1=d, d2=c), 0.0)]
+    if family == "additive":  # Y = X g = w + w0 in the triple's k2 = 1/g
+        w0 = 2.0 * _g(proc.params, 1.0)
+        specs.append((gm_spec_G(proc), DanielsBoundary(d1=d, d2=c + w0), 2.0))
+    grid = np.linspace(1.0, 41.0 if family == "multiplicative" else 1001.0, 801)
+    for spec, line, x0 in specs:
+        solved = volterra_fpt(spec, line, x0, 1.0, grid).values
+        closed = fpt_pdf_gm_closed(spec, line, x0, 1.0, grid[1:])
+        assert solved[0] == 0.0 and 0 < closed.argmax() < closed.size - 1
+        assert np.max(np.abs(solved[1:] - closed)) <= 1e-12 * closed.max()
+
+
+# SHA-256 of the values of two solves from callables, recorded at f653364,
+# before lines dropped their own sources: callables keep the full sum
+CALLABLES_DIGESTS = {
+    "sinusoid": "52121567a1823771b3d89adc254e36bb29e0c006ffca35c6b22c0605e0297216",
+    "band": "b60b04d67cdac92441bbeb5d9c77e837d48c60e6ccad42d3257d6f00bf861f2e",
+}
+
+
+def test_callables_keep_their_bits():
+    spec = wiener_spec(1.0)
+    wavy = GeneralBoundary(s=lambda t: 1.0 + 0.25 * np.sin(t),
+                           s_dot=lambda t: 0.25 * np.cos(t))
+    sol = volterra_fpt(spec, wavy, 0.0, 0.0, np.linspace(0.0, 5.0, 401)).values
+    lower = GeneralBoundary(s=lambda t: -0.8 + 0.2 * np.sin(t),
+                            s_dot=lambda t: 0.2 * np.cos(t))
+    upper = GeneralBoundary(s=lambda t: 1.0 + 0.1 * t, s_dot=lambda t: 0.1)
+    g1, g2, _ = volterra_fet(spec, lower, upper, 0.0, 0.0, np.linspace(0.0, 4.0, 401))
+    band = np.concatenate((g1.values, g2.values))
+    assert {name: hashlib.sha256(v.tobytes()).hexdigest()
+            for name, v in (("sinusoid", sol), ("band", band))} == CALLABLES_DIGESTS
 
 
 class TestVolterraSolver:
