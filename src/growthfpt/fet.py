@@ -38,11 +38,11 @@ exit-through-upper densities solves a coupled system of second-kind Volterra
 equations with the passage equation's kernel.  volterra_fet maps the band
 into the Wiener coordinate (gm_core.to_clock) and solves it there with the
 single-boundary solver itself (fpt._volterra), given both boundaries with
-side signs +1 (lower) and -1 (upper).  A band of two Daniels lines sums on
+side signs +1 (lower) and -1 (upper).  A band of two Daniels lines of equal
+slope in a clock of constant rate (every lognormal band of the CLI) sums on
 each side only the start and the other side's sources, since the kernel
-vanishes on a line's own; a band of equal slopes in a clock of constant
-rate (every lognormal band of the CLI) takes that cross kernel as one
-Toeplitz row per side.  Boundaries given as callables sum every source.
+vanishes on a line's own, and takes that cross kernel as one Toeplitz row
+per side.  Every other band, from callables or lines, sums every source.
 """
 
 from __future__ import annotations

@@ -30,14 +30,14 @@ It serves the two-boundary system of fet with one sign per boundary, and
 evaluates the one kernel, gm_core.psi.
 
 A boundary given as a DanielsBoundary is a line of the clock, on which the
-kernel vanishes from every source on the line itself, so the solver sums
-only the sources that matter.  One line is its closed form, exact at the
-grid points, from one array call; a band of two lines sums each side's
-start and the other side's sources, with one Toeplitz row per side where
-the clock's rate is constant and the slopes equal (the lognormal bands).
-Boundaries given as callables sum every source; there the sum is
-first-order accurate in the step, and the discretisation error lives in a
-curved boundary's kernel and in a band's cross term.
+kernel vanishes from every source on the line itself.  One line is its
+closed form, exact at the grid points, from one array call.  A band of two
+lines of equal slope in a clock of constant rate (the lognormal bands) sums
+on each side only the start and the other side's sources, whose kernel
+depends on the lag alone: one Toeplitz row per side.  Every other problem,
+from callables or other bands of lines, sums every source; there the sum
+is first-order accurate in the step, and the discretisation error lives in
+a curved boundary's kernel and in a band's cross term.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def _lag_only(r: np.ndarray, rate: np.ndarray, lines) -> bool:
     and equal steps, where the kernel on one side from a source on the
     other depends on k - j alone.  The steps are equal to the tolerance of
     _solver_grid, which already weighs every source by one step h."""
-    if len(lines) != 2 or None in lines or lines[0][1] != lines[1][1]:
+    if lines[0][1] != lines[1][1]:
         return False
     steps = np.diff(r)
     return bool(np.all(rate == rate[0])
@@ -258,13 +258,12 @@ def _volterra(r: np.ndarray, rate: np.ndarray, S: np.ndarray,
         dens[b, k] = 2 sign_b (Psi_b(t_k | y0, t0)
                                - h sum_a sum_{0<j<k} dens[a, j] Psi_b(t_k | S_a(t_j), t_j)).
 
-    Psi_b vanishes on a line's own sources, so where every row is a line
-    (one, or a band of two) each row sums only the start, one array call
-    for all k, and the other row's sources:
+    Psi_b vanishes on a line's own sources, so two cases sum only the
+    start, one array call for all k, and the other row's sources:
       * one line alone is its closed form, exact at the grid points;
-      * a band makes one kernel call per step for both rows, and none where
-        the kernel on one side from the other depends on k - j alone
-        (_lag_only): there one call gives each side's Toeplitz row.
+      * a band of two lines where the kernel on one side from the other
+        depends on k - j alone (_lag_only): one call gives each side's
+        Toeplitz row, and a step is one dot product per side.
     Otherwise every row sums every source, ordered by time, then boundary,
     with the start as source 0 of weight 1, so the sources before t_k are
     a prefix and each step makes one kernel call per row.  Returns dens,
@@ -273,26 +272,20 @@ def _volterra(r: np.ndarray, rate: np.ndarray, S: np.ndarray,
     B, K = S.shape
     sign = np.where(S[:, 0] < y0, 1.0, -1.0)
     dens = np.zeros((B, K))
-    if B <= 2 and None not in lines:
+    lone = B == 1 and lines[0] is not None
+    if lone or (B == 2 and None not in lines and _lag_only(r, rate, lines)):
         dens[:, 1:] = 2.0 * sign[:, None] * psi(r[1:] - r[0], rate[1:], S[:, 1:],
                                                 S_dot[:, 1:], y0)
-        if B == 1:
+        if lone:
             return dens
-        scale = (-2.0 * h) * sign
-        if _lag_only(r, rate, lines):
-            (c_lo, d), (c_hi, _) = lines
-            # cross[b, i]: the kernel on side b from the other side K-1-i steps back
-            lag = (r[-1] - r[0]) / (K - 1) * np.arange(K - 1.0, 0.0, -1.0)
-            gap = np.array([[c_lo - c_hi], [c_hi - c_lo]]) + d * lag
-            cross = scale[:, None] * psi(lag, rate[0], gap, d * rate[0], 0.0)
-            for k in range(2, K):
-                dens[0, k] += float(np.dot(dens[1, 1:k], cross[0, K - k:]))
-                dens[1, k] += float(np.dot(dens[0, 1:k], cross[1, K - k:]))
-            return dens
+        (c_lo, d), (c_hi, _) = lines
+        # cross[b, i]: the kernel on side b from the other side K-1-i steps back
+        lag = (r[-1] - r[0]) / (K - 1) * np.arange(K - 1.0, 0.0, -1.0)
+        gap = np.array([[c_lo - c_hi], [c_hi - c_lo]]) + d * lag
+        cross = (-2.0 * h) * sign[:, None] * psi(lag, rate[0], gap, d * rate[0], 0.0)
         for k in range(2, K):
-            row = psi(r[k] - r[1:k], rate[k], S[:, k, None], S_dot[:, k, None],
-                      S[::-1, 1:k])
-            dens[:, k] += scale * np.einsum("ij,ij->i", dens[::-1, 1:k], row)
+            dens[0, k] += float(np.dot(dens[1, 1:k], cross[0, K - k:]))
+            dens[1, k] += float(np.dot(dens[0, 1:k], cross[1, K - k:]))
         return dens
     y = np.concatenate(([y0], S[:, 1:].T.ravel()))
     r_src = r[np.concatenate(([0], np.repeat(np.arange(1, K), B)))]

@@ -254,7 +254,8 @@ def to_clock(spec: GMSpec, boundaries, x0: float, t):
     take arrays), or a DanielsBoundary read as S = d2 + d1*r, S' = d1*r';
     y0 = (x0 - m)/k2 at t[0].  lines holds each row's (d2, d1) where it is a
     Daniels line, on which psi vanishes from its own sources, and None where
-    it came from callables.
+    it came from callables; fpt._volterra skips those sources for one line
+    and for a band of lines whose cross kernel depends on the lag alone.
     """
     t = np.asarray(t, dtype=float)
     at = evaluate(spec, t)
@@ -281,8 +282,8 @@ def psi(dR, rate, S, S_dot, y):
         [S' - r'(t) (S - y)/dR] / 2 * exp(-(S - y)^2 / (2 dR)) / sqrt(2 pi dR).
 
     It vanishes on every line S = d2 + d1*r started on it (the bracket is
-    d1 r' - r' d1 dR/dR), so fpt._volterra skips it on a DanielsBoundary's
-    own sources.  From a start y it is -sign(c) r'/2 times the
+    d1 r' - r' d1 dR/dR), so fpt._volterra skips it on a lone
+    DanielsBoundary's own sources and on a lognormal band's.  From a start y it is -sign(c) r'/2 times the
     inverse-Gaussian passage density to the line c + d1*dR, c = S(tau) - y:
     the line's closed form.  Through to_clock it is every triple's kernel:
     the bracket of X is k2 times that of Y, its density that of Y over k2.

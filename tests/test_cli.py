@@ -453,9 +453,9 @@ def test_density_command_matrix(tmp_path, kind, sigma, command, method):
 
 # SHA-256 of the CSV and the SVG each run writes on SMOKE_CONFIG, recorded
 # with np.savetxt and the per-point polyline loop; the key is
-# command[-method]-noise kind.  The three Volterra CSVs of lines that drop
-# their own sources were re-recorded then: their values moved by at most
-# 5.4e-16 of their peak, and no SVG moved
+# command[-method]-noise kind.  The two lognormal Volterra CSVs, whose
+# lines drop their own sources, were re-recorded then: their values moved
+# by at most 5.4e-16 of their peak, and no SVG moved
 PINNED_OUTPUTS = {
     "curve-multiplicative": ("2e1385c19474d5256f0ef6ef261e5b6bb82a6b687ec1bbad5f26b565cd6cb5ee",
                             "0bc136d817b59e9984dc790e82ea294ee9deb44e976cc8b80b6219c6069f998c"),
@@ -477,7 +477,7 @@ PINNED_OUTPUTS = {
                            "25dd76e5a4242eb1d062f19a75cd6d2b8b1c0174cd34bfdc394393e50beed357"),
     "fet-volterra-multiplicative": ("b3a8440f7db9172483aee1504c24358e24d1583baa7c81308a4f36277e26de5f",
                                    "9c2b0c3e17e6009c5b7e5274cf3cc3e78c0af34e4724641d1ed81939c5a4933c"),
-    "fet-volterra-additive": ("1b935c66f48188efb8b63f6b760606624e3925614cb1d9f684f6bc18e7e267f1",
+    "fet-volterra-additive": ("0be2c0a6734347acafcb82038c25b2a3fbd8b5f4897bd95666ccce0709419f98",
                              "ac1e079d706d178061d9294d709600572a7590a17231fe047c370aa362ba99a6"),
 }
 

@@ -399,9 +399,10 @@ def _line_band(band: str):
 
 @pytest.mark.parametrize("band", ["lognormal", "ou", "tilted"])
 def test_band_of_lines_matches_its_callables(band):
-    # a band given as Daniels lines drops each side's own sources, whose
-    # kernel vanishes; given as callables it sums every source.  Only the
-    # lognormal band (constant rate, equal slopes) takes the Toeplitz row
+    # a band given as Daniels lines solves as the same band given as
+    # callables.  Only the lognormal band (constant rate, equal slopes)
+    # drops each side's own sources, whose kernel vanishes, and takes the
+    # Toeplitz row; the other bands sum every source either way
     from growthfpt import DanielsBoundary
     from growthfpt.fpt import _lag_only
     from growthfpt.gm_core import to_clock

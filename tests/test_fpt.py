@@ -235,17 +235,22 @@ def test_daniels_line_and_its_callables_solve_alike(family):
     # one line c + d*R of the coordinate, given to the solver as a Daniels
     # line of coord.spec and as value and derivative callables: the line
     # drops the sources on itself, whose kernel vanishes, and the callables
-    # sum them, so the two agree to rounding.  The additive density still
-    # rises at t = 21, and there the sum's rounding reaches 1.07e-14 of the
-    # grid's largest value, the line's distance from its closed form 3.4e-16
+    # sum them, so both solve to the line's closed form.  The line is that
+    # form to rounding; the callables keep the full sum's rounding, 3.4e-15
+    # and 1.07e-14 of the grid's peak on these grids (the values before
+    # lines dropped their sources; the additive density still rises at t = 21)
     proc, bnd, _ = _tilted_offset_case(family)
     coord = proc.coord(2.0, 1.0)
     c, d = coord.line(bnd)
     grid = np.linspace(1.0, 21.0, 401)
-    line = volterra_fpt(coord.spec, DanielsBoundary(d1=d, d2=c), 0.0, 1.0, grid)
-    callables = volterra_fpt(coord.spec, _line_fns(coord, c, d), 0.0, 1.0, grid)
-    assert line.values.max() > 0.0
-    assert np.max(np.abs(line.values - callables.values)) <= 2e-14 * line.values.max()
+    daniels = DanielsBoundary(d1=d, d2=c)
+    line = volterra_fpt(coord.spec, daniels, 0.0, 1.0, grid).values
+    callables = volterra_fpt(coord.spec, _line_fns(coord, c, d), 0.0, 1.0, grid).values
+    closed = fpt_pdf_gm_closed(coord.spec, daniels, 0.0, 1.0, grid[1:])
+    summed = {"multiplicative": 3.4e-15, "additive": 1.1e-14}[family]
+    assert line[0] == callables[0] == 0.0 and closed.max() > 0.0
+    assert np.max(np.abs(line[1:] - closed)) <= 1e-14 * closed.max()
+    assert np.max(np.abs(callables[1:] - closed)) <= summed * closed.max()
 
 
 @pytest.mark.parametrize("level", [0.8, 1.25])
