@@ -30,7 +30,7 @@ series = []
 for nu in (0.7, 0.8, 0.9, 1.1, 1.2):
     bnd = ExpBoundary(A=nu * params.x0)
     vals = fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, ts)
-    m = mass_to_infinity(lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t))
+    m, _ = mass_to_infinity(lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t))
     target = 1.0 if nu < 1.0 else 1.0 / nu
     print(f"  nu={nu:4.2f}: peak at t={ts[np.argmax(vals)]:7.2f}, "
           f"mass={m:.6f} (expected {target:.6f})")

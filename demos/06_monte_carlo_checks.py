@@ -20,6 +20,7 @@ from growthfpt import (DensityCurve, ExpBoundary, GrowthParams,
                        fpt_pdf_lognormal, integrate_adaptive, simulate_paths,
                        transition_law_G)
 from growthfpt.growth_curve import _g
+from growthfpt.validate import mass_to_infinity
 
 OUT = pathlib.Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -52,9 +53,7 @@ print(f"  exits {sample.hit_times.size} ({n_low} through the lower boundary), "
 
 print("\nbridge correction at a coarse step (nu = 1.2, dt = 2):")
 bnd = ExpBoundary(A=1.2)
-target = integrate_adaptive(
-    lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t) if t > 0 else 0.0,
-    0.0, 400.0)
+target, _ = mass_to_infinity(lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t), 400.0)
 for flag in (True, False):
     cfg = SimConfig(dt=2.0, horizon=400.0, n_paths=30_000, seed=517,
                     bridge_correction=flag)
@@ -70,7 +69,7 @@ _, paths = simulate_paths(proc_g, cfg)
 v_mc = float(np.var(paths[:, -1], ddof=1))
 v_true = transition_law_G(proc_g, 1.0, 0.0, 1.0).variance
 v_alt = 0.01 * integrate_adaptive(
-    lambda th: (_g(params, 0.0) / _g(params, th)) ** 2, 0.0, 1.0)
+    lambda th: (_g(params, 0.0) / _g(params, th)) ** 2, [0.0, 1.0])[0]
 se = v_true * math.sqrt(2.0 / (cfg.n_paths - 1))
 print(f"  MC variance {v_mc:.6f}")
 print(f"  implemented form {v_true:.6f} ({abs(v_mc - v_true) / se:.1f} se away)")

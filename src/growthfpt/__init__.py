@@ -11,9 +11,9 @@ crossing detection.
 """
 
 from .errors import (BandCrossing, ConfigError, DomainError, EmptySample,
-                     GridError, GrowthFPTError, InvalidParams, NoConvergence,
-                     NonPositiveState, OrderError, ParseError, StartOnBoundary,
-                     StartOutsideBand, ValidationError)
+                     GridError, GrowthFPTError, InvalidParams, NonPositiveState,
+                     OrderError, ParseError, StartOnBoundary, StartOutsideBand,
+                     ValidationError)
 from .fet import (BandSpec, ProportionalBand, fet_pdf_gm_closed,
                   fet_pdf_lognormal_band, fet_pdf_ou_band,
                   fet_pdf_wiener_symmetric, volterra_fet, wiener_band_pdf)
@@ -30,7 +30,7 @@ from .montecarlo import (EmpiricalHittingSample, SimConfig, density_distance,
                          estimate_fet, estimate_fpt, simulate_paths)
 from .process_lognormal import LognormalProcess, transition_law_L
 from .process_ou import OUProcess, gm_spec_G, transition_law_G
-from .quadrature import QuadratureSpec, integrate_adaptive
+from .quadrature import integrate_adaptive
 
 __version__ = "0.1.0"
 

@@ -37,10 +37,6 @@ class GridError(GrowthFPTError):
     """Time grid is empty, non-monotone, or non-uniform where required."""
 
 
-class NoConvergence(GrowthFPTError):
-    """Adaptive quadrature exhausted its recursion depth."""
-
-
 class ConfigError(GrowthFPTError):
     """Simulation or run configuration is inconsistent."""
 

@@ -41,3 +41,6 @@ def test_traced_argument_positions():
     # the first argument of write_csv is the path it writes
     from growthfpt.cli import write_csv
     assert list(inspect.signature(write_csv).parameters)[0] == "path"
+    # the integrand hook replaces the first argument of integrate_adaptive
+    from growthfpt.quadrature import integrate_adaptive
+    assert list(inspect.signature(integrate_adaptive).parameters)[0] == "f"

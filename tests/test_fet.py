@@ -7,8 +7,8 @@ from growthfpt import (BandSpec, DensityCurve, GeneralBoundary, GrowthParams,
                        LognormalProcess, OUProcess, ProportionalBand,
                        StartOutsideBand, fet, fet_pdf_gm_closed,
                        fet_pdf_lognormal_band, fet_pdf_ou_band,
-                       fet_pdf_wiener_symmetric, integrate_adaptive,
-                       volterra_fet, wiener_band_pdf, wiener_spec)
+                       fet_pdf_wiener_symmetric, volterra_fet, wiener_band_pdf,
+                       wiener_spec)
 from growthfpt.growth_curve import _g
 from growthfpt.process_ou import int_g2
 from growthfpt.validate import mass_to_infinity
@@ -40,9 +40,8 @@ class TestGeneralClosedForm:
         # classical identity for driftless exits: E[T] = (c2-c)(c-c1)/sigma^2
         spec = wiener_spec(0.7)
         band = BandSpec(c1=-0.5, c=0.2, c2=1.0)
-        mean = integrate_adaptive(
-            lambda t: t * fet_pdf_gm_closed(spec, 0.0, band, 0.2, 0.0, t)
-            if t > 0 else 0.0, 0.0, 80.0)
+        mean, _ = mass_to_infinity(
+            lambda t: t * fet_pdf_gm_closed(spec, 0.0, band, 0.2, 0.0, t), 80.0)
         assert mean == pytest.approx((1.0 - 0.2) * (0.2 - (-0.5)) / 0.49, rel=5e-3)
 
     def test_inconsistent_start_rejected(self):
@@ -203,7 +202,7 @@ class TestLognormalBand:
     def test_total_mass(self):
         proc = LognormalProcess(PARAMS, 0.02)
         band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.25)
-        mass = mass_to_infinity(
+        mass, _ = mass_to_infinity(
             lambda t: fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t), 2500.0,
             n_seg=120)
         assert mass == pytest.approx(1.0, abs=1e-4)
@@ -238,7 +237,7 @@ class TestLognormalBand:
 class TestOUBand:
     def test_total_mass_long_horizon(self):
         proc = OUProcess(PARAMS, 0.1)
-        mass = mass_to_infinity(
+        mass, _ = mass_to_infinity(
             lambda t: fet_pdf_ou_band(proc, 0.8, 1.0, 1.2, 0.0, 1.0, 0.0, t),
             25_000.0, n_seg=160)
         assert mass == pytest.approx(1.0, abs=1e-3)

@@ -9,10 +9,10 @@ from growthfpt import (AffineGMBoundary, DanielsBoundary, DensityCurve,
                        GrowthParams, LognormalProcess, OrderError, OUProcess,
                        SimConfig, StartOnBoundary, estimate_fpt,
                        fpt_pdf_gm_closed, fpt_pdf_lognormal, fpt_pdf_ou,
-                       gm_spec_G, integrate_adaptive, volterra_fet,
-                       volterra_fpt, wiener_spec)
+                       gm_spec_G, volterra_fet, volterra_fpt, wiener_spec)
 from growthfpt.fpt import affine_gm_boundary_fns, exp_boundary_fns
 from growthfpt.growth_curve import _g, h_eval
+from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
 
@@ -156,9 +156,7 @@ class TestClosedFormOU:
         proc = OUProcess(PARAMS, 0.1)
         nu = 0.8
         bnd = AffineGMBoundary(A=nu * 1.0 * _g(PARAMS, 0.0))
-        mass = integrate_adaptive(
-            lambda t: fpt_pdf_ou(proc, bnd, 1.0, 0.0, t) if t > 0 else 0.0,
-            0.0, 50.0)
+        mass, _ = mass_to_infinity(lambda t: fpt_pdf_ou(proc, bnd, 1.0, 0.0, t), 50.0)
         cfg = SimConfig(dt=0.1, horizon=50.0, n_paths=100_000, seed=31)
         sample = estimate_fpt(proc, bnd, cfg)
         frac = sample.hit_times.size / sample.n_paths

@@ -10,11 +10,11 @@ from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        EmptySample, ExpBoundary, GeneralBoundary,
                        GrowthParams, LognormalProcess, OUProcess, SimConfig,
                        StartOutsideBand, density_distance, estimate_fet,
-                       estimate_fpt, fpt_pdf_lognormal, integrate_adaptive,
-                       simulate_paths, transition_law_G, transition_law_L,
-                       x_eval)
+                       estimate_fpt, fpt_pdf_lognormal, simulate_paths,
+                       transition_law_G, transition_law_L, x_eval)
 from growthfpt.growth_curve import _g
 from growthfpt.montecarlo import BLOCK0, CHUNK, EmpiricalHittingSample, _chunk_rng
+from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
 
@@ -170,9 +170,8 @@ class TestEstimateFPT:
         # land closer to the analytic window mass
         proc = LognormalProcess(PARAMS, 0.02)
         bnd = ExpBoundary(A=1.2)
-        target = integrate_adaptive(
-            lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t) if t > 0 else 0.0,
-            0.0, 400.0)
+        target, _ = mass_to_infinity(
+            lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t), 400.0)
         base = dict(dt=2.0, horizon=400.0, n_paths=40_000, seed=23)
         frac_on = estimate_fpt(proc, bnd, SimConfig(bridge_correction=True, **base))
         frac_off = estimate_fpt(proc, bnd, SimConfig(bridge_correction=False, **base))

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from growthfpt import (DomainError, GrowthParams, OrderError, OUProcess,
-                       QuadratureSpec, domain_end, gm_spec_G,
-                       infinitesimal_coeffs, integrate_adaptive, r_ratio,
+                       domain_end, gm_spec_G, infinitesimal_coeffs, r_ratio,
                        transition_law, transition_law_G, x_eval)
 from growthfpt.gm_core import evaluate
 from growthfpt.growth_curve import _g, h_eval
@@ -138,11 +138,13 @@ def _grid_for(params: GrowthParams, points: int = 61) -> np.ndarray:
 class TestIntG2:
     @pytest.mark.parametrize("p,t0", REGIME_CASES)
     def test_matches_adaptive_simpson(self, p, t0):
+        # the reference is QUADPACK's adaptive rule (scipy's quad), which
+        # shares no code with the package's Gauss-Legendre panels
         params = GrowthParams(p=p, **dict(BASE, t0=t0))
         grid = _grid_for(params)
         table = int_g2(params, grid)
-        spec = QuadratureSpec(rel_tol=1e-13)
-        ref = np.cumsum([0.0] + [integrate_adaptive(lambda u: _g(params, u) ** 2, a, b, spec)
+        ref = np.cumsum([0.0] + [quad(lambda u: _g(params, u) ** 2, a, b,
+                                      epsrel=1e-13, epsabs=0.0)[0]
                                  for a, b in zip(grid[:-1], grid[1:])])
         assert table[0] == 0.0
         assert np.max(np.abs(table[1:] - ref[1:]) / ref[1:]) <= 1e-12

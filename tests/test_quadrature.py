@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from growthfpt import (GridError, GrowthParams, NoConvergence, QuadratureSpec,
-                       integrate_adaptive)
+from growthfpt import GridError, GrowthParams, integrate_adaptive
 from growthfpt.growth_curve import _g
+from growthfpt.quadrature import panel_integrals
 
 from conftest import BASE
 
@@ -21,45 +21,69 @@ def g2_antiderivative_p15(t: float) -> float:
 
 
 def test_polynomial_exactness():
-    assert integrate_adaptive(lambda t: t * t, 0.0, 1.0) == pytest.approx(
-        1.0 / 3.0, abs=1e-15)
+    # both rules are exact up to degree 31, so the error estimate is rounding
+    value, error = integrate_adaptive(lambda t: t ** 31, [0.0, 1.0])
+    assert value == pytest.approx(1.0 / 32.0, abs=1e-15)
+    assert error <= 1e-15
 
 
 def test_growth_square_integral_matches_antiderivative():
     params = GrowthParams(p=1.5, **BASE)
-    val = integrate_adaptive(lambda u: _g(params, u) ** 2, 0.0, 1.0)
+    val, error = integrate_adaptive(lambda u: _g(params, u) ** 2,
+                                    np.linspace(0.0, 1.0, 5))
     expected = g2_antiderivative_p15(1.0) - g2_antiderivative_p15(0.0)
     assert val == pytest.approx(expected, rel=1e-11)
     assert val == pytest.approx(0.3255102294700093, rel=1e-10)
+    assert error <= 1e-11
 
 
 def test_interval_additivity():
     rng = np.random.default_rng(3)
-    f = lambda t: math.exp(-t) * math.sin(3.0 * t) + 0.2 * t
+    f = lambda t: np.exp(-t) * np.sin(3.0 * t) + 0.2 * t
     for _ in range(20):
         a, b, c = sorted(rng.uniform(0.0, 5.0, size=3))
-        whole = integrate_adaptive(f, a, c)
-        split = integrate_adaptive(f, a, b) + integrate_adaptive(f, b, c)
+        whole = integrate_adaptive(f, [a, c])[0]
+        split = integrate_adaptive(f, [a, b])[0] + integrate_adaptive(f, [b, c])[0]
         assert split == pytest.approx(whole, rel=2e-10, abs=1e-13)
 
 
 def test_empty_interval_and_order():
-    assert integrate_adaptive(math.sin, 2.0, 2.0) == 0.0
-    with pytest.raises(GridError):
-        integrate_adaptive(math.sin, 2.0, 1.0)
+    assert integrate_adaptive(np.sin, [2.0, 2.0]) == (0.0, 0.0)
+    for edges in ([2.0, 1.0], [0.0, 2.0, 1.0], [1.0], [[0.0, 1.0]]):
+        with pytest.raises(GridError):
+            integrate_adaptive(np.sin, edges)
 
 
-def test_no_convergence_when_depth_exhausted():
-    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_depth=3)
-    with pytest.raises(NoConvergence):
-        integrate_adaptive(lambda t: math.sqrt(abs(t - 0.3717)), 0.0, 1.0, spec)
+def test_error_estimate_covers_the_error():
+    # a kink inside one panel: the 16-point sum is far worse than the
+    # 32-point one, so their distance bounds the 32-point value's error
+    f = lambda t: np.sqrt(np.abs(t - 0.3717))
+    exact = (2.0 / 3.0) * (0.3717 ** 1.5 + 0.6283 ** 1.5)
+    errors = []
+    for n in (2, 8, 32):
+        value, error = integrate_adaptive(f, np.linspace(0.0, 1.0, n))
+        assert abs(value - exact) <= error
+        errors.append(error)
+    assert errors[0] > errors[1] > errors[2]
 
 
-def test_tolerance_tightening_never_worse():
-    f = lambda t: math.exp(t) * math.cos(4.0 * t)
-    exact = (math.exp(1.0) * (math.cos(4.0) + 4.0 * math.sin(4.0)) - 1.0) / 17.0
-    errs = []
-    for rt in (1e-6, 1e-8, 1e-10, 1e-12):
-        spec = QuadratureSpec(rel_tol=rt, abs_tol=1e-16)
-        errs.append(abs(integrate_adaptive(f, 0.0, 1.0, spec) - exact))
-    assert all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
+def test_integrand_never_sees_the_ends():
+    def f(t):
+        assert np.all(t > 0.0) and np.all(t < 1.0)
+        return np.log(t) ** 2
+    value, _ = integrate_adaptive(f, np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 60))))
+    assert value == pytest.approx(2.0, rel=1e-9)
+
+
+def test_panel_integrals_one_call_per_block():
+    calls = []
+
+    def f(t):
+        calls.append(t.shape)
+        return np.cos(t)
+
+    edges = np.linspace(0.0, 25.0, 2501)
+    panels = panel_integrals(f, edges[:-1], edges[1:])
+    assert calls == [(1024, 16), (1024, 16), (452, 16)]
+    exact = np.sin(edges[1:]) - np.sin(edges[:-1])
+    assert np.max(np.abs(panels - exact)) <= 1e-15
