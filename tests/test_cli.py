@@ -296,6 +296,36 @@ class TestCommands:
         write_csv(tmp_path / "t.csv", header, list(table.T))
         assert (tmp_path / "t.csv").read_text() == reference_csv(header, list(table.T))
 
+    def test_csv_bytes_at_the_edges_of_the_digit_arithmetic(self, tmp_path):
+        rng = np.random.default_rng(1901)
+
+        def neighbours(v, ulps=3):
+            """v and the doubles up to ulps away from it on either side."""
+            out, down, up = [v], v, v
+            for _ in range(ulps):
+                down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+                out += [down, up]
+            return np.concatenate(out)
+
+        powers = np.array([float(f"1e{e}") for e in range(-324, 309)])
+        switches = np.array([1e-5, 1e-4, 1e16, 1e17, 1e-283, 1e283])
+        # ties at 17 digits (18 significant digits, the last a 5), some of
+        # them, in the powers of two, scaled by an inexact power of ten
+        ties = np.concatenate([[1234567890123456.25, 4503599627370495.5],
+                               rng.integers(10 ** 15, 2 ** 51, 100) + 0.25,
+                               rng.integers(10 ** 15, 2 ** 51, 100) + 0.75,
+                               np.ldexp(1.0, np.arange(-1074, 1024))])
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                             2.2250738585072014e-308])
+        bits = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([neighbours(powers), neighbours(switches, 8), ties,
+                                 specials, bits])
+        values = np.concatenate([values, -values])
+        table = np.resize(values, (-(-values.size // 7), 7))
+        header = [f"c{j}" for j in range(7)]
+        write_csv(tmp_path / "t.csv", header, list(table.T))
+        assert (tmp_path / "t.csv").read_text() == reference_csv(header, list(table.T))
+
 
 def reference_polylines(series):
     """The points of each polyline as the per-point loop wrote them: the

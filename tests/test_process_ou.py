@@ -137,7 +137,7 @@ def _grid_for(params: GrowthParams, points: int = 61) -> np.ndarray:
 
 class TestIntG2:
     @pytest.mark.parametrize("p,t0", REGIME_CASES)
-    def test_matches_adaptive_simpson(self, p, t0):
+    def test_matches_quad(self, p, t0):
         # the reference is QUADPACK's adaptive rule (scipy's quad), which
         # shares no code with the package's Gauss-Legendre panels
         params = GrowthParams(p=p, **dict(BASE, t0=t0))
