@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
@@ -196,10 +196,6 @@ def parse_config(text: str, flags: Optional[dict] = None) -> RunConfig:
 
 
 CSV_BLOCK = 1 << 12  # values formatted per call; bounds the bytes one call builds
-# A table of fewer values is one '%' template call, which costs less there
-# than format_g17's fixed cost of about 0.1 ms a call: on a 2-core Xeon the
-# two break even near 240 values.
-_CSV_SMALL = 256
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
@@ -209,19 +205,14 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) 
     Each value carries its separator, ',' inside a row and a newline at its
     end, so the blocks of about CSV_BLOCK values that _decimal.format_g17
     formats need not line up with rows, and a wide table (paths) never
-    becomes one string.  A table of fewer than _CSV_SMALL values is one '%'
-    template call.
+    becomes one string.
     """
     table = np.column_stack(columns)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        if table.size < _CSV_SMALL:
-            line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-            fh.write(((line * len(table)) % tuple(table.ravel().tolist())).encode())
-            return
         seps = np.full(table.shape, ord(","), np.uint8)
         seps[:, -1] = ord("\n")
-        blocks = -(-table.size // CSV_BLOCK)
+        blocks = -(-table.size // CSV_BLOCK) or 1
         for values, ends in zip(np.array_split(table.ravel(), blocks),
                                 np.array_split(seps.ravel(), blocks)):
             fh.write(format_g17(values, ends))
@@ -248,7 +239,7 @@ def _cmd_curve(cfg: RunConfig, out: Path) -> int:
     hs[inside] = h_eval(params, ts[inside])
     write_csv(out / "curve.csv", ["t", "x", "g", "h"], [ts, xs, gs, hs])
     (out / "curve.svg").write_text(render_line_chart(
-        [(ts, xs, "x(t)")], title="Growth curve", ylabel="x"))
+        [(ts, xs, "x(t)")], title="Growth curve", ylabel="x"), encoding="utf-8")
     return 0
 
 def _cmd_regime(cfg: RunConfig, out: Path) -> int:
@@ -268,7 +259,8 @@ def _cmd_paths(cfg: RunConfig, out: Path) -> int:
     series = [(ts, paths[i], "") for i in range(min(paths.shape[0], 30))]
     series.append((ts, xs, "mean curve"))
     (out / "paths.svg").write_text(render_line_chart(
-        series, title=f"Sample paths ({cfg.noise_kind} noise)", ylabel="x"))
+        series, title=f"Sample paths ({cfg.noise_kind} noise)", ylabel="x"),
+        encoding="utf-8")
     return 0
 
 
@@ -347,7 +339,7 @@ def _cmd_density(cfg: RunConfig, out: Path, command: str) -> int:
              f"First-exit density, band [{cfg.fet_nu1}, {cfg.fet_nu2}]")
     (out / f"{command}.svg").write_text(render_line_chart(
         [(curve.times, curve.values, f"{command} ({method})")],
-        title=title, ylabel="pdf"))
+        title=title, ylabel="pdf"), encoding="utf-8")
     print(f"{command}[{method}] mass over grid: {curve.mass:.6f}")
     return 0
 
@@ -370,7 +362,10 @@ def run_command(cmd: str, cfg: RunConfig) -> int:
     return _COMMANDS[cmd](cfg, cfg.output)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; parsing leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="growthfpt",
         description="Passage and exit-time densities for stochastic growth curves",
@@ -382,7 +377,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices = rows[0].type if isinstance(rows[0].type, tuple) else None
         parser.add_argument(flag, type=None if choices else rows[0].type, choices=choices,
                             help=" or ".join(row.name for row in rows))
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "validate":
         # the oracle suite builds its own problems and reads no configuration
         ok, _ = validation_suite.run_all(verbose=True)

@@ -3,7 +3,9 @@
 Non-finite points are dropped, and a chart with no finite point draws its
 empty frame on [0, 1].  Each polyline's pixels come from the maps px and py
 of the ticks applied to whole arrays, which gives each point the double the
-map gives it alone; its points are formatted by one "%.2f,%.2f" template.
+map gives it alone; its points are written by _decimal.format_f2, an exact
+'%.2f' on arrays, with ',' after each x and ' ' between points.  The title,
+the axis labels and the series labels are XML-escaped.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
+
+from ._decimal import format_f2
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#7f7f7f")
@@ -20,6 +24,11 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _text(s: str) -> str:
+    """s escaped for an XML text node."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_line_chart(series: Sequence[Tuple[np.ndarray, np.ndarray, str]],
@@ -63,7 +72,7 @@ def render_line_chart(series: Sequence[Tuple[np.ndarray, np.ndarray, str]],
     ]
     if title:
         parts.append(f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="16">{title}</text>')
+                     f'font-family="sans-serif" font-size="16">{_text(title)}</text>')
     for xv in np.linspace(x_lo, x_hi, 6):
         xp = px(xv)
         parts.append(f'<line x1="{xp:.2f}" y1="{_MT + ph}" x2="{xp:.2f}" '
@@ -77,17 +86,18 @@ def render_line_chart(series: Sequence[Tuple[np.ndarray, np.ndarray, str]],
         parts.append(f'<text x="{_ML - 8}" y="{yp + 4:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{_fmt(yv)}</text>')
     parts.append(f'<text x="{_ML + pw / 2:.1f}" y="{_H - 10}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="13">{xlabel}</text>')
+                 f'font-family="sans-serif" font-size="13">{_text(xlabel)}</text>')
     if ylabel:
         parts.append(f'<text x="16" y="{_MT + ph / 2:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="13" '
-                     f'transform="rotate(-90 16 {_MT + ph / 2:.1f})">{ylabel}</text>')
+                     f'transform="rotate(-90 16 {_MT + ph / 2:.1f})">{_text(ylabel)}</text>')
     legend_y = _MT + 14
     for i, ((xs, ys), (_, _, label)) in enumerate(zip(finite, series)):
         color = _PALETTE[i % len(_PALETTE)]
         if xs.size >= 2:
-            xy = np.column_stack((px(xs), py(ys)))
-            pts = " ".join(["%.2f,%.2f"] * xs.size) % tuple(xy.ravel().tolist())
+            xy = np.column_stack((px(xs), py(ys))).ravel()
+            seps = np.frombuffer(b", " * (xs.size - 1) + b",\0", np.uint8)
+            pts = format_f2(xy, seps).decode()
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                          f'stroke-width="1.4"/>')
         if label:
@@ -95,7 +105,7 @@ def render_line_chart(series: Sequence[Tuple[np.ndarray, np.ndarray, str]],
                          f'x2="{_ML + pw - 125}" y2="{legend_y:.1f}" '
                          f'stroke="{color}" stroke-width="2"/>')
             parts.append(f'<text x="{_ML + pw - 120}" y="{legend_y + 4:.1f}" '
-                         f'font-family="sans-serif" font-size="11">{label}</text>')
+                         f'font-family="sans-serif" font-size="11">{_text(label)}</text>')
             legend_y += 16
     parts.append("</svg>")
     return "\n".join(parts)

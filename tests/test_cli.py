@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from growthfpt import ParseError, SimConfig, ValidationError
+from growthfpt import cli
+from growthfpt._decimal import _F2_CAP, _SMALL, format_f2
 from growthfpt.cli import CSV_BLOCK, main, parse_config, run_command, write_csv
 from growthfpt.svg import render_line_chart
 
@@ -349,6 +351,12 @@ def reference_polylines(series):
             for xs, ys in finite if xs.size >= 2]
 
 
+def _near_ties(points):
+    """A density on a linspace grid: half its x pixels lie next to a .xx5 tie."""
+    t = np.linspace(0.0, 40.0, points)
+    return [(t, t * np.exp(-t / 4.0), "pdf")]
+
+
 _T = np.linspace(0.0, 3.0, 7)
 SVG_CASES = {
     "non_finite_dropped": [(np.array([0.0, np.nan, 1.0, 2.0, np.inf, 3.0, 4.0]),
@@ -366,6 +374,9 @@ SVG_CASES = {
     # from the value another order of the same operations gives
     "rounding_ties": [(np.array([0.0, 0.016613924050632882, 0.06218354430379743, 3.0]),
                        np.array([0.0, 0.9988720930232559, 0.9844302325581396, 1.0]), "")],
+    # one '%' template call below the size rule, format_f2's arithmetic from it
+    "below_the_size_rule": _near_ties(_SMALL // 2 - 1),
+    "at_the_size_rule": _near_ties(_SMALL // 2),
 }
 
 
@@ -373,6 +384,41 @@ SVG_CASES = {
 def test_svg_points_match_the_reference_loop(case):
     svg = render_line_chart(SVG_CASES[case], title=case, ylabel="y")
     assert re.findall(r'<polyline points="([^"]*)"', svg) == reference_polylines(SVG_CASES[case])
+
+
+def test_f2_bytes_at_the_edges_of_the_rounding():
+    """format_f2 writes the bytes of '%.2f' % v on every tie k/200 up to
+    1000 and the 3 doubles either side of it, random values, signed zeros
+    and values that round to -0.00, and the values around the cap above
+    which '%' writes each value."""
+    rng = np.random.default_rng(21)
+    ties = np.arange(200_001) / 200.0
+    near, down, up = [ties], ties, ties
+    for _ in range(3):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        near += [down, up]
+    cap, below, above = [_F2_CAP], _F2_CAP, _F2_CAP
+    for _ in range(3):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        cap += [below, above]
+    specials = [-0.0, 0.0, -0.004, -0.005, -0.0051, 0.005, 0.015, 0.125, 1e8, 1e300,
+                5e-324, np.nan, np.inf]
+    spread = np.concatenate([rng.uniform(0.0, 1000.0, 10 ** 5), cap, specials])
+    values = np.concatenate(near + [spread, -spread])
+    seps = np.full(values.size, ord(","), np.uint8)
+    # in blocks of a polyline's size, which keep the arrays in cache
+    written = b"".join(format_f2(values[i:i + 4096], seps[i:i + 4096])
+                       for i in range(0, values.size, 4096))
+    assert written == (b"%.2f," * values.size) % tuple(values.tolist())
+
+
+def test_svg_text_is_escaped():
+    import xml.etree.ElementTree as ET
+    chart = render_line_chart([(_T, _T, "a<b & c")], title="R&D <test>",
+                              xlabel="t > 0", ylabel="<y>")
+    texts = [node.text for node in ET.fromstring(chart).iter("{http://www.w3.org/2000/svg}text")]
+    for text in ("R&D <test>", "t > 0", "<y>", "a<b & c"):
+        assert text in texts
 
 
 def test_svg_without_a_finite_point_draws_the_empty_frame():
@@ -454,6 +500,29 @@ def test_help_names_the_key_of_each_flag(capsys):
         entry = re.search(rf" {re.escape(flag)} \S+ ([a-z0-9_. ]+)", text)
         assert entry is not None, flag
         assert [w for w in entry.group(1).split() if w != "or"] == keys, flag
+
+
+def test_parser_is_reused_without_carrying_values(tmp_path, capsys):
+    """main builds its parser once per process; one call's flags never
+    reach the next, and --help prints the same text each time."""
+    cli._parser.cache_clear()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    config = str(write_config(tmp_path, dict(SMOKE_CONFIG, noise={
+        "kind": "multiplicative", "sigma": 0.05})))
+    written = {}
+    for name, flags, fresh in (("flag", ["--nu", "0.9"], False), ("after", [], False),
+                               ("fresh", [], True)):
+        if fresh:
+            cli._parser.cache_clear()
+        out = tmp_path / name
+        assert main(["fpt", "--config", config, "--out", str(out)] + flags) == 0
+        written[name] = (out / "fpt.csv").read_bytes()
+    assert written["after"] == written["fresh"] != written["flag"]
 
 
 SMOKE_CONFIG = {
