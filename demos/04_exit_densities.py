@@ -11,9 +11,7 @@ import pathlib
 
 import numpy as np
 
-from growthfpt import (GrowthParams, LognormalProcess, OUProcess,
-                       ProportionalBand, fet_pdf_lognormal_band,
-                       fet_pdf_ou_band)
+from growthfpt import GrowthParams, LognormalProcess, OUProcess, fet_pdf_closed
 from growthfpt.svg import render_line_chart
 
 OUT = pathlib.Path(__file__).parent / "output"
@@ -26,8 +24,8 @@ ts = np.linspace(0.5, 400.0, 1600)
 print("multiplicative noise, raising the lower proportion nu1 (nu2 = 1.3):")
 series = []
 for nu1 in (0.8, 0.85, 0.9):
-    band = ProportionalBand(nu1=nu1, nu=1.0, nu2=1.3)
-    vals = fet_pdf_lognormal_band(proc, band, 1.0, 0.0, ts)
+    band = proc.mean_boundary(nu1), proc.mean_boundary(1.3)
+    vals = fet_pdf_closed(proc, *band, 1.0, 0.0, ts)
     print(f"  nu1={nu1:4.2f}: peak value {vals.max():.5f} at t={ts[np.argmax(vals)]:6.1f}")
     series.append((ts, vals, f"nu1={nu1}"))
 (OUT / "fet_by_nu1.svg").write_text(render_line_chart(
@@ -37,8 +35,8 @@ print("\nmultiplicative noise, raising sigma (band [0.8, 1.2]):")
 series = []
 for sigma in (0.015, 0.02, 0.03):
     p_s = LognormalProcess(params, sigma)
-    band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.2)
-    vals = fet_pdf_lognormal_band(p_s, band, 1.0, 0.0, ts)
+    band = p_s.mean_boundary(0.8), p_s.mean_boundary(1.2)
+    vals = fet_pdf_closed(p_s, *band, 1.0, 0.0, ts)
     print(f"  sigma={sigma:5.3f}: peak value {vals.max():.5f} "
           f"at t={ts[np.argmax(vals)]:6.1f}")
     series.append((ts, vals, f"sigma={sigma}"))
@@ -48,7 +46,8 @@ for sigma in (0.015, 0.02, 0.03):
 print("\nadditive noise, band [0.8, 1.2] at sigma = 0.1 (long time scale):")
 proc_g = OUProcess(params, 0.1)
 tg = np.geomspace(0.5, 12_000.0, 900)
-vals = fet_pdf_ou_band(proc_g, 0.8, 1.0, 1.2, 0.0, 1.0, 0.0, tg)
+band = proc_g.mean_boundary(0.8), proc_g.mean_boundary(1.2)
+vals = fet_pdf_closed(proc_g, *band, 1.0, 0.0, tg)
 print(f"  peak value {vals.max():.2e} at t={tg[np.argmax(vals)]:.1f}; "
       f"half the mass sits beyond t~1000")
 (OUT / "fet_additive.svg").write_text(render_line_chart(

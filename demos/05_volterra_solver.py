@@ -17,8 +17,8 @@ import pathlib
 import numpy as np
 
 from growthfpt import (DanielsBoundary, GeneralBoundary, GrowthParams,
-                       OUProcess, fpt_pdf_gm_closed, gm_spec_G, volterra_fpt,
-                       volterra_fet, fet_pdf_wiener_symmetric, wiener_spec)
+                       OUProcess, fet_pdf_closed, fpt_pdf_closed, gm_spec_G,
+                       volterra_fet, volterra_fpt, wiener_spec)
 from growthfpt.svg import render_line_chart
 
 OUT = pathlib.Path(__file__).parent / "output"
@@ -30,7 +30,7 @@ print("closed-form boundary (constant level 1): solver is exact")
 grid = np.linspace(0.0, 5.0, 1001)
 flat = GeneralBoundary(s=lambda t: 1.0, s_dot=lambda t: 0.0)
 curve = volterra_fpt(spec, flat, 0.0, 0.0, grid)
-closed = fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0), 0.0, 0.0, grid[1:])
+closed = fpt_pdf_closed(spec, DanielsBoundary(0.0, 1.0), 0.0, 0.0, grid[1:])
 print(f"  max abs deviation: {np.max(np.abs(curve.values[1:] - closed)):.2e}")
 
 print("\noscillating boundary 1 + 0.25 sin t: convergence under halving")
@@ -50,7 +50,8 @@ print("\ncoupled system for a band (symmetric unit band, unit noise):")
 b1 = GeneralBoundary(s=lambda t: -1.0, s_dot=lambda t: 0.0)
 b2 = GeneralBoundary(s=lambda t: 1.0, s_dot=lambda t: 0.0)
 lo, up, tot = volterra_fet(spec, b1, b2, 0.0, 0.0, np.linspace(0.0, 8.0, 2001))
-theta = fet_pdf_wiener_symmetric(1.0, 1.0, tot.times[1:])
+theta = fet_pdf_closed(spec, DanielsBoundary(0.0, -1.0), DanielsBoundary(0.0, 1.0),
+                       0.0, 0.0, tot.times[1:])
 print(f"  solver vs image-series closed form, max abs dev: "
       f"{np.max(np.abs(tot.values[1:] - theta)):.2e}")
 print(f"  exit-side symmetry, max |gamma1 - gamma2|: "
@@ -65,7 +66,6 @@ from growthfpt.growth_curve import _g
 bnd = AffineGMBoundary(A=0.8 * _g(params, 0.0))
 sol = volterra_fpt(gm_spec_G(proc), affine_gm_boundary_fns(proc, bnd, 0.0),
                    1.0, 0.0, np.linspace(0.0, 20.0, 2001))
-from growthfpt import fpt_pdf_ou
-closed = fpt_pdf_ou(proc, bnd, 1.0, 0.0, sol.times[1:])
+closed = fpt_pdf_closed(proc, bnd, 1.0, 0.0, sol.times[1:])
 print(f"  max abs deviation: {np.max(np.abs(sol.values[1:] - closed)):.2e}")
 print(f"\nwrote {OUT}/volterra_wavy.svg")

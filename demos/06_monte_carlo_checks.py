@@ -14,11 +14,10 @@ import pathlib
 import numpy as np
 
 from growthfpt import (DensityCurve, ExpBoundary, GrowthParams,
-                       LognormalProcess, OUProcess, ProportionalBand,
-                       SimConfig, density_distance, estimate_fet,
-                       estimate_fpt, fet_pdf_lognormal_band,
-                       fpt_pdf_lognormal, integrate_adaptive, simulate_paths,
-                       transition_law_G)
+                       LognormalProcess, OUProcess, SimConfig,
+                       density_distance, estimate_fet, estimate_fpt,
+                       fet_pdf_closed, fpt_pdf_closed, integrate_adaptive,
+                       simulate_paths, transition_law_G)
 from growthfpt.growth_curve import _g
 from growthfpt.validate import mass_to_infinity
 
@@ -34,18 +33,18 @@ cfg = SimConfig(dt=0.2, horizon=150.0, n_paths=30_000, seed=515)
 sample = estimate_fpt(proc, bnd, cfg)
 grid = np.linspace(0.0, 150.0, 3001)
 curve = DensityCurve.from_function(
-    lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t), grid, 0.0)
+    lambda t: fpt_pdf_closed(proc, bnd, 1.0, 0.0, t), grid, 0.0)
 l1, ks = density_distance(sample, curve)
 print(f"  hits {sample.hit_times.size}, censored {sample.censored_count}, "
       f"KS = {ks:.4f}, L1 = {l1:.4f}")
 
 print("\nexit times vs closed form (band [0.8, 1.2], 30k paths):")
-band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.2)
+band = ExpBoundary(A=0.8), ExpBoundary(A=1.2)
 cfg = SimConfig(dt=0.5, horizon=800.0, n_paths=30_000, seed=516)
-sample = estimate_fet(proc, ExpBoundary(A=0.8), ExpBoundary(A=1.2), cfg)
+sample = estimate_fet(proc, *band, cfg)
 grid = np.linspace(0.0, 800.0, 3001)
 curve = DensityCurve.from_function(
-    lambda t: fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t), grid, 0.0)
+    lambda t: fet_pdf_closed(proc, *band, 1.0, 0.0, t), grid, 0.0)
 l1, ks = density_distance(sample, curve, bins=40)
 n_low = int(np.sum(sample.exit_sides == "lower"))
 print(f"  exits {sample.hit_times.size} ({n_low} through the lower boundary), "
@@ -53,7 +52,7 @@ print(f"  exits {sample.hit_times.size} ({n_low} through the lower boundary), "
 
 print("\nbridge correction at a coarse step (nu = 1.2, dt = 2):")
 bnd = ExpBoundary(A=1.2)
-target, _ = mass_to_infinity(lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t), 400.0)
+target, _ = mass_to_infinity(lambda t: fpt_pdf_closed(proc, bnd, 1.0, 0.0, t), 400.0)
 for flag in (True, False):
     cfg = SimConfig(dt=2.0, horizon=400.0, n_paths=30_000, seed=517,
                     bridge_correction=flag)

@@ -14,12 +14,10 @@ from .errors import (BandCrossing, ConfigError, DomainError, EmptySample,
                      GridError, GrowthFPTError, InvalidParams, NonPositiveState,
                      OrderError, ParseError, StartOnBoundary, StartOutsideBand,
                      ValidationError)
-from .fet import (BandSpec, ProportionalBand, fet_pdf_gm_closed,
-                  fet_pdf_lognormal_band, fet_pdf_ou_band,
-                  fet_pdf_wiener_symmetric, volterra_fet, wiener_band_pdf)
+from .fet import fet_pdf_closed, volterra_fet
 from .fpt import (AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary,
-                  affine_gm_boundary_fns, exp_boundary_fns, fpt_pdf_gm_closed,
-                  fpt_pdf_lognormal, fpt_pdf_ou, volterra_fpt)
+                  affine_gm_boundary_fns, exp_boundary_fns, fpt_pdf_closed,
+                  volterra_fpt)
 from .gm_core import (DanielsBoundary, GMSpec, TransitionLaw,
                       daniels_boundary_fns, infinitesimal_coeffs, psi_kernel,
                       r_ratio, transition_law, wiener_spec)

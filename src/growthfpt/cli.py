@@ -29,15 +29,15 @@ import sys
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ._decimal import format_g17
 from .errors import GrowthFPTError, ParseError, ValidationError
-from .fet import BandSpec, fet_pdf_gm_closed, volterra_fet
-from .fpt import DensityCurve, fpt_pdf_gm_closed, volterra_fpt
-from .gm_core import DanielsBoundary, GMSpec
+from .fet import fet_pdf_closed, volterra_fet
+from .fpt import DensityCurve, fpt_pdf_closed, volterra_fpt
+from .gm_core import DanielsBoundary
 from .growth_curve import (GrowthParams, classify_regime, domain_end, g_eval,
                            h_eval, x_eval)
 from .montecarlo import SimConfig, estimate_fet, estimate_fpt, simulate_paths
@@ -264,67 +264,47 @@ def _cmd_paths(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _Problem:
-    """A passage (one boundary) or band-exit (two, lower first) problem of
-    the configured process, in the form each method takes."""
-
-    bounds: List            # the process's closed-form boundaries, from x0
-    pdf: Callable           # closed-form density as a function of time
-    spec: GMSpec            # the Wiener coordinate from the start, for Volterra
-    lines: List[DanielsBoundary]  # the boundaries there, c + d*R; the start is 0
-
-
-def _problem(cfg: RunConfig, command: str) -> _Problem:
-    """The fpt or fet problem of cfg in the process's Wiener coordinate from
-    the start (x0 for fpt, nu*x0 for fet), where each boundary, nu_i times
-    the mean curve, is a line c_i + d*R.  Monte Carlo starts at x0; the
-    process is translation invariant in its coordinate, so it gets the
-    boundaries whose lines from x0 are the same.
-    """
+def _cmd_density(cfg: RunConfig, out: Path, command: str) -> int:
+    """fpt or fet: by the configured method, the density of passage from x0
+    through nu times the mean curve, or of exit from the band [nu1, nu2] of
+    it from nu*x0, with the per-side densities gamma1, gamma2 where a band's
+    method gives them."""
     params, proc = cfg.model, cfg.process()
     x0, t0 = params.x0, params.t0
-    fpt = command == "fpt"
-    levels = [cfg.fpt_nu] if fpt else [cfg.fet_nu1, cfg.fet_nu2]
-    home = proc.coord(x0, t0)
-    coord = home if fpt else proc.coord(cfg.fet_nu * x0, t0)
-    lines = [coord.line(proc.mean_boundary(lv)) for lv in levels]
-    bounds = [proc.mean_boundary(home.to_state(c, t0) / x0) for c, _ in lines]
-    spec = coord.spec
-    daniels = [DanielsBoundary(d1=d, d2=c) for c, d in lines]
-    if fpt:
-        pdf = partial(fpt_pdf_gm_closed, spec, daniels[0], 0.0, t0)
-    else:
-        band = BandSpec(c1=lines[0][0], c=0.0, c2=lines[1][0])
-        pdf = partial(fet_pdf_gm_closed, spec, lines[0][1], band, 0.0, t0)
-    return _Problem(bounds, pdf, spec, daniels)
-
-
-def _cmd_density(cfg: RunConfig, out: Path, command: str) -> int:
-    """fpt or fet: the problem's density by the configured method, with the
-    per-side densities gamma1, gamma2 where a band's method gives them."""
-    t0 = cfg.model.t0
-    method = cfg.fpt_method if command == "fpt" else cfg.fet_method
-    prob = _problem(cfg, command)
-    single = len(prob.bounds) == 1
+    single = command == "fpt"
+    method = cfg.fpt_method if single else cfg.fet_method
+    levels = [cfg.fpt_nu] if single else [cfg.fet_nu1, cfg.fet_nu2]
+    bounds = [proc.mean_boundary(nu) for nu in levels]
+    start = x0 if single else cfg.fet_nu * x0
     sides = []
     if method == "closed":
-        curve = DensityCurve.from_function(prob.pdf, _density_grid(cfg), t0)
+        pdf = fpt_pdf_closed if single else fet_pdf_closed
+        curve = DensityCurve.from_function(lambda t: pdf(proc, *bounds, start, t0, t),
+                                           _density_grid(cfg), t0)
     elif method == "volterra":
         if cfg.grid_kind != "linear":
             raise ValidationError(f"{command}.method=volterra requires grid.kind=linear")
         ts = _density_grid(cfg)
+        # each boundary is the line c + d*R of the coordinate from the start
+        coord = proc.coord(start, t0)
+        lines = [DanielsBoundary(d1=d, d2=c) for c, d in map(coord.line, bounds)]
         if single:
-            curve = volterra_fpt(prob.spec, *prob.lines, 0.0, t0, ts)
+            curve = volterra_fpt(coord.spec, *lines, 0.0, t0, ts)
         else:
-            lower, upper, curve = volterra_fet(prob.spec, *prob.lines, 0.0, t0, ts)
+            lower, upper, curve = volterra_fet(coord.spec, *lines, 0.0, t0, ts)
             sides = [lower.values, upper.values]
     else:  # mc
+        # paths start at x0; the process is translation invariant in its
+        # coordinate, so they get the boundaries whose lines from x0 are
+        # those from the start
+        coord, home = proc.coord(start, t0), proc.coord(x0, t0)
+        bounds = [proc.mean_boundary(home.to_state(coord.line(b)[0], t0) / x0)
+                  for b in bounds]
         if single:
-            sample = estimate_fpt(cfg.process(), *prob.bounds, cfg.sim)
+            sample = estimate_fpt(proc, *bounds, cfg.sim)
             hits = [sample.hit_times]
         else:
-            sample = estimate_fet(cfg.process(), *prob.bounds, cfg.sim)
+            sample = estimate_fet(proc, *bounds, cfg.sim)
             hits = [sample.hit_times[sample.exit_sides == side]
                     for side in ("lower", "upper")]
         edges = np.linspace(t0, t0 + cfg.sim.horizon, 201)

@@ -1,17 +1,17 @@
 """First-exit-time densities from a band between two boundaries.
 
-For bands of the form s_i = m + a*k1 + c_i*k2 around a start
-x0 = m + a*k1 + c*k2 (c1 < c < c2), Y = (X - m)/k2 is a unit-variance
-Wiener process in the clock r = k1/k2 and the band is the pair of lines
-c_i + a*r.  In the clock R = r(t) - r(t0), measured from the start, Y has
-drift mu = -a against a fixed band, with the start u = c - c1 above the
-lower side and v = c2 - c below the upper one (L = u + v).  Every closed
-form here is r'(t) times one density in R, _band_exit(R, u, v, mu), for
-the band between two parallel lines c_i + d*R of a unit Wiener process
-started at 0 (u = -c1, v = c2, mu = -d).  The Wiener band is the case
-r = sigma^2 t; the lognormal and additive bands take their clock and lines
-from the process's coordinate (LognormalProcess.coord, OUProcess.coord),
-where both of their boundaries are lines.
+A band of two boundaries of one closed-form family (fpt's module
+docstring) is, in the model's coordinate from the start (GMSpec.coord,
+LognormalProcess.coord, OUProcess.coord), a pair of lines c1 + d*R and
+c2 + d*R of a unit Wiener process w started at 0, with c1 < 0 < c2 when
+the start is inside.  Only a pair of one slope d has a closed form: there
+w has drift mu = -d against a fixed band, with the start u = -c1 above the
+lower side and v = c2 below the upper one (L = u + v).  That closed form,
+fet_pdf_closed(model, lower, upper, x0, t0, t), is R'(t) times one density
+in R, _band_exit(R, u, v, mu).  For a Gauss-Markov band
+s_i = m + a*k1 + c_i*k2 the lines are c_i - c + a*R in the clock
+R = r(t) - r(t0), with the start at x0 = m + a*k1 + c*k2; the Wiener band
+is the case r = sigma^2 t.
 
 _band_exit removes the drift by the exponential change of measure: the
 exit density through the lower side is exp(-mu u - mu^2 R/2) times the
@@ -48,54 +48,19 @@ per side.  Every other band, from callables or lines, sums every source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .errors import BandCrossing, InvalidParams, OrderError, StartOutsideBand
-from .fpt import (DensityCurve, GeneralBoundary, _after, _before_end,
-                  _solver_grid, _volterra)
-from .gm_core import (DanielsBoundary, GMSpec, WienerCoord, evaluate, r_ratio,
-                      to_clock)
-from .growth_curve import _as_out, _g
-from .process_lognormal import ExpBoundary, LognormalProcess
-from .process_ou import AffineGMBoundary, OUProcess
+from .errors import BandCrossing, InvalidParams, StartOutsideBand
+from .fpt import DensityCurve, GeneralBoundary, _after, _solver_grid, _volterra
+from .gm_core import DanielsBoundary, GMSpec, to_clock
+from .growth_curve import _as_out
 
 _SINE_FROM = 0.5                # R/L^2 above which the sine series is summed
 _ORDERS = np.arange(-6.0, 7.0)  # image orders n
 _MODES = np.arange(1.0, 9.0)    # sine terms k
 _EXP_MIN = -708.0               # exp(x) is subnormal or 0 below about -708.4
-
-
-@dataclass(frozen=True)
-class BandSpec:
-    """Affine band in Wiener coordinates: boundaries c_i + slope*t."""
-
-    c1: float
-    c: float
-    c2: float
-    slope: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (self.c1 < self.c < self.c2):
-            raise StartOutsideBand(
-                f"need c1 < c < c2, got {self.c1}, {self.c}, {self.c2}")
-
-
-@dataclass(frozen=True)
-class ProportionalBand:
-    """Band boundaries as fixed proportions nu1 < nu2 of the conditional mean
-    curve, with the start at proportion nu (nu = 1 starts exactly at x0)."""
-
-    nu1: float
-    nu: float
-    nu2: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.nu1 < self.nu < self.nu2):
-            raise StartOutsideBand(
-                f"need 0 < nu1 < nu < nu2, got {self.nu1}, {self.nu}, {self.nu2}")
 
 
 def _exp(E: np.ndarray) -> np.ndarray:
@@ -153,90 +118,28 @@ def _line_band_pdf(R, rate, lower, upper):
     return _as_out(np.where(moved, dens, 0.0))
 
 
-def _coord_band_pdf(coord: WienerCoord, lower, upper, t):
-    """_line_band_pdf for two closed-form boundaries of the coordinate."""
-    return _line_band_pdf(coord.clock(t), coord.rate(t), coord.line(lower),
-                          coord.line(upper))
+def fet_pdf_closed(model, lower, upper, x0: float, t0: float, t):
+    """Closed-form exit density from (x0, t0) out of the band between two
+    boundaries of the model's closed-form family (see fpt.fpt_pdf_closed),
+    at the times t (a scalar or an array).
 
-
-def fet_pdf_gm_closed(spec: GMSpec, a: float, band: BandSpec, x0: float,
-                      t0: float, t):
-    """Total exit density gamma(t | x0, t0) for an affine-in-(k1, k2) band.
-
-    Boundaries are s_i = m + a*k1 + band.ci*k2 and the start must satisfy
-    x0 = m(t0) + a*k1(t0) + band.c*k2(t0); band.slope is ignored here (it is
-    the Wiener-coordinate reading of `a`).  `t` is a scalar or an array.
+    In model.coord(x0, t0) the sides are the lines c1 + d*R and c2 + d*R of
+    one slope d, with c1 < 0 < c2: the start lies strictly inside.  A
+    Wiener band c_i + slope*t of wiener_spec(sigma) from (c, 0) is the
+    DanielsBoundary(d1=slope/sigma^2, d2=c_i) pair from x0 = c; a band of
+    mean proportions nu_i started at nu*x0 is the pair
+    mean_boundary(nu_i) of the lognormal or the additive process from
+    nu*x0.
     """
     t = _after(t, t0)
-    at_0 = evaluate(spec, t0)
-    x0_implied = at_0.m + a * at_0.k1 + band.c * at_0.k2
-    scale = max(abs(x0), abs(x0_implied), 1.0)
-    if abs(x0 - x0_implied) > 1e-9 * scale:
-        raise InvalidParams(
-            f"x0={x0} inconsistent with m + a*k1 + c*k2 = {x0_implied} at t0")
-    r, r_dot = r_ratio(spec, t)
-    return _line_band_pdf(r - at_0.r, r_dot, (band.c1 - band.c, a),
-                          (band.c2 - band.c, a))
-
-
-def wiener_band_pdf(band: BandSpec, sigma: float, dt):
-    """Exit density of a Wiener process (variance sigma^2 per unit time)
-    from the affine band c_i + slope*t after elapsed time dt (a scalar or an
-    array), the start sitting at intercept offset c with c1 < c < c2."""
-    dt = np.asarray(dt, dtype=float)
-    if np.any(dt <= 0.0):
-        raise OrderError(f"elapsed time must be positive, got {dt}")
-    s2 = sigma * sigma
-    d = band.slope / s2
-    return _line_band_pdf(s2 * dt, s2, (band.c1 - band.c, d), (band.c2 - band.c, d))
-
-
-def fet_pdf_lognormal_band(proc: LognormalProcess, band: ProportionalBand,
-                           x0: float, t0: float, t):
-    """Exit density of the multiplicative-noise process from the band of
-    mean proportions [nu1, nu2], started at proportion nu of x0; `t` is a
-    scalar or an array.
-
-    Both boundaries are ExpBoundary lines in the coordinate from the start
-    (nu*x0, t0), ln(nu_i/nu) + R/2 with R = sigma^2 (t - t0).  Only those
-    ratios and (sigma, t - t0) enter: the value is independent of the curve
-    shape p and of x0 itself.
-    """
-    t = _after(t, t0)
-    lower, upper = ExpBoundary(A=band.nu1 * x0), ExpBoundary(A=band.nu2 * x0)
-    return _coord_band_pdf(proc.coord(band.nu * x0, t0), lower, upper, t)
-
-
-def fet_pdf_wiener_symmetric(c_half_width: float, sigma: float, dt: float) -> float:
-    """Exit density from a constant symmetric band started at its midpoint.
-
-    Specialises the general affine-band formula with slope 0 and
-    c = (c1 + c2)/2 rather than transcribing any pre-simplified display.
-    """
-    if not (c_half_width > 0.0):
-        raise InvalidParams("half width must be positive")
-    band = BandSpec(c1=-c_half_width, c=0.0, c2=c_half_width, slope=0.0)
-    return wiener_band_pdf(band, sigma, dt)
-
-
-def fet_pdf_ou_band(proc: OUProcess, c1: float, c: float, c2: float, B: float,
-                    x0: float, t0: float, t):
-    """Exit density of the additive-noise process from a proportional band.
-
-    With B = 0 the boundaries are s_i(t) = c_i * x0 * g(t0)/g(t), i.e. fixed
-    proportions of the conditional mean started from x0, and the start state
-    is c * x0 (c = 1 starts exactly at x0).  B tilts the band along the
-    intrinsic clock the same way the affine passage boundary does: both
-    boundaries are AffineGMBoundary lines in the coordinate from the start
-    (c*x0, t0).  `t` is a scalar or an increasing array.
-    """
-    if not (c1 < c < c2):
-        raise StartOutsideBand(f"need c1 < c < c2, got {c1}, {c}, {c2}")
-    _before_end(proc.params, t)
-    t = _after(t, t0)
-    scale = x0 * _g(proc.params, t0)
-    lower, upper = (AffineGMBoundary(A=ci * scale, B=B) for ci in (c1, c2))
-    return _coord_band_pdf(proc.coord(c * x0, t0), lower, upper, t)
+    coord = model.coord(x0, t0)
+    lines = coord.line(lower), coord.line(upper)
+    if lines[0][1] != lines[1][1]:
+        raise InvalidParams(f"band sides of slopes {lines[0][1]} and {lines[1][1]} "
+                            "have no closed form")
+    if not lines[0][0] < 0.0 < lines[1][0]:
+        raise StartOutsideBand(f"x0={x0} not strictly inside the band at t0")
+    return _line_band_pdf(coord.clock(t), coord.rate(t), *lines)
 
 
 def volterra_fet(spec: GMSpec, s1: GeneralBoundary | DanielsBoundary,

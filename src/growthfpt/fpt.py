@@ -1,8 +1,9 @@
 """First-passage-time densities through a single time-dependent boundary.
 
 Seen from its start, each process is a driftless unit Wiener process w in
-its own coordinate and clock R (LognormalProcess.coord, OUProcess.coord),
-and each closed-form boundary family is a straight line w = c + d*R there:
+its own coordinate and clock R (GMSpec.coord, LognormalProcess.coord,
+OUProcess.coord), and each closed-form boundary family is a straight line
+w = c + d*R there:
 
   * Daniels-type boundaries m + d1*k1 + d2*k2 on any Gauss-Markov process,
     in the coordinate (X - m)/k2 and the clock r = k1/k2;
@@ -11,8 +12,9 @@ and each closed-form boundary family is a straight line w = c + d*R there:
   * affine boundaries (A + B*sigma^2*int_{t0}^t g^2)/g for the
     additive-noise process.
 
-So every closed form here is R'(t) times one density: the first passage of
-a unit Wiener process from 0 to the line c + d*R (inverse Gaussian),
+So every closed form is one function, fpt_pdf_closed(model, b, x0, t0, t)
+for any of the three models and its family: R'(t) times the first passage
+of a unit Wiener process from 0 to the line c + d*R (inverse Gaussian),
 
     |c| / sqrt(2 pi R^3) * exp(-(c + d R)^2 / (2 R)).
 
@@ -49,9 +51,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DomainError, GridError, OrderError, StartOnBoundary)
-from .gm_core import (_SQRT2PI, DanielsBoundary, GMSpec, TimeFn, evaluate, psi,
-                      to_clock)
-from .growth_curve import _as_out, _core, _g, h_eval
+from .gm_core import _SQRT2PI, DanielsBoundary, GMSpec, TimeFn, psi, to_clock
+from .growth_curve import _as_out, _g, h_eval
 from .process_lognormal import ExpBoundary, LognormalProcess
 from .process_ou import AffineGMBoundary, OUProcess
 
@@ -128,11 +129,6 @@ def _after(t, t0: float) -> np.ndarray:
     return t
 
 
-def _before_end(params, t) -> None:  # the clock of the additive closed forms
-    if np.any(t >= _core(params).t_star):
-        raise DomainError(f"t={t} at or beyond the domain end")
-
-
 def _line_pdf(R, rate, c: float, d: float):
     """rate times the first-passage density, in the clock R > 0, of a unit
     Wiener process from 0 to the line c + d*R."""
@@ -143,55 +139,20 @@ def _line_pdf(R, rate, c: float, d: float):
                                         / (_SQRT2PI * np.sqrt(R))))
 
 
-def fpt_pdf_gm_closed(spec: GMSpec, b: DanielsBoundary, x0: float, t0: float,
-                      t):
-    """Closed-form passage density through a Daniels-type boundary:
+def fpt_pdf_closed(model, b, x0: float, t0: float, t):
+    """Closed-form passage density from (x0, t0) through a boundary of the
+    model's closed-form family, at the times t (a scalar or an array):
 
-        |s(t0) - x0| / (r(t) - r(t0)) * k2(t)/k2(t0) * r'(t) * f(s(t), t | x0, t0)
+      * a GMSpec (wiener_spec too) and a DanielsBoundary,
+      * a LognormalProcess and an ExpBoundary,
+      * an OUProcess and an AffineGMBoundary, for t before t_star.
 
-    valid for either ordering of x0 versus s(t0) by symmetry of the Gaussian
-    transition law under state reflection.  It is evaluated as the line
-    (s(t0) - x0)/k2(t0) + d1*R of (X - m)/k2 less its start, in the clock
-    R = r(t) - r(t0).  `t` is a scalar or an array.
+    It is R'(t) times the inverse-Gaussian passage density of the line
+    w = c + d*R of b in model.coord(x0, t0), from either side.  The start
+    must be off the boundary.
     """
     t = _after(t, t0)
-    at_0, at_t = evaluate(spec, t0), evaluate(spec, t)
-    c = float((b.value(at_0) - x0) / at_0.k2)
-    return _line_pdf(at_t.r - at_0.r, at_t.r_dot, c, b.d1)
-
-
-def fpt_pdf_lognormal(proc: LognormalProcess, b: ExpBoundary, x0: float,
-                      t0: float, t):
-    """Passage density of the multiplicative-noise process through an
-    exponential-form boundary:
-
-        |ln(s(t0)/x0)| / sqrt(2 pi sigma^2 (t-t0)^3)
-          * exp{ -[(sigma^2/2 + B)(t-t0) + ln(s(t0)/x0)]^2 / (2 sigma^2 (t-t0)) }
-
-    the line passage in the coordinate proc.coord(x0, t0).  The value
-    depends only on (s(t0)/x0, B, sigma, t-t0): in particular it is
-    invariant under the curve shape parameter p and under common rescaling
-    of (x0, A), and it holds past the domain end.  `t` is a scalar or an
-    array.
-    """
-    t = _after(t, t0)
-    coord = proc.coord(x0, t0)
-    return _line_pdf(coord.clock(t), coord.rate(t), *coord.line(b))
-
-
-def fpt_pdf_ou(proc: OUProcess, b: AffineGMBoundary, x0: float, t0: float,
-               t):
-    """Passage density of the additive-noise process through an affine
-    boundary, the line passage in the coordinate proc.coord(x0, t0):
-
-        sigma^2 g(t)^2 |c| / sqrt(2 pi R^3) * exp(-(c + B R)^2 / (2 R)),
-
-    c = A - x0 g(t0), R = sigma^2 int_{t0}^t g^2.  `t` is a scalar or an
-    increasing array.
-    """
-    t = _after(t, t0)
-    _before_end(proc.params, t)
-    coord = proc.coord(x0, t0)
+    coord = model.coord(x0, t0)
     return _line_pdf(coord.clock(t), coord.rate(t), *coord.line(b))
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import OrderError
+from .errors import ConfigError, OrderError
 from .growth_curve import _as_out
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -68,13 +68,19 @@ class GMSpec:
         at0 = evaluate(self, t0)
         y0, r0 = float((x0 - at0.m) / at0.k2), float(at0.r)
         m, k2 = (lambda t: on_grid(self.m, t)), (lambda t: on_grid(self.k2, t))
+
+        def line(b):
+            if not isinstance(b, DanielsBoundary):
+                raise ConfigError(f"{type(b).__name__} is not a closed-form "
+                                  "boundary of a Gauss-Markov spec")
+            return b.d2 + b.d1 * r0 - y0, b.d1
+
         return WienerCoord(
             clock=lambda t: _as_out(on_grid(self.r, t) - r0),
             rate=lambda t: _as_out(on_grid(self.r_dot, t)),
             to_coord=lambda x, t: _as_out((np.asarray(x, dtype=float) - m(t)) / k2(t) - y0),
             to_state=lambda w, t: _as_out(m(t) + k2(t) * (np.asarray(w, dtype=float) + y0)),
-            jacobian=lambda x, t: _as_out(1.0 / k2(t)),
-            line=lambda b: (b.d2 + b.d1 * r0 - y0, b.d1))
+            jacobian=lambda x, t: _as_out(1.0 / k2(t)), line=line)
 
 
 def clock_spec(r: TimeFn, r_dot: TimeFn) -> GMSpec:

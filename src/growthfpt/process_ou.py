@@ -66,11 +66,12 @@ class OUProcess:
             w = x g(t) - x0 g(t0),   R = sigma^2 int_{t0}^t g^2,  R' = sigma^2 g^2,
 
         with dw/dx = g(t), in which an AffineGMBoundary is the line
-        c = A - x0 g(t0), d = B.
+        c = A - x0 g(t0), d = B.  The clock raises DomainError for a time at
+        or after t_star, the end of the curve's domain.
         """
         params = self.params
         s2 = self.sigma * self.sigma
-        p0 = int_g2(params, t0)
+        p0, t_star = int_g2(params, t0), _core(params).t_star
         w0 = x0 * _g(params, t0)
 
         def rate(t):
@@ -83,8 +84,14 @@ class OUProcess:
                                   "boundary of the additive process")
             return b.A - w0, b.B
 
+        def clock(t):
+            if np.any(np.greater_equal(t, t_star)):
+                raise DomainError(f"t={np.max(t)} at or beyond the domain end "
+                                  f"t_star={t_star}")
+            return s2 * (int_g2(params, t) - p0)
+
         return WienerCoord(
-            clock=lambda t: s2 * (int_g2(params, t) - p0), rate=rate,
+            clock=clock, rate=rate,
             to_coord=lambda x, t: _as_out(np.asarray(x, dtype=float) * _g(params, t) - w0),
             to_state=lambda w, t: _as_out((w + w0) / _g(params, t)),
             jacobian=lambda x, t: _g(params, t), line=line)

@@ -10,19 +10,24 @@ hook, which binds it by name; it changes with the benchmark (ROADMAP item 1).
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import GridError
 
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL32 = np.polynomial.legendre.leggauss(32)
 _PANEL_BLOCK = 1024  # panels per call of the integrand: keeps the node arrays small
 
 
-def _panels(f, left, right, rule) -> np.ndarray:
-    nodes, weights = rule
+@cache
+def _rule(points: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(points)
+
+
+def _panels(f, left, right, points: int) -> np.ndarray:
+    nodes, weights = _rule(points)
     half = 0.5 * (right - left)
     mid = left + half
     out = np.empty(mid.size)
@@ -37,7 +42,7 @@ def panel_integrals(f: Callable[[np.ndarray], np.ndarray], left: np.ndarray,
                     right: np.ndarray) -> np.ndarray:
     """The integral of f over each panel [left[i], right[i]] by the 16-point
     Gauss-Legendre rule, with f called once per block of 1024 panels."""
-    return _panels(f, left, right, _GL16)
+    return _panels(f, left, right, 16)
 
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
@@ -52,5 +57,5 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
         raise GridError("integration edges must be a non-decreasing 1-d array "
                         "of at least two points")
     left, right = edges[:-1], edges[1:]
-    value = float(np.sum(_panels(f, left, right, _GL32)))
+    value = float(np.sum(_panels(f, left, right, 32)))
     return value, abs(value - float(np.sum(panel_integrals(f, left, right))))

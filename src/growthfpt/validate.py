@@ -16,11 +16,10 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .fet import (BandSpec, ProportionalBand, fet_pdf_lognormal_band,
-                  fet_pdf_wiener_symmetric, wiener_band_pdf)
+from .fet import fet_pdf_closed
 from .fpt import (AffineGMBoundary, DanielsBoundary, DensityCurve, ExpBoundary,
-                  GeneralBoundary, affine_gm_boundary_fns, fpt_pdf_gm_closed,
-                  fpt_pdf_lognormal, fpt_pdf_ou, volterra_fpt)
+                  GeneralBoundary, affine_gm_boundary_fns, fpt_pdf_closed,
+                  volterra_fpt)
 from .gm_core import daniels_boundary_fns, psi_kernel, wiener_spec
 from .growth_curve import (GrowthParams, classify_regime, domain_end, x_eval,
                            _g)
@@ -126,9 +125,9 @@ def check_regimes() -> CheckResult:
 def check_fpt_mass() -> CheckResult:
     proc = LognormalProcess(P15, 0.02)
     m08, e08 = mass_to_infinity(
-        lambda t: fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, t))
+        lambda t: fpt_pdf_closed(proc, ExpBoundary(A=0.8), 1.0, 0.0, t))
     m12, e12 = mass_to_infinity(
-        lambda t: fpt_pdf_lognormal(proc, ExpBoundary(A=1.2), 1.0, 0.0, t))
+        lambda t: fpt_pdf_closed(proc, ExpBoundary(A=1.2), 1.0, 0.0, t))
     ok = abs(m08 - 1.0) <= 1e-4 and abs(m12 - 1.0 / 1.2) <= 1e-3
     return CheckResult("proportional-boundary passage mass",
                        ok, f"mass(nu=0.8)={m08:.6f}, mass(nu=1.2)={m12:.6f} "
@@ -138,7 +137,7 @@ def check_fpt_mass() -> CheckResult:
 def check_fpt_mode(points: int = 2001) -> CheckResult:
     proc = LognormalProcess(P15, 0.02)
     ts = np.linspace(20.0, 70.0, points)
-    vals = fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, ts)
+    vals = fpt_pdf_closed(proc, ExpBoundary(A=0.8), 1.0, 0.0, ts)
     mode = float(ts[int(np.argmax(vals))])
     return CheckResult("passage-density mode location",
                        abs(mode - 41.39) <= 0.1, f"mode at t={mode:.3f}")
@@ -178,21 +177,22 @@ def check_volterra_vs_closed(steps: int = 1200) -> CheckResult:
     grid = np.linspace(0.0, 5.0, steps + 1)
     curve = volterra_fpt(spec, GeneralBoundary(s=lambda t: 1.0, s_dot=lambda t: 0.0),
                          0.0, 0.0, grid)
-    closed = fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0), 0.0, 0.0, grid[1:])
+    closed = fpt_pdf_closed(spec, DanielsBoundary(0.0, 1.0), 0.0, 0.0, grid[1:])
     dev_w = _masked_rel_dev(curve, closed)
     ou = OUProcess(P15, 0.1)
     og = np.linspace(0.0, 20.0, steps + 1)
     bnd = AffineGMBoundary(A=0.8 * P15.x0 * _g(P15, 0.0))
     fns = affine_gm_boundary_fns(ou, bnd, 0.0)
     ocurve = volterra_fpt(gm_spec_G(ou), fns, 1.0, 0.0, og)
-    dev_o = _masked_rel_dev(ocurve, fpt_pdf_ou(ou, bnd, 1.0, 0.0, og[1:]))
+    dev_o = _masked_rel_dev(ocurve, fpt_pdf_closed(ou, bnd, 1.0, 0.0, og[1:]))
     return CheckResult("Volterra solver vs closed forms",
                        dev_w < 0.01 and dev_o < 0.01,
                        f"wiener dev {dev_w:.2e}, ou dev {dev_o:.2e} at {steps} steps")
 
 
 def check_wiener_band(t_hi: float = 40.0) -> CheckResult:
-    pdf = lambda t: fet_pdf_wiener_symmetric(1.0, 1.0, t)
+    spec, sides = wiener_spec(1.0), (DanielsBoundary(0.0, -1.0), DanielsBoundary(0.0, 1.0))
+    pdf = lambda t: fet_pdf_closed(spec, *sides, 0.0, 0.0, t)
     mass, e_mass = mass_to_infinity(pdf, t_hi)
     mean, e_mean = mass_to_infinity(lambda t: t * pdf(t), t_hi)
     ok = abs(mass - 1.0) <= 1e-4 and abs(mean - 1.0) <= 5e-3
@@ -203,11 +203,11 @@ def check_wiener_band(t_hi: float = 40.0) -> CheckResult:
 
 def check_band_equivalence() -> CheckResult:
     proc = LognormalProcess(P15, 0.02)
-    band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.25)
     ts = np.array([5.0, 30.0, 80.0, 200.0])
-    a = fet_pdf_lognormal_band(proc, band, 1.0, 0.0, ts)
-    z = wiener_band_pdf(BandSpec(c1=math.log(0.8), c=0.0, c2=math.log(1.25),
-                                 slope=0.02 ** 2 / 2.0), 0.02, ts)
+    a = fet_pdf_closed(proc, ExpBoundary(A=0.8), ExpBoundary(A=1.25), 1.0, 0.0, ts)
+    # the log coordinate's lines ln(nu_i) + t sigma^2/2, as a Wiener band
+    z = fet_pdf_closed(wiener_spec(0.02), DanielsBoundary(d1=0.5, d2=math.log(0.8)),
+                       DanielsBoundary(d1=0.5, d2=math.log(1.25)), 0.0, 0.0, ts)
     worst = float(np.max(np.abs(a - z) / np.maximum(np.abs(z), 1e-300)))
     return CheckResult("band density equals its Wiener-coordinate form",
                        worst <= 1e-10, f"max rel dev {worst:.2e}")
@@ -220,7 +220,7 @@ def check_mc_fpt(n_paths: int = 20_000, seed: int = 40) -> CheckResult:
     sample = estimate_fpt(proc, bnd, cfg)
     grid = np.linspace(0.0, 150.0, 3001)
     curve = DensityCurve.from_function(
-        lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t), grid, 0.0)
+        lambda t: fpt_pdf_closed(proc, bnd, 1.0, 0.0, t), grid, 0.0)
     _, ks = density_distance(sample, curve)
     return CheckResult("Monte Carlo passage times vs closed form (KS)",
                        ks < 0.01, f"KS {ks:.4f} with {n_paths} paths")
@@ -228,12 +228,12 @@ def check_mc_fpt(n_paths: int = 20_000, seed: int = 40) -> CheckResult:
 
 def check_mc_fet(n_paths: int = 20_000, seed: int = 41) -> CheckResult:
     proc = LognormalProcess(P15, 0.02)
-    band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.2)
+    band = ExpBoundary(A=0.8), ExpBoundary(A=1.2)
     cfg = SimConfig(dt=0.5, horizon=800.0, n_paths=n_paths, seed=seed)
-    sample = estimate_fet(proc, ExpBoundary(A=0.8), ExpBoundary(A=1.2), cfg)
+    sample = estimate_fet(proc, *band, cfg)
     grid = np.linspace(0.0, 800.0, 3001)
     curve = DensityCurve.from_function(
-        lambda t: fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t), grid, 0.0)
+        lambda t: fet_pdf_closed(proc, *band, 1.0, 0.0, t), grid, 0.0)
     l1, _ = density_distance(sample, curve)
     return CheckResult("Monte Carlo exit times vs closed form (L1)",
                        l1 < 0.05, f"L1 {l1:.4f} with {n_paths} paths")

@@ -14,9 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from growthfpt import (ExpBoundary, GrowthParams, LognormalProcess,
-                       ProportionalBand, SimConfig, domain_end, estimate_fet,
-                       fet_pdf_lognormal_band, fpt_pdf_lognormal, x_eval)
+from growthfpt import (ExpBoundary, GrowthParams, LognormalProcess, SimConfig,
+                       domain_end, estimate_fet, fet_pdf_closed, fpt_pdf_closed,
+                       x_eval)
 from growthfpt.validate import (BASE, P15, CheckResult,
                                 check_curve_equivalence, check_fpt_mass,
                                 check_fpt_mode, check_kernel_vanishing,
@@ -222,7 +222,7 @@ def test_sensitivity_monotonicity():
     ts = np.linspace(0.5, 400.0, 8000)
     peak_t, peak_v = [], []
     for s in (0.01, 0.02, 0.04):
-        vals = fpt_pdf_lognormal(proc[s], ExpBoundary(A=0.8), 1.0, 0.0, ts)
+        vals = fpt_pdf_closed(proc[s], ExpBoundary(A=0.8), 1.0, 0.0, ts)
         peak_t.append(float(ts[int(np.argmax(vals))]))
         peak_v.append(float(vals.max()))
     ok_fpt = peak_t[0] > peak_t[1] > peak_t[2] and peak_v[0] < peak_v[1] < peak_v[2]
@@ -230,9 +230,8 @@ def test_sensitivity_monotonicity():
     proc_l = LognormalProcess(P15, 0.02)
     fet_peaks = []
     for nu1 in (0.8, 0.85, 0.9):
-        band = ProportionalBand(nu1=nu1, nu=1.0, nu2=1.3)
-        vals = fet_pdf_lognormal_band(proc_l, band, 1.0, 0.0,
-                                      np.linspace(0.5, 400.0, 2000))
+        vals = fet_pdf_closed(proc_l, ExpBoundary(A=nu1), ExpBoundary(A=1.3), 1.0,
+                              0.0, np.linspace(0.5, 400.0, 2000))
         fet_peaks.append(float(vals.max()))
     ok_fet = fet_peaks[0] < fet_peaks[1] < fet_peaks[2]
 

@@ -1,16 +1,23 @@
-"""The demos import only names the package has.
+"""The demos import only names the package has, and run.
 
-Each demos/*.py is parsed, never run, and every name it imports from
-growthfpt or one of its modules is looked up there.
+Each demos/*.py is parsed, and every name it imports from growthfpt or one
+of its modules is looked up there.  Each is also run from a copy in a
+temporary directory, so its output directory is made there and the calls
+it makes, not just its imports, must work.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def package_imports(path: pathlib.Path):
@@ -33,3 +40,13 @@ def test_demo_imports_exist(path):
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"{path.name} imports missing names: {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, tmp_path):
+    script = shutil.copy(path, tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "output").is_dir()

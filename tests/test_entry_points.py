@@ -14,9 +14,8 @@ TRACED = {
     "growth_curve": ["x_eval", "h_eval", "g_eval"],
     "quadrature": ["integrate_adaptive"],
     "gm_core": ["transition_law", "r_ratio"],
-    "fpt": ["volterra_fpt", "fpt_pdf_gm_closed", "fpt_pdf_lognormal", "fpt_pdf_ou"],
-    "fet": ["volterra_fet", "fet_pdf_gm_closed", "fet_pdf_lognormal_band",
-            "fet_pdf_ou_band", "fet_pdf_wiener_symmetric"],
+    "fpt": ["volterra_fpt", "fpt_pdf_closed"],
+    "fet": ["volterra_fet", "fet_pdf_closed"],
     "montecarlo": ["estimate_fpt", "estimate_fet"],
     "cli": ["write_csv"],
     "svg": ["render_line_chart"],
@@ -28,6 +27,13 @@ def test_traced_names_exist(module):
     mod = importlib.import_module(f"growthfpt.{module}")
     for name in TRACED[module]:
         assert callable(getattr(mod, name)), name
+
+
+def test_closed_forms_carry_the_traced_prefixes():
+    # the trace finds the closed-form layers by name prefix, not by name
+    for module in ("fpt", "fet"):
+        closed = [name for name in TRACED[module] if not name.startswith("volterra_")]
+        assert closed and all(name.startswith(f"{module}_pdf_") for name in closed)
 
 
 def test_traced_argument_positions():

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from growthfpt import (BandSpec, DensityCurve, GeneralBoundary, GrowthParams,
-                       LognormalProcess, OUProcess, ProportionalBand,
-                       StartOutsideBand, fet, fet_pdf_gm_closed,
-                       fet_pdf_lognormal_band, fet_pdf_ou_band,
-                       fet_pdf_wiener_symmetric, volterra_fet, wiener_band_pdf,
-                       wiener_spec)
+from growthfpt import (AffineGMBoundary, ConfigError, DanielsBoundary,
+                       DensityCurve, ExpBoundary, GeneralBoundary, GrowthParams,
+                       InvalidParams, LognormalProcess, OUProcess,
+                       StartOutsideBand, fet, fet_pdf_closed, fpt_pdf_closed,
+                       volterra_fet, wiener_spec)
 from growthfpt.growth_curve import _g
 from growthfpt.process_ou import int_g2
 from growthfpt.validate import mass_to_infinity
@@ -19,63 +18,102 @@ PARAMS = GrowthParams(p=1.5, **BASE)
 TILTED = GrowthParams(gamma=0.5, n=1.0, p=1.5, k=20.0, x0=2.0, t0=1.0)
 
 
-class TestSymmetricWienerBand:
-    def test_matches_general_band_formula(self):
-        spec = wiener_spec(1.0)
-        for t in (0.1, 0.7, 2.0, 6.0):
-            a = fet_pdf_wiener_symmetric(1.0, 1.0, t)
-            b = fet_pdf_gm_closed(spec, 0.0, BandSpec(c1=-1.0, c=0.0, c2=1.0),
-                                  0.0, 0.0, t)
-            assert a == pytest.approx(b, rel=1e-12)
+def wiener_band(sigma: float, c1: float, c: float, c2: float, slope: float = 0.0):
+    """The exit density, as a function of t, of wiener_spec(sigma) started
+    at (c, 0) from the band c_i + slope*t."""
+    spec, d1 = wiener_spec(sigma), slope / (sigma * sigma)
+    sides = DanielsBoundary(d1=d1, d2=c1), DanielsBoundary(d1=d1, d2=c2)
+    return lambda t: fet_pdf_closed(spec, *sides, c, 0.0, t)
 
+
+SYMMETRIC = wiener_band(1.0, -1.0, 0.0, 1.0)
+
+
+def mean_band(proc, nu1: float, nu2: float):
+    """The sides nu_i times the mean curve from the start of the params."""
+    return proc.mean_boundary(nu1), proc.mean_boundary(nu2)
+
+
+class TestSymmetricWienerBand:
     def test_short_time_underflow_guarded(self):
-        val = fet_pdf_wiener_symmetric(1.0, 1.0, 1e-9)
+        val = SYMMETRIC(1e-9)
         assert val == 0.0
-        val = fet_pdf_wiener_symmetric(1.0, 1.0, 1e-3)
+        val = SYMMETRIC(1e-3)
         assert val >= 0.0 and math.isfinite(val)
 
 
 class TestGeneralClosedForm:
     def test_mean_exit_of_offset_band(self):
         # classical identity for driftless exits: E[T] = (c2-c)(c-c1)/sigma^2
-        spec = wiener_spec(0.7)
-        band = BandSpec(c1=-0.5, c=0.2, c2=1.0)
-        mean, _ = mass_to_infinity(
-            lambda t: t * fet_pdf_gm_closed(spec, 0.0, band, 0.2, 0.0, t), 80.0)
+        pdf = wiener_band(0.7, -0.5, 0.2, 1.0)
+        mean, _ = mass_to_infinity(lambda t: t * pdf(t), 80.0)
         assert mean == pytest.approx((1.0 - 0.2) * (0.2 - (-0.5)) / 0.49, rel=5e-3)
-
-    def test_inconsistent_start_rejected(self):
-        from growthfpt import InvalidParams
-        with pytest.raises(InvalidParams):
-            fet_pdf_gm_closed(wiener_spec(1.0), 0.0,
-                              BandSpec(c1=-1.0, c=0.0, c2=1.0), 0.5, 0.0, 1.0)
 
     def test_start_outside_band_rejected(self):
         with pytest.raises(StartOutsideBand):
-            BandSpec(c1=-1.0, c=-1.0, c2=1.0)
+            wiener_band(1.0, -1.0, -1.0, 1.0)(1.0)
+
+
+def _family(model: str):
+    """(model, side(level, tilt), a boundary of another family) of the
+    Wiener, lognormal and additive models, the side level times x0 = 1
+    (for the additive process, times g(0))."""
+    if model == "wiener":
+        return (wiener_spec(0.5), lambda level, tilt=0.0: DanielsBoundary(tilt, level),
+                ExpBoundary(A=0.8))
+    if model == "lognormal":
+        return (LognormalProcess(PARAMS, 0.02),
+                lambda level, tilt=0.0: ExpBoundary(A=level, B=tilt),
+                DanielsBoundary(0.0, 0.8))
+    g0 = _g(PARAMS, 0.0)
+    return (OUProcess(PARAMS, 0.1),
+            lambda level, tilt=0.0: AffineGMBoundary(A=level * g0, B=tilt),
+            ExpBoundary(A=0.8))
+
+
+@pytest.mark.parametrize("model", ["wiener", "lognormal", "ou"])
+def test_closed_forms_refuse_what_they_cannot_read(model):
+    # a boundary of another family, band sides of two slopes and a start
+    # on or outside the band raise; none is read as some other band
+    proc, side, foreign = _family(model)
+    lower, upper = side(0.8), side(1.2)
+    assert fpt_pdf_closed(proc, lower, 1.0, 0.0, 5.0) > 0.0
+    assert fet_pdf_closed(proc, lower, upper, 1.0, 0.0, 5.0) > 0.0
+    with pytest.raises(ConfigError):
+        fpt_pdf_closed(proc, foreign, 1.0, 0.0, 5.0)
+    with pytest.raises(ConfigError):
+        fet_pdf_closed(proc, lower, foreign, 1.0, 0.0, 5.0)
+    with pytest.raises(InvalidParams):
+        fet_pdf_closed(proc, lower, side(1.2, 0.01), 1.0, 0.0, 5.0)
+    for start in (0.7, 0.8, 1.2, 1.3):
+        with pytest.raises(StartOutsideBand):
+            fet_pdf_closed(proc, lower, upper, start, 0.0, 5.0)
+    with pytest.raises(StartOutsideBand):
+        fet_pdf_closed(proc, upper, lower, 1.0, 0.0, 5.0)
 
 
 def band_cases(ou_sigma: float = 0.1):
     """Five bands, each as (density of t, clock R/L^2 of t, (u, v, mu)):
     untilted and tilted Wiener, lognormal, untilted and tilted OU."""
-    w, wt = BandSpec(c1=-0.5, c=0.2, c2=1.0), BandSpec(c1=-0.4, c=0.1, c2=0.6, slope=0.3)
     ln_proc = LognormalProcess(PARAMS, 0.02)
-    ln_band = ProportionalBand(nu1=0.8, nu=0.95, nu2=1.25)
+    ln_band = mean_band(ln_proc, 0.8, 1.25)
     ou, ou_t = OUProcess(PARAMS, ou_sigma), OUProcess(TILTED, ou_sigma)
     g0, g1 = _g(PARAMS, 0.0), 2.0 * _g(TILTED, 1.0)
     clock = lambda proc, t0, L: lambda t: (
         ou_sigma ** 2 * (int_g2(proc.params, t) - int_g2(proc.params, t0)) / L ** 2)
     lu, lv = math.log(0.95 / 0.8), math.log(1.25 / 0.95)
     return {
-        "wiener": (lambda t: wiener_band_pdf(w, 0.7, t),
+        "wiener": (wiener_band(0.7, -0.5, 0.2, 1.0),
                    lambda t: 0.49 * t / 1.5 ** 2, (0.7, 0.8, 0.0)),
-        "wiener_tilted": (lambda t: wiener_band_pdf(wt, 1.3, t),
+        "wiener_tilted": (wiener_band(1.3, -0.4, 0.1, 0.6, slope=0.3),
                           lambda t: 1.69 * t, (0.5, 0.5, -0.3 / 1.69)),
-        "lognormal": (lambda t: fet_pdf_lognormal_band(ln_proc, ln_band, 1.0, 0.0, t),
+        "lognormal": (lambda t: fet_pdf_closed(ln_proc, *ln_band, 0.95, 0.0, t),
                       lambda t: 4e-4 * t / (lu + lv) ** 2, (lu, lv, -0.5)),
-        "ou": (lambda t: fet_pdf_ou_band(ou, 0.8, 1.0, 1.2, 0.0, 1.0, 0.0, t),
+        "ou": (lambda t: fet_pdf_closed(ou, *mean_band(ou, 0.8, 1.2), 1.0, 0.0, t),
                clock(ou, 0.0, 0.4 * g0), (0.2 * g0, 0.2 * g0, 0.0)),
-        "ou_tilted": (lambda t: fet_pdf_ou_band(ou_t, 0.8, 0.95, 1.2, 0.02, 2.0, 1.0, t),
+        "ou_tilted": (lambda t: fet_pdf_closed(
+                          ou_t, AffineGMBoundary(A=0.8 * g1, B=0.02),
+                          AffineGMBoundary(A=1.2 * g1, B=0.02), 0.95 * 2.0, 1.0, t),
                       clock(ou_t, 1.0, 0.4 * g1), (0.15 * g1, 0.25 * g1, -0.02)),
     }
 
@@ -153,12 +191,11 @@ class TestBandSeries:
 
     def test_symmetric_band_long_time_tail(self):
         # sine series: (pi/2) sum_j (2j+1) (-1)^j exp(-(2j+1)^2 pi^2 t/8)
-        val = fet_pdf_wiener_symmetric(1.0, 1.0, 40.0)
+        val = SYMMETRIC(40.0)
         assert val == pytest.approx(5.8149532460820993e-22, rel=1e-12)
         assert f"{val:.6e}" == "5.814953e-22"
         for t in (30.0, 60.0):
-            decay = (math.log(fet_pdf_wiener_symmetric(1.0, 1.0, t))
-                     - math.log(fet_pdf_wiener_symmetric(1.0, 1.0, t + 1.0)))
+            decay = math.log(SYMMETRIC(t)) - math.log(SYMMETRIC(t + 1.0))
             assert decay == pytest.approx(math.pi ** 2 / 8.0, abs=1e-12)
 
     def test_array_call_equals_scalar_calls(self):
@@ -176,34 +213,31 @@ class TestBandSeries:
 class TestLognormalBand:
     def test_equivalence_with_wiener_coordinates(self):
         proc = LognormalProcess(PARAMS, 0.02)
-        band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.25)
-        zband = BandSpec(c1=math.log(0.8), c=0.0, c2=math.log(1.25),
-                         slope=0.02 ** 2 / 2.0)
+        zband = wiener_band(0.02, math.log(0.8), 0.0, math.log(1.25),
+                            slope=0.02 ** 2 / 2.0)
         for t in (1.0, 10.0, 60.0, 220.0):
-            a = fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t)
-            b = wiener_band_pdf(zband, 0.02, t)
+            a = fet_pdf_closed(proc, *mean_band(proc, 0.8, 1.25), 1.0, 0.0, t)
+            b = zband(t)
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_equivalence_with_gm_machinery(self):
         proc = LognormalProcess(PARAMS, 0.02)
-        band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.25)
         coord = proc.coord(1.0, PARAMS.t0)
         spec, transform = coord.spec, coord.to_coord
-        s2 = 0.02 ** 2
         a_coef = 0.5  # slope sigma^2/2 over k1' = sigma^2
-        gm_band = BandSpec(c1=math.log(0.8 * PARAMS.x0), c=math.log(PARAMS.x0),
-                           c2=math.log(1.25 * PARAMS.x0))
+        gm_band = [DanielsBoundary(d1=a_coef, d2=math.log(nu * PARAMS.x0))
+                   for nu in (0.8, 1.25)]
         z0 = transform(PARAMS.x0, 0.0)
         for t in (5.0, 40.0, 150.0):
-            a = fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t)
-            b = fet_pdf_gm_closed(spec, a_coef, gm_band, z0, 0.0, t)
+            a = fet_pdf_closed(proc, *mean_band(proc, 0.8, 1.25), 1.0, 0.0, t)
+            b = fet_pdf_closed(spec, *gm_band, z0, 0.0, t)
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_total_mass(self):
         proc = LognormalProcess(PARAMS, 0.02)
-        band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.25)
+        band = mean_band(proc, 0.8, 1.25)
         mass, _ = mass_to_infinity(
-            lambda t: fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t), 2500.0,
+            lambda t: fet_pdf_closed(proc, *band, 1.0, 0.0, t), 2500.0,
             n_seg=120)
         assert mass == pytest.approx(1.0, abs=1e-4)
 
@@ -211,54 +245,54 @@ class TestLognormalBand:
         vals = []
         for p in (1.5, 1.0, 0.75, 2.0 / 3.0, 0.25):
             proc = LognormalProcess(GrowthParams(p=p, **BASE), 0.02)
-            band = ProportionalBand(nu1=0.8, nu=1.0, nu2=1.2)
-            vals.append(fet_pdf_lognormal_band(proc, band, 1.0, 0.0, 55.0))
+            vals.append(fet_pdf_closed(proc, *mean_band(proc, 0.8, 1.2), 1.0, 0.0, 55.0))
         assert max(vals) - min(vals) <= 1e-12 * max(vals)
 
     def test_band_validation(self):
+        proc = LognormalProcess(PARAMS, 0.02)
         with pytest.raises(StartOutsideBand):
-            ProportionalBand(nu1=1.0, nu=1.0, nu2=1.2)
+            fet_pdf_closed(proc, *mean_band(proc, 1.0, 1.2), 1.0, 0.0, 10.0)
 
     def test_off_centre_start_proportion(self):
         # nu = 0.95 starts the path at 0.95 x0, nearer the lower boundary
         proc = LognormalProcess(PARAMS, 0.02)
-        band = ProportionalBand(nu1=0.8, nu=0.95, nu2=1.25)
         coord = proc.coord(1.0, PARAMS.t0)
         spec, transform = coord.spec, coord.to_coord
-        gm_band = BandSpec(c1=math.log(0.8), c=math.log(0.95), c2=math.log(1.25))
+        gm_band = [DanielsBoundary(d1=0.5, d2=math.log(nu)) for nu in (0.8, 1.25)]
         z0 = transform(0.95 * PARAMS.x0, 0.0)
         assert z0 == pytest.approx(math.log(0.95), rel=1e-12)
         for t in (5.0, 40.0, 150.0):
-            a = fet_pdf_lognormal_band(proc, band, 1.0, 0.0, t)
-            b = fet_pdf_gm_closed(spec, 0.5, gm_band, z0, 0.0, t)
+            a = fet_pdf_closed(proc, *mean_band(proc, 0.8, 1.25), 0.95, 0.0, t)
+            b = fet_pdf_closed(spec, *gm_band, z0, 0.0, t)
             assert a == pytest.approx(b, rel=1e-10)
 
 
 class TestOUBand:
     def test_total_mass_long_horizon(self):
         proc = OUProcess(PARAMS, 0.1)
+        band = mean_band(proc, 0.8, 1.2)
         mass, _ = mass_to_infinity(
-            lambda t: fet_pdf_ou_band(proc, 0.8, 1.0, 1.2, 0.0, 1.0, 0.0, t),
+            lambda t: fet_pdf_closed(proc, *band, 1.0, 0.0, t),
             25_000.0, n_seg=160)
         assert mass == pytest.approx(1.0, abs=1e-3)
 
     def test_start_on_lower_boundary_rejected(self):
         proc = OUProcess(PARAMS, 0.1)
         with pytest.raises(StartOutsideBand):
-            fet_pdf_ou_band(proc, 0.8, 0.8, 1.2, 0.0, 1.0, 0.0, 10.0)
+            fet_pdf_closed(proc, *mean_band(proc, 0.8, 1.2), 0.8, 0.0, 10.0)
 
     def test_tilted_band_with_offset_start_matches_volterra(self):
         from growthfpt.fpt import affine_gm_boundary_fns
-        from growthfpt import AffineGMBoundary, DanielsBoundary, gm_spec_G
+        from growthfpt import gm_spec_G
         params = GrowthParams(gamma=0.5, n=1.0, p=1.5, k=20.0, x0=2.0, t0=1.0)
         proc = OUProcess(params, 0.1)
         scale = 2.0 * _g(params, 1.0)
         c1, c, c2, B = 0.8, 1.0, 1.2, 0.02
-        b1 = affine_gm_boundary_fns(proc, AffineGMBoundary(A=c1 * scale, B=B), 1.0)
-        b2 = affine_gm_boundary_fns(proc, AffineGMBoundary(A=c2 * scale, B=B), 1.0)
+        band = [AffineGMBoundary(A=ci * scale, B=B) for ci in (c1, c2)]
+        b1, b2 = (affine_gm_boundary_fns(proc, side, 1.0) for side in band)
         grid = np.linspace(1.0, 801.0, 2001)
         _, _, tot = volterra_fet(gm_spec_G(proc), b1, b2, 2.0, 1.0, grid)
-        closed = fet_pdf_ou_band(proc, c1, c, c2, B, 2.0, 1.0, grid[1:])
+        closed = fet_pdf_closed(proc, *band, c * 2.0, 1.0, grid[1:])
         peak = closed.max()
         mask = closed > 0.01 * peak
         rel = np.abs(tot.values[1:][mask] - closed[mask]) / closed[mask]
@@ -272,7 +306,7 @@ class TestOUBand:
         assert np.max(np.abs(direct.values - tot.values)) <= 1e-12 * tot.values.max()
 
     def test_monte_carlo_histogram_agreement(self):
-        from growthfpt import AffineGMBoundary, SimConfig, density_distance, estimate_fet
+        from growthfpt import SimConfig, density_distance, estimate_fet
         proc = OUProcess(PARAMS, 0.1)
         scale = PARAMS.x0 * _g(PARAMS, 0.0)
         s1 = AffineGMBoundary(A=0.8 * scale)
@@ -281,8 +315,7 @@ class TestOUBand:
         sample = estimate_fet(proc, s1, s2, cfg)
         grid = np.linspace(0.0, 8000.0, 2001)
         curve = DensityCurve.from_function(
-            lambda t: fet_pdf_ou_band(proc, 0.8, 1.0, 1.2, 0.0, 1.0, 0.0, t),
-            grid, 0.0)
+            lambda t: fet_pdf_closed(proc, s1, s2, 1.0, 0.0, t), grid, 0.0)
         l1, _ = density_distance(sample, curve, bins=40)
         assert l1 < 0.05
 
@@ -310,7 +343,7 @@ class TestVolterraSystem:
         b2 = GeneralBoundary(s=lambda t: 1.0, s_dot=lambda t: 0.0)
         grid = np.linspace(0.0, 8.0, 4001)
         _, _, tot = volterra_fet(spec, b1, b2, 0.0, 0.0, grid)
-        closed = fet_pdf_wiener_symmetric(1.0, 1.0, grid[1:])
+        closed = SYMMETRIC(grid[1:])
         peak = closed.max()
         mask = closed > 0.01 * peak
         rel = np.abs(tot.values[1:][mask] - closed[mask]) / closed[mask]
@@ -345,8 +378,7 @@ class TestVolterraSystem:
         # solver's side attribution is validated by simulation.  In the log
         # coordinate of the multiplicative process at sigma = 1 these
         # boundaries are exactly the affine lines -1 + 0.05 t and 1.2 + 0.02 t.
-        from growthfpt import (ExpBoundary, LognormalProcess, SimConfig,
-                               density_distance, estimate_fet, wiener_spec)
+        from growthfpt import SimConfig, density_distance, estimate_fet
         from growthfpt.montecarlo import EmpiricalHittingSample
         proc = LognormalProcess(PARAMS, 1.0)
         s1x = ExpBoundary(A=math.exp(-1.0), B=0.05 - 0.5)
@@ -383,7 +415,6 @@ def _line_band(band: str):
     """(coord, lines) of a band of lines from the start (2.1, 1): the
     lognormal band (0.8, 1.2) of the mean, the same OU band, and a lognormal
     band whose sides tilt apart (slopes 2.7 and 6.1)."""
-    from growthfpt import AffineGMBoundary, ExpBoundary
     if band == "ou":
         proc = OUProcess(TILTED, 0.3)
         scale = 2.0 * _g(TILTED, 1.0)
@@ -402,7 +433,6 @@ def test_band_of_lines_matches_its_callables(band):
     # callables.  Only the lognormal band (constant rate, equal slopes)
     # drops each side's own sources, whose kernel vanishes, and takes the
     # Toeplitz row; the other bands sum every source either way
-    from growthfpt import DanielsBoundary
     from growthfpt.fpt import _lag_only
     from growthfpt.gm_core import to_clock
     coord, lines = _line_band(band)
@@ -426,6 +456,6 @@ class TestPeakSharpening:
         ts = np.linspace(0.5, 400.0, 1500)
         peaks = []
         for nu1 in (0.8, 0.85, 0.9):
-            band = ProportionalBand(nu1=nu1, nu=1.0, nu2=1.3)
-            peaks.append(fet_pdf_lognormal_band(proc, band, 1.0, 0.0, ts).max())
+            peaks.append(fet_pdf_closed(proc, *mean_band(proc, nu1, 1.3), 1.0, 0.0,
+                                        ts).max())
         assert peaks[0] < peaks[1] < peaks[2]

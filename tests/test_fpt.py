@@ -7,9 +7,9 @@ import pytest
 from growthfpt import (AffineGMBoundary, DanielsBoundary, DensityCurve,
                        DomainError, ExpBoundary, GeneralBoundary, GridError,
                        GrowthParams, LognormalProcess, OrderError, OUProcess,
-                       SimConfig, StartOnBoundary, estimate_fpt,
-                       fpt_pdf_gm_closed, fpt_pdf_lognormal, fpt_pdf_ou,
-                       gm_spec_G, volterra_fet, volterra_fpt, wiener_spec)
+                       SimConfig, StartOnBoundary, domain_end, estimate_fpt,
+                       fet_pdf_closed, fpt_pdf_closed, gm_spec_G, volterra_fet,
+                       volterra_fpt, wiener_spec)
 from growthfpt.fpt import affine_gm_boundary_fns, exp_boundary_fns
 from growthfpt.growth_curve import _g, h_eval
 from growthfpt.validate import mass_to_infinity
@@ -24,33 +24,33 @@ class TestClosedFormGM:
     def test_wiener_level_crossing(self):
         # |S| / sqrt(2 pi t^3) * exp(-S^2 / 2t) at S = 1, t = 1
         spec = wiener_spec(1.0)
-        val = fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0), 0.0, 0.0, 1.0)
+        val = fpt_pdf_closed(spec, DanielsBoundary(0.0, 1.0), 0.0, 0.0, 1.0)
         assert val == pytest.approx(PHI_1, rel=1e-13)
         for t in (0.3, 2.0, 7.0):
             direct = abs(1.0) / math.sqrt(2.0 * math.pi * t ** 3) * math.exp(
                 -1.0 / (2.0 * t))
-            assert fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0),
+            assert fpt_pdf_closed(spec, DanielsBoundary(0.0, 1.0),
                                      0.0, 0.0, t) == pytest.approx(direct, rel=1e-12)
 
     def test_vanishes_at_time_origin(self):
         spec = wiener_spec(1.0)
-        assert fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0),
+        assert fpt_pdf_closed(spec, DanielsBoundary(0.0, 1.0),
                                  0.0, 0.0, 1e-6) < 1e-300
 
     def test_downcrossing_symmetry(self):
         spec = wiener_spec(1.0)
-        up = fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0), 0.0, 0.0, 1.3)
-        down = fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, -1.0), 0.0, 0.0, 1.3)
+        up = fpt_pdf_closed(spec, DanielsBoundary(0.0, 1.0), 0.0, 0.0, 1.3)
+        down = fpt_pdf_closed(spec, DanielsBoundary(0.0, -1.0), 0.0, 0.0, 1.3)
         assert up == pytest.approx(down, rel=1e-13)
 
     def test_start_on_boundary(self):
         with pytest.raises(StartOnBoundary):
-            fpt_pdf_gm_closed(wiener_spec(1.0), DanielsBoundary(0.0, 1.0),
+            fpt_pdf_closed(wiener_spec(1.0), DanielsBoundary(0.0, 1.0),
                               1.0, 0.0, 1.0)
 
     def test_order_error(self):
         with pytest.raises(OrderError):
-            fpt_pdf_gm_closed(wiener_spec(1.0), DanielsBoundary(0.0, 1.0),
+            fpt_pdf_closed(wiener_spec(1.0), DanielsBoundary(0.0, 1.0),
                               0.0, 1.0, 1.0)
 
     def test_matches_lognormal_after_transform(self):
@@ -64,8 +64,8 @@ class TestClosedFormGM:
         d2 = math.log(bnd.A)
         z0 = transform(1.0, 0.0)
         for t in (5.0, 30.0, 41.4, 120.0):
-            a = fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t)
-            b = fpt_pdf_gm_closed(spec, DanielsBoundary(d1=d1, d2=d2), z0, 0.0, t)
+            a = fpt_pdf_closed(proc, bnd, 1.0, 0.0, t)
+            b = fpt_pdf_closed(spec, DanielsBoundary(d1=d1, d2=d2), z0, 0.0, t)
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_transform_route_with_offset_start_and_tilt(self):
@@ -83,8 +83,8 @@ class TestClosedFormGM:
         fns = exp_boundary_fns(proc, bnd, params.t0)
         assert fns.s(1.0) == pytest.approx(bnd.A * math.exp(bnd.B), rel=1e-12)
         for t in (2.0, 10.0, 60.0):
-            a = fpt_pdf_lognormal(proc, bnd, 2.0, 1.0, t)
-            b = fpt_pdf_gm_closed(spec, DanielsBoundary(d1=d1, d2=d2), z0, 1.0, t)
+            a = fpt_pdf_closed(proc, bnd, 2.0, 1.0, t)
+            b = fpt_pdf_closed(spec, DanielsBoundary(d1=d1, d2=d2), z0, 1.0, t)
             assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -94,7 +94,7 @@ class TestClosedFormLognormal:
         proc = LognormalProcess(PARAMS, 0.02)
         bnd = ExpBoundary(A=0.8)
         ts = np.linspace(20.0, 70.0, 5001)
-        vals = fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, ts)
+        vals = fpt_pdf_closed(proc, bnd, 1.0, 0.0, ts)
         mode = float(ts[int(np.argmax(vals))])
         a = -math.log(0.8)
         expected = 2.0 * (math.sqrt(9.0 + a * a) - 3.0) / 0.02 ** 2
@@ -105,7 +105,7 @@ class TestClosedFormLognormal:
         vals = []
         for p in (1.5, 1.0, 0.75, 2.0 / 3.0, 0.25):
             proc = LognormalProcess(GrowthParams(p=p, **BASE), 0.02)
-            vals.append(fpt_pdf_lognormal(proc, ExpBoundary(A=0.8), 1.0, 0.0, 40.0))
+            vals.append(fpt_pdf_closed(proc, ExpBoundary(A=0.8), 1.0, 0.0, 40.0))
         assert max(vals) - min(vals) <= 1e-12 * max(vals)
 
     def test_scale_invariance(self):
@@ -113,8 +113,8 @@ class TestClosedFormLognormal:
                                              x0=5.0, t0=0.0), 0.02)
         ref = LognormalProcess(PARAMS, 0.02)
         for t in (10.0, 41.0, 90.0):
-            a = fpt_pdf_lognormal(proc, ExpBoundary(A=0.8 * 5.0), 5.0, 0.0, t)
-            b = fpt_pdf_lognormal(ref, ExpBoundary(A=0.8), 1.0, 0.0, t)
+            a = fpt_pdf_closed(proc, ExpBoundary(A=0.8 * 5.0), 5.0, 0.0, t)
+            b = fpt_pdf_closed(ref, ExpBoundary(A=0.8), 1.0, 0.0, t)
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_boundary_functions_track_the_mean_proportion(self):
@@ -138,7 +138,7 @@ class TestClosedFormLognormal:
             s_dot=lambda t: fns.s_dot(t) / fns.s(t) - h_eval(PARAMS, t) + 0.005)
         grid = np.linspace(t0, t0 + 60.0, 1201)
         curve = volterra_fpt(spec, image, transform(1.0, t0), t0, grid)
-        closed = fpt_pdf_lognormal(proc, bnd, 1.0, t0, grid[1:])
+        closed = fpt_pdf_closed(proc, bnd, 1.0, t0, grid[1:])
         assert np.max(np.abs(curve.values[1:] - closed)) <= 1e-12 * closed.max()
         assert curve.mass > 0.8
 
@@ -147,27 +147,35 @@ class TestClosedFormOU:
     def test_nonnegative_and_vanishing_at_origin(self):
         proc = OUProcess(PARAMS, 0.1)
         bnd = AffineGMBoundary(A=0.8 * _g(PARAMS, 0.0))
-        assert fpt_pdf_ou(proc, bnd, 1.0, 0.0, 1e-5) >= 0.0
-        assert fpt_pdf_ou(proc, bnd, 1.0, 0.0, 1e-5) < 1e-300
+        assert fpt_pdf_closed(proc, bnd, 1.0, 0.0, 1e-5) >= 0.0
+        assert fpt_pdf_closed(proc, bnd, 1.0, 0.0, 1e-5) < 1e-300
         for t in (0.5, 2.0, 20.0):
-            assert fpt_pdf_ou(proc, bnd, 1.0, 0.0, t) >= 0.0
+            assert fpt_pdf_closed(proc, bnd, 1.0, 0.0, t) >= 0.0
 
     def test_mass_matches_monte_carlo_hit_fraction(self):
         proc = OUProcess(PARAMS, 0.1)
         nu = 0.8
         bnd = AffineGMBoundary(A=nu * 1.0 * _g(PARAMS, 0.0))
-        mass, _ = mass_to_infinity(lambda t: fpt_pdf_ou(proc, bnd, 1.0, 0.0, t), 50.0)
+        mass, _ = mass_to_infinity(lambda t: fpt_pdf_closed(proc, bnd, 1.0, 0.0, t), 50.0)
         cfg = SimConfig(dt=0.1, horizon=50.0, n_paths=100_000, seed=31)
         sample = estimate_fpt(proc, bnd, cfg)
         frac = sample.hit_times.size / sample.n_paths
         assert abs(mass - frac) < 1e-3
 
     def test_domain_error_at_ceiling(self):
+        # t_star = 24.267 ends the curve: the passage and the exit densities
+        # raise at it and beyond it
         params = GrowthParams(p=0.25, **BASE)
         proc = OUProcess(params, 0.1)
         bnd = AffineGMBoundary(A=0.8 * _g(params, 0.0))
-        with pytest.raises(DomainError):
-            fpt_pdf_ou(proc, bnd, 1.0, 0.0, 30.0)
+        upper = AffineGMBoundary(A=1.2 * _g(params, 0.0))
+        t_star = domain_end(params).t_star
+        assert fpt_pdf_closed(proc, bnd, 1.0, 0.0, 0.99 * t_star) >= 0.0
+        for t in (t_star, 30.0, np.array([1.0, t_star])):
+            with pytest.raises(DomainError):
+                fpt_pdf_closed(proc, bnd, 1.0, 0.0, t)
+            with pytest.raises(DomainError):
+                fet_pdf_closed(proc, bnd, upper, 1.0, 0.0, t)
 
     def test_agrees_with_volterra(self):
         proc = OUProcess(PARAMS, 0.1)
@@ -177,7 +185,7 @@ class TestClosedFormOU:
         curve = volterra_fpt(gm_spec_G(proc),
                              affine_gm_boundary_fns(proc, bnd, 0.0),
                              1.0, 0.0, grid)
-        closed = np.array([fpt_pdf_ou(proc, bnd, 1.0, 0.0, t) for t in grid[1:]])
+        closed = np.array([fpt_pdf_closed(proc, bnd, 1.0, 0.0, t) for t in grid[1:]])
         peak = closed.max()
         mask = closed > 0.01 * peak
         rel = np.abs(curve.values[1:][mask] - closed[mask]) / closed[mask]
@@ -192,7 +200,7 @@ class TestClosedFormOU:
         curve = volterra_fpt(gm_spec_G(proc),
                              affine_gm_boundary_fns(proc, bnd, 1.0),
                              2.0, 1.0, grid)
-        closed = np.array([fpt_pdf_ou(proc, bnd, 2.0, 1.0, t) for t in grid[1:]])
+        closed = np.array([fpt_pdf_closed(proc, bnd, 2.0, 1.0, t) for t in grid[1:]])
         assert np.max(np.abs(curve.values[1:] - closed)) < 1e-12
 
 
@@ -244,7 +252,7 @@ def test_daniels_line_and_its_callables_solve_alike(family):
     daniels = DanielsBoundary(d1=d, d2=c)
     line = volterra_fpt(coord.spec, daniels, 0.0, 1.0, grid).values
     callables = volterra_fpt(coord.spec, _line_fns(coord, c, d), 0.0, 1.0, grid).values
-    closed = fpt_pdf_gm_closed(coord.spec, daniels, 0.0, 1.0, grid[1:])
+    closed = fpt_pdf_closed(coord.spec, daniels, 0.0, 1.0, grid[1:])
     summed = {"multiplicative": 3.4e-15, "additive": 1.1e-14}[family]
     assert line[0] == callables[0] == 0.0 and closed.max() > 0.0
     assert np.max(np.abs(line[1:] - closed)) <= 1e-14 * closed.max()
@@ -269,7 +277,7 @@ def test_daniels_line_is_its_closed_form(family, level):
     grid = np.linspace(1.0, 41.0 if family == "multiplicative" else 1001.0, 801)
     for spec, line, x0 in specs:
         solved = volterra_fpt(spec, line, x0, 1.0, grid).values
-        closed = fpt_pdf_gm_closed(spec, line, x0, 1.0, grid[1:])
+        closed = fpt_pdf_closed(spec, line, x0, 1.0, grid[1:])
         assert solved[0] == 0.0 and 0 < closed.argmax() < closed.size - 1
         assert np.max(np.abs(solved[1:] - closed)) <= 1e-12 * closed.max()
 
@@ -302,7 +310,7 @@ class TestVolterraSolver:
         grid = np.linspace(0.0, 5.0, 801)
         bnd = GeneralBoundary(s=lambda t: 1.0, s_dot=lambda t: 0.0)
         curve = volterra_fpt(spec, bnd, 0.0, 0.0, grid)
-        closed = np.array([fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, 1.0),
+        closed = np.array([fpt_pdf_closed(spec, DanielsBoundary(0.0, 1.0),
                                              0.0, 0.0, t) for t in grid[1:]])
         assert np.max(np.abs(curve.values[1:] - closed)) < 1e-10
 
@@ -331,7 +339,7 @@ class TestVolterraSolver:
         grid = np.linspace(0.0, 4.0, 801)
         below = GeneralBoundary(s=lambda t: -1.0, s_dot=lambda t: 0.0)
         curve = volterra_fpt(spec, below, 0.0, 0.0, grid)
-        closed = np.array([fpt_pdf_gm_closed(spec, DanielsBoundary(0.0, -1.0),
+        closed = np.array([fpt_pdf_closed(spec, DanielsBoundary(0.0, -1.0),
                                              0.0, 0.0, t) for t in grid[1:]])
         assert np.max(np.abs(curve.values[1:] - closed)) < 1e-10
         # a boundary with an active kernel: the mirror image of the

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from growthfpt import (DanielsBoundary, GeneralBoundary, GrowthParams,
                        LognormalProcess, OrderError, OUProcess, SimConfig,
-                       daniels_boundary_fns, fpt_pdf_gm_closed, gm_spec_G,
+                       daniels_boundary_fns, fpt_pdf_closed, gm_spec_G,
                        infinitesimal_coeffs, psi_kernel, r_ratio,
                        simulate_paths, transition_law, transition_law_G,
                        transition_law_L, wiener_spec)
@@ -241,7 +241,7 @@ class TestPsiKernel:
         bnd = GeneralBoundary(s=s, s_dot=s_dot)
         x0 = 1.0
         for t in (0.5, 2.0, 8.0):
-            closed = fpt_pdf_gm_closed(spec, d, x0, 0.0, t)
+            closed = fpt_pdf_closed(spec, d, x0, 0.0, t)
             assert -2.0 * psi_kernel(spec, bnd, t, x0, 0.0) == pytest.approx(
                 closed, rel=1e-10)
 

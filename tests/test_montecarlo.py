@@ -10,7 +10,7 @@ from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        EmptySample, ExpBoundary, GeneralBoundary,
                        GrowthParams, LognormalProcess, OUProcess, SimConfig,
                        StartOutsideBand, density_distance, estimate_fet,
-                       estimate_fpt, fpt_pdf_lognormal, simulate_paths,
+                       estimate_fpt, fpt_pdf_closed, simulate_paths,
                        transition_law_G, transition_law_L, x_eval)
 from growthfpt.growth_curve import _g
 from growthfpt.montecarlo import BLOCK0, CHUNK, EmpiricalHittingSample, _chunk_rng
@@ -153,7 +153,7 @@ class TestEstimateFPT:
         sample = estimate_fpt(proc, bnd, cfg)
         grid = np.linspace(0.0, 150.0, 3001)
         curve = DensityCurve.from_function(
-            lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t), grid, 0.0)
+            lambda t: fpt_pdf_closed(proc, bnd, 1.0, 0.0, t), grid, 0.0)
         _, ks = density_distance(sample, curve)
         assert ks < 0.01
 
@@ -171,7 +171,7 @@ class TestEstimateFPT:
         proc = LognormalProcess(PARAMS, 0.02)
         bnd = ExpBoundary(A=1.2)
         target, _ = mass_to_infinity(
-            lambda t: fpt_pdf_lognormal(proc, bnd, 1.0, 0.0, t), 400.0)
+            lambda t: fpt_pdf_closed(proc, bnd, 1.0, 0.0, t), 400.0)
         base = dict(dt=2.0, horizon=400.0, n_paths=40_000, seed=23)
         frac_on = estimate_fpt(proc, bnd, SimConfig(bridge_correction=True, **base))
         frac_off = estimate_fpt(proc, bnd, SimConfig(bridge_correction=False, **base))
@@ -229,7 +229,7 @@ class TestEstimateFPT:
         assert sample.hit_times.max() <= 81.0
         grid = np.linspace(1.0, 81.0, 2001)
         curve = DensityCurve.from_function(
-            lambda t: fpt_pdf_lognormal(proc, bnd, 2.0, 1.0, t), grid, 1.0)
+            lambda t: fpt_pdf_closed(proc, bnd, 2.0, 1.0, t), grid, 1.0)
         _, ks = density_distance(sample, curve)
         assert ks < 0.01
 
