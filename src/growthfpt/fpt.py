@@ -156,28 +156,42 @@ def fpt_pdf_closed(model, b, x0: float, t0: float, t):
     return _line_pdf(coord.clock(t), coord.rate(t), *coord.line(b))
 
 
-def _line_image(proc, b, t0: float) -> TimeFn:
-    """s(t) of a closed-form boundary anchored at t0: its line mapped back
-    to state space."""
+def _line_image(proc, b, t0: float) -> tuple[TimeFn, TimeFn]:
+    """(s, s_again): s(t) of a closed-form boundary anchored at t0, its line
+    mapped back to state space, and s again, which returns a copy of the
+    latest values of s when called at the same times.  s_dot reads s_again:
+    to_clock reads s_dot at the times it has just read s at, so the clock
+    is integrated once per grid, not twice."""
     coord = proc.coord(proc.params.x0, t0)
     c, d = coord.line(b)
-    return lambda t: coord.to_state(c + d * coord.clock(t), t)
+    latest = [(None, None)]  # (times, values) of the latest call of s
+
+    def s(t):
+        value = coord.to_state(c + d * coord.clock(t), t)
+        latest[0] = (np.array(t, dtype=float), np.array(value, dtype=float))
+        return value
+
+    def s_again(t):
+        times, value = latest[0]
+        return value if times is not None and np.array_equal(times, t) else s(t)
+
+    return s, s_again
 
 
 def exp_boundary_fns(proc: LognormalProcess, b: ExpBoundary,
                      t0: float) -> GeneralBoundary:
     """State-space callables for an exponential-form boundary anchored at t0."""
-    s = _line_image(proc, b, t0)
-    return GeneralBoundary(s=s, s_dot=lambda t: s(t) * (b.B + h_eval(proc.params, t)))
+    s, s_again = _line_image(proc, b, t0)
+    return GeneralBoundary(s=s, s_dot=lambda t: s_again(t) * (b.B + h_eval(proc.params, t)))
 
 
 def affine_gm_boundary_fns(proc: OUProcess, b: AffineGMBoundary,
                            t0: float) -> GeneralBoundary:
     """State-space callables for an affine boundary anchored at t0."""
     params, s2 = proc.params, proc.sigma * proc.sigma
-    s = _line_image(proc, b, t0)
+    s, s_again = _line_image(proc, b, t0)
     return GeneralBoundary(s=s, s_dot=lambda t: (b.B * s2 * _g(params, t)
-                                                 + s(t) * h_eval(params, t)))
+                                                 + s_again(t) * h_eval(params, t)))
 
 
 def _solver_grid(grid, t0: float):

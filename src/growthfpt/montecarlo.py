@@ -18,12 +18,16 @@ where d_k and d_{k+1} are the distances to the boundary at the step's two
 grid times.  For a line this is exact, not only to first order.  The test is
 made in log form: a uniform draw u gives an event where
 
-    log u < -2 d_k d_{k+1} / var_step,
+    log u < g = -2 d_k d_{k+1} / var_step,
 
 so no exponential is computed (most exponents of a long step lie far below
-the range where exp is cheap).  Hits found this way are recorded at the step
-midpoint; hits visible at the grid points themselves are recorded at the
-right endpoint.
+the range where exp is cheap).  Generator.random() returns multiples of
+2**-53, so log u >= LOG_U_MIN = log 2**-53 unless u = 0: a step with
+g <= LOG_U_MIN can fire only on a drawn 0.  Only the candidates, the steps
+with g > LOG_U_MIN, draw a uniform (_bridge_events); skipping the others
+moves the law by at most 2**-53 per step.  Hits found this way are recorded
+at the step midpoint; hits visible at the grid points themselves are
+recorded at the right endpoint.
 
 simulate_paths returns whole paths.  One crossing detector (_first_hits),
 which steps its own paths, serves one boundary or two: estimate_fpt and
@@ -38,25 +42,32 @@ simulate_paths draws the chunk's whole Gaussian block, one fixed row per
 path.  The estimators step a chunk in time blocks (BLOCK0 steps, then twice
 as many each block; a remainder shorter than the current block joins it) and
 stop simulating a path once it has hit: each block draws a Gaussian block for
-the paths still running, then one uniform block per boundary in the order the
-boundaries are given.  Which paths run depends only on the chunk's earlier
+the paths still running, then one uniform per candidate step of each
+boundary, in the order the boundaries are given and row-major within a
+boundary.  Which paths run depends only on the chunk's earlier
 draws, so ensembles are bit-identical for a given seed no matter how many
 worker threads run; GROWTHFPT_THREADS caps the pool (default: the CPUs this
 process may run on).
 
-A block step allocates nothing of the block's size: each worker takes flat
-scratch buffers once per chunk, sized for the widest block, and views them per
-block.  Draws land in them with out=, and the log of the uniforms, the
-distances, their product, the exponent and the event test are formed in
-place.  A step whose right end is at or past a boundary needs no test of its
-own: its distances d_k > 0 >= d_{k+1} give an exponent >= 0, above the log of
-every uniform draw (a draw of exactly 0 has log -inf).  A later step, with
-both distances <= 0, may read no event; only a path's first event counts.
+A block step allocates nothing of the block's size: each worker thread takes
+flat scratch buffers once per call, sized for a chunk's widest block, and
+views them per block of every chunk it steps.  The normals land in them with out=, and the distances, their product,
+the exponent and the candidate mask are formed in place; only the candidates'
+flat indices, uniforms and events are new arrays.  Each boundary's events
+come out as sorted flat indices into the block, paths being rows, so a
+path's first event opens its row; the same index-list code reads the first
+events without the bridge correction, where an event is a step ending on or
+past the boundary.  A step whose right end is at or past a boundary needs no
+test of its own: its distances d_k > 0 >= d_{k+1} give an exponent >= 0,
+above the log of every uniform draw (a draw of exactly 0 has log -inf).  A
+later step, with both distances <= 0, may read no event; only a path's first
+event counts.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -73,6 +84,9 @@ from .process_ou import AffineGMBoundary, OUProcess
 
 CHUNK = 1024  # paths per random-stream chunk; fixed so results never depend on threads
 BLOCK0 = 16  # steps in an estimator's first time block; each later block doubles
+# log of the smallest positive Generator.random() draw, 2**-53: a bridge
+# exponent at or below it can fire only on a drawn 0
+LOG_U_MIN = float(np.log(2.0 ** -53))
 
 Process = Union[LognormalProcess, OUProcess]
 Boundary = Union[ExpBoundary, AffineGMBoundary]
@@ -213,6 +227,30 @@ def _block_edges(n_steps: int) -> list[int]:
     return edges
 
 
+def _bridge_events(d: np.ndarray, rate: np.ndarray, rng: np.random.Generator,
+                   g: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of the steps of an (n, m) block whose bridge test
+    fires, from the distances d (n, m + 1) to one boundary and rate =
+    -2 / var_step (m,): one uniform u per candidate, in index order, and an
+    event where log u < g.  g and cand are (n, m) scratch."""
+    np.multiply(d[:, :-1], d[:, 1:], out=g)
+    g *= rate
+    idx = np.flatnonzero(np.greater(g, LOG_U_MIN, out=cand))
+    u = rng.random(idx.size)
+    np.log(u, out=u)
+    return idx[u < g.ravel()[idx]]
+
+
+def _row_leads(keys: np.ndarray, width: int) -> np.ndarray:
+    """Of sorted flat indices into rows of the given width, the first of
+    each row."""
+    row = keys // width
+    lead = np.empty(row.size, dtype=bool)
+    lead[:1] = True
+    np.not_equal(row[1:], row[:-1], out=lead[1:])
+    return keys[lead]
+
+
 def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
                 step_std: np.ndarray, cfg: SimConfig,
                 side_names: Optional[Sequence[str]]) -> EmpiricalHittingSample:
@@ -223,20 +261,31 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
     """
     n_steps = ts.size - 1
     dt = ts[1] - ts[0]
+    steps = np.arange(n_steps)
+    # hit times: midpoint for bridge hits, right endpoint for direct ones
+    t_mid, t_end = ts[0] + steps * dt + 0.5 * dt, ts[0] + (steps + 1) * dt
     rate = -2.0 / step_std ** 2
+    nb = b.shape[0]
     above = b[:, 0] > coord0
+    sign = np.where(above, 1.0, -1.0)  # distances on the start's side: sign * (b - w)
     edges = _block_edges(n_steps)
     widest = max(k1 - k0 for k0, k1 in zip(edges, edges[1:]))
     hit_time = np.full(cfg.n_paths, np.nan)
     hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
 
+    scratch = threading.local()  # one set of buffers per worker thread
+
+    @np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
     def worker(chunk_idx: int, start: int, rows: int) -> None:
         rng = _chunk_rng(cfg.seed, chunk_idx)
-        # scratch for every block of the chunk: path values and distances at
-        # the grid times, then per step the log-uniforms, exponents and events
-        z_buf, d_buf = np.empty(rows * (widest + 1)), np.empty(rows * (widest + 1))
-        g_buf, u_buf = np.empty(rows * widest), np.empty(rows * widest)
-        ev_buf = np.empty(rows * widest, dtype=bool)
+        # scratch for every block of every chunk the thread steps: path
+        # values and distances at the grid times, then per step the
+        # exponents and candidates
+        if not hasattr(scratch, "bufs"):
+            cap = min(CHUNK, cfg.n_paths)  # the most rows a chunk has
+            scratch.bufs = (np.empty(cap * (widest + 1)), np.empty(cap * (widest + 1)),
+                            np.empty(cap * widest), np.empty(cap * widest, dtype=bool))
+        z_buf, d_buf, g_buf, c_buf = scratch.bufs
         live = np.arange(start, start + rows)  # indices of the paths still running
         z_end = np.full(rows, coord0)
         for k0, k1 in zip(edges, edges[1:]):
@@ -245,46 +294,36 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
             n, m = live.size, k1 - k0
             z = z_buf[:n * (m + 1)].reshape(n, m + 1)
             d = d_buf[:n * (m + 1)].reshape(n, m + 1)
-            g, u = g_buf[:n * m].reshape(n, m), u_buf[:n * m].reshape(n, m)
-            ev = ev_buf[:n * m].reshape(n, m)
+            g, cand = g_buf[:n * m].reshape(n, m), c_buf[:n * m].reshape(n, m)
             z[:, 0] = z_end
             rng.standard_normal(out=g)
             np.multiply(step_std[k0:k1], g, out=z[:, 1:])
             np.cumsum(z, axis=1, out=z)
-            first = np.full(n, m)  # step in the block of the earliest event so far
-            side = np.full(n, -1)
-            direct_at = np.zeros(n, dtype=bool)
-            for a in range(b.shape[0]):
+            # each path's first event per boundary, keyed (path, step, boundary)
+            keys = []
+            for a in range(nb):
                 # distances to boundary a on the start's side, at the grid times
                 if above[a]:
                     np.subtract(b[a, k0:k1 + 1], z, out=d)
                 else:
                     np.subtract(z, b[a, k0:k1 + 1], out=d)
                 if cfg.bridge_correction:
-                    rng.random(out=u)
-                    # an event where log u < -2 d_k d_{k+1} / var_step; a
-                    # step that ends on or past the boundary has an exponent
-                    # >= 0 and fires for every draw (log 0 = -inf included)
-                    with np.errstate(divide="ignore"):
-                        np.log(u, out=u)
-                    np.multiply(d[:, :-1], d[:, 1:], out=g)
-                    g *= rate[k0:k1]
-                    np.less(u, g, out=ev)
+                    ev = _bridge_events(d, rate[k0:k1], rng, g, cand)
                 else:
-                    np.less_equal(d[:, 1:], 0.0, out=ev)
-                idx = np.argmax(ev, axis=1)
-                earlier = np.flatnonzero((idx < first) & ev[np.arange(n), idx])
-                first[earlier] = idx[earlier]
-                side[earlier] = a
-                # a direct hit ends on or past the boundary
-                direct_at[earlier] = d[earlier, idx[earlier] + 1] <= 0.0
-            hit = side >= 0
-            done, k = live[hit], k0 + first[hit]
-            # midpoint for bridge hits, right endpoint for direct ones
-            hit_time[done] = np.where(direct_at[hit], ts[0] + (k + 1) * dt,
-                                      ts[0] + k * dt + 0.5 * dt)
-            hit_side[done] = side[hit]
-            live, z_end = live[~hit], z[~hit, -1]
+                    ev = np.flatnonzero(np.less_equal(d[:, 1:], 0.0, out=cand))
+                keys.append(_row_leads(ev, m) * nb + a)
+            # the earliest over the boundaries; the first boundary wins a tie
+            key = _row_leads(np.sort(np.concatenate(keys), kind="stable"), m * nb)
+            rk, a = np.divmod(key, nb)
+            r, k = np.divmod(rk, m)
+            # a direct hit ends on or past the boundary
+            direct = (b[a, k0 + k + 1] - z[r, k + 1]) * sign[a] <= 0.0
+            done, k = live[r], k + k0
+            hit_time[done] = np.where(direct, t_end[k], t_mid[k])
+            hit_side[done] = a
+            running = np.ones(n, dtype=bool)
+            running[r] = False
+            live, z_end = live[running], z[running, -1]
 
     _run_chunked(cfg.n_paths, worker)
     mask = ~np.isnan(hit_time)

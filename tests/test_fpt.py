@@ -388,3 +388,26 @@ class TestDensityCurve:
         cum = curve.cumulative()
         assert cum[-1] == pytest.approx(curve.mass, rel=1e-12)
         assert np.all(np.diff(cum) >= 0.0)
+
+
+def test_affine_callables_integrate_the_clock_once_per_grid(monkeypatch):
+    # s_dot reuses the values s has just computed on the grid: one read of
+    # int_g2 for the spec's clock and one for s, bit for bit the solve of an
+    # s_dot that calls s again
+    from growthfpt import process_ou
+    proc = OUProcess(PARAMS, 0.1)
+    params, s2 = proc.params, proc.sigma ** 2
+    bnd = AffineGMBoundary(A=1.2 * params.x0 * _g(params, params.t0), B=0.01)
+    grid = np.linspace(params.t0, params.t0 + 20.0, 401)
+    fns = affine_gm_boundary_fns(proc, bnd, params.t0)
+    again = GeneralBoundary(s=fns.s, s_dot=lambda t: (bnd.B * s2 * _g(params, t)
+                                                      + fns.s(t) * h_eval(params, t)))
+    want = volterra_fpt(gm_spec_G(proc), again, params.x0, params.t0, grid).values
+    sizes = []
+    int_g2 = process_ou.int_g2
+    monkeypatch.setattr(process_ou, "int_g2",
+                        lambda p, ts: sizes.append(np.size(ts)) or int_g2(p, ts))
+    got = volterra_fpt(gm_spec_G(proc), affine_gm_boundary_fns(proc, bnd, params.t0),
+                       params.x0, params.t0, grid).values
+    assert sizes == [1, 1, 401, 401]
+    assert np.array_equal(got, want)

@@ -13,7 +13,8 @@ from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        estimate_fpt, fpt_pdf_closed, simulate_paths,
                        transition_law_G, transition_law_L, x_eval)
 from growthfpt.growth_curve import _g
-from growthfpt.montecarlo import BLOCK0, CHUNK, EmpiricalHittingSample, _chunk_rng
+from growthfpt.montecarlo import (BLOCK0, CHUNK, LOG_U_MIN, EmpiricalHittingSample,
+                                  _bridge_events, _chunk_rng)
 from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
@@ -277,16 +278,18 @@ def _pinned_case(case):
 
 
 # (SHA-256 of hit_times.tobytes(), of the exit sides joined by commas or
-# None, censored_count), recorded with the exp-form bridge test
+# None, censored_count), recorded with one uniform per candidate step, one
+# whose bridge exponent exceeds LOG_U_MIN; no_bridge draws no uniforms and
+# keeps the digest recorded with the exp-form bridge test
 PINNED_SAMPLES = {
-    "ou_band": ("f697fb3c1c7747ba38229e8629c6f2e9da0cfd15ca43f2747ae54674bf93168f",
-                "4a422a1d58ceed33eea0b23ef3149bc8d78c0f75d1ea3a454beb989e9d0aaaad", 1612),
-    "ou_tilted_line": ("b0f3e73bc1cd2f81ce6e6bf8142ff6aec82bdab3c7672a20c13894268c504c4d",
-                       None, 809),
-    "lognormal_band": ("9c440d84580cec6ef6e24222e828773805ecba628895bca4399bc50dee38ae54",
-                       "344887a831d1881e5bd20c4c5419ba9f6292ce927332b91a3454f41521be07f8", 13),
-    "lognormal_tilted_line": ("c42c2c6c92ea9ff2ca96dca2b9be1a007063032f5c7ed2cda06da2aee6f65d56",
-                              None, 588),
+    "ou_band": ("232a212f7914d3c512a28aecca76dcb4199ddd01eaa91162f7374d929adf2651",
+                "770880dfc80cc5d3f19d12d8ad31291290fbc88442f22704a095e0b3fc910367", 1612),
+    "ou_tilted_line": ("1aecde06c63763c74c5f79d300e773cd25aed261605a0d4a56a63437597b9282",
+                       None, 805),
+    "lognormal_band": ("1c739eae2fc3c603f863ab7839aa4a0826dc98dc7e12a31c6f73eb3b7cd483e7",
+                       "2feeb8a502586cb20672ef30e33ed886939dd83e7a07f844ccdba09ca9c43020", 10),
+    "lognormal_tilted_line": ("89fd0a802569371589e2092fe48ce6849aa4316504c44cb8be06b4a3b28dac82",
+                              None, 570),
     "no_bridge": ("d9eb0b47729c5d6aac4a41e2a5509fc9c2a1a1313a80093d7318b8abe79277f5",
                   None, 822),
 }
@@ -304,6 +307,45 @@ def test_pinned_samples(case, threads, monkeypatch):
              hashlib.sha256(",".join(sample.exit_sides).encode()).hexdigest())
     assert (hashlib.sha256(sample.hit_times.tobytes()).hexdigest(), sides,
             sample.censored_count) == PINNED_SAMPLES[case]
+
+
+def test_log_u_min_is_the_log_of_the_smallest_positive_uniform():
+    # random() returns integer multiples of 2**-53 below 1, so a positive
+    # draw has log u >= LOG_U_MIN: a step whose exponent lies at or below
+    # it can fire only on a drawn 0
+    k = _chunk_rng(3, 0).random(10 ** 6) * 2.0 ** 53
+    assert np.array_equal(k, np.floor(k)) and k.max() < 2.0 ** 53
+    assert LOG_U_MIN == np.log(2.0 ** -53)
+
+
+def test_bridge_events_are_the_dense_test_at_the_candidates():
+    # a fixed block with direct hits (exponent >= 0), candidates below 0 and
+    # steps at or below LOG_U_MIN; the dense test log u < g gets the
+    # helper's uniforms at the candidates, in row-major order, and other
+    # draws of random() elsewhere, the smallest positive one among them
+    n, m = 64, 16
+    d = np.random.default_rng(5).normal(0.3, 0.25, (n, m + 1))
+    rate = -2.0 / np.linspace(0.004, 0.02, m)
+    g = d[:, :-1] * d[:, 1:]
+    g *= rate
+    cand = g > LOG_U_MIN
+    assert np.any(g >= 0.0) and np.any(cand & (g < 0.0)) and not np.all(cand)
+    u = np.maximum(np.random.default_rng(6).random((n, m)), 2.0 ** -53)
+    u[~cand] = np.where(np.arange(np.count_nonzero(~cand)) % 3, u[~cand], 2.0 ** -53)
+    u[cand] = _chunk_rng(9, 0).random(np.count_nonzero(cand))
+    events = _bridge_events(d, rate, _chunk_rng(9, 0), np.empty((n, m)),
+                            np.empty((n, m), dtype=bool))
+    assert np.array_equal(events, np.flatnonzero(np.log(u) < g))
+    assert np.all(np.isin(np.flatnonzero(g >= 0.0), events))
+
+
+def test_bridge_events_draw_nothing_when_no_step_can_fire():
+    rng = _chunk_rng(9, 0)
+    # every exponent is -2 * 0.5**2 / 0.01 = -50, below LOG_U_MIN
+    events = _bridge_events(np.full((8, 17), 0.5), np.full(16, -2.0 / 0.01), rng,
+                            np.empty((8, 16)), np.empty((8, 16), dtype=bool))
+    # the stream is where it was: the next draw is the chunk's first
+    assert events.size == 0 and rng.random() == _chunk_rng(9, 0).random()
 
 
 class TestEstimateFET:
