@@ -67,7 +67,6 @@ event counts.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -142,30 +141,23 @@ def _n_threads() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _chunks(n_paths: int) -> Sequence[Tuple[int, int, int]]:
-    """(chunk_index, start, rows) covering [0, n_paths)."""
-    out = []
-    c = 0
-    for start in range(0, n_paths, CHUNK):
-        out.append((c, start, min(CHUNK, n_paths - start)))
-        c += 1
-    return out
-
-
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(
         np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, chunk_index])))
 
 
-def _run_chunked(n_paths: int, worker: Callable[[int, int, int], None]) -> None:
-    chunks = _chunks(n_paths)
-    threads = min(_n_threads(), len(chunks))
-    if threads <= 1:
-        for c, start, rows in chunks:
-            worker(c, start, rows)
+def _run_chunked(n_paths: int, worker: Callable[[range], None]) -> None:
+    """Call worker once per thread on a contiguous run of the chunk indices
+    covering [0, n_paths); the runs differ in length by at most one."""
+    n_chunks = -(-n_paths // CHUNK)
+    threads = min(_n_threads(), n_chunks)
+    runs = [range(n_chunks * i // threads, n_chunks * (i + 1) // threads)
+            for i in range(threads)]
+    if threads == 1:
+        worker(runs[0])
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, c, start, rows) for c, start, rows in chunks]
+        futures = [pool.submit(worker, run) for run in runs]
         for fut in futures:
             fut.result()
 
@@ -196,11 +188,14 @@ def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.nda
     step_std = np.sqrt(np.diff(R))
     out = np.empty((cfg.n_paths, ts.size))
 
-    def worker(chunk_idx: int, start: int, rows: int) -> None:
-        zn = _chunk_rng(cfg.seed, chunk_idx).standard_normal((rows, step_std.size))
-        w = np.zeros((rows, ts.size))
-        np.cumsum(step_std[None, :] * zn, axis=1, out=w[:, 1:])
-        out[start:start + rows] = coord.to_state(w, ts)
+    def worker(run: range) -> None:
+        for c in run:
+            start = c * CHUNK
+            rows = min(CHUNK, cfg.n_paths - start)
+            zn = _chunk_rng(cfg.seed, c).standard_normal((rows, step_std.size))
+            w = np.zeros((rows, ts.size))
+            np.cumsum(step_std[None, :] * zn, axis=1, out=w[:, 1:])
+            out[start:start + rows] = coord.to_state(w, ts)
 
     _run_chunked(cfg.n_paths, worker)
     return ts, out
@@ -227,16 +222,22 @@ def _block_edges(n_steps: int) -> list[int]:
     return edges
 
 
-def _bridge_events(d: np.ndarray, rate: np.ndarray, rng: np.random.Generator,
-                   g: np.ndarray, cand: np.ndarray) -> np.ndarray:
+def _bridge_events(d: np.ndarray, rate: np.ndarray, rngs: Sequence[np.random.Generator],
+                   ends: Sequence[int], g: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Sorted flat indices of the steps of an (n, m) block whose bridge test
     fires, from the distances d (n, m + 1) to one boundary and rate =
     -2 / var_step (m,): one uniform u per candidate, in index order, and an
-    event where log u < g.  g and cand are (n, m) scratch."""
+    event where log u < g.  The block stacks the rows of consecutive chunks:
+    the flat indices below ends[0] draw from rngs[0], those from ends[0] to
+    ends[1] from rngs[1], and so on.  g and cand are (n, m) scratch."""
     np.multiply(d[:, :-1], d[:, 1:], out=g)
     g *= rate
     idx = np.flatnonzero(np.greater(g, LOG_U_MIN, out=cand))
-    u = rng.random(idx.size)
+    u = np.empty(idx.size)
+    lo = 0
+    for rng, hi in zip(rngs, np.searchsorted(idx, ends).tolist()):
+        rng.random(out=u[lo:hi])
+        lo = hi
     np.log(u, out=u)
     return idx[u < g.ravel()[idx]]
 
@@ -273,57 +274,86 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
     hit_time = np.full(cfg.n_paths, np.nan)
     hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
 
-    scratch = threading.local()  # one set of buffers per worker thread
+    # each thread's scratch: a chunk's rows of the widest block, path values
+    # and distances at the grid times, then per step the exponents and
+    # candidates; a narrower block stacks as many rows as fit
+    cap = min(CHUNK, cfg.n_paths)  # the most rows a chunk has
+
+    def step(bufs: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
+             ends: Sequence[int], paths: np.ndarray, z0: np.ndarray, k0: int, k1: int
+             ) -> Tuple[np.ndarray, np.ndarray]:
+        """Step the stacked rows of consecutive chunks from step k0 to k1 and
+        record their first hits.  Row i is path paths[i], at z0[i] at step
+        k0; the chunk of rngs[j] owns the rows from ends[j - 1] to ends[j].
+        Returns which rows still run and their values at step k1."""
+        n, m = paths.size, k1 - k0
+        z_buf, d_buf, g_buf, c_buf = bufs
+        z = z_buf[:n * (m + 1)].reshape(n, m + 1)
+        d = d_buf[:n * (m + 1)].reshape(n, m + 1)
+        g, cand = g_buf[:n * m].reshape(n, m), c_buf[:n * m].reshape(n, m)
+        lo = 0
+        for rng, hi in zip(rngs, ends):
+            rng.standard_normal(out=g[lo:hi])
+            lo = hi
+        z[:, 0] = z0
+        np.multiply(step_std[k0:k1], g, out=z[:, 1:])
+        for j in range(1, m + 1):  # each row's running sum, as np.cumsum adds it
+            np.add(z[:, j - 1], z[:, j], out=z[:, j])
+        flat_ends = [e * m for e in ends]
+        # each path's first event per boundary, keyed (path, step, boundary)
+        keys = []
+        for a in range(nb):
+            # distances to boundary a on the start's side, at the grid times
+            if above[a]:
+                np.subtract(b[a, k0:k1 + 1], z, out=d)
+            else:
+                np.subtract(z, b[a, k0:k1 + 1], out=d)
+            if cfg.bridge_correction:
+                ev = _bridge_events(d, rate[k0:k1], rngs, flat_ends, g, cand)
+            else:
+                ev = np.flatnonzero(np.less_equal(d[:, 1:], 0.0, out=cand))
+            keys.append(_row_leads(ev, m) * nb + a)
+        # the earliest over the boundaries; the first boundary wins a tie
+        key = _row_leads(np.sort(np.concatenate(keys), kind="stable"), m * nb)
+        rk, a = np.divmod(key, nb)
+        r, k = np.divmod(rk, m)
+        # a direct hit ends on or past the boundary
+        direct = (b[a, k0 + k + 1] - z[r, k + 1]) * sign[a] <= 0.0
+        done, k = paths[r], k + k0
+        hit_time[done] = np.where(direct, t_end[k], t_mid[k])
+        hit_side[done] = a
+        running = np.ones(n, dtype=bool)
+        running[r] = False
+        return running, z[:, -1]
 
     @np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
-    def worker(chunk_idx: int, start: int, rows: int) -> None:
-        rng = _chunk_rng(cfg.seed, chunk_idx)
-        # scratch for every block of every chunk the thread steps: path
-        # values and distances at the grid times, then per step the
-        # exponents and candidates
-        if not hasattr(scratch, "bufs"):
-            cap = min(CHUNK, cfg.n_paths)  # the most rows a chunk has
-            scratch.bufs = (np.empty(cap * (widest + 1)), np.empty(cap * (widest + 1)),
-                            np.empty(cap * widest), np.empty(cap * widest, dtype=bool))
-        z_buf, d_buf, g_buf, c_buf = scratch.bufs
-        live = np.arange(start, start + rows)  # indices of the paths still running
-        z_end = np.full(rows, coord0)
+    def worker(run: range) -> None:
+        rngs = [_chunk_rng(cfg.seed, c) for c in run]
+        bufs = (np.empty(cap * (widest + 1)), np.empty(cap * (widest + 1)),
+                np.empty(cap * widest), np.empty(cap * widest, dtype=bool))
+        # the paths still running, in chunk order, and their values
+        live = np.arange(run.start * CHUNK, min(run.stop * CHUNK, cfg.n_paths))
+        z_end = np.full(live.size, coord0)
         for k0, k1 in zip(edges, edges[1:]):
             if not live.size:
                 break
-            n, m = live.size, k1 - k0
-            z = z_buf[:n * (m + 1)].reshape(n, m + 1)
-            d = d_buf[:n * (m + 1)].reshape(n, m + 1)
-            g, cand = g_buf[:n * m].reshape(n, m), c_buf[:n * m].reshape(n, m)
-            z[:, 0] = z_end
-            rng.standard_normal(out=g)
-            np.multiply(step_std[k0:k1], g, out=z[:, 1:])
-            np.cumsum(z, axis=1, out=z)
-            # each path's first event per boundary, keyed (path, step, boundary)
-            keys = []
-            for a in range(nb):
-                # distances to boundary a on the start's side, at the grid times
-                if above[a]:
-                    np.subtract(b[a, k0:k1 + 1], z, out=d)
-                else:
-                    np.subtract(z, b[a, k0:k1 + 1], out=d)
-                if cfg.bridge_correction:
-                    ev = _bridge_events(d, rate[k0:k1], rng, g, cand)
-                else:
-                    ev = np.flatnonzero(np.less_equal(d[:, 1:], 0.0, out=cand))
-                keys.append(_row_leads(ev, m) * nb + a)
-            # the earliest over the boundaries; the first boundary wins a tie
-            key = _row_leads(np.sort(np.concatenate(keys), kind="stable"), m * nb)
-            rk, a = np.divmod(key, nb)
-            r, k = np.divmod(rk, m)
-            # a direct hit ends on or past the boundary
-            direct = (b[a, k0 + k + 1] - z[r, k + 1]) * sign[a] <= 0.0
-            done, k = live[r], k + k0
-            hit_time[done] = np.where(direct, t_end[k], t_mid[k])
-            hit_side[done] = a
-            running = np.ones(n, dtype=bool)
-            running[r] = False
-            live, z_end = live[running], z[running, -1]
+            fit = cap * (widest + 1) // (k1 - k0 + 1)  # rows the scratch holds
+            counts = np.bincount(live // CHUNK - run.start, minlength=len(run)).tolist()
+            running, z_next = np.empty(live.size, dtype=bool), np.empty(live.size)
+            lo = hi = 0  # the live rows of the stack
+            stack, ends = [], []
+            for rng, rows in zip(rngs, counts):
+                if hi + rows - lo > fit:
+                    running[lo:hi], z_next[lo:hi] = step(
+                        bufs, stack, ends, live[lo:hi], z_end[lo:hi], k0, k1)
+                    lo, stack, ends = hi, [], []
+                if rows:  # a chunk with no live rows draws nothing
+                    hi += rows
+                    stack.append(rng)
+                    ends.append(hi - lo)
+            running[lo:hi], z_next[lo:hi] = step(
+                bufs, stack, ends, live[lo:hi], z_end[lo:hi], k0, k1)
+            live, z_end = live[running], z_next[running]
 
     _run_chunked(cfg.n_paths, worker)
     mask = ~np.isnan(hit_time)

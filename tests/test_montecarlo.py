@@ -14,7 +14,8 @@ from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        transition_law_G, transition_law_L, x_eval)
 from growthfpt.growth_curve import _g
 from growthfpt.montecarlo import (BLOCK0, CHUNK, LOG_U_MIN, EmpiricalHittingSample,
-                                  _bridge_events, _chunk_rng)
+                                  _block_edges, _bridge_events, _chunk_rng,
+                                  _first_hits)
 from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
@@ -33,8 +34,10 @@ class TestSimulatePaths:
     @pytest.mark.parametrize("run", ["simulate_paths", "estimate_fpt",
                                      "estimate_fet"])
     def test_seed_reproducibility_across_thread_counts(self, run, monkeypatch):
+        # five chunks, the last partial: 2 and 3 threads get runs of
+        # chunks of unequal length
         proc = OUProcess(PARAMS, 0.1)
-        cfg = SimConfig(dt=0.25, horizon=5.0, n_paths=4096, seed=77)
+        cfg = SimConfig(dt=0.25, horizon=5.0, n_paths=4500, seed=77)
         scale = PARAMS.x0 * _g(PARAMS, 0.0)
         lower = AffineGMBoundary(A=0.97 * scale)
         upper = AffineGMBoundary(A=1.03 * scale, B=0.01)
@@ -44,20 +47,21 @@ class TestSimulatePaths:
             "estimate_fet": lambda: estimate_fet(proc, lower, upper, cfg),
         }
         outs = []
-        for threads in ("1", "4"):
+        for threads in ("1", "2", "3"):
             monkeypatch.setenv("GROWTHFPT_THREADS", threads)
             outs.append(calls[run]())
-        a, b = outs
-        if run == "simulate_paths":
-            assert np.array_equal(a, b)
-            return
-        # both sides of the band, and censored paths, must be present
-        assert 0 < a.censored_count < cfg.n_paths
-        if run == "estimate_fet":
-            assert set(a.exit_sides) == {"lower", "upper"}
-            assert np.array_equal(a.exit_sides, b.exit_sides)
-        assert np.array_equal(a.hit_times, b.hit_times)
-        assert a.censored_count == b.censored_count
+        a = outs[0]
+        for b in outs[1:]:
+            if run == "simulate_paths":
+                assert np.array_equal(a, b)
+                continue
+            # both sides of the band, and censored paths, must be present
+            assert 0 < a.censored_count < cfg.n_paths
+            if run == "estimate_fet":
+                assert set(a.exit_sides) == {"lower", "upper"}
+                assert np.array_equal(a.exit_sides, b.exit_sides)
+            assert np.array_equal(a.hit_times, b.hit_times)
+            assert a.censored_count == b.censored_count
 
     def test_partial_last_chunk_is_a_prefix(self):
         # a chunk's rows are a fixed prefix of its stream, whatever the rows
@@ -253,6 +257,43 @@ def test_estimators_take_only_the_process_lines(case, estimate):
             estimate_fet(proc, bnd, bnd, cfg)
 
 
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("estimate", ["fpt", "fet"])
+def test_a_stack_may_hold_a_chunk_with_no_live_rows(estimate, bridge, monkeypatch):
+    # boundary rows that take all but a few paths of each chunk at the first
+    # step: from the second block on, some chunks have no live rows while
+    # their neighbours run on, so one thread stacks running chunks around
+    # empty ones; with a thread per chunk every chunk steps alone
+    n_steps, chunks = 40, 6
+    ts = 0.25 * np.arange(n_steps + 1)
+    b = np.full((1 if estimate == "fpt" else 2, n_steps + 1), -1.0)
+    b[0, :2] = -0.5, 1.4  # a path survives the first step above 2.8 sd
+    if estimate == "fet":
+        b[1] = 4.5
+        b[1, :2] = 0.5, 1.9
+    sides = None if estimate == "fpt" else ("lower", "upper")
+
+    def sample(n_chunks, threads):
+        monkeypatch.setenv("GROWTHFPT_THREADS", threads)
+        cfg = SimConfig(dt=0.25, horizon=ts[-1], n_paths=n_chunks * CHUNK, seed=1,
+                        bridge_correction=bridge)
+        return _first_hits(ts, b, 0.0, np.full(n_steps, 0.5), cfg, sides)
+
+    # a chunk's sample does not depend on the chunks after it, so prefixes
+    # count each chunk's paths that run in the second block
+    t1 = ts[_block_edges(n_steps)[1]]
+    later = [np.count_nonzero(s.hit_times > t1) + s.censored_count
+             for s in (sample(c, "1") for c in range(1, chunks + 1))]
+    live = np.diff([0] + later)
+    running = np.flatnonzero(live)
+    assert np.any(live[running[0]:running[-1]] == 0)
+    a, b = sample(chunks, "1"), sample(chunks, str(chunks))
+    assert np.array_equal(a.hit_times, b.hit_times) and a.censored_count == b.censored_count
+    if estimate == "fet":
+        assert set(a.exit_sides) == {"lower", "upper"}
+        assert np.array_equal(a.exit_sides, b.exit_sides)
+
+
 def _pinned_case(case):
     """(estimator, args, config) of a fixed-seed pinned-sample case."""
     scale = PARAMS.x0 * _g(PARAMS, 0.0)
@@ -320,10 +361,11 @@ def test_log_u_min_is_the_log_of_the_smallest_positive_uniform():
 
 def test_bridge_events_are_the_dense_test_at_the_candidates():
     # a fixed block with direct hits (exponent >= 0), candidates below 0 and
-    # steps at or below LOG_U_MIN; the dense test log u < g gets the
-    # helper's uniforms at the candidates, in row-major order, and other
-    # draws of random() elsewhere, the smallest positive one among them
-    n, m = 64, 16
+    # steps at or below LOG_U_MIN, its rows stacked from two chunks; the
+    # dense test log u < g gets each chunk's uniforms at its candidates, in
+    # row-major order, and other draws of random() elsewhere, the smallest
+    # positive one among them
+    n, m, split = 64, 16, 24
     d = np.random.default_rng(5).normal(0.3, 0.25, (n, m + 1))
     rate = -2.0 / np.linspace(0.004, 0.02, m)
     g = d[:, :-1] * d[:, 1:]
@@ -332,20 +374,22 @@ def test_bridge_events_are_the_dense_test_at_the_candidates():
     assert np.any(g >= 0.0) and np.any(cand & (g < 0.0)) and not np.all(cand)
     u = np.maximum(np.random.default_rng(6).random((n, m)), 2.0 ** -53)
     u[~cand] = np.where(np.arange(np.count_nonzero(~cand)) % 3, u[~cand], 2.0 ** -53)
-    u[cand] = _chunk_rng(9, 0).random(np.count_nonzero(cand))
-    events = _bridge_events(d, rate, _chunk_rng(9, 0), np.empty((n, m)),
-                            np.empty((n, m), dtype=bool))
+    for c, rows in enumerate((slice(0, split), slice(split, n))):
+        u[rows][cand[rows]] = _chunk_rng(9, c).random(np.count_nonzero(cand[rows]))
+    events = _bridge_events(d, rate, [_chunk_rng(9, 0), _chunk_rng(9, 1)], [split * m, n * m],
+                            np.empty((n, m)), np.empty((n, m), dtype=bool))
     assert np.array_equal(events, np.flatnonzero(np.log(u) < g))
     assert np.all(np.isin(np.flatnonzero(g >= 0.0), events))
 
 
 def test_bridge_events_draw_nothing_when_no_step_can_fire():
-    rng = _chunk_rng(9, 0)
+    rngs = [_chunk_rng(9, 0), _chunk_rng(9, 1)]
     # every exponent is -2 * 0.5**2 / 0.01 = -50, below LOG_U_MIN
-    events = _bridge_events(np.full((8, 17), 0.5), np.full(16, -2.0 / 0.01), rng,
-                            np.empty((8, 16)), np.empty((8, 16), dtype=bool))
-    # the stream is where it was: the next draw is the chunk's first
-    assert events.size == 0 and rng.random() == _chunk_rng(9, 0).random()
+    events = _bridge_events(np.full((8, 17), 0.5), np.full(16, -2.0 / 0.01), rngs,
+                            [3 * 16, 8 * 16], np.empty((8, 16)), np.empty((8, 16), dtype=bool))
+    # each stream is where it was: its next draw is the chunk's first
+    assert events.size == 0
+    assert [rng.random() for rng in rngs] == [_chunk_rng(9, c).random() for c in (0, 1)]
 
 
 class TestEstimateFET:
