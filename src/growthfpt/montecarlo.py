@@ -82,7 +82,7 @@ from .process_lognormal import ExpBoundary, LognormalProcess
 from .process_ou import AffineGMBoundary, OUProcess
 
 CHUNK = 1024  # paths per random-stream chunk; fixed so results never depend on threads
-BLOCK0 = 16  # steps in an estimator's first time block; each later block doubles
+BLOCK0 = 4  # steps in an estimator's first time block; each later one is half as long again
 # log of the smallest positive Generator.random() draw, 2**-53: a bridge
 # exponent at or below it can fire only on a drawn 0
 LOG_U_MIN = float(np.log(2.0 ** -53))
@@ -212,13 +212,14 @@ def _setup(process: Process, boundaries: Sequence[Boundary], cfg: SimConfig
 
 
 def _block_edges(n_steps: int) -> list[int]:
-    """Step indices that bound the time blocks: BLOCK0 steps, then twice as
-    many each block; a remainder shorter than the current block joins it."""
+    """Step indices that bound the time blocks: BLOCK0 steps, then half as
+    many again each block, rounded down; a remainder shorter than the
+    current block joins it."""
     edges, width = [0], BLOCK0
     while edges[-1] < n_steps:
         k1 = edges[-1] + width
         edges.append(n_steps if n_steps - k1 < width else k1)
-        width *= 2
+        width += width // 2
     return edges
 
 

@@ -275,7 +275,7 @@ def test_a_stack_may_hold_a_chunk_with_no_live_rows(estimate, bridge, monkeypatc
 
     def sample(n_chunks, threads):
         monkeypatch.setenv("GROWTHFPT_THREADS", threads)
-        cfg = SimConfig(dt=0.25, horizon=ts[-1], n_paths=n_chunks * CHUNK, seed=1,
+        cfg = SimConfig(dt=0.25, horizon=ts[-1], n_paths=n_chunks * CHUNK, seed=4,
                         bridge_correction=bridge)
         return _first_hits(ts, b, 0.0, np.full(n_steps, 0.5), cfg, sides)
 
@@ -319,20 +319,20 @@ def _pinned_case(case):
 
 
 # (SHA-256 of hit_times.tobytes(), of the exit sides joined by commas or
-# None, censored_count), recorded with one uniform per candidate step, one
-# whose bridge exponent exceeds LOG_U_MIN; no_bridge draws no uniforms and
-# keeps the digest recorded with the exp-form bridge test
+# None, censored_count), recorded with time blocks of BLOCK0 = 4 steps, each
+# later one half as long again (_block_edges), and one uniform per candidate
+# step, one whose bridge exponent exceeds LOG_U_MIN
 PINNED_SAMPLES = {
-    "ou_band": ("232a212f7914d3c512a28aecca76dcb4199ddd01eaa91162f7374d929adf2651",
-                "770880dfc80cc5d3f19d12d8ad31291290fbc88442f22704a095e0b3fc910367", 1612),
-    "ou_tilted_line": ("1aecde06c63763c74c5f79d300e773cd25aed261605a0d4a56a63437597b9282",
-                       None, 805),
-    "lognormal_band": ("1c739eae2fc3c603f863ab7839aa4a0826dc98dc7e12a31c6f73eb3b7cd483e7",
-                       "2feeb8a502586cb20672ef30e33ed886939dd83e7a07f844ccdba09ca9c43020", 10),
-    "lognormal_tilted_line": ("89fd0a802569371589e2092fe48ce6849aa4316504c44cb8be06b4a3b28dac82",
-                              None, 570),
-    "no_bridge": ("d9eb0b47729c5d6aac4a41e2a5509fc9c2a1a1313a80093d7318b8abe79277f5",
-                  None, 822),
+    "ou_band": ("08c48d5b2a17a3bf7b3d7a87329bdb14443fac178b58fae27dd7d86217c48e23",
+                "05d4c3d61079178f4749addd1ef4f285e0c01ad36558d0bf748e0e28888b2fb8", 1625),
+    "ou_tilted_line": ("e11190e8ae598b2840653d718793e8e7592593e5ef74b228020756b8c0e2dd9b",
+                       None, 765),
+    "lognormal_band": ("696255c75cbf3353b1eb18b20548428192a9d278e3dcdb0b034c209dd6b8a067",
+                       "ec53077cd90033c0b02f6cd6377ee1d2594dbe710ba7a562c0b1583ffb178eac", 14),
+    "lognormal_tilted_line": ("2db79df1e47c8ec58eda4b448d8460e982e71a0e432b3695b536c5436869f4b1",
+                              None, 562),
+    "no_bridge": ("aedc7457c550b131c1663629302ae599b30d35f8e8429e520e29e0964af17b72",
+                  None, 834),
 }
 
 
@@ -432,20 +432,38 @@ class TestEstimateFET:
 
     def test_block_edges(self):
         # a partial last chunk and a step count that no time block divides:
-        # some paths exit within the first block, some run to the horizon
+        # some paths exit within the first block, some within the last one,
+        # some run to the horizon
         proc = LognormalProcess(PARAMS, 0.05)
         cfg = SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)
         assert cfg.n_paths % CHUNK and round(cfg.horizon / cfg.dt) == 37
         sample = estimate_fet(proc, ExpBoundary(A=0.9), ExpBoundary(A=1.1), cfg)
         t = sample.hit_times
         assert t.size + sample.censored_count == cfg.n_paths
-        assert 0 < sample.censored_count and t.min() <= PARAMS.t0 + BLOCK0 * cfg.dt
+        edges = _block_edges(37)
+        assert 0 < sample.censored_count and t.min() <= PARAMS.t0 + edges[1] * cfg.dt
+        assert t.max() > PARAMS.t0 + edges[-2] * cfg.dt
         steps = (t - PARAMS.t0) / cfg.dt
         on_grid_or_midpoint = np.isclose(2.0 * steps, np.round(2.0 * steps), rtol=0.0,
                                          atol=1e-9)
         assert np.all(on_grid_or_midpoint)
         assert np.all((t > PARAMS.t0) & (t <= PARAMS.t0 + cfg.horizon))
         assert set(np.unique(sample.exit_sides)) == {"lower", "upper"}
+
+
+@pytest.mark.parametrize("n_steps,edges", [
+    (20, [0, 4, 10, 20]),
+    (37, [0, 4, 10, 19, 37]),
+    (40, [0, 4, 10, 19, 40]),
+    (60, [0, 4, 10, 19, 32, 60]),
+    (100, [0, 4, 10, 19, 32, 51, 100]),
+    (200, [0, 4, 10, 19, 32, 51, 79, 121, 200]),
+])
+def test_block_edges_pinned(n_steps, edges):
+    # the time blocks decide which normal each path-step gets, so they are
+    # part of the stream layout that PINNED_SAMPLES fixes
+    assert edges[1] == BLOCK0
+    assert _block_edges(n_steps) == edges
 
 
 class TestDensityDistance:
