@@ -14,7 +14,8 @@ The configuration is a JSON document whose keys, types, defaults and flags
 are declared once, in _KEYS; --help names the key each flag overrides.  --nu
 and --method set the key of the running command, fpt or fet.  Exit status: 0
 success, 1 validation failure, 2 configuration error, such as a value of the
-wrong type, named by its block.key.
+wrong type, named by its block.key, or a GROWTHFPT_THREADS that is not an
+integer.
 Every CSV has a header row, times strictly increasing, and floats serialized
 with 17 significant digits.  GROWTHFPT_THREADS caps simulation worker
 threads (default: the CPUs the process may run on).
@@ -34,7 +35,7 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._decimal import format_g17
-from .errors import GrowthFPTError, ParseError, ValidationError
+from .errors import ConfigError, GrowthFPTError, ParseError, ValidationError
 from .fet import fet_pdf_closed, volterra_fet
 from .fpt import DensityCurve, fpt_pdf_closed, volterra_fpt
 from .gm_core import DanielsBoundary
@@ -385,6 +386,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         return run_command(args.command, cfg)
+    except ConfigError as exc:  # e.g. GROWTHFPT_THREADS, read when a simulation starts
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except GrowthFPTError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

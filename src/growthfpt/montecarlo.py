@@ -39,21 +39,28 @@ Randomness is organised in fixed-size chunks of paths: chunk c draws from an
 SFC64 generator seeded by SeedSequence([seed, c]) (the seed masked to 64
 bits), so each chunk's stream is a pure function of (seed, c).
 simulate_paths draws the chunk's whole Gaussian block, one fixed row per
-path.  The estimators step a chunk in time blocks (BLOCK0 steps, then twice
-as many each block; a remainder shorter than the current block joins it) and
-stop simulating a path once it has hit: each block draws a Gaussian block for
-the paths still running, then one uniform per candidate step of each
-boundary, in the order the boundaries are given and row-major within a
-boundary.  Which paths run depends only on the chunk's earlier
-draws, so ensembles are bit-identical for a given seed no matter how many
-worker threads run; GROWTHFPT_THREADS caps the pool (default: the CPUs this
-process may run on).
+path.  The estimators step a chunk in time blocks (BLOCK0 steps, then half as
+many again each block, rounded down; a remainder shorter than the current
+block joins it) and stop simulating a path once it has hit: in each block a
+chunk draws a Gaussian block for its paths still running, then one uniform
+per candidate step of each boundary, in the order the boundaries are given
+and row-major within a boundary.  Which paths run depends only on the chunk's
+earlier draws, so ensembles are bit-identical for a given seed no matter how
+many worker threads run or how their chunks are grouped; GROWTHFPT_THREADS
+caps the pool (default: the CPUs this process may run on), and each thread
+takes one contiguous run of chunks.
 
-A block step allocates nothing of the block's size: each worker thread takes
-flat scratch buffers once per call, sized for a chunk's widest block, and
-views them per block of every chunk it steps.  The normals land in them with out=, and the distances, their product,
-the exponent and the candidate mask are formed in place; only the candidates'
-flat indices, uniforms and events are new arrays.  Each boundary's events
+A thread steps its run of chunks together, block by block: the live rows of
+consecutive chunks are stacked and pass through one set of numpy passes, as
+many chunks as fit the thread's scratch.  That scratch is taken once per
+call, flat buffers sized for one chunk's rows of the widest block, so a
+narrower block stacks more chunks in the same cells and nothing of a block's
+size is allocated.  The normals land in them with out=, each chunk's rows
+from its own generator; the running sum is one np.add per step across the
+stacked rows, the sequential sum np.cumsum forms, bit for bit; the
+distances, their product, the exponent and the candidate mask are formed in
+place.  Only the candidates' flat indices, uniforms and events are new
+arrays, and a chunk with no live rows draws nothing.  Each boundary's events
 come out as sorted flat indices into the block, paths being rows, so a
 path's first event opens its row; the same index-list code reads the first
 events without the bridge correction, where an event is a step ending on or

@@ -252,6 +252,17 @@ class TestCommands:
         assert "sim: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["paths"], ["fpt", "--method", "mc"],
+                                      ["fet", "--method", "mc"]])
+    def test_thread_cap_of_the_wrong_type_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  argv):
+        monkeypatch.setenv("GROWTHFPT_THREADS", "x")
+        assert main(argv + ["--config", str(write_config(tmp_path, FIG1_CONFIG)),
+                            "--out", str(tmp_path / "o"), "--paths", "20", "--dt", "0.5",
+                            "--horizon", "10"]) == 2
+        assert "config error: GROWTHFPT_THREADS is not an integer: 'x'" in \
+            capsys.readouterr().err
+
     def test_flag_overrides_beat_document(self, tmp_path):
         doc = dict(FIG1_CONFIG)
         doc["fpt"] = {"nu": 0.8, "method": "closed"}
