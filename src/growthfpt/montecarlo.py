@@ -282,9 +282,6 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
     hit_time = np.full(cfg.n_paths, np.nan)
     hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
 
-    # each thread's scratch: a chunk's rows of the widest block, path values
-    # and distances at the grid times, then per step the exponents and
-    # candidates; a narrower block stacks as many rows as fit
     cap = min(CHUNK, cfg.n_paths)  # the most rows a chunk has
 
     def step(bufs: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
@@ -337,6 +334,9 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
     @np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
     def worker(run: range) -> None:
         rngs = [_chunk_rng(cfg.seed, c) for c in run]
+        # scratch for the whole call, a chunk's rows of the widest block: path
+        # values and distances at the grid times, then per step the exponents
+        # and candidates; a narrower block stacks as many rows as fit
         bufs = (np.empty(cap * (widest + 1)), np.empty(cap * (widest + 1)),
                 np.empty(cap * widest), np.empty(cap * widest, dtype=bool))
         # the paths still running, in chunk order, and their values
