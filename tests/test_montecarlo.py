@@ -266,18 +266,18 @@ def test_a_stack_may_hold_a_chunk_with_no_live_rows(estimate, bridge, monkeypatc
     # empty ones; with a thread per chunk every chunk steps alone
     n_steps, chunks = 40, 6
     ts = 0.25 * np.arange(n_steps + 1)
-    b = np.full((1 if estimate == "fpt" else 2, n_steps + 1), -1.0)
-    b[0, :2] = -0.5, 1.4  # a path survives the first step above 2.8 sd
+    rows = np.full((1 if estimate == "fpt" else 2, n_steps + 1), -1.0)
+    rows[0, :2] = -0.5, 1.4  # a path survives the first step above 2.8 sd
     if estimate == "fet":
-        b[1] = 4.5
-        b[1, :2] = 0.5, 1.9
+        rows[1] = 4.5
+        rows[1, :2] = 0.5, 1.9
     sides = None if estimate == "fpt" else ("lower", "upper")
 
     def sample(n_chunks, threads):
         monkeypatch.setenv("GROWTHFPT_THREADS", threads)
         cfg = SimConfig(dt=0.25, horizon=ts[-1], n_paths=n_chunks * CHUNK, seed=4,
                         bridge_correction=bridge)
-        return _first_hits(ts, b, 0.0, np.full(n_steps, 0.5), cfg, sides)
+        return _first_hits(ts, rows, 0.0, np.full(n_steps, 0.5), cfg, sides)
 
     # a chunk's sample does not depend on the chunks after it, so prefixes
     # count each chunk's paths that run in the second block
