@@ -25,7 +25,16 @@ the range where exp is cheap).  Generator.random() returns multiples of
 2**-53, so log u >= LOG_U_MIN = log 2**-53 unless u = 0: a step with
 g <= LOG_U_MIN can fire only on a drawn 0.  Only the candidates, the steps
 with g > LOG_U_MIN, draw a uniform (_bridge_events); skipping the others
-moves the law by at most 2**-53 per step.  Hits found this way are recorded
+moves the law by at most 2**-53 per step.  The same bound serves a whole
+time block of clock length V: given the block's ends, the chance that any
+of its steps fires against a line equals the continuous bridge's crossing
+probability exp{-2 d_0 d_1 / V} from the distances at the block's ends.  A
+path at least reach = sqrt(-LOG_U_MIN V / 2) from every boundary at the
+block's start is far: it draws its block end first, and where every
+boundary gives d_0 d_1 >= reach**2 (so d_1 > 0 and the exponent is at most
+LOG_U_MIN) it skips the block, taking that end with no step of its own.  A
+far path that does not skip is stepped with the others and pinned to its
+drawn end as a Brownian bridge (_pin).  Hits found this way are recorded
 at the step midpoint; hits visible at the grid points themselves are
 recorded at the right endpoint.
 
@@ -42,13 +51,15 @@ simulate_paths draws the chunk's whole Gaussian block, one fixed row per
 path.  The estimators step a chunk in time blocks (BLOCK0 steps, then half as
 many again each block, rounded down; a remainder shorter than the current
 block joins it) and stop simulating a path once it has hit: in each block a
-chunk draws a Gaussian block for its paths still running, then one uniform
+chunk draws one normal per far path, its block end, then a Gaussian block
+for its paths still running that do not skip the block, then one uniform
 per candidate step of each boundary, in the order the boundaries are given
-and row-major within a boundary.  Which paths run depends only on the chunk's
-earlier draws, so ensembles are bit-identical for a given seed no matter how
-many worker threads run or how their chunks are grouped; GROWTHFPT_THREADS
-caps the pool (default: the CPUs this process may run on), and each thread
-takes one contiguous run of chunks.
+and row-major within a boundary.  Which paths run, and which are far or
+skip, depends only on the chunk's earlier draws and each path's own, so
+ensembles are bit-identical for a given seed no matter how many worker
+threads run or how their chunks are grouped; GROWTHFPT_THREADS caps the pool
+(default: the CPUs this process may run on), and each thread takes one
+contiguous run of chunks.
 
 A thread steps its run of chunks together, block by block: the live rows of
 consecutive chunks are stacked and pass through one set of numpy passes, as
@@ -59,8 +70,10 @@ size is allocated.  The normals land in them with out=, each chunk's rows
 from its own generator; the running sum is one np.add per step across the
 stacked rows, the sequential sum np.cumsum forms, bit for bit; the
 distances, their product, the exponent and the candidate mask are formed in
-place.  Only the candidates' flat indices, uniforms and events are new
-arrays, and a chunk with no live rows draws nothing.  Each boundary's events
+place.  Only the candidates' flat indices, uniforms and events, and in a
+block with far paths their ends and the rows that step, are new arrays; a
+block with no far path takes slices alone, and a chunk with no live rows
+draws nothing.  Each boundary's events
 come out as sorted flat indices into the block, paths being rows, so a
 path's first event opens its row; the same index-list code reads the first
 events without the bridge correction, where an event is a step ending on or
@@ -76,7 +89,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -96,6 +109,7 @@ LOG_U_MIN = float(np.log(2.0 ** -53))
 
 Process = Union[LognormalProcess, OUProcess]
 Boundary = Union[ExpBoundary, AffineGMBoundary]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -134,6 +148,7 @@ class EmpiricalHittingSample:
     exit_sides: Optional[np.ndarray]  # 'lower'/'upper' per hit, or None (single boundary)
     censored_count: int
     n_paths: int
+    path_steps: int = 0  # path-steps simulated one by one; a skipped block counts none
 
 
 def _n_threads() -> int:
@@ -153,20 +168,19 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
         np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, chunk_index])))
 
 
-def _run_chunked(n_paths: int, worker: Callable[[range], None]) -> None:
+def _run_chunked(n_paths: int, worker: Callable[[range], T]) -> list[T]:
     """Call worker once per thread on a contiguous run of the chunk indices
-    covering [0, n_paths); the runs differ in length by at most one."""
+    covering [0, n_paths); the runs differ in length by at most one.  Returns
+    the workers' results in run order."""
     n_chunks = -(-n_paths // CHUNK)
     threads = min(_n_threads(), n_chunks)
     runs = [range(n_chunks * i // threads, n_chunks * (i + 1) // threads)
             for i in range(threads)]
     if threads == 1:
-        worker(runs[0])
-        return
+        return [worker(runs[0])]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(worker, run) for run in runs]
-        for fut in futures:
-            fut.result()
+        return [fut.result() for fut in futures]
 
 
 def _coordinate(process: Process, cfg: SimConfig
@@ -260,37 +274,60 @@ def _row_leads(keys: np.ndarray, width: int) -> np.ndarray:
     return keys[lead]
 
 
+def _pin(z: np.ndarray, c: np.ndarray, z1: np.ndarray) -> None:
+    """Pin rows of running sums to drawn ends, in place, as Brownian bridges.
+    Row i of z (n, m + 1) is a walk from z[i, 0] whose column j lies at
+    clock c[j - 1] from it, c[-1] = V at the last column; column j moves by
+    (c_j / V)(z1[i] - z[i, m]), and the last column is z1 exactly."""
+    z[:, 1:] += np.multiply.outer(z1 - z[:, -1], c / c[-1])
+    z[:, -1] = z1
+
+
 def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
                 step_std: np.ndarray, cfg: SimConfig,
                 side_names: Optional[Sequence[str]]) -> EmpiricalHittingSample:
     """The first crossing of any boundary row of b by each path, sorted by
     time, with the row crossed named by side_names when they are given.
     Within a step the first row with an event wins.  Paths are stepped in
-    time blocks and dropped once they have hit.
+    time blocks and dropped once they have hit.  Each row of b must be a
+    line c + d*R in the clock R (every row _setup builds is one): a far
+    path's block is skipped by the bridge bound of the whole block, which
+    holds for a line.
     """
     n_steps = ts.size - 1
     dt = ts[1] - ts[0]
     steps = np.arange(n_steps)
     # hit times: midpoint for bridge hits, right endpoint for direct ones
     t_mid, t_end = ts[0] + steps * dt + 0.5 * dt, ts[0] + (steps + 1) * dt
-    rate = -2.0 / step_std ** 2
+    var = step_std ** 2
+    rate = -2.0 / var
     nb = b.shape[0]
     above = b[:, 0] > coord0
     sign = np.where(above, 1.0, -1.0)  # distances on the start's side: sign * (b - w)
     edges = _block_edges(n_steps)
     widest = max(k1 - k0 for k0, k1 in zip(edges, edges[1:]))
+    # per block: the clock from k0 at each step, the floor reach^2 =
+    # -LOG_U_MIN V / 2 of d0 d1 for a skip, and the far limit of each row at k0
+    blocks = []
+    for k0, k1 in zip(edges, edges[1:]):
+        c = np.cumsum(var[k0:k1])
+        floor = -0.5 * LOG_U_MIN * c[-1]
+        blocks.append((k0, k1, c, floor, b[:, k0] - sign * np.sqrt(floor)))
     hit_time = np.full(cfg.n_paths, np.nan)
     hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
 
     cap = min(CHUNK, cfg.n_paths)  # the most rows a chunk has
 
-    def step(bufs: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
-             ends: Sequence[int], paths: np.ndarray, z0: np.ndarray, k0: int, k1: int
-             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Step the stacked rows of consecutive chunks from step k0 to k1 and
-        record their first hits.  Row i is path paths[i], at z0[i] at step
-        k0; the chunk of rngs[j] owns the rows from ends[j - 1] to ends[j].
-        Returns which rows still run and their values at step k1."""
+    def advance(bufs: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
+                ends: Sequence[int], paths: np.ndarray, z0: np.ndarray, block: tuple,
+                pin: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """Step the stacked rows of consecutive chunks over the block from
+        step k0 to k1 and record their first hits.  Row i is path paths[i],
+        at z0[i] at step k0; the chunk of rngs[j] owns the rows from
+        ends[j - 1] to ends[j].  pin = (rows, z1) pins those rows to end at
+        z1 (_pin).  Returns which rows still run and their values at k1."""
+        k0, k1, c = block[:3]
         n, m = paths.size, k1 - k0
         z_buf, d_buf, g_buf, c_buf = bufs
         z = z_buf[:n * (m + 1)].reshape(n, m + 1)
@@ -304,6 +341,10 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
         np.multiply(step_std[k0:k1], g, out=z[:, 1:])
         for j in range(1, m + 1):  # each row's running sum, as np.cumsum adds it
             np.add(z[:, j - 1], z[:, j], out=z[:, j])
+        if pin is not None:
+            zp = z[pin[0]]
+            _pin(zp, c, pin[1])
+            z[pin[0]] = zp
         flat_ends = [e * m for e in ends]
         # each path's first event per boundary, keyed (path, step, boundary)
         keys = []
@@ -331,8 +372,50 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
         running[r] = False
         return running, z[:, -1]
 
+    # z0 on the start's side of a row's far limit
+    toward = [np.less_equal if up else np.greater_equal for up in above]
+
+    def step(bufs: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
+             ends: Sequence[int], paths: np.ndarray, z0: np.ndarray, block: tuple
+             ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Advance the stacked rows of consecutive chunks over one block, as
+        advance does, skipping the block for far paths where no step can
+        fire.  A far row, as far as the block's reach from every boundary,
+        first draws its block end; if every boundary's d0 d1 reaches the
+        block's floor (a bridge bound of at most 2**-53) the row takes that
+        end and steps no more, else it is stepped and pinned to it.  Returns
+        which rows still run, their values at the block's end and the number
+        of rows stepped."""
+        k0, k1, c, floor, lim = block
+        n = paths.size
+        far = toward[0](z0, lim[0])
+        for a in range(1, nb):
+            far &= toward[a](z0, lim[a])
+        if not far.any():
+            return *advance(bufs, rngs, ends, paths, z0, block), n
+        fi = np.flatnonzero(far)
+        zf, z1 = z0[fi], np.empty(fi.size)
+        lo = 0
+        for rng, hi in zip(rngs, np.searchsorted(fi, ends).tolist()):
+            rng.standard_normal(out=z1[lo:hi])  # block ends first
+            lo = hi
+        z1 *= np.sqrt(c[-1])
+        z1 += zf
+        skip = (b[0, k0] - zf) * (b[0, k1] - z1) >= floor
+        for a in range(1, nb):
+            skip &= (b[a, k0] - zf) * (b[a, k1] - z1) >= floor
+        running, z_next, stepped = np.ones(n, dtype=bool), np.empty(n), np.ones(n, dtype=bool)
+        z_next[fi[skip]] = z1[skip]
+        stepped[fi[skip]] = False
+        rows = np.flatnonzero(stepped)
+        if rows.size:
+            running[rows], z_next[rows] = advance(
+                bufs, rngs, np.searchsorted(rows, ends).tolist(), paths[rows], z0[rows],
+                block, (np.searchsorted(rows, fi[~skip]), z1[~skip]))
+        return running, z_next, rows.size
+
     @np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
-    def worker(run: range) -> None:
+    def worker(run: range) -> int:
         rngs = [_chunk_rng(cfg.seed, c) for c in run]
         # scratch for the whole call, a chunk's rows of the widest block: path
         # values and distances at the grid times, then per step the exponents
@@ -342,9 +425,11 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
         # the paths still running, in chunk order, and their values
         live = np.arange(run.start * CHUNK, min(run.stop * CHUNK, cfg.n_paths))
         z_end = np.full(live.size, coord0)
-        for k0, k1 in zip(edges, edges[1:]):
+        path_steps = 0
+        for block in blocks:
             if not live.size:
                 break
+            k0, k1 = block[:2]
             fit = cap * (widest + 1) // (k1 - k0 + 1)  # rows the scratch holds
             counts = np.bincount(live // CHUNK - run.start, minlength=len(run)).tolist()
             running, z_next = np.empty(live.size, dtype=bool), np.empty(live.size)
@@ -352,18 +437,21 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
             stack, ends = [], []
             for rng, rows in zip(rngs, counts):
                 if hi + rows - lo > fit:
-                    running[lo:hi], z_next[lo:hi] = step(
-                        bufs, stack, ends, live[lo:hi], z_end[lo:hi], k0, k1)
+                    running[lo:hi], z_next[lo:hi], n = step(
+                        bufs, stack, ends, live[lo:hi], z_end[lo:hi], block)
+                    path_steps += n * (k1 - k0)
                     lo, stack, ends = hi, [], []
                 if rows:  # a chunk with no live rows draws nothing
                     hi += rows
                     stack.append(rng)
                     ends.append(hi - lo)
-            running[lo:hi], z_next[lo:hi] = step(
-                bufs, stack, ends, live[lo:hi], z_end[lo:hi], k0, k1)
+            running[lo:hi], z_next[lo:hi], n = step(
+                bufs, stack, ends, live[lo:hi], z_end[lo:hi], block)
+            path_steps += n * (k1 - k0)
             live, z_end = live[running], z_next[running]
+        return path_steps
 
-    _run_chunked(cfg.n_paths, worker)
+    path_steps = sum(_run_chunked(cfg.n_paths, worker))
     mask = ~np.isnan(hit_time)
     order = np.argsort(hit_time[mask], kind="stable")
     sides = None
@@ -374,6 +462,7 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
         exit_sides=sides,
         censored_count=int(cfg.n_paths - np.count_nonzero(mask)),
         n_paths=cfg.n_paths,
+        path_steps=path_steps,
     )
 
 

@@ -223,7 +223,8 @@ def check_mc_fpt(n_paths: int = 20_000, seed: int = 40) -> CheckResult:
         lambda t: fpt_pdf_closed(proc, bnd, 1.0, 0.0, t), grid, 0.0)
     _, ks = density_distance(sample, curve)
     return CheckResult("Monte Carlo passage times vs closed form (KS)",
-                       ks < 0.01, f"KS {ks:.4f} with {n_paths} paths")
+                       ks < 0.01, f"KS {ks:.4f} with {n_paths} paths, "
+                                  f"{sample.path_steps} path-steps")
 
 
 def check_mc_fet(n_paths: int = 20_000, seed: int = 41) -> CheckResult:
@@ -236,7 +237,8 @@ def check_mc_fet(n_paths: int = 20_000, seed: int = 41) -> CheckResult:
         lambda t: fet_pdf_closed(proc, *band, 1.0, 0.0, t), grid, 0.0)
     l1, _ = density_distance(sample, curve)
     return CheckResult("Monte Carlo exit times vs closed form (L1)",
-                       l1 < 0.05, f"L1 {l1:.4f} with {n_paths} paths")
+                       l1 < 0.05, f"L1 {l1:.4f} with {n_paths} paths, "
+                                  f"{sample.path_steps} path-steps")
 
 
 def check_variance_form(n_paths: int = 200_000, seed: int = 42) -> CheckResult:

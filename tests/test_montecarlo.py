@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import chi2, norm
 
 from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        EmptySample, ExpBoundary, GeneralBoundary,
@@ -13,9 +13,10 @@ from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        estimate_fpt, fpt_pdf_closed, simulate_paths,
                        transition_law_G, transition_law_L, x_eval)
 from growthfpt.growth_curve import _g
+from growthfpt import montecarlo
 from growthfpt.montecarlo import (BLOCK0, CHUNK, LOG_U_MIN, EmpiricalHittingSample,
                                   _block_edges, _bridge_events, _chunk_rng,
-                                  _first_hits)
+                                  _first_hits, _pin)
 from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
@@ -32,7 +33,7 @@ class TestSimulatePaths:
         assert np.max(np.abs(paths - det[None, :])) < 1e-9
 
     @pytest.mark.parametrize("run", ["simulate_paths", "estimate_fpt",
-                                     "estimate_fet"])
+                                     "estimate_fet", "estimate_fpt_far"])
     def test_seed_reproducibility_across_thread_counts(self, run, monkeypatch):
         # five chunks, the last partial: 2 and 3 threads get runs of
         # chunks of unequal length
@@ -41,15 +42,30 @@ class TestSimulatePaths:
         scale = PARAMS.x0 * _g(PARAMS, 0.0)
         lower = AffineGMBoundary(A=0.97 * scale)
         upper = AffineGMBoundary(A=1.03 * scale, B=0.01)
+        # far enough that most paths skip blocks and some are pinned
+        far = AffineGMBoundary(A=1.1 * scale, B=0.01)
         calls = {
             "simulate_paths": lambda: simulate_paths(proc, cfg)[1],
             "estimate_fpt": lambda: estimate_fpt(proc, upper, cfg),
             "estimate_fet": lambda: estimate_fet(proc, lower, upper, cfg),
+            "estimate_fpt_far": lambda: estimate_fpt(proc, far, cfg),
         }
+        pinned = []
+
+        def pin(z, c, z1):
+            pinned[-1] += z1.size
+            _pin(z, c, z1)
+
+        monkeypatch.setattr(montecarlo, "_pin", pin)
         outs = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("GROWTHFPT_THREADS", threads)
+            pinned.append(0)
             outs.append(calls[run]())
+        if run == "estimate_fpt_far":
+            # a censored path alone runs all 20 steps unless it skips
+            assert all(o.path_steps < 20 * o.censored_count for o in outs)
+            assert min(pinned) > 0
         a = outs[0]
         for b in outs[1:]:
             if run == "simulate_paths":
@@ -62,6 +78,7 @@ class TestSimulatePaths:
                 assert np.array_equal(a.exit_sides, b.exit_sides)
             assert np.array_equal(a.hit_times, b.hit_times)
             assert a.censored_count == b.censored_count
+            assert a.path_steps == b.path_steps
 
     def test_partial_last_chunk_is_a_prefix(self):
         # a chunk's rows are a fixed prefix of its stream, whatever the rows
@@ -195,24 +212,55 @@ class TestEstimateFPT:
         assert np.allclose(steps, np.round(steps), rtol=0.0, atol=1e-9)
         assert np.all(np.round(steps) >= 1)
 
-    @pytest.mark.parametrize("A,B", [(0.8, -0.1), (1.25, 0.1)])
-    @pytest.mark.parametrize("dt", [1.0, 0.5])
-    def test_coarse_step_mass_matches_closed_form(self, A, B, dt):
+    @staticmethod
+    def _assert_coarse_step_law(sigma, A, B, dt, horizon, n):
         # a tilted boundary is a line in the log coordinate, where the bridge
         # probability built from both ends of each step is exact: the hit
-        # fraction must match the Bachelier-Levy mass at any step size
-        sigma, horizon, n = 0.3, 20.0, 200_000
+        # fraction must match the Bachelier-Levy mass at any step size, and
+        # so must the hits of each step the mass of its cell
         proc = LognormalProcess(PARAMS, sigma)
         cfg = SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=8)
         sample = estimate_fpt(proc, ExpBoundary(A=A, B=B), cfg)
         # W_t - (B + sigma^2/2) t, variance sigma^2 per unit time, reaching ln A
         a, drift = math.log(A), -(B + 0.5 * sigma ** 2)
         level, mu = abs(a), math.copysign(1.0, a) * drift
-        sd = sigma * math.sqrt(horizon)
-        mass = (norm.cdf((mu * horizon - level) / sd) + math.exp(2.0 * mu * level / sigma ** 2)
-                * norm.cdf((-level - mu * horizon) / sd))
-        se = math.sqrt(mass * (1.0 - mass) / n)
-        assert abs(sample.hit_times.size / n - mass) <= 3.0 * se
+
+        def mass(t):
+            sd = sigma * np.sqrt(t)
+            return (norm.cdf((mu * t - level) / sd) + math.exp(2.0 * mu * level / sigma ** 2)
+                    * norm.cdf((-level - mu * t) / sd))
+
+        p = float(mass(horizon))
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs(sample.hit_times.size / n - p) <= 3.0 * se
+        # a hit in step k is recorded at its midpoint or its right end
+        n_steps = round(horizon / dt)
+        k = np.ceil((sample.hit_times - PARAMS.t0) / dt - 1e-9).astype(int) - 1
+        observed = np.append(np.bincount(k, minlength=n_steps), sample.censored_count)
+        cdf = np.append(0.0, mass(dt * np.arange(1, n_steps + 1)))
+        expected = n * np.append(np.diff(cdf), 1.0 - cdf[-1])
+        assert observed.size == n_steps + 1
+        # cells pooled in time order until each expects at least 5 paths; a
+        # short remainder joins the last cell
+        o, e, cells = 0.0, 0.0, []
+        for oi, ei in zip(observed, expected):
+            o, e = o + oi, e + ei
+            if e >= 5.0:
+                cells.append((o, e))
+                o = e = 0.0
+        cells[-1] = (cells[-1][0] + o, cells[-1][1] + e)
+        o, e = np.array(cells).T
+        assert chi2.sf(np.sum((o - e) ** 2 / e), o.size - 1) > 1e-3
+
+    @pytest.mark.parametrize("A,B", [(0.8, -0.1), (1.25, 0.1)])
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_coarse_step_mass_matches_closed_form(self, A, B, dt):
+        self._assert_coarse_step_law(0.3, A, B, dt, 20.0, 200_000)
+
+    def test_coarse_step_law_where_blocks_skip(self):
+        # most paths stay far from the boundary: they skip whole blocks, and
+        # those that end a far block near it are pinned to the drawn end
+        self._assert_coarse_step_law(0.015, 1.2, 0.0, 0.5, 60.0, 200_000)
 
     def test_reproducible(self):
         proc = LognormalProcess(PARAMS, 0.02)
@@ -320,19 +368,22 @@ def _pinned_case(case):
 
 # (SHA-256 of hit_times.tobytes(), of the exit sides joined by commas or
 # None, censored_count), recorded with time blocks of BLOCK0 = 4 steps, each
-# later one half as long again (_block_edges), and one uniform per candidate
-# step, one whose bridge exponent exceeds LOG_U_MIN
+# later one half as long again (_block_edges), one uniform per candidate
+# step, one whose bridge exponent exceeds LOG_U_MIN, and a block end drawn
+# first by each far path, which skips the block or is pinned to that end;
+# lognormal_band has no far path, so its digest is the one recorded before
+# the far paths' draws
 PINNED_SAMPLES = {
-    "ou_band": ("08c48d5b2a17a3bf7b3d7a87329bdb14443fac178b58fae27dd7d86217c48e23",
-                "05d4c3d61079178f4749addd1ef4f285e0c01ad36558d0bf748e0e28888b2fb8", 1625),
-    "ou_tilted_line": ("e11190e8ae598b2840653d718793e8e7592593e5ef74b228020756b8c0e2dd9b",
-                       None, 765),
+    "ou_band": ("d1290882b6612ac3ecefd6021cfefe4955fe9ee1112d5c43fd2d04a2c91dc054",
+                "6f98b3823d43da29eae4cdd0143308da50061fb65b1ac8b14a62e732a1332d78", 1621),
+    "ou_tilted_line": ("1131b97fadcbf46c909d003132ffe60f0059d8819faf3fc622fab3f159ec9984",
+                       None, 766),
     "lognormal_band": ("696255c75cbf3353b1eb18b20548428192a9d278e3dcdb0b034c209dd6b8a067",
                        "ec53077cd90033c0b02f6cd6377ee1d2594dbe710ba7a562c0b1583ffb178eac", 14),
-    "lognormal_tilted_line": ("2db79df1e47c8ec58eda4b448d8460e982e71a0e432b3695b536c5436869f4b1",
-                              None, 562),
-    "no_bridge": ("aedc7457c550b131c1663629302ae599b30d35f8e8429e520e29e0964af17b72",
-                  None, 834),
+    "lognormal_tilted_line": ("02da12ab2bf23124c70667e1051c4f8b9dff16624081b19b0f08e60d9615659a",
+                              None, 574),
+    "no_bridge": ("f8a96e53a9e7fe4bff3b0662ea4ed24b52f7799a730c64d1fb645ad3d5bba19e",
+                  None, 814),
 }
 
 
@@ -348,6 +399,52 @@ def test_pinned_samples(case, threads, monkeypatch):
              hashlib.sha256(",".join(sample.exit_sides).encode()).hexdigest())
     assert (hashlib.sha256(sample.hit_times.tobytes()).hexdigest(), sides,
             sample.censored_count) == PINNED_SAMPLES[case]
+
+
+def _schedule_steps(sample, ts):
+    """Path-steps of the time blocks without skips: a path runs every step
+    of each block up to the one of its hit, a censored path all of them."""
+    n_steps = ts.size - 1
+    edges = np.array(_block_edges(n_steps))
+    k = np.ceil((sample.hit_times - ts[0]) / (ts[1] - ts[0]) - 1e-9).astype(int) - 1
+    return int(edges[np.searchsorted(edges, k, side="right")].sum()
+               + sample.censored_count * n_steps)
+
+
+@pytest.mark.parametrize("case", ["lognormal_band", "far_line"])
+def test_path_steps_count_the_steps_simulated(case):
+    # the lognormal band has no far path, so every block of a live path is
+    # stepped; far from a line, paths skip about a third of their path-steps
+    if case == "lognormal_band":
+        estimate, args, cfg = _pinned_case(case)
+    else:
+        estimate, args = estimate_fpt, (LognormalProcess(PARAMS, 0.015), ExpBoundary(A=1.2))
+        cfg = SimConfig(dt=0.5, horizon=60.0, n_paths=5000, seed=3)
+    sample = estimate(*args, cfg)
+    ts = PARAMS.t0 + cfg.dt * np.arange(round(cfg.horizon / cfg.dt) + 1)
+    full = _schedule_steps(sample, ts)
+    if case == "lognormal_band":
+        assert sample.path_steps == full
+    else:
+        assert 0 < sample.path_steps < 0.75 * full
+
+
+def test_pin_gives_the_brownian_bridge():
+    # free walks from z0 over uneven clock steps, pinned to z1: the first
+    # and last columns are z0 and z1 exactly, and each interior column has
+    # the bridge's mean z0 + (c_j/V)(z1 - z0) and variance c_j(V - c_j)/V
+    n, var = 100_000, np.array([0.3, 0.1, 0.5, 0.2, 0.4])
+    c = np.cumsum(var)
+    z0, z1, V, cj = 0.4, -0.7, c[-1], c[:-1]
+    z = np.full((n, var.size + 1), z0)
+    z[:, 1:] += np.cumsum(np.sqrt(var) * np.random.default_rng(12).standard_normal(
+        (n, var.size)), axis=1)
+    _pin(z, c, np.full(n, z1))
+    assert np.all(z[:, 0] == z0) and np.all(z[:, -1] == z1)
+    mean, v = z0 + cj / V * (z1 - z0), cj * (V - cj) / V
+    assert np.all(np.abs(z[:, 1:-1].mean(axis=0) - mean) <= 5.0 * np.sqrt(v / n))
+    assert np.all(np.abs(z[:, 1:-1].var(axis=0, ddof=1) - v)
+                  <= 5.0 * v * math.sqrt(2.0 / (n - 1)))
 
 
 def test_log_u_min_is_the_log_of_the_smallest_positive_uniform():
