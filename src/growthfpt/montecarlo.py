@@ -61,27 +61,28 @@ threads run or how their chunks are grouped; GROWTHFPT_THREADS caps the pool
 (default: the CPUs this process may run on), and each thread takes one
 contiguous run of chunks.
 
-A thread steps its run of chunks together, block by block: the live rows of
-consecutive chunks are stacked and pass through one set of numpy passes, as
-many chunks as fit the thread's scratch.  That scratch is taken once per
-call, flat buffers sized for one chunk's rows of the widest block, so a
-narrower block stacks more chunks in the same cells and nothing of a block's
-size is allocated.  The normals land in them with out=, each chunk's rows
-from its own generator; the running sum is one np.add per step across the
-stacked rows, the sequential sum np.cumsum forms, bit for bit; the
-distances, their product, the exponent and the candidate mask are formed in
-place.  Only the candidates' flat indices, uniforms and events, and in a
-block with far paths their ends and the rows that step, are new arrays; a
-block with no far path takes slices alone, and a chunk with no live rows
-draws nothing.  Each boundary's events
-come out as sorted flat indices into the block, paths being rows, so a
-path's first event opens its row; the same index-list code reads the first
-events without the bridge correction, where an event is a step ending on or
-past the boundary.  A step whose right end is at or past a boundary needs no
-test of its own: its distances d_k > 0 >= d_{k+1} give an exponent >= 0,
-above the log of every uniform draw (a draw of exactly 0 has log -inf).  A
-later step, with both distances <= 0, may read no event; only a path's first
-event counts.
+A thread steps its run of chunks together, block by block.  One pass over
+its live paths finds the far ones, which draw their block ends and set aside
+those that skip; then the rows that step, of consecutive chunks, are stacked
+and pass through one set of numpy passes, as many chunks as fit the thread's
+scratch.  That scratch is taken once per call, flat buffers sized for one
+chunk's rows of the widest block, so a narrower block stacks more chunks in
+the same cells and nothing of a block's size is allocated.  The normals land
+in them with out=, each chunk's rows from its own generator; the running sum
+is one np.add per step across the stacked rows, the sequential sum np.cumsum
+forms, bit for bit; the distances, their product, the exponent and the
+candidate mask are formed in place.  Only the candidates' flat indices,
+uniforms and events, and in a block with far paths their ends and the rows
+that step, are new arrays; a block with no far path takes slices alone, and
+a chunk with no live rows draws nothing.  Each boundary's events come out as
+sorted flat indices into the block, paths being rows, so a path's first
+event opens its row; the same index-list code reads the first events without
+the bridge correction, where an event is a step ending on or past the
+boundary.  A step whose right end is at or past a boundary needs no test of
+its own: its distances d_k > 0 >= d_{k+1} give an exponent >= 0, above the
+log of every uniform draw (a draw of exactly 0 has log -inf).  A later step,
+with both distances <= 0, may read no event; only a path's first event
+counts.
 """
 
 from __future__ import annotations
@@ -317,16 +318,18 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
     hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
 
     cap = min(CHUNK, cfg.n_paths)  # the most rows a chunk has
+    no_pin = np.empty(0, dtype=np.intp)
 
-    def advance(bufs: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
-                ends: Sequence[int], paths: np.ndarray, z0: np.ndarray, block: tuple,
-                pin: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                ) -> Tuple[np.ndarray, np.ndarray]:
+    def step(bufs: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
+             ends: Sequence[int], paths: np.ndarray, z0: np.ndarray, block: tuple,
+             pin: Optional[Tuple[np.ndarray, np.ndarray]]
+             ) -> Tuple[np.ndarray, np.ndarray]:
         """Step the stacked rows of consecutive chunks over the block from
         step k0 to k1 and record their first hits.  Row i is path paths[i],
         at z0[i] at step k0; the chunk of rngs[j] owns the rows from
-        ends[j - 1] to ends[j].  pin = (rows, z1) pins those rows to end at
-        z1 (_pin).  Returns which rows still run and their values at k1."""
+        ends[j - 1] to ends[j].  pin = (rows, z1), when given, pins those
+        rows to end at z1 (_pin).  Returns which rows still run and their
+        values at step k1."""
         k0, k1, c = block[:3]
         n, m = paths.size, k1 - k0
         z_buf, d_buf, g_buf, c_buf = bufs
@@ -375,45 +378,6 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
     # z0 on the start's side of a row's far limit
     toward = [np.less_equal if up else np.greater_equal for up in above]
 
-    def step(bufs: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
-             ends: Sequence[int], paths: np.ndarray, z0: np.ndarray, block: tuple
-             ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Advance the stacked rows of consecutive chunks over one block, as
-        advance does, skipping the block for far paths where no step can
-        fire.  A far row, as far as the block's reach from every boundary,
-        first draws its block end; if every boundary's d0 d1 reaches the
-        block's floor (a bridge bound of at most 2**-53) the row takes that
-        end and steps no more, else it is stepped and pinned to it.  Returns
-        which rows still run, their values at the block's end and the number
-        of rows stepped."""
-        k0, k1, c, floor, lim = block
-        n = paths.size
-        far = toward[0](z0, lim[0])
-        for a in range(1, nb):
-            far &= toward[a](z0, lim[a])
-        if not far.any():
-            return *advance(bufs, rngs, ends, paths, z0, block), n
-        fi = np.flatnonzero(far)
-        zf, z1 = z0[fi], np.empty(fi.size)
-        lo = 0
-        for rng, hi in zip(rngs, np.searchsorted(fi, ends).tolist()):
-            rng.standard_normal(out=z1[lo:hi])  # block ends first
-            lo = hi
-        z1 *= np.sqrt(c[-1])
-        z1 += zf
-        skip = (b[0, k0] - zf) * (b[0, k1] - z1) >= floor
-        for a in range(1, nb):
-            skip &= (b[a, k0] - zf) * (b[a, k1] - z1) >= floor
-        running, z_next, stepped = np.ones(n, dtype=bool), np.empty(n), np.ones(n, dtype=bool)
-        z_next[fi[skip]] = z1[skip]
-        stepped[fi[skip]] = False
-        rows = np.flatnonzero(stepped)
-        if rows.size:
-            running[rows], z_next[rows] = advance(
-                bufs, rngs, np.searchsorted(rows, ends).tolist(), paths[rows], z0[rows],
-                block, (np.searchsorted(rows, fi[~skip]), z1[~skip]))
-        return running, z_next, rows.size
-
     @np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
     def worker(run: range) -> int:
         rngs = [_chunk_rng(cfg.seed, c) for c in run]
@@ -422,6 +386,36 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
         # and candidates; a narrower block stacks as many rows as fit
         bufs = (np.empty(cap * (widest + 1)), np.empty(cap * (widest + 1)),
                 np.empty(cap * widest), np.empty(cap * widest, dtype=bool))
+
+        def sweep(paths: np.ndarray, z0: np.ndarray, block: tuple,
+                  pin: np.ndarray, z1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            """Step live rows (in chunk order) over the block, the rows of as
+            many consecutive chunks as fit the scratch at a time; the rows pin
+            (sorted) are pinned to end at z1.  Returns which rows still run
+            and their values at the block's end."""
+            fit = cap * (widest + 1) // (block[1] - block[0] + 1)  # rows the scratch holds
+            counts = np.bincount(paths // CHUNK - run.start, minlength=len(run)).tolist()
+            running, z_next = np.empty(paths.size, dtype=bool), np.empty(paths.size)
+
+            def flush(stack: list, ends: list, lo: int, hi: int) -> None:
+                p0, p1 = np.searchsorted(pin, (lo, hi)).tolist()
+                running[lo:hi], z_next[lo:hi] = step(
+                    bufs, stack, ends, paths[lo:hi], z0[lo:hi], block,
+                    (pin[p0:p1] - lo, z1[p0:p1]) if p1 > p0 else None)
+
+            lo = hi = 0  # the rows of the stack
+            stack, ends = [], []
+            for rng, rows in zip(rngs, counts):
+                if hi + rows - lo > fit:
+                    flush(stack, ends, lo, hi)
+                    lo, stack, ends = hi, [], []
+                if rows:  # a chunk with no rows to step draws nothing
+                    hi += rows
+                    stack.append(rng)
+                    ends.append(hi - lo)
+            flush(stack, ends, lo, hi)
+            return running, z_next
+
         # the paths still running, in chunk order, and their values
         live = np.arange(run.start * CHUNK, min(run.stop * CHUNK, cfg.n_paths))
         z_end = np.full(live.size, coord0)
@@ -429,25 +423,39 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
         for block in blocks:
             if not live.size:
                 break
-            k0, k1 = block[:2]
-            fit = cap * (widest + 1) // (k1 - k0 + 1)  # rows the scratch holds
-            counts = np.bincount(live // CHUNK - run.start, minlength=len(run)).tolist()
-            running, z_next = np.empty(live.size, dtype=bool), np.empty(live.size)
-            lo = hi = 0  # the live rows of the stack
-            stack, ends = [], []
-            for rng, rows in zip(rngs, counts):
-                if hi + rows - lo > fit:
-                    running[lo:hi], z_next[lo:hi], n = step(
-                        bufs, stack, ends, live[lo:hi], z_end[lo:hi], block)
-                    path_steps += n * (k1 - k0)
-                    lo, stack, ends = hi, [], []
-                if rows:  # a chunk with no live rows draws nothing
-                    hi += rows
-                    stack.append(rng)
-                    ends.append(hi - lo)
-            running[lo:hi], z_next[lo:hi], n = step(
-                bufs, stack, ends, live[lo:hi], z_end[lo:hi], block)
-            path_steps += n * (k1 - k0)
+            k0, k1, c, floor, lim = block
+            far = toward[0](z_end, lim[0])
+            for a in range(1, nb):
+                far &= toward[a](z_end, lim[a])
+            if far.any():
+                # far rows draw their block ends first, each chunk's from its stream
+                fi = np.flatnonzero(far)
+                zf, z1 = z_end[fi], np.empty(fi.size)
+                lo = 0
+                for rng, rows in zip(rngs, np.bincount(live[fi] // CHUNK - run.start,
+                                                       minlength=len(run)).tolist()):
+                    rng.standard_normal(out=z1[lo:lo + rows])
+                    lo += rows
+                z1 *= np.sqrt(c[-1])
+                z1 += zf
+                # skip where every boundary's bridge bound over the block is
+                # at most 2**-53; the other far rows step, pinned to their ends
+                skip = (b[0, k0] - zf) * (b[0, k1] - z1) >= floor
+                for a in range(1, nb):
+                    skip &= (b[a, k0] - zf) * (b[a, k1] - z1) >= floor
+                keep = np.ones(live.size, dtype=bool)
+                keep[fi[skip]] = False
+                rows = np.flatnonzero(keep)
+                running, z_next = np.ones(live.size, dtype=bool), np.empty(live.size)
+                z_next[fi[skip]] = z1[skip]
+                running[rows], z_next[rows] = sweep(
+                    live[rows], z_end[rows], block, np.searchsorted(rows, fi[~skip]),
+                    z1[~skip])
+                stepped = rows.size
+            else:
+                running, z_next = sweep(live, z_end, block, no_pin, no_pin)
+                stepped = live.size
+            path_steps += stepped * (k1 - k0)
             live, z_end = live[running], z_next[running]
         return path_steps
 
