@@ -398,6 +398,8 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
             running, z_next = np.empty(paths.size, dtype=bool), np.empty(paths.size)
 
             def flush(stack: list, ends: list, lo: int, hi: int) -> None:
+                if hi == lo:  # every row skipped the block
+                    return
                 p0, p1 = np.searchsorted(pin, (lo, hi)).tolist()
                 running[lo:hi], z_next[lo:hi] = step(
                     bufs, stack, ends, paths[lo:hi], z0[lo:hi], block,
