@@ -400,10 +400,12 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
             def flush(stack: list, ends: list, lo: int, hi: int) -> None:
                 if hi == lo:  # every row skipped the block
                     return
-                p0, p1 = np.searchsorted(pin, (lo, hi)).tolist()
+                part = None
+                if pin.size:
+                    p0, p1 = np.searchsorted(pin, (lo, hi)).tolist()
+                    part = (pin[p0:p1] - lo, z1[p0:p1]) if p1 > p0 else None
                 running[lo:hi], z_next[lo:hi] = step(
-                    bufs, stack, ends, paths[lo:hi], z0[lo:hi], block,
-                    (pin[p0:p1] - lo, z1[p0:p1]) if p1 > p0 else None)
+                    bufs, stack, ends, paths[lo:hi], z0[lo:hi], block, part)
 
             lo = hi = 0  # the rows of the stack
             stack, ends = [], []
@@ -434,10 +436,11 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
                 fi = np.flatnonzero(far)
                 zf, z1 = z_end[fi], np.empty(fi.size)
                 lo = 0
-                for rng, rows in zip(rngs, np.bincount(live[fi] // CHUNK - run.start,
-                                                       minlength=len(run)).tolist()):
-                    rng.standard_normal(out=z1[lo:lo + rows])
-                    lo += rows
+                for rng, count in zip(rngs, np.bincount(live[fi] // CHUNK - run.start,
+                                                        minlength=len(run)).tolist()):
+                    if count:
+                        rng.standard_normal(out=z1[lo:lo + count])
+                        lo += count
                 z1 *= np.sqrt(c[-1])
                 z1 += zf
                 # skip where every boundary's bridge bound over the block is
