@@ -308,12 +308,16 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
     edges = _block_edges(n_steps)
     widest = max(k1 - k0 for k0, k1 in zip(edges, edges[1:]))
     # per block: the clock from k0 at each step, the floor reach^2 =
-    # -LOG_U_MIN V / 2 of d0 d1 for a skip, and the far limit of each row at k0
+    # -LOG_U_MIN V / 2 of d0 d1 for a skip, and the far limit of each row at
+    # k0, or None where a band is too narrow for any value to be far
     blocks = []
     for k0, k1 in zip(edges, edges[1:]):
         c = np.cumsum(var[k0:k1])
         floor = -0.5 * LOG_U_MIN * c[-1]
-        blocks.append((k0, k1, c, floor, b[:, k0] - sign * np.sqrt(floor)))
+        lim = b[:, k0] - sign * np.sqrt(floor)
+        if np.max(lim[~above], initial=-np.inf) > np.min(lim[above], initial=np.inf):
+            lim = None
+        blocks.append((k0, k1, c, floor, lim))
     hit_time = np.full(cfg.n_paths, np.nan)
     hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
 
@@ -428,10 +432,11 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
             if not live.size:
                 break
             k0, k1, c, floor, lim = block
-            far = toward[0](z_end, lim[0])
-            for a in range(1, nb):
-                far &= toward[a](z_end, lim[a])
-            if far.any():
+            if lim is not None:
+                far = toward[0](z_end, lim[0])
+                for a in range(1, nb):
+                    far &= toward[a](z_end, lim[a])
+            if lim is not None and far.any():
                 # far rows draw their block ends first, each chunk's from its stream
                 fi = np.flatnonzero(far)
                 zf, z1 = z_end[fi], np.empty(fi.size)
