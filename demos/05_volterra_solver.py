@@ -16,9 +16,10 @@ import pathlib
 
 import numpy as np
 
-from growthfpt import (DanielsBoundary, GeneralBoundary, GrowthParams,
-                       OUProcess, fet_pdf_closed, fpt_pdf_closed, gm_spec_G,
-                       volterra_fet, volterra_fpt, wiener_spec)
+from growthfpt import (AffineGMBoundary, DanielsBoundary, GeneralBoundary,
+                       GrowthParams, OUProcess, boundary_fns, fet_pdf_closed,
+                       fpt_pdf_closed, volterra_fet, volterra_fpt, wiener_spec)
+from growthfpt.growth_curve import _g
 from growthfpt.svg import render_line_chart
 
 OUT = pathlib.Path(__file__).parent / "output"
@@ -57,14 +58,12 @@ print(f"  solver vs image-series closed form, max abs dev: "
 print(f"  exit-side symmetry, max |gamma1 - gamma2|: "
       f"{np.max(np.abs(lo.values - up.values)):.2e}")
 
-print("\nthe additive-noise process, proportional boundary (closed form exists):")
+print("\nthe additive-noise process, proportional boundary (closed form exists),")
+print("given to the solver as its state-space callables:")
 params = GrowthParams(gamma=0.5, n=1.0, p=1.5, k=20.0, x0=1.0, t0=0.0)
 proc = OUProcess(params, 0.1)
-from growthfpt import AffineGMBoundary
-from growthfpt.fpt import affine_gm_boundary_fns
-from growthfpt.growth_curve import _g
 bnd = AffineGMBoundary(A=0.8 * _g(params, 0.0))
-sol = volterra_fpt(gm_spec_G(proc), affine_gm_boundary_fns(proc, bnd, 0.0),
+sol = volterra_fpt(proc, boundary_fns(proc, bnd, 1.0, 0.0),
                    1.0, 0.0, np.linspace(0.0, 20.0, 2001))
 closed = fpt_pdf_closed(proc, bnd, 1.0, 0.0, sol.times[1:])
 print(f"  max abs deviation: {np.max(np.abs(sol.values[1:] - closed)):.2e}")

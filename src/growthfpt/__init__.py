@@ -15,19 +15,17 @@ from .errors import (BandCrossing, ConfigError, DomainError, EmptySample,
                      OrderError, ParseError, StartOnBoundary, StartOutsideBand,
                      ValidationError)
 from .fet import fet_pdf_closed, volterra_fet
-from .fpt import (AffineGMBoundary, DensityCurve, ExpBoundary, GeneralBoundary,
-                  affine_gm_boundary_fns, exp_boundary_fns, fpt_pdf_closed,
-                  volterra_fpt)
-from .gm_core import (DanielsBoundary, GMSpec, TransitionLaw,
-                      daniels_boundary_fns, infinitesimal_coeffs, psi_kernel,
-                      r_ratio, transition_law, wiener_spec)
+from .fpt import DensityCurve, GeneralBoundary, fpt_pdf_closed, volterra_fpt
+from .gm_core import (DanielsBoundary, GMSpec, TransitionLaw, boundary_fns,
+                      infinitesimal_coeffs, psi_kernel, r_ratio, transition_law,
+                      wiener_spec)
 from .growth_curve import (CurveRegime, GrowthParams, ReparamCoeffs,
                            TimeDomain, classify_regime, domain_end, g_eval,
                            h_eval, h_integral, reparametrize, x_eval)
 from .montecarlo import (EmpiricalHittingSample, SimConfig, density_distance,
                          estimate_fet, estimate_fpt, simulate_paths)
-from .process_lognormal import LognormalProcess, transition_law_L
-from .process_ou import OUProcess, gm_spec_G, transition_law_G
+from .process_lognormal import ExpBoundary, LognormalProcess, transition_law_L
+from .process_ou import AffineGMBoundary, OUProcess, gm_spec_G, transition_law_G
 from .quadrature import integrate_adaptive
 
 __version__ = "0.1.0"

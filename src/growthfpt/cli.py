@@ -38,7 +38,6 @@ from ._decimal import format_g17
 from .errors import ConfigError, GrowthFPTError, ParseError, ValidationError
 from .fet import fet_pdf_closed, volterra_fet
 from .fpt import DensityCurve, fpt_pdf_closed, volterra_fpt
-from .gm_core import DanielsBoundary
 from .growth_curve import (GrowthParams, classify_regime, domain_end, g_eval,
                            h_eval, x_eval)
 from .montecarlo import SimConfig, estimate_fet, estimate_fpt, simulate_paths
@@ -106,6 +105,12 @@ class _Key(NamedTuple):
         if self.type is bool and not isinstance(value, bool):
             raise ValidationError(f"{self.name}: must be true or false, got {value!r}")
         try:
+            # a number is a JSON number, not a bool or a string, and an int
+            # has no fractional part
+            if self.type in (int, float) and (
+                    isinstance(value, bool) or not isinstance(value, (int, float))
+                    or self.type is int and value != int(value)):
+                raise TypeError(value)
             return self.type(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
@@ -286,13 +291,10 @@ def _cmd_density(cfg: RunConfig, out: Path, command: str) -> int:
         if cfg.grid_kind != "linear":
             raise ValidationError(f"{command}.method=volterra requires grid.kind=linear")
         ts = _density_grid(cfg)
-        # each boundary is the line c + d*R of the coordinate from the start
-        coord = proc.coord(start, t0)
-        lines = [DanielsBoundary(d1=d, d2=c) for c, d in map(coord.line, bounds)]
         if single:
-            curve = volterra_fpt(coord.spec, *lines, 0.0, t0, ts)
+            curve = volterra_fpt(proc, *bounds, start, t0, ts)
         else:
-            lower, upper, curve = volterra_fet(coord.spec, *lines, 0.0, t0, ts)
+            lower, upper, curve = volterra_fet(proc, *bounds, start, t0, ts)
             sides = [lower.values, upper.values]
     else:  # mc
         # paths start at x0; the process is translation invariant in its

@@ -35,14 +35,16 @@ overflow, and no density is negative, however long the time.
 
 For general C^1 bands the pair (gamma1, gamma2) of exit-through-lower /
 exit-through-upper densities solves a coupled system of second-kind Volterra
-equations with the passage equation's kernel.  volterra_fet maps the band
-into the Wiener coordinate (gm_core.to_clock) and solves it there with the
-single-boundary solver itself (fpt._volterra), given both boundaries with
-side signs +1 (lower) and -1 (upper).  A band of two Daniels lines of equal
-slope in a clock of constant rate (every lognormal band of the CLI) sums on
-each side only the start and the other side's sources, since the kernel
-vanishes on a line's own, and takes that cross kernel as one Toeplitz row
-per side.  Every other band, from callables or lines, sums every source.
+equations with the passage equation's kernel.  volterra_fet takes a model
+as fet_pdf_closed does, each side a boundary of its family or a
+GeneralBoundary, maps the band into the model's Wiener coordinate from the
+start (gm_core.to_clock) and solves it there with the single-boundary solver
+itself (fpt._volterra), given both boundaries with side signs +1 (lower) and
+-1 (upper).  A band of two lines of equal slope in a clock of constant rate
+(every lognormal band of the CLI) sums on each side only the start and the
+other side's sources, since the kernel vanishes on a line's own, and takes
+that cross kernel as one Toeplitz row per side.  Every other band, from
+callables or lines, sums every source.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BandCrossing, InvalidParams, StartOutsideBand
-from .fpt import DensityCurve, GeneralBoundary, _after, _solver_grid, _volterra
-from .gm_core import DanielsBoundary, GMSpec, to_clock
+from .fpt import DensityCurve, _after, _solver_grid, _volterra
+from .gm_core import to_clock
 from .growth_curve import _as_out
 
 _SINE_FROM = 0.5                # R/L^2 above which the sine series is summed
@@ -142,20 +144,20 @@ def fet_pdf_closed(model, lower, upper, x0: float, t0: float, t):
     return _line_band_pdf(coord.clock(t), coord.rate(t), *lines)
 
 
-def volterra_fet(spec: GMSpec, s1: GeneralBoundary | DanielsBoundary,
-                 s2: GeneralBoundary | DanielsBoundary, x0: float, t0: float,
+def volterra_fet(model, lower, upper, x0: float, t0: float,
                  grid: np.ndarray) -> Tuple[DensityCurve, DensityCurve, DensityCurve]:
-    """Coupled product-integration solution for a general C^1 band, each
-    boundary given by callables or as a Daniels line of the spec.
+    """Coupled product-integration solution for a C^1 band of the model,
+    each side a boundary of the model's closed-form family or a
+    GeneralBoundary, from (x0, t0) strictly inside it.
 
     Returns (gamma1, gamma2, gamma): exit-through-lower, exit-through-upper,
     and their sum, on the supplied uniform grid starting at t0.
     """
     grid, h = _solver_grid(grid, t0)
-    r, rate, S, S_dot, y0, lines = to_clock(spec, [s1, s2], x0, grid)
+    R, rate, S, S_dot, lines = to_clock(model, [lower, upper], x0, grid)
     if np.any(S[0] >= S[1]):
         raise BandCrossing("lower boundary meets or exceeds the upper one")
-    if not (S[0, 0] < y0 < S[1, 0]):
+    if not (S[0, 0] < 0.0 < S[1, 0]):
         raise StartOutsideBand(f"x0={x0} not inside the band at t0")
-    g1, g2 = _volterra(r, rate, S, S_dot, y0, h, lines)
+    g1, g2 = _volterra(R, rate, S, S_dot, h, lines)
     return tuple(DensityCurve(times=grid, values=v) for v in (g1, g2, g1 + g2))

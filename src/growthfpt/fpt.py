@@ -1,9 +1,9 @@
 """First-passage-time densities through a single time-dependent boundary.
 
-Seen from its start, each process is a driftless unit Wiener process w in
-its own coordinate and clock R (GMSpec.coord, LognormalProcess.coord,
-OUProcess.coord), and each closed-form boundary family is a straight line
-w = c + d*R there:
+Seen from its start, each model is a driftless unit Wiener process w in its
+own coordinate and clock R (gm_core.WienerCoord: GMSpec.coord,
+LognormalProcess.coord, OUProcess.coord), and each closed-form boundary
+family is a straight line w = c + d*R there:
 
   * Daniels-type boundaries m + d1*k1 + d2*k2 on any Gauss-Markov process,
     in the coordinate (X - m)/k2 and the clock r = k1/k2;
@@ -24,14 +24,16 @@ second-kind Volterra equation
     g(t) = 2*sign * [Psi(t | x0, t0) - int_{t0}^t g(tau) * Psi(t | s(tau), tau) dtau],
 
 with sign = +1 for a boundary below the start and -1 for one above it, so
-no reflection of state space is needed.  volterra_fpt and volterra_fet map
-the problem into the Wiener coordinate (gm_core.to_clock), where the density
-is the same, and the one private solver, `_volterra`, works there from the
-clock alone, with left rectangles, so the kernel diagonal is never touched.
-It serves the two-boundary system of fet with one sign per boundary, and
+no reflection of state space is needed.  volterra_fpt and volterra_fet take
+a model as the closed forms do, with boundaries of its family or given as
+callables (GeneralBoundary), and map the problem into the model's Wiener
+coordinate from the start (gm_core.to_clock), where the density is the
+same.  The one private solver, `_volterra`, works there from the clock
+alone, with left rectangles, so the kernel diagonal is never touched.  It
+serves the two-boundary system of fet with one sign per boundary, and
 evaluates the one kernel, gm_core.psi.
 
-A boundary given as a DanielsBoundary is a line of the clock, on which the
+A boundary of the model's family is a line of the clock, on which the
 kernel vanishes from every source on the line itself.  One line is its
 closed form, exact at the grid points, from one array call.  A band of two
 lines of equal slope in a clock of constant rate (the lognormal bands) sums
@@ -51,22 +53,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DomainError, GridError, OrderError, StartOnBoundary)
-from .gm_core import _SQRT2PI, DanielsBoundary, GMSpec, TimeFn, psi, to_clock
-from .growth_curve import _as_out, _g, h_eval
-from .process_lognormal import ExpBoundary, LognormalProcess
-from .process_ou import AffineGMBoundary, OUProcess
-
-
-@dataclass(frozen=True)
-class GeneralBoundary:
-    """A C^1 boundary given by its value and derivative callables.
-
-    Both take a scalar or a numpy array of times (write them with numpy
-    functions); a callable may return a constant scalar for every time.
-    """
-
-    s: TimeFn
-    s_dot: TimeFn
+from .gm_core import _SQRT2PI, GeneralBoundary, psi, to_clock  # GeneralBoundary re-exported
+from .growth_curve import _as_out
 
 
 @dataclass(frozen=True)
@@ -156,44 +144,6 @@ def fpt_pdf_closed(model, b, x0: float, t0: float, t):
     return _line_pdf(coord.clock(t), coord.rate(t), *coord.line(b))
 
 
-def _line_image(proc, b, t0: float) -> tuple[TimeFn, TimeFn]:
-    """(s, s_again): s(t) of a closed-form boundary anchored at t0, its line
-    mapped back to state space, and s again, which returns a copy of the
-    latest values of s when called at the same times.  s_dot reads s_again:
-    to_clock reads s_dot at the times it has just read s at, so the clock
-    is integrated once per grid, not twice."""
-    coord = proc.coord(proc.params.x0, t0)
-    c, d = coord.line(b)
-    latest = [(None, None)]  # (times, values) of the latest call of s
-
-    def s(t):
-        value = coord.to_state(c + d * coord.clock(t), t)
-        latest[0] = (np.array(t, dtype=float), np.array(value, dtype=float))
-        return value
-
-    def s_again(t):
-        times, value = latest[0]
-        return value if times is not None and np.array_equal(times, t) else s(t)
-
-    return s, s_again
-
-
-def exp_boundary_fns(proc: LognormalProcess, b: ExpBoundary,
-                     t0: float) -> GeneralBoundary:
-    """State-space callables for an exponential-form boundary anchored at t0."""
-    s, s_again = _line_image(proc, b, t0)
-    return GeneralBoundary(s=s, s_dot=lambda t: s_again(t) * (b.B + h_eval(proc.params, t)))
-
-
-def affine_gm_boundary_fns(proc: OUProcess, b: AffineGMBoundary,
-                           t0: float) -> GeneralBoundary:
-    """State-space callables for an affine boundary anchored at t0."""
-    params, s2 = proc.params, proc.sigma * proc.sigma
-    s, s_again = _line_image(proc, b, t0)
-    return GeneralBoundary(s=s, s_dot=lambda t: (b.B * s2 * _g(params, t)
-                                                 + s_again(t) * h_eval(params, t)))
-
-
 def _solver_grid(grid, t0: float):
     """(grid, step) of a solver grid: uniform, increasing, starting at t0."""
     grid = np.asarray(grid, dtype=float)
@@ -220,17 +170,17 @@ def _lag_only(r: np.ndarray, rate: np.ndarray, lines) -> bool:
                 and np.allclose(steps, steps.mean(), rtol=1e-9, atol=0.0))
 
 
-def _volterra(r: np.ndarray, rate: np.ndarray, S: np.ndarray,
-              S_dot: np.ndarray, y0: float, h: float, lines) -> np.ndarray:
+def _volterra(R: np.ndarray, rate: np.ndarray, S: np.ndarray,
+              S_dot: np.ndarray, h: float, lines) -> np.ndarray:
     """Passage densities through each of B boundaries before the others, of
-    a unit Wiener process from y0 in the clock r (rate r' on the grid).
+    a unit Wiener process from 0 in the clock R (rate R' on the grid): a
+    problem in its Wiener coordinate, as gm_core.to_clock maps it.
 
     S and S_dot hold the boundaries on the grid, one row each, and lines
-    each row's (d2, d1) where it is the line d2 + d1*r, else None (see
-    gm_core.to_clock).  With sign_b = +1 for a boundary below y0 and -1 for
-    one above it,
+    each row's (c, d) where it is the line c + d*R, else None.  With
+    sign_b = +1 for a boundary below 0 and -1 for one above it,
 
-        dens[b, k] = 2 sign_b (Psi_b(t_k | y0, t0)
+        dens[b, k] = 2 sign_b (Psi_b(t_k | 0, t_0)
                                - h sum_a sum_{0<j<k} dens[a, j] Psi_b(t_k | S_a(t_j), t_j)).
 
     Psi_b vanishes on a line's own sources, so two cases sum only the
@@ -245,30 +195,30 @@ def _volterra(r: np.ndarray, rate: np.ndarray, S: np.ndarray,
     shape (B, K).
     """
     B, K = S.shape
-    sign = np.where(S[:, 0] < y0, 1.0, -1.0)
+    sign = np.where(S[:, 0] < 0.0, 1.0, -1.0)
     dens = np.zeros((B, K))
     lone = B == 1 and lines[0] is not None
-    if lone or (B == 2 and None not in lines and _lag_only(r, rate, lines)):
-        dens[:, 1:] = 2.0 * sign[:, None] * psi(r[1:] - r[0], rate[1:], S[:, 1:],
-                                                S_dot[:, 1:], y0)
+    if lone or (B == 2 and None not in lines and _lag_only(R, rate, lines)):
+        dens[:, 1:] = 2.0 * sign[:, None] * psi(R[1:] - R[0], rate[1:], S[:, 1:],
+                                                S_dot[:, 1:], 0.0)
         if lone:
             return dens
         (c_lo, d), (c_hi, _) = lines
         # cross[b, i]: the kernel on side b from the other side K-1-i steps back
-        lag = (r[-1] - r[0]) / (K - 1) * np.arange(K - 1.0, 0.0, -1.0)
+        lag = (R[-1] - R[0]) / (K - 1) * np.arange(K - 1.0, 0.0, -1.0)
         gap = np.array([[c_lo - c_hi], [c_hi - c_lo]]) + d * lag
         cross = (-2.0 * h) * sign[:, None] * psi(lag, rate[0], gap, d * rate[0], 0.0)
         for k in range(2, K):
             dens[0, k] += float(np.dot(dens[1, 1:k], cross[0, K - k:]))
             dens[1, k] += float(np.dot(dens[0, 1:k], cross[1, K - k:]))
         return dens
-    y = np.concatenate(([y0], S[:, 1:].T.ravel()))
-    r_src = r[np.concatenate(([0], np.repeat(np.arange(1, K), B)))]
+    y = np.concatenate(([0.0], S[:, 1:].T.ravel()))
+    R_src = R[np.concatenate(([0], np.repeat(np.arange(1, K), B)))]
     weight = np.zeros(y.size)
     weight[0] = 1.0
     for k in range(1, K):
         n = 1 + B * (k - 1)
-        dR = r[k] - r_src[:n]
+        dR = R[k] - R_src[:n]
         for b in range(B):
             row = psi(dR, rate[k], S[b, k], S_dot[b, k], y[:n])
             dens[b, k] = 2.0 * sign[b] * float(np.dot(weight[:n], row))
@@ -276,15 +226,14 @@ def _volterra(r: np.ndarray, rate: np.ndarray, S: np.ndarray,
     return dens
 
 
-def volterra_fpt(spec: GMSpec, s: GeneralBoundary | DanielsBoundary, x0: float,
-                 t0: float, grid: np.ndarray) -> DensityCurve:
+def volterra_fpt(model, b, x0: float, t0: float, grid: np.ndarray) -> DensityCurve:
     """Product-integration solution of the passage-density Volterra equation
-    on a uniform grid starting at t0, for a boundary given by callables or
-    as a Daniels line of the spec.  The start must be strictly off the
-    boundary, on either side of it.
+    on a uniform grid starting at t0, for a model as fpt_pdf_closed takes it
+    and a boundary of its closed-form family or a GeneralBoundary.  The start
+    must be strictly off the boundary, on either side of it.
     """
     grid, h = _solver_grid(grid, t0)
-    r, rate, S, S_dot, y0, lines = to_clock(spec, [s], x0, grid)
-    if y0 == S[0, 0]:
+    R, rate, S, S_dot, lines = to_clock(model, [b], x0, grid)
+    if S[0, 0] == 0.0:
         raise StartOnBoundary(f"x0 = s(t0) = {x0}")
-    return DensityCurve(times=grid, values=_volterra(r, rate, S, S_dot, y0, h, lines)[0])
+    return DensityCurve(times=grid, values=_volterra(R, rate, S, S_dot, h, lines)[0])

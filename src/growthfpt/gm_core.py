@@ -1,17 +1,23 @@
-"""Gauss-Markov processes via their covariance factorization.
+"""Gauss-Markov processes via their covariance factorization, and the one
+map of a passage problem into the Wiener coordinate.
 
 A non-singular Gaussian process with mean m(t) is Markovian exactly when its
 covariance factors as c(s, t) = k1(s) * k2(t) for s <= t, with
 r(t) = k1(t)/k2(t) strictly increasing and k1*k2 > 0 on the interior.  The
 triple (m, k1, k2) plus analytic derivatives is everything the transition
-laws and the infinitesimal coefficients need, so it is the representation
-used throughout the package, held as (m, r, k2).  In Y = (X - m)/k2 the
-process is a unit Wiener process in the clock r: to_clock maps a
-first-passage problem there, and the kernel psi reads the clock alone.
+laws and the infinitesimal coefficients need; GMSpec holds it as (m, r, k2).
 
-Each process, and a spec through GMSpec.coord, has a WienerCoord from a
-start (y, tau), in which w(t) ~ N(0, R(t)) given X(tau) = y; TransitionLaw,
-the one transition law, is that Gaussian pushed through the coordinate.
+Every model (a GMSpec, LognormalProcess or OUProcess) has a WienerCoord from
+a start (x0, t0): a map w of the state, 0 at the start, in which the process
+is a unit Wiener process in a clock R from t0, so w(t) ~ N(0, R(t)), and
+each boundary of the model's closed-form family is a line c + d*R.
+TransitionLaw, the one transition law, is that Gaussian pushed through the
+coordinate.  to_clock
+maps a first-passage problem of any model there, reading the model only
+through its coordinate: a closed-form boundary as its line, a boundary given
+as callables (GeneralBoundary) through the state map, its Jacobian and the
+coordinate's rate dw/dt.  boundary_fns maps a line back to state-space
+callables.  The kernel psi reads the clock and the boundary rows alone.
 Every time function of a spec, and the laws built from it, take a scalar or
 a numpy array of times.
 """
@@ -63,11 +69,13 @@ class GMSpec:
 
     def coord(self, x0: float, t0: float) -> WienerCoord:
         """The Wiener coordinate from the start (x0, t0): w = (x - m)/k2 - y0
-        with y0 = (x0 - m(t0))/k2(t0), R = r(t) - r(t0) and dw/dx = 1/k2, in
-        which a DanielsBoundary is the line c = d2 + d1 r(t0) - y0, d = d1."""
+        with y0 = (x0 - m(t0))/k2(t0), R = r(t) - r(t0), dw/dx = 1/k2 and
+        dw/dt = -(m' + (x - m) k2'/k2)/k2, in which a DanielsBoundary is the
+        line c = d2 + d1 r(t0) - y0, d = d1."""
         at0 = evaluate(self, t0)
         y0, r0 = float((x0 - at0.m) / at0.k2), float(at0.r)
         m, k2 = (lambda t: on_grid(self.m, t)), (lambda t: on_grid(self.k2, t))
+        m_dot, k2_dot = (lambda t: on_grid(self.m_dot, t)), (lambda t: on_grid(self.k2_dot, t))
 
         def line(b):
             if not isinstance(b, DanielsBoundary):
@@ -80,7 +88,9 @@ class GMSpec:
             rate=lambda t: _as_out(on_grid(self.r_dot, t)),
             to_coord=lambda x, t: _as_out((np.asarray(x, dtype=float) - m(t)) / k2(t) - y0),
             to_state=lambda w, t: _as_out(m(t) + k2(t) * (np.asarray(w, dtype=float) + y0)),
-            jacobian=lambda x, t: _as_out(1.0 / k2(t)), line=line)
+            jacobian=lambda x, t: _as_out(1.0 / k2(t)),
+            dw_dt=lambda x, t: _as_out((m_dot(t) + (x - m(t)) * k2_dot(t) / k2(t)) / -k2(t)),
+            line=line)
 
 
 def clock_spec(r: TimeFn, r_dot: TimeFn) -> GMSpec:
@@ -103,10 +113,11 @@ class WienerCoord:
     process w, 0 at the start, in a clock R measured from t0.
 
     clock(t), rate(t): R and R'.  to_coord(x, t), to_state(w, t): the state
-    map and its inverse; jacobian(x, t): dw/dx.  line(b): (c, d) of a
-    closed-form boundary b of the process, whose image is w = c + d*R.  All
-    take scalars or arrays.  States at or below floor are off the state
-    space (0 for the lognormal process), where to_coord may raise.
+    map and its inverse; jacobian(x, t): dw/dx; dw_dt(x, t): the rate of w
+    in time at a fixed state x.  line(b): (c, d) of a closed-form boundary b
+    of the process, whose image is w = c + d*R.  All take scalars or arrays.
+    States at or below floor are off the state space (0 for the lognormal
+    process), where to_coord may raise.
     """
 
     clock: TimeFn
@@ -114,6 +125,7 @@ class WienerCoord:
     to_coord: Callable
     to_state: Callable
     jacobian: Callable
+    dw_dt: Callable
     line: Callable
     floor: float = -math.inf
 
@@ -157,22 +169,41 @@ class DanielsBoundary:
     d1: float
     d2: float
 
-    def value(self, at: GMValues):
-        """s at the times the spec was evaluated at."""
-        return at.m + self.d1 * at.k1 + self.d2 * at.k2
+
+@dataclass(frozen=True)
+class GeneralBoundary:
+    """A C^1 boundary given by its value and derivative callables.
+
+    Both take a scalar or a numpy array of times (write them with numpy
+    functions); a callable may return a constant scalar for every time.
+    """
+
+    s: TimeFn
+    s_dot: TimeFn
 
 
-def daniels_boundary_fns(spec: GMSpec, b: DanielsBoundary) -> Tuple[TimeFn, TimeFn]:
-    """(s, s') callables for a Daniels-type boundary on the given process."""
+def boundary_fns(model, b, x0: float, t0: float) -> GeneralBoundary:
+    """State-space callables of a closed-form boundary b of the model: its
+    line c + d*R in model.coord(x0, t0) mapped back, s = to_state(c + d*R),
+    and s' = (d*R' - dw/dt)/(dw/dx) at s.  s' reuses the values of the
+    latest call of s at the same times: to_clock reads s' at the times it
+    has just read s at, so the line is mapped back once per grid."""
+    coord = model.coord(x0, t0)
+    c, d = coord.line(b)
+    latest = [(None, None)]  # (times, values) of the latest call of s
+
     def s(t):
-        return _as_out(b.value(evaluate(spec, t)))
+        value = coord.to_state(c + d * coord.clock(t), t)
+        latest[0] = (np.array(t, dtype=float), np.array(value, dtype=float))
+        return value
 
     def s_dot(t):
-        at = evaluate(spec, t)
-        k1_dot = at.r_dot * at.k2 + at.r * at.k2_dot
-        return _as_out(at.m_dot + b.d1 * k1_dot + b.d2 * at.k2_dot)
+        times, x = latest[0]
+        if times is None or not np.array_equal(times, t):
+            x = s(t)
+        return _as_out((d * coord.rate(t) - coord.dw_dt(x, t)) / coord.jacobian(x, t))
 
-    return s, s_dot
+    return GeneralBoundary(s=s, s_dot=s_dot)
 
 
 def r_ratio(spec: GMSpec, t) -> Tuple[float, float]:
@@ -252,59 +283,66 @@ def infinitesimal_coeffs(spec: GMSpec, x: float, t: float) -> Tuple[float, float
     return _as_out(b1), _as_out(b2)
 
 
-def to_clock(spec: GMSpec, boundaries, x0: float, t):
-    """(r, r', S, S', y0, lines): a problem of the spec's process in
-    Y = (X - m)/k2, from one evaluation of the spec at the times t from the
-    start on.  Each boundary is one row of S = (s - m)/k2 and
-    S' = (s' - m')/k2 - S k2'/k2, from its s(t) and s_dot(t) callables (they
-    take arrays), or a DanielsBoundary read as S = d2 + d1*r, S' = d1*r';
-    y0 = (x0 - m)/k2 at t[0].  lines holds each row's (d2, d1) where it is a
-    Daniels line, on which psi vanishes from its own sources, and None where
-    it came from callables; fpt._volterra skips those sources for one line
-    and for a band of lines whose cross kernel depends on the lag alone.
+def to_clock(model, boundaries, x0: float, t):
+    """(R, R', S, S', lines): a first-passage problem of the model (a GMSpec,
+    LognormalProcess or OUProcess) from (x0, t[0]) on the times t, in its
+    Wiener coordinate coord = model.coord(x0, t[0]), where the start is the
+    origin and the process a unit Wiener process in the clock R.
+
+    Each boundary is one row of S and S'.  A boundary of the model's
+    closed-form family is its line coord.line(b) = (c, d): S = c + d*R and
+    S' = d*R'.  A GeneralBoundary is mapped through the coordinate:
+    S = to_coord(s) and S' = s'*dw/dx + dw/dt at s (its s and s_dot take
+    arrays).  lines holds each row's (c, d) where it is a line, on which psi
+    vanishes from its own sources, and None where it came from callables;
+    fpt._volterra skips those sources for one line and for a band of lines
+    whose cross kernel depends on the lag alone.
     """
     t = np.asarray(t, dtype=float)
-    at = evaluate(spec, t)
+    coord = model.coord(x0, float(t[0]))
+    R, rate = on_grid(coord.clock, t), on_grid(coord.rate, t)
     S, S_dot, lines = [], [], []
     for b in boundaries:
-        if isinstance(b, DanielsBoundary):
-            S.append(b.d2 + b.d1 * at.r)
-            S_dot.append(b.d1 * at.r_dot)
-            lines.append((b.d2, b.d1))
-        else:
-            S.append((on_grid(b.s, t) - at.m) / at.k2)
-            S_dot.append((on_grid(b.s_dot, t) - at.m_dot - S[-1] * at.k2_dot) / at.k2)
+        if isinstance(b, GeneralBoundary):
+            x = on_grid(b.s, t)
+            S.append(coord.to_coord(x, t))
+            S_dot.append(on_grid(b.s_dot, t) * coord.jacobian(x, t) + coord.dw_dt(x, t))
             lines.append(None)
-    return (at.r, at.r_dot, np.array(S), np.array(S_dot),
-            (x0 - at.m[0]) / at.k2[0], lines)
+        else:
+            c, d = coord.line(b)
+            S.append(c + d * R)
+            S_dot.append(d * rate)
+            lines.append((c, d))
+    return R, rate, np.array(S), np.array(S_dot), lines
 
 
 def psi(dR, rate, S, S_dot, y):
     """Kernel of the first-passage Volterra equation of a unit Wiener
-    process in the clock r at (t | y, tau), with dR = r(t) - r(tau) > 0,
-    rate = r'(t) and the boundary (S, S_dot) at t; y and dR are arrays, one
+    process in the clock R at (t | y, tau), with dR = R(t) - R(tau) > 0,
+    rate = R'(t) and the boundary (S, S_dot) at t; y and dR are arrays, one
     entry per source, or scalars:
 
-        [S' - r'(t) (S - y)/dR] / 2 * exp(-(S - y)^2 / (2 dR)) / sqrt(2 pi dR).
+        [S' - R'(t) (S - y)/dR] / 2 * exp(-(S - y)^2 / (2 dR)) / sqrt(2 pi dR).
 
-    It vanishes on every line S = d2 + d1*r started on it (the bracket is
-    d1 r' - r' d1 dR/dR), so fpt._volterra skips it on a lone
-    DanielsBoundary's own sources and on a lognormal band's.  From a start y it is -sign(c) r'/2 times the
-    inverse-Gaussian passage density to the line c + d1*dR, c = S(tau) - y:
-    the line's closed form.  Through to_clock it is every triple's kernel:
-    the bracket of X is k2 times that of Y, its density that of Y over k2.
-    This is the only copy.
+    It vanishes on every line S = c + d*R started on it (the bracket is
+    d R' - R' d dR/dR), so fpt._volterra skips it on a lone line's own
+    sources and on a lognormal band's.  From a start y it is -sign(c) R'/2
+    times the inverse-Gaussian passage density to the line c + d*dR,
+    c = S(tau) - y: the line's closed form.  Through to_clock it is every
+    model's kernel, since the passage density in time is the same in state
+    space and in the coordinate.  This is the only copy.
     """
     gap = S - y
     bracket = 0.5 * (S_dot - rate * gap / dR)
     return bracket * np.exp(-gap * gap / (2.0 * dR)) / np.sqrt(2.0 * math.pi * dR)
 
 
-def psi_kernel(spec: GMSpec, boundary, t: float, y: float, tau: float) -> float:
-    """Kernel of the first-passage Volterra equation at (t | y, tau), for
-    scalar times tau < t; `boundary` is a DanielsBoundary of the spec or
-    any object exposing s(t) and s_dot(t).  The formula is psi's."""
+def psi_kernel(model, boundary, t: float, y: float, tau: float) -> float:
+    """Kernel of the first-passage Volterra equation of the model at
+    (t | y, tau), for scalar times tau < t; `boundary` is a closed-form
+    boundary of the model or a GeneralBoundary.  The formula is psi's, in
+    the coordinate from (y, tau), whose origin is the source."""
     if tau >= t:
         raise OrderError(f"kernel needs tau < t, got tau={tau}, t={t}")
-    r, rate, S, S_dot, y0, _ = to_clock(spec, [boundary], y, np.array([tau, t]))
-    return float(psi(r[1] - r[0], rate[1], S[0, 1], S_dot[0, 1], y0))
+    R, rate, S, S_dot, _ = to_clock(model, [boundary], y, np.array([tau, t]))
+    return float(psi(R[1] - R[0], rate[1], S[0, 1], S_dot[0, 1], 0.0))

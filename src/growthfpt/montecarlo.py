@@ -223,16 +223,6 @@ def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.nda
     return ts, out
 
 
-def _setup(process: Process, boundaries: Sequence[Boundary], cfg: SimConfig
-           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, b, step_std): the grid, each boundary's line in the Wiener
-    coordinate on the grid (one row each) and the per-step standard
-    deviations; the coordinate starts at 0."""
-    ts, coord, R = _coordinate(process, cfg)
-    b = np.array([c + d * R for c, d in map(coord.line, boundaries)])
-    return ts, b, np.sqrt(np.diff(R))
-
-
 def _block_edges(n_steps: int) -> list[int]:
     """Step indices that bound the time blocks: BLOCK0 steps, then half as
     many again each block, rounded down; a remainder shorter than the
@@ -284,26 +274,28 @@ def _pin(z: np.ndarray, c: np.ndarray, z1: np.ndarray) -> None:
     z[:, -1] = z1
 
 
-def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
-                step_std: np.ndarray, cfg: SimConfig,
-                side_names: Optional[Sequence[str]]) -> EmpiricalHittingSample:
-    """The first crossing of any boundary row of b by each path, sorted by
-    time, with the row crossed named by side_names when they are given.
-    Within a step the first row with an event wins.  Paths are stepped in
-    time blocks and dropped once they have hit.  Each row of b must be a
-    line c + d*R in the clock R (every row _setup builds is one): a far
-    path's block is skipped by the bridge bound of the whole block, which
-    holds for a line.
+def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, float]],
+                cfg: SimConfig, side_names: Optional[Sequence[str]]
+                ) -> EmpiricalHittingSample:
+    """The first crossing of any boundary by each path of a unit Wiener
+    process from 0 in the clock R on the grid ts, sorted by time, with the
+    boundary crossed named by side_names when they are given.  Each
+    boundary is a line (c, d), the row c + d*R on the grid, so a far path's
+    block may be skipped by the bridge bound of the whole block, which holds
+    for a line.  Within a step the first row with an event wins.  Paths are
+    stepped in time blocks and dropped once they have hit.
     """
     n_steps = ts.size - 1
     dt = ts[1] - ts[0]
     steps = np.arange(n_steps)
     # hit times: midpoint for bridge hits, right endpoint for direct ones
     t_mid, t_end = ts[0] + steps * dt + 0.5 * dt, ts[0] + (steps + 1) * dt
+    b = np.array([c + d * R for c, d in lines])
+    step_std = np.sqrt(np.diff(R))
     var = step_std ** 2
     rate = -2.0 / var
     nb = b.shape[0]
-    above = b[:, 0] > coord0
+    above = b[:, 0] > 0.0
     sign = np.where(above, 1.0, -1.0)  # distances on the start's side: sign * (b - w)
     edges = _block_edges(n_steps)
     widest = max(k1 - k0 for k0, k1 in zip(edges, edges[1:]))
@@ -426,7 +418,7 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
 
         # the paths still running, in chunk order, and their values
         live = np.arange(run.start * CHUNK, min(run.stop * CHUNK, cfg.n_paths))
-        z_end = np.full(live.size, coord0)
+        z_end = np.zeros(live.size)
         path_steps = 0
         for block in blocks:
             if not live.size:
@@ -487,10 +479,11 @@ def _first_hits(ts: np.ndarray, b: np.ndarray, coord0: float,
 def estimate_fpt(process: Process, boundary: Boundary, cfg: SimConfig
                  ) -> EmpiricalHittingSample:
     """Empirical first-passage sample against a single boundary."""
-    ts, b, step_std = _setup(process, [boundary], cfg)
-    if b[0, 0] == 0.0:
+    ts, coord, R = _coordinate(process, cfg)
+    line = coord.line(boundary)
+    if line[0] == 0.0:
         raise StartOnBoundary("path starts exactly on the boundary")
-    return _first_hits(ts, b, 0.0, step_std, cfg, None)
+    return _first_hits(ts, R, [line], cfg, None)
 
 
 def estimate_fet(process: Process, s1: Boundary, s2: Boundary, cfg: SimConfig
@@ -500,12 +493,13 @@ def estimate_fet(process: Process, s1: Boundary, s2: Boundary, cfg: SimConfig
     Each boundary gets its own bridge correction; the lower one wins a tie
     within a step.
     """
-    ts, b, step_std = _setup(process, [s1, s2], cfg)
-    if np.any(b[0] >= b[1]):
+    ts, coord, R = _coordinate(process, cfg)
+    (c1, d1), (c2, d2) = lines = [coord.line(s1), coord.line(s2)]
+    if np.any(c1 + d1 * R >= c2 + d2 * R):
         raise BandCrossing("lower boundary meets or exceeds the upper one")
-    if not (b[0, 0] < 0.0 < b[1, 0]):
+    if not c1 < 0.0 < c2:
         raise StartOutsideBand("path starts on or outside the band")
-    return _first_hits(ts, b, 0.0, step_std, cfg, ("lower", "upper"))
+    return _first_hits(ts, R, lines, cfg, ("lower", "upper"))
 
 
 def density_distance(empirical: EmpiricalHittingSample, analytic: DensityCurve,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, InvalidParams, NonPositiveState
 from .gm_core import TransitionLaw, WienerCoord
-from .growth_curve import GrowthParams, _as_out, _check_times, _g
+from .growth_curve import GrowthParams, _as_out, _check_times, _g, h_eval
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ class LognormalProcess:
 
             w = ln(x/x0) + ln(g(t)/g(t0)) + R/2,   R = sigma^2 (t - t0),
 
-        with dw/dx = 1/x on x > 0, in which an ExpBoundary is the line
+        with dw/dx = 1/x on x > 0 and dw/dt = sigma^2/2 - h(t), in which an
+        ExpBoundary is the line
         c = ln(A e^{B t0}/x0), d = (B + sigma^2/2)/sigma^2.  Elapsed time
         and state ratios enter, so no large t0 or ln x0 cancels; the clock
         and the lines hold past t_star.  x0 must be positive.
@@ -89,7 +90,8 @@ class LognormalProcess:
 
         return WienerCoord(clock=clock, rate=lambda t: s2, to_coord=to_coord,
                            to_state=to_state, line=line, floor=0.0,
-                           jacobian=lambda x, t: _as_out(1.0 / np.asarray(x, dtype=float)))
+                           jacobian=lambda x, t: _as_out(1.0 / np.asarray(x, dtype=float)),
+                           dw_dt=lambda x, t: _as_out(0.5 * s2 - h_eval(params, t)))
 
     def mean_boundary(self, nu: float) -> ExpBoundary:
         """nu times the conditional mean from the start of params."""

@@ -65,7 +65,8 @@ class OUProcess:
 
             w = x g(t) - x0 g(t0),   R = sigma^2 int_{t0}^t g^2,  R' = sigma^2 g^2,
 
-        with dw/dx = g(t), in which an AffineGMBoundary is the line
+        with dw/dx = g(t) and dw/dt = x g'(t) = -x h(t) g(t), in which an
+        AffineGMBoundary is the line
         c = A - x0 g(t0), d = B.  The clock raises DomainError for a time at
         or after t_star, the end of the curve's domain.
         """
@@ -94,7 +95,8 @@ class OUProcess:
             clock=clock, rate=rate,
             to_coord=lambda x, t: _as_out(np.asarray(x, dtype=float) * _g(params, t) - w0),
             to_state=lambda w, t: _as_out((w + w0) / _g(params, t)),
-            jacobian=lambda x, t: _g(params, t), line=line)
+            jacobian=lambda x, t: _g(params, t), line=line,
+            dw_dt=lambda x, t: -x * h_eval(params, t) * _g(params, t))
 
     def mean_boundary(self, nu: float) -> AffineGMBoundary:
         """nu times the conditional mean from the start of params."""

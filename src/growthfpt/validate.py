@@ -17,16 +17,15 @@ import numpy as np
 
 from .errors import DomainError
 from .fet import fet_pdf_closed
-from .fpt import (AffineGMBoundary, DanielsBoundary, DensityCurve, ExpBoundary,
-                  GeneralBoundary, affine_gm_boundary_fns, fpt_pdf_closed,
-                  volterra_fpt)
-from .gm_core import daniels_boundary_fns, psi_kernel, wiener_spec
+from .fpt import DensityCurve, fpt_pdf_closed, volterra_fpt
+from .gm_core import (DanielsBoundary, GeneralBoundary, boundary_fns, psi_kernel,
+                      wiener_spec)
 from .growth_curve import (GrowthParams, classify_regime, domain_end, x_eval,
                            _g)
 from .montecarlo import (SimConfig, density_distance, estimate_fet, estimate_fpt,
                          simulate_paths)
-from .process_lognormal import LognormalProcess
-from .process_ou import OUProcess, gm_spec_G, transition_law_G
+from .process_lognormal import ExpBoundary, LognormalProcess
+from .process_ou import AffineGMBoundary, OUProcess, gm_spec_G, transition_law_G
 from .quadrature import integrate_adaptive
 
 BASE = dict(gamma=0.5, n=1.0, k=20.0, x0=1.0, t0=0.0)
@@ -150,7 +149,7 @@ def check_kernel_vanishing(n_draws: int = 200, seed: int = 77) -> CheckResult:
     for spec in specs:
         for _ in range(n_draws):
             d = DanielsBoundary(d1=rng.uniform(-2, 2), d2=rng.uniform(-2, 2))
-            bnd = GeneralBoundary(*daniels_boundary_fns(spec, d))
+            bnd = boundary_fns(spec, d, 0.0, 0.0)
             tau = rng.uniform(0.05, 4.0)
             t = tau + rng.uniform(0.05, 4.0)
             val = psi_kernel(spec, bnd, t, bnd.s(tau), tau)
@@ -182,8 +181,7 @@ def check_volterra_vs_closed(steps: int = 1200) -> CheckResult:
     ou = OUProcess(P15, 0.1)
     og = np.linspace(0.0, 20.0, steps + 1)
     bnd = AffineGMBoundary(A=0.8 * P15.x0 * _g(P15, 0.0))
-    fns = affine_gm_boundary_fns(ou, bnd, 0.0)
-    ocurve = volterra_fpt(gm_spec_G(ou), fns, 1.0, 0.0, og)
+    ocurve = volterra_fpt(gm_spec_G(ou), boundary_fns(ou, bnd, 1.0, 0.0), 1.0, 0.0, og)
     dev_o = _masked_rel_dev(ocurve, fpt_pdf_closed(ou, bnd, 1.0, 0.0, og[1:]))
     return CheckResult("Volterra solver vs closed forms",
                        dev_w < 0.01 and dev_o < 0.01,

@@ -97,6 +97,13 @@ class TestParseConfig:
     ("sim", "seed", [7]),
     ("fpt", "nu", {"value": 0.8}),
     ("grid", "points", 1e400),
+    # a number key takes a JSON number, and an int key no fractional part
+    ("grid", "points", 2.7),
+    ("sim", "seed", 1.9),
+    ("grid", "points", "20"),
+    ("sim", "n_paths", True),
+    ("noise", "sigma", "0.1"),
+    ("model", "gamma", False),
 ])
 def test_malformed_value_is_a_config_error(tmp_path, block, key, value):
     doc = json.loads(json.dumps(FIG1_CONFIG))
@@ -108,6 +115,15 @@ def test_malformed_value_is_a_config_error(tmp_path, block, key, value):
     with pytest.raises(ValidationError, match=re.escape(name)):
         parse_config(json.dumps(doc))
     assert main(["curve", "--config", str(write_config(tmp_path, doc))]) == 2
+
+
+def test_numbers_of_either_json_kind_are_read():
+    # an int key takes a float with no fractional part, a float key an int
+    doc = json.loads(json.dumps(FIG1_CONFIG))
+    doc["grid"], doc["sim"] = {"points": 20.0, "t_end": 30}, {"seed": 7.0}
+    cfg = parse_config(json.dumps(doc))
+    assert (cfg.grid_points, cfg.sim.seed, cfg.grid_t_end) == (20, 7, 30.0)
+    assert type(cfg.grid_points) is int and type(cfg.grid_t_end) is float
 
 
 def test_undecodable_document_is_a_config_error(tmp_path):

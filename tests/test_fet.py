@@ -282,14 +282,13 @@ class TestOUBand:
             fet_pdf_closed(proc, *mean_band(proc, 0.8, 1.2), 0.8, 0.0, 10.0)
 
     def test_tilted_band_with_offset_start_matches_volterra(self):
-        from growthfpt.fpt import affine_gm_boundary_fns
-        from growthfpt import gm_spec_G
+        from growthfpt import boundary_fns, gm_spec_G
         params = GrowthParams(gamma=0.5, n=1.0, p=1.5, k=20.0, x0=2.0, t0=1.0)
         proc = OUProcess(params, 0.1)
         scale = 2.0 * _g(params, 1.0)
         c1, c, c2, B = 0.8, 1.0, 1.2, 0.02
         band = [AffineGMBoundary(A=ci * scale, B=B) for ci in (c1, c2)]
-        b1, b2 = (affine_gm_boundary_fns(proc, side, 1.0) for side in band)
+        b1, b2 = (boundary_fns(proc, side, 2.0, 1.0) for side in band)
         grid = np.linspace(1.0, 801.0, 2001)
         _, _, tot = volterra_fet(gm_spec_G(proc), b1, b2, 2.0, 1.0, grid)
         closed = fet_pdf_closed(proc, *band, c * 2.0, 1.0, grid[1:])

@@ -7,10 +7,9 @@ import pytest
 from growthfpt import (AffineGMBoundary, DanielsBoundary, DensityCurve,
                        DomainError, ExpBoundary, GeneralBoundary, GridError,
                        GrowthParams, LognormalProcess, OrderError, OUProcess,
-                       SimConfig, StartOnBoundary, domain_end, estimate_fpt,
-                       fet_pdf_closed, fpt_pdf_closed, gm_spec_G, volterra_fet,
-                       volterra_fpt, wiener_spec)
-from growthfpt.fpt import affine_gm_boundary_fns, exp_boundary_fns
+                       SimConfig, StartOnBoundary, boundary_fns, domain_end,
+                       estimate_fpt, fet_pdf_closed, fpt_pdf_closed, gm_spec_G,
+                       volterra_fet, volterra_fpt, wiener_spec)
 from growthfpt.growth_curve import _g, h_eval
 from growthfpt.validate import mass_to_infinity
 
@@ -80,7 +79,7 @@ class TestClosedFormGM:
         d1 = (bnd.B + 0.5 * s2) / s2
         d2 = math.log(bnd.A) + bnd.B * params.t0
         z0 = transform(2.0, 1.0)
-        fns = exp_boundary_fns(proc, bnd, params.t0)
+        fns = boundary_fns(proc, bnd, params.x0, params.t0)
         assert fns.s(1.0) == pytest.approx(bnd.A * math.exp(bnd.B), rel=1e-12)
         for t in (2.0, 10.0, 60.0):
             a = fpt_pdf_closed(proc, bnd, 2.0, 1.0, t)
@@ -119,7 +118,7 @@ class TestClosedFormLognormal:
 
     def test_boundary_functions_track_the_mean_proportion(self):
         proc = LognormalProcess(PARAMS, 0.02)
-        fns = exp_boundary_fns(proc, ExpBoundary(A=0.8), PARAMS.t0)
+        fns = boundary_fns(proc, ExpBoundary(A=0.8), PARAMS.x0, PARAMS.t0)
         for t in (0.0, 1.0, 10.0):
             expected = 0.8 * _g(PARAMS, 0.0) / _g(PARAMS, t)
             assert fns.s(t) == pytest.approx(expected, rel=1e-12)
@@ -132,7 +131,7 @@ class TestClosedFormLognormal:
         bnd, t0 = ExpBoundary(A=0.8), 3.0
         coord = proc.coord(1.0, PARAMS.t0)
         spec, transform = coord.spec, coord.to_coord
-        fns = exp_boundary_fns(proc, bnd, t0)
+        fns = boundary_fns(proc, bnd, PARAMS.x0, t0)
         image = GeneralBoundary(
             s=lambda t: transform(fns.s(t), t),
             s_dot=lambda t: fns.s_dot(t) / fns.s(t) - h_eval(PARAMS, t) + 0.005)
@@ -180,11 +179,8 @@ class TestClosedFormOU:
     def test_agrees_with_volterra(self):
         proc = OUProcess(PARAMS, 0.1)
         bnd = AffineGMBoundary(A=0.8 * _g(PARAMS, 0.0))
-        from growthfpt import gm_spec_G
         grid = np.linspace(0.0, 20.0, 2001)
-        curve = volterra_fpt(gm_spec_G(proc),
-                             affine_gm_boundary_fns(proc, bnd, 0.0),
-                             1.0, 0.0, grid)
+        curve = volterra_fpt(proc, boundary_fns(proc, bnd, 1.0, 0.0), 1.0, 0.0, grid)
         closed = np.array([fpt_pdf_closed(proc, bnd, 1.0, 0.0, t) for t in grid[1:]])
         peak = closed.max()
         mask = closed > 0.01 * peak
@@ -192,13 +188,11 @@ class TestClosedFormOU:
         assert rel.max() < 0.01
 
     def test_offset_start_and_tilt_agree_with_volterra(self):
-        from growthfpt import gm_spec_G
         params = GrowthParams(gamma=0.5, n=1.0, p=1.5, k=20.0, x0=2.0, t0=1.0)
         proc = OUProcess(params, 0.1)
         bnd = AffineGMBoundary(A=0.8 * 2.0 * _g(params, 1.0), B=0.05)
         grid = np.linspace(1.0, 21.0, 2001)
-        curve = volterra_fpt(gm_spec_G(proc),
-                             affine_gm_boundary_fns(proc, bnd, 1.0),
+        curve = volterra_fpt(gm_spec_G(proc), boundary_fns(proc, bnd, 2.0, 1.0),
                              2.0, 1.0, grid)
         closed = np.array([fpt_pdf_closed(proc, bnd, 2.0, 1.0, t) for t in grid[1:]])
         assert np.max(np.abs(curve.values[1:] - closed)) < 1e-12
@@ -211,10 +205,10 @@ def _tilted_offset_case(family):
     if family == "multiplicative":
         proc = LognormalProcess(params, 0.03)
         bnd = ExpBoundary(A=0.8 * 2.0 * math.exp(-0.002), B=0.002)
-        return proc, bnd, exp_boundary_fns(proc, bnd, 1.0)
-    proc = OUProcess(params, 0.1)
-    bnd = AffineGMBoundary(A=0.8 * 2.0 * _g(params, 1.0), B=0.05)
-    return proc, bnd, affine_gm_boundary_fns(proc, bnd, 1.0)
+    else:
+        proc = OUProcess(params, 0.1)
+        bnd = AffineGMBoundary(A=0.8 * 2.0 * _g(params, 1.0), B=0.05)
+    return proc, bnd, boundary_fns(proc, bnd, 2.0, 1.0)
 
 
 @pytest.mark.parametrize("family", ["multiplicative", "additive"])
@@ -391,23 +385,59 @@ class TestDensityCurve:
 
 
 def test_affine_callables_integrate_the_clock_once_per_grid(monkeypatch):
-    # s_dot reuses the values s has just computed on the grid: one read of
-    # int_g2 for the spec's clock and one for s, bit for bit the solve of an
-    # s_dot that calls s again
+    # s_dot reuses the values s has just computed on the grid: a scalar read
+    # of int_g2 for each of the spec's clock, the callables' coordinate and
+    # the spec's coordinate in to_clock, then one grid read for the spec's
+    # clock and one for s, bit for bit the solve of an s_dot that computes s
+    # again
     from growthfpt import process_ou
     proc = OUProcess(PARAMS, 0.1)
-    params, s2 = proc.params, proc.sigma ** 2
+    params = proc.params
     bnd = AffineGMBoundary(A=1.2 * params.x0 * _g(params, params.t0), B=0.01)
     grid = np.linspace(params.t0, params.t0 + 20.0, 401)
-    fns = affine_gm_boundary_fns(proc, bnd, params.t0)
-    again = GeneralBoundary(s=fns.s, s_dot=lambda t: (bnd.B * s2 * _g(params, t)
-                                                      + fns.s(t) * h_eval(params, t)))
+    fns = boundary_fns(proc, bnd, params.x0, params.t0)
+    again = GeneralBoundary(s=fns.s, s_dot=lambda t: boundary_fns(
+        proc, bnd, params.x0, params.t0).s_dot(t))
     want = volterra_fpt(gm_spec_G(proc), again, params.x0, params.t0, grid).values
     sizes = []
     int_g2 = process_ou.int_g2
     monkeypatch.setattr(process_ou, "int_g2",
                         lambda p, ts: sizes.append(np.size(ts)) or int_g2(p, ts))
-    got = volterra_fpt(gm_spec_G(proc), affine_gm_boundary_fns(proc, bnd, params.t0),
+    got = volterra_fpt(gm_spec_G(proc), boundary_fns(proc, bnd, params.x0, params.t0),
                        params.x0, params.t0, grid).values
-    assert sizes == [1, 1, 401, 401]
+    assert sizes == [1, 1, 1, 401, 401]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("estimate", ["fpt", "fet"])
+@pytest.mark.parametrize("family", ["multiplicative", "additive"])
+def test_volterra_takes_the_process_as_the_closed_forms_do(family, estimate):
+    # the solvers take the process itself, its boundaries as lines or as
+    # their state-space callables (boundary_fns), which sum every source.
+    # A lone line is its closed form; a band solves as the same lines posed
+    # on the coordinate's own triple, within the discretisation of its
+    # cross term of the closed form.  The start 2.1 lies off the curve's
+    # x0 = 2 and off the band's centre
+    proc, bnd, _ = _tilted_offset_case(family)
+    levels = (0.8,) if estimate == "fpt" else (0.8, 1.2)
+    bounds = [type(bnd)(A=bnd.A * nu / 0.8, B=bnd.B) for nu in levels]
+    end = 41.0 if family == "multiplicative" else 1001.0 if estimate == "fpt" else 401.0
+    grid = np.linspace(1.0, end, 801)
+    coord = proc.coord(2.1, 1.0)
+    daniels = [DanielsBoundary(d1=d, d2=c) for c, d in map(coord.line, bounds)]
+    fns = [boundary_fns(proc, b, 2.1, 1.0) for b in bounds]
+    if estimate == "fpt":
+        closed = fpt_pdf_closed(proc, *bounds, 2.1, 1.0, grid[1:])
+        lines, calls = (volterra_fpt(proc, *sides, 2.1, 1.0, grid).values[1:]
+                        for sides in (bounds, fns))
+        want = closed
+    else:
+        closed = fet_pdf_closed(proc, *bounds, 2.1, 1.0, grid[1:])
+        lines, calls = (volterra_fet(proc, *sides, 2.1, 1.0, grid)[2].values[1:]
+                        for sides in (bounds, fns))
+        want = volterra_fet(coord.spec, *daniels, 0.0, 1.0, grid)[2].values[1:]
+        assert np.max(np.abs(want - closed)) <= 1e-9 * closed.max()
+    peak = closed.max()
+    assert 0 < closed.argmax() < closed.size - 1
+    assert np.max(np.abs(lines - want)) <= 1e-14 * peak
+    assert np.max(np.abs(calls - want)) <= 1e-12 * peak

@@ -6,10 +6,11 @@ from scipy.integrate import quad
 
 from growthfpt import (DanielsBoundary, GeneralBoundary, GrowthParams,
                        LognormalProcess, OrderError, OUProcess, SimConfig,
-                       daniels_boundary_fns, fpt_pdf_closed, gm_spec_G,
+                       boundary_fns, fpt_pdf_closed, gm_spec_G,
                        infinitesimal_coeffs, psi_kernel, r_ratio,
                        simulate_paths, transition_law, transition_law_G,
                        transition_law_L, wiener_spec)
+from growthfpt.gm_core import evaluate
 from growthfpt.growth_curve import _g, h_eval
 
 from conftest import BASE
@@ -180,11 +181,22 @@ class TestOneLaw:
         spec = gm_spec_G(OUProcess(PARAMS, 0.1))
         coord = spec.coord(self.Y, self.TAU)
         b = DanielsBoundary(d1=0.3, d2=1.9)
-        s, _ = daniels_boundary_fns(spec, b)
+        at = evaluate(spec, self.TS)
         c, d = coord.line(b)
-        w = coord.to_coord(s(self.TS), self.TS)
+        w = coord.to_coord(at.m + b.d1 * at.k1 + b.d2 * at.k2, self.TS)
         assert np.allclose(w, c + d * coord.clock(self.TS), rtol=0.0, atol=1e-13)
         assert coord.to_coord(self.Y, self.TAU) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["lognormal", "ou", "wiener", "spec"])
+def test_dw_dt_is_the_coordinate_rate_at_a_fixed_state(kind):
+    model = {"lognormal": LognormalProcess(PARAMS, 0.05), "ou": OUProcess(PARAMS, 0.1),
+             "wiener": wiener_spec(0.7), "spec": gm_spec_G(OUProcess(PARAMS, 0.1))}[kind]
+    coord = model.coord(1.4, 0.5)
+    xs, ts, e = np.array([0.7, 1.4, 3.9]), np.array([0.9, 2.0, 7.5]), 1e-5
+    central = (coord.to_coord(xs, ts + e) - coord.to_coord(xs, ts - e)) / (2.0 * e)
+    assert np.allclose(coord.dw_dt(xs, ts), central, rtol=1e-8, atol=1e-10)
+    assert coord.dw_dt(1.4, 2.0) == coord.dw_dt(xs, ts)[1]
 
 
 class TestInfinitesimalCoeffs:
@@ -218,11 +230,10 @@ class TestPsiKernel:
         for spec in specs:
             for _ in range(100):
                 b = DanielsBoundary(d1=rng.uniform(-2, 2), d2=rng.uniform(-2, 2))
-                s, s_dot = daniels_boundary_fns(spec, b)
+                bnd = boundary_fns(spec, b, 0.0, 0.0)
                 tau = rng.uniform(0.05, 4.0)
                 t = tau + rng.uniform(0.05, 4.0)
-                val = psi_kernel(spec, GeneralBoundary(s=s, s_dot=s_dot),
-                                 t, s(tau), tau)
+                val = psi_kernel(spec, bnd, t, bnd.s(tau), tau)
                 assert abs(val) < 1e-10
 
     def test_wiener_constant_boundary_value(self):
@@ -237,9 +248,8 @@ class TestPsiKernel:
     def test_minus_two_psi_is_the_closed_form_density(self):
         spec = gm_spec_G(OUProcess(PARAMS, 0.1))
         d = DanielsBoundary(d1=0.1, d2=1.4)
-        s, s_dot = daniels_boundary_fns(spec, d)
-        bnd = GeneralBoundary(s=s, s_dot=s_dot)
         x0 = 1.0
+        bnd = boundary_fns(spec, d, x0, 0.0)
         for t in (0.5, 2.0, 8.0):
             closed = fpt_pdf_closed(spec, d, x0, 0.0, t)
             assert -2.0 * psi_kernel(spec, bnd, t, x0, 0.0) == pytest.approx(

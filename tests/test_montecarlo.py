@@ -308,24 +308,24 @@ def test_estimators_take_only_the_process_lines(case, estimate):
 @pytest.mark.parametrize("bridge", [True, False])
 @pytest.mark.parametrize("estimate", ["fpt", "fet"])
 def test_a_stack_may_hold_a_chunk_with_no_live_rows(estimate, bridge, monkeypatch):
-    # boundary rows that take all but a few paths of each chunk at the first
-    # step: from the second block on, some chunks have no live rows while
-    # their neighbours run on, so one thread stacks running chunks around
-    # empty ones; with a thread per chunk every chunk steps alone
+    # a line just below the start that takes all but a few paths of each
+    # chunk in the first block: flat under the bridge test, which also
+    # catches the paths that dip across it between steps, and rising
+    # steeply without it; a band's upper line is one a few paths reach.
+    # From the second block on, some chunks have no live rows while their
+    # neighbours run on, so one thread stacks running chunks around empty
+    # ones; with a thread per chunk every chunk steps alone
     n_steps, chunks = 40, 6
-    ts = 0.25 * np.arange(n_steps + 1)
-    rows = np.full((1 if estimate == "fpt" else 2, n_steps + 1), -1.0)
-    rows[0, :2] = -0.5, 1.4  # a path survives the first step above 2.8 sd
-    if estimate == "fet":
-        rows[1] = 4.5
-        rows[1, :2] = 0.5, 1.9
+    ts = 0.25 * np.arange(n_steps + 1)  # also the clock, of unit rate
+    d = 0.0 if bridge else 2.8
+    lines = [(-0.001, d)] if estimate == "fpt" else [(-0.001, d), (2.0 if bridge else 1.1, d)]
     sides = None if estimate == "fpt" else ("lower", "upper")
 
     def sample(n_chunks, threads):
         monkeypatch.setenv("GROWTHFPT_THREADS", threads)
         cfg = SimConfig(dt=0.25, horizon=ts[-1], n_paths=n_chunks * CHUNK, seed=4,
                         bridge_correction=bridge)
-        return _first_hits(ts, rows, 0.0, np.full(n_steps, 0.5), cfg, sides)
+        return _first_hits(ts, ts, lines, cfg, sides)
 
     # a chunk's sample does not depend on the chunks after it, so prefixes
     # count each chunk's paths that run in the second block
