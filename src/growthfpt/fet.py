@@ -54,9 +54,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import BandCrossing, InvalidParams, StartOutsideBand
+from .errors import InvalidParams
 from .fpt import DensityCurve, _after, _solver_grid, _volterra
-from .gm_core import to_clock
+from .gm_core import check_posed, to_clock
 from .growth_curve import _as_out
 
 _SINE_FROM = 0.5                # R/L^2 above which the sine series is summed
@@ -109,17 +109,6 @@ def _band_exit(R, u: float, v: float, mu: float) -> np.ndarray:
     return out
 
 
-def _line_band_pdf(R, rate, lower, upper):
-    """rate times the exit density, in the clock R, of a unit Wiener process
-    started at 0 between the parallel lines lower = (c1, d) and
-    upper = (c2, d) of c + d*R; 0 where R is not positive."""
-    (c1, d), (c2, _) = lower, upper
-    R = np.asarray(R, dtype=float)
-    moved = R > 0.0
-    dens = rate * _band_exit(np.where(moved, R, 1.0), -c1, c2, -d)
-    return _as_out(np.where(moved, dens, 0.0))
-
-
 def fet_pdf_closed(model, lower, upper, x0: float, t0: float, t):
     """Closed-form exit density from (x0, t0) out of the band between two
     boundaries of the model's closed-form family (see fpt.fpt_pdf_closed),
@@ -135,13 +124,14 @@ def fet_pdf_closed(model, lower, upper, x0: float, t0: float, t):
     """
     t = _after(t, t0)
     coord = model.coord(x0, t0)
-    lines = coord.line(lower), coord.line(upper)
-    if lines[0][1] != lines[1][1]:
-        raise InvalidParams(f"band sides of slopes {lines[0][1]} and {lines[1][1]} "
-                            "have no closed form")
-    if not lines[0][0] < 0.0 < lines[1][0]:
-        raise StartOutsideBand(f"x0={x0} not strictly inside the band at t0")
-    return _line_band_pdf(coord.clock(t), coord.rate(t), *lines)
+    (c1, d), (c2, d2) = coord.line(lower), coord.line(upper)
+    check_posed([[c1 + d * 0.0], [c2 + d2 * 0.0]])  # the lines at the start, R = 0
+    if d != d2:
+        raise InvalidParams(f"band sides of slopes {d} and {d2} have no closed form")
+    R = np.asarray(coord.clock(t), dtype=float)
+    moved = R > 0.0  # the density is 0 where the clock has not moved
+    dens = coord.rate(t) * _band_exit(np.where(moved, R, 1.0), -c1, c2, -d)
+    return _as_out(np.where(moved, dens, 0.0))
 
 
 def volterra_fet(model, lower, upper, x0: float, t0: float,
@@ -155,9 +145,6 @@ def volterra_fet(model, lower, upper, x0: float, t0: float,
     """
     grid, h = _solver_grid(grid, t0)
     R, rate, S, S_dot, lines = to_clock(model, [lower, upper], x0, grid)
-    if np.any(S[0] >= S[1]):
-        raise BandCrossing("lower boundary meets or exceeds the upper one")
-    if not (S[0, 0] < 0.0 < S[1, 0]):
-        raise StartOutsideBand(f"x0={x0} not inside the band at t0")
+    check_posed(S)
     g1, g2 = _volterra(R, rate, S, S_dot, h, lines)
     return tuple(DensityCurve(times=grid, values=v) for v in (g1, g2, g1 + g2))

@@ -52,8 +52,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DomainError, GridError, OrderError, StartOnBoundary)
-from .gm_core import _SQRT2PI, GeneralBoundary, psi, to_clock  # GeneralBoundary re-exported
+from .errors import DomainError, GridError, OrderError
+from .gm_core import (_SQRT2PI, GeneralBoundary,  # GeneralBoundary re-exported
+                      check_posed, psi, to_clock)
 from .growth_curve import _as_out
 
 
@@ -117,16 +118,6 @@ def _after(t, t0: float) -> np.ndarray:
     return t
 
 
-def _line_pdf(R, rate, c: float, d: float):
-    """rate times the first-passage density, in the clock R > 0, of a unit
-    Wiener process from 0 to the line c + d*R."""
-    if c == 0.0:
-        raise StartOnBoundary("the start lies on the boundary")
-    q = d * R + c
-    return _as_out(abs(c) / R * rate * (np.exp(-q * q / (2.0 * R))
-                                        / (_SQRT2PI * np.sqrt(R))))
-
-
 def fpt_pdf_closed(model, b, x0: float, t0: float, t):
     """Closed-form passage density from (x0, t0) through a boundary of the
     model's closed-form family, at the times t (a scalar or an array):
@@ -141,7 +132,12 @@ def fpt_pdf_closed(model, b, x0: float, t0: float, t):
     """
     t = _after(t, t0)
     coord = model.coord(x0, t0)
-    return _line_pdf(coord.clock(t), coord.rate(t), *coord.line(b))
+    c, d = coord.line(b)
+    check_posed([[c + d * 0.0]])  # the line at the start, R = 0
+    R = coord.clock(t)
+    q = d * R + c
+    return _as_out(abs(c) / R * coord.rate(t) * (np.exp(-q * q / (2.0 * R))
+                                                 / (_SQRT2PI * np.sqrt(R))))
 
 
 def _solver_grid(grid, t0: float):
@@ -234,6 +230,5 @@ def volterra_fpt(model, b, x0: float, t0: float, grid: np.ndarray) -> DensityCur
     """
     grid, h = _solver_grid(grid, t0)
     R, rate, S, S_dot, lines = to_clock(model, [b], x0, grid)
-    if S[0, 0] == 0.0:
-        raise StartOnBoundary(f"x0 = s(t0) = {x0}")
+    check_posed(S)
     return DensityCurve(times=grid, values=_volterra(R, rate, S, S_dot, h, lines)[0])

@@ -30,7 +30,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, OrderError
+from .errors import (BandCrossing, ConfigError, DomainError, OrderError,
+                     StartOnBoundary, StartOutsideBand)
 from .growth_curve import _as_out
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -314,6 +315,22 @@ def to_clock(model, boundaries, x0: float, t):
             S_dot.append(d * rate)
             lines.append((c, d))
     return R, rate, np.array(S), np.array(S_dot), lines
+
+
+def check_posed(S) -> None:
+    """The rule of every method, on a problem's boundary rows S in its Wiener
+    coordinate, column 0 at the start (w = 0): all finite, a lone row off 0,
+    and a band's start strictly between its rows (checked first, so swapped
+    sides raise StartOutsideBand), the first row below the second throughout."""
+    S = np.asarray(S, dtype=float)
+    if not np.all(np.isfinite(S)):
+        raise DomainError("a boundary is not finite")
+    if len(S) == 1 and S[0, 0] == 0.0:
+        raise StartOnBoundary("the start lies on the boundary")
+    if len(S) == 2 and not S[0, 0] < 0.0 < S[1, 0]:
+        raise StartOutsideBand("the start is not strictly inside the band")
+    if len(S) == 2 and np.any(S[0] >= S[1]):
+        raise BandCrossing("lower boundary meets or exceeds the upper one")
 
 
 def psi(dR, rate, S, S_dot, y):

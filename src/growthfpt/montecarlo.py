@@ -94,10 +94,9 @@ from typing import Callable, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
-from .errors import (BandCrossing, ConfigError, EmptySample, StartOnBoundary,
-                     StartOutsideBand)
+from .errors import ConfigError, EmptySample
 from .fpt import DensityCurve
-from .gm_core import WienerCoord
+from .gm_core import check_posed, to_clock
 from .growth_curve import _core
 from .process_lognormal import ExpBoundary, LognormalProcess
 from .process_ou import AffineGMBoundary, OUProcess
@@ -184,19 +183,14 @@ def _run_chunked(n_paths: int, worker: Callable[[range], T]) -> list[T]:
         return [fut.result() for fut in futures]
 
 
-def _coordinate(process: Process, cfg: SimConfig
-                ) -> Tuple[np.ndarray, WienerCoord, np.ndarray]:
-    """(times, coord, R): the grid, the process's Wiener coordinate from its
-    start and the clock on the grid."""
+def _grid(process: Process, cfg: SimConfig) -> np.ndarray:
+    """The grid from the process's start; it must end before t_star."""
     params = process.params
-    n_steps = round(cfg.horizon / cfg.dt)
     t_star = _core(params).t_star
     if params.t0 + cfg.horizon >= t_star:
         raise ConfigError(
             f"horizon {cfg.horizon} reaches the domain end t_star={t_star}")
-    ts = params.t0 + cfg.dt * np.arange(n_steps + 1)
-    coord = process.coord(params.x0, params.t0)
-    return ts, coord, coord.clock(ts)
+    return params.t0 + cfg.dt * np.arange(round(cfg.horizon / cfg.dt) + 1)
 
 
 def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -206,8 +200,9 @@ def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.nda
     is x0 for every path.  For a fixed seed the ensemble is bit-identical
     regardless of thread count.
     """
-    ts, coord, R = _coordinate(process, cfg)
-    step_std = np.sqrt(np.diff(R))
+    ts = _grid(process, cfg)
+    coord = process.coord(process.params.x0, process.params.t0)
+    step_std = np.sqrt(np.diff(coord.clock(ts)))
     out = np.empty((cfg.n_paths, ts.size))
 
     def worker(run: range) -> None:
@@ -476,14 +471,21 @@ def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, floa
     )
 
 
+def _estimate(process: Process, boundaries: list, cfg: SimConfig, side_names):
+    """The sample of the problem to_clock maps from the process's start, every
+    boundary a line there."""
+    ts = _grid(process, cfg)
+    R, _, S, _, lines = to_clock(process, boundaries, process.params.x0, ts)
+    if None in lines:
+        raise ConfigError("Monte Carlo takes only closed-form boundaries of the process")
+    check_posed(S)
+    return _first_hits(ts, R, lines, cfg, side_names)
+
+
 def estimate_fpt(process: Process, boundary: Boundary, cfg: SimConfig
                  ) -> EmpiricalHittingSample:
     """Empirical first-passage sample against a single boundary."""
-    ts, coord, R = _coordinate(process, cfg)
-    line = coord.line(boundary)
-    if line[0] == 0.0:
-        raise StartOnBoundary("path starts exactly on the boundary")
-    return _first_hits(ts, R, [line], cfg, None)
+    return _estimate(process, [boundary], cfg, None)
 
 
 def estimate_fet(process: Process, s1: Boundary, s2: Boundary, cfg: SimConfig
@@ -493,13 +495,7 @@ def estimate_fet(process: Process, s1: Boundary, s2: Boundary, cfg: SimConfig
     Each boundary gets its own bridge correction; the lower one wins a tie
     within a step.
     """
-    ts, coord, R = _coordinate(process, cfg)
-    (c1, d1), (c2, d2) = lines = [coord.line(s1), coord.line(s2)]
-    if np.any(c1 + d1 * R >= c2 + d2 * R):
-        raise BandCrossing("lower boundary meets or exceeds the upper one")
-    if not c1 < 0.0 < c2:
-        raise StartOutsideBand("path starts on or outside the band")
-    return _first_hits(ts, R, lines, cfg, ("lower", "upper"))
+    return _estimate(process, [s1, s2], cfg, ("lower", "upper"))
 
 
 def density_distance(empirical: EmpiricalHittingSample, analytic: DensityCurve,
