@@ -14,8 +14,8 @@ The configuration is a JSON document whose keys, types, defaults and flags
 are declared once, in _KEYS; --help names the key each flag overrides.  --nu
 and --method set the key of the running command, fpt or fet.  Exit status: 0
 success, 1 validation failure, 2 configuration error, such as a value of the
-wrong type, named by its block.key, or a GROWTHFPT_THREADS that is not an
-integer.
+wrong type or a number that is not finite, named by its block.key, or a
+GROWTHFPT_THREADS that is not an integer.
 Every CSV has a header row, times strictly increasing, and floats serialized
 with 17 significant digits.  GROWTHFPT_THREADS caps simulation worker
 threads (default: the CPUs the process may run on).
@@ -111,10 +111,14 @@ class _Key(NamedTuple):
                     isinstance(value, bool) or not isinstance(value, (int, float))
                     or self.type is int and value != int(value)):
                 raise TypeError(value)
-            return self.type(value)
+            converted = self.type(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"{self.name}: expected {self.type.__name__}, got {value!r}") from exc
+        # a flag and JSON's NaN and Infinity literals give non-finite floats
+        if self.type is float and not math.isfinite(converted):
+            raise ValidationError(f"{self.name}: must be finite, got {value!r}")
+        return converted
 
 
 # Every configuration key, written once.  A flag that names an fpt and a

@@ -44,7 +44,9 @@ itself (fpt._volterra), given both boundaries with side signs +1 (lower) and
 (every lognormal band of the CLI) sums on each side only the start and the
 other side's sources, since the kernel vanishes on a line's own, and takes
 that cross kernel as one Toeplitz row per side.  Every other band, from
-callables or lines, sums every source.
+callables or lines, sums every source.  Both methods check the band by
+gm_core.check_posed, the closed form on its lines at the start (its sides
+of one slope never meet) and Volterra on the rows to_clock maps.
 """
 
 from __future__ import annotations

@@ -31,7 +31,9 @@ coordinate from the start (gm_core.to_clock), where the density is the
 same.  The one private solver, `_volterra`, works there from the clock
 alone, with left rectangles, so the kernel diagonal is never touched.  It
 serves the two-boundary system of fet with one sign per boundary, and
-evaluates the one kernel, gm_core.psi.
+evaluates the one kernel, gm_core.psi.  Both methods check the problem by
+gm_core.check_posed, the closed form on its line at the start and Volterra
+on the rows to_clock maps; DensityCurve takes only finite numbers.
 
 A boundary of the model's family is a line of the clock, on which the
 kernel vanishes from every source on the line itself.  One line is its
@@ -77,6 +79,8 @@ class DensityCurve:
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
             raise GridError("times and values must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise DomainError("times and values must be finite")
         if times.size > 1 and not np.all(np.diff(times) > 0.0):
             raise GridError("times must be strictly increasing")
         peak = float(np.max(values)) if values.size else 0.0

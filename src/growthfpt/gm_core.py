@@ -16,8 +16,11 @@ coordinate.  to_clock
 maps a first-passage problem of any model there, reading the model only
 through its coordinate: a closed-form boundary as its line, a boundary given
 as callables (GeneralBoundary) through the state map, its Jacobian and the
-coordinate's rate dw/dt.  boundary_fns maps a line back to state-space
-callables.  The kernel psi reads the clock and the boundary rows alone.
+coordinate's rate dw/dt.  check_posed is the one rule every method checks
+on those rows: finite, a lone boundary off the start, and a band that holds
+the start strictly inside and whose sides never meet.  boundary_fns maps a
+line back to state-space callables.  The kernel psi reads the clock and the
+boundary rows alone.
 Every time function of a spec, and the laws built from it, take a scalar or
 a numpy array of times.
 """

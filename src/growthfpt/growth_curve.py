@@ -104,6 +104,9 @@ class GrowthParams:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "n", "p", "k", "x0", "t0"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.gamma > 0.0):
             raise InvalidParams(f"gamma must be > 0, got {self.gamma}")
         if not (self.n > 0.0):

@@ -5,12 +5,13 @@ step size never biases the marginal laws; it only limits how finely boundary
 crossings are resolved.  Every path lives in its process's Wiener
 coordinate from the start (process.coord): a unit Wiener process w from 0
 in the clock R, whose step variances are the differences of R on the grid.
-The estimators take the closed-form boundaries of the process, each a line
-c + d*R there (coord.line); any other boundary, or one of the other
-process, is a ConfigError.  The residual crossing bias is removed by a
-within-step correction: a step pinned at (w_k, w_{k+1}) that stays on the
-start's side of a boundary at both grid times crosses it mid-step with
-probability
+The estimators map their problem into it by gm_core.to_clock, as the
+Volterra solvers do, and take only rows that are lines c + d*R there, the
+closed-form boundaries of the process; any other boundary, callables or
+one of the other process, is a ConfigError.  The residual crossing bias is
+removed by a within-step correction: a step pinned at (w_k, w_{k+1}) that
+stays on the start's side of a boundary at both grid times crosses it
+mid-step with probability
 
     exp{-2 d_k d_{k+1} / var_step},
 
@@ -40,9 +41,10 @@ recorded at the right endpoint.
 
 simulate_paths returns whole paths.  One crossing detector (_first_hits),
 which steps its own paths, serves one boundary or two: estimate_fpt and
-estimate_fet are thin wrappers that differ only in their checks of the start
-and in whether they report exit sides.  Within a step the first boundary
-given (the lower one of a band) wins a tie.
+estimate_fet are thin wrappers of one private path, which checks the rows
+by gm_core.check_posed as every method does, and differ only in whether
+they report exit sides.  Within a step the first boundary given (the lower
+one of a band) wins a tie.
 
 Randomness is organised in fixed-size chunks of paths: chunk c draws from an
 SFC64 generator seeded by SeedSequence([seed, c]) (the seed masked to 64
@@ -87,6 +89,7 @@ counts.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -125,6 +128,10 @@ class SimConfig:
             raise ConfigError("dt and horizon must be positive")
         if self.dt >= self.horizon:
             raise ConfigError(f"dt={self.dt} must be smaller than horizon={self.horizon}")
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
         n = self.horizon / self.dt

@@ -48,8 +48,8 @@ class LognormalProcess:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0):
-            raise InvalidParams(f"sigma must be > 0, got {self.sigma}")
+        if not (0.0 < self.sigma < math.inf):
+            raise InvalidParams(f"sigma must be finite and > 0, got {self.sigma}")
 
     def coord(self, x0: float, t0: float) -> WienerCoord:
         """The Wiener coordinate from the start (x0, t0):

@@ -104,6 +104,10 @@ class TestParseConfig:
     ("sim", "n_paths", True),
     ("noise", "sigma", "0.1"),
     ("model", "gamma", False),
+    # json.dumps writes NaN and Infinity, which json.loads takes
+    ("model", "k", math.inf),
+    ("fpt", "nu", math.nan),
+    ("grid", "t_end", math.inf),
 ])
 def test_malformed_value_is_a_config_error(tmp_path, block, key, value):
     doc = json.loads(json.dumps(FIG1_CONFIG))
@@ -115,6 +119,24 @@ def test_malformed_value_is_a_config_error(tmp_path, block, key, value):
     with pytest.raises(ValidationError, match=re.escape(name)):
         parse_config(json.dumps(doc))
     assert main(["curve", "--config", str(write_config(tmp_path, doc))]) == 2
+
+
+@pytest.mark.parametrize("kind,argv,name", [
+    ("multiplicative", ["fpt", "--nu", "inf"], "fpt.nu"),
+    ("additive", ["fpt", "--nu", "inf"], "fpt.nu"),
+    ("additive", ["fpt", "--nu", "nan"], "fpt.nu"),
+    ("multiplicative", ["fpt", "--sigma", "inf"], "noise.sigma"),
+    ("additive", ["fet", "--nu2", "inf"], "fet.nu2"),
+    ("multiplicative", ["fpt", "--t-end", "inf"], "grid.t_end"),
+])
+def test_a_flag_that_is_not_finite_exits_2(tmp_path, capsys, kind, argv, name):
+    # each wrote a CSV of nan with status 0, or (--t-end) failed with status 1
+    doc = dict(FIG1_CONFIG, noise={"kind": kind, "sigma": 0.02})
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(write_config(tmp_path, doc)),
+                        "--out", str(out)]) == 2
+    assert f"config error: {name}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numbers_of_either_json_kind_are_read():
@@ -260,12 +282,14 @@ class TestCommands:
     @pytest.mark.parametrize("sim", [{"horizon": math.inf},
                                      {"horizon": 1e308, "dt": 1e-10}])
     def test_step_count_overflow_exits_2(self, tmp_path, capsys, sim):
-        # json.dumps writes inf as Infinity, which the reader takes
+        # json.dumps writes inf as Infinity, which the key reader rejects;
+        # a finite horizon too long for its step is rejected by SimConfig
         doc = dict(FIG1_CONFIG, sim=sim)
         out = tmp_path / "p"
         assert main(["paths", "--config", str(write_config(tmp_path, doc)),
                      "--out", str(out)]) == 2
-        assert "sim: " in capsys.readouterr().err
+        named = "sim.horizon: must be finite" if math.isinf(sim["horizon"]) else "sim: "
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["paths"], ["fpt", "--method", "mc"],

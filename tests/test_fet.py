@@ -248,11 +248,6 @@ class TestLognormalBand:
             vals.append(fet_pdf_closed(proc, *mean_band(proc, 0.8, 1.2), 1.0, 0.0, 55.0))
         assert max(vals) - min(vals) <= 1e-12 * max(vals)
 
-    def test_band_validation(self):
-        proc = LognormalProcess(PARAMS, 0.02)
-        with pytest.raises(StartOutsideBand):
-            fet_pdf_closed(proc, *mean_band(proc, 1.0, 1.2), 1.0, 0.0, 10.0)
-
     def test_off_centre_start_proportion(self):
         # nu = 0.95 starts the path at 0.95 x0, nearer the lower boundary
         proc = LognormalProcess(PARAMS, 0.02)

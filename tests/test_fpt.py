@@ -376,6 +376,14 @@ class TestDensityCurve:
         with pytest.raises(DomainError):
             DensityCurve(times=ts, values=np.full(11, 1.5))
 
+    @pytest.mark.parametrize("times,values", [([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+                                              ([0.0, 1.0, 2.0], [0.0, np.inf, 0.0]),
+                                              ([0.0, 1.0, np.nan], [0.0, 0.5, 0.0])])
+    def test_rejects_non_finite_times_and_values(self, times, values):
+        # a NaN value gave a curve of mass nan
+        with pytest.raises(DomainError, match="must be finite"):
+            DensityCurve(times=times, values=values)
+
     def test_cumulative_matches_mass(self):
         ts = np.linspace(0.0, 5.0, 101)
         curve = DensityCurve(times=ts, values=np.exp(-ts))

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from growthfpt import (DanielsBoundary, GeneralBoundary, GrowthParams,
-                       LognormalProcess, OrderError, OUProcess, SimConfig,
-                       boundary_fns, fpt_pdf_closed, gm_spec_G,
-                       infinitesimal_coeffs, psi_kernel, r_ratio,
-                       simulate_paths, transition_law, transition_law_G,
-                       transition_law_L, wiener_spec)
+from growthfpt import (AffineGMBoundary, BandCrossing, DanielsBoundary,
+                       DomainError, ExpBoundary, GeneralBoundary, GrowthParams,
+                       InvalidParams, LognormalProcess, OrderError, OUProcess,
+                       SimConfig, StartOnBoundary, StartOutsideBand,
+                       boundary_fns, estimate_fet, estimate_fpt, fet_pdf_closed,
+                       fpt_pdf_closed, gm_spec_G, infinitesimal_coeffs,
+                       psi_kernel, r_ratio, simulate_paths, transition_law,
+                       transition_law_G, transition_law_L, volterra_fet,
+                       volterra_fpt, wiener_spec)
 from growthfpt.gm_core import evaluate
 from growthfpt.growth_curve import _g, h_eval
 
@@ -291,3 +294,67 @@ class TestCovarianceFactorization:
         est = float(np.mean(prod))
         se = float(np.std(prod, ddof=1) / math.sqrt(n_paths))
         assert abs(est - expected) <= 3.0 * se
+
+
+LOGNORMAL = LognormalProcess(PARAMS, 0.02)
+ADDITIVE = OUProcess(PARAMS, 0.1)
+NAN = math.nan
+G0 = _g(PARAMS, 0.0)
+# each row: a process, its boundaries from the start (x0, t0) = (1, 0) of
+# PARAMS, and the error of each method, closed, Volterra and Monte Carlo
+RULE_CASES = {
+    "start_on_boundary": (LOGNORMAL, [ExpBoundary(A=1.0)], [StartOnBoundary] * 3),
+    "start_on_a_side": (LOGNORMAL, [ExpBoundary(A=1.0), ExpBoundary(A=1.2)],
+                        [StartOutsideBand] * 3),
+    "start_outside_band": (LOGNORMAL, [ExpBoundary(A=1.1), ExpBoundary(A=1.2)],
+                           [StartOutsideBand] * 3),
+    "swapped_sides": (LOGNORMAL, [ExpBoundary(A=1.2), ExpBoundary(A=0.8)],
+                      [StartOutsideBand] * 3),
+    # the lower side reaches the upper one at t = ln(1.5)/0.05 = 8.1; the
+    # closed form takes no band of unequal slopes
+    "crossing_sides": (LOGNORMAL, [ExpBoundary(A=0.8, B=0.05), ExpBoundary(A=1.2)],
+                       [InvalidParams, BandCrossing, BandCrossing]),
+    "nan_exp_boundary": (LOGNORMAL, [ExpBoundary(A=0.8, B=NAN)], [DomainError] * 3),
+    "nan_exp_band": (LOGNORMAL, [ExpBoundary(A=0.8, B=NAN), ExpBoundary(A=1.2)],
+                     [DomainError] * 3),
+    "nan_affine_boundary": (ADDITIVE, [AffineGMBoundary(A=NAN)], [DomainError] * 3),
+    "nan_affine_band": (ADDITIVE, [AffineGMBoundary(A=0.8 * G0), AffineGMBoundary(A=NAN)],
+                        [DomainError] * 3),
+}
+
+
+@pytest.mark.parametrize("method", ["closed", "volterra", "mc"])
+@pytest.mark.parametrize("case", list(RULE_CASES))
+def test_one_rule_poses_every_method(case, method):
+    """Every method of one boundary or two raises the same error, with the
+    same message, for a start on the boundary or off the band, crossing
+    sides and a boundary parameter that is NaN."""
+    proc, sides, errors = RULE_CASES[case]
+    error = errors[["closed", "volterra", "mc"].index(method)]
+    single = len(sides) == 1
+    message = {StartOnBoundary: "the start lies on the boundary",
+               StartOutsideBand: "the start is not strictly inside the band",
+               BandCrossing: "lower boundary meets or exceeds the upper one",
+               DomainError: "a boundary is not finite",
+               InvalidParams: "have no closed form"}[error]
+    with pytest.raises(error, match=message):
+        if method == "closed":
+            (fpt_pdf_closed if single else fet_pdf_closed)(proc, *sides, 1.0, 0.0, 5.0)
+        elif method == "volterra":
+            (volterra_fpt if single else volterra_fet)(proc, *sides, 1.0, 0.0,
+                                                       np.linspace(0.0, 10.0, 51))
+        else:
+            cfg = SimConfig(dt=0.5, horizon=10.0, n_paths=8, seed=0)
+            (estimate_fpt if single else estimate_fet)(proc, *sides, cfg)
+
+
+@pytest.mark.parametrize("single", [True, False])
+def test_a_callables_boundary_that_is_nan_is_an_error(single):
+    # the curve a NaN callables boundary gave had mass nan and no error
+    nan_side = GeneralBoundary(s=lambda t: np.full(np.shape(t), NAN), s_dot=lambda t: 0.0)
+    grid = np.linspace(0.0, 10.0, 51)
+    with pytest.raises(DomainError, match="a boundary is not finite"):
+        if single:
+            volterra_fpt(LOGNORMAL, nan_side, 1.0, 0.0, grid)
+        else:
+            volterra_fet(LOGNORMAL, ExpBoundary(A=0.8), nan_side, 1.0, 0.0, grid)

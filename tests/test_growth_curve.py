@@ -49,6 +49,8 @@ class TestReparametrize:
 
     @pytest.mark.parametrize("bad", [
         dict(gamma=-0.5), dict(n=0.0), dict(k=-1.0), dict(t0=-0.1),
+        # numbers the curve cannot use, which the reader passed on
+        dict(k=math.inf), dict(gamma=math.inf), dict(t0=math.inf),
     ])
     def test_invalid_params(self, bad):
         kw = dict(BASE)

@@ -9,7 +9,7 @@ from scipy.stats import chi2, norm
 from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        EmptySample, ExpBoundary, GeneralBoundary,
                        GrowthParams, LognormalProcess, OUProcess, SimConfig,
-                       StartOutsideBand, density_distance, estimate_fet,
+                       density_distance, estimate_fet,
                        estimate_fpt, fpt_pdf_closed, simulate_paths,
                        transition_law_G, transition_law_L, x_eval)
 from growthfpt.growth_curve import _g
@@ -159,6 +159,14 @@ class TestSimulatePaths:
         proc = OUProcess(params, 0.1)
         with pytest.raises(ConfigError):
             simulate_paths(proc, SimConfig(dt=1.0, horizon=30.0, n_paths=2, seed=0))
+
+    @pytest.mark.parametrize("field,value", [("n_paths", 2.5), ("seed", 1.5),
+                                             ("n_paths", True), ("seed", "7")])
+    def test_path_count_and_seed_are_integers(self, field, value):
+        # each was accepted and then failed inside numpy with a TypeError
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SimConfig(**dict(dict(dt=0.5, horizon=5.0, n_paths=10, seed=0), **{field: value}))
+        assert SimConfig(dt=0.5, horizon=5.0, n_paths=np.int64(10), seed=np.int32(3)).n_paths == 10
 
     @pytest.mark.parametrize("horizon,dt", [(math.inf, 0.1), (1e308, 1e-10)])
     def test_step_count_overflow_is_a_config_error(self, horizon, dt):
@@ -509,14 +517,6 @@ class TestEstimateFET:
         n_up = int(np.sum(sample.exit_sides == "upper"))
         n = sample.hit_times.size
         assert abs(n_up / n - 0.5) <= 3.0 * 0.5 / math.sqrt(n)
-
-    def test_start_on_boundary_rejected(self):
-        proc = LognormalProcess(PARAMS, 0.02)
-        s1 = ExpBoundary(A=1.0)  # equals x0 at t0
-        s2 = ExpBoundary(A=1.2)
-        cfg = SimConfig(dt=0.1, horizon=10.0, n_paths=10, seed=0)
-        with pytest.raises(StartOutsideBand):
-            estimate_fet(proc, s1, s2, cfg)
 
     def test_sides_and_counts_consistent(self):
         proc = LognormalProcess(PARAMS, 0.02)

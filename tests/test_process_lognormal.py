@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from growthfpt import (GrowthParams, LognormalProcess, NonPositiveState,
-                       infinitesimal_coeffs, transition_law, transition_law_L,
-                       x_eval)
+from growthfpt import (GrowthParams, InvalidParams, LognormalProcess,
+                       NonPositiveState, OUProcess, infinitesimal_coeffs,
+                       transition_law, transition_law_L, x_eval)
 
 from conftest import BASE
 
 PARAMS = GrowthParams(p=1.5, **BASE)
 PROC = LognormalProcess(PARAMS, 0.02)
+
+
+@pytest.mark.parametrize("process", [LognormalProcess, OUProcess])
+@pytest.mark.parametrize("sigma", [0.0, math.inf, math.nan])
+def test_noise_must_be_finite_and_positive(process, sigma):
+    # an infinite sigma was accepted, and its densities were nan
+    with pytest.raises(InvalidParams, match="sigma must be finite and > 0"):
+        process(PARAMS, sigma)
 
 
 class TestTransitionLaw:
