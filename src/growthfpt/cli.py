@@ -242,11 +242,7 @@ def _density_grid(cfg: RunConfig) -> np.ndarray:
 def _cmd_curve(cfg: RunConfig, out: Path) -> int:
     params = cfg.model
     ts = _density_grid(cfg)
-    xs = x_eval(params, ts)
-    gs = g_eval(params, ts)
-    inside = ts < domain_end(params).t_star
-    hs = np.zeros_like(ts)
-    hs[inside] = h_eval(params, ts[inside])
+    xs, gs, hs = x_eval(params, ts), g_eval(params, ts), h_eval(params, ts)
     write_csv(out / "curve.csv", ["t", "x", "g", "h"], [ts, xs, gs, hs])
     (out / "curve.svg").write_text(render_line_chart(
         [(ts, xs, "x(t)")], title="Growth curve", ylabel="x"), encoding="utf-8")

@@ -57,9 +57,9 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidParams
-from .fpt import DensityCurve, _after, _solver_grid, _volterra
+from .fpt import DensityCurve, _solver_grid, _volterra
 from .gm_core import check_posed, to_clock
-from .growth_curve import _as_out
+from .growth_curve import _as_out, _check_span
 
 _SINE_FROM = 0.5                # R/L^2 above which the sine series is summed
 _ORDERS = np.arange(-6.0, 7.0)  # image orders n
@@ -124,7 +124,7 @@ def fet_pdf_closed(model, lower, upper, x0: float, t0: float, t):
     mean_boundary(nu_i) of the lognormal or the additive process from
     nu*x0.
     """
-    t = _after(t, t0)
+    t = _check_span(t, t0, after=True)
     coord = model.coord(x0, t0)
     (c1, d), (c2, d2) = coord.line(lower), coord.line(upper)
     check_posed([[c1 + d * 0.0], [c2 + d2 * 0.0]])  # the lines at the start, R = 0

@@ -33,7 +33,11 @@ alone, with left rectangles, so the kernel diagonal is never touched.  It
 serves the two-boundary system of fet with one sign per boundary, and
 evaluates the one kernel, gm_core.psi.  Both methods check the problem by
 gm_core.check_posed, the closed form on its line at the start and Volterra
-on the rows to_clock maps; DensityCurve takes only finite numbers.
+on the rows to_clock maps; DensityCurve takes only finite numbers.  Their
+times go through the one time rule (growth_curve._check_span): the closed
+forms take finite times strictly after the start, and a solver grid is
+finite from t0 on, besides its shape checks in _solver_grid.  The additive
+clock adds the curve's end, t_star.
 
 A boundary of the model's family is a line of the clock, on which the
 kernel vanishes from every source on the line itself.  One line is its
@@ -54,10 +58,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, GridError, OrderError
+from .errors import DomainError, GridError
 from .gm_core import (_SQRT2PI, GeneralBoundary,  # GeneralBoundary re-exported
                       check_posed, psi, to_clock)
-from .growth_curve import _as_out
+from .growth_curve import _as_out, _check_span
 
 
 @dataclass(frozen=True)
@@ -114,14 +118,6 @@ class DensityCurve:
         return cls(times=times, values=values)
 
 
-def _after(t, t0: float) -> np.ndarray:
-    """The times t as an array, each checked to lie after t0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= t0):
-        raise OrderError(f"need t > t0, got t={t}, t0={t0}")
-    return t
-
-
 def fpt_pdf_closed(model, b, x0: float, t0: float, t):
     """Closed-form passage density from (x0, t0) through a boundary of the
     model's closed-form family, at the times t (a scalar or an array):
@@ -134,7 +130,7 @@ def fpt_pdf_closed(model, b, x0: float, t0: float, t):
     w = c + d*R of b in model.coord(x0, t0), from either side.  The start
     must be off the boundary.
     """
-    t = _after(t, t0)
+    t = _check_span(t, t0, after=True)
     coord = model.coord(x0, t0)
     c, d = coord.line(b)
     check_posed([[c + d * 0.0]])  # the line at the start, R = 0
@@ -145,10 +141,12 @@ def fpt_pdf_closed(model, b, x0: float, t0: float, t):
 
 
 def _solver_grid(grid, t0: float):
-    """(grid, step) of a solver grid: uniform, increasing, starting at t0."""
+    """(grid, step) of a solver grid: finite, uniform, increasing, starting
+    at t0."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise GridError("grid must contain at least two times")
+    _check_span(grid, t0)
     steps = np.diff(grid)
     h = steps[0]
     if h <= 0.0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):

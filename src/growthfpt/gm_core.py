@@ -22,7 +22,10 @@ the start strictly inside and whose sides never meet.  boundary_fns maps a
 line back to state-space callables.  The kernel psi reads the clock and the
 boundary rows alone.
 Every time function of a spec, and the laws built from it, take a scalar or
-a numpy array of times.
+a numpy array of times.  transition_law and psi_kernel check their times by
+the one time rule (growth_curve._check_span): finite, and at or after tau
+(strictly after it for the kernel).  check_noise is the noise rule of
+wiener_spec and of both processes: sigma finite and positive.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import (BandCrossing, ConfigError, DomainError, OrderError,
+from .errors import (BandCrossing, ConfigError, DomainError, InvalidParams,
                      StartOnBoundary, StartOutsideBand)
-from .growth_curve import _as_out
+from .growth_curve import _as_out, _check_span
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _erf = np.vectorize(math.erf, otypes=[float])
@@ -104,9 +107,16 @@ def clock_spec(r: TimeFn, r_dot: TimeFn) -> GMSpec:
                   k2=lambda t: 1.0, k2_dot=lambda t: 0.0)
 
 
+def check_noise(sigma: float) -> None:
+    """The noise rule of every process: sigma is finite and positive."""
+    if not 0.0 < sigma < math.inf:
+        raise InvalidParams(f"sigma must be finite and > 0, got {sigma}")
+
+
 def wiener_spec(sigma: float) -> GMSpec:
     """Driftless Wiener process with variance sigma^2 per unit time:
     m = 0, k1 = sigma^2 * t, k2 = 1."""
+    check_noise(sigma)
     s2 = sigma * sigma
     return clock_spec(lambda t: s2 * t, lambda t: s2)
 
@@ -189,22 +199,15 @@ class GeneralBoundary:
 def boundary_fns(model, b, x0: float, t0: float) -> GeneralBoundary:
     """State-space callables of a closed-form boundary b of the model: its
     line c + d*R in model.coord(x0, t0) mapped back, s = to_state(c + d*R),
-    and s' = (d*R' - dw/dt)/(dw/dx) at s.  s' reuses the values of the
-    latest call of s at the same times: to_clock reads s' at the times it
-    has just read s at, so the line is mapped back once per grid."""
+    and s' = (d*R' - dw/dt)/(dw/dx) at s."""
     coord = model.coord(x0, t0)
     c, d = coord.line(b)
-    latest = [(None, None)]  # (times, values) of the latest call of s
 
     def s(t):
-        value = coord.to_state(c + d * coord.clock(t), t)
-        latest[0] = (np.array(t, dtype=float), np.array(value, dtype=float))
-        return value
+        return coord.to_state(c + d * coord.clock(t), t)
 
     def s_dot(t):
-        times, x = latest[0]
-        if times is None or not np.array_equal(times, t):
-            x = s(t)
+        x = s(t)
         return _as_out((d * coord.rate(t) - coord.dw_dt(x, t)) / coord.jacobian(x, t))
 
     return GeneralBoundary(s=s, s_dot=s_dot)
@@ -267,8 +270,7 @@ class TransitionLaw:
 def transition_law(spec: GMSpec, y: float, tau: float, t) -> TransitionLaw:
     """Law of X(t) given X(tau) = y, tau <= t, on spec.coord(y, tau): mean
     m(t) + (k2(t)/k2(tau)) (y - m(tau)), variance k2(t)^2 R, R = r(t) - r(tau)."""
-    if np.any(np.less(t, tau)):
-        raise OrderError(f"transition requested backwards: t={t} < tau={tau}")
+    _check_span(t, tau)
     at_tau, at_t = evaluate(spec, tau), evaluate(spec, t)
     mean = at_t.m + at_t.k2 / at_tau.k2 * (y - at_tau.m)
     R = np.where(np.equal(t, tau), 0.0, np.maximum(at_t.r - at_tau.r, 0.0))
@@ -362,7 +364,6 @@ def psi_kernel(model, boundary, t: float, y: float, tau: float) -> float:
     (t | y, tau), for scalar times tau < t; `boundary` is a closed-form
     boundary of the model or a GeneralBoundary.  The formula is psi's, in
     the coordinate from (y, tau), whose origin is the source."""
-    if tau >= t:
-        raise OrderError(f"kernel needs tau < t, got tau={tau}, t={t}")
+    _check_span(t, tau, after=True)
     R, rate, S, S_dot, _ = to_clock(model, [boundary], y, np.array([tau, t]))
     return float(psi(R[1] - R[0], rate[1], S[0, 1], S_dot[0, 1], 0.0))

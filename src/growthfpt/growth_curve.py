@@ -37,6 +37,17 @@ B = -eta^{1/q}, and x blows up there: that root is the regime's domain end.
 The evaluators (signed_pow, g_eval, x_eval, h_eval and the internal _g,
 _g_pow_n) take a scalar or a numpy array of times: an array comes back as an
 array of the same shape, a scalar as a float.
+
+_check_span is the one time rule of the package.  Every entry point that
+takes a time (the evaluators and h_integral here, the additive clock and
+int_g2, both processes' transition laws, gm_core.transition_law and
+psi_kernel, the closed forms and the Volterra grids) checks its times by
+it, saying only where the span starts, whether the start itself is
+excluded, and whether the curve's end applies and is included: a time or a
+start that is not finite is a DomainError, a time before its start an
+OrderError, and a time that reaches t_star, where the curve ends, a
+DomainError (g_eval, x_eval in the ceiling regime and int_g2 take t_star
+itself).
 """
 
 from __future__ import annotations
@@ -242,30 +253,36 @@ def domain_end(params: GrowthParams) -> TimeDomain:
     return TimeDomain(t_star=_core(params).t_star)
 
 
-def _check_t(params: GrowthParams, t: np.ndarray, *,
-             allow_t_star: bool = False) -> None:
-    if t.size == 0:
-        return
-    lo, hi = float(t.min()), float(t.max())
-    if lo < params.t0:
-        raise DomainError(f"t={lo} precedes the initial time t0={params.t0}")
-    ts = _core(params).t_star
-    if allow_t_star:
-        if hi > ts:
-            raise DomainError(f"t={hi} beyond the domain end t_star={ts}")
-    elif hi >= ts:
-        raise DomainError(f"t={hi} at or beyond the domain end t_star={ts}")
+def _check_span(t, start: float, params: GrowthParams | None = None, *,
+                after: bool = False, to_t_star: bool = False) -> np.ndarray:
+    """The one time rule: the times t (a scalar or an array) as an array,
+    checked to span from `start`.
 
-
-def _check_times(params: GrowthParams, tau: float, t) -> None:
-    """A transition from tau to t (a time or an array): t0 <= tau <= t < t_star."""
-    if np.min(t) < tau:
-        raise OrderError(f"t={np.min(t)} < tau={tau}")
-    if tau < params.t0:
-        raise OrderError(f"tau={tau} precedes t0={params.t0}")
-    ts = _core(params).t_star
-    if np.max(t) >= ts:
-        raise DomainError(f"t={np.max(t)} at or beyond the domain end t_star={ts}")
+    Every time and the start are finite (DomainError), and no time precedes
+    the start, nor reaches it when `after` (OrderError).  Given the curve's
+    params the span also lies in its domain: the start does not precede t0
+    (OrderError) and no time reaches t_star, or passes it when `to_t_star`
+    (DomainError).
+    """
+    t = np.asarray(t, dtype=float)
+    ends = (float(t.min()), float(t.max())) if t.size else ()
+    if not all(math.isfinite(v) for v in (start, *ends)):
+        raise DomainError(f"times must be finite, got start {start} and "
+                          f"(min, max) t {ends}")
+    if params is not None and start < params.t0:
+        raise OrderError(f"start {start} precedes the initial time t0={params.t0}")
+    if not ends:
+        return t
+    lo, hi = ends
+    if lo < start or after and lo == start:
+        raise OrderError(f"t={lo} {'does not follow' if after else 'precedes'} "
+                         f"the start {start}")
+    if params is not None:
+        ts = _core(params).t_star
+        if hi > ts or hi == ts and not to_t_star:
+            raise DomainError(f"t={hi} {'beyond' if to_t_star else 'at or beyond'} "
+                              f"the domain end t_star={ts}")
+    return t
 
 
 def _g_pow_n(params: GrowthParams, t):
@@ -282,7 +299,7 @@ def _g_pow_n(params: GrowthParams, t):
 
 def g_eval(params: GrowthParams, t):
     """The auxiliary function g(t); x(t) = x0*g(t0)/g(t)."""
-    _check_t(params, np.asarray(t, dtype=float), allow_t_star=True)
+    _check_span(t, params.t0, params, to_t_star=True)
     return _g(params, t)
 
 
@@ -299,9 +316,8 @@ def x_eval(params: GrowthParams, t):
     at or beyond the odd-integer regime's blow-up, DomainError is raised.
     """
     c = _core(params)
-    t = np.asarray(t, dtype=float)
     ceiling = c.regime is CurveRegime.FINITE_TIME_CEILING
-    _check_t(params, t, allow_t_star=ceiling)
+    t = _check_span(t, params.t0, params, to_t_star=ceiling)
     x = params.x0 * _g(params, params.t0) / _g(params, t)
     if ceiling:
         x = np.where(t == c.t_star, params.k, x)
@@ -310,8 +326,7 @@ def x_eval(params: GrowthParams, t):
 
 def h_eval(params: GrowthParams, t):
     """Fertility rate h(t) = -g'(t)/g(t) = -d/dt ln g(t)."""
-    t = np.asarray(t, dtype=float)
-    _check_t(params, t)
+    t = _check_span(t, params.t0, params)
     c = _core(params)
     if c.limit_branch:
         # g^n = eta + alpha^t, (g^n)' = alpha^t ln alpha = -gamma*n*alpha^t
@@ -327,10 +342,9 @@ def h_eval(params: GrowthParams, t):
 
 
 def h_integral(params: GrowthParams, a: float, b: float) -> float:
-    """Exact integral of h over [a, b]: ln g(a) - ln g(b) (no quadrature)."""
-    if b < a:
-        raise OrderError(f"integration bounds out of order: a={a} > b={b}")
+    """Exact integral of h over [a, b], t0 <= a <= b < t_star:
+    ln g(a) - ln g(b) (no quadrature)."""
+    _check_span(b, a, params)
     if a == b:
         return 0.0
-    _check_t(params, np.array([a, b], dtype=float))
     return (math.log(_g_pow_n(params, a)) - math.log(_g_pow_n(params, b))) / params.n

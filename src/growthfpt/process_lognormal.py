@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InvalidParams, NonPositiveState
-from .gm_core import TransitionLaw, WienerCoord
-from .growth_curve import GrowthParams, _as_out, _check_times, _g, h_eval
+from .errors import ConfigError, DomainError, NonPositiveState
+from .gm_core import TransitionLaw, WienerCoord, check_noise
+from .growth_curve import GrowthParams, _as_out, _check_span, _g, h_eval
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ class LognormalProcess:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.sigma < math.inf):
-            raise InvalidParams(f"sigma must be finite and > 0, got {self.sigma}")
+        check_noise(self.sigma)
 
     def coord(self, x0: float, t0: float) -> WienerCoord:
         """The Wiener coordinate from the start (x0, t0):
@@ -101,7 +100,7 @@ class LognormalProcess:
 def transition_law_L(proc: LognormalProcess, y: float, tau: float, t) -> TransitionLaw:
     """Lognormal law on coord(y, tau): w ~ N(0, sigma^2 (t - tau)), mean
     y g(tau)/g(t), variance mean^2 (e^{sigma^2 (t - tau)} - 1)."""
-    _check_times(proc.params, tau, t)
+    _check_span(t, tau, proc.params)
     coord = proc.coord(y, tau)
     R, mean = coord.clock(t), _as_out(y * (_g(proc.params, tau) / _g(proc.params, t)))
     return TransitionLaw(coord, t, R, mean, _as_out(mean * mean * np.expm1(R)))

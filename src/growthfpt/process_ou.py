@@ -21,7 +21,10 @@ panels no wider than PANEL_WIDTH (quadrature.panel_integrals), one
 vectorised evaluation of g at every node and one cumulative sum.  The tests
 hold it to 1e-12 relative error against scipy.integrate.quad at epsrel
 1e-13, which shares no code with it, on every curve regime, grids ending at
-0.999 of a finite domain end included.
+0.999 of a finite domain end included.  int_g2, the clock and the
+transition law check their times by the curve's one time rule
+(growth_curve._check_span): finite, from t0 or the start on, and before
+t_star (int_g2 may read P at t_star itself).
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InvalidParams, OrderError
-from .gm_core import GMSpec, TransitionLaw, WienerCoord
-from .growth_curve import GrowthParams, _as_out, _check_times, _core, _g, h_eval
+from .errors import ConfigError
+from .gm_core import GMSpec, TransitionLaw, WienerCoord, check_noise
+from .growth_curve import GrowthParams, _as_out, _check_span, _g, h_eval
 from .quadrature import panel_integrals
 
 PANEL_WIDTH = 0.5
@@ -57,8 +60,7 @@ class OUProcess:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.sigma < np.inf):
-            raise InvalidParams(f"sigma must be finite and > 0, got {self.sigma}")
+        check_noise(self.sigma)
 
     def coord(self, x0: float, t0: float) -> WienerCoord:
         """The Wiener coordinate from the start (x0, t0):
@@ -67,12 +69,13 @@ class OUProcess:
 
         with dw/dx = g(t) and dw/dt = x g'(t) = -x h(t) g(t), in which an
         AffineGMBoundary is the line
-        c = A - x0 g(t0), d = B.  The clock raises DomainError for a time at
-        or after t_star, the end of the curve's domain.
+        c = A - x0 g(t0), d = B.  The clock takes finite times from t0 on
+        and before t_star, the end of the curve's domain: else it raises
+        DomainError, or OrderError for a time before t0.
         """
         params = self.params
         s2 = self.sigma * self.sigma
-        p0, t_star = int_g2(params, t0), _core(params).t_star
+        p0 = int_g2(params, t0)
         w0 = x0 * _g(params, t0)
 
         def rate(t):
@@ -86,9 +89,7 @@ class OUProcess:
             return b.A - w0, b.B
 
         def clock(t):
-            if np.any(np.greater_equal(t, t_star)):
-                raise DomainError(f"t={np.max(t)} at or beyond the domain end "
-                                  f"t_star={t_star}")
+            _check_span(t, t0, params)
             return s2 * (int_g2(params, t) - p0)
 
         return WienerCoord(
@@ -116,13 +117,8 @@ def int_g2(params: GrowthParams, ts):
     interior to their panels, so a time may sit on a finite domain end.  An
     array comes back with the shape of `ts`, a scalar as a float.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = _check_span(ts, params.t0, params, to_t_star=True)
     flat = ts.reshape(-1)
-    if flat.min() < params.t0:
-        raise OrderError(f"times must not precede t0={params.t0}")
-    t_star = _core(params).t_star
-    if flat.max() > t_star:
-        raise DomainError(f"t={flat.max()} beyond the domain end t_star={t_star}")
     k = np.floor((flat - params.t0) / PANEL_WIDTH).astype(np.intp)
     lattice = params.t0 + PANEL_WIDTH * np.arange(k.max() + 1)
     left = np.concatenate((lattice[:-1], np.minimum(lattice[k], flat)))
@@ -141,7 +137,7 @@ def int_g2(params: GrowthParams, ts):
 def transition_law_G(proc: OUProcess, y: float, tau: float, t) -> TransitionLaw:
     """Gaussian law on coord(y, tau): w ~ N(0, R), mean y g(tau)/g(t),
     variance R/g(t)^2."""
-    _check_times(proc.params, tau, t)
+    _check_span(t, tau, proc.params)
     coord, gt = proc.coord(y, tau), _g(proc.params, t)
     R, mean = coord.clock(t), _as_out(y * (_g(proc.params, tau) / gt))
     return TransitionLaw(coord, t, R, mean, _as_out(R / (gt * gt)))

@@ -393,11 +393,10 @@ class TestDensityCurve:
 
 
 def test_affine_callables_integrate_the_clock_once_per_grid(monkeypatch):
-    # s_dot reuses the values s has just computed on the grid: a scalar read
-    # of int_g2 for each of the spec's clock, the callables' coordinate and
-    # the spec's coordinate in to_clock, then one grid read for the spec's
-    # clock and one for s, bit for bit the solve of an s_dot that computes s
-    # again
+    # a scalar read of int_g2 for each of the spec's clock, the callables'
+    # coordinate and the spec's coordinate in to_clock, then one grid read
+    # each for the spec's clock, s and s_dot (which maps the line back
+    # itself), bit for bit the solve of an s_dot from callables of its own
     from growthfpt import process_ou
     proc = OUProcess(PARAMS, 0.1)
     params = proc.params
@@ -413,7 +412,7 @@ def test_affine_callables_integrate_the_clock_once_per_grid(monkeypatch):
                         lambda p, ts: sizes.append(np.size(ts)) or int_g2(p, ts))
     got = volterra_fpt(gm_spec_G(proc), boundary_fns(proc, bnd, params.x0, params.t0),
                        params.x0, params.t0, grid).values
-    assert sizes == [1, 1, 1, 401, 401]
+    assert sizes == [1, 1, 1, 401, 401, 401]
     assert np.array_equal(got, want)
 
 

@@ -270,3 +270,67 @@ class TestSignedPow:
             got = signed_pow(base, q)
             assert got.shape == base.shape
             assert np.array_equal(got, [signed_pow(float(b), q) for b in base])
+
+
+def _time_entry_points():
+    """(name, call(t, start)) of every entry point that takes a time; the
+    start is the time the span is measured from, the curve's t0 where the
+    entry point takes none."""
+    from growthfpt import (ExpBoundary, LognormalProcess, OUProcess,
+                           fet_pdf_closed, fpt_pdf_closed, psi_kernel,
+                           transition_law, transition_law_G, transition_law_L,
+                           volterra_fet, volterra_fpt, wiener_spec)
+    from growthfpt.process_ou import int_g2
+    params = P(1.5)
+    lognormal, ou = LognormalProcess(params, 0.1), OUProcess(params, 0.1)
+    band = ExpBoundary(A=0.8), ExpBoundary(A=1.2)
+
+    def grid(t, start):  # a solver grid from the start whose last time is t
+        return np.append(np.linspace(start, start + 1.5, 4), t)
+
+    return {
+        "x_eval": lambda t, s: x_eval(params, t),
+        "g_eval": lambda t, s: g_eval(params, t),
+        "h_eval": lambda t, s: h_eval(params, t),
+        "h_integral": lambda t, s: h_integral(params, s, t),
+        "int_g2": lambda t, s: int_g2(params, t),
+        "ou_clock": lambda t, s: ou.coord(1.0, s).clock(t),
+        "transition_law_L": lambda t, s: transition_law_L(lognormal, 1.0, s, t),
+        "transition_law_G": lambda t, s: transition_law_G(ou, 1.0, s, t),
+        "transition_law": lambda t, s: transition_law(wiener_spec(1.0), 0.0, s, t),
+        "psi_kernel": lambda t, s: psi_kernel(lognormal, band[0], t, 1.0, s),
+        "fpt_pdf_closed": lambda t, s: fpt_pdf_closed(lognormal, band[0], 1.0, s, t),
+        "fet_pdf_closed": lambda t, s: fet_pdf_closed(lognormal, *band, 1.0, s, t),
+        "volterra_fpt": lambda t, s: volterra_fpt(lognormal, band[0], 1.0, s,
+                                                  grid(t, s)),
+        "volterra_fet": lambda t, s: volterra_fet(lognormal, *band, 1.0, s,
+                                                  grid(t, s)),
+    }
+
+
+TIME_ENTRY_POINTS = _time_entry_points()
+# a start only where the entry point takes one
+TAKES_A_START = set(TIME_ENTRY_POINTS) - {"x_eval", "g_eval", "h_eval", "int_g2"}
+# an array of times where it takes one; a solver's times are its grid
+ARRAY_TIMES = set(TIME_ENTRY_POINTS) - {"h_integral", "psi_kernel", "volterra_fpt",
+                                        "volterra_fet"}
+
+
+NON_FINITE = {"t_nan": (math.nan, 0.0), "t_inf": (math.inf, 0.0),
+              "t_minus_inf": (-math.inf, 0.0), "start_nan": (2.0, math.nan)}
+
+
+@pytest.mark.parametrize("name,case", [
+    (name, case) for case in NON_FINITE for name in TIME_ENTRY_POINTS
+    if case != "start_nan" or name in TAKES_A_START])
+def test_every_time_must_be_finite(name, case):
+    # NaN compared false with every bound: values came back nan or 0.0, and
+    # the additive clock failed with an IndexError
+    t, start = NON_FINITE[case]
+    call = TIME_ENTRY_POINTS[name]
+    call(2.0, 0.0)  # the same call with finite times is in order
+    with pytest.raises(DomainError, match="times must be finite"):
+        call(t, start)
+    if name in ARRAY_TIMES:
+        with pytest.raises(DomainError, match="times must be finite"):
+            call(np.array([1.0, t]), start)

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from growthfpt import (GrowthParams, InvalidParams, LognormalProcess,
                        NonPositiveState, OUProcess, infinitesimal_coeffs,
-                       transition_law, transition_law_L, x_eval)
+                       transition_law, transition_law_L, wiener_spec, x_eval)
 
 from conftest import BASE
 
@@ -14,12 +14,14 @@ PARAMS = GrowthParams(p=1.5, **BASE)
 PROC = LognormalProcess(PARAMS, 0.02)
 
 
-@pytest.mark.parametrize("process", [LognormalProcess, OUProcess])
-@pytest.mark.parametrize("sigma", [0.0, math.inf, math.nan])
+@pytest.mark.parametrize("process", [LognormalProcess, OUProcess, wiener_spec])
+@pytest.mark.parametrize("sigma", [0.0, math.inf, math.nan, -1.0])
 def test_noise_must_be_finite_and_positive(process, sigma):
-    # an infinite sigma was accepted, and its densities were nan
+    # an infinite sigma was accepted, and its densities were nan; a Wiener
+    # spec took any sigma, and solved a negative one as its square
+    args = (sigma,) if process is wiener_spec else (PARAMS, sigma)
     with pytest.raises(InvalidParams, match="sigma must be finite and > 0"):
-        process(PARAMS, sigma)
+        process(*args)
 
 
 class TestTransitionLaw:
