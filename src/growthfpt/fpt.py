@@ -33,11 +33,8 @@ alone, with left rectangles, so the kernel diagonal is never touched.  It
 serves the two-boundary system of fet with one sign per boundary, and
 evaluates the one kernel, gm_core.psi.  Both methods check the problem by
 gm_core.check_posed, the closed form on its line at the start and Volterra
-on the rows to_clock maps; DensityCurve takes only finite numbers.  Their
-times go through the one time rule (growth_curve._check_span): the closed
-forms take finite times strictly after the start, and a solver grid is
-finite from t0 on, besides its shape checks in _solver_grid.  The additive
-clock adds the curve's end, t_star.
+on the rows to_clock maps, and their times by growth_curve._check_span;
+DensityCurve takes only finite numbers.
 
 A boundary of the model's family is a line of the clock, on which the
 kernel vanishes from every source on the line itself.  One line is its

@@ -22,10 +22,9 @@ the start strictly inside and whose sides never meet.  boundary_fns maps a
 line back to state-space callables.  The kernel psi reads the clock and the
 boundary rows alone.
 Every time function of a spec, and the laws built from it, take a scalar or
-a numpy array of times.  transition_law and psi_kernel check their times by
-the one time rule (growth_curve._check_span): finite, and at or after tau
-(strictly after it for the kernel).  check_noise is the noise rule of
-wiener_spec and of both processes: sigma finite and positive.
+a numpy array of times; transition_law and psi_kernel check theirs by
+growth_curve._check_span.  check_noise is the noise rule of wiener_spec
+and of both processes.
 """
 
 from __future__ import annotations

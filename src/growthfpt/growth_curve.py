@@ -38,16 +38,9 @@ The evaluators (signed_pow, g_eval, x_eval, h_eval and the internal _g,
 _g_pow_n) take a scalar or a numpy array of times: an array comes back as an
 array of the same shape, a scalar as a float.
 
-_check_span is the one time rule of the package.  Every entry point that
-takes a time (the evaluators and h_integral here, the additive clock and
-int_g2, both processes' transition laws, gm_core.transition_law and
-psi_kernel, the closed forms and the Volterra grids) checks its times by
-it, saying only where the span starts, whether the start itself is
-excluded, and whether the curve's end applies and is included: a time or a
-start that is not finite is a DomainError, a time before its start an
-OrderError, and a time that reaches t_star, where the curve ends, a
-DomainError (g_eval, x_eval in the ceiling regime and int_g2 take t_star
-itself).
+_check_span is the one time rule: every entry point of the package that
+takes a time checks it there, saying only where the span starts, whether
+the start is excluded and whether the curve's end applies and is included.
 """
 
 from __future__ import annotations

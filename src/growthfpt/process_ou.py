@@ -21,10 +21,8 @@ panels no wider than PANEL_WIDTH (quadrature.panel_integrals), one
 vectorised evaluation of g at every node and one cumulative sum.  The tests
 hold it to 1e-12 relative error against scipy.integrate.quad at epsrel
 1e-13, which shares no code with it, on every curve regime, grids ending at
-0.999 of a finite domain end included.  int_g2, the clock and the
-transition law check their times by the curve's one time rule
-(growth_curve._check_span): finite, from t0 or the start on, and before
-t_star (int_g2 may read P at t_star itself).
+0.999 of a finite domain end included.  int_g2, the clock and
+transition_law_G check their times by growth_curve._check_span.
 """
 
 from __future__ import annotations
