@@ -1,8 +1,11 @@
 """Monte Carlo validation of the closed forms (and of one variance formula).
 
-Paths advance by exact transition sampling, so the step size only affects
-crossing detection; the within-step bridge correction removes that bias too.
-The passage, exit and variance checks are the oracle suite's
+Paths advance by exact transition sampling.  Against one boundary with the
+bridge correction on, each path goes to the horizon in one step and a hit's
+time is drawn from the bridge's law given the path's two ends, so dt sets no
+step there and its sample is exact in law at any dt; without the correction
+(the last lines) crossings are seen only at the dt grid, so a coarse step
+misses some.  The passage, exit and variance checks are the oracle suite's
 (growthfpt.validate), run here on larger ensembles; the variance check uses
 a large ensemble to discriminate between the conditional-variance formula
 implemented here and a plausible-looking alternative ordering of the same

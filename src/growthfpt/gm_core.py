@@ -30,6 +30,7 @@ and of both processes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -107,9 +108,13 @@ def clock_spec(r: TimeFn, r_dot: TimeFn) -> GMSpec:
 
 
 def check_noise(sigma: float) -> None:
-    """The noise rule of every process: sigma is finite and positive."""
-    if not 0.0 < sigma < math.inf:
-        raise InvalidParams(f"sigma must be finite and > 0, got {sigma}")
+    """The noise rule of every process: sigma is finite and positive, and
+    sigma**2, which scales every clock, is a positive normal float: it
+    neither underflows to 0 or a subnormal nor overflows."""
+    if not (0.0 < sigma < math.inf
+            and sys.float_info.min <= float(sigma) * float(sigma) < math.inf):
+        raise InvalidParams(f"sigma must be finite and > 0, and sigma**2 a positive "
+                            f"normal float, got {sigma}")
 
 
 def wiener_spec(sigma: float) -> GMSpec:

@@ -8,10 +8,23 @@ in the clock R, whose step variances are the differences of R on the grid.
 The estimators map their problem into it by gm_core.to_clock, as the
 Volterra solvers do, and take only rows that are lines c + d*R there, the
 closed-form boundaries of the process; any other boundary, callables or
-one of the other process, is a ConfigError.  The residual crossing bias is
-removed by a within-step correction: a step pinned at (w_k, w_{k+1}) that
-stays on the start's side of a boundary at both grid times crosses it
-mid-step with probability
+one of the other process, is a ConfigError.
+
+Against one line under the bridge test (_line_hits) a path goes to the
+horizon in one step, since the test below is exact for a line over any
+clock interval: the path draws its end, crosses with the bridge's
+probability exp{-2 a b / V} from its start distance a to its end distance
+b over the whole clock V, and a hit draws its clock time from the bridge's
+law given both ends, tau = V U/(1 + U) with U ~ IG(a/|b|, a^2/V) (one
+Generator.wald), which Newton's method on the coordinate's own clock and
+rate maps to a time (_clock_times).  The sample is exact in law whatever
+dt; for a line dt sets no step, only the grid of simulate_paths, the
+estimator without the bridge test and Newton's start.
+
+A band, or a line without the bridge test, is stepped on the grid
+(_first_hits).  The residual crossing bias is removed by a within-step
+correction: a step pinned at (w_k, w_{k+1}) that stays on the start's side
+of a boundary at both grid times crosses it mid-step with probability
 
     exp{-2 d_k d_{k+1} / var_step},
 
@@ -42,21 +55,24 @@ recorded at the right endpoint.
 simulate_paths returns whole paths.  One crossing detector (_first_hits),
 which steps its own paths, serves one boundary or two: estimate_fpt and
 estimate_fet are thin wrappers of one private path, which checks the rows
-by gm_core.check_posed as every method does, and differ only in whether
-they report exit sides.  Within a step the first boundary given (the lower
-one of a band) wins a tie.
+by gm_core.check_posed as every method does, picks _line_hits or
+_first_hits, and differ only in whether they report exit sides.  Within a
+step the first boundary given (the lower one of a band) wins a tie.
 
 Randomness is organised in fixed-size chunks of paths: chunk c draws from an
 SFC64 generator seeded by SeedSequence([seed, c]) (the seed masked to 64
 bits), so each chunk's stream is a pure function of (seed, c).
 simulate_paths draws the chunk's whole Gaussian block, one fixed row per
-path.  The estimators step a chunk in time blocks (BLOCK0 steps, then half as
-many again each block, rounded down; a remainder shorter than the current
-block joins it) and stop simulating a path once it has hit: in each block a
-chunk draws one normal per far path, its block end, then a Gaussian block
-for its paths still running that do not skip the block, then one uniform
-per candidate step of each boundary, in the order the boundaries are given
-and row-major within a boundary.  Which paths run, and which are far or
+path.  _line_hits draws one normal per path, then one uniform per
+candidate (an end on the start's side whose exponent exceeds LOG_U_MIN),
+then one Wald draw per hit, in path order.  _first_hits steps a chunk in
+time blocks (BLOCK0 steps, then half as many again each block, rounded
+down; a remainder shorter than the current block joins it) and stops
+simulating a path once it has hit: in each block a chunk draws one normal
+per far path, its block end, then a Gaussian block for its paths still
+running that do not skip the block, then one uniform per candidate step of
+each boundary, in the order the boundaries are given and row-major within
+a boundary.  Which paths run, and which are far or
 skip, depends only on the chunk's earlier draws and each path's own, so
 ensembles are bit-identical for a given seed no matter how many worker
 threads run or how their chunks are grouped; GROWTHFPT_THREADS caps the pool
@@ -99,7 +115,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptySample
 from .fpt import DensityCurve
-from .gm_core import check_posed, to_clock
+from .gm_core import WienerCoord, check_posed, to_clock
 from .growth_curve import _core
 from .process_lognormal import ExpBoundary, LognormalProcess
 from .process_ou import AffineGMBoundary, OUProcess
@@ -109,6 +125,8 @@ BLOCK0 = 4  # steps in an estimator's first time block; each later one is half a
 # log of the smallest positive Generator.random() draw, 2**-53: a bridge
 # exponent at or below it can fire only on a drawn 0
 LOG_U_MIN = float(np.log(2.0 ** -53))
+PHI_MIN = 1e-5  # the least shape/mean ratio of a hit-time Wald draw (_hit_clock)
+NEWTON_TOL, NEWTON_MAX = 1e-7, 8  # the inverse clock's last step, of the span; its most steps
 
 Process = Union[LognormalProcess, OUProcess]
 Boundary = Union[ExpBoundary, AffineGMBoundary]
@@ -117,6 +135,12 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class SimConfig:
+    """An ensemble's grid, size and seed.  dt is the step of simulate_paths,
+    of a band and of a line without the bridge correction.  A line under the
+    bridge correction takes each path to the horizon in one step, so there
+    dt sets no step, only the grid from which Newton's method starts to map
+    hit times."""
+
     dt: float
     horizon: float
     n_paths: int
@@ -155,7 +179,9 @@ class EmpiricalHittingSample:
     exit_sides: Optional[np.ndarray]  # 'lower'/'upper' per hit, or None (single boundary)
     censored_count: int
     n_paths: int
-    path_steps: int = 0  # path-steps simulated one by one; a skipped block counts none
+    # path-steps simulated one by one: a skipped block counts none, and a
+    # line under the bridge correction one per path
+    path_steps: int = 0
 
 
 def _n_threads() -> int:
@@ -478,14 +504,109 @@ def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, floa
     )
 
 
+def _hit_clock(a: float, b: np.ndarray, V: float, rng: np.random.Generator) -> np.ndarray:
+    """Clock times in (0, V] of the first hits of Brownian bridges over [0, V]
+    from distance a > 0 to the line to end distances b, one Generator.wald per
+    hit: tau = V U/(1 + U) with U ~ IG(a/|b|, a^2/V), drawn as (a/|b|) times
+    IG(1, phi), phi = a|b|/V.  numpy's draw cancels as phi falls (NaN at
+    b = 0, 0 at b = 1e-300), so |b| is floored where phi = PHI_MIN, which
+    moves the law only of hits ending that close to the line."""
+    bb = np.maximum(np.abs(b), PHI_MIN * V / a)
+    u = rng.wald(1.0, a * bb / V)
+    u *= a / bb
+    return V * u / (1.0 + u)
+
+
+def _clock_times(coord: WienerCoord, ts: np.ndarray, R: np.ndarray,
+                 tau: np.ndarray) -> np.ndarray:
+    """The times in [ts[0], ts[-1]] at which coord.clock reads tau, by
+    Newton's method on the coordinate's clock and rate from the linear
+    interpolation of its values R on the grid ts.  Each time stops once its
+    step moves it by at most NEWTON_TOL of the span, which leaves an error
+    of the order of that step squared, so a time does not depend on the
+    others in the call.  A linear clock (the lognormal process's) takes one
+    evaluation."""
+    t = np.interp(tau, R, ts)
+    tol = NEWTON_TOL * (ts[-1] - ts[0])
+    todo = np.arange(t.size)
+    for _ in range(NEWTON_MAX):
+        tk = t[todo]
+        step = (coord.clock(tk) - tau[todo]) / coord.rate(tk)
+        t[todo] = np.clip(tk - step, ts[0], ts[-1])
+        todo = todo[np.abs(step) > tol]
+        if not todo.size:
+            break
+    return t
+
+
+def _line_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
+               line: Tuple[float, float], cfg: SimConfig) -> EmpiricalHittingSample:
+    """The first passage of each path of a unit Wiener process from 0 in the
+    clock R to the line c + d*R, in one step per path over the whole clock V
+    = R[-1]: the path's end, the bridge test from distance a = |c| at the
+    start to the end's distance b, and for a hit its clock time from the
+    bridge's law (_hit_clock).  Each chunk draws one normal per path, one
+    uniform per candidate, then one Wald draw per hit, in path order.  The
+    clock times wait in the output until a thread holds CHUNK of them or
+    ends its run, and are then mapped to times by the coordinate's own
+    clock (_clock_times) in one call."""
+    c, d = line
+    sign = 1.0 if c > 0.0 else -1.0
+    a, V = abs(c), float(R[-1])
+    b_still = a + sign * d * V  # a path's end distance when it ends at w = 0
+    rate = -2.0 * a / V
+    hit_time = np.full(cfg.n_paths, np.nan)
+
+    def to_times(waiting: list) -> None:
+        if waiting:
+            idx = np.concatenate(waiting)
+            hit_time[idx] = _clock_times(coord, ts, R, hit_time[idx])
+            waiting.clear()
+
+    @np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
+    def worker(run: range) -> None:
+        waiting, n_waiting = [], 0
+        for ch in run:
+            rng = _chunk_rng(cfg.seed, ch)
+            start = ch * CHUNK
+            b = rng.standard_normal(min(CHUNK, cfg.n_paths - start))
+            b *= -sign * np.sqrt(V)
+            b += b_still
+            g = rate * b
+            cand = np.flatnonzero((b > 0.0) & (g > LOG_U_MIN))
+            hit = b <= 0.0
+            hit[cand] = np.log(rng.random(cand.size)) < g[cand]
+            rows = np.flatnonzero(hit)
+            if not rows.size:
+                continue
+            hit_time[start + rows] = _hit_clock(a, b[rows], V, rng)
+            waiting.append(start + rows)
+            n_waiting += rows.size
+            if n_waiting >= CHUNK:
+                to_times(waiting)
+                n_waiting = 0
+        to_times(waiting)
+
+    _run_chunked(cfg.n_paths, worker)
+    hits = hit_time[~np.isnan(hit_time)]
+    hits.sort()
+    return EmpiricalHittingSample(hit_times=hits, exit_sides=None,
+                                  censored_count=int(cfg.n_paths - hits.size),
+                                  n_paths=cfg.n_paths, path_steps=cfg.n_paths)
+
+
 def _estimate(process: Process, boundaries: list, cfg: SimConfig, side_names):
     """The sample of the problem to_clock maps from the process's start, every
-    boundary a line there."""
+    boundary a line there: one line under the bridge test in one step per
+    path (_line_hits), a band or the test without the bridge on the grid
+    (_first_hits)."""
     ts = _grid(process, cfg)
     R, _, S, _, lines = to_clock(process, boundaries, process.params.x0, ts)
     if None in lines:
         raise ConfigError("Monte Carlo takes only closed-form boundaries of the process")
     check_posed(S)
+    if len(lines) == 1 and cfg.bridge_correction:
+        return _line_hits(ts, R, process.coord(process.params.x0, ts[0]), lines[0], cfg)
     return _first_hits(ts, R, lines, cfg, side_names)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -16,7 +17,7 @@ from growthfpt.growth_curve import _g
 from growthfpt import montecarlo
 from growthfpt.montecarlo import (BLOCK0, CHUNK, LOG_U_MIN, EmpiricalHittingSample,
                                   _block_edges, _bridge_events, _chunk_rng,
-                                  _first_hits, _pin)
+                                  _first_hits, _hit_clock, _pin)
 from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
@@ -42,13 +43,16 @@ class TestSimulatePaths:
         scale = PARAMS.x0 * _g(PARAMS, 0.0)
         lower = AffineGMBoundary(A=0.97 * scale)
         upper = AffineGMBoundary(A=1.03 * scale, B=0.01)
-        # far enough that most paths skip blocks and some are pinned
+        # far enough that most paths skip blocks and some are pinned; a line
+        # under the bridge test takes one step per path, so this one is
+        # tested without it, as the grid steps it
         far = AffineGMBoundary(A=1.1 * scale, B=0.01)
         calls = {
             "simulate_paths": lambda: simulate_paths(proc, cfg)[1],
             "estimate_fpt": lambda: estimate_fpt(proc, upper, cfg),
             "estimate_fet": lambda: estimate_fet(proc, lower, upper, cfg),
-            "estimate_fpt_far": lambda: estimate_fpt(proc, far, cfg),
+            "estimate_fpt_far": lambda: estimate_fpt(
+                proc, far, dataclasses.replace(cfg, bridge_correction=False)),
         }
         pinned = []
 
@@ -188,12 +192,15 @@ class TestEstimateFPT:
         assert ks < 0.01
 
     def test_unreachable_boundary_censors_everything(self):
-        proc = LognormalProcess(PARAMS, 0.001)
-        bnd = ExpBoundary(A=50.0)  # fifty times the mean proportion
+        # fifty times the mean proportion; on the OU process no hit leaves
+        # no time to map, and its clock is never called on no times
         cfg = SimConfig(dt=0.1, horizon=2.0, n_paths=500, seed=3)
-        sample = estimate_fpt(proc, bnd, cfg)
-        assert sample.hit_times.size == 0
-        assert sample.censored_count == cfg.n_paths
+        scale = PARAMS.x0 * _g(PARAMS, PARAMS.t0)
+        for proc, bnd in ((LognormalProcess(PARAMS, 0.001), ExpBoundary(A=50.0)),
+                          (OUProcess(PARAMS, 0.001), AffineGMBoundary(A=50.0 * scale))):
+            sample = estimate_fpt(proc, bnd, cfg)
+            assert sample.hit_times.size == 0
+            assert sample.censored_count == cfg.n_paths
 
     def test_bridge_correction_reduces_bias(self):
         # coarse steps undercount crossings; the within-step correction must
@@ -269,6 +276,42 @@ class TestEstimateFPT:
         # most paths stay far from the boundary: they skip whole blocks, and
         # those that end a far block near it are pinned to the drawn end
         self._assert_coarse_step_law(0.015, 1.2, 0.0, 0.5, 60.0, 200_000)
+
+    @pytest.mark.parametrize("sigma,A,B,dt,horizon", [
+        (0.3, 0.8, -0.1, 1.0, 20.0), (0.3, 0.8, -0.1, 0.5, 20.0),
+        (0.3, 1.25, 0.1, 1.0, 20.0), (0.3, 1.25, 0.1, 0.5, 20.0),
+        (0.015, 1.2, 0.0, 0.5, 60.0)])
+    def test_coarse_step_hit_times_follow_the_closed_form(self, sigma, A, B, dt, horizon):
+        # hit times drawn from the bridge's law, not put at a step's
+        # midpoint: the sub-CDF lies within the DKW bound at alpha = 1e-3
+        # of the Bachelier-Levy mass at any step size
+        n = 200_000
+        sample = estimate_fpt(LognormalProcess(PARAMS, sigma), ExpBoundary(A=A, B=B),
+                              SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=8))
+        a, drift = math.log(A), -(B + 0.5 * sigma ** 2)
+        level, mu = abs(a), math.copysign(1.0, a) * drift
+        t = sample.hit_times - PARAMS.t0
+        sd = sigma * np.sqrt(t)
+        mass = (norm.cdf((mu * t - level) / sd) + math.exp(2.0 * mu * level / sigma ** 2)
+                * norm.cdf((-level - mu * t) / sd))
+        # the empirical sub-CDF just before and at each hit
+        k = np.arange(t.size)
+        ks = max(np.max(np.abs(k / n - mass)), np.max(np.abs((k + 1) / n - mass)))
+        assert ks <= math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
+
+    def test_ou_hit_times_follow_the_closed_form(self):
+        # the OU clock is far from linear over a step of 0.5 (its rate falls
+        # fivefold over the first one), so a hit's clock time must be
+        # mapped to a time by the clock itself, not by the grid's chords
+        proc = OUProcess(PARAMS, 0.1)
+        bnd = AffineGMBoundary(A=1.1 * PARAMS.x0 * _g(PARAMS, PARAMS.t0), B=0.01)
+        sample = estimate_fpt(proc, bnd, SimConfig(dt=0.5, horizon=30.0, n_paths=100_000,
+                                                   seed=9))
+        grid = np.linspace(0.0, 30.0, 120_001)
+        curve = DensityCurve.from_function(
+            lambda t: fpt_pdf_closed(proc, bnd, PARAMS.x0, PARAMS.t0, t), grid, PARAMS.t0)
+        _, ks = density_distance(sample, curve)
+        assert ks <= math.sqrt(math.log(2.0 / 1e-3) / (2.0 * sample.n_paths))
 
     def test_reproducible(self):
         proc = LognormalProcess(PARAMS, 0.02)
@@ -380,16 +423,19 @@ def _pinned_case(case):
 # step, one whose bridge exponent exceeds LOG_U_MIN, and a block end drawn
 # first by each far path, which skips the block or is pinned to that end;
 # lognormal_band has no far path, so its digest is the one recorded before
-# the far paths' draws
+# the far paths' draws.  The two lines under the bridge test take one step
+# per path (_line_hits): per chunk one normal per path, one uniform per
+# candidate, one Wald draw per hit, each hit's clock time mapped to a time
+# by Newton's method on the clock
 PINNED_SAMPLES = {
     "ou_band": ("d1290882b6612ac3ecefd6021cfefe4955fe9ee1112d5c43fd2d04a2c91dc054",
                 "6f98b3823d43da29eae4cdd0143308da50061fb65b1ac8b14a62e732a1332d78", 1621),
-    "ou_tilted_line": ("1131b97fadcbf46c909d003132ffe60f0059d8819faf3fc622fab3f159ec9984",
-                       None, 766),
+    "ou_tilted_line": ("237414d6033e1febd6a9e4090f8e5b0312afb9eee4879c4ec148f78c07f2526d",
+                       None, 781),
     "lognormal_band": ("696255c75cbf3353b1eb18b20548428192a9d278e3dcdb0b034c209dd6b8a067",
                        "ec53077cd90033c0b02f6cd6377ee1d2594dbe710ba7a562c0b1583ffb178eac", 14),
-    "lognormal_tilted_line": ("02da12ab2bf23124c70667e1051c4f8b9dff16624081b19b0f08e60d9615659a",
-                              None, 574),
+    "lognormal_tilted_line": ("205a57b81f2421ace17fe4bca96f8c3d720720f4931eb81f34848273eadb7e97",
+                              None, 562),
     "no_bridge": ("f8a96e53a9e7fe4bff3b0662ea4ed24b52f7799a730c64d1fb645ad3d5bba19e",
                   None, 814),
 }
@@ -422,19 +468,20 @@ def _schedule_steps(sample, ts):
 @pytest.mark.parametrize("case", ["lognormal_band", "far_line"])
 def test_path_steps_count_the_steps_simulated(case):
     # the lognormal band has no far path, so every block of a live path is
-    # stepped; far from a line, paths skip about a third of their path-steps
+    # stepped; a line under the bridge test takes each path to the horizon
+    # in one step, whatever dt
     if case == "lognormal_band":
         estimate, args, cfg = _pinned_case(case)
     else:
         estimate, args = estimate_fpt, (LognormalProcess(PARAMS, 0.015), ExpBoundary(A=1.2))
         cfg = SimConfig(dt=0.5, horizon=60.0, n_paths=5000, seed=3)
     sample = estimate(*args, cfg)
-    ts = PARAMS.t0 + cfg.dt * np.arange(round(cfg.horizon / cfg.dt) + 1)
-    full = _schedule_steps(sample, ts)
     if case == "lognormal_band":
-        assert sample.path_steps == full
+        ts = PARAMS.t0 + cfg.dt * np.arange(round(cfg.horizon / cfg.dt) + 1)
+        assert sample.path_steps == _schedule_steps(sample, ts)
     else:
-        assert 0 < sample.path_steps < 0.75 * full
+        assert 0 < sample.hit_times.size < cfg.n_paths
+        assert sample.path_steps == cfg.n_paths
 
 
 def test_pin_gives_the_brownian_bridge():
@@ -453,6 +500,15 @@ def test_pin_gives_the_brownian_bridge():
     assert np.all(np.abs(z[:, 1:-1].mean(axis=0) - mean) <= 5.0 * np.sqrt(v / n))
     assert np.all(np.abs(z[:, 1:-1].var(axis=0, ddof=1) - v)
                   <= 5.0 * v * math.sqrt(2.0 / (n - 1)))
+
+
+@pytest.mark.parametrize("b", [0.0, -0.0, 1e-300, -1e-300, 5e-324])
+def test_hit_clock_is_in_the_clock_span_for_an_end_on_the_line(b):
+    # numpy's wald returns NaN for an infinite mean a/|b| and 0 for a mean
+    # of 1e300: the end distance is floored, so each hit still gets a time
+    V = 2.0
+    tau = _hit_clock(0.5, np.full(1000, b), V, _chunk_rng(3, 0))
+    assert np.all(np.isfinite(tau)) and np.all((tau > 0.0) & (tau <= V))
 
 
 def test_log_u_min_is_the_log_of_the_smallest_positive_uniform():

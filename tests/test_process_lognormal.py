@@ -15,12 +15,14 @@ PROC = LognormalProcess(PARAMS, 0.02)
 
 
 @pytest.mark.parametrize("process", [LognormalProcess, OUProcess, wiener_spec])
-@pytest.mark.parametrize("sigma", [0.0, math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("sigma", [0.0, math.inf, math.nan, -1.0, 1e-200, 1e160])
 def test_noise_must_be_finite_and_positive(process, sigma):
     # an infinite sigma was accepted, and its densities were nan; a Wiener
-    # spec took any sigma, and solved a negative one as its square
+    # spec took any sigma, and solved a negative one as its square; a sigma
+    # whose square is 0 or inf gave a raw ZeroDivisionError or nan densities
     args = (sigma,) if process is wiener_spec else (PARAMS, sigma)
-    with pytest.raises(InvalidParams, match="sigma must be finite and > 0"):
+    with pytest.raises(InvalidParams, match=r"sigma must be finite and > 0, and "
+                                            r"sigma\*\*2 a positive normal float"):
         process(*args)
 
 
