@@ -1,9 +1,10 @@
 """Monte Carlo validation of the closed forms (and of one variance formula).
 
-Paths advance by exact transition sampling.  Against one boundary with the
-bridge correction on, each path goes to the horizon in one step and a hit's
-time is drawn from the bridge's law given the path's two ends, so dt sets no
-step there and its sample is exact in law at any dt; without the correction
+Paths advance by exact transition sampling.  Against one boundary, or a
+band of two sides of one slope (the exit check's), with the bridge
+correction on, each path goes to the horizon in one step and its exit side
+and time are drawn from the law given the path's two ends, so dt sets no
+step there and the sample is exact in law at any dt; without the correction
 (the last lines) crossings are seen only at the dt grid, so a coarse step
 misses some.  The passage, exit and variance checks are the oracle suite's
 (growthfpt.validate), run here on larger ensembles; the variance check uses

@@ -10,19 +10,32 @@ Volterra solvers do, and take only rows that are lines c + d*R there, the
 closed-form boundaries of the process; any other boundary, callables or
 one of the other process, is a ConfigError.
 
-Against one line under the bridge test (_line_hits) a path goes to the
-horizon in one step, since the test below is exact for a line over any
-clock interval: the path draws its end, crosses with the bridge's
-probability exp{-2 a b / V} from its start distance a to its end distance
-b over the whole clock V, and a hit draws its clock time from the bridge's
-law given both ends, tau = V U/(1 + U) with U ~ IG(a/|b|, a^2/V) (one
-Generator.wald), which Newton's method on the coordinate's own clock and
-rate maps to a time (_clock_times).  The sample is exact in law whatever
-dt; for a line dt sets no step, only the grid of simulate_paths, the
-estimator without the bridge test and Newton's start.
+Against one line, or a strip between two lines of one slope, under the
+bridge test (_strip_hits) a path goes to the horizon in one step, since
+given its two ends its exit law is exact over any clock interval (Anderson
+1960, Ann. Math. Statist. 31).  It draws its end over the whole clock V.
+Side s has start distance a_s = |c_s| and end distance b_s, and alone is
+crossed with the bridge's probability P_s = exp{-2 a_s b_s / V} where
+b_s > 0, 1 otherwise; Q = sum_s P_s.  A proposal picks side s with
+probability P_s/Q (one uniform), draws tau from that side's bridge law,
+V U/(1 + U) with U ~ IG(a/|b|, a^2/V) (one Generator.wald, _hit_clock),
+and accepts it with probability r_s(tau) = f_s(tau)/f_one(tau) <= 1 (one
+uniform), f_s the strip's exit density through s and f_one the one-sided
+one (_strip_ratio): given the ends, the exit's sub-density in (s, tau) is
+Q r_s(tau) times the proposal's.  An end outside proposes until one is
+accepted.  An end inside with Q <= 1 draws u where Q > 2**-53 and makes
+one proposal where log u < log Q; a rejection leaves it inside.  One with
+Q > 1 exits where u < 1 - P_stay and then proposes until one is accepted;
+from a to b above the lower side of a strip of width L (_strip_stay),
 
-A band, or a line without the bridge test, is stepped on the grid
-(_first_hits).  The residual crossing bias is removed by a within-step
+    P_stay = sum_n [exp{-2nL(nL + b - a)/V} - exp{-2(nL + a)(nL + b)/V}].
+
+A line has r = 1 and no second side: it draws no side or accept uniform.
+Newton's method on the coordinate's clock maps tau to a time (_clock_times).
+The law is exact whatever dt, which sets no step, only Newton's start.
+
+A band of two slopes, or any row without the bridge test, is stepped on the
+grid (_first_hits).  The residual crossing bias is removed by a within-step
 correction: a step pinned at (w_k, w_{k+1}) that stays on the start's side
 of a boundary at both grid times crosses it mid-step with probability
 
@@ -49,62 +62,42 @@ boundary gives d_0 d_1 >= reach**2 (so d_1 > 0 and the exponent is at most
 LOG_U_MIN) it skips the block, taking that end with no step of its own.  A
 far path that does not skip is stepped with the others and pinned to its
 drawn end as a Brownian bridge (_pin).  Hits found this way are recorded
-at the step midpoint; hits visible at the grid points themselves are
-recorded at the right endpoint.
+at the step midpoint, hits visible at the grid points themselves at the
+right endpoint; within a step the first boundary given (the lower one of a
+band) wins a tie.
 
-simulate_paths returns whole paths.  One crossing detector (_first_hits),
-which steps its own paths, serves one boundary or two: estimate_fpt and
-estimate_fet are thin wrappers of one private path, which checks the rows
-by gm_core.check_posed as every method does, picks _line_hits or
-_first_hits, and differ only in whether they report exit sides.  Within a
-step the first boundary given (the lower one of a band) wins a tie.
+simulate_paths returns whole paths.  estimate_fpt and estimate_fet wrap
+one private path, which checks the rows by gm_core.check_posed as every
+method does and picks _strip_hits or _first_hits.
 
 Randomness is organised in fixed-size chunks of paths: chunk c draws from an
 SFC64 generator seeded by SeedSequence([seed, c]) (the seed masked to 64
 bits), so each chunk's stream is a pure function of (seed, c).
 simulate_paths draws the chunk's whole Gaussian block, one fixed row per
-path.  _line_hits draws one normal per path, then one uniform per
-candidate (an end on the start's side whose exponent exceeds LOG_U_MIN),
-then one Wald draw per hit, in path order.  _first_hits steps a chunk in
-time blocks (BLOCK0 steps, then half as many again each block, rounded
-down; a remainder shorter than the current block joins it) and stops
+path.  _strip_hits draws one normal per path, then one uniform per
+candidate, then in each proposal round, for its paths still proposing, the
+side uniforms, the Wald draws and the accept uniforms, in path order.
+_first_hits steps a chunk in time blocks (_block_edges) and stops
 simulating a path once it has hit: in each block a chunk draws one normal
 per far path, its block end, then a Gaussian block for its paths still
 running that do not skip the block, then one uniform per candidate step of
 each boundary, in the order the boundaries are given and row-major within
-a boundary.  Which paths run, and which are far or
-skip, depends only on the chunk's earlier draws and each path's own, so
+a boundary.  What a chunk draws depends only on its own earlier draws, so
 ensembles are bit-identical for a given seed no matter how many worker
-threads run or how their chunks are grouped; GROWTHFPT_THREADS caps the pool
-(default: the CPUs this process may run on), and each thread takes one
-contiguous run of chunks.
+threads run or how their chunks are grouped; GROWTHFPT_THREADS caps the
+pool (default: the CPUs this process may run on), and each thread takes
+one contiguous run of chunks.
 
-A thread steps its run of chunks together, block by block.  One pass over
-its live paths finds the far ones, which draw their block ends and set aside
-those that skip; then the rows that step, of consecutive chunks, are stacked
-and pass through one set of numpy passes, as many chunks as fit the thread's
-scratch.  That scratch is taken once per call, flat buffers sized for one
-chunk's rows of the widest block, so a narrower block stacks more chunks in
-the same cells and nothing of a block's size is allocated.  The normals land
-in them with out=, each chunk's rows from its own generator; the running sum
-is one np.add per step across the stacked rows, the sequential sum np.cumsum
-forms, bit for bit; the distances, their product, the exponent and the
-candidate mask are formed in place.  Only the candidates' flat indices,
-uniforms and events, and in a block with far paths their ends and the rows
-that step, are new arrays; a block with no far path takes slices alone, and
-a chunk with no live rows draws nothing.  Each boundary's events come out as
-sorted flat indices into the block, paths being rows, so a path's first
-event opens its row; the same index-list code reads the first events without
-the bridge correction, where an event is a step ending on or past the
-boundary.  A step whose right end is at or past a boundary needs no test of
-its own: its distances d_k > 0 >= d_{k+1} give an exponent >= 0, above the
-log of every uniform draw (a draw of exactly 0 has log -inf).  A later step,
-with both distances <= 0, may read no event; only a path's first event
-counts.
+_first_hits steps a thread's run of chunks together, block by block, the
+rows of consecutive chunks stacked through one set of in-place numpy passes.
+A step ending on or past a boundary, the only event without the bridge
+correction, needs no test of its own under it: its exponent is >= 0, above
+the log of every uniform draw.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -114,6 +107,7 @@ from typing import Callable, Optional, Sequence, Tuple, TypeVar, Union
 import numpy as np
 
 from .errors import ConfigError, EmptySample
+from .fet import _SINE_FROM
 from .fpt import DensityCurve
 from .gm_core import WienerCoord, check_posed, to_clock
 from .growth_curve import _core
@@ -127,6 +121,11 @@ BLOCK0 = 4  # steps in an estimator's first time block; each later one is half a
 LOG_U_MIN = float(np.log(2.0 ** -53))
 PHI_MIN = 1e-5  # the least shape/mean ratio of a hit-time Wald draw (_hit_clock)
 NEWTON_TOL, NEWTON_MAX = 1e-7, 8  # the inverse clock's last step, of the span; its most steps
+POOL = 16  # chunks of a thread whose proposal rounds run together (_strip_hits)
+# the strip's series: image orders |n| <= ORDERS, sine terms k <= MODES; each
+# exponent is floored at EXP_FLOOR, above where numpy's exp is 10 to 200
+# times slower (from about -708 down), and a floored term adds below 1e-304
+ORDERS, MODES, EXP_FLOOR = 3, 5, -700.0
 
 Process = Union[LognormalProcess, OUProcess]
 Boundary = Union[ExpBoundary, AffineGMBoundary]
@@ -136,10 +135,10 @@ T = TypeVar("T")
 @dataclass(frozen=True)
 class SimConfig:
     """An ensemble's grid, size and seed.  dt is the step of simulate_paths,
-    of a band and of a line without the bridge correction.  A line under the
-    bridge correction takes each path to the horizon in one step, so there
-    dt sets no step, only the grid from which Newton's method starts to map
-    hit times."""
+    of a band of two slopes and of any boundary without the bridge
+    correction.  Under it one line, or a band of one slope, takes each path
+    to the horizon in one step, so there dt sets no step, only the grid
+    from which Newton's method starts to map hit times."""
 
     dt: float
     horizon: float
@@ -179,8 +178,8 @@ class EmpiricalHittingSample:
     exit_sides: Optional[np.ndarray]  # 'lower'/'upper' per hit, or None (single boundary)
     censored_count: int
     n_paths: int
-    # path-steps simulated one by one: a skipped block counts none, and a
-    # line under the bridge correction one per path
+    # path-steps simulated one by one: a skipped block counts none, and one
+    # line or a band of one slope under the bridge correction one per path
     path_steps: int = 0
 
 
@@ -539,74 +538,154 @@ def _clock_times(coord: WienerCoord, ts: np.ndarray, R: np.ndarray,
     return t
 
 
-def _line_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
-               line: Tuple[float, float], cfg: SimConfig) -> EmpiricalHittingSample:
-    """The first passage of each path of a unit Wiener process from 0 in the
-    clock R to the line c + d*R, in one step per path over the whole clock V
-    = R[-1]: the path's end, the bridge test from distance a = |c| at the
-    start to the end's distance b, and for a hit its clock time from the
-    bridge's law (_hit_clock).  Each chunk draws one normal per path, one
-    uniform per candidate, then one Wald draw per hit, in path order.  The
-    clock times wait in the output until a thread holds CHUNK of them or
-    ends its run, and are then mapped to times by the coordinate's own
-    clock (_clock_times) in one call."""
-    c, d = line
-    sign = 1.0 if c > 0.0 else -1.0
-    a, V = abs(c), float(R[-1])
-    b_still = a + sign * d * V  # a path's end distance when it ends at w = 0
-    rate = -2.0 * a / V
-    hit_time = np.full(cfg.n_paths, np.nan)
+def _exp_floored(E: np.ndarray) -> np.ndarray:
+    """exp(E) in place, E floored at EXP_FLOOR first."""
+    return np.exp(np.maximum(E, EXP_FLOOR, out=E), out=E)
 
-    def to_times(waiting: list) -> None:
-        if waiting:
-            idx = np.concatenate(waiting)
-            hit_time[idx] = _clock_times(coord, ts, R, hit_time[idx])
-            waiting.clear()
+
+def _strip_ratio(a: np.ndarray, L: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """ratio(side, tau): r_s(tau) = f_s/f_one of each side side[i] of the
+    strip of width L from the start distances a (one per side), summed
+    relative to f_one, so nothing divides 0 by 0.  Up to tau = L^2/2 the
+    image series sum_{|n| <= 3} (1 + 2nL/a) exp(-2nL(a + nL)/tau) omits
+    below 258 e^-48 = 4e-19 (the pair n = +-4); above it, the sine series
+    sqrt(2 pi tau^3) pi/(a L^2) sum_{k=1..5} k sin(k pi a/L)
+    exp(a^2/(2 tau) - k^2 pi^2 tau/(2 L^2)) below 36 e^-86 = 1e-36 of its
+    first term.  A term is w exp(A/tau + B tau), each side's w, A and B
+    formed once, here; a row per term, a column per time."""
+    n, k = np.arange(-ORDERS, ORDERS + 1.0)[:, None], np.arange(1.0, MODES + 1.0)[:, None]
+    forms = [[(1.0 + 2.0 * L * n / x, -2.0 * L * n * (x + n * L), 0.0),
+              (k * np.sin(k * math.pi * x / L) * (math.sqrt(2.0 * math.pi) * math.pi / L / L / x),
+               0.5 * x * x, -0.5 * (k * math.pi / L) ** 2)] for x in a]
+
+    def ratio(side: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        r, long = np.empty(tau.shape), tau > _SINE_FROM * L * L
+        for s, form in ((s, form) for s in range(len(a)) for form in (0, 1)):
+            at = np.flatnonzero((side == s) & (long == form))
+            (w, A, B), t = forms[s][form], tau[at]
+            E = _exp_floored(A / t + B * t)
+            r[at] = np.sum(np.multiply(E, w, out=E), axis=0) * (t * np.sqrt(t) if form else 1.0)
+        return r
+
+    return ratio
+
+
+def _strip_stay(a: float, b: np.ndarray, V: float, L: float) -> np.ndarray:
+    """P_stay of bridges over the clock V from a to the ends b in the strip
+    (0, L): for V <= L^2/2 the image series (module docstring) to |n| = 3,
+    which omits below e^-36 = 2.3e-16, a uniform's resolution; above, the
+    sine series (2/L) sqrt(2 pi V) sum_{k=1..5} sin(k pi a/L) sin(k pi b/L)
+    exp((b - a)^2/(2V) - k^2 pi^2 V/(2 L^2)), which omits below 1e-37."""
+    if V <= _SINE_FROM * L * L:
+        n = np.arange(-ORDERS, ORDERS + 1.0)[:, None] * L
+        return np.sum(_exp_floored((-2.0 / V) * n * (n + b - a))
+                      - _exp_floored((-2.0 / V) * (n + a) * (n + b)), axis=0)
+    k = np.arange(1.0, MODES + 1.0)[:, None] * (math.pi / L)
+    E = _exp_floored((b - a) ** 2 / (2.0 * V) - 0.5 * k * k * V)
+    return 2.0 / L * math.sqrt(2.0 * math.pi * V) * np.sum(np.sin(k * a) * np.sin(k * b) * E, 0)
+
+
+def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
+                lines: Sequence[Tuple[float, float]], cfg: SimConfig,
+                side_names: Optional[Sequence[str]]) -> EmpiricalHittingSample:
+    """The first exit of each path of a unit Wiener process from 0 in the
+    clock R through one line c + d*R, or either of two of one slope (the
+    side named by side_names when given), in one step per path over the
+    clock V = R[-1] by the module docstring's law.  A thread takes its
+    chunks POOL at a time: their proposal rounds run together, each chunk
+    drawing from its own stream, and their times map in one call."""
+    V, band = float(R[-1]), len(lines) == 2
+    c = np.array([line[0] for line in lines])
+    sign, a, L = np.sign(c), np.abs(c), float(np.sum(np.abs(c)))  # distances: sign*(c + dR - w)
+    # an end's distance per unit normal, and at w = 0; the bridge exponent per unit distance
+    scale, b_still, rate = -sign * np.sqrt(V), a + sign * lines[0][1] * V, -2.0 * a / V
+    ratio = _strip_ratio(a, L) if band else None
+    hit_time, hit_side = np.full(cfg.n_paths, np.nan), np.zeros(cfg.n_paths, dtype=np.int8)
+
+    def each(rngs: list, rows: np.ndarray, ends: list, draw: Optional[Callable] = None
+             ) -> np.ndarray:
+        """draw(rng, lo, hi), by default uniforms, of each chunk's part of the
+        sorted rows, in one array."""
+        out, his = np.empty(rows.size), np.searchsorted(rows, ends).tolist()
+        for rng, lo, hi in zip(rngs, [0] + his[:-1], his):
+            if hi > lo:
+                out[lo:hi] = rng.random(hi - lo) if draw is None else draw(rng, lo, hi)
+        return out
 
     @np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
     def worker(run: range) -> None:
-        waiting, n_waiting = [], 0
-        for ch in run:
-            rng = _chunk_rng(cfg.seed, ch)
-            start = ch * CHUNK
-            b = rng.standard_normal(min(CHUNK, cfg.n_paths - start))
-            b *= -sign * np.sqrt(V)
-            b += b_still
-            g = rate * b
-            cand = np.flatnonzero((b > 0.0) & (g > LOG_U_MIN))
-            hit = b <= 0.0
-            hit[cand] = np.log(rng.random(cand.size)) < g[cand]
-            rows = np.flatnonzero(hit)
-            if not rows.size:
-                continue
-            hit_time[start + rows] = _hit_clock(a, b[rows], V, rng)
-            waiting.append(start + rows)
-            n_waiting += rows.size
-            if n_waiting >= CHUNK:
-                to_times(waiting)
-                n_waiting = 0
-        to_times(waiting)
+        for g0 in range(run.start, run.stop, POOL):
+            rngs = [_chunk_rng(cfg.seed, ch) for ch in range(g0, min(g0 + POOL, run.stop))]
+            p0 = g0 * CHUNK  # the group's first path; ends[j] ends chunk j's rows from it
+            ends = [min((g0 + j + 1) * CHUNK, cfg.n_paths) - p0 for j in range(len(rngs))]
+            z = np.empty(ends[-1])
+            for rng, lo, hi in zip(rngs, [0] + ends[:-1], ends):
+                rng.standard_normal(out=z[lo:hi])
+            b = np.multiply.outer(scale, z)  # each side's end distances, a row per side
+            b += b_still[:, None]
+            g = rate[:, None] * b
+            must, top = b[0] <= 0.0, g[0]  # must: an end outside
+            if band:
+                must, top = must | (b[1] <= 0.0), np.maximum(g[0], g[1])
+            # Q <= (number of sides) max P, so only these can be candidates
+            cand = np.flatnonzero(~must & (top > LOG_U_MIN - math.log(len(a))))
+            logq = g[0][cand]
+            if band:
+                logq = np.logaddexp(logq, g[1][cand])
+                cand, logq = cand[logq > LOG_U_MIN], logq[logq > LOG_U_MIN]
+            u = each(rngs, cand, ends)
+            go = must.copy()
+            go[cand] = np.log(u) < logq
+            big = cand[logq > 0.0]  # Q > 1: exits where u < 1 - P_stay, then must
+            if big.size:
+                go[big] = must[big] = u[logq > 0.0] < 1.0 - _strip_stay(a[0], b[0, big], V, L)
+            rows = np.flatnonzero(go)
+            b, must, tau, todo = b[:, rows], must[rows], np.full(rows.size, np.nan), rows[:0]
+            if not band:  # every proposal is taken: no side or accept uniform
+                tau = each(rngs, rows, ends,
+                           lambda rng, lo, hi: _hit_clock(a[0], b[0, lo:hi], V, rng))
+            else:
+                P = _exp_floored(np.minimum(g[:, rows], 0.0))  # 1 where b <= 0
+                p_lower, todo = P[0] / (P[0] + P[1]), np.arange(rows.size)
+            while todo.size:
+                at = rows[todo]
+                s = (each(rngs, at, ends) >= p_lower[todo]).astype(np.intp)
+                b_s = b.ravel()[s * rows.size + todo]
+                t = each(rngs, at, ends,
+                         lambda rng, lo, hi: _hit_clock(a[s[lo:hi]], b_s[lo:hi], V, rng))
+                ok = each(rngs, at, ends) < ratio(s, t)
+                tau[todo[ok]], hit_side[p0 + at[ok]] = t[ok], s[ok]
+                todo = todo[~ok & must[todo]]
+            hits = np.flatnonzero(~np.isnan(tau))
+            if hits.size:  # the OU clock takes no empty call
+                hit_time[p0 + rows[hits]] = _clock_times(coord, ts, R, tau[hits])
 
     _run_chunked(cfg.n_paths, worker)
-    hits = hit_time[~np.isnan(hit_time)]
-    hits.sort()
-    return EmpiricalHittingSample(hit_times=hits, exit_sides=None,
+    mask = ~np.isnan(hit_time)
+    hits, sides = hit_time[mask], None
+    if band:
+        order = np.argsort(hits)
+        hits, sides = hits[order], np.array(side_names)[hit_side[mask][order]]
+    else:
+        hits.sort()
+    return EmpiricalHittingSample(hit_times=hits, exit_sides=sides,
                                   censored_count=int(cfg.n_paths - hits.size),
                                   n_paths=cfg.n_paths, path_steps=cfg.n_paths)
 
 
 def _estimate(process: Process, boundaries: list, cfg: SimConfig, side_names):
     """The sample of the problem to_clock maps from the process's start, every
-    boundary a line there: one line under the bridge test in one step per
-    path (_line_hits), a band or the test without the bridge on the grid
-    (_first_hits)."""
+    boundary a line there: under the bridge test, lines of one slope (one
+    line or a strip) in one step per path (_strip_hits); a band of two
+    slopes, or any row without the bridge test, on the grid (_first_hits)."""
     ts = _grid(process, cfg)
     R, _, S, _, lines = to_clock(process, boundaries, process.params.x0, ts)
     if None in lines:
         raise ConfigError("Monte Carlo takes only closed-form boundaries of the process")
     check_posed(S)
-    if len(lines) == 1 and cfg.bridge_correction:
-        return _line_hits(ts, R, process.coord(process.params.x0, ts[0]), lines[0], cfg)
+    if cfg.bridge_correction and len({d for _, d in lines}) == 1:
+        return _strip_hits(ts, R, process.coord(process.params.x0, ts[0]), lines, cfg,
+                           side_names)
     return _first_hits(ts, R, lines, cfg, side_names)
 
 
@@ -620,8 +699,9 @@ def estimate_fet(process: Process, s1: Boundary, s2: Boundary, cfg: SimConfig
                  ) -> EmpiricalHittingSample:
     """Empirical first-exit sample from the band (s1, s2), recording sides.
 
-    Each boundary gets its own bridge correction; the lower one wins a tie
-    within a step.
+    Sides of one slope under the bridge correction exit by the strip's law
+    in one step per path.  On the grid each boundary gets its own bridge
+    correction, and the lower one wins a tie within a step.
     """
     return _estimate(process, [s1, s2], cfg, ("lower", "upper"))
 

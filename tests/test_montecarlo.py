@@ -10,8 +10,8 @@ from scipy.stats import chi2, norm
 from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        EmptySample, ExpBoundary, GeneralBoundary,
                        GrowthParams, LognormalProcess, OUProcess, SimConfig,
-                       density_distance, estimate_fet,
-                       estimate_fpt, fpt_pdf_closed, simulate_paths,
+                       density_distance, estimate_fet, estimate_fpt,
+                       fet_pdf_closed, fpt_pdf_closed, simulate_paths,
                        transition_law_G, transition_law_L, x_eval)
 from growthfpt.growth_curve import _g
 from growthfpt import montecarlo
@@ -33,8 +33,8 @@ class TestSimulatePaths:
         det = np.array([x_eval(PARAMS, t) for t in ts])
         assert np.max(np.abs(paths - det[None, :])) < 1e-9
 
-    @pytest.mark.parametrize("run", ["simulate_paths", "estimate_fpt",
-                                     "estimate_fet", "estimate_fpt_far"])
+    @pytest.mark.parametrize("run", ["simulate_paths", "estimate_fpt", "estimate_fet",
+                                     "estimate_fet_strip", "estimate_fpt_far"])
     def test_seed_reproducibility_across_thread_counts(self, run, monkeypatch):
         # five chunks, the last partial: 2 and 3 threads get runs of
         # chunks of unequal length
@@ -47,10 +47,14 @@ class TestSimulatePaths:
         # under the bridge test takes one step per path, so this one is
         # tested without it, as the grid steps it
         far = AffineGMBoundary(A=1.1 * scale, B=0.01)
+        # sides of one slope: one step per path, its proposal rounds pooled
+        # over a thread's chunks
+        strip = (AffineGMBoundary(A=0.97 * scale, B=0.01), upper)
         calls = {
             "simulate_paths": lambda: simulate_paths(proc, cfg)[1],
             "estimate_fpt": lambda: estimate_fpt(proc, upper, cfg),
             "estimate_fet": lambda: estimate_fet(proc, lower, upper, cfg),
+            "estimate_fet_strip": lambda: estimate_fet(proc, *strip, cfg),
             "estimate_fpt_far": lambda: estimate_fpt(
                 proc, far, dataclasses.replace(cfg, bridge_correction=False)),
         }
@@ -66,6 +70,11 @@ class TestSimulatePaths:
             monkeypatch.setenv("GROWTHFPT_THREADS", threads)
             pinned.append(0)
             outs.append(calls[run]())
+        if run == "estimate_fet_strip":
+            # nor on how many chunks pool their proposal rounds
+            monkeypatch.setattr(montecarlo, "POOL", 2)
+            outs.append(calls[run]())
+            assert all(o.path_steps == cfg.n_paths for o in outs)
         if run == "estimate_fpt_far":
             # a censored path alone runs all 20 steps unless it skips
             assert all(o.path_steps < 20 * o.censored_count for o in outs)
@@ -77,7 +86,7 @@ class TestSimulatePaths:
                 continue
             # both sides of the band, and censored paths, must be present
             assert 0 < a.censored_count < cfg.n_paths
-            if run == "estimate_fet":
+            if run.startswith("estimate_fet"):
                 assert set(a.exit_sides) == {"lower", "upper"}
                 assert np.array_equal(a.exit_sides, b.exit_sides)
             assert np.array_equal(a.hit_times, b.hit_times)
@@ -313,6 +322,32 @@ class TestEstimateFPT:
         _, ks = density_distance(sample, curve)
         assert ks <= math.sqrt(math.log(2.0 / 1e-3) / (2.0 * sample.n_paths))
 
+    @pytest.mark.parametrize("case", ["lognormal_gate", "ou_band"])
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_band_hit_times_follow_the_closed_form(self, case, dt):
+        # sides of one slope exit by the strip's law given each path's ends,
+        # whatever the step: the exit mass within 3 standard errors and the
+        # sub-CDF within the DKW bound at alpha = 1e-3.  The lognormal gate's
+        # steps can cross both sides; the OU clock's rate falls fivefold over
+        # its first step
+        if case == "lognormal_gate":
+            proc, horizon, seed = LognormalProcess(PARAMS, 0.3), 2.0, 8
+            lower, upper = ExpBoundary(A=0.8), ExpBoundary(A=1.25)
+        else:
+            proc, horizon, seed = OUProcess(PARAMS, 0.19), 30.0, 9
+            lower, upper = proc.mean_boundary(0.8), proc.mean_boundary(1.2)
+        n = 200_000
+        sample = estimate_fet(proc, lower, upper,
+                              SimConfig(dt=dt, horizon=horizon, n_paths=n, seed=seed))
+        grid = PARAMS.t0 + np.linspace(0.0, horizon, 120_001)
+        curve = DensityCurve.from_function(
+            lambda t: fet_pdf_closed(proc, lower, upper, PARAMS.x0, PARAMS.t0, t), grid,
+            PARAMS.t0)
+        p = float(curve.cumulative()[-1])
+        assert abs(sample.hit_times.size / n - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+        _, ks = density_distance(sample, curve)
+        assert ks <= math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
+
     def test_reproducible(self):
         proc = LognormalProcess(PARAMS, 0.02)
         bnd = ExpBoundary(A=0.8)
@@ -408,6 +443,10 @@ def _pinned_case(case):
         # a partial last chunk
         "lognormal_band": (estimate_fet, (lognormal, ExpBoundary(A=0.9), ExpBoundary(A=1.1)),
                            SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)),
+        # sides of two slopes, stepped on the grid
+        "tilted_band": (estimate_fet, (lognormal, ExpBoundary(A=0.9),
+                                       ExpBoundary(A=1.1, B=0.002)),
+                        SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)),
         "lognormal_tilted_line": (estimate_fpt, (LognormalProcess(PARAMS, 0.3),
                                                  ExpBoundary(A=0.8, B=-0.1)),
                                   SimConfig(dt=1.0, horizon=20.0, n_paths=2048, seed=8)),
@@ -418,24 +457,27 @@ def _pinned_case(case):
 
 
 # (SHA-256 of hit_times.tobytes(), of the exit sides joined by commas or
-# None, censored_count), recorded with time blocks of BLOCK0 = 4 steps, each
-# later one half as long again (_block_edges), one uniform per candidate
-# step, one whose bridge exponent exceeds LOG_U_MIN, and a block end drawn
-# first by each far path, which skips the block or is pinned to that end;
-# lognormal_band has no far path, so its digest is the one recorded before
-# the far paths' draws.  The two lines under the bridge test take one step
-# per path (_line_hits): per chunk one normal per path, one uniform per
-# candidate, one Wald draw per hit, each hit's clock time mapped to a time
-# by Newton's method on the clock
+# None, censored_count).  The grid cases (tilted_band, no_bridge) were
+# recorded with time blocks of BLOCK0 = 4 steps, each later one half as long
+# again (_block_edges), one uniform per candidate step, one whose bridge
+# exponent exceeds LOG_U_MIN, and a block end drawn first by each far path,
+# which skips the block or is pinned to that end; tilted_band has no far
+# path.  The lines, and the bands of one slope, under the bridge test take
+# one step per path (_strip_hits): per chunk one normal per path, one
+# uniform per candidate, then per proposal round the side uniforms (a band
+# only), one Wald draw each and the accept uniforms (a band only), each hit's
+# clock time mapped to a time by Newton's method on the clock
 PINNED_SAMPLES = {
-    "ou_band": ("d1290882b6612ac3ecefd6021cfefe4955fe9ee1112d5c43fd2d04a2c91dc054",
-                "6f98b3823d43da29eae4cdd0143308da50061fb65b1ac8b14a62e732a1332d78", 1621),
+    "ou_band": ("4b488da13e70772c35e84ca75f741d3f93580fbcde95881dd5f48d35ae8ac6e1",
+                "342b4b9b001d2c3ffccb1f0f708db23ccd0819a4efd4b9f6b8c825e3bafc888c", 1604),
     "ou_tilted_line": ("237414d6033e1febd6a9e4090f8e5b0312afb9eee4879c4ec148f78c07f2526d",
                        None, 781),
-    "lognormal_band": ("696255c75cbf3353b1eb18b20548428192a9d278e3dcdb0b034c209dd6b8a067",
-                       "ec53077cd90033c0b02f6cd6377ee1d2594dbe710ba7a562c0b1583ffb178eac", 14),
+    "lognormal_band": ("0abe74d23ba8d95e00a3394ad0b8b6226516b00c3078ecf9a7ee248bbe602b46",
+                       "c620bb246e65593488d358a557337ba6ea44c2fd403563da0d29a3aa6f95ac25", 7),
     "lognormal_tilted_line": ("205a57b81f2421ace17fe4bca96f8c3d720720f4931eb81f34848273eadb7e97",
                               None, 562),
+    "tilted_band": ("a0e40786edfbfca4de2851c50593568f7f3c6926b8fed6815dc378dd279fbfe6",
+                    "53be4ac992c81519ba290f8c5524b01bad84e9570ec656732994c87a8303beb0", 33),
     "no_bridge": ("f8a96e53a9e7fe4bff3b0662ea4ed24b52f7799a730c64d1fb645ad3d5bba19e",
                   None, 814),
 }
@@ -465,18 +507,18 @@ def _schedule_steps(sample, ts):
                + sample.censored_count * n_steps)
 
 
-@pytest.mark.parametrize("case", ["lognormal_band", "far_line"])
+@pytest.mark.parametrize("case", ["tilted_band", "far_line", "lognormal_band"])
 def test_path_steps_count_the_steps_simulated(case):
-    # the lognormal band has no far path, so every block of a live path is
-    # stepped; a line under the bridge test takes each path to the horizon
-    # in one step, whatever dt
-    if case == "lognormal_band":
-        estimate, args, cfg = _pinned_case(case)
-    else:
+    # the tilted band has no far path, so every block of a live path is
+    # stepped; a line, or a band of one slope, under the bridge test takes
+    # each path to the horizon in one step, whatever dt
+    if case == "far_line":
         estimate, args = estimate_fpt, (LognormalProcess(PARAMS, 0.015), ExpBoundary(A=1.2))
         cfg = SimConfig(dt=0.5, horizon=60.0, n_paths=5000, seed=3)
+    else:
+        estimate, args, cfg = _pinned_case(case)
     sample = estimate(*args, cfg)
-    if case == "lognormal_band":
+    if case == "tilted_band":
         ts = PARAMS.t0 + cfg.dt * np.arange(round(cfg.horizon / cfg.dt) + 1)
         assert sample.path_steps == _schedule_steps(sample, ts)
     else:
@@ -586,11 +628,11 @@ class TestEstimateFET:
     def test_block_edges(self):
         # a partial last chunk and a step count that no time block divides:
         # some paths exit within the first block, some within the last one,
-        # some run to the horizon
+        # some run to the horizon; sides of two slopes are stepped on the grid
         proc = LognormalProcess(PARAMS, 0.05)
         cfg = SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)
         assert cfg.n_paths % CHUNK and round(cfg.horizon / cfg.dt) == 37
-        sample = estimate_fet(proc, ExpBoundary(A=0.9), ExpBoundary(A=1.1), cfg)
+        sample = estimate_fet(proc, ExpBoundary(A=0.9), ExpBoundary(A=1.1, B=0.002), cfg)
         t = sample.hit_times
         assert t.size + sample.censored_count == cfg.n_paths
         edges = _block_edges(37)
