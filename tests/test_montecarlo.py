@@ -71,7 +71,8 @@ class TestSimulatePaths:
             pinned.append(0)
             outs.append(calls[run]())
         if run == "estimate_fet_strip":
-            # nor on how many chunks pool their proposal rounds
+            # the strip's sample does not depend on how many chunks pool
+            # their proposal rounds either
             monkeypatch.setattr(montecarlo, "POOL", 2)
             outs.append(calls[run]())
             assert all(o.path_steps == cfg.n_paths for o in outs)
@@ -326,10 +327,10 @@ class TestEstimateFPT:
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     def test_band_hit_times_follow_the_closed_form(self, case, dt):
         # sides of one slope exit by the strip's law given each path's ends,
-        # whatever the step: the exit mass within 3 standard errors and the
-        # sub-CDF within the DKW bound at alpha = 1e-3.  The lognormal gate's
-        # steps can cross both sides; the OU clock's rate falls fivefold over
-        # its first step
+        # whatever dt: the exit mass within 3 standard errors and the sub-CDF
+        # within the DKW bound at alpha = 1e-3.  On a grid of these steps a
+        # lognormal gate path can cross both sides within a step, and the
+        # OU clock's rate falls fivefold over the first one
         if case == "lognormal_gate":
             proc, horizon, seed = LognormalProcess(PARAMS, 0.3), 2.0, 8
             lower, upper = ExpBoundary(A=0.8), ExpBoundary(A=1.25)
