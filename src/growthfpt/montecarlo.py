@@ -51,20 +51,13 @@ so no exponential is computed (most exponents of a long step lie far below
 the range where exp is cheap).  Generator.random() returns multiples of
 2**-53, so log u >= LOG_U_MIN = log 2**-53 unless u = 0: a step with
 g <= LOG_U_MIN can fire only on a drawn 0.  Only the candidates, the steps
-with g > LOG_U_MIN, draw a uniform (_bridge_events); skipping the others
-moves the law by at most 2**-53 per step.  The same bound serves a whole
-time block of clock length V: given the block's ends, the chance that any
-of its steps fires against a line equals the continuous bridge's crossing
-probability exp{-2 d_0 d_1 / V} from the distances at the block's ends.  A
-path at least reach = sqrt(-LOG_U_MIN V / 2) from every boundary at the
-block's start is far: it draws its block end first, and where every
-boundary gives d_0 d_1 >= reach**2 (so d_1 > 0 and the exponent is at most
-LOG_U_MIN) it skips the block, taking that end with no step of its own.  A
-far path that does not skip is stepped with the others and pinned to its
-drawn end as a Brownian bridge (_pin).  Hits found this way are recorded
-at the step midpoint, hits visible at the grid points themselves at the
-right endpoint; within a step the first boundary given (the lower one of a
-band) wins a tie.
+with g > LOG_U_MIN, draw a uniform (_bridge_events); leaving out the others
+moves the law by at most 2**-53 per step.  A step ending on or past a
+boundary, the only event without the bridge correction, needs no test of
+its own under it: its exponent is >= 0, above the log of every uniform
+draw.  Hits found this way are recorded at the step midpoint, hits visible
+at the grid points themselves at the right endpoint; within a step the
+first boundary given (the lower one of a band) wins a tie.
 
 simulate_paths returns whole paths.  estimate_fpt and estimate_fet wrap
 one private path, which checks the rows by gm_core.check_posed as every
@@ -77,22 +70,15 @@ simulate_paths draws the chunk's whole Gaussian block, one fixed row per
 path.  _strip_hits draws one normal per path, then one uniform per
 candidate, then in each proposal round, for its paths still proposing, the
 side uniforms, the Wald draws and the accept uniforms, in path order.
-_first_hits steps a chunk in time blocks (_block_edges) and stops
-simulating a path once it has hit: in each block a chunk draws one normal
-per far path, its block end, then a Gaussian block for its paths still
-running that do not skip the block, then one uniform per candidate step of
+_first_hits steps each chunk alone in time blocks (_block_edges) and stops
+simulating a path once it has hit: in each block a chunk draws a Gaussian
+block for its paths still running, then one uniform per candidate step of
 each boundary, in the order the boundaries are given and row-major within
 a boundary.  What a chunk draws depends only on its own earlier draws, so
 ensembles are bit-identical for a given seed no matter how many worker
 threads run or how their chunks are grouped; GROWTHFPT_THREADS caps the
 pool (default: the CPUs this process may run on), and each thread takes
 one contiguous run of chunks.
-
-_first_hits steps a thread's run of chunks together, block by block, the
-rows of consecutive chunks stacked through one set of in-place numpy passes.
-A step ending on or past a boundary, the only event without the bridge
-correction, needs no test of its own under it: its exponent is >= 0, above
-the log of every uniform draw.
 """
 
 from __future__ import annotations
@@ -178,8 +164,9 @@ class EmpiricalHittingSample:
     exit_sides: Optional[np.ndarray]  # 'lower'/'upper' per hit, or None (single boundary)
     censored_count: int
     n_paths: int
-    # path-steps simulated one by one: a skipped block counts none, and one
-    # line or a band of one slope under the bridge correction one per path
+    # path-steps simulated: on the grid each live path's steps of every block
+    # up to its hit, and one line or a band of one slope under the bridge
+    # correction one per path
     path_steps: int = 0
 
 
@@ -262,23 +249,15 @@ def _block_edges(n_steps: int) -> list[int]:
     return edges
 
 
-def _bridge_events(d: np.ndarray, rate: np.ndarray, rngs: Sequence[np.random.Generator],
-                   ends: Sequence[int], g: np.ndarray, cand: np.ndarray) -> np.ndarray:
+def _bridge_events(d: np.ndarray, rate: np.ndarray, rng: np.random.Generator
+                   ) -> np.ndarray:
     """Sorted flat indices of the steps of an (n, m) block whose bridge test
     fires, from the distances d (n, m + 1) to one boundary and rate =
-    -2 / var_step (m,): one uniform u per candidate, in index order, and an
-    event where log u < g.  The block stacks the rows of consecutive chunks:
-    the flat indices below ends[0] draw from rngs[0], those from ends[0] to
-    ends[1] from rngs[1], and so on.  g and cand are (n, m) scratch."""
-    np.multiply(d[:, :-1], d[:, 1:], out=g)
-    g *= rate
-    idx = np.flatnonzero(np.greater(g, LOG_U_MIN, out=cand))
-    u = np.empty(idx.size)
-    lo = 0
-    for rng, hi in zip(rngs, np.searchsorted(idx, ends).tolist()):
-        rng.random(out=u[lo:hi])
-        lo = hi
-    np.log(u, out=u)
+    -2 / var_step (m,): one uniform u from rng per candidate, in index order,
+    and an event where log u < g."""
+    g = d[:, :-1] * d[:, 1:] * rate
+    idx = np.flatnonzero(g > LOG_U_MIN)
+    u = np.log(rng.random(idx.size))
     return idx[u < g.ravel()[idx]]
 
 
@@ -292,25 +271,15 @@ def _row_leads(keys: np.ndarray, width: int) -> np.ndarray:
     return keys[lead]
 
 
-def _pin(z: np.ndarray, c: np.ndarray, z1: np.ndarray) -> None:
-    """Pin rows of running sums to drawn ends, in place, as Brownian bridges.
-    Row i of z (n, m + 1) is a walk from z[i, 0] whose column j lies at
-    clock c[j - 1] from it, c[-1] = V at the last column; column j moves by
-    (c_j / V)(z1[i] - z[i, m]), and the last column is z1 exactly."""
-    z[:, 1:] += np.multiply.outer(z1 - z[:, -1], c / c[-1])
-    z[:, -1] = z1
-
-
 def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, float]],
                 cfg: SimConfig, side_names: Optional[Sequence[str]]
                 ) -> EmpiricalHittingSample:
     """The first crossing of any boundary by each path of a unit Wiener
     process from 0 in the clock R on the grid ts, sorted by time, with the
     boundary crossed named by side_names when they are given.  Each
-    boundary is a line (c, d), the row c + d*R on the grid, so a far path's
-    block may be skipped by the bridge bound of the whole block, which holds
-    for a line.  Within a step the first row with an event wins.  Paths are
-    stepped in time blocks and dropped once they have hit.
+    boundary is a line (c, d), the row c + d*R on the grid.  Within a step
+    the first row with an event wins.  Each chunk steps its paths in time
+    blocks and drops them once they have hit.
     """
     n_steps = ts.size - 1
     dt = ts[1] - ts[0]
@@ -319,173 +288,53 @@ def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, floa
     t_mid, t_end = ts[0] + steps * dt + 0.5 * dt, ts[0] + (steps + 1) * dt
     b = np.array([c + d * R for c, d in lines])
     step_std = np.sqrt(np.diff(R))
-    var = step_std ** 2
-    rate = -2.0 / var
+    rate = -2.0 / step_std ** 2
     nb = b.shape[0]
     above = b[:, 0] > 0.0
     sign = np.where(above, 1.0, -1.0)  # distances on the start's side: sign * (b - w)
     edges = _block_edges(n_steps)
-    widest = max(k1 - k0 for k0, k1 in zip(edges, edges[1:]))
-    # per block: the clock from k0 at each step, the floor reach^2 =
-    # -LOG_U_MIN V / 2 of d0 d1 for a skip, and the far limit of each row at
-    # k0, or None where a band is too narrow for any value to be far
-    blocks = []
-    for k0, k1 in zip(edges, edges[1:]):
-        c = np.cumsum(var[k0:k1])
-        floor = -0.5 * LOG_U_MIN * c[-1]
-        lim = b[:, k0] - sign * np.sqrt(floor)
-        if np.max(lim[~above], initial=-np.inf) > np.min(lim[above], initial=np.inf):
-            lim = None
-        blocks.append((k0, k1, c, floor, lim))
     hit_time = np.full(cfg.n_paths, np.nan)
     hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
 
-    cap = min(CHUNK, cfg.n_paths)  # the most rows a chunk has
-    no_pin = np.empty(0, dtype=np.intp)
-
-    def step(bufs: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
-             ends: Sequence[int], paths: np.ndarray, z0: np.ndarray, block: tuple,
-             pin: Optional[Tuple[np.ndarray, np.ndarray]]
-             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Step the stacked rows of consecutive chunks over the block from
-        step k0 to k1 and record their first hits.  Row i is path paths[i],
-        at z0[i] at step k0; the chunk of rngs[j] owns the rows from
-        ends[j - 1] to ends[j].  pin = (rows, z1), when given, pins those
-        rows to end at z1 (_pin).  Returns which rows still run and their
-        values at step k1."""
-        k0, k1, c = block[:3]
-        n, m = paths.size, k1 - k0
-        z_buf, d_buf, g_buf, c_buf = bufs
-        z = z_buf[:n * (m + 1)].reshape(n, m + 1)
-        d = d_buf[:n * (m + 1)].reshape(n, m + 1)
-        g, cand = g_buf[:n * m].reshape(n, m), c_buf[:n * m].reshape(n, m)
-        lo = 0
-        for rng, hi in zip(rngs, ends):
-            rng.standard_normal(out=g[lo:hi])
-            lo = hi
-        z[:, 0] = z0
-        np.multiply(step_std[k0:k1], g, out=z[:, 1:])
-        for j in range(1, m + 1):  # each row's running sum, as np.cumsum adds it
-            np.add(z[:, j - 1], z[:, j], out=z[:, j])
-        if pin is not None:
-            zp = z[pin[0]]
-            _pin(zp, c, pin[1])
-            z[pin[0]] = zp
-        flat_ends = [e * m for e in ends]
-        # each path's first event per boundary, keyed (path, step, boundary)
-        keys = []
-        for a in range(nb):
-            # distances to boundary a on the start's side, at the grid times
-            if above[a]:
-                np.subtract(b[a, k0:k1 + 1], z, out=d)
-            else:
-                np.subtract(z, b[a, k0:k1 + 1], out=d)
-            if cfg.bridge_correction:
-                ev = _bridge_events(d, rate[k0:k1], rngs, flat_ends, g, cand)
-            else:
-                ev = np.flatnonzero(np.less_equal(d[:, 1:], 0.0, out=cand))
-            keys.append(_row_leads(ev, m) * nb + a)
-        # the earliest over the boundaries; the first boundary wins a tie
-        key = _row_leads(np.sort(np.concatenate(keys), kind="stable"), m * nb)
-        rk, a = np.divmod(key, nb)
-        r, k = np.divmod(rk, m)
-        # a direct hit ends on or past the boundary
-        direct = (b[a, k0 + k + 1] - z[r, k + 1]) * sign[a] <= 0.0
-        done, k = paths[r], k + k0
-        hit_time[done] = np.where(direct, t_end[k], t_mid[k])
-        hit_side[done] = a
-        running = np.ones(n, dtype=bool)
-        running[r] = False
-        return running, z[:, -1]
-
-    # z0 on the start's side of a row's far limit
-    toward = [np.less_equal if up else np.greater_equal for up in above]
-
     @np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
     def worker(run: range) -> int:
-        rngs = [_chunk_rng(cfg.seed, c) for c in run]
-        # scratch for the whole call, a chunk's rows of the widest block: path
-        # values and distances at the grid times, then per step the exponents
-        # and candidates; a narrower block stacks as many rows as fit
-        bufs = (np.empty(cap * (widest + 1)), np.empty(cap * (widest + 1)),
-                np.empty(cap * widest), np.empty(cap * widest, dtype=bool))
-
-        def sweep(paths: np.ndarray, z0: np.ndarray, block: tuple,
-                  pin: np.ndarray, z1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            """Step live rows (in chunk order) over the block, the rows of as
-            many consecutive chunks as fit the scratch at a time; the rows pin
-            (sorted) are pinned to end at z1.  Returns which rows still run
-            and their values at the block's end."""
-            fit = cap * (widest + 1) // (block[1] - block[0] + 1)  # rows the scratch holds
-            counts = np.bincount(paths // CHUNK - run.start, minlength=len(run)).tolist()
-            running, z_next = np.empty(paths.size, dtype=bool), np.empty(paths.size)
-
-            def flush(stack: list, ends: list, lo: int, hi: int) -> None:
-                if hi == lo:  # every row skipped the block
-                    return
-                part = None
-                if pin.size:
-                    p0, p1 = np.searchsorted(pin, (lo, hi)).tolist()
-                    part = (pin[p0:p1] - lo, z1[p0:p1]) if p1 > p0 else None
-                running[lo:hi], z_next[lo:hi] = step(
-                    bufs, stack, ends, paths[lo:hi], z0[lo:hi], block, part)
-
-            lo = hi = 0  # the rows of the stack
-            stack, ends = [], []
-            for rng, rows in zip(rngs, counts):
-                if hi + rows - lo > fit:
-                    flush(stack, ends, lo, hi)
-                    lo, stack, ends = hi, [], []
-                if rows:  # a chunk with no rows to step draws nothing
-                    hi += rows
-                    stack.append(rng)
-                    ends.append(hi - lo)
-            flush(stack, ends, lo, hi)
-            return running, z_next
-
-        # the paths still running, in chunk order, and their values
-        live = np.arange(run.start * CHUNK, min(run.stop * CHUNK, cfg.n_paths))
-        z_end = np.zeros(live.size)
         path_steps = 0
-        for block in blocks:
-            if not live.size:
-                break
-            k0, k1, c, floor, lim = block
-            if lim is not None:
-                far = toward[0](z_end, lim[0])
-                for a in range(1, nb):
-                    far &= toward[a](z_end, lim[a])
-            if lim is not None and far.any():
-                # far rows draw their block ends first, each chunk's from its stream
-                fi = np.flatnonzero(far)
-                zf, z1 = z_end[fi], np.empty(fi.size)
-                lo = 0
-                for rng, count in zip(rngs, np.bincount(live[fi] // CHUNK - run.start,
-                                                        minlength=len(run)).tolist()):
-                    if count:
-                        rng.standard_normal(out=z1[lo:lo + count])
-                        lo += count
-                z1 *= np.sqrt(c[-1])
-                z1 += zf
-                # skip where every boundary's bridge bound over the block is
-                # at most 2**-53; the other far rows step, pinned to their ends
-                skip = (b[0, k0] - zf) * (b[0, k1] - z1) >= floor
-                for a in range(1, nb):
-                    skip &= (b[a, k0] - zf) * (b[a, k1] - z1) >= floor
-                keep = np.ones(live.size, dtype=bool)
-                keep[fi[skip]] = False
-                rows = np.flatnonzero(keep)
-                running, z_next = np.ones(live.size, dtype=bool), np.empty(live.size)
-                z_next[fi[skip]] = z1[skip]
-                running[rows], z_next[rows] = sweep(
-                    live[rows], z_end[rows], block, np.searchsorted(rows, fi[~skip]),
-                    z1[~skip])
-                stepped = rows.size
-            else:
-                running, z_next = sweep(live, z_end, block, no_pin, no_pin)
-                stepped = live.size
-            path_steps += stepped * (k1 - k0)
-            live, z_end = live[running], z_next[running]
+        for ch in run:
+            rng = _chunk_rng(cfg.seed, ch)
+            # the chunk's paths still running, and their values
+            live = np.arange(ch * CHUNK, min((ch + 1) * CHUNK, cfg.n_paths))
+            z0 = np.zeros(live.size)
+            for k0, k1 in zip(edges, edges[1:]):
+                if not live.size:
+                    break
+                n, m = live.size, k1 - k0
+                z = np.empty((n, m + 1))
+                z[:, 0] = z0
+                np.multiply(step_std[k0:k1], rng.standard_normal((n, m)), out=z[:, 1:])
+                np.cumsum(z, axis=1, out=z)
+                # each path's first event per boundary, keyed (path, step, boundary)
+                keys = []
+                for a in range(nb):
+                    # distances to boundary a on the start's side, at the grid times
+                    d = b[a, k0:k1 + 1] - z if above[a] else z - b[a, k0:k1 + 1]
+                    if cfg.bridge_correction:
+                        ev = _bridge_events(d, rate[k0:k1], rng)
+                    else:
+                        ev = np.flatnonzero(d[:, 1:] <= 0.0)
+                    keys.append(_row_leads(ev, m) * nb + a)
+                # the earliest over the boundaries; the first boundary wins a tie
+                key = _row_leads(np.sort(np.concatenate(keys), kind="stable"), m * nb)
+                rk, a = np.divmod(key, nb)
+                r, k = np.divmod(rk, m)
+                # a direct hit ends on or past the boundary
+                direct = (b[a, k0 + k + 1] - z[r, k + 1]) * sign[a] <= 0.0
+                done, k = live[r], k + k0
+                hit_time[done] = np.where(direct, t_end[k], t_mid[k])
+                hit_side[done] = a
+                path_steps += n * m
+                running = np.ones(n, dtype=bool)
+                running[r] = False
+                live, z0 = live[running], z[running, -1]
         return path_steps
 
     path_steps = sum(_run_chunked(cfg.n_paths, worker))

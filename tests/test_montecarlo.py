@@ -17,7 +17,7 @@ from growthfpt.growth_curve import _g
 from growthfpt import montecarlo
 from growthfpt.montecarlo import (BLOCK0, CHUNK, LOG_U_MIN, EmpiricalHittingSample,
                                   _block_edges, _bridge_events, _chunk_rng,
-                                  _first_hits, _hit_clock, _pin)
+                                  _first_hits, _hit_clock)
 from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
@@ -43,9 +43,9 @@ class TestSimulatePaths:
         scale = PARAMS.x0 * _g(PARAMS, 0.0)
         lower = AffineGMBoundary(A=0.97 * scale)
         upper = AffineGMBoundary(A=1.03 * scale, B=0.01)
-        # far enough that most paths skip blocks and some are pinned; a line
-        # under the bridge test takes one step per path, so this one is
-        # tested without it, as the grid steps it
+        # a line most paths never reach, so they run every block; under the
+        # bridge test a line takes one step per path, so this one is tested
+        # without it, as the grid steps it
         far = AffineGMBoundary(A=1.1 * scale, B=0.01)
         # sides of one slope: one step per path, its proposal rounds pooled
         # over a thread's chunks
@@ -58,17 +58,9 @@ class TestSimulatePaths:
             "estimate_fpt_far": lambda: estimate_fpt(
                 proc, far, dataclasses.replace(cfg, bridge_correction=False)),
         }
-        pinned = []
-
-        def pin(z, c, z1):
-            pinned[-1] += z1.size
-            _pin(z, c, z1)
-
-        monkeypatch.setattr(montecarlo, "_pin", pin)
         outs = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("GROWTHFPT_THREADS", threads)
-            pinned.append(0)
             outs.append(calls[run]())
         if run == "estimate_fet_strip":
             # the strip's sample does not depend on how many chunks pool
@@ -76,10 +68,6 @@ class TestSimulatePaths:
             monkeypatch.setattr(montecarlo, "POOL", 2)
             outs.append(calls[run]())
             assert all(o.path_steps == cfg.n_paths for o in outs)
-        if run == "estimate_fpt_far":
-            # a censored path alone runs all 20 steps unless it skips
-            assert all(o.path_steps < 20 * o.censored_count for o in outs)
-            assert min(pinned) > 0
         a = outs[0]
         for b in outs[1:]:
             if run == "simulate_paths":
@@ -277,15 +265,15 @@ class TestEstimateFPT:
         o, e = np.array(cells).T
         assert chi2.sf(np.sum((o - e) ** 2 / e), o.size - 1) > 1e-3
 
-    @pytest.mark.parametrize("A,B", [(0.8, -0.1), (1.25, 0.1)])
-    @pytest.mark.parametrize("dt", [1.0, 0.5])
-    def test_coarse_step_mass_matches_closed_form(self, A, B, dt):
-        self._assert_coarse_step_law(0.3, A, B, dt, 20.0, 200_000)
+    # the last case is a line most paths stay well away from
+    COARSE_STEP_CASES = [(0.3, 0.8, -0.1, 0.5, 20.0), (0.3, 1.25, 0.1, 0.5, 20.0),
+                         (0.3, 0.8, -0.1, 1.0, 20.0), (0.3, 1.25, 0.1, 1.0, 20.0),
+                         (0.015, 1.2, 0.0, 0.5, 60.0)]
 
-    def test_coarse_step_law_where_blocks_skip(self):
-        # most paths stay far from the boundary: they skip whole blocks, and
-        # those that end a far block near it are pinned to the drawn end
-        self._assert_coarse_step_law(0.015, 1.2, 0.0, 0.5, 60.0, 200_000)
+    @pytest.mark.parametrize("sigma,A,B,dt,horizon", COARSE_STEP_CASES,
+                             ids=[f"{dt}-{A}-{B}" for _, A, B, dt, _ in COARSE_STEP_CASES])
+    def test_coarse_step_mass_matches_closed_form(self, sigma, A, B, dt, horizon):
+        self._assert_coarse_step_law(sigma, A, B, dt, horizon, 200_000)
 
     @pytest.mark.parametrize("sigma,A,B,dt,horizon", [
         (0.3, 0.8, -0.1, 1.0, 20.0), (0.3, 0.8, -0.1, 0.5, 20.0),
@@ -394,14 +382,14 @@ def test_estimators_take_only_the_process_lines(case, estimate):
 
 @pytest.mark.parametrize("bridge", [True, False])
 @pytest.mark.parametrize("estimate", ["fpt", "fet"])
-def test_a_stack_may_hold_a_chunk_with_no_live_rows(estimate, bridge, monkeypatch):
+def test_a_chunk_with_no_live_rows_draws_nothing(estimate, bridge, monkeypatch):
     # a line just below the start that takes all but a few paths of each
     # chunk in the first block: flat under the bridge test, which also
     # catches the paths that dip across it between steps, and rising
     # steeply without it; a band's upper line is one a few paths reach.
     # From the second block on, some chunks have no live rows while their
-    # neighbours run on, so one thread stacks running chunks around empty
-    # ones; with a thread per chunk every chunk steps alone
+    # neighbours run on: such a chunk draws nothing more, so one thread that
+    # steps every chunk in turn gives the sample of a thread per chunk
     n_steps, chunks = 40, 6
     ts = 0.25 * np.arange(n_steps + 1)  # also the clock, of unit rate
     d = 0.0 if bridge else 2.8
@@ -460,10 +448,9 @@ def _pinned_case(case):
 # (SHA-256 of hit_times.tobytes(), of the exit sides joined by commas or
 # None, censored_count).  The grid cases (tilted_band, no_bridge) were
 # recorded with time blocks of BLOCK0 = 4 steps, each later one half as long
-# again (_block_edges), one uniform per candidate step, one whose bridge
-# exponent exceeds LOG_U_MIN, and a block end drawn first by each far path,
-# which skips the block or is pinned to that end; tilted_band has no far
-# path.  The lines, and the bands of one slope, under the bridge test take
+# again (_block_edges): per chunk and block one normal per step of each path
+# still running, then one uniform per candidate step, one whose bridge
+# exponent exceeds LOG_U_MIN, of each boundary in turn, row-major.  The lines, and the bands of one slope, under the bridge test take
 # one step per path (_strip_hits): per chunk one normal per path, one
 # uniform per candidate, then per proposal round the side uniforms (a band
 # only), one Wald draw each and the accept uniforms (a band only), each hit's
@@ -479,8 +466,8 @@ PINNED_SAMPLES = {
                               None, 562),
     "tilted_band": ("a0e40786edfbfca4de2851c50593568f7f3c6926b8fed6815dc378dd279fbfe6",
                     "53be4ac992c81519ba290f8c5524b01bad84e9570ec656732994c87a8303beb0", 33),
-    "no_bridge": ("f8a96e53a9e7fe4bff3b0662ea4ed24b52f7799a730c64d1fb645ad3d5bba19e",
-                  None, 814),
+    "no_bridge": ("aedc7457c550b131c1663629302ae599b30d35f8e8429e520e29e0964af17b72",
+                  None, 834),
 }
 
 
@@ -499,8 +486,8 @@ def test_pinned_samples(case, threads, monkeypatch):
 
 
 def _schedule_steps(sample, ts):
-    """Path-steps of the time blocks without skips: a path runs every step
-    of each block up to the one of its hit, a censored path all of them."""
+    """Path-steps of the time blocks: a path runs every step of each block
+    up to the one of its hit, a censored path all of them."""
     n_steps = ts.size - 1
     edges = np.array(_block_edges(n_steps))
     k = np.ceil((sample.hit_times - ts[0]) / (ts[1] - ts[0]) - 1e-9).astype(int) - 1
@@ -508,41 +495,23 @@ def _schedule_steps(sample, ts):
                + sample.censored_count * n_steps)
 
 
-@pytest.mark.parametrize("case", ["tilted_band", "far_line", "lognormal_band"])
+@pytest.mark.parametrize("case", ["tilted_band", "no_bridge", "far_line", "lognormal_band"])
 def test_path_steps_count_the_steps_simulated(case):
-    # the tilted band has no far path, so every block of a live path is
-    # stepped; a line, or a band of one slope, under the bridge test takes
-    # each path to the horizon in one step, whatever dt
+    # on the grid every block of a live path is stepped, with the bridge
+    # test or without it; a line, or a band of one slope, under the bridge
+    # test takes each path to the horizon in one step, whatever dt
     if case == "far_line":
         estimate, args = estimate_fpt, (LognormalProcess(PARAMS, 0.015), ExpBoundary(A=1.2))
         cfg = SimConfig(dt=0.5, horizon=60.0, n_paths=5000, seed=3)
     else:
         estimate, args, cfg = _pinned_case(case)
     sample = estimate(*args, cfg)
-    if case == "tilted_band":
+    if case in ("tilted_band", "no_bridge"):
         ts = PARAMS.t0 + cfg.dt * np.arange(round(cfg.horizon / cfg.dt) + 1)
         assert sample.path_steps == _schedule_steps(sample, ts)
     else:
         assert 0 < sample.hit_times.size < cfg.n_paths
         assert sample.path_steps == cfg.n_paths
-
-
-def test_pin_gives_the_brownian_bridge():
-    # free walks from z0 over uneven clock steps, pinned to z1: the first
-    # and last columns are z0 and z1 exactly, and each interior column has
-    # the bridge's mean z0 + (c_j/V)(z1 - z0) and variance c_j(V - c_j)/V
-    n, var = 100_000, np.array([0.3, 0.1, 0.5, 0.2, 0.4])
-    c = np.cumsum(var)
-    z0, z1, V, cj = 0.4, -0.7, c[-1], c[:-1]
-    z = np.full((n, var.size + 1), z0)
-    z[:, 1:] += np.cumsum(np.sqrt(var) * np.random.default_rng(12).standard_normal(
-        (n, var.size)), axis=1)
-    _pin(z, c, np.full(n, z1))
-    assert np.all(z[:, 0] == z0) and np.all(z[:, -1] == z1)
-    mean, v = z0 + cj / V * (z1 - z0), cj * (V - cj) / V
-    assert np.all(np.abs(z[:, 1:-1].mean(axis=0) - mean) <= 5.0 * np.sqrt(v / n))
-    assert np.all(np.abs(z[:, 1:-1].var(axis=0, ddof=1) - v)
-                  <= 5.0 * v * math.sqrt(2.0 / (n - 1)))
 
 
 @pytest.mark.parametrize("b", [0.0, -0.0, 1e-300, -1e-300, 5e-324])
@@ -565,11 +534,10 @@ def test_log_u_min_is_the_log_of_the_smallest_positive_uniform():
 
 def test_bridge_events_are_the_dense_test_at_the_candidates():
     # a fixed block with direct hits (exponent >= 0), candidates below 0 and
-    # steps at or below LOG_U_MIN, its rows stacked from two chunks; the
-    # dense test log u < g gets each chunk's uniforms at its candidates, in
-    # row-major order, and other draws of random() elsewhere, the smallest
-    # positive one among them
-    n, m, split = 64, 16, 24
+    # steps at or below LOG_U_MIN; the dense test log u < g gets the
+    # stream's uniforms at the candidates, in row-major order, and other
+    # draws of random() elsewhere, the smallest positive one among them
+    n, m = 64, 16
     d = np.random.default_rng(5).normal(0.3, 0.25, (n, m + 1))
     rate = -2.0 / np.linspace(0.004, 0.02, m)
     g = d[:, :-1] * d[:, 1:]
@@ -578,22 +546,19 @@ def test_bridge_events_are_the_dense_test_at_the_candidates():
     assert np.any(g >= 0.0) and np.any(cand & (g < 0.0)) and not np.all(cand)
     u = np.maximum(np.random.default_rng(6).random((n, m)), 2.0 ** -53)
     u[~cand] = np.where(np.arange(np.count_nonzero(~cand)) % 3, u[~cand], 2.0 ** -53)
-    for c, rows in enumerate((slice(0, split), slice(split, n))):
-        u[rows][cand[rows]] = _chunk_rng(9, c).random(np.count_nonzero(cand[rows]))
-    events = _bridge_events(d, rate, [_chunk_rng(9, 0), _chunk_rng(9, 1)], [split * m, n * m],
-                            np.empty((n, m)), np.empty((n, m), dtype=bool))
+    u[cand] = _chunk_rng(9, 0).random(np.count_nonzero(cand))
+    events = _bridge_events(d, rate, _chunk_rng(9, 0))
     assert np.array_equal(events, np.flatnonzero(np.log(u) < g))
     assert np.all(np.isin(np.flatnonzero(g >= 0.0), events))
 
 
 def test_bridge_events_draw_nothing_when_no_step_can_fire():
-    rngs = [_chunk_rng(9, 0), _chunk_rng(9, 1)]
+    rng = _chunk_rng(9, 0)
     # every exponent is -2 * 0.5**2 / 0.01 = -50, below LOG_U_MIN
-    events = _bridge_events(np.full((8, 17), 0.5), np.full(16, -2.0 / 0.01), rngs,
-                            [3 * 16, 8 * 16], np.empty((8, 16)), np.empty((8, 16), dtype=bool))
-    # each stream is where it was: its next draw is the chunk's first
+    events = _bridge_events(np.full((8, 17), 0.5), np.full(16, -2.0 / 0.01), rng)
+    # the stream is where it was: its next draw is the chunk's first
     assert events.size == 0
-    assert [rng.random() for rng in rngs] == [_chunk_rng(9, c).random() for c in (0, 1)]
+    assert rng.random() == _chunk_rng(9, 0).random()
 
 
 class TestEstimateFET:
