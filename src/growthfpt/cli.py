@@ -14,11 +14,9 @@ The configuration is a JSON document whose keys, types, defaults and flags
 are declared once, in _KEYS; --help names the key each flag overrides.  --nu
 and --method set the key of the running command, fpt or fet.  Exit status: 0
 success, 1 validation failure, 2 configuration error, such as a value of the
-wrong type or a number that is not finite, named by its block.key, or a
-GROWTHFPT_THREADS that is not an integer.
+wrong type or a number that is not finite, named by its block.key.
 Every CSV has a header row, times strictly increasing, and floats serialized
-with 17 significant digits.  GROWTHFPT_THREADS caps simulation worker
-threads (default: the CPUs the process may run on).
+with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -388,7 +386,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         return run_command(args.command, cfg)
-    except ConfigError as exc:  # e.g. GROWTHFPT_THREADS, read when a simulation starts
+    except ConfigError as exc:  # e.g. a horizon past the domain end, found on running
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GrowthFPTError as exc:

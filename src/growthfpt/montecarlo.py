@@ -18,12 +18,12 @@ Side s has start distance a_s = |c_s| and end distance b_s, and alone is
 crossed with the bridge's probability P_s = exp{-2 a_s b_s / V} where
 b_s > 0, 1 otherwise; Q = sum_s P_s.  A proposal picks side s with
 probability P_s/Q (one uniform), draws tau from that side's bridge law,
-V U/(1 + U) with U ~ IG(a/|b|, a^2/V) (one Generator.wald, _hit_clock),
-and accepts it with probability r_s(tau) = f_s(tau)/f_one(tau) <= 1 (one
-uniform), f_s the strip's exit density through s and f_one the one-sided
-one (_strip_ratio): given the ends, the exit's sub-density in (s, tau) is
-Q r_s(tau) times the proposal's.  An end outside proposes until one is
-accepted.  An end inside with Q <= 1 draws u where Q > 2**-53 and makes
+V U/(1 + U) with U ~ IG(a/|b|, a^2/V) (one normal and one uniform,
+_hit_clock), and accepts it with probability r_s(tau) = f_s(tau)/f_one(tau)
+<= 1 (one uniform), f_s the strip's exit density through s and f_one the
+one-sided one (_strip_ratio): given the ends, the exit's sub-density in
+(s, tau) is Q r_s(tau) times the proposal's.  An end outside proposes until
+one is accepted.  An end inside with Q <= 1 draws u where Q > 2**-53 and makes
 one proposal where log u < log Q; a rejection leaves it inside.  One with
 Q > 1 exits where u < 1 - P_stay and then proposes until one is accepted;
 from a to b above the lower side of a strip of width L (_strip_stay),
@@ -63,32 +63,29 @@ simulate_paths returns whole paths.  estimate_fpt and estimate_fet wrap
 one private path, which checks the rows by gm_core.check_posed as every
 method does and picks _strip_hits or _first_hits.
 
-Randomness is organised in fixed-size chunks of paths: chunk c draws from an
-SFC64 generator seeded by SeedSequence([seed, c]) (the seed masked to 64
-bits), so each chunk's stream is a pure function of (seed, c).
-simulate_paths draws the chunk's whole Gaussian block, one fixed row per
-path.  _strip_hits draws one normal per path, then one uniform per
-candidate, then in each proposal round, for its paths still proposing, the
-side uniforms, the Wald draws and the accept uniforms, in path order.
-_first_hits steps each chunk alone in time blocks (_block_edges) and stops
-simulating a path once it has hit: in each block a chunk draws a Gaussian
-block for its paths still running, then one uniform per candidate step of
-each boundary, in the order the boundaries are given and row-major within
-a boundary.  What a chunk draws depends only on its own earlier draws, so
-ensembles are bit-identical for a given seed no matter how many worker
-threads run or how their chunks are grouped; GROWTHFPT_THREADS caps the
-pool (default: the CPUs this process may run on), and each thread takes
-one contiguous run of chunks.
+Randomness comes from one SFC64 stream per kind of draw, spawned in a fixed
+order from SeedSequence(seed) (the seed taken modulo 2**64, _streams), and
+each kind is drawn for the whole ensemble in path order.  simulate_paths
+draws the path normals row-major, (path, step).  _strip_hits draws one
+normal per path, then one uniform per candidate, then in each proposal
+round, for the paths still proposing, the side uniforms, the hit times'
+normals and uniforms and the accept uniforms, each kind from its own
+stream.  _first_hits steps the paths in time blocks (_block_edges) and
+stops simulating a path once it has hit: in each block it draws a Gaussian
+block for the paths still running, row-major, then one uniform per
+candidate step of each boundary, row-major, from that boundary's own
+stream.  Path-wide arrays are built in pieces of at most PIECE values
+(_pieces), one piece after another in path order; since each stream is
+drawn in path order, a sample is a function of the seed and the problem
+alone, whatever the piece size.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,14 +97,14 @@ from .growth_curve import _core
 from .process_lognormal import ExpBoundary, LognormalProcess
 from .process_ou import AffineGMBoundary, OUProcess
 
-CHUNK = 1024  # paths per random-stream chunk; fixed so results never depend on threads
+# the most values a piece of a path-wide array holds (_pieces): a memory bound,
+# not part of the random streams
+PIECE = 2 ** 14
 BLOCK0 = 4  # steps in an estimator's first time block; each later one is half as long again
 # log of the smallest positive Generator.random() draw, 2**-53: a bridge
 # exponent at or below it can fire only on a drawn 0
 LOG_U_MIN = float(np.log(2.0 ** -53))
-PHI_MIN = 1e-5  # the least shape/mean ratio of a hit-time Wald draw (_hit_clock)
 NEWTON_TOL, NEWTON_MAX = 1e-7, 8  # the inverse clock's last step, of the span; its most steps
-POOL = 16  # chunks of a thread whose proposal rounds run together (_strip_hits)
 # the strip's series: image orders |n| <= ORDERS, sine terms k <= MODES; each
 # exponent is floored at EXP_FLOOR, above where numpy's exp is 10 to 200
 # times slower (from about -708 down), and a floored term adds below 1e-304
@@ -115,7 +112,6 @@ ORDERS, MODES, EXP_FLOOR = 3, 5, -700.0
 
 Process = Union[LognormalProcess, OUProcess]
 Boundary = Union[ExpBoundary, AffineGMBoundary]
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -170,36 +166,19 @@ class EmpiricalHittingSample:
     path_steps: int = 0
 
 
-def _n_threads() -> int:
-    env = os.environ.get("GROWTHFPT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"GROWTHFPT_THREADS is not an integer: {env!r}")
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return max(1, os.cpu_count() or 1)
+def _streams(seed: int, kinds: int) -> list:
+    """One SFC64 generator per kind of draw, spawned in order from the seed
+    taken modulo 2**64."""
+    root = np.random.SeedSequence(seed & 0xFFFF_FFFF_FFFF_FFFF)
+    return [np.random.Generator(np.random.SFC64(child)) for child in root.spawn(kinds)]
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, chunk_index])))
-
-
-def _run_chunked(n_paths: int, worker: Callable[[range], T]) -> list[T]:
-    """Call worker once per thread on a contiguous run of the chunk indices
-    covering [0, n_paths); the runs differ in length by at most one.  Returns
-    the workers' results in run order."""
-    n_chunks = -(-n_paths // CHUNK)
-    threads = min(_n_threads(), n_chunks)
-    runs = [range(n_chunks * i // threads, n_chunks * (i + 1) // threads)
-            for i in range(threads)]
-    if threads == 1:
-        return [worker(runs[0])]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, run) for run in runs]
-        return [fut.result() for fut in futures]
+def _pieces(n: int, width: int = 1) -> list:
+    """(lo, hi) of the consecutive row ranges that cover [0, n), in order,
+    each of at most PIECE values at width values a row, and one row at
+    least."""
+    step = max(1, PIECE // width)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _grid(process: Process, cfg: SimConfig) -> np.ndarray:
@@ -216,24 +195,20 @@ def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.nda
     """Simulate an ensemble of exact-transition paths.
 
     Returns (times, paths) with paths of shape (n_paths, n_times); paths[i, 0]
-    is x0 for every path.  For a fixed seed the ensemble is bit-identical
-    regardless of thread count.
+    is x0 for every path.  For a fixed seed the ensemble is bit-identical,
+    and its first paths are those of any smaller ensemble.
     """
     ts = _grid(process, cfg)
     coord = process.coord(process.params.x0, process.params.t0)
     step_std = np.sqrt(np.diff(coord.clock(ts)))
     out = np.empty((cfg.n_paths, ts.size))
-
-    def worker(run: range) -> None:
-        for c in run:
-            start = c * CHUNK
-            rows = min(CHUNK, cfg.n_paths - start)
-            zn = _chunk_rng(cfg.seed, c).standard_normal((rows, step_std.size))
-            w = np.zeros((rows, ts.size))
-            np.cumsum(step_std[None, :] * zn, axis=1, out=w[:, 1:])
-            out[start:start + rows] = coord.to_state(w, ts)
-
-    _run_chunked(cfg.n_paths, worker)
+    normals, = _streams(cfg.seed, 1)
+    for lo, hi in _pieces(cfg.n_paths, ts.size):
+        w = out[lo:hi]
+        w[:, 0] = 0.0
+        np.cumsum(step_std * normals.standard_normal((hi - lo, step_std.size)), axis=1,
+                  out=w[:, 1:])
+        w[:] = coord.to_state(w, ts)
     return ts, out
 
 
@@ -271,6 +246,7 @@ def _row_leads(keys: np.ndarray, width: int) -> np.ndarray:
     return keys[lead]
 
 
+@np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
 def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, float]],
                 cfg: SimConfig, side_names: Optional[Sequence[str]]
                 ) -> EmpiricalHittingSample:
@@ -278,8 +254,8 @@ def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, floa
     process from 0 in the clock R on the grid ts, sorted by time, with the
     boundary crossed named by side_names when they are given.  Each
     boundary is a line (c, d), the row c + d*R on the grid.  Within a step
-    the first row with an event wins.  Each chunk steps its paths in time
-    blocks and drops them once they have hit.
+    the first row with an event wins.  The paths are stepped in time blocks
+    and dropped once they have hit.
     """
     n_steps = ts.size - 1
     dt = ts[1] - ts[0]
@@ -292,52 +268,47 @@ def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, floa
     nb = b.shape[0]
     above = b[:, 0] > 0.0
     sign = np.where(above, 1.0, -1.0)  # distances on the start's side: sign * (b - w)
-    edges = _block_edges(n_steps)
     hit_time = np.full(cfg.n_paths, np.nan)
     hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
-
-    @np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
-    def worker(run: range) -> int:
-        path_steps = 0
-        for ch in run:
-            rng = _chunk_rng(cfg.seed, ch)
-            # the chunk's paths still running, and their values
-            live = np.arange(ch * CHUNK, min((ch + 1) * CHUNK, cfg.n_paths))
-            z0 = np.zeros(live.size)
-            for k0, k1 in zip(edges, edges[1:]):
-                if not live.size:
-                    break
-                n, m = live.size, k1 - k0
-                z = np.empty((n, m + 1))
-                z[:, 0] = z0
-                np.multiply(step_std[k0:k1], rng.standard_normal((n, m)), out=z[:, 1:])
-                np.cumsum(z, axis=1, out=z)
-                # each path's first event per boundary, keyed (path, step, boundary)
-                keys = []
-                for a in range(nb):
-                    # distances to boundary a on the start's side, at the grid times
-                    d = b[a, k0:k1 + 1] - z if above[a] else z - b[a, k0:k1 + 1]
-                    if cfg.bridge_correction:
-                        ev = _bridge_events(d, rate[k0:k1], rng)
-                    else:
-                        ev = np.flatnonzero(d[:, 1:] <= 0.0)
-                    keys.append(_row_leads(ev, m) * nb + a)
-                # the earliest over the boundaries; the first boundary wins a tie
-                key = _row_leads(np.sort(np.concatenate(keys), kind="stable"), m * nb)
-                rk, a = np.divmod(key, nb)
-                r, k = np.divmod(rk, m)
-                # a direct hit ends on or past the boundary
-                direct = (b[a, k0 + k + 1] - z[r, k + 1]) * sign[a] <= 0.0
-                done, k = live[r], k + k0
-                hit_time[done] = np.where(direct, t_end[k], t_mid[k])
-                hit_side[done] = a
-                path_steps += n * m
-                running = np.ones(n, dtype=bool)
-                running[r] = False
-                live, z0 = live[running], z[running, -1]
-        return path_steps
-
-    path_steps = sum(_run_chunked(cfg.n_paths, worker))
+    # one uniform stream per boundary, so that the pieces do not reorder them
+    normals, *uniforms = _streams(cfg.seed, 1 + nb)
+    # the paths still running, and their values
+    live, z0 = np.arange(cfg.n_paths), np.zeros(cfg.n_paths)
+    path_steps = 0
+    edges = _block_edges(n_steps)
+    for k0, k1 in zip(edges, edges[1:]):
+        if not live.size:
+            break
+        m = k1 - k0
+        running = np.ones(live.size, dtype=bool)
+        for lo, hi in _pieces(live.size, m + 1):
+            z = np.empty((hi - lo, m + 1))
+            z[:, 0] = z0[lo:hi]
+            np.multiply(step_std[k0:k1], normals.standard_normal((hi - lo, m)), out=z[:, 1:])
+            np.cumsum(z, axis=1, out=z)
+            # each path's first event per boundary, keyed (path, step, boundary)
+            keys = []
+            for a in range(nb):
+                # distances to boundary a on the start's side, at the grid times
+                d = b[a, k0:k1 + 1] - z if above[a] else z - b[a, k0:k1 + 1]
+                if cfg.bridge_correction:
+                    ev = _bridge_events(d, rate[k0:k1], uniforms[a])
+                else:
+                    ev = np.flatnonzero(d[:, 1:] <= 0.0)
+                keys.append(_row_leads(ev, m) * nb + a)
+            # the earliest over the boundaries; the first boundary wins a tie
+            key = _row_leads(np.sort(np.concatenate(keys), kind="stable"), m * nb)
+            rk, a = np.divmod(key, nb)
+            r, k = np.divmod(rk, m)
+            # a direct hit ends on or past the boundary
+            direct = (b[a, k0 + k + 1] - z[r, k + 1]) * sign[a] <= 0.0
+            done, k = live[lo + r], k + k0
+            hit_time[done] = np.where(direct, t_end[k], t_mid[k])
+            hit_side[done] = a
+            running[lo + r] = False
+            z0[lo:hi] = z[:, -1]
+        path_steps += live.size * m
+        live, z0 = live[running], z0[running]
     mask = ~np.isnan(hit_time)
     order = np.argsort(hit_time[mask], kind="stable")
     sides = None
@@ -352,17 +323,24 @@ def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, floa
     )
 
 
-def _hit_clock(a: float, b: np.ndarray, V: float, rng: np.random.Generator) -> np.ndarray:
+def _hit_clock(a: Union[float, np.ndarray], b: np.ndarray, V: float,
+               normals: np.random.Generator, uniforms: np.random.Generator) -> np.ndarray:
     """Clock times in (0, V] of the first hits of Brownian bridges over [0, V]
-    from distance a > 0 to the line to end distances b, one Generator.wald per
-    hit: tau = V U/(1 + U) with U ~ IG(a/|b|, a^2/V), drawn as (a/|b|) times
-    IG(1, phi), phi = a|b|/V.  numpy's draw cancels as phi falls (NaN at
-    b = 0, 0 at b = 1e-300), so |b| is floored where phi = PHI_MIN, which
-    moves the law only of hits ending that close to the line."""
-    bb = np.maximum(np.abs(b), PHI_MIN * V / a)
-    u = rng.wald(1.0, a * bb / V)
-    u *= a / bb
-    return V * u / (1.0 + u)
+    from distances a > 0 to the line to end distances b: tau = V U/(1 + U)
+    with U ~ IG(a/|b|, a^2/V), that is (a/|b|) X with X ~ IG(1, phi), phi =
+    a|b|/V.  X is drawn by Michael, Schucany and Haas (Amer. Statist. 30,
+    1976) from one normal Z and one uniform: the root x = 2 phi/(2 phi + y +
+    sqrt(y^2 + 4 phi y)), y = Z^2, with probability 1/(1 + x), else 1/x.  In
+    1/U = V(2 phi + y + sqrt(...))/(2 a^2) and x|b|/a every term is positive,
+    so nothing cancels, and an end on the line (phi = 0) takes the bridge's
+    limit U = a^2/(V y)."""
+    bb = np.abs(b)
+    phi = a * bb / V
+    y = np.square(normals.standard_normal(b.size))
+    den = 2.0 * phi + y + np.sqrt(y * (y + 4.0 * phi))
+    x = 2.0 * phi / den
+    small = uniforms.random(b.size) * (1.0 + x) <= 1.0
+    return V / (1.0 + np.where(small, V * den / (2.0 * a * a), x * bb / a))
 
 
 def _clock_times(coord: WienerCoord, ts: np.ndarray, R: np.ndarray,
@@ -434,84 +412,77 @@ def _strip_stay(a: float, b: np.ndarray, V: float, L: float) -> np.ndarray:
     return 2.0 / L * math.sqrt(2.0 * math.pi * V) * np.sum(np.sin(k * a) * np.sin(k * b) * E, 0)
 
 
+@np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
 def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
                 lines: Sequence[Tuple[float, float]], cfg: SimConfig,
                 side_names: Optional[Sequence[str]]) -> EmpiricalHittingSample:
     """The first exit of each path of a unit Wiener process from 0 in the
     clock R through one line c + d*R, or either of two of one slope (the
     side named by side_names when given), in one step per path over the
-    clock V = R[-1] by the module docstring's law.  A thread takes its
-    chunks POOL at a time: their proposal rounds run together, each chunk
-    drawing from its own stream, and their times map in one call."""
+    clock V = R[-1] by the module docstring's law.  Each piece of paths
+    draws its ends and makes its first proposal round; the paths whose ends
+    lie outside and whose proposals were all refused then propose together,
+    a round at a time.  Last, the clock times map to times, a piece at a
+    time."""
     V, band = float(R[-1]), len(lines) == 2
     c = np.array([line[0] for line in lines])
     sign, a, L = np.sign(c), np.abs(c), float(np.sum(np.abs(c)))  # distances: sign*(c + dR - w)
     # an end's distance per unit normal, and at w = 0; the bridge exponent per unit distance
     scale, b_still, rate = -sign * np.sqrt(V), a + sign * lines[0][1] * V, -2.0 * a / V
     ratio = _strip_ratio(a, L) if band else None
+    ends, cand_u, side_u, hit_z, hit_u, accept_u = _streams(cfg.seed, 6)
+    # clock times, which the end maps to times
     hit_time, hit_side = np.full(cfg.n_paths, np.nan), np.zeros(cfg.n_paths, dtype=np.int8)
 
-    def each(rngs: list, rows: np.ndarray, ends: list, draw: Optional[Callable] = None
-             ) -> np.ndarray:
-        """draw(rng, lo, hi), by default uniforms, of each chunk's part of the
-        sorted rows, in one array."""
-        out, his = np.empty(rows.size), np.searchsorted(rows, ends).tolist()
-        for rng, lo, hi in zip(rngs, [0] + his[:-1], his):
-            if hi > lo:
-                out[lo:hi] = rng.random(hi - lo) if draw is None else draw(rng, lo, hi)
-        return out
+    def propose(rows: np.ndarray, b: np.ndarray, p_lower: np.ndarray) -> np.ndarray:
+        """One proposal round of a band's paths rows, in path order, with
+        their ends' distances b (a row per side) and lower-side shares;
+        records the accepted ones and returns the mask of the others."""
+        s = (side_u.random(rows.size) >= p_lower).astype(np.intp)
+        t = _hit_clock(a[s], b[s, np.arange(rows.size)], V, hit_z, hit_u)
+        ok = accept_u.random(rows.size) < ratio(s, t)
+        hit_time[rows[ok]], hit_side[rows[ok]] = t[ok], s[ok]
+        return ~ok
 
-    @np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
-    def worker(run: range) -> None:
-        for g0 in range(run.start, run.stop, POOL):
-            rngs = [_chunk_rng(cfg.seed, ch) for ch in range(g0, min(g0 + POOL, run.stop))]
-            p0 = g0 * CHUNK  # the group's first path; ends[j] ends chunk j's rows from it
-            ends = [min((g0 + j + 1) * CHUNK, cfg.n_paths) - p0 for j in range(len(rngs))]
-            z = np.empty(ends[-1])
-            for rng, lo, hi in zip(rngs, [0] + ends[:-1], ends):
-                rng.standard_normal(out=z[lo:hi])
-            b = np.multiply.outer(scale, z)  # each side's end distances, a row per side
-            b += b_still[:, None]
-            g = rate[:, None] * b
-            must, top = b[0] <= 0.0, g[0]  # must: an end outside
-            if band:
-                must, top = must | (b[1] <= 0.0), np.maximum(g[0], g[1])
-            # Q <= (number of sides) max P, so only these can be candidates
-            cand = np.flatnonzero(~must & (top > LOG_U_MIN - math.log(len(a))))
-            logq = g[0][cand]
-            if band:
-                logq = np.logaddexp(logq, g[1][cand])
-                cand, logq = cand[logq > LOG_U_MIN], logq[logq > LOG_U_MIN]
-            u = each(rngs, cand, ends)
-            go = must.copy()
-            go[cand] = np.log(u) < logq
-            big = cand[logq > 0.0]  # Q > 1: exits where u < 1 - P_stay, then must
-            if big.size:
-                go[big] = must[big] = u[logq > 0.0] < 1.0 - _strip_stay(a[0], b[0, big], V, L)
-            rows = np.flatnonzero(go)
-            b, must, tau, todo = b[:, rows], must[rows], np.full(rows.size, np.nan), rows[:0]
-            if not band:  # every proposal is taken: no side or accept uniform
-                tau = each(rngs, rows, ends,
-                           lambda rng, lo, hi: _hit_clock(a[0], b[0, lo:hi], V, rng))
-            else:
-                P = _exp_floored(np.minimum(g[:, rows], 0.0))  # 1 where b <= 0
-                p_lower, todo = P[0] / (P[0] + P[1]), np.arange(rows.size)
-            while todo.size:
-                at = rows[todo]
-                s = (each(rngs, at, ends) >= p_lower[todo]).astype(np.intp)
-                b_s = b.ravel()[s * rows.size + todo]
-                t = each(rngs, at, ends,
-                         lambda rng, lo, hi: _hit_clock(a[s[lo:hi]], b_s[lo:hi], V, rng))
-                ok = each(rngs, at, ends) < ratio(s, t)
-                tau[todo[ok]], hit_side[p0 + at[ok]] = t[ok], s[ok]
-                todo = todo[~ok & must[todo]]
-            hits = np.flatnonzero(~np.isnan(tau))
-            if hits.size:  # the OU clock takes no empty call
-                hit_time[p0 + rows[hits]] = _clock_times(coord, ts, R, tau[hits])
-
-    _run_chunked(cfg.n_paths, worker)
+    again = []  # (rows, b, p_lower) of the paths that must propose again
+    for lo, hi in _pieces(cfg.n_paths):
+        b = np.multiply.outer(scale, ends.standard_normal(hi - lo))  # a row per side
+        b += b_still[:, None]
+        g = rate[:, None] * b
+        must, top = b[0] <= 0.0, g[0]  # must: an end outside
+        if band:
+            must, top = must | (b[1] <= 0.0), np.maximum(g[0], g[1])
+        # Q <= (number of sides) max P, so only these can be candidates
+        cand = np.flatnonzero(~must & (top > LOG_U_MIN - math.log(len(a))))
+        logq = g[0][cand]
+        if band:
+            logq = np.logaddexp(logq, g[1][cand])
+            cand, logq = cand[logq > LOG_U_MIN], logq[logq > LOG_U_MIN]
+        u = cand_u.random(cand.size)
+        go = must.copy()
+        go[cand] = np.log(u) < logq
+        big = cand[logq > 0.0]  # Q > 1: exits where u < 1 - P_stay, then must
+        if big.size:
+            go[big] = must[big] = u[logq > 0.0] < 1.0 - _strip_stay(a[0], b[0, big], V, L)
+        rows = np.flatnonzero(go)
+        if not band:  # every proposal is taken: no side or accept uniform
+            hit_time[lo + rows] = _hit_clock(a[0], b[0, rows], V, hit_z, hit_u)
+            continue
+        P = _exp_floored(np.minimum(g[:, rows], 0.0))  # 1 where b <= 0
+        p_lower = P[0] / (P[0] + P[1])
+        b = b[:, rows]
+        keep = propose(lo + rows, b, p_lower) & must[rows]
+        again.append((lo + rows[keep], b[:, keep], p_lower[keep]))
+    if again:
+        rows, b, p_lower = (np.concatenate(x, axis=-1) for x in zip(*again))
+        while rows.size:
+            keep = np.concatenate([propose(rows[lo:hi], b[:, lo:hi], p_lower[lo:hi])
+                                   for lo, hi in _pieces(rows.size)])
+            rows, b, p_lower = rows[keep], b[:, keep], p_lower[keep]
     mask = ~np.isnan(hit_time)
     hits, sides = hit_time[mask], None
+    for lo, hi in _pieces(hits.size):  # none if empty: the OU clock takes no empty call
+        hits[lo:hi] = _clock_times(coord, ts, R, hits[lo:hi])
     if band:
         order = np.argsort(hits)
         hits, sides = hits[order], np.array(side_names)[hit_side[mask][order]]

@@ -175,8 +175,8 @@ def test_fet_identities():
     proc = LognormalProcess(P15, 1.0)
     s1 = ExpBoundary(A=math.exp(-1.0), B=-0.5)
     s2 = ExpBoundary(A=math.exp(1.0), B=-0.5)
-    # dt = 0.005 keeps the in-step hit-placement bias (~dt/5) well inside
-    # the 3-se band on the mean
+    # a band of one slope exits in one step per path, exact in law: dt sets
+    # no step, only the grid from which Newton's method maps the hit times
     cfg = SimConfig(dt=0.005, horizon=14.0, n_paths=100_000, seed=661)
     sample = estimate_fet(proc, s1, s2, cfg)
     n = sample.hit_times.size

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -291,17 +294,6 @@ class TestCommands:
         named = "sim.horizon: must be finite" if math.isinf(sim["horizon"]) else "sim: "
         assert named in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [["paths"], ["fpt", "--method", "mc"],
-                                      ["fet", "--method", "mc"]])
-    def test_thread_cap_of_the_wrong_type_exits_2(self, tmp_path, capsys, monkeypatch,
-                                                  argv):
-        monkeypatch.setenv("GROWTHFPT_THREADS", "x")
-        assert main(argv + ["--config", str(write_config(tmp_path, FIG1_CONFIG)),
-                            "--out", str(tmp_path / "o"), "--paths", "20", "--dt", "0.5",
-                            "--horizon", "10"]) == 2
-        assert "config error: GROWTHFPT_THREADS is not an integer: 'x'" in \
-            capsys.readouterr().err
 
     def test_flag_overrides_beat_document(self, tmp_path):
         doc = dict(FIG1_CONFIG)
@@ -605,14 +597,15 @@ def test_density_command_matrix(tmp_path, kind, sigma, command, method):
 # with np.savetxt and the per-point polyline loop; the key is
 # command[-method]-noise kind.  The two lognormal Volterra CSVs, whose
 # lines drop their own sources, were re-recorded then: their values moved
-# by at most 5.4e-16 of their peak, and no SVG moved
+# by at most 5.4e-16 of their peak, and no SVG moved.  The two paths runs
+# were re-recorded when the path normals became one stream per ensemble
 PINNED_OUTPUTS = {
     "curve-multiplicative": ("2e1385c19474d5256f0ef6ef261e5b6bb82a6b687ec1bbad5f26b565cd6cb5ee",
                             "0bc136d817b59e9984dc790e82ea294ee9deb44e976cc8b80b6219c6069f998c"),
-    "paths-multiplicative": ("60111b3c3c7b96932fcecbab7d1d30bdf8c18274f56a275c11543b0957a94532",
-                            "bf4e9d216bc1699e78df2b8304866ea57dce3d8509c35e58d1cf0157753cd77e"),
-    "paths-additive": ("9352e4d1c8043c2a313781a72cffc060ce7acca81bc6742dc9391133b6e58de0",
-                      "5e0c04fa098e1c80303d8995bec99e06f88adcea30810795b1b87ed021253c43"),
+    "paths-multiplicative": ("2e0b0042284cca0226da58f0e48744f7a7f6f59efb1369a0d57546220b297252",
+                            "9a0a9b0bac17a554afd92eccba753c4fe04229966746bf7707f31b24521e7177"),
+    "paths-additive": ("e4654d6c19f7dcff8e9de26c5cc7968de9b7a4de89fa4b52a4a7170f599f509c",
+                      "399df959c5ba3d54a6f87136b332b69f2c37698fc001d0513a9dfb54bae4e9bd"),
     "fpt-closed-multiplicative": ("06f86dedf685c9c2f1333df4b6efaa57b65d47b507df7315a0824cc087de57a5",
                                  "e7ce621b1881ea671818a40f6d8313f5a97aa0cb7dad0ecdbfdd6df800e837bd"),
     "fpt-closed-additive": ("ebdb4df9c4d5f8e64e5581d2e7105511d8c7a46ca7bac24fab5fb4b6ebdbced2",
@@ -721,6 +714,18 @@ def test_odd_integer_regime_volterra_matches_closed(tmp_path, command):
         data[method] = read_csv(out / f"{command}.csv")[1]
     closed, volterra = data["closed"][:, 1], data["volterra"][:, 1]
     assert np.max(np.abs(closed - volterra)) <= 1e-10 * closed.max()
+
+
+def test_import_loads_no_thread_pool():
+    # a CLI process is mostly its imports; Monte Carlo runs on one thread,
+    # so nothing loads concurrent.futures, nor the logging it imports
+    code = ("import sys, growthfpt.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestValidateCommand:

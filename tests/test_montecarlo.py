@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import os
 
 import numpy as np
 import pytest
@@ -15,9 +14,8 @@ from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        transition_law_G, transition_law_L, x_eval)
 from growthfpt.growth_curve import _g
 from growthfpt import montecarlo
-from growthfpt.montecarlo import (BLOCK0, CHUNK, LOG_U_MIN, EmpiricalHittingSample,
-                                  _block_edges, _bridge_events, _chunk_rng,
-                                  _first_hits, _hit_clock)
+from growthfpt.montecarlo import (BLOCK0, LOG_U_MIN, EmpiricalHittingSample,
+                                  _block_edges, _bridge_events, _hit_clock, _streams)
 from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
@@ -33,85 +31,13 @@ class TestSimulatePaths:
         det = np.array([x_eval(PARAMS, t) for t in ts])
         assert np.max(np.abs(paths - det[None, :])) < 1e-9
 
-    @pytest.mark.parametrize("run", ["simulate_paths", "estimate_fpt", "estimate_fet",
-                                     "estimate_fet_strip", "estimate_fpt_far"])
-    def test_seed_reproducibility_across_thread_counts(self, run, monkeypatch):
-        # five chunks, the last partial: 2 and 3 threads get runs of
-        # chunks of unequal length
-        proc = OUProcess(PARAMS, 0.1)
-        cfg = SimConfig(dt=0.25, horizon=5.0, n_paths=4500, seed=77)
-        scale = PARAMS.x0 * _g(PARAMS, 0.0)
-        lower = AffineGMBoundary(A=0.97 * scale)
-        upper = AffineGMBoundary(A=1.03 * scale, B=0.01)
-        # a line most paths never reach, so they run every block; under the
-        # bridge test a line takes one step per path, so this one is tested
-        # without it, as the grid steps it
-        far = AffineGMBoundary(A=1.1 * scale, B=0.01)
-        # sides of one slope: one step per path, its proposal rounds pooled
-        # over a thread's chunks
-        strip = (AffineGMBoundary(A=0.97 * scale, B=0.01), upper)
-        calls = {
-            "simulate_paths": lambda: simulate_paths(proc, cfg)[1],
-            "estimate_fpt": lambda: estimate_fpt(proc, upper, cfg),
-            "estimate_fet": lambda: estimate_fet(proc, lower, upper, cfg),
-            "estimate_fet_strip": lambda: estimate_fet(proc, *strip, cfg),
-            "estimate_fpt_far": lambda: estimate_fpt(
-                proc, far, dataclasses.replace(cfg, bridge_correction=False)),
-        }
-        outs = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("GROWTHFPT_THREADS", threads)
-            outs.append(calls[run]())
-        if run == "estimate_fet_strip":
-            # the strip's sample does not depend on how many chunks pool
-            # their proposal rounds either
-            monkeypatch.setattr(montecarlo, "POOL", 2)
-            outs.append(calls[run]())
-            assert all(o.path_steps == cfg.n_paths for o in outs)
-        a = outs[0]
-        for b in outs[1:]:
-            if run == "simulate_paths":
-                assert np.array_equal(a, b)
-                continue
-            # both sides of the band, and censored paths, must be present
-            assert 0 < a.censored_count < cfg.n_paths
-            if run.startswith("estimate_fet"):
-                assert set(a.exit_sides) == {"lower", "upper"}
-                assert np.array_equal(a.exit_sides, b.exit_sides)
-            assert np.array_equal(a.hit_times, b.hit_times)
-            assert a.censored_count == b.censored_count
-            assert a.path_steps == b.path_steps
-
-    def test_partial_last_chunk_is_a_prefix(self):
-        # a chunk's rows are a fixed prefix of its stream, whatever the rows
+    def test_fewer_paths_are_a_prefix(self):
+        # the path normals are one stream, row-major: a smaller ensemble
+        # takes its first rows
         proc = LognormalProcess(PARAMS, 0.1)
         short = simulate_paths(proc, SimConfig(dt=0.25, horizon=5.0, n_paths=1500, seed=4))[1]
         full = simulate_paths(proc, SimConfig(dt=0.25, horizon=5.0, n_paths=2048, seed=4))[1]
         assert np.array_equal(short, full[:1500])
-
-    def test_chunk_streams_keyed_by_seed_and_chunk(self):
-        def draws(seed, chunk):
-            return _chunk_rng(seed, chunk).standard_normal(8)
-
-        assert np.array_equal(draws(5, 3), draws(5, 3))
-        assert not np.array_equal(draws(1, 0), draws(1, 1))
-        assert not np.array_equal(draws(1, 0), draws(2, 0))
-        # a negative seed is masked to 64 bits
-        assert np.array_equal(draws(-1, 0), draws(2 ** 64 - 1, 0))
-        proc = LognormalProcess(PARAMS, 0.1)
-        cfg = SimConfig(dt=0.5, horizon=5.0, n_paths=10, seed=-7)
-        assert np.array_equal(simulate_paths(proc, cfg)[1], simulate_paths(proc, cfg)[1])
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                        reason="the platform reports no CPU affinity")
-    def test_pool_sized_by_cpu_affinity(self, monkeypatch):
-        from growthfpt.montecarlo import _n_threads
-        monkeypatch.delenv("GROWTHFPT_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert _n_threads() == 1
-        monkeypatch.setenv("GROWTHFPT_THREADS", "3")
-        assert _n_threads() == 3
 
     def test_ensemble_mean_matches_curve(self):
         proc = LognormalProcess(PARAMS, 0.02)
@@ -380,41 +306,52 @@ def test_estimators_take_only_the_process_lines(case, estimate):
             estimate_fet(proc, bnd, bnd, cfg)
 
 
-@pytest.mark.parametrize("bridge", [True, False])
-@pytest.mark.parametrize("estimate", ["fpt", "fet"])
-def test_a_chunk_with_no_live_rows_draws_nothing(estimate, bridge, monkeypatch):
-    # a line just below the start that takes all but a few paths of each
-    # chunk in the first block: flat under the bridge test, which also
-    # catches the paths that dip across it between steps, and rising
-    # steeply without it; a band's upper line is one a few paths reach.
-    # From the second block on, some chunks have no live rows while their
-    # neighbours run on: such a chunk draws nothing more, so one thread that
-    # steps every chunk in turn gives the sample of a thread per chunk
-    n_steps, chunks = 40, 6
-    ts = 0.25 * np.arange(n_steps + 1)  # also the clock, of unit rate
-    d = 0.0 if bridge else 2.8
-    lines = [(-0.001, d)] if estimate == "fpt" else [(-0.001, d), (2.0 if bridge else 1.1, d)]
-    sides = None if estimate == "fpt" else ("lower", "upper")
-
-    def sample(n_chunks, threads):
-        monkeypatch.setenv("GROWTHFPT_THREADS", threads)
-        cfg = SimConfig(dt=0.25, horizon=ts[-1], n_paths=n_chunks * CHUNK, seed=4,
-                        bridge_correction=bridge)
-        return _first_hits(ts, ts, lines, cfg, sides)
-
-    # a chunk's sample does not depend on the chunks after it, so prefixes
-    # count each chunk's paths that run in the second block
-    t1 = ts[_block_edges(n_steps)[1]]
-    later = [np.count_nonzero(s.hit_times > t1) + s.censored_count
-             for s in (sample(c, "1") for c in range(1, chunks + 1))]
-    live = np.diff([0] + later)
-    running = np.flatnonzero(live)
-    assert np.any(live[running[0]:running[-1]] == 0)
-    a, b = sample(chunks, "1"), sample(chunks, str(chunks))
-    assert np.array_equal(a.hit_times, b.hit_times) and a.censored_count == b.censored_count
-    if estimate == "fet":
-        assert set(a.exit_sides) == {"lower", "upper"}
-        assert np.array_equal(a.exit_sides, b.exit_sides)
+@pytest.mark.parametrize("run", ["simulate_paths", "line", "two_slopes", "strip",
+                                 "far_line"])
+def test_samples_do_not_depend_on_the_piece_size(run, monkeypatch):
+    # pieces of 400 values (a partial last piece of 300 paths under one
+    # step per path, of 60 paths in the grid's first block, 5 values wide),
+    # one piece for the whole ensemble, and pieces of one row, which split
+    # every proposal round and every block down to its last running path
+    proc = OUProcess(PARAMS, 0.1)
+    cfg = SimConfig(dt=0.25, horizon=5.0, n_paths=1500, seed=77)
+    scale = PARAMS.x0 * _g(PARAMS, 0.0)
+    lower = AffineGMBoundary(A=0.97 * scale)
+    upper = AffineGMBoundary(A=1.03 * scale, B=0.01)
+    # a line most paths never reach, so they run every block; under the
+    # bridge test a line takes one step per path, so this one is tested
+    # without it, as the grid steps it
+    far = AffineGMBoundary(A=1.1 * scale, B=0.01)
+    calls = {
+        "simulate_paths": lambda cfg: simulate_paths(proc, cfg)[1],
+        "line": lambda cfg: estimate_fpt(proc, upper, cfg),
+        "two_slopes": lambda cfg: estimate_fet(proc, lower, upper, cfg),
+        "strip": lambda cfg: estimate_fet(
+            proc, AffineGMBoundary(A=0.97 * scale, B=0.01), upper, cfg),
+        "far_line": lambda cfg: estimate_fpt(
+            proc, far, dataclasses.replace(cfg, bridge_correction=False)),
+    }
+    outs = []
+    for piece in (400, 2 ** 30, 1):
+        monkeypatch.setattr(montecarlo, "PIECE", piece)
+        outs.append(calls[run](cfg))
+    # a negative seed is taken modulo 2**64
+    outs.append(calls[run](dataclasses.replace(cfg, seed=cfg.seed - 2 ** 64)))
+    a = outs[0]
+    for b in outs[1:]:
+        if run == "simulate_paths":
+            assert np.array_equal(a, b)
+            continue
+        # both sides of the band, and censored paths, must be present
+        assert 0 < a.censored_count < cfg.n_paths
+        if a.exit_sides is not None:
+            assert set(a.exit_sides) == {"lower", "upper"}
+            assert np.array_equal(a.exit_sides, b.exit_sides)
+        assert np.array_equal(a.hit_times, b.hit_times)
+        assert a.censored_count == b.censored_count
+        assert a.path_steps == b.path_steps
+    if run in ("line", "strip"):
+        assert a.path_steps == cfg.n_paths
 
 
 def _pinned_case(case):
@@ -429,7 +366,6 @@ def _pinned_case(case):
         "ou_tilted_line": (estimate_fpt, (OUProcess(PARAMS, 0.1),
                                           AffineGMBoundary(A=1.03 * scale, B=0.01)),
                            SimConfig(dt=0.25, horizon=5.0, n_paths=2048, seed=77)),
-        # a partial last chunk
         "lognormal_band": (estimate_fet, (lognormal, ExpBoundary(A=0.9), ExpBoundary(A=1.1)),
                            SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)),
         # sides of two slopes, stepped on the grid
@@ -446,37 +382,38 @@ def _pinned_case(case):
 
 
 # (SHA-256 of hit_times.tobytes(), of the exit sides joined by commas or
-# None, censored_count).  The grid cases (tilted_band, no_bridge) were
-# recorded with time blocks of BLOCK0 = 4 steps, each later one half as long
-# again (_block_edges): per chunk and block one normal per step of each path
-# still running, then one uniform per candidate step, one whose bridge
-# exponent exceeds LOG_U_MIN, of each boundary in turn, row-major.  The lines, and the bands of one slope, under the bridge test take
-# one step per path (_strip_hits): per chunk one normal per path, one
-# uniform per candidate, then per proposal round the side uniforms (a band
-# only), one Wald draw each and the accept uniforms (a band only), each hit's
-# clock time mapped to a time by Newton's method on the clock
+# None, censored_count).  Each kind of draw has its own SFC64 stream, spawned
+# in a fixed order from the seed (_streams), and takes it in path order over
+# the whole ensemble.  The grid cases (tilted_band, no_bridge) step time
+# blocks of BLOCK0 = 4 steps, each later one half as long again
+# (_block_edges): per block one normal per step of each path still running,
+# row-major, then one uniform per candidate step, one whose bridge exponent
+# exceeds LOG_U_MIN, row-major from each boundary's own stream.  The lines,
+# and the bands of one slope, under the bridge test take one step per path
+# (_strip_hits): one normal per path, one uniform per candidate, then per
+# proposal round the side uniforms (a band only), each hit time's normal and
+# uniform and the accept uniforms (a band only), each hit's clock time
+# mapped to a time by Newton's method on the clock
 PINNED_SAMPLES = {
-    "ou_band": ("4b488da13e70772c35e84ca75f741d3f93580fbcde95881dd5f48d35ae8ac6e1",
-                "342b4b9b001d2c3ffccb1f0f708db23ccd0819a4efd4b9f6b8c825e3bafc888c", 1604),
-    "ou_tilted_line": ("237414d6033e1febd6a9e4090f8e5b0312afb9eee4879c4ec148f78c07f2526d",
-                       None, 781),
-    "lognormal_band": ("0abe74d23ba8d95e00a3394ad0b8b6226516b00c3078ecf9a7ee248bbe602b46",
-                       "c620bb246e65593488d358a557337ba6ea44c2fd403563da0d29a3aa6f95ac25", 7),
-    "lognormal_tilted_line": ("205a57b81f2421ace17fe4bca96f8c3d720720f4931eb81f34848273eadb7e97",
-                              None, 562),
-    "tilted_band": ("a0e40786edfbfca4de2851c50593568f7f3c6926b8fed6815dc378dd279fbfe6",
-                    "53be4ac992c81519ba290f8c5524b01bad84e9570ec656732994c87a8303beb0", 33),
-    "no_bridge": ("aedc7457c550b131c1663629302ae599b30d35f8e8429e520e29e0964af17b72",
-                  None, 834),
+    "ou_band": ("0f421bdd0bb37179297aec50c02a46b8bf332ad76d11eef5a73c8d4e15549b13",
+                "d8afe83679245d9aa0e554598191b4c88438a71009616a516b1b04bbb0d24fb4", 1590),
+    "ou_tilted_line": ("42973e6e0db4e11707fe5133b219f33764a457f37a395c83f02fc4fdc9b64afe",
+                       None, 785),
+    "lognormal_band": ("4586c64e3540928ffda85378ae165778bf343d899096a6098c766d67094ac4af",
+                       "7ab91bd21308b4ed9a358ff0bef928260e6c82527775506f949868e2cb87a134", 15),
+    "lognormal_tilted_line": ("2442f7d696084caed816823e05d9db0b3044f0d2cdfe001fc1cc5b9114542b02",
+                              None, 554),
+    "tilted_band": ("a9b1d79245e0077f12dd4c5bf3fedce42f67ab699bd9b89172e383792454dc6b",
+                    "d96ce56539e694e353c5ef9c17f54b662f51227a3592e7b6df584c897ce6f188", 27),
+    "no_bridge": ("b9586be007ac2a3ab4a7b279ecd0c1f6cda45f7c78bed7acddf9f1dd9810305f",
+                  None, 783),
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(PINNED_SAMPLES))
-def test_pinned_samples(case, threads, monkeypatch):
+def test_pinned_samples(case):
     # the samples of fixed seeds are a fixed function of the random streams:
     # a faster block step must reproduce them bit for bit
-    monkeypatch.setenv("GROWTHFPT_THREADS", threads)
     estimate, args, cfg = _pinned_case(case)
     sample = estimate(*args, cfg)
     sides = (None if sample.exit_sides is None else
@@ -516,18 +453,54 @@ def test_path_steps_count_the_steps_simulated(case):
 
 @pytest.mark.parametrize("b", [0.0, -0.0, 1e-300, -1e-300, 5e-324])
 def test_hit_clock_is_in_the_clock_span_for_an_end_on_the_line(b):
-    # numpy's wald returns NaN for an infinite mean a/|b| and 0 for a mean
-    # of 1e300: the end distance is floored, so each hit still gets a time
+    # the mean a/|b| is infinite or 1e300: the draw takes the bridge's limit
+    # there, so each hit still gets a time
     V = 2.0
-    tau = _hit_clock(0.5, np.full(1000, b), V, _chunk_rng(3, 0))
+    tau = _hit_clock(0.5, np.full(1000, b), V, *_streams(3, 2))
     assert np.all(np.isfinite(tau)) and np.all((tau > 0.0) & (tau <= V))
+
+
+class _Draws:
+    """Stands in for a generator: returns the given values, as normals or
+    as uniforms."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def standard_normal(self, size):
+        return self.values[:size]
+
+    random = standard_normal
+
+
+# phi: (z, u, tau) of a hit at a = 0.001, V = 1 and end distance b = 1000 phi
+# from the normal z and the uniform u, by Michael, Schucany and Haas in
+# 50-digit mpmath: x = 1 + y/(2 phi) - sqrt(4 phi y + y^2)/(2 phi), y = z^2,
+# X = x where u <= 1/(1 + x), else 1/x (1/x in the first case of each phi),
+# U = (a/b) X and tau = V U/(1 + U).  numpy's wald, on the same normal,
+# misses x by up to 3.6e-5 relative (phi 1e-5, z = 3)
+HIT_CLOCK_VALUES = {
+    1e-5: [(0.01, 0.999, 0.5437140173348243), (0.3, 0.25, 1.1108519260395432e-05),
+           (3.0, 0.25, 1.1111085185259397e-07)],
+    1e-4: [(0.01, 0.999, 0.025512416161051304), (0.3, 0.25, 1.1086365218662364e-05),
+           (3.0, 0.25, 1.1110862969876466e-07)],
+    1e-3: [(0.01, 0.999, 0.0013682814525398563), (0.3, 0.25, 1.0870731558235782e-05),
+           (3.0, 0.25, 1.1108641426947106e-07)],
+}
+
+
+@pytest.mark.parametrize("phi", sorted(HIT_CLOCK_VALUES))
+def test_hit_clock_is_the_exact_root(phi):
+    z, u, tau = np.array(HIT_CLOCK_VALUES[phi]).T
+    got = _hit_clock(0.001, np.full(z.size, 1000.0 * phi), 1.0, _Draws(z), _Draws(u))
+    assert np.max(np.abs(got - tau) / tau) <= 1e-14
 
 
 def test_log_u_min_is_the_log_of_the_smallest_positive_uniform():
     # random() returns integer multiples of 2**-53 below 1, so a positive
     # draw has log u >= LOG_U_MIN: a step whose exponent lies at or below
     # it can fire only on a drawn 0
-    k = _chunk_rng(3, 0).random(10 ** 6) * 2.0 ** 53
+    k = _streams(3, 1)[0].random(10 ** 6) * 2.0 ** 53
     assert np.array_equal(k, np.floor(k)) and k.max() < 2.0 ** 53
     assert LOG_U_MIN == np.log(2.0 ** -53)
 
@@ -546,19 +519,19 @@ def test_bridge_events_are_the_dense_test_at_the_candidates():
     assert np.any(g >= 0.0) and np.any(cand & (g < 0.0)) and not np.all(cand)
     u = np.maximum(np.random.default_rng(6).random((n, m)), 2.0 ** -53)
     u[~cand] = np.where(np.arange(np.count_nonzero(~cand)) % 3, u[~cand], 2.0 ** -53)
-    u[cand] = _chunk_rng(9, 0).random(np.count_nonzero(cand))
-    events = _bridge_events(d, rate, _chunk_rng(9, 0))
+    u[cand] = _streams(9, 1)[0].random(np.count_nonzero(cand))
+    events = _bridge_events(d, rate, _streams(9, 1)[0])
     assert np.array_equal(events, np.flatnonzero(np.log(u) < g))
     assert np.all(np.isin(np.flatnonzero(g >= 0.0), events))
 
 
 def test_bridge_events_draw_nothing_when_no_step_can_fire():
-    rng = _chunk_rng(9, 0)
+    rng = _streams(9, 1)[0]
     # every exponent is -2 * 0.5**2 / 0.01 = -50, below LOG_U_MIN
     events = _bridge_events(np.full((8, 17), 0.5), np.full(16, -2.0 / 0.01), rng)
-    # the stream is where it was: its next draw is the chunk's first
+    # the stream is where it was: its next draw is its first
     assert events.size == 0
-    assert rng.random() == _chunk_rng(9, 0).random()
+    assert rng.random() == _streams(9, 1)[0].random()
 
 
 class TestEstimateFET:
@@ -592,12 +565,11 @@ class TestEstimateFET:
         assert np.all(np.diff(sample.hit_times) >= 0.0)
 
     def test_block_edges(self):
-        # a partial last chunk and a step count that no time block divides:
-        # some paths exit within the first block, some within the last one,
+        # a step count that no time block divides: some paths exit within the first block, some within the last one,
         # some run to the horizon; sides of two slopes are stepped on the grid
         proc = LognormalProcess(PARAMS, 0.05)
         cfg = SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)
-        assert cfg.n_paths % CHUNK and round(cfg.horizon / cfg.dt) == 37
+        assert round(cfg.horizon / cfg.dt) == 37
         sample = estimate_fet(proc, ExpBoundary(A=0.9), ExpBoundary(A=1.1, B=0.002), cfg)
         t = sample.hit_times
         assert t.size + sample.censored_count == cfg.n_paths
