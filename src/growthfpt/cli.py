@@ -100,8 +100,6 @@ class _Key(NamedTuple):
                 raise ValidationError(
                     f"{self.name}: must be {'|'.join(self.type)}, got {value!r}")
             return value
-        if self.type is bool and not isinstance(value, bool):
-            raise ValidationError(f"{self.name}: must be true or false, got {value!r}")
         try:
             # a number is a JSON number, not a bool or a string, and an int
             # has no fractional part
@@ -143,7 +141,6 @@ _KEYS = (
     _Key("sim", "horizon", float, 40.0, "--horizon"),
     _Key("sim", "n_paths", int, 20, "--paths"),
     _Key("sim", "seed", int, 12345, "--seed"),
-    _Key("sim", "bridge_correction", bool, True),
     _Key("output", None, Path, Path("out"), "--out"),
 )
 # each flag and the keys it sets

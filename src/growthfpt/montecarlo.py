@@ -10,10 +10,10 @@ Volterra solvers do, and take only rows that are lines c + d*R there, the
 closed-form boundaries of the process; any other boundary, callables or
 one of the other process, is a ConfigError.
 
-Against one line, or a strip between two lines of one slope, under the
-bridge test (_strip_hits) a path goes to the horizon in one step, since
-given its two ends its exit law is exact over any clock interval (Anderson
-1960, Ann. Math. Statist. 31).  It draws its end over the whole clock V.
+Against one line, or a strip between two lines of one slope (_strip_hits),
+a path goes to the horizon in one step, since given its two ends its exit
+law is exact over any clock interval (Anderson 1960, Ann. Math. Statist.
+31).  It draws its end over the whole clock V.
 Side s has start distance a_s = |c_s| and end distance b_s, and alone is
 crossed with the bridge's probability P_s = exp{-2 a_s b_s / V} where
 b_s > 0, 1 otherwise; Q = sum_s P_s.  A proposal picks side s with
@@ -34,10 +34,11 @@ A line has r = 1 and no second side: it draws no side or accept uniform.
 Newton's method on the coordinate's clock maps tau to a time (_clock_times).
 The law is exact whatever dt, which sets no step, only Newton's start.
 
-A band of two slopes, or any row without the bridge test, is stepped on the
-grid (_first_hits).  The residual crossing bias is removed by a within-step
-correction: a step pinned at (w_k, w_{k+1}) that stays on the start's side
-of a boundary at both grid times crosses it mid-step with probability
+A band of two slopes is searched on the grid for its first bridge
+crossing (_first_hits), over the Wiener paths that simulate_paths maps to
+state.  The residual crossing bias is removed by a within-step correction:
+a step pinned at (w_k, w_{k+1}) that stays on the start's side of a
+boundary at both grid times crosses it mid-step with probability
 
     exp{-2 d_k d_{k+1} / var_step},
 
@@ -53,11 +54,11 @@ the range where exp is cheap).  Generator.random() returns multiples of
 g <= LOG_U_MIN can fire only on a drawn 0.  Only the candidates, the steps
 with g > LOG_U_MIN, draw a uniform (_bridge_events); leaving out the others
 moves the law by at most 2**-53 per step.  A step ending on or past a
-boundary, the only event without the bridge correction, needs no test of
-its own under it: its exponent is >= 0, above the log of every uniform
-draw.  Hits found this way are recorded at the step midpoint, hits visible
-at the grid points themselves at the right endpoint; within a step the
-first boundary given (the lower one of a band) wins a tie.
+boundary needs no test of its own: its exponent is >= 0, above the log of
+every uniform draw.  Hits found this way are recorded at the step midpoint,
+hits visible at the grid points themselves at the right endpoint; within a
+step the first boundary given (the lower one of a band) wins a tie.  Every
+path is stepped to the horizon, also past its exit.
 
 simulate_paths returns whole paths.  estimate_fpt and estimate_fet wrap
 one private path, which checks the rows by gm_core.check_posed as every
@@ -66,18 +67,17 @@ method does and picks _strip_hits or _first_hits.
 Randomness comes from one SFC64 stream per kind of draw, spawned in a fixed
 order from SeedSequence(seed) (the seed taken modulo 2**64, _streams), and
 each kind is drawn for the whole ensemble in path order.  simulate_paths
-draws the path normals row-major, (path, step).  _strip_hits draws one
-normal per path, then one uniform per candidate, then in each proposal
-round, for the paths still proposing, the side uniforms, the hit times'
-normals and uniforms and the accept uniforms, each kind from its own
-stream.  _first_hits steps the paths in time blocks (_block_edges) and
-stops simulating a path once it has hit: in each block it draws a Gaussian
-block for the paths still running, row-major, then one uniform per
-candidate step of each boundary, row-major, from that boundary's own
-stream.  Path-wide arrays are built in pieces of at most PIECE values
-(_pieces), one piece after another in path order; since each stream is
-drawn in path order, a sample is a function of the seed and the problem
-alone, whatever the piece size.
+and _first_hits draw their Wiener paths by one helper (_wiener) from the
+first stream, one normal per step, row-major (path, step), so the grid
+search runs over simulate_paths' paths; _first_hits then draws one uniform
+per candidate step of each boundary, row-major, from that boundary's own
+stream.  _strip_hits draws one normal per path, then one uniform per
+candidate, then in each proposal round, for the paths still proposing, the
+side uniforms, the hit times' normals and uniforms and the accept uniforms,
+each kind from its own stream.  Path-wide arrays are built in pieces of at
+most PIECE values (_pieces), one piece after another in path order; since
+each stream is drawn in path order, a sample is a function of the seed and
+the problem alone, whatever the piece size.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ from .process_ou import AffineGMBoundary, OUProcess
 # the most values a piece of a path-wide array holds (_pieces): a memory bound,
 # not part of the random streams
 PIECE = 2 ** 14
-BLOCK0 = 4  # steps in an estimator's first time block; each later one is half as long again
 # log of the smallest positive Generator.random() draw, 2**-53: a bridge
 # exponent at or below it can fire only on a drawn 0
 LOG_U_MIN = float(np.log(2.0 ** -53))
@@ -116,17 +115,15 @@ Boundary = Union[ExpBoundary, AffineGMBoundary]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """An ensemble's grid, size and seed.  dt is the step of simulate_paths,
-    of a band of two slopes and of any boundary without the bridge
-    correction.  Under it one line, or a band of one slope, takes each path
-    to the horizon in one step, so there dt sets no step, only the grid
-    from which Newton's method starts to map hit times."""
+    """An ensemble's grid, size and seed.  dt is the step of simulate_paths
+    and of a band of two slopes.  One line, or a band of one slope, takes
+    each path to the horizon in one step, so there dt sets no step, only the
+    grid from which Newton's method starts to map hit times."""
 
     dt: float
     horizon: float
     n_paths: int
     seed: int
-    bridge_correction: bool = True
 
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and self.horizon > 0.0):
@@ -160,9 +157,8 @@ class EmpiricalHittingSample:
     exit_sides: Optional[np.ndarray]  # 'lower'/'upper' per hit, or None (single boundary)
     censored_count: int
     n_paths: int
-    # path-steps simulated: on the grid each live path's steps of every block
-    # up to its hit, and one line or a band of one slope under the bridge
-    # correction one per path
+    # path-steps simulated: on the grid every step of every path, and one
+    # line or a band of one slope one per path
     path_steps: int = 0
 
 
@@ -204,32 +200,27 @@ def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.nda
     out = np.empty((cfg.n_paths, ts.size))
     normals, = _streams(cfg.seed, 1)
     for lo, hi in _pieces(cfg.n_paths, ts.size):
-        w = out[lo:hi]
-        w[:, 0] = 0.0
-        np.cumsum(step_std * normals.standard_normal((hi - lo, step_std.size)), axis=1,
-                  out=w[:, 1:])
+        w = _wiener(step_std, normals, out[lo:hi])
         w[:] = coord.to_state(w, ts)
     return ts, out
 
 
-def _block_edges(n_steps: int) -> list[int]:
-    """Step indices that bound the time blocks: BLOCK0 steps, then half as
-    many again each block, rounded down; a remainder shorter than the
-    current block joins it."""
-    edges, width = [0], BLOCK0
-    while edges[-1] < n_steps:
-        k1 = edges[-1] + width
-        edges.append(n_steps if n_steps - k1 < width else k1)
-        width += width // 2
-    return edges
+def _wiener(step_std: np.ndarray, normals: np.random.Generator, w: np.ndarray) -> np.ndarray:
+    """Fill the rows of w in place with unit Wiener paths from 0 whose steps
+    have the standard deviations step_std, from the stream's next normals,
+    one per step of each row, row-major; returns w."""
+    w[:, 0] = 0.0
+    np.cumsum(step_std * normals.standard_normal((w.shape[0], step_std.size)), axis=1,
+              out=w[:, 1:])
+    return w
 
 
 def _bridge_events(d: np.ndarray, rate: np.ndarray, rng: np.random.Generator
                    ) -> np.ndarray:
-    """Sorted flat indices of the steps of an (n, m) block whose bridge test
-    fires, from the distances d (n, m + 1) to one boundary and rate =
-    -2 / var_step (m,): one uniform u from rng per candidate, in index order,
-    and an event where log u < g."""
+    """Sorted flat indices of the steps of n paths of m steps whose bridge
+    test fires, from the distances d (n, m + 1) to one boundary and rate =
+    -2 / var_step (m,): one uniform u from rng per candidate, in index
+    order, and an event where log u < g."""
     g = d[:, :-1] * d[:, 1:] * rate
     idx = np.flatnonzero(g > LOG_U_MIN)
     u = np.log(rng.random(idx.size))
@@ -250,12 +241,12 @@ def _row_leads(keys: np.ndarray, width: int) -> np.ndarray:
 def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, float]],
                 cfg: SimConfig, side_names: Optional[Sequence[str]]
                 ) -> EmpiricalHittingSample:
-    """The first crossing of any boundary by each path of a unit Wiener
-    process from 0 in the clock R on the grid ts, sorted by time, with the
+    """The first bridge crossing of any boundary by each path of a unit
+    Wiener process from 0 in the clock R on the grid ts, the paths of
+    simulate_paths before they map to state, sorted by time, with the
     boundary crossed named by side_names when they are given.  Each
     boundary is a line (c, d), the row c + d*R on the grid.  Within a step
-    the first row with an event wins.  The paths are stepped in time blocks
-    and dropped once they have hit.
+    the first row with an event wins.  Every path is stepped to the horizon.
     """
     n_steps = ts.size - 1
     dt = ts[1] - ts[0]
@@ -270,45 +261,25 @@ def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, floa
     sign = np.where(above, 1.0, -1.0)  # distances on the start's side: sign * (b - w)
     hit_time = np.full(cfg.n_paths, np.nan)
     hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
-    # one uniform stream per boundary, so that the pieces do not reorder them
+    # the normals are simulate_paths' stream; one uniform stream per
+    # boundary, so that the pieces do not reorder them
     normals, *uniforms = _streams(cfg.seed, 1 + nb)
-    # the paths still running, and their values
-    live, z0 = np.arange(cfg.n_paths), np.zeros(cfg.n_paths)
-    path_steps = 0
-    edges = _block_edges(n_steps)
-    for k0, k1 in zip(edges, edges[1:]):
-        if not live.size:
-            break
-        m = k1 - k0
-        running = np.ones(live.size, dtype=bool)
-        for lo, hi in _pieces(live.size, m + 1):
-            z = np.empty((hi - lo, m + 1))
-            z[:, 0] = z0[lo:hi]
-            np.multiply(step_std[k0:k1], normals.standard_normal((hi - lo, m)), out=z[:, 1:])
-            np.cumsum(z, axis=1, out=z)
-            # each path's first event per boundary, keyed (path, step, boundary)
-            keys = []
-            for a in range(nb):
-                # distances to boundary a on the start's side, at the grid times
-                d = b[a, k0:k1 + 1] - z if above[a] else z - b[a, k0:k1 + 1]
-                if cfg.bridge_correction:
-                    ev = _bridge_events(d, rate[k0:k1], uniforms[a])
-                else:
-                    ev = np.flatnonzero(d[:, 1:] <= 0.0)
-                keys.append(_row_leads(ev, m) * nb + a)
-            # the earliest over the boundaries; the first boundary wins a tie
-            key = _row_leads(np.sort(np.concatenate(keys), kind="stable"), m * nb)
-            rk, a = np.divmod(key, nb)
-            r, k = np.divmod(rk, m)
-            # a direct hit ends on or past the boundary
-            direct = (b[a, k0 + k + 1] - z[r, k + 1]) * sign[a] <= 0.0
-            done, k = live[lo + r], k + k0
-            hit_time[done] = np.where(direct, t_end[k], t_mid[k])
-            hit_side[done] = a
-            running[lo + r] = False
-            z0[lo:hi] = z[:, -1]
-        path_steps += live.size * m
-        live, z0 = live[running], z0[running]
+    for lo, hi in _pieces(cfg.n_paths, ts.size):
+        z = _wiener(step_std, normals, np.empty((hi - lo, ts.size)))
+        # each path's first event per boundary, keyed (path, step, boundary)
+        keys = []
+        for a in range(nb):
+            # distances to boundary a on the start's side, at the grid times
+            ev = _bridge_events(b[a] - z if above[a] else z - b[a], rate, uniforms[a])
+            keys.append(_row_leads(ev, n_steps) * nb + a)
+        # the earliest over the boundaries; the first boundary wins a tie
+        key = _row_leads(np.sort(np.concatenate(keys), kind="stable"), n_steps * nb)
+        rk, a = np.divmod(key, nb)
+        r, k = np.divmod(rk, n_steps)
+        # a direct hit ends on or past the boundary
+        direct = (b[a, k + 1] - z[r, k + 1]) * sign[a] <= 0.0
+        hit_time[lo + r] = np.where(direct, t_end[k], t_mid[k])
+        hit_side[lo + r] = a
     mask = ~np.isnan(hit_time)
     order = np.argsort(hit_time[mask], kind="stable")
     sides = None
@@ -319,7 +290,7 @@ def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, floa
         exit_sides=sides,
         censored_count=int(cfg.n_paths - np.count_nonzero(mask)),
         n_paths=cfg.n_paths,
-        path_steps=path_steps,
+        path_steps=cfg.n_paths * n_steps,
     )
 
 
@@ -495,15 +466,15 @@ def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
 
 def _estimate(process: Process, boundaries: list, cfg: SimConfig, side_names):
     """The sample of the problem to_clock maps from the process's start, every
-    boundary a line there: under the bridge test, lines of one slope (one
-    line or a strip) in one step per path (_strip_hits); a band of two
-    slopes, or any row without the bridge test, on the grid (_first_hits)."""
+    boundary a line there: lines of one slope (one line or a strip) in one
+    step per path (_strip_hits), a band of two slopes on the grid
+    (_first_hits)."""
     ts = _grid(process, cfg)
     R, _, S, _, lines = to_clock(process, boundaries, process.params.x0, ts)
     if None in lines:
         raise ConfigError("Monte Carlo takes only closed-form boundaries of the process")
     check_posed(S)
-    if cfg.bridge_correction and len({d for _, d in lines}) == 1:
+    if len({d for _, d in lines}) == 1:
         return _strip_hits(ts, R, process.coord(process.params.x0, ts[0]), lines, cfg,
                            side_names)
     return _first_hits(ts, R, lines, cfg, side_names)
@@ -519,9 +490,9 @@ def estimate_fet(process: Process, s1: Boundary, s2: Boundary, cfg: SimConfig
                  ) -> EmpiricalHittingSample:
     """Empirical first-exit sample from the band (s1, s2), recording sides.
 
-    Sides of one slope under the bridge correction exit by the strip's law
-    in one step per path.  On the grid each boundary gets its own bridge
-    correction, and the lower one wins a tie within a step.
+    Sides of one slope exit by the strip's law in one step per path.  On
+    the grid each boundary gets its own bridge correction, and the lower
+    one wins a tie within a step.
     """
     return _estimate(process, [s1, s2], cfg, ("lower", "upper"))
 

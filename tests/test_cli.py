@@ -64,15 +64,10 @@ class TestParseConfig:
         doc["series"] = {"rel_tol": 1e-12}
         with pytest.raises(ValidationError, match="series"):
             parse_config(json.dumps(doc))
-
-    def test_bridge_correction_must_be_boolean(self):
         doc = json.loads(json.dumps(FIG1_CONFIG))
-        for value in ("false", 0, 1, None):
-            doc["sim"] = {"bridge_correction": value}
-            with pytest.raises(ValidationError, match="sim.bridge_correction"):
-                parse_config(json.dumps(doc))
         doc["sim"] = {"bridge_correction": False}
-        assert parse_config(json.dumps(doc)).sim.bridge_correction is False
+        with pytest.raises(ValidationError, match="sim.bridge_correction: unknown key"):
+            parse_config(json.dumps(doc))
 
     def test_malformed_document(self):
         with pytest.raises(ParseError):
@@ -87,8 +82,7 @@ class TestParseConfig:
         assert (cfg.grid_t_end, cfg.grid_points, cfg.grid_kind) == (50.0, 2000, "linear")
         assert (cfg.fpt_nu, cfg.fpt_method) == (0.8, "closed")
         assert (cfg.fet_nu1, cfg.fet_nu, cfg.fet_nu2, cfg.fet_method) == (0.8, 1.0, 1.2, "closed")
-        assert cfg.sim == SimConfig(dt=0.1, horizon=40.0, n_paths=20, seed=12345,
-                                    bridge_correction=True)
+        assert cfg.sim == SimConfig(dt=0.1, horizon=40.0, n_paths=20, seed=12345)
         assert cfg.output == Path("out")
         assert cfg.model.t0 == 0.0
 

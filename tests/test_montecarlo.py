@@ -14,8 +14,8 @@ from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        transition_law_G, transition_law_L, x_eval)
 from growthfpt.growth_curve import _g
 from growthfpt import montecarlo
-from growthfpt.montecarlo import (BLOCK0, LOG_U_MIN, EmpiricalHittingSample,
-                                  _block_edges, _bridge_events, _hit_clock, _streams)
+from growthfpt.montecarlo import (LOG_U_MIN, EmpiricalHittingSample, _bridge_events,
+                                  _hit_clock, _streams)
 from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
@@ -127,29 +127,18 @@ class TestEstimateFPT:
             assert sample.censored_count == cfg.n_paths
 
     def test_bridge_correction_reduces_bias(self):
-        # coarse steps undercount crossings; the within-step correction must
-        # land closer to the analytic window mass
+        # coarse steps undercount crossings seen only at the grid points; the
+        # estimator must land closer to the analytic window mass than the
+        # first grid crossing of simulate_paths' paths
         proc = LognormalProcess(PARAMS, 0.02)
         bnd = ExpBoundary(A=1.2)
         target, _ = mass_to_infinity(
             lambda t: fpt_pdf_closed(proc, bnd, 1.0, 0.0, t), 400.0)
-        base = dict(dt=2.0, horizon=400.0, n_paths=40_000, seed=23)
-        frac_on = estimate_fpt(proc, bnd, SimConfig(bridge_correction=True, **base))
-        frac_off = estimate_fpt(proc, bnd, SimConfig(bridge_correction=False, **base))
-        err_on = abs(frac_on.hit_times.size / 40_000 - target)
-        err_off = abs(frac_off.hit_times.size / 40_000 - target)
-        assert err_on < err_off
-
-    def test_without_bridge_hits_are_grid_times(self):
-        # only crossings seen at the grid points count, at the step's right end
-        proc = LognormalProcess(PARAMS, 0.05)
-        cfg = SimConfig(dt=0.5, horizon=40.0, n_paths=3000, seed=17,
-                        bridge_correction=False)
-        t = estimate_fpt(proc, ExpBoundary(A=0.9), cfg).hit_times
-        assert t.size > 100
-        steps = (t - PARAMS.t0) / cfg.dt
-        assert np.allclose(steps, np.round(steps), rtol=0.0, atol=1e-9)
-        assert np.all(np.round(steps) >= 1)
+        cfg = SimConfig(dt=2.0, horizon=400.0, n_paths=40_000, seed=23)
+        estimated = estimate_fpt(proc, bnd, cfg).hit_times.size / cfg.n_paths
+        ts, paths = simulate_paths(proc, cfg)
+        on_grid = np.mean(np.any(paths >= 1.2 * x_eval(PARAMS, ts), axis=1))
+        assert abs(estimated - target) < abs(on_grid - target)
 
     @staticmethod
     def _assert_coarse_step_law(sigma, A, B, dt, horizon, n):
@@ -306,30 +295,23 @@ def test_estimators_take_only_the_process_lines(case, estimate):
             estimate_fet(proc, bnd, bnd, cfg)
 
 
-@pytest.mark.parametrize("run", ["simulate_paths", "line", "two_slopes", "strip",
-                                 "far_line"])
+@pytest.mark.parametrize("run", ["simulate_paths", "line", "two_slopes", "strip"])
 def test_samples_do_not_depend_on_the_piece_size(run, monkeypatch):
     # pieces of 400 values (a partial last piece of 300 paths under one
-    # step per path, of 60 paths in the grid's first block, 5 values wide),
-    # one piece for the whole ensemble, and pieces of one row, which split
-    # every proposal round and every block down to its last running path
+    # step per path, of 18 paths on the grid, 21 values wide), one piece for
+    # the whole ensemble, and pieces of one row, which split every proposal
+    # round down to its last path
     proc = OUProcess(PARAMS, 0.1)
     cfg = SimConfig(dt=0.25, horizon=5.0, n_paths=1500, seed=77)
     scale = PARAMS.x0 * _g(PARAMS, 0.0)
     lower = AffineGMBoundary(A=0.97 * scale)
     upper = AffineGMBoundary(A=1.03 * scale, B=0.01)
-    # a line most paths never reach, so they run every block; under the
-    # bridge test a line takes one step per path, so this one is tested
-    # without it, as the grid steps it
-    far = AffineGMBoundary(A=1.1 * scale, B=0.01)
     calls = {
         "simulate_paths": lambda cfg: simulate_paths(proc, cfg)[1],
         "line": lambda cfg: estimate_fpt(proc, upper, cfg),
         "two_slopes": lambda cfg: estimate_fet(proc, lower, upper, cfg),
         "strip": lambda cfg: estimate_fet(
             proc, AffineGMBoundary(A=0.97 * scale, B=0.01), upper, cfg),
-        "far_line": lambda cfg: estimate_fpt(
-            proc, far, dataclasses.replace(cfg, bridge_correction=False)),
     }
     outs = []
     for piece in (400, 2 ** 30, 1):
@@ -375,25 +357,21 @@ def _pinned_case(case):
         "lognormal_tilted_line": (estimate_fpt, (LognormalProcess(PARAMS, 0.3),
                                                  ExpBoundary(A=0.8, B=-0.1)),
                                   SimConfig(dt=1.0, horizon=20.0, n_paths=2048, seed=8)),
-        "no_bridge": (estimate_fpt, (lognormal, ExpBoundary(A=0.9)),
-                      SimConfig(dt=0.5, horizon=40.0, n_paths=3000, seed=17,
-                                bridge_correction=False)),
     }[case]
 
 
 # (SHA-256 of hit_times.tobytes(), of the exit sides joined by commas or
 # None, censored_count).  Each kind of draw has its own SFC64 stream, spawned
 # in a fixed order from the seed (_streams), and takes it in path order over
-# the whole ensemble.  The grid cases (tilted_band, no_bridge) step time
-# blocks of BLOCK0 = 4 steps, each later one half as long again
-# (_block_edges): per block one normal per step of each path still running,
-# row-major, then one uniform per candidate step, one whose bridge exponent
-# exceeds LOG_U_MIN, row-major from each boundary's own stream.  The lines,
-# and the bands of one slope, under the bridge test take one step per path
-# (_strip_hits): one normal per path, one uniform per candidate, then per
-# proposal round the side uniforms (a band only), each hit time's normal and
-# uniform and the accept uniforms (a band only), each hit's clock time
-# mapped to a time by Newton's method on the clock
+# the whole ensemble.  The grid case (tilted_band) draws simulate_paths'
+# normals, one per step of every path to the horizon, row-major, then one
+# uniform per candidate step, one whose bridge exponent exceeds LOG_U_MIN,
+# row-major from each boundary's own stream.  The lines, and the bands of
+# one slope, take one step per path (_strip_hits): one normal per path, one
+# uniform per candidate, then per proposal round the side uniforms (a band
+# only), each hit time's normal and uniform and the accept uniforms (a band
+# only), each hit's clock time mapped to a time by Newton's method on the
+# clock
 PINNED_SAMPLES = {
     "ou_band": ("0f421bdd0bb37179297aec50c02a46b8bf332ad76d11eef5a73c8d4e15549b13",
                 "d8afe83679245d9aa0e554598191b4c88438a71009616a516b1b04bbb0d24fb4", 1590),
@@ -403,10 +381,8 @@ PINNED_SAMPLES = {
                        "7ab91bd21308b4ed9a358ff0bef928260e6c82527775506f949868e2cb87a134", 15),
     "lognormal_tilted_line": ("2442f7d696084caed816823e05d9db0b3044f0d2cdfe001fc1cc5b9114542b02",
                               None, 554),
-    "tilted_band": ("a9b1d79245e0077f12dd4c5bf3fedce42f67ab699bd9b89172e383792454dc6b",
-                    "d96ce56539e694e353c5ef9c17f54b662f51227a3592e7b6df584c897ce6f188", 27),
-    "no_bridge": ("b9586be007ac2a3ab4a7b279ecd0c1f6cda45f7c78bed7acddf9f1dd9810305f",
-                  None, 783),
+    "tilted_band": ("cf50ec6abc5af94f26cdcc36be5bab6e63497acec46382982954cac4900b6831",
+                    "91550d04c20377042d876efd0269221bbdcb514cd4ea45cf254bbb5862fb3e26", 40),
 }
 
 
@@ -414,7 +390,7 @@ PINNED_SAMPLES = {
 @pytest.mark.parametrize("case", sorted(PINNED_SAMPLES))
 def test_pinned_samples(case, calls):
     # the samples of fixed seeds are a fixed function of the random streams:
-    # a faster block step must reproduce them bit for bit, and a second call
+    # a faster sampler must reproduce them bit for bit, and a second call
     # in the same process draws its streams afresh from the seed
     estimate, args, cfg = _pinned_case(case)
     for _ in range(calls):
@@ -425,30 +401,18 @@ def test_pinned_samples(case, calls):
                 sample.censored_count) == PINNED_SAMPLES[case]
 
 
-def _schedule_steps(sample, ts):
-    """Path-steps of the time blocks: a path runs every step of each block
-    up to the one of its hit, a censored path all of them."""
-    n_steps = ts.size - 1
-    edges = np.array(_block_edges(n_steps))
-    k = np.ceil((sample.hit_times - ts[0]) / (ts[1] - ts[0]) - 1e-9).astype(int) - 1
-    return int(edges[np.searchsorted(edges, k, side="right")].sum()
-               + sample.censored_count * n_steps)
-
-
-@pytest.mark.parametrize("case", ["tilted_band", "no_bridge", "far_line", "lognormal_band"])
+@pytest.mark.parametrize("case", ["tilted_band", "far_line", "lognormal_band"])
 def test_path_steps_count_the_steps_simulated(case):
-    # on the grid every block of a live path is stepped, with the bridge
-    # test or without it; a line, or a band of one slope, under the bridge
-    # test takes each path to the horizon in one step, whatever dt
+    # on the grid every path is stepped to the horizon; a line, or a band of
+    # one slope, takes each path to the horizon in one step, whatever dt
     if case == "far_line":
         estimate, args = estimate_fpt, (LognormalProcess(PARAMS, 0.015), ExpBoundary(A=1.2))
         cfg = SimConfig(dt=0.5, horizon=60.0, n_paths=5000, seed=3)
     else:
         estimate, args, cfg = _pinned_case(case)
     sample = estimate(*args, cfg)
-    if case in ("tilted_band", "no_bridge"):
-        ts = PARAMS.t0 + cfg.dt * np.arange(round(cfg.horizon / cfg.dt) + 1)
-        assert sample.path_steps == _schedule_steps(sample, ts)
+    if case == "tilted_band":
+        assert sample.path_steps == cfg.n_paths * round(cfg.horizon / cfg.dt)
     else:
         assert 0 < sample.hit_times.size < cfg.n_paths
         assert sample.path_steps == cfg.n_paths
@@ -567,39 +531,22 @@ class TestEstimateFET:
         assert sample.hit_times.size + sample.censored_count == cfg.n_paths
         assert np.all(np.diff(sample.hit_times) >= 0.0)
 
-    def test_block_edges(self):
-        # a step count that no time block divides: some paths exit within the first block, some within the last one,
-        # some run to the horizon; sides of two slopes are stepped on the grid
+    def test_two_slopes_exit_on_the_grid(self):
+        # sides of two slopes are stepped on the grid: each hit at a grid
+        # time or a step's midpoint, through both sides, and some paths run
+        # to the horizon
         proc = LognormalProcess(PARAMS, 0.05)
         cfg = SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)
-        assert round(cfg.horizon / cfg.dt) == 37
         sample = estimate_fet(proc, ExpBoundary(A=0.9), ExpBoundary(A=1.1, B=0.002), cfg)
         t = sample.hit_times
         assert t.size + sample.censored_count == cfg.n_paths
-        edges = _block_edges(37)
-        assert 0 < sample.censored_count and t.min() <= PARAMS.t0 + edges[1] * cfg.dt
-        assert t.max() > PARAMS.t0 + edges[-2] * cfg.dt
+        assert 0 < sample.censored_count
         steps = (t - PARAMS.t0) / cfg.dt
         on_grid_or_midpoint = np.isclose(2.0 * steps, np.round(2.0 * steps), rtol=0.0,
                                          atol=1e-9)
         assert np.all(on_grid_or_midpoint)
         assert np.all((t > PARAMS.t0) & (t <= PARAMS.t0 + cfg.horizon))
         assert set(np.unique(sample.exit_sides)) == {"lower", "upper"}
-
-
-@pytest.mark.parametrize("n_steps,edges", [
-    (20, [0, 4, 10, 20]),
-    (37, [0, 4, 10, 19, 37]),
-    (40, [0, 4, 10, 19, 40]),
-    (60, [0, 4, 10, 19, 32, 60]),
-    (100, [0, 4, 10, 19, 32, 51, 100]),
-    (200, [0, 4, 10, 19, 32, 51, 79, 121, 200]),
-])
-def test_block_edges_pinned(n_steps, edges):
-    # the time blocks decide which normal each path-step gets, so they are
-    # part of the stream layout that PINNED_SAMPLES fixes
-    assert edges[1] == BLOCK0
-    assert _block_edges(n_steps) == edges
 
 
 class TestDensityDistance:
