@@ -1,77 +1,58 @@
 """Exact-transition path simulation and empirical passage/exit estimation.
 
-Paths are advanced by exact transition sampling on a uniform grid, so the
-step size never biases the marginal laws; it only limits how finely boundary
-crossings are resolved.  Every path lives in its process's Wiener
-coordinate from the start (process.coord): a unit Wiener process w from 0
-in the clock R, whose step variances are the differences of R on the grid.
-The estimators map their problem into it by gm_core.to_clock, as the
-Volterra solvers do, and take only rows that are lines c + d*R there, the
-closed-form boundaries of the process; any other boundary, callables or
-one of the other process, is a ConfigError.
+simulate_paths advances paths by exact transition sampling on a uniform grid
+of step dt, so the step never biases the marginal laws.  Every path lives
+in its process's Wiener coordinate from the start (process.coord): a unit
+Wiener process w from 0 in the clock R, whose step variances are the
+differences of R on the grid.  The estimators map their problem into it by
+gm_core.to_clock, as the Volterra solvers do, and take only rows that are
+lines c + d*R there, the closed-form boundaries of the process; any other
+boundary, callables or one of the other process, is a ConfigError.
 
-Against one line, or a strip between two lines of one slope (_strip_hits),
-a path goes to the horizon in one step, since given its two ends its exit
-law is exact over any clock interval (Anderson 1960, Ann. Math. Statist.
-31).  It draws its end over the whole clock V.
-Side s has start distance a_s = |c_s| and end distance b_s, and alone is
-crossed with the bridge's probability P_s = exp{-2 a_s b_s / V} where
-b_s > 0, 1 otherwise; Q = sum_s P_s.  A proposal picks side s with
-probability P_s/Q (one uniform), draws tau from that side's bridge law,
-V U/(1 + U) with U ~ IG(a/|b|, a^2/V) (one normal and one uniform,
-_hit_clock), and accepts it with probability r_s(tau) = f_s(tau)/f_one(tau)
-<= 1 (one uniform), f_s the strip's exit density through s and f_one the
+Against one line, or a band between two lines (_strip_hits), a path goes to
+the horizon in one step, since given its two ends its exit law is exact
+over any clock interval (Anderson 1960, Ann. Math. Statist. 31).  It draws
+its end over the whole clock V.  A band first becomes one of one slope by
+Doob's (1949, Ann. Math. Statist. 20) space-time map of the bridge.  Let
+its sides c_i + d_i R have the widths L at R = 0 and L_V at R = V, and
+k = (d_2 - d_1)/L, so that 1 + kR is the width at R over L, positive as
+gm_core.check_posed keeps every width.  A bridge w over [0, V] ending at y
+is (1 + kR) W(R/(1 + kR)), W a bridge over [0, S], S = V L/L_V, ending at
+y L/L_V.  In the clock s = R/(1 + kR) both sides of W are lines of the one
+slope d_1 - k c_1 with the intercepts c_i, each end distance is L/L_V times
+w's, and a hit at s is one at R = s/(1 - ks).  A line, or a band of one
+slope, has k = 0 and S = V, and all else is as in R.  In s, side i has
+start distance a_i = |c_i| and end distance b_i, and alone is crossed with
+the bridge's probability P_i = exp{-2 a_i b_i / S} where b_i > 0, 1
+otherwise, the same in s as in R; Q = sum_i P_i.  A proposal picks side
+i with probability P_i/Q (one uniform), draws tau from that side's bridge
+law, S U/(1 + U) with U ~ IG(a/|b|, a^2/S) (one normal and one uniform,
+_hit_clock), and accepts it with probability r_i(tau) = f_i(tau)/f_one(tau)
+<= 1 (one uniform), f_i the strip's exit density through i and f_one the
 one-sided one (_strip_ratio): given the ends, the exit's sub-density in
-(s, tau) is Q r_s(tau) times the proposal's.  An end outside proposes until
-one is accepted.  An end inside with Q <= 1 draws u where Q > 2**-53 and makes
-one proposal where log u < log Q; a rejection leaves it inside.  One with
-Q > 1 exits where u < 1 - P_stay and then proposes until one is accepted;
-from a to b above the lower side of a strip of width L (_strip_stay),
+(i, tau) is Q r_i(tau) times the proposal's.  An end outside proposes until
+one is accepted.  An end inside with Q <= 1 draws u where Q > 2**-53 and
+makes one proposal where log u < log Q; a rejection leaves it inside.  One
+with Q > 1 exits where u < 1 - P_stay and then proposes until one is
+accepted; from a to b above the lower side of a strip of width L
+(_strip_stay),
 
-    P_stay = sum_n [exp{-2nL(nL + b - a)/V} - exp{-2(nL + a)(nL + b)/V}].
+    P_stay = sum_n [exp{-2nL(nL + b - a)/S} - exp{-2(nL + a)(nL + b)/S}].
 
 A line has r = 1 and no second side: it draws no side or accept uniform.
-Newton's method on the coordinate's clock maps tau to a time (_clock_times).
-The law is exact whatever dt, which sets no step, only Newton's start.
-
-A band of two slopes is searched on the grid for its first bridge
-crossing (_first_hits), over the Wiener paths that simulate_paths maps to
-state.  The residual crossing bias is removed by a within-step correction:
-a step pinned at (w_k, w_{k+1}) that stays on the start's side of a
-boundary at both grid times crosses it mid-step with probability
-
-    exp{-2 d_k d_{k+1} / var_step},
-
-where d_k and d_{k+1} are the distances to the boundary at the step's two
-grid times.  For a line this is exact, not only to first order.  The test is
-made in log form: a uniform draw u gives an event where
-
-    log u < g = -2 d_k d_{k+1} / var_step,
-
-so no exponential is computed (most exponents of a long step lie far below
-the range where exp is cheap).  Generator.random() returns multiples of
-2**-53, so log u >= LOG_U_MIN = log 2**-53 unless u = 0: a step with
-g <= LOG_U_MIN can fire only on a drawn 0.  Only the candidates, the steps
-with g > LOG_U_MIN, draw a uniform (_bridge_events); leaving out the others
-moves the law by at most 2**-53 per step.  A step ending on or past a
-boundary needs no test of its own: its exponent is >= 0, above the log of
-every uniform draw.  Hits found this way are recorded at the step midpoint,
-hits visible at the grid points themselves at the right endpoint; within a
-step the first boundary given (the lower one of a band) wins a tie.  Every
-path is stepped to the horizon, also past its exit.
+Newton's method on the coordinate's clock maps R = tau/(1 - k tau) to a
+time (_clock_times).  The law is exact whatever dt, which sets no step of
+an estimator, only the grid from which Newton's method starts.
 
 simulate_paths returns whole paths.  estimate_fpt and estimate_fet wrap
 one private path, which checks the rows by gm_core.check_posed as every
-method does and picks _strip_hits or _first_hits.
+method does and calls _strip_hits.
 
 Randomness comes from one SFC64 stream per kind of draw, spawned in a fixed
 order from SeedSequence(seed) (the seed taken modulo 2**64, _streams), and
 each kind is drawn for the whole ensemble in path order.  simulate_paths
-and _first_hits draw their Wiener paths by one helper (_wiener) from the
-first stream, one normal per step, row-major (path, step), so the grid
-search runs over simulate_paths' paths; _first_hits then draws one uniform
-per candidate step of each boundary, row-major, from that boundary's own
-stream.  _strip_hits draws one normal per path, then one uniform per
+draws one normal per step of each path, row-major (path, step), from the
+first stream.  _strip_hits draws one normal per path, then one uniform per
 candidate, then in each proposal round, for the paths still proposing, the
 side uniforms, the hit times' normals and uniforms and the accept uniforms,
 each kind from its own stream.  Path-wide arrays are built in pieces of at
@@ -115,10 +96,10 @@ Boundary = Union[ExpBoundary, AffineGMBoundary]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """An ensemble's grid, size and seed.  dt is the step of simulate_paths
-    and of a band of two slopes.  One line, or a band of one slope, takes
-    each path to the horizon in one step, so there dt sets no step, only the
-    grid from which Newton's method starts to map hit times."""
+    """An ensemble's grid, size and seed.  dt is the step of simulate_paths.
+    The estimators take each path to the horizon in one step, so there dt
+    sets no step, only the grid from which Newton's method starts to map hit
+    times."""
 
     dt: float
     horizon: float
@@ -157,8 +138,7 @@ class EmpiricalHittingSample:
     exit_sides: Optional[np.ndarray]  # 'lower'/'upper' per hit, or None (single boundary)
     censored_count: int
     n_paths: int
-    # path-steps simulated: on the grid every step of every path, and one
-    # line or a band of one slope one per path
+    # path-steps simulated: one per path, whatever dt
     path_steps: int = 0
 
 
@@ -200,98 +180,12 @@ def simulate_paths(process: Process, cfg: SimConfig) -> Tuple[np.ndarray, np.nda
     out = np.empty((cfg.n_paths, ts.size))
     normals, = _streams(cfg.seed, 1)
     for lo, hi in _pieces(cfg.n_paths, ts.size):
-        w = _wiener(step_std, normals, out[lo:hi])
+        w = out[lo:hi]  # a unit Wiener path from 0, one normal per step, row-major
+        w[:, 0] = 0.0
+        np.cumsum(step_std * normals.standard_normal((hi - lo, step_std.size)), axis=1,
+                  out=w[:, 1:])
         w[:] = coord.to_state(w, ts)
     return ts, out
-
-
-def _wiener(step_std: np.ndarray, normals: np.random.Generator, w: np.ndarray) -> np.ndarray:
-    """Fill the rows of w in place with unit Wiener paths from 0 whose steps
-    have the standard deviations step_std, from the stream's next normals,
-    one per step of each row, row-major; returns w."""
-    w[:, 0] = 0.0
-    np.cumsum(step_std * normals.standard_normal((w.shape[0], step_std.size)), axis=1,
-              out=w[:, 1:])
-    return w
-
-
-def _bridge_events(d: np.ndarray, rate: np.ndarray, rng: np.random.Generator
-                   ) -> np.ndarray:
-    """Sorted flat indices of the steps of n paths of m steps whose bridge
-    test fires, from the distances d (n, m + 1) to one boundary and rate =
-    -2 / var_step (m,): one uniform u from rng per candidate, in index
-    order, and an event where log u < g."""
-    g = d[:, :-1] * d[:, 1:] * rate
-    idx = np.flatnonzero(g > LOG_U_MIN)
-    u = np.log(rng.random(idx.size))
-    return idx[u < g.ravel()[idx]]
-
-
-def _row_leads(keys: np.ndarray, width: int) -> np.ndarray:
-    """Of sorted flat indices into rows of the given width, the first of
-    each row."""
-    row = keys // width
-    lead = np.empty(row.size, dtype=bool)
-    lead[:1] = True
-    np.not_equal(row[1:], row[:-1], out=lead[1:])
-    return keys[lead]
-
-
-@np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
-def _first_hits(ts: np.ndarray, R: np.ndarray, lines: Sequence[Tuple[float, float]],
-                cfg: SimConfig, side_names: Optional[Sequence[str]]
-                ) -> EmpiricalHittingSample:
-    """The first bridge crossing of any boundary by each path of a unit
-    Wiener process from 0 in the clock R on the grid ts, the paths of
-    simulate_paths before they map to state, sorted by time, with the
-    boundary crossed named by side_names when they are given.  Each
-    boundary is a line (c, d), the row c + d*R on the grid.  Within a step
-    the first row with an event wins.  Every path is stepped to the horizon.
-    """
-    n_steps = ts.size - 1
-    dt = ts[1] - ts[0]
-    steps = np.arange(n_steps)
-    # hit times: midpoint for bridge hits, right endpoint for direct ones
-    t_mid, t_end = ts[0] + steps * dt + 0.5 * dt, ts[0] + (steps + 1) * dt
-    b = np.array([c + d * R for c, d in lines])
-    step_std = np.sqrt(np.diff(R))
-    rate = -2.0 / step_std ** 2
-    nb = b.shape[0]
-    above = b[:, 0] > 0.0
-    sign = np.where(above, 1.0, -1.0)  # distances on the start's side: sign * (b - w)
-    hit_time = np.full(cfg.n_paths, np.nan)
-    hit_side = np.full(cfg.n_paths, -1, dtype=np.int8)
-    # the normals are simulate_paths' stream; one uniform stream per
-    # boundary, so that the pieces do not reorder them
-    normals, *uniforms = _streams(cfg.seed, 1 + nb)
-    for lo, hi in _pieces(cfg.n_paths, ts.size):
-        z = _wiener(step_std, normals, np.empty((hi - lo, ts.size)))
-        # each path's first event per boundary, keyed (path, step, boundary)
-        keys = []
-        for a in range(nb):
-            # distances to boundary a on the start's side, at the grid times
-            ev = _bridge_events(b[a] - z if above[a] else z - b[a], rate, uniforms[a])
-            keys.append(_row_leads(ev, n_steps) * nb + a)
-        # the earliest over the boundaries; the first boundary wins a tie
-        key = _row_leads(np.sort(np.concatenate(keys), kind="stable"), n_steps * nb)
-        rk, a = np.divmod(key, nb)
-        r, k = np.divmod(rk, n_steps)
-        # a direct hit ends on or past the boundary
-        direct = (b[a, k + 1] - z[r, k + 1]) * sign[a] <= 0.0
-        hit_time[lo + r] = np.where(direct, t_end[k], t_mid[k])
-        hit_side[lo + r] = a
-    mask = ~np.isnan(hit_time)
-    order = np.argsort(hit_time[mask], kind="stable")
-    sides = None
-    if side_names is not None:
-        sides = np.array(side_names)[hit_side[mask][order]]
-    return EmpiricalHittingSample(
-        hit_times=hit_time[mask][order],
-        exit_sides=sides,
-        censored_count=int(cfg.n_paths - np.count_nonzero(mask)),
-        n_paths=cfg.n_paths,
-        path_steps=cfg.n_paths * n_steps,
-    )
 
 
 def _hit_clock(a: Union[float, np.ndarray], b: np.ndarray, V: float,
@@ -388,21 +282,27 @@ def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
                 lines: Sequence[Tuple[float, float]], cfg: SimConfig,
                 side_names: Optional[Sequence[str]]) -> EmpiricalHittingSample:
     """The first exit of each path of a unit Wiener process from 0 in the
-    clock R through one line c + d*R, or either of two of one slope (the
+    clock R through one line c + d*R, or either side of a band of two (the
     side named by side_names when given), in one step per path over the
-    clock V = R[-1] by the module docstring's law.  Each piece of paths
-    draws its ends and makes its first proposal round; the paths whose ends
-    lie outside and whose proposals were all refused then propose together,
-    a round at a time.  Last, the clock times map to times, a piece at a
-    time."""
+    clock V = R[-1] by the module docstring's law, run in the clock s in
+    which the sides have one slope.  Each piece of paths draws its ends and
+    makes its first proposal round; the paths whose ends lie outside and
+    whose proposals were all refused then propose together, a round at a
+    time.  Last, the clock times map to times, a piece at a time."""
     V, band = float(R[-1]), len(lines) == 2
-    c = np.array([line[0] for line in lines])
+    c, d = np.array(lines).T
     sign, a, L = np.sign(c), np.abs(c), float(np.sum(np.abs(c)))  # distances: sign*(c + dR - w)
-    # an end's distance per unit normal, and at w = 0; the bridge exponent per unit distance
-    scale, b_still, rate = -sign * np.sqrt(V), a + sign * lines[0][1] * V, -2.0 * a / V
+    # the clock s = R/(1 + kR) gives the sides one slope (module docstring): it
+    # ends at S = qV, q = 1/(1 + kV) = L/L_V (1 for one slope), and each end distance
+    # is q times w's
+    k = (d[-1] - d[0]) / L
+    q = 1.0 / (1.0 + k * V)
+    S = V * q
+    # in s: an end's distance per unit normal, and at w = 0; the bridge exponent per unit distance
+    scale, b_still, rate = -sign * np.sqrt(V) * q, (a + sign * d * V) * q, -2.0 * a / S
     ratio = _strip_ratio(a, L) if band else None
     ends, cand_u, side_u, hit_z, hit_u, accept_u = _streams(cfg.seed, 6)
-    # clock times, which the end maps to times
+    # clock times s, which the end maps to R and then to times
     hit_time, hit_side = np.full(cfg.n_paths, np.nan), np.zeros(cfg.n_paths, dtype=np.int8)
 
     def propose(rows: np.ndarray, b: np.ndarray, p_lower: np.ndarray) -> np.ndarray:
@@ -410,7 +310,7 @@ def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
         their ends' distances b (a row per side) and lower-side shares;
         records the accepted ones and returns the mask of the others."""
         s = (side_u.random(rows.size) >= p_lower).astype(np.intp)
-        t = _hit_clock(a[s], b[s, np.arange(rows.size)], V, hit_z, hit_u)
+        t = _hit_clock(a[s], b[s, np.arange(rows.size)], S, hit_z, hit_u)
         ok = accept_u.random(rows.size) < ratio(s, t)
         hit_time[rows[ok]], hit_side[rows[ok]] = t[ok], s[ok]
         return ~ok
@@ -434,10 +334,10 @@ def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
         go[cand] = np.log(u) < logq
         big = cand[logq > 0.0]  # Q > 1: exits where u < 1 - P_stay, then must
         if big.size:
-            go[big] = must[big] = u[logq > 0.0] < 1.0 - _strip_stay(a[0], b[0, big], V, L)
+            go[big] = must[big] = u[logq > 0.0] < 1.0 - _strip_stay(a[0], b[0, big], S, L)
         rows = np.flatnonzero(go)
         if not band:  # every proposal is taken: no side or accept uniform
-            hit_time[lo + rows] = _hit_clock(a[0], b[0, rows], V, hit_z, hit_u)
+            hit_time[lo + rows] = _hit_clock(a[0], b[0, rows], S, hit_z, hit_u)
             continue
         P = _exp_floored(np.minimum(g[:, rows], 0.0))  # 1 where b <= 0
         p_lower = P[0] / (P[0] + P[1])
@@ -453,7 +353,8 @@ def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
     mask = ~np.isnan(hit_time)
     hits, sides = hit_time[mask], None
     for lo, hi in _pieces(hits.size):  # none if empty: the OU clock takes no empty call
-        hits[lo:hi] = _clock_times(coord, ts, R, hits[lo:hi])
+        tau = hits[lo:hi]
+        hits[lo:hi] = _clock_times(coord, ts, R, tau / (1.0 - k * tau))
     if band:
         order = np.argsort(hits)
         hits, sides = hits[order], np.array(side_names)[hit_side[mask][order]]
@@ -466,18 +367,13 @@ def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
 
 def _estimate(process: Process, boundaries: list, cfg: SimConfig, side_names):
     """The sample of the problem to_clock maps from the process's start, every
-    boundary a line there: lines of one slope (one line or a strip) in one
-    step per path (_strip_hits), a band of two slopes on the grid
-    (_first_hits)."""
+    boundary a line there, in one step per path (_strip_hits)."""
     ts = _grid(process, cfg)
     R, _, S, _, lines = to_clock(process, boundaries, process.params.x0, ts)
     if None in lines:
         raise ConfigError("Monte Carlo takes only closed-form boundaries of the process")
     check_posed(S)
-    if len({d for _, d in lines}) == 1:
-        return _strip_hits(ts, R, process.coord(process.params.x0, ts[0]), lines, cfg,
-                           side_names)
-    return _first_hits(ts, R, lines, cfg, side_names)
+    return _strip_hits(ts, R, process.coord(process.params.x0, ts[0]), lines, cfg, side_names)
 
 
 def estimate_fpt(process: Process, boundary: Boundary, cfg: SimConfig
@@ -490,9 +386,8 @@ def estimate_fet(process: Process, s1: Boundary, s2: Boundary, cfg: SimConfig
                  ) -> EmpiricalHittingSample:
     """Empirical first-exit sample from the band (s1, s2), recording sides.
 
-    Sides of one slope exit by the strip's law in one step per path.  On
-    the grid each boundary gets its own bridge correction, and the lower
-    one wins a tie within a step.
+    Each path exits by the band's law in one step, whatever the sides'
+    slopes and dt.
     """
     return _estimate(process, [s1, s2], cfg, ("lower", "upper"))
 

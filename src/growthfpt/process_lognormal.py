@@ -57,7 +57,7 @@ class LognormalProcess:
 
         with dw/dx = 1/x on x > 0 and dw/dt = sigma^2/2 - h(t), in which an
         ExpBoundary is the line
-        c = ln(A e^{B t0}/x0), d = (B + sigma^2/2)/sigma^2.  Elapsed time
+        c = ln(A/x0) + B t0, d = (B + sigma^2/2)/sigma^2.  Elapsed time
         and state ratios enter, so no large t0 or ln x0 cancels; the clock
         and the lines hold past t_star.  x0 must be positive.
         """
@@ -85,7 +85,7 @@ class LognormalProcess:
             if not isinstance(b, ExpBoundary):
                 raise ConfigError(f"{type(b).__name__} is not a closed-form "
                                   "boundary of the multiplicative process")
-            return math.log(b.A * math.exp(b.B * t0) / x0), (b.B + 0.5 * s2) / s2
+            return math.log(b.A / x0) + b.B * t0, (b.B + 0.5 * s2) / s2
 
         return WienerCoord(clock=clock, rate=lambda t: s2, to_coord=to_coord,
                            to_state=to_state, line=line, floor=0.0,

@@ -11,11 +11,11 @@ from growthfpt import (AffineGMBoundary, ConfigError, DensityCurve,
                        GrowthParams, LognormalProcess, OUProcess, SimConfig,
                        density_distance, estimate_fet, estimate_fpt,
                        fet_pdf_closed, fpt_pdf_closed, simulate_paths,
-                       transition_law_G, transition_law_L, x_eval)
+                       transition_law_G, transition_law_L, volterra_fet, x_eval)
 from growthfpt.growth_curve import _g
 from growthfpt import montecarlo
-from growthfpt.montecarlo import (LOG_U_MIN, EmpiricalHittingSample, _bridge_events,
-                                  _hit_clock, _streams)
+from growthfpt.montecarlo import (LOG_U_MIN, EmpiricalHittingSample, _hit_clock,
+                                  _streams, _strip_stay)
 from growthfpt.validate import mass_to_infinity
 
 from conftest import BASE
@@ -298,9 +298,9 @@ def test_estimators_take_only_the_process_lines(case, estimate):
 @pytest.mark.parametrize("run", ["simulate_paths", "line", "two_slopes", "strip"])
 def test_samples_do_not_depend_on_the_piece_size(run, monkeypatch):
     # pieces of 400 values (a partial last piece of 300 paths under one
-    # step per path, of 18 paths on the grid, 21 values wide), one piece for
-    # the whole ensemble, and pieces of one row, which split every proposal
-    # round down to its last path
+    # step per path, of 18 paths of simulate_paths, 21 values wide), one
+    # piece for the whole ensemble, and pieces of one row, which split every
+    # proposal round down to its last path
     proc = OUProcess(PARAMS, 0.1)
     cfg = SimConfig(dt=0.25, horizon=5.0, n_paths=1500, seed=77)
     scale = PARAMS.x0 * _g(PARAMS, 0.0)
@@ -332,7 +332,7 @@ def test_samples_do_not_depend_on_the_piece_size(run, monkeypatch):
         assert np.array_equal(a.hit_times, b.hit_times)
         assert a.censored_count == b.censored_count
         assert a.path_steps == b.path_steps
-    if run in ("line", "strip"):
+    if run in ("line", "two_slopes", "strip"):
         assert a.path_steps == cfg.n_paths
 
 
@@ -350,7 +350,7 @@ def _pinned_case(case):
                            SimConfig(dt=0.25, horizon=5.0, n_paths=2048, seed=77)),
         "lognormal_band": (estimate_fet, (lognormal, ExpBoundary(A=0.9), ExpBoundary(A=1.1)),
                            SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)),
-        # sides of two slopes, stepped on the grid
+        # sides of two slopes, one slope apart in the clock s = R/(1 + kR)
         "tilted_band": (estimate_fet, (lognormal, ExpBoundary(A=0.9),
                                        ExpBoundary(A=1.1, B=0.002)),
                         SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)),
@@ -363,15 +363,13 @@ def _pinned_case(case):
 # (SHA-256 of hit_times.tobytes(), of the exit sides joined by commas or
 # None, censored_count).  Each kind of draw has its own SFC64 stream, spawned
 # in a fixed order from the seed (_streams), and takes it in path order over
-# the whole ensemble.  The grid case (tilted_band) draws simulate_paths'
-# normals, one per step of every path to the horizon, row-major, then one
-# uniform per candidate step, one whose bridge exponent exceeds LOG_U_MIN,
-# row-major from each boundary's own stream.  The lines, and the bands of
-# one slope, take one step per path (_strip_hits): one normal per path, one
-# uniform per candidate, then per proposal round the side uniforms (a band
-# only), each hit time's normal and uniform and the accept uniforms (a band
-# only), each hit's clock time mapped to a time by Newton's method on the
-# clock
+# the whole ensemble.  Every case takes one step per path (_strip_hits): one
+# normal per path, one uniform per candidate, then per proposal round the
+# side uniforms (a band only), each hit time's normal and uniform and the
+# accept uniforms (a band only).  A band of two slopes (tilted_band) runs
+# this in the clock s in which its sides have one slope, and maps each hit's
+# s to R = s/(1 - ks); each hit's clock time maps to a time by Newton's
+# method on the clock
 PINNED_SAMPLES = {
     "ou_band": ("0f421bdd0bb37179297aec50c02a46b8bf332ad76d11eef5a73c8d4e15549b13",
                 "d8afe83679245d9aa0e554598191b4c88438a71009616a516b1b04bbb0d24fb4", 1590),
@@ -381,8 +379,8 @@ PINNED_SAMPLES = {
                        "7ab91bd21308b4ed9a358ff0bef928260e6c82527775506f949868e2cb87a134", 15),
     "lognormal_tilted_line": ("2442f7d696084caed816823e05d9db0b3044f0d2cdfe001fc1cc5b9114542b02",
                               None, 554),
-    "tilted_band": ("cf50ec6abc5af94f26cdcc36be5bab6e63497acec46382982954cac4900b6831",
-                    "91550d04c20377042d876efd0269221bbdcb514cd4ea45cf254bbb5862fb3e26", 40),
+    "tilted_band": ("5b3de4a188e095234a7622465bbe34d67f8824767286cd1d3d4b7bc4edcb1bab",
+                    "43f9707a19fe997c5cf5599fbbbd7a7bb6821cc97c08e5651cfd8114a9b04d4f", 28),
 }
 
 
@@ -403,19 +401,16 @@ def test_pinned_samples(case, calls):
 
 @pytest.mark.parametrize("case", ["tilted_band", "far_line", "lognormal_band"])
 def test_path_steps_count_the_steps_simulated(case):
-    # on the grid every path is stepped to the horizon; a line, or a band of
-    # one slope, takes each path to the horizon in one step, whatever dt
+    # a line, or a band of either one slope or two, takes each path to the
+    # horizon in one step, whatever dt
     if case == "far_line":
         estimate, args = estimate_fpt, (LognormalProcess(PARAMS, 0.015), ExpBoundary(A=1.2))
         cfg = SimConfig(dt=0.5, horizon=60.0, n_paths=5000, seed=3)
     else:
         estimate, args, cfg = _pinned_case(case)
     sample = estimate(*args, cfg)
-    if case == "tilted_band":
-        assert sample.path_steps == cfg.n_paths * round(cfg.horizon / cfg.dt)
-    else:
-        assert 0 < sample.hit_times.size < cfg.n_paths
-        assert sample.path_steps == cfg.n_paths
+    assert 0 < sample.hit_times.size < cfg.n_paths
+    assert sample.path_steps == cfg.n_paths
 
 
 @pytest.mark.parametrize("b", [0.0, -0.0, 1e-300, -1e-300, 5e-324])
@@ -463,6 +458,27 @@ def test_hit_clock_is_the_exact_root(phi):
     assert np.max(np.abs(got - tau) / tau) <= 1e-14
 
 
+def test_strip_stay_in_the_clock_s_is_the_two_line_bridge_series():
+    # a bridge over [0, V] from 0 to an end at distance b above the lower of
+    # two lines whose band narrows or widens from L0 to LV is, in the clock
+    # s = R/(1 + kR), k = (LV - L0)/(L0 V), a bridge over [0, V L0/LV] to the
+    # distance b L0/LV in a strip of width L0: its stay probability must be
+    # Anderson's (1960) series for two lines of any slopes, term by term;
+    # to |n| = 200 it omits below e^-40 at the narrowest, longest draw
+    rng = np.random.default_rng(38)
+    n = np.arange(-200, 201.0)
+    worst = 0.0
+    for _ in range(2000):
+        L0, V = rng.uniform(0.1, 2.0), rng.uniform(0.01, 4.0)
+        LV = L0 * rng.uniform(0.2, 5.0)
+        a, b = L0 * rng.uniform(0.01, 0.99), LV * rng.uniform(0.01, 0.99)
+        series = np.sum(np.exp(-2.0 * n * (n * L0 * LV + L0 * b - LV * a) / V)
+                        - np.exp(-2.0 * (n * L0 + a) * (n * LV + b) / V))
+        got = _strip_stay(a, np.array([b * L0 / LV]), V * L0 / LV, L0)[0]
+        worst = max(worst, abs(got - series))
+    assert worst <= 1e-14
+
+
 def test_log_u_min_is_the_log_of_the_smallest_positive_uniform():
     # random() returns integer multiples of 2**-53 below 1, so a positive
     # draw has log u >= LOG_U_MIN: a step whose exponent lies at or below
@@ -470,35 +486,6 @@ def test_log_u_min_is_the_log_of_the_smallest_positive_uniform():
     k = _streams(3, 1)[0].random(10 ** 6) * 2.0 ** 53
     assert np.array_equal(k, np.floor(k)) and k.max() < 2.0 ** 53
     assert LOG_U_MIN == np.log(2.0 ** -53)
-
-
-def test_bridge_events_are_the_dense_test_at_the_candidates():
-    # a fixed block with direct hits (exponent >= 0), candidates below 0 and
-    # steps at or below LOG_U_MIN; the dense test log u < g gets the
-    # stream's uniforms at the candidates, in row-major order, and other
-    # draws of random() elsewhere, the smallest positive one among them
-    n, m = 64, 16
-    d = np.random.default_rng(5).normal(0.3, 0.25, (n, m + 1))
-    rate = -2.0 / np.linspace(0.004, 0.02, m)
-    g = d[:, :-1] * d[:, 1:]
-    g *= rate
-    cand = g > LOG_U_MIN
-    assert np.any(g >= 0.0) and np.any(cand & (g < 0.0)) and not np.all(cand)
-    u = np.maximum(np.random.default_rng(6).random((n, m)), 2.0 ** -53)
-    u[~cand] = np.where(np.arange(np.count_nonzero(~cand)) % 3, u[~cand], 2.0 ** -53)
-    u[cand] = _streams(9, 1)[0].random(np.count_nonzero(cand))
-    events = _bridge_events(d, rate, _streams(9, 1)[0])
-    assert np.array_equal(events, np.flatnonzero(np.log(u) < g))
-    assert np.all(np.isin(np.flatnonzero(g >= 0.0), events))
-
-
-def test_bridge_events_draw_nothing_when_no_step_can_fire():
-    rng = _streams(9, 1)[0]
-    # every exponent is -2 * 0.5**2 / 0.01 = -50, below LOG_U_MIN
-    events = _bridge_events(np.full((8, 17), 0.5), np.full(16, -2.0 / 0.01), rng)
-    # the stream is where it was: its next draw is its first
-    assert events.size == 0
-    assert rng.random() == _streams(9, 1)[0].random()
 
 
 class TestEstimateFET:
@@ -531,22 +518,40 @@ class TestEstimateFET:
         assert sample.hit_times.size + sample.censored_count == cfg.n_paths
         assert np.all(np.diff(sample.hit_times) >= 0.0)
 
-    def test_two_slopes_exit_on_the_grid(self):
-        # sides of two slopes are stepped on the grid: each hit at a grid
-        # time or a step's midpoint, through both sides, and some paths run
-        # to the horizon
-        proc = LognormalProcess(PARAMS, 0.05)
-        cfg = SimConfig(dt=0.5, horizon=18.5, n_paths=2500, seed=31)
-        sample = estimate_fet(proc, ExpBoundary(A=0.9), ExpBoundary(A=1.1, B=0.002), cfg)
-        t = sample.hit_times
-        assert t.size + sample.censored_count == cfg.n_paths
-        assert 0 < sample.censored_count
-        steps = (t - PARAMS.t0) / cfg.dt
-        on_grid_or_midpoint = np.isclose(2.0 * steps, np.round(2.0 * steps), rtol=0.0,
-                                         atol=1e-9)
-        assert np.all(on_grid_or_midpoint)
-        assert np.all((t > PARAMS.t0) & (t <= PARAMS.t0 + cfg.horizon))
-        assert set(np.unique(sample.exit_sides)) == {"lower", "upper"}
+    @staticmethod
+    def _two_slope_band(case):
+        """(process, lower, upper, horizon, seed) of a band of two slopes:
+        in the coordinate the lognormal band at sigma = 1 has sides
+        -1 - 0.05 R and 0.8 + 0.1 R, and widens from 1.8 to 3.0; the OU band
+        sides -0.21 + 6 R and 0.21 - 12 R, and narrows from 0.42 to 0.11.
+        The seeds were picked once."""
+        if case == "diverging":
+            return (LognormalProcess(PARAMS, 1.0), ExpBoundary(A=math.exp(-1.0), B=-0.55),
+                    ExpBoundary(A=math.exp(0.8), B=-0.4), 8.0, 3801)
+        scale = PARAMS.x0 * _g(PARAMS, PARAMS.t0)
+        return (OUProcess(PARAMS, 0.19), AffineGMBoundary(A=0.8 * scale, B=6.0),
+                AffineGMBoundary(A=1.2 * scale, B=-12.0), 30.0, 3802)
+
+    @pytest.mark.parametrize("case", ["diverging", "converging"])
+    def test_two_slopes_exit_by_the_band_law(self, case):
+        # sides of two slopes exit in one step per path by the law of the
+        # band of one slope that the clock s = R/(1 + kR) maps them to: each
+        # side's mass within 3 standard errors of the coupled Volterra
+        # solution's, and the sub-CDF within the DKW bound at alpha = 1e-3
+        proc, lower, upper, horizon, seed = self._two_slope_band(case)
+        n = 200_000
+        cfg = SimConfig(dt=0.5, horizon=horizon, n_paths=n, seed=seed)
+        sample = estimate_fet(proc, lower, upper, cfg)
+        assert sample.path_steps == n
+        assert set(sample.exit_sides) == {"lower", "upper"}
+        curves = volterra_fet(proc, lower, upper, PARAMS.x0, PARAMS.t0,
+                              PARAMS.t0 + np.linspace(0.0, horizon, 2001))
+        for side, curve in zip(("lower", "upper"), curves):
+            p = curve.mass
+            share = np.count_nonzero(sample.exit_sides == side) / n
+            assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+        _, ks = density_distance(sample, curves[2])
+        assert ks <= math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
 
 
 class TestDensityDistance:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from growthfpt import (GrowthParams, InvalidParams, LognormalProcess,
-                       NonPositiveState, OUProcess, infinitesimal_coeffs,
+from growthfpt import (ExpBoundary, GrowthParams, InvalidParams, LognormalProcess,
+                       NonPositiveState, OUProcess, fpt_pdf_closed, infinitesimal_coeffs,
                        transition_law, transition_law_L, wiener_spec, x_eval)
 
 from conftest import BASE
@@ -108,6 +108,23 @@ class TestWienerRepresentation:
             lhs = law_x.pdf(x)
             rhs = law_z.pdf(transform(x, t)) / x
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @pytest.mark.parametrize("B", [1.0, -1.0])
+    def test_exp_boundary_line_at_a_late_start(self, B):
+        # at t0 = 800, e^{B t0} overflows or underflows to 0, and the line's
+        # intercept ln(A e^{B t0}/x0) raised OverflowError or ValueError; as
+        # ln(A/x0) + B t0 it is finite, and the density is the inverse
+        # Gaussian passage density of the line c + d R, R = sigma^2 (t - t0)
+        params = GrowthParams(p=1.5, **dict(BASE, t0=800.0))
+        proc, bnd = LognormalProcess(params, 40.0), ExpBoundary(A=0.8, B=B)
+        c, d = proc.coord(params.x0, params.t0).line(bnd)
+        assert c == math.log(0.8) + 800.0 * B and d == (B + 800.0) / 1600.0
+        t = 800.0 + np.array([0.5, 0.9, 1.0, 1.1, 1.5, 3.0])
+        R = 1600.0 * (t - 800.0)
+        ref = 1600.0 * abs(c) / np.sqrt(2.0 * np.pi * R ** 3) * np.exp(
+            -(c + d * R) ** 2 / (2.0 * R))
+        np.testing.assert_allclose(fpt_pdf_closed(proc, bnd, params.x0, params.t0, t), ref,
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestSampling:
