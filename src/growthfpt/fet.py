@@ -4,34 +4,44 @@ A band of two boundaries of one closed-form family (fpt's module
 docstring) is, in the model's coordinate from the start (GMSpec.coord,
 LognormalProcess.coord, OUProcess.coord), a pair of lines c1 + d*R and
 c2 + d*R of a unit Wiener process w started at 0, with c1 < 0 < c2 when
-the start is inside.  Only a pair of one slope d has a closed form: there
-w has drift mu = -d against a fixed band, with the start u = -c1 above the
-lower side and v = c2 below the upper one (L = u + v).  That closed form,
-fet_pdf_closed(model, lower, upper, x0, t0, t), is R'(t) times one density
-in R, _band_exit(R, u, v, mu).  For a Gauss-Markov band
+the start is inside.  Only a pair of one slope d has a closed form,
+fet_pdf_closed(model, lower, upper, x0, t0, t).  For a Gauss-Markov band
 s_i = m + a*k1 + c_i*k2 the lines are c_i - c + a*R in the clock
 R = r(t) - r(t0), with the start at x0 = m + a*k1 + c*k2; the Wiener band
 is the case r = sigma^2 t.
 
-_band_exit removes the drift by the exponential change of measure: the
-exit density through the lower side is exp(-mu u - mu^2 R/2) times the
-driftless one, and through the upper side exp(mu v - mu^2 R/2) times the
-driftless one from v.  A driftless side density from distance x is summed
-as one of two series,
+Side i lies a_i = |c_i| from the start across a strip of width
+L = c2 - c1.  Each image term of its drifted exit density is the n = 0
+term times (1 + 2nL/a_i) exp(-2nL(a_i + nL)/R), in which the drift does
+not appear.  So the exit density through side i is the passage density
+through that line alone, the inverse Gaussian IG_i of fpt_pdf_closed
+(fpt._inverse_gaussian), times the strip ratio r_i <= 1 (_strip_ratio):
 
-    image  sum_{n=-6..6} (x + 2nL) exp(-(x + 2nL)^2 / (2R)) / sqrt(2 pi R^3)
-    sine   (pi/L^2) sum_{k=1..8} k sin(k pi x/L) exp(-k^2 pi^2 R / (2L^2)),
+    f_i(R) = IG_i(R) r_i(R),
+
+and fet_pdf_closed is R'(t) sum_i IG_i r_i.  Monte Carlo accepts a
+proposed exit with the same ratio (montecarlo._strip_hits).  The ratio of
+the side at distance a is one of two series,
+
+    image  sum_{|n| <= 3} (1 + 2nL/a) exp(-2nL(a + nL)/R)
+    sine   sqrt(2 pi R^3) pi/(a L^2) sum_{k=1..5} k sin(k pi a/L)
+           exp(a^2/(2R) - k^2 pi^2 R/(2 L^2)),
 
 the image series where R <= L^2/2 and the sine (eigenfunction) series
-above.  The number of terms is fixed in advance (Navarro & Fuss 2009,
-J. Math. Psych. 53), so no tolerance or cap is left.  Relative to the
-leading term's size, the first omitted image term is below 1e-18 up to
-R/L^2 = 2 and the first omitted sine term below 1e-15 from R/L^2 = 0.1,
-so the switch sits inside the range where both reach double precision.
-(Beyond R/L^2 = 2 the image terms cancel and lose digits; below 0.1 the
-sine series needs more terms.)  Each term's exponents are added before
-exp, so a term too small for a normal double is 0, never 0 times an
-overflow, and no density is negative, however long the time.
+above (ORDERS = 3, MODES = 5).  The number of terms is fixed in advance
+(Navarro & Fuss 2009, J. Math. Psych. 53), so no tolerance or cap is
+left.  Relative to the n = 0 term, the first omitted image pair
+(n = +-4) is below 258 e^-48 = 4e-19 at R = L^2/2, and below 3e-17 up to
+R/L^2 = 0.6 for a start at least L/1000 from either side; relative to the
+first sine term, the first omitted one (k = 6) is below 36 e^-86 = 1e-36
+at R = L^2/2, and below 7e-18 from R/L^2 = 0.25.  So the switch sits
+inside the range where both forms reach double precision.  (Beyond
+R/L^2 = 0.6 the image series needs more orders; below 0.25 the sine
+series needs more terms.)  Each term's exponents are added before exp,
+and a term whose exponent lies below EXP_FLOOR is exactly 0
+(_exp_floored), so no ratio is negative and none is 0 times an overflow,
+however long the time: past about 140 L^2 every sine term, and so the
+ratio, is 0.
 
 For general C^1 bands the pair (gamma1, gamma2) of exit-through-lower /
 exit-through-upper densities solves a coupled system of second-kind Volterra
@@ -52,63 +62,60 @@ of one slope never meet) and Volterra on the rows to_clock maps.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import InvalidParams
-from .fpt import DensityCurve, _solver_grid, _volterra
+from .fpt import DensityCurve, _inverse_gaussian, _solver_grid, _volterra
 from .gm_core import check_posed, to_clock
 from .growth_curve import _as_out, _check_span
 
-_SINE_FROM = 0.5                # R/L^2 above which the sine series is summed
-_ORDERS = np.arange(-6.0, 7.0)  # image orders n
-_MODES = np.arange(1.0, 9.0)    # sine terms k
-_EXP_MIN = -708.0               # exp(x) is subnormal or 0 below about -708.4
+_SINE_FROM = 0.5  # R/L^2 above which the strip's sine series is summed
+# the strip's series: image orders |n| <= ORDERS, sine terms k <= MODES; a term
+# whose exponent lies below EXP_FLOOR is exactly 0: it would add below 1e-304,
+# and numpy's exp is 10 to 200 times slower from about -708 down
+ORDERS, MODES, EXP_FLOOR = 3, 5, -700.0
 
 
-def _exp(E: np.ndarray) -> np.ndarray:
-    """exp(E), with 0 where E <= _EXP_MIN.  numpy's exp takes 20 to 200 ns
-    per element there against about 1 ns above, and at short or long clocks
-    most terms of either series fall there."""
-    return np.exp(E, out=np.zeros(E.shape), where=E > _EXP_MIN)
+def _exp_floored(E: np.ndarray) -> np.ndarray:
+    """exp(E) in place, exactly 0 where E < EXP_FLOOR: E is floored there
+    first, and the term then multiplied by the keep mask, which is 3 to 6
+    times cheaper than a masked exp when many terms are floored."""
+    keep = E >= EXP_FLOOR
+    np.exp(np.maximum(E, EXP_FLOOR, out=E), out=E)
+    return np.multiply(E, keep, out=E)
 
 
-def _image_sum(R: np.ndarray, u: float, v: float, mu: float) -> np.ndarray:
-    """_band_exit from the image series, for a 1-d array R: one column per
-    side and order, each row summed on its own."""
-    L = u + v
-    n = np.concatenate((_ORDERS, _ORDERS))
-    drift = np.repeat((mu, -mu), _ORDERS.size)
-    d = np.repeat((u, v), _ORDERS.size) + 2.0 * L * n
-    q = d + drift * R[:, None]
-    terms = d * _exp(2.0 * L * n * drift - q * q / (2.0 * R[:, None]))
-    return terms.sum(axis=1) / np.sqrt(2.0 * math.pi * R) / R
+def _strip_ratio(a: np.ndarray, L: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """ratio(side, tau): the ratio r_s(tau) = f_s/IG_s (module docstring) of
+    each side side[i] (one side for every time when side is an int) of the
+    strip of width L from the start distances a (one per side), at the 1-d
+    clock times tau > 0.  It is summed relative to IG_s, so nothing
+    divides 0 by 0.  A term is w exp(A/tau + B tau), B = 0 in the image
+    form, each side's w, A and B formed once, here; a row per term, a
+    column per time.  numpy sums fewer than 8 rows down each column in
+    order, whatever the number of columns, so no time's value depends on
+    the others in the call.  The sine form multiplies its sum by tau and
+    then by sqrt(tau), so a sum of 0 stays 0 at any finite tau."""
+    n, k = np.arange(-ORDERS, ORDERS + 1.0)[:, None], np.arange(1.0, MODES + 1.0)[:, None]
+    forms = [[(1.0 + 2.0 * L * n / x, -2.0 * L * n * (x + n * L), 0.0),
+              (k * np.sin(k * math.pi * x / L) * (math.sqrt(2.0 * math.pi) * math.pi / L / L / x),
+               0.5 * x * x, -0.5 * (k * math.pi / L) ** 2)] for x in a]
 
+    def ratio(side, tau: np.ndarray) -> np.ndarray:
+        r, long = np.empty(tau.shape), tau > _SINE_FROM * L * L
+        for s, form in ((s, form) for s in range(len(a)) for form in (0, 1)):
+            at = np.flatnonzero((side == s) & (long == form))
+            if not at.size:
+                continue
+            (w, A, B), t = forms[s][form], tau[at]
+            E = _exp_floored(A / t + B * t if form else A / t)
+            terms = np.sum(np.multiply(E, w, out=E), axis=0)
+            r[at] = terms * t * np.sqrt(t) if form else terms
+        return r
 
-def _sine_sum(R: np.ndarray, u: float, v: float, mu: float) -> np.ndarray:
-    """_band_exit from the sine (eigenfunction) series, laid out the same."""
-    L = u + v
-    k = np.concatenate((_MODES, _MODES))
-    x = np.repeat((u, v), _MODES.size)
-    drift = np.repeat((mu, -mu), _MODES.size)
-    rate = 0.5 * (math.pi * k / L) ** 2 + 0.5 * mu * mu
-    terms = k * np.sin(k * (math.pi / L) * x) * _exp(-drift * x - rate * R[:, None])
-    return (math.pi / (L * L)) * terms.sum(axis=1)
-
-
-def _band_exit(R, u: float, v: float, mu: float) -> np.ndarray:
-    """Exit density, both sides together, of a unit-variance Wiener process
-    with drift mu in its clock R > 0 (a scalar or an array), started u above
-    the lower side and v below the upper one.  Each element sums its own
-    series, so a value does not depend on the other clocks in the call."""
-    R = np.asarray(R, dtype=float)
-    sine = R > _SINE_FROM * (u + v) ** 2
-    out = np.empty(R.shape)
-    for series, where in ((_image_sum, ~sine), (_sine_sum, sine)):
-        if np.any(where):
-            out[where] = series(R[where], u, v, mu)
-    return out
+    return ratio
 
 
 def fet_pdf_closed(model, lower, upper, x0: float, t0: float, t):
@@ -132,8 +139,10 @@ def fet_pdf_closed(model, lower, upper, x0: float, t0: float, t):
         raise InvalidParams(f"band sides of slopes {d} and {d2} have no closed form")
     R = np.asarray(coord.clock(t), dtype=float)
     moved = R > 0.0  # the density is 0 where the clock has not moved
-    dens = coord.rate(t) * _band_exit(np.where(moved, R, 1.0), -c1, c2, -d)
-    return _as_out(np.where(moved, dens, 0.0))
+    R = np.where(moved, R, 1.0).ravel()
+    ratio = _strip_ratio(np.array([-c1, c2]), c2 - c1)
+    exits = sum(_inverse_gaussian(c, d, R) * ratio(s, R) for s, c in enumerate((c1, c2)))
+    return _as_out(np.where(moved, coord.rate(t) * exits.reshape(moved.shape), 0.0))
 
 
 def volterra_fet(model, lower, upper, x0: float, t0: float,

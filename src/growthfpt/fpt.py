@@ -18,6 +18,9 @@ of a unit Wiener process from 0 to the line c + d*R (inverse Gaussian),
 
     |c| / sqrt(2 pi R^3) * exp(-(c + d R)^2 / (2 R)).
 
+fet_pdf_closed multiplies the same density (_inverse_gaussian) of each
+side of a band by that side's strip ratio (fet's module docstring).
+
 Everything else goes through a product-integration solver for the
 second-kind Volterra equation
 
@@ -131,10 +134,15 @@ def fpt_pdf_closed(model, b, x0: float, t0: float, t):
     coord = model.coord(x0, t0)
     c, d = coord.line(b)
     check_posed([[c + d * 0.0]])  # the line at the start, R = 0
-    R = coord.clock(t)
+    return _as_out(_inverse_gaussian(c, d, coord.clock(t), coord.rate(t)))
+
+
+@np.errstate(over="ignore")  # q*q overflows only where exp(-q*q/(2R)) is 0
+def _inverse_gaussian(c: float, d: float, R, rate=1.0):
+    """rate times the density at the clocks R > 0 of the first passage of
+    a unit Wiener process from 0 through the line c + d*R."""
     q = d * R + c
-    return _as_out(abs(c) / R * coord.rate(t) * (np.exp(-q * q / (2.0 * R))
-                                                 / (_SQRT2PI * np.sqrt(R))))
+    return abs(c) / R * rate * (np.exp(-q * q / (2.0 * R)) / (_SQRT2PI * np.sqrt(R)))
 
 
 def _solver_grid(grid, t0: float):

@@ -29,13 +29,14 @@ i with probability P_i/Q (one uniform), draws tau from that side's bridge
 law, S U/(1 + U) with U ~ IG(a/|b|, a^2/S) (one normal and one uniform,
 _hit_clock), and accepts it with probability r_i(tau) = f_i(tau)/f_one(tau)
 <= 1 (one uniform), f_i the strip's exit density through i and f_one the
-one-sided one (_strip_ratio): given the ends, the exit's sub-density in
-(i, tau) is Q r_i(tau) times the proposal's.  An end outside proposes until
-one is accepted.  An end inside with Q <= 1 draws u where Q > 2**-53 and
-makes one proposal where log u < log Q; a rejection leaves it inside.  One
-with Q > 1 exits where u < 1 - P_stay and then proposes until one is
-accepted; from a to b above the lower side of a strip of width L
-(_strip_stay),
+one-sided one: given the ends, the exit's sub-density in (i, tau) is
+Q r_i(tau) times the proposal's.  r_i is fet._strip_ratio, by which
+fet_pdf_closed multiplies each side's passage density.  An end outside
+proposes until one is accepted.  An end inside with Q <= 1 draws u where
+Q > 2**-53 and makes one proposal where log u < log Q; a rejection leaves
+it inside.  One with Q > 1 exits where u < 1 - P_stay and then proposes
+until one is accepted; from a to b above the lower side of a strip of
+width L (_strip_stay, summed with fet's term counts and exact-zero floor),
 
     P_stay = sum_n [exp{-2nL(nL + b - a)/S} - exp{-2(nL + a)(nL + b)/S}].
 
@@ -66,12 +67,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError, EmptySample
-from .fet import _SINE_FROM
+from .fet import MODES, ORDERS, _SINE_FROM, _exp_floored, _strip_ratio
 from .fpt import DensityCurve
 from .gm_core import WienerCoord, check_posed, to_clock
 from .growth_curve import _core
@@ -85,10 +86,6 @@ PIECE = 2 ** 14
 # exponent at or below it can fire only on a drawn 0
 LOG_U_MIN = float(np.log(2.0 ** -53))
 NEWTON_TOL, NEWTON_MAX = 1e-7, 8  # the inverse clock's last step, of the span; its most steps
-# the strip's series: image orders |n| <= ORDERS, sine terms k <= MODES; each
-# exponent is floored at EXP_FLOOR, above where numpy's exp is 10 to 200
-# times slower (from about -708 down), and a floored term adds below 1e-304
-ORDERS, MODES, EXP_FLOOR = 3, 5, -700.0
 
 Process = Union[LognormalProcess, OUProcess]
 Boundary = Union[ExpBoundary, AffineGMBoundary]
@@ -230,44 +227,13 @@ def _clock_times(coord: WienerCoord, ts: np.ndarray, R: np.ndarray,
     return t
 
 
-def _exp_floored(E: np.ndarray) -> np.ndarray:
-    """exp(E) in place, E floored at EXP_FLOOR first."""
-    return np.exp(np.maximum(E, EXP_FLOOR, out=E), out=E)
-
-
-def _strip_ratio(a: np.ndarray, L: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """ratio(side, tau): r_s(tau) = f_s/f_one of each side side[i] of the
-    strip of width L from the start distances a (one per side), summed
-    relative to f_one, so nothing divides 0 by 0.  Up to tau = L^2/2 the
-    image series sum_{|n| <= 3} (1 + 2nL/a) exp(-2nL(a + nL)/tau) omits
-    below 258 e^-48 = 4e-19 (the pair n = +-4); above it, the sine series
-    sqrt(2 pi tau^3) pi/(a L^2) sum_{k=1..5} k sin(k pi a/L)
-    exp(a^2/(2 tau) - k^2 pi^2 tau/(2 L^2)) below 36 e^-86 = 1e-36 of its
-    first term.  A term is w exp(A/tau + B tau), each side's w, A and B
-    formed once, here; a row per term, a column per time."""
-    n, k = np.arange(-ORDERS, ORDERS + 1.0)[:, None], np.arange(1.0, MODES + 1.0)[:, None]
-    forms = [[(1.0 + 2.0 * L * n / x, -2.0 * L * n * (x + n * L), 0.0),
-              (k * np.sin(k * math.pi * x / L) * (math.sqrt(2.0 * math.pi) * math.pi / L / L / x),
-               0.5 * x * x, -0.5 * (k * math.pi / L) ** 2)] for x in a]
-
-    def ratio(side: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        r, long = np.empty(tau.shape), tau > _SINE_FROM * L * L
-        for s, form in ((s, form) for s in range(len(a)) for form in (0, 1)):
-            at = np.flatnonzero((side == s) & (long == form))
-            (w, A, B), t = forms[s][form], tau[at]
-            E = _exp_floored(A / t + B * t)
-            r[at] = np.sum(np.multiply(E, w, out=E), axis=0) * (t * np.sqrt(t) if form else 1.0)
-        return r
-
-    return ratio
-
-
 def _strip_stay(a: float, b: np.ndarray, V: float, L: float) -> np.ndarray:
     """P_stay of bridges over the clock V from a to the ends b in the strip
-    (0, L): for V <= L^2/2 the image series (module docstring) to |n| = 3,
-    which omits below e^-36 = 2.3e-16, a uniform's resolution; above, the
-    sine series (2/L) sqrt(2 pi V) sum_{k=1..5} sin(k pi a/L) sin(k pi b/L)
-    exp((b - a)^2/(2V) - k^2 pi^2 V/(2 L^2)), which omits below 1e-37."""
+    (0, L): for V <= L^2/2 the image series (module docstring) to
+    |n| = ORDERS = 3, which omits below e^-36 = 2.3e-16, a uniform's
+    resolution; above, the sine series (2/L) sqrt(2 pi V) sum_{k=1..MODES}
+    sin(k pi a/L) sin(k pi b/L) exp((b - a)^2/(2V) - k^2 pi^2 V/(2 L^2)),
+    MODES = 5, which omits below 1e-37."""
     if V <= _SINE_FROM * L * L:
         n = np.arange(-ORDERS, ORDERS + 1.0)[:, None] * L
         return np.sum(_exp_floored((-2.0 / V) * n * (n + b - a))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,11 +174,39 @@ class TestBandSeries:
                 tol = 4.0 * eps * (1.0 - math.log(want))
                 assert cases[name][0](t) == pytest.approx(want, rel=tol), (name, t)
 
-    def test_image_and_sine_sums_agree_where_both_hold(self):
-        for name, (_, _, (u, v, mu)) in band_cases().items():
-            R = np.geomspace(0.1, 2.0, 40) * (u + v) ** 2
-            image, sine = fet._image_sum(R, u, v, mu), fet._sine_sum(R, u, v, mu)
-            assert np.max(np.abs(image - sine) / sine) <= 1e-12, name
+    def test_image_and_sine_sums_agree_where_both_hold(self, monkeypatch):
+        # each side's strip ratio, which its exit density is a passage
+        # density times, summed by each form alone: at the counts summed,
+        # where both hold, and with 13 orders and 8 terms from 0.1 to 2 L^2,
+        # so the two forms are one function beyond the switch
+        for orders, modes, lo, hi in ((fet.ORDERS, fet.MODES, 0.25, 0.6), (6, 8, 0.1, 2.0)):
+            monkeypatch.setattr(fet, "ORDERS", orders)
+            monkeypatch.setattr(fet, "MODES", modes)
+            for name, (_, _, (u, v, _)) in band_cases().items():
+                R = np.geomspace(lo, hi, 40) * (u + v) ** 2
+                ratio = fet._strip_ratio(np.array([u, v]), u + v)
+                for side in (0, 1):
+                    monkeypatch.setattr(fet, "_SINE_FROM", math.inf)
+                    image = ratio(side, R)
+                    monkeypatch.setattr(fet, "_SINE_FROM", 0.0)
+                    sine = ratio(side, R)
+                    err = np.max(np.abs(image - sine) / sine)
+                    assert err <= 1e-12, (orders, modes, name, side)
+
+    def test_strip_ratio_lies_between_zero_and_one(self):
+        # an exit density through a side is at most the passage density
+        # through that line alone; an exponent floored at EXP_FLOOR but not
+        # set to 0 left the ratio at -1.8e-299 at 150 L^2 for a = (0.3, 0.7)
+        rng = np.random.default_rng(3901)
+        strips = [(1.0, 0.3)] + [(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.001, 0.999))
+                                 for _ in range(300)]
+        for L, share in strips:
+            a = np.array([share, 1.0 - share]) * L
+            tau = np.geomspace(1e-3, 1e4, 500) * L * L
+            ratio = fet._strip_ratio(a, L)
+            for side in (0, 1):
+                r = ratio(side, tau)
+                assert np.all(r >= 0.0) and np.all(r <= 1.0 + 1e-12), (L, share, side)
 
     def test_positive_out_to_fifty_band_widths_squared(self):
         for name, (pdf, rl, _) in band_cases(ou_sigma=1.0).items():
@@ -197,6 +226,14 @@ class TestBandSeries:
         for t in (30.0, 60.0):
             decay = math.log(SYMMETRIC(t)) - math.log(SYMMETRIC(t + 1.0))
             assert decay == pytest.approx(math.pi ** 2 / 8.0, abs=1e-12)
+        # far past the last term's exponent floor, where sqrt(2 pi R^3)
+        # overflows, and for a tilted band where (c + dR)^2 does: exactly 0,
+        # with no overflow on the way
+        tilted = wiener_band(1.0, -1.0, 0.0, 1.0, slope=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for t in (1e210, 1e300):
+                assert SYMMETRIC(t) == 0.0 and tilted(t) == 0.0
 
     def test_array_call_equals_scalar_calls(self):
         # the grids cross the image/sine switch at R = L^2/2
