@@ -36,6 +36,7 @@ from ._decimal import format_g17
 from .errors import ConfigError, GrowthFPTError, ParseError, ValidationError
 from .fet import fet_pdf_closed, volterra_fet
 from .fpt import DensityCurve, fpt_pdf_closed, volterra_fpt
+from .gm_core import check_noise
 from .growth_curve import (GrowthParams, classify_regime, domain_end, g_eval,
                            h_eval, x_eval)
 from .montecarlo import SimConfig, estimate_fet, estimate_fpt, simulate_paths
@@ -178,8 +179,10 @@ def parse_config(text: str, flags: Optional[dict] = None) -> RunConfig:
     for row in _KEYS:
         vals.setdefault(row.block, {})[row.key] = row.read(doc, flags or {})
     noise, grid, fpt, fet = (vals[block] for block in ("noise", "grid", "fpt", "fet"))
-    if not noise["sigma"] > 0.0:
-        raise ValidationError(f"noise.sigma: must be > 0, got {noise['sigma']}")
+    try:
+        check_noise(noise["sigma"])
+    except GrowthFPTError as exc:
+        raise ValidationError(f"noise.sigma: {exc}") from exc
     if grid["points"] < 2:
         raise ValidationError("grid.points: must be >= 2")
     if not grid["t_end"] > vals["model"]["t0"]:

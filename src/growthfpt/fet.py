@@ -20,8 +20,9 @@ through that line alone, the inverse Gaussian IG_i of fpt_pdf_closed
     f_i(R) = IG_i(R) r_i(R),
 
 and fet_pdf_closed is R'(t) sum_i IG_i r_i.  Monte Carlo accepts a
-proposed exit with the same ratio (montecarlo._strip_hits).  The ratio of
-the side at distance a is one of two series,
+proposed exit with the same ratio (montecarlo._strip_hits), and a bridge's
+stay in the strip, _strip_stay, is summed here with the same terms.  The
+ratio of the side at distance a is one of two series,
 
     image  sum_{|n| <= 3} (1 + 2nL/a) exp(-2nL(a + nL)/R)
     sine   sqrt(2 pi R^3) pi/(a L^2) sum_{k=1..5} k sin(k pi a/L)
@@ -116,6 +117,23 @@ def _strip_ratio(a: np.ndarray, L: float) -> Callable[[np.ndarray, np.ndarray], 
         return r
 
     return ratio
+
+
+def _strip_stay(a: float, b: np.ndarray, V: float, L: float) -> np.ndarray:
+    """P_stay of Brownian bridges over the clock V from a to the ends b in
+    the strip (0, L) (Anderson 1960): up to V = _SINE_FROM L^2 the image
+    series sum_{|n| <= ORDERS} [exp(-2nL(nL + b - a)/V) - exp(-2(nL + a)
+    (nL + b)/V)], which omits below e^-36 = 2.3e-16, a uniform's resolution;
+    above, the sine series (2/L) sqrt(2 pi V) sum_{k=1..MODES} sin(k pi a/L)
+    sin(k pi b/L) exp((b - a)^2/(2V) - k^2 pi^2 V/(2 L^2)), which omits
+    below 1e-37."""
+    if V <= _SINE_FROM * L * L:
+        n = np.arange(-ORDERS, ORDERS + 1.0)[:, None] * L
+        return np.sum(_exp_floored((-2.0 / V) * n * (n + b - a))
+                      - _exp_floored((-2.0 / V) * (n + a) * (n + b)), axis=0)
+    k = np.arange(1.0, MODES + 1.0)[:, None] * (math.pi / L)
+    E = _exp_floored((b - a) ** 2 / (2.0 * V) - 0.5 * k * k * V)
+    return 2.0 / L * math.sqrt(2.0 * math.pi * V) * np.sum(np.sin(k * a) * np.sin(k * b) * E, 0)
 
 
 def fet_pdf_closed(model, lower, upper, x0: float, t0: float, t):

@@ -3,28 +3,27 @@ map of a passage problem into the Wiener coordinate.
 
 A non-singular Gaussian process with mean m(t) is Markovian exactly when its
 covariance factors as c(s, t) = k1(s) * k2(t) for s <= t, with
-r(t) = k1(t)/k2(t) strictly increasing and k1*k2 > 0 on the interior.  The
-triple (m, k1, k2) plus analytic derivatives is everything the transition
-laws and the infinitesimal coefficients need; GMSpec holds it as (m, r, k2).
+r(t) = k1(t)/k2(t) strictly increasing and k1*k2 > 0 on the interior.  GMSpec
+holds (m, r, k2) and derivatives, read through GMSpec.coord; only r_ratio and
+the variances of transition_law and infinitesimal_coeffs read r or k2 alone.
 
 Every model (a GMSpec, LognormalProcess or OUProcess) has a WienerCoord from
 a start (x0, t0): a map w of the state, 0 at the start, in which the process
 is a unit Wiener process in a clock R from t0, so w(t) ~ N(0, R(t)), and
 each boundary of the model's closed-form family is a line c + d*R.
 TransitionLaw, the one transition law, is that Gaussian pushed through the
-coordinate.  to_clock
-maps a first-passage problem of any model there, reading the model only
-through its coordinate: a closed-form boundary as its line, a boundary given
-as callables (GeneralBoundary) through the state map, its Jacobian and the
-coordinate's rate dw/dt.  check_posed is the one rule every method checks
-on those rows: finite, a lone boundary off the start, and a band that holds
-the start strictly inside and whose sides never meet.  boundary_fns maps a
-line back to state-space callables.  The kernel psi reads the clock and the
-boundary rows alone.
+coordinate.  to_clock maps a first-passage problem of any model there,
+reading the model only through its coordinate: a closed-form boundary as
+its line, a boundary given as callables (GeneralBoundary) through the state
+map, its Jacobian and the coordinate's rate dw/dt.  check_posed is the one
+rule every method checks on those rows: finite, a lone boundary off the
+start, and a band that holds the start strictly inside and whose sides
+never meet.  boundary_fns maps a line back to state-space callables.  The
+kernel psi reads the clock and the boundary rows alone.
 Every time function of a spec, and the laws built from it, take a scalar or
 a numpy array of times; transition_law and psi_kernel check theirs by
-growth_curve._check_span.  check_noise is the noise rule of wiener_spec
-and of both processes.
+growth_curve._check_span.  check_noise is the noise rule of wiener_spec,
+of both processes and of the CLI's noise.sigma.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class GMSpec:
     The triple is held through the intrinsic clock r = k1/k2 rather than k1:
     every density reads r, and k1 = r*k2 and k1' = r'*k2 + r*k2' follow
     from it.  Each callable takes a scalar or an array of times
-    and may return a constant; evaluate() broadcasts it.  Derivatives are
+    and may return a constant, which on_grid broadcasts.  Derivatives are
     supplied analytically by whoever builds the spec; nothing here
     differentiates numerically, which keeps the first-passage kernels
     smooth.  The callables must be pure and immutable after construction.
@@ -79,10 +78,9 @@ class GMSpec:
         with y0 = (x0 - m(t0))/k2(t0), R = r(t) - r(t0), dw/dx = 1/k2 and
         dw/dt = -(m' + (x - m) k2'/k2)/k2, in which a DanielsBoundary is the
         line c = d2 + d1 r(t0) - y0, d = d1."""
-        at0 = evaluate(self, t0)
-        y0, r0 = float((x0 - at0.m) / at0.k2), float(at0.r)
         m, k2 = (lambda t: on_grid(self.m, t)), (lambda t: on_grid(self.k2, t))
         m_dot, k2_dot = (lambda t: on_grid(self.m_dot, t)), (lambda t: on_grid(self.k2_dot, t))
+        y0, r0 = float((x0 - m(t0)) / k2(t0)), float(on_grid(self.r, t0))
 
         def line(b):
             if not isinstance(b, DanielsBoundary):
@@ -151,29 +149,6 @@ class WienerCoord:
     def spec(self) -> GMSpec:
         """The coordinate as a Gauss-Markov triple: m = 0, r = R, k2 = 1."""
         return clock_spec(self.clock, self.rate)
-
-
-@dataclass(frozen=True)
-class GMValues:
-    """A spec's six functions, each evaluated once at a time or a grid."""
-
-    m: np.ndarray
-    m_dot: np.ndarray
-    r: np.ndarray
-    r_dot: np.ndarray
-    k2: np.ndarray
-    k2_dot: np.ndarray
-
-    @property
-    def k1(self):
-        return self.r * self.k2
-
-
-def evaluate(spec: GMSpec, t) -> GMValues:
-    """Every function of the spec at t, one call each, all of t's shape."""
-    t = np.asarray(t, dtype=float)
-    return GMValues(*(on_grid(fn, t) for fn in (
-        spec.m, spec.m_dot, spec.r, spec.r_dot, spec.k2, spec.k2_dot)))
 
 
 @dataclass(frozen=True)
@@ -272,25 +247,21 @@ class TransitionLaw:
 
 
 def transition_law(spec: GMSpec, y: float, tau: float, t) -> TransitionLaw:
-    """Law of X(t) given X(tau) = y, tau <= t, on spec.coord(y, tau): mean
-    m(t) + (k2(t)/k2(tau)) (y - m(tau)), variance k2(t)^2 R, R = r(t) - r(tau)."""
+    """Law of X(t) given X(tau) = y, tau <= t, on coord = spec.coord(y, tau):
+    R = coord.clock(t), mean coord.to_state(0, t) = m(t) + (k2(t)/k2(tau))
+    (y - m(tau)), variance k2(t)^2 R (a GMSpec's k2; no other model has one)."""
     _check_span(t, tau)
-    at_tau, at_t = evaluate(spec, tau), evaluate(spec, t)
-    mean = at_t.m + at_t.k2 / at_tau.k2 * (y - at_tau.m)
-    R = np.where(np.equal(t, tau), 0.0, np.maximum(at_t.r - at_tau.r, 0.0))
-    return TransitionLaw(spec.coord(y, tau), t, _as_out(R), _as_out(mean),
-                         _as_out(at_t.k2 * at_t.k2 * R))
+    coord, k2 = spec.coord(y, tau), on_grid(spec.k2, t)
+    R = np.where(np.equal(t, tau), 0.0, np.maximum(coord.clock(t), 0.0))
+    return TransitionLaw(coord, t, _as_out(R), coord.to_state(0.0, t), _as_out(k2 * k2 * R))
 
 
 def infinitesimal_coeffs(spec: GMSpec, x: float, t: float) -> Tuple[float, float]:
-    """Drift and infinitesimal variance of the process at (x, t):
-
-    B1 = m'(t) + (x - m(t)) * k2'(t)/k2(t),   B2 = k2(t)^2 * r'(t).
-    """
-    at = evaluate(spec, t)
-    b1 = at.m_dot + (x - at.m) * at.k2_dot / at.k2
-    b2 = at.k2 * at.k2 * at.r_dot
-    return _as_out(b1), _as_out(b2)
+    """Drift B1 and infinitesimal variance B2 of the process at (x, t), B1
+    from spec.coord(x, t), in which the process is driftless:
+    B1 = -(dw/dt)/(dw/dx) = m' + (x - m) k2'/k2 and B2 = k2^2 r' at t."""
+    coord, k2 = spec.coord(x, t), on_grid(spec.k2, t)
+    return _as_out(-coord.dw_dt(x, t) / coord.jacobian(x, t)), _as_out(k2 * k2 * coord.rate(t))
 
 
 def to_clock(model, boundaries, x0: float, t):

@@ -36,7 +36,7 @@ proposes until one is accepted.  An end inside with Q <= 1 draws u where
 Q > 2**-53 and makes one proposal where log u < log Q; a rejection leaves
 it inside.  One with Q > 1 exits where u < 1 - P_stay and then proposes
 until one is accepted; from a to b above the lower side of a strip of
-width L (_strip_stay, summed with fet's term counts and exact-zero floor),
+width L (fet._strip_stay, beside _strip_ratio, with its terms and floor),
 
     P_stay = sum_n [exp{-2nL(nL + b - a)/S} - exp{-2(nL + a)(nL + b)/S}].
 
@@ -72,7 +72,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError, EmptySample
-from .fet import MODES, ORDERS, _SINE_FROM, _exp_floored, _strip_ratio
+from .fet import _exp_floored, _strip_ratio, _strip_stay
 from .fpt import DensityCurve
 from .gm_core import WienerCoord, check_posed, to_clock
 from .growth_curve import _core
@@ -227,22 +227,6 @@ def _clock_times(coord: WienerCoord, ts: np.ndarray, R: np.ndarray,
     return t
 
 
-def _strip_stay(a: float, b: np.ndarray, V: float, L: float) -> np.ndarray:
-    """P_stay of bridges over the clock V from a to the ends b in the strip
-    (0, L): for V <= L^2/2 the image series (module docstring) to
-    |n| = ORDERS = 3, which omits below e^-36 = 2.3e-16, a uniform's
-    resolution; above, the sine series (2/L) sqrt(2 pi V) sum_{k=1..MODES}
-    sin(k pi a/L) sin(k pi b/L) exp((b - a)^2/(2V) - k^2 pi^2 V/(2 L^2)),
-    MODES = 5, which omits below 1e-37."""
-    if V <= _SINE_FROM * L * L:
-        n = np.arange(-ORDERS, ORDERS + 1.0)[:, None] * L
-        return np.sum(_exp_floored((-2.0 / V) * n * (n + b - a))
-                      - _exp_floored((-2.0 / V) * (n + a) * (n + b)), axis=0)
-    k = np.arange(1.0, MODES + 1.0)[:, None] * (math.pi / L)
-    E = _exp_floored((b - a) ** 2 / (2.0 * V) - 0.5 * k * k * V)
-    return 2.0 / L * math.sqrt(2.0 * math.pi * V) * np.sum(np.sin(k * a) * np.sin(k * b) * E, 0)
-
-
 @np.errstate(divide="ignore")  # a drawn 0 has log -inf, an event
 def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
                 lines: Sequence[Tuple[float, float]], cfg: SimConfig,
@@ -252,9 +236,9 @@ def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
     side named by side_names when given), in one step per path over the
     clock V = R[-1] by the module docstring's law, run in the clock s in
     which the sides have one slope.  Each piece of paths draws its ends and
-    makes its first proposal round; the paths whose ends lie outside and
-    whose proposals were all refused then propose together, a round at a
-    time.  Last, the clock times map to times, a piece at a time."""
+    decides which paths propose; then one loop makes every round, piece by
+    piece, and gathers into new pieces the refused paths whose ends lie
+    outside.  Last, the clock times map to times, a piece at a time."""
     V, band = float(R[-1]), len(lines) == 2
     c, d = np.array(lines).T
     sign, a, L = np.sign(c), np.abs(c), float(np.sum(np.abs(c)))  # distances: sign*(c + dR - w)
@@ -271,18 +255,23 @@ def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
     # clock times s, which the end maps to R and then to times
     hit_time, hit_side = np.full(cfg.n_paths, np.nan), np.zeros(cfg.n_paths, dtype=np.int8)
 
-    def propose(rows: np.ndarray, b: np.ndarray, p_lower: np.ndarray) -> np.ndarray:
-        """One proposal round of a band's paths rows, in path order, with
-        their ends' distances b (a row per side) and lower-side shares;
-        records the accepted ones and returns the mask of the others."""
-        s = (side_u.random(rows.size) >= p_lower).astype(np.intp)
-        t = _hit_clock(a[s], b[s, np.arange(rows.size)], S, hit_z, hit_u)
-        ok = accept_u.random(rows.size) < ratio(s, t)
-        hit_time[rows[ok]], hit_side[rows[ok]] = t[ok], s[ok]
-        return ~ok
+    def propose(rows: np.ndarray, b: np.ndarray, p_lower: np.ndarray, must: np.ndarray):
+        """One proposal round of the paths rows in path order, given their ends'
+        distances b (a row per side), lower-side shares and must (an end outside):
+        records the accepted; returns the refused that must go on, as its arguments."""
+        if band:
+            s = (side_u.random(rows.size) >= p_lower).astype(np.intp)
+            t = _hit_clock(a[s], b[s, np.arange(rows.size)], S, hit_z, hit_u)
+            ok = accept_u.random(rows.size) < ratio(s, t)
+            hit_time[rows[ok]], hit_side[rows[ok]] = t[ok], s[ok]
+            keep = must & ~ok
+        else:  # a line takes every proposal
+            hit_time[rows] = _hit_clock(a[0], b[0], S, hit_z, hit_u)
+            keep = np.zeros(rows.size, dtype=bool)
+        return rows[keep], b[:, keep], p_lower[keep], must[keep]  # copies: no view keeps a piece
 
-    again = []  # (rows, b, p_lower) of the paths that must propose again
-    for lo, hi in _pieces(cfg.n_paths):
+    def proposers(lo: int, hi: int):
+        """(rows, b, p_lower, must) of the paths of the piece [lo, hi) that propose."""
         b = np.multiply.outer(scale, ends.standard_normal(hi - lo))  # a row per side
         b += b_still[:, None]
         g = rate[:, None] * b
@@ -302,20 +291,19 @@ def _strip_hits(ts: np.ndarray, R: np.ndarray, coord: WienerCoord,
         if big.size:
             go[big] = must[big] = u[logq > 0.0] < 1.0 - _strip_stay(a[0], b[0, big], S, L)
         rows = np.flatnonzero(go)
-        if not band:  # every proposal is taken: no side or accept uniform
-            hit_time[lo + rows] = _hit_clock(a[0], b[0, rows], S, hit_z, hit_u)
-            continue
-        P = _exp_floored(np.minimum(g[:, rows], 0.0))  # 1 where b <= 0
-        p_lower = P[0] / (P[0] + P[1])
-        b = b[:, rows]
-        keep = propose(lo + rows, b, p_lower) & must[rows]
-        again.append((lo + rows[keep], b[:, keep], p_lower[keep]))
-    if again:
-        rows, b, p_lower = (np.concatenate(x, axis=-1) for x in zip(*again))
-        while rows.size:
-            keep = np.concatenate([propose(rows[lo:hi], b[:, lo:hi], p_lower[lo:hi])
-                                   for lo, hi in _pieces(rows.size)])
-            rows, b, p_lower = rows[keep], b[:, keep], p_lower[keep]
+        p_lower = np.ones(rows.size)  # a line's one side
+        if band:
+            P = _exp_floored(np.minimum(g[:, rows], 0.0))  # 1 where b <= 0
+            p_lower = P[0] / (P[0] + P[1])
+        return lo + rows, b[:, rows], p_lower, must[rows]
+
+    # the first round takes each piece as it is drawn, so no piece waits in memory
+    todo = (proposers(lo, hi) for lo, hi in _pieces(cfg.n_paths))
+    while todo:  # a proposal round, piece by piece in path order
+        rows, b, p_lower, must = (np.concatenate(x, axis=-1)
+                                  for x in zip(*(propose(*piece) for piece in todo)))
+        todo = [(rows[lo:hi], b[:, lo:hi], p_lower[lo:hi], must[lo:hi])
+                for lo, hi in _pieces(rows.size)]
     mask = ~np.isnan(hit_time)
     hits, sides = hit_time[mask], None
     for lo, hi in _pieces(hits.size):  # none if empty: the OU clock takes no empty call

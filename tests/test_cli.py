@@ -100,6 +100,10 @@ class TestParseConfig:
     ("grid", "points", "20"),
     ("sim", "n_paths", True),
     ("noise", "sigma", "0.1"),
+    # check_noise's rule: sigma**2 a positive normal float
+    ("noise", "sigma", 0.0),
+    ("noise", "sigma", 1e-200),
+    ("noise", "sigma", 1e160),
     ("model", "gamma", False),
     # json.dumps writes NaN and Infinity, which json.loads takes
     ("model", "k", math.inf),

@@ -13,7 +13,7 @@ from growthfpt import (AffineGMBoundary, BandCrossing, DanielsBoundary,
                        psi_kernel, r_ratio, simulate_paths, transition_law,
                        transition_law_G, transition_law_L, volterra_fet,
                        volterra_fpt, wiener_spec)
-from growthfpt.gm_core import evaluate
+from growthfpt.gm_core import on_grid
 from growthfpt.growth_curve import _g, h_eval
 
 from conftest import BASE
@@ -184,9 +184,9 @@ class TestOneLaw:
         spec = gm_spec_G(OUProcess(PARAMS, 0.1))
         coord = spec.coord(self.Y, self.TAU)
         b = DanielsBoundary(d1=0.3, d2=1.9)
-        at = evaluate(spec, self.TS)
+        m, r, k2 = (on_grid(fn, self.TS) for fn in (spec.m, spec.r, spec.k2))
         c, d = coord.line(b)
-        w = coord.to_coord(at.m + b.d1 * at.k1 + b.d2 * at.k2, self.TS)
+        w = coord.to_coord(m + b.d1 * r * k2 + b.d2 * k2, self.TS)
         assert np.allclose(w, c + d * coord.clock(self.TS), rtol=0.0, atol=1e-13)
         assert coord.to_coord(self.Y, self.TAU) == 0.0
 

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from growthfpt import (DomainError, GrowthParams, OrderError, OUProcess,
                        domain_end, gm_spec_G, infinitesimal_coeffs, r_ratio,
                        transition_law, transition_law_G, x_eval)
-from growthfpt.gm_core import evaluate
+from growthfpt.gm_core import on_grid
 from growthfpt.growth_curve import _g, h_eval
 from growthfpt.process_ou import int_g2
 
@@ -181,7 +181,7 @@ class TestArrayForms:
         spec = gm_spec_G(OUProcess(params, 0.1))
         grid = _grid_for(params, points=25)[1:]
         for fn in (lambda t: _g(params, t), lambda t: h_eval(params, t),
-                   lambda t: evaluate(spec, t).k1, spec.k2):
+                   lambda t: on_grid(spec.r, t) * on_grid(spec.k2, t), spec.k2):
             arr = fn(grid)
             one = np.array([fn(float(t)) for t in grid])
             assert isinstance(fn(float(grid[0])), float)
